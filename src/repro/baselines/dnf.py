@@ -63,7 +63,7 @@ def expand_disjuncts(
                     constraint = constraint.weaken()
                 rows.append(constraint)
             if prune_infeasible:
-                outcome = check_conjunction(rows, minimize_core=False)
+                outcome = check_conjunction(rows)
                 if not outcome.satisfiable:
                     continue
             disjuncts.append(

@@ -14,6 +14,7 @@ transition systems in the benchmark suites stay far below it).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -56,6 +57,8 @@ def solve_ilp(
     relaxation is unbounded the problem is reported unbounded (for the
     formulas produced by the synthesiser an unbounded relaxation direction
     is also an unbounded integer direction, because all data are rational).
+    ``multipliers`` are passed through only when the root relaxation is
+    infeasible; every other result carries none.
     """
     integer_set: List[str] = list(integer_variables)
     nodes_explored = 0
@@ -81,6 +84,9 @@ def solve_ilp(
             objective, node_constraints, sense, variables, kernel=kernel
         )
         if relaxation.status is LpStatus.INFEASIBLE:
+            if nodes_explored == 1:
+                # The root's Farkas multipliers refute the input system.
+                return relaxation
             continue
         if relaxation.status is LpStatus.UNBOUNDED:
             # Remember and keep searching: an integer point must also exist
@@ -117,7 +123,8 @@ def solve_ilp(
         return unbounded_result
     if best is None:
         return LpResult(status=LpStatus.INFEASIBLE)
-    return best
+    # A node's duals describe the node's system, not the input's.
+    return replace(best, multipliers=None)
 
 
 def find_integer_point(

@@ -42,6 +42,15 @@ class LpResult:
     ``ray`` is a direction of unbounded improvement when UNBOUNDED.
     ``pivots`` counts the simplex pivots the solve performed — the cost
     metric the warm-start machinery of :mod:`repro.lp.simplex` reduces.
+
+    ``multipliers`` (one per input constraint ``expr_i ≤ 0`` /
+    ``expr_i = 0``, nonnegative on inequalities) are the duals a one-shot
+    :func:`~repro.lp.simplex.solve_lp` reads off its final tableau, or
+    ``None`` when unavailable.  When INFEASIBLE, ``Σ μ_i·expr_i`` is a
+    positive constant (a Farkas certificate); when OPTIMAL it equals
+    ``f* − f`` for the minimised objective ``f`` with optimum ``f*`` (a
+    maximised ``g`` gives ``g − g*``).  Variables passed as
+    ``nonnegative`` add their implicit ``x ≥ 0`` rows to both identities.
     """
 
     status: LpStatus
@@ -49,6 +58,7 @@ class LpResult:
     objective: Optional[Fraction] = None
     ray: Dict[str, Fraction] = field(default_factory=dict)
     pivots: int = 0
+    multipliers: Optional[List[Fraction]] = None
 
     @property
     def is_optimal(self) -> bool:

@@ -165,6 +165,7 @@ class _StandardForm:
         self.matrix: List[List[Fraction]] = []
         self.rhs: List[Fraction] = []
         self.basis_candidate: List[Optional[int]] = []
+        self.negated: List[bool] = []
         for constraint, row, bound in zip(constraints, rows, rhs):
             full_row = row + [_ZERO] * slack_count
             slack_column = None
@@ -172,13 +173,15 @@ class _StandardForm:
                 slack_column = self.num_structural + slack_position
                 full_row[slack_column] = _ONE
                 slack_position += 1
-            if bound < 0:
+            negated = bound < 0
+            if negated:
                 full_row = [-value for value in full_row]
                 bound = -bound
                 slack_column = None
             self.matrix.append(full_row)
             self.rhs.append(bound)
             self.basis_candidate.append(slack_column)
+            self.negated.append(negated)
 
         # Objective over the standard columns (constant handled separately).
         for name in objective.terms:
@@ -626,12 +629,15 @@ def _make_tableau(
 
 def _two_phase(
     standard: _StandardForm, kernel: str = "exact"
-) -> Tuple[bool, _Tableau, int]:
+) -> Tuple[bool, _Tableau, List[int]]:
     """Phase 1: find a basic feasible solution for *standard*.
 
-    Returns ``(feasible, tableau, artificial_start)``; on success the
-    tableau's basis is primal feasible and every artificial column is
-    either out of the basis or stuck at zero in a redundant row.
+    Returns ``(feasible, tableau, identity)``; on success the tableau's
+    basis is primal feasible and every artificial column is either out of
+    the basis or stuck at zero in a redundant row.  ``identity[i]`` is the
+    column that starts basic in row ``i`` — its slack, or else its
+    artificial — whose reduced cost later yields the row's multiplier
+    (:func:`_multipliers`).
     """
     num_rows = len(standard.matrix)
     num_cols = standard.num_columns
@@ -661,10 +667,11 @@ def _two_phase(
     ]
     tableau = _make_tableau(rows, num_cols + len(needy_rows),
                             SparseRow.from_pairs(phase1_cost), kernel)
-    tableau.basis = [
+    identity = [
         artificial_of_row.get(row_index, standard.basis_candidate[row_index])
         for row_index in range(num_rows)
     ]
+    tableau.basis = list(identity)
     if needy_rows:
         tableau.install_cost(
             [_ZERO] * num_cols + [_ONE] * len(needy_rows)
@@ -672,7 +679,7 @@ def _two_phase(
         status, _ = tableau.optimize()
         assert status == "optimal", "phase 1 is always bounded below by zero"
         if tableau.objective_value() > 0:
-            return (False, tableau, artificial_start)
+            return (False, tableau, identity)
 
     # Drive any leftover artificial variables out of the basis.
     for row in range(num_rows):
@@ -688,7 +695,33 @@ def _two_phase(
             # the artificial stays basic at value zero, which is harmless
             # as long as it can never re-enter with a non-zero value.
 
-    return (True, tableau, artificial_start)
+    return (True, tableau, identity)
+
+
+def _multipliers(
+    standard: _StandardForm,
+    tableau: _Tableau,
+    identity: Sequence[int],
+    phase_one: bool,
+) -> List[Fraction]:
+    """Per-constraint multipliers read off the final cost row.
+
+    Row ``i``'s identity column ``j`` (see :func:`_two_phase`) has reduced
+    cost ``d_j = c_j − y_i``, so the row's dual is ``y_i = c_j − d_j``;
+    only phase 1 prices a column (an artificial, at ``c_j = 1``).  Undoing
+    the sign flip of rows :class:`_StandardForm` negated gives
+    ``μ_i = −σ_i·y_i`` in the orientation of the input ``expr ≤ 0`` /
+    ``expr = 0``, where dual feasibility makes ``μ_i ≥ 0`` on every
+    inequality.
+    """
+    artificial_start = standard.num_columns
+    multipliers = []
+    for column, negated in zip(identity, standard.negated):
+        dual = -tableau.reduced_cost_at(column)
+        if phase_one and column >= artificial_start:
+            dual += _ONE
+        multipliers.append(dual if negated else -dual)
+    return multipliers
 
 
 def solve_lp(
@@ -706,7 +739,13 @@ def solve_lp(
     Variables in ``nonnegative`` are treated as implicitly ``≥ 0`` (single
     standard-form column instead of a split pair).  ``kernel`` selects the
     row representation (see :data:`repro.linalg.packed.KERNELS`); the
-    result — statuses, optima, pivot counts — is identical either way.
+    result — statuses, optima, pivot counts, multipliers — is identical
+    either way.
+
+    INFEASIBLE and OPTIMAL results carry ``multipliers`` (see
+    :class:`~repro.lp.problem.LpResult`), read off the final tableau at
+    no extra pivots: the phase-1 duals are a Farkas certificate, the
+    phase-2 duals an optimality certificate.
     """
     if variables is None:
         names = set(objective.variables())
@@ -723,9 +762,13 @@ def solve_lp(
 
     num_cols = standard.num_columns
     kernel = resolve_kernel(kernel, num_cols + 1)
-    feasible, tableau, artificial_start = _two_phase(standard, kernel)
+    feasible, tableau, identity = _two_phase(standard, kernel)
     if not feasible:
-        return LpResult(status=LpStatus.INFEASIBLE, pivots=tableau.pivot_count)
+        return LpResult(
+            status=LpStatus.INFEASIBLE,
+            pivots=tableau.pivot_count,
+            multipliers=_multipliers(standard, tableau, identity, True),
+        )
 
     # ---- Phase 2: optimise the real objective -----------------------------
     num_artificials = tableau.num_cols - num_cols
@@ -754,6 +797,7 @@ def solve_lp(
         assignment=assignment,
         objective=objective_value,
         pivots=tableau.pivot_count,
+        multipliers=_multipliers(standard, tableau, identity, False),
     )
 
 

@@ -7,9 +7,15 @@ linear-arithmetic theory solver (:mod:`repro.smt.theory`):
 1. the asserted formulas are Tseitin-encoded,
 2. the SAT core proposes a boolean model,
 3. the linear atoms assigned by that model are checked for consistency,
-4. an inconsistent assignment is blocked through its (minimised) unsat
-   core, and the loop continues until either a theory-consistent model is
-   found or the propositional abstraction becomes unsatisfiable.
+4. an inconsistent assignment is blocked through its unsat core — the
+   support of the simplex's own infeasibility certificate, checked
+   exactly (:mod:`repro.smt.theory`) — and the loop continues until
+   either a theory-consistent model is found or the propositional
+   abstraction becomes unsatisfiable.
+
+``statistics`` counts SAT calls, theory checks and conflicts, and how
+each conflict was blocked: ``farkas_cores`` through a checked
+certificate's core, ``core_fallbacks`` through the whole assignment.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ class SmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         max_theory_iterations: int = 10_000,
-        core_minimization_limit: int = 12,
         kernel: str = "exact",
     ):
         self._sat = SatSolver()
@@ -75,14 +80,12 @@ class SmtSolver:
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
         self._max_theory_iterations = max_theory_iterations
-        # Deletion-based core minimisation costs one LP per constraint; past
-        # this size the raw conflict is blocked instead, which is cheaper
-        # overall because justified conflicts are already path-sized.
-        self._core_minimization_limit = core_minimization_limit
         self.statistics: Dict[str, int] = {
             "sat_calls": 0,
             "theory_calls": 0,
             "theory_conflicts": 0,
+            "farkas_cores": 0,
+            "core_fallbacks": 0,
         }
 
     # -- problem construction ---------------------------------------------------
@@ -148,19 +151,19 @@ class SmtSolver:
             constraints = self._constraints_of(literals)
             self.statistics["theory_calls"] += 1
             outcome = check_conjunction(
-                constraints,
-                self._integer_variables,
-                minimize_core=len(constraints) <= self._core_minimization_limit,
-                kernel=self._kernel,
+                constraints, self._integer_variables, kernel=self._kernel
             )
             if outcome.satisfiable:
                 return literals, outcome.model
             self.statistics["theory_conflicts"] += 1
-            core_literals = [literals[index] for index in outcome.core]
-            if not core_literals:
-                # The conjunction is inconsistent independently of any atom
-                # (cannot happen with a sound theory solver); fail safe.
-                return None
+            if outcome.certified:
+                self.statistics["farkas_cores"] += 1
+                core_literals = [literals[index] for index in outcome.core]
+            else:
+                # No checked certificate: blocking the whole assignment is
+                # always sound, only weaker.
+                self.statistics["core_fallbacks"] += 1
+                core_literals = literals
             self._sat.add_clause([-literal for literal in core_literals])
 
     def _theory_literals(self, boolean_model: Dict[int, bool]) -> List[int]:

@@ -2,8 +2,8 @@
 
 Given a conjunction of (possibly strict) linear constraints over rational
 or integer variables, the solver decides satisfiability, produces a model
-and, when unsatisfiable, extracts a small *unsat core* that the lazy SMT
-loop turns into a blocking clause.
+and, when unsatisfiable, an *unsat core* that the lazy SMT loop turns into
+a blocking clause.
 
 Strict inequalities are handled exactly with the standard trick: every
 ``e < 0`` is replaced by ``e + δ ≤ 0`` for a shared fresh variable ``δ``
@@ -11,6 +11,14 @@ and we maximise ``δ`` under ``0 ≤ δ ≤ 1``; the conjunction is satisfiable
 with strict inequalities iff the maximum is positive.  Constraints whose
 variables are all integers are instead tightened to ``e ≤ -1`` which keeps
 the branch-and-bound integer search exact.
+
+The core comes for free with the LP that decided the conjunction: it is
+the support of the simplex multipliers (``LpResult.multipliers``) — a
+phase-1 Farkas certificate, or the phase-2 duals of the ``max δ`` LP.  Before it is used, the certificate is re-checked exactly
+against the input by :func:`_farkas_core` (Motzkin's transposition
+theorem, in ``LinExpr`` arithmetic, no LP).  A conflict without a checked
+certificate — branch and bound refuted it below the root, or the check
+failed — reports the whole conjunction as its core, which is always sound.
 """
 
 from __future__ import annotations
@@ -30,11 +38,17 @@ _DELTA = "__delta__"
 
 @dataclass
 class TheoryResult:
-    """Outcome of a conjunction feasibility check."""
+    """Outcome of a conjunction feasibility check.
+
+    When unsatisfiable, ``core`` indexes the input constraints; it is the
+    support of an exactly checked infeasibility certificate when
+    ``certified`` holds, and every index otherwise.
+    """
 
     satisfiable: bool
     model: Dict[str, Fraction] = field(default_factory=dict)
     core: List[int] = field(default_factory=list)
+    certified: bool = False
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience only
         return self.satisfiable
@@ -42,9 +56,15 @@ class TheoryResult:
 
 def _prepare(
     constraints: Sequence[Constraint], integer_variables: Set[str]
-) -> Tuple[List[Constraint], bool]:
-    """Rewrite strict inequalities; returns (rows, uses_delta)."""
+) -> Tuple[List[Constraint], List[Constraint], bool]:
+    """Rewrite strict inequalities; returns (rows, checked, uses_delta).
+
+    ``checked[i]`` is the form of constraint ``i`` a certificate must
+    refute: the integer-tightened row where tightening applied, the input
+    constraint otherwise.
+    """
     rows: List[Constraint] = []
+    checked: List[Constraint] = []
     uses_delta = False
     for constraint in constraints:
         if constraint.relation is Relation.LT:
@@ -52,23 +72,24 @@ def _prepare(
             tightened = constraint.tighten_for_integers() if integral else None
             if tightened is not None and tightened.relation is Relation.LE:
                 rows.append(tightened)
-            else:
-                rows.append(
-                    Constraint(
-                        constraint.expr + LinExpr.variable(_DELTA),
-                        Relation.LE,
-                    )
+                checked.append(tightened)
+                continue
+            rows.append(
+                Constraint(
+                    constraint.expr + LinExpr.variable(_DELTA),
+                    Relation.LE,
                 )
-                uses_delta = True
+            )
+            uses_delta = True
         else:
             rows.append(constraint)
-    return rows, uses_delta
+        checked.append(constraint)
+    return rows, checked, uses_delta
 
 
 def check_conjunction(
     constraints: Sequence[Constraint],
     integer_variables: Optional[Set[str]] = None,
-    minimize_core: bool = True,
     kernel: str = "exact",
 ) -> TheoryResult:
     """Decide satisfiability of a conjunction of linear constraints."""
@@ -80,9 +101,9 @@ def check_conjunction(
         if constraint.is_trivially_false()
     ]
     if trivially_false:
-        return TheoryResult(False, core=[trivially_false[0]])
+        return TheoryResult(False, core=[trivially_false[0]], certified=True)
 
-    rows, uses_delta = _prepare(constraints, integer_variables)
+    rows, checked, uses_delta = _prepare(constraints, integer_variables)
 
     all_variables: List[str] = sorted(
         {name for row in rows for name in row.variables()}
@@ -126,10 +147,45 @@ def check_conjunction(
         }
         return TheoryResult(True, model=model)
 
-    core = list(range(len(constraints)))
-    if minimize_core:
-        core = _minimize_core(constraints, integer_variables, kernel)
-    return TheoryResult(False, core=core)
+    core = _farkas_core(checked, outcome.multipliers)
+    if core is None:
+        return TheoryResult(False, core=list(range(len(constraints))))
+    return TheoryResult(False, core=core, certified=True)
+
+
+def _farkas_core(
+    checked: Sequence[Constraint],
+    multipliers: Optional[Sequence[Fraction]],
+) -> Optional[List[int]]:
+    """The support of *multipliers* if they refute *checked*, else ``None``.
+
+    Motzkin's transposition theorem: a conjunction of ``e_i ≤ 0``,
+    ``e_i < 0`` and ``e_i = 0`` is infeasible iff weights ``λ_i``,
+    nonnegative on the inequalities, make ``Σ λ_i·e_i`` a constant ``c``
+    with ``c > 0``, or ``c = 0`` with ``λ_i > 0`` on some strict row.  The
+    LP's multipliers for the ``δ``/bound rows it adds are not part of the
+    combination: the phase-1 certificate gives ``c > 0`` and the ``max δ``
+    duals give ``c = −δ* ≥ 0`` with weight ``≥ 1`` on the strict rows.
+    """
+    if multipliers is None:
+        return None
+    total = LinExpr()
+    core: List[int] = []
+    strict = False
+    for index, (constraint, weight) in enumerate(zip(checked, multipliers)):
+        if not weight:
+            continue
+        if weight < 0 and not constraint.is_equality():
+            return None
+        total = total + constraint.expr * weight
+        strict = strict or constraint.is_strict()
+        core.append(index)
+    if not total.is_constant():
+        return None
+    constant = total.constant_term
+    if constant > 0 or (constant == 0 and strict):
+        return core
+    return None
 
 
 def _solve(
@@ -161,28 +217,3 @@ def _solve(
             # rational witness is still a sound counterexample direction.
             return solve_lp(objective, list(rows), sense, names, kernel=kernel)
     return solve_lp(objective, list(rows), sense, names, kernel=kernel)
-
-
-def _minimize_core(
-    constraints: Sequence[Constraint],
-    integer_variables: Set[str],
-    kernel: str = "exact",
-) -> List[int]:
-    """Single-pass deletion filter: an irreducible unsatisfiable core.
-
-    Each constraint is tentatively removed once; if the remainder is still
-    unsatisfiable the removal is kept.  One pass suffices for an
-    irreducible core and costs a linear number of LP feasibility checks.
-    """
-    core = list(range(len(constraints)))
-    for candidate in list(core):
-        if len(core) <= 1:
-            break
-        trial = [index for index in core if index != candidate]
-        subset = [constraints[index] for index in trial]
-        result = check_conjunction(
-            subset, integer_variables, minimize_core=False, kernel=kernel
-        )
-        if not result.satisfiable:
-            core = trial
-    return core

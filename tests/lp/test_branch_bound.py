@@ -49,6 +49,23 @@ class TestSolveIlp:
         assert result.objective == Fraction(7, 2)
 
 
+class TestMultipliers:
+    def test_root_infeasibility_passes_farkas_multipliers(self):
+        result = solve_ilp(x, [x >= 1, x <= 0], ["x"], Sense.MINIMIZE)
+        assert result.status is LpStatus.INFEASIBLE
+        assert result.multipliers == [1, 1]
+
+    def test_infeasible_below_the_root_has_none(self):
+        result = solve_ilp(x, [3 * x >= 1, 3 * x <= 2], ["x"], Sense.MAXIMIZE)
+        assert result.status is LpStatus.INFEASIBLE
+        assert result.multipliers is None
+
+    def test_integer_optimum_has_none(self):
+        result = solve_ilp(x, [2 * x <= 7, x >= 0], ["x"], Sense.MAXIMIZE)
+        assert result.objective == 3
+        assert result.multipliers is None
+
+
 class TestFindIntegerPoint:
     def test_finds_point(self):
         result = find_integer_point([x >= 1, x <= 3, (x - y).eq(0)], ["x", "y"])

@@ -118,3 +118,69 @@ class TestRandomisedBoxes:
         if result.is_optimal:
             for constraint in constraints:
                 assert constraint.satisfied_by(result.assignment)
+
+
+def _combination(constraints, multipliers) -> LinExpr:
+    """``Σ μ_i·expr_i`` over the input constraints."""
+    total = LinExpr()
+    for constraint, weight in zip(constraints, multipliers):
+        total = total + constraint.expr * weight
+    return total
+
+
+def _signs_ok(constraints, multipliers) -> bool:
+    return all(
+        weight >= 0 or constraint.is_equality()
+        for constraint, weight in zip(constraints, multipliers)
+    )
+
+
+class TestMultipliers:
+    def test_infeasible_gives_farkas_certificate(self):
+        constraints = [x >= 1, y >= 0, x + y <= 0]
+        result = solve_lp(x, constraints, Sense.MINIMIZE)
+        assert result.is_infeasible
+        assert len(result.multipliers) == len(constraints)
+        assert _signs_ok(constraints, result.multipliers)
+        total = _combination(constraints, result.multipliers)
+        assert total.is_constant() and total.constant_term > 0
+
+    def test_negated_and_equality_rows(self):
+        # x = 3 and 2y = x are sign-flipped in standard form (negative rhs).
+        constraints = [x.eq(3), (2 * y).eq(x), y <= 1]
+        result = solve_lp(LinExpr(), constraints, Sense.MINIMIZE)
+        assert result.is_infeasible
+        total = _combination(constraints, result.multipliers)
+        assert _signs_ok(constraints, result.multipliers)
+        assert total.is_constant() and total.constant_term > 0
+
+    @pytest.mark.parametrize("sense", [Sense.MINIMIZE, Sense.MAXIMIZE])
+    def test_optimal_duals_certify_the_optimum(self, sense):
+        constraints = [x <= 3, y <= 4, x + y <= 5, x >= -1, y >= -2]
+        objective = 2 * x + y + 7
+        result = solve_lp(objective, constraints, sense)
+        assert result.is_optimal
+        assert _signs_ok(constraints, result.multipliers)
+        # Σ μ_i·expr_i = f* − f when minimising, g − g* when maximising.
+        expected = (
+            result.objective - objective
+            if sense is Sense.MINIMIZE
+            else objective - result.objective
+        )
+        assert _combination(constraints, result.multipliers) == expected
+
+    def test_unbounded_has_no_multipliers(self):
+        assert solve_lp(x, [x <= 5], Sense.MINIMIZE).multipliers is None
+
+    @given(st.lists(st.tuples(bounds, bounds, bounds), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems_certify_their_status(self, rows):
+        constraints = [a * x + b * y <= c for a, b, c in rows]
+        constraints += [x >= -20, y >= -20, x + y <= 30]
+        result = solve_lp(x - y, constraints, Sense.MINIMIZE)
+        assert _signs_ok(constraints, result.multipliers)
+        total = _combination(constraints, result.multipliers)
+        if result.is_infeasible:
+            assert total.is_constant() and total.constant_term > 0
+        else:
+            assert total == result.objective - (x - y)

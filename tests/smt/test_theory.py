@@ -1,11 +1,23 @@
 """Tests for the linear-arithmetic theory solver."""
 
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.linexpr.expr import var
+import repro.smt.theory as theory
+from repro.checking.farkas import is_infeasible, tighten_integer_strict
+from repro.linalg.packed import numpy_available
+from repro.linexpr.constraint import Constraint, Relation
+from repro.linexpr.expr import LinExpr, var
+from repro.linexpr.formula import And, Or
+from repro.smt.solver import SmtSolver
 from repro.smt.theory import check_conjunction
 
 x, y = var("x"), var("y")
+
+#: Both row kernels when numpy is present; they must agree on every core.
+KERNELS = ("exact", "packed") if numpy_available() else ("exact",)
 
 
 class TestSatisfiable:
@@ -47,6 +59,7 @@ class TestUnsatisfiable:
     def test_strict_boundary(self):
         result = check_conjunction([x > 0, x < 0])
         assert not result.satisfiable
+        assert result.core == [0, 1] and result.certified
 
     def test_strict_rational_gap(self):
         # 0 < x < 1 has no integer solution.
@@ -60,14 +73,202 @@ class TestUnsatisfiable:
 
     def test_core_is_unsat_and_minimal(self):
         constraints = [x >= 0, y >= 0, x <= 5, x >= 10]
-        result = check_conjunction(constraints, minimize_core=True)
-        assert not result.satisfiable
+        result = check_conjunction(constraints)
+        assert not result.satisfiable and result.certified
         core = [constraints[i] for i in result.core]
-        assert not check_conjunction(core, minimize_core=False).satisfiable
+        assert not check_conjunction(core).satisfiable
         assert len(core) == 2
 
-    def test_core_without_minimisation_covers_conflict(self):
-        constraints = [x >= 10, x <= 5]
-        result = check_conjunction(constraints, minimize_core=False)
-        subset = [constraints[i] for i in result.core]
-        assert not check_conjunction(subset, minimize_core=False).satisfiable
+    def test_fallback_core_covers_conflict(self):
+        # 2x = 1 has a rational solution but no integer one: branch and
+        # bound refutes it below the root, so there is no certificate.
+        constraints = [(2 * x).eq(1), y >= 0]
+        result = check_conjunction(constraints, integer_variables={"x"})
+        assert not result.satisfiable
+        assert not result.certified
+        assert result.core == [0, 1]
+
+
+# -- differential: Farkas cores against the independent checker -------------------
+
+VARIABLES = ("a", "b", "c")
+RELATIONS = (Relation.LE, Relation.LT, Relation.EQ)
+small = st.integers(-4, 4)
+
+
+@st.composite
+def infeasible_conjunctions(draw):
+    """A random conjunction plus a row contradicting a combination of it.
+
+    ``E = Σ w_i·e_i`` (``w_i ≥ 0``, any sign on equalities) satisfies
+    ``E ≤ 0`` — strictly when a strict row has ``w_i > 0`` — on every
+    solution, so the added row ``E ≥ 0`` / ``E > 0`` / ``E ≥ 1`` /
+    ``E = 1`` makes the whole conjunction rationally infeasible.
+    Returns ``(constraints, integer variables)``.
+    """
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small, min_size=3, max_size=3),
+                st.integers(-6, 6),
+                st.sampled_from(RELATIONS),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    constraints = [
+        Constraint(LinExpr(dict(zip(VARIABLES, coefficients)), constant), relation)
+        for coefficients, constant, relation in rows
+    ]
+    combined = LinExpr()
+    strict = False
+    for constraint in constraints:
+        weight = draw(
+            small if constraint.is_equality() else st.integers(0, 3)
+        )
+        combined = combined + constraint.expr * weight
+        strict = strict or (weight > 0 and constraint.is_strict())
+    if strict:
+        contradiction = -combined <= 0
+    else:
+        contradiction = draw(
+            st.sampled_from(
+                [-combined < 0, 1 - combined <= 0, combined.eq(1)]
+            )
+        )
+    constraints.insert(
+        draw(st.integers(0, len(constraints))), contradiction
+    )
+    integers = draw(
+        st.sampled_from([frozenset(), frozenset(VARIABLES), frozenset("a")])
+    )
+    return constraints, set(integers)
+
+
+@given(infeasible_conjunctions())
+@settings(max_examples=150, deadline=None)
+def test_farkas_cores_refute_independently(case):
+    constraints, integers = case
+    results = [
+        check_conjunction(constraints, integers, kernel=kernel)
+        for kernel in KERNELS
+    ]
+    result = results[0]
+    assert not result.satisfiable
+    assert result.core
+    assert result.core == sorted(set(result.core))
+    assert set(result.core) <= set(range(len(constraints)))
+    # Purely rational or purely integer inputs never need branch and bound
+    # to refute, so the root LP always leaves a certificate.
+    if integers != {"a"}:
+        assert result.certified
+    core = [constraints[index] for index in result.core]
+    assert is_infeasible(
+        tighten_integer_strict(core, lambda name: name in integers)
+    )
+    # The kernels pivot identically, so they read off identical cores.
+    for other in results[1:]:
+        assert (other.satisfiable, other.core, other.certified) == (
+            result.satisfiable,
+            result.core,
+            result.certified,
+        )
+
+
+# -- tampering and fallbacks -------------------------------------------------------
+
+
+@pytest.fixture
+def tampered(monkeypatch):
+    """Make every theory LP report the given multipliers instead of its own."""
+
+    def install(rewrite):
+        real = theory.solve_lp
+
+        def solve_lp(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if result.multipliers is not None:
+                result.multipliers = rewrite(result.multipliers)
+            return result
+
+        monkeypatch.setattr(theory, "solve_lp", solve_lp)
+
+    return install
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda weights: [-weight for weight in weights],
+            lambda weights: [Fraction(0)] * len(weights),
+            lambda weights: [weight + 1 for weight in weights],
+        ],
+        ids=["negated", "zero", "shifted"],
+    )
+    def test_wrong_multipliers_fall_back_to_full_core(self, tampered, rewrite):
+        tampered(rewrite)
+        constraints = [x >= 0, y >= 0, x <= 5, x >= 10]
+        result = check_conjunction(constraints)
+        assert not result.satisfiable
+        assert not result.certified
+        assert result.core == [0, 1, 2, 3]
+
+    def test_motzkin_conditions(self):
+        # (x − 1) − (x − 2) = 1, but x ≤ 1 ∧ x ≤ 2 is satisfiable: an
+        # inequality may not take a negative weight; an equality may.
+        assert theory._farkas_core([x <= 1, x <= 2], [1, -1]) is None
+        assert theory._farkas_core([x.eq(1), x <= 0], [-1, 1]) == [0, 1]
+        # A zero sum refutes only through a strict row.
+        assert theory._farkas_core([x <= 0, -x <= 0], [1, 1]) is None
+        assert theory._farkas_core([x < 0, -x <= 0], [1, 1]) == [0, 1]
+
+    def test_solver_counts_the_fallback(self, tampered):
+        tampered(lambda weights: [-weight for weight in weights])
+        solver = SmtSolver()
+        solver.assert_formula(And([x >= 3, x <= 1]))
+        assert solver.check().is_unsat
+        assert solver.statistics["core_fallbacks"] == 1
+        assert solver.statistics["farkas_cores"] == 0
+
+    def test_integer_gap_falls_back(self):
+        solver = SmtSolver(integer_variables=["x"])
+        solver.assert_formula(And([(2 * x).eq(1), y >= 0]))
+        assert solver.check().is_unsat
+        assert solver.statistics["core_fallbacks"] == 1
+        assert solver.statistics["farkas_cores"] == 0
+
+    def test_certified_cores_are_counted(self):
+        solver = SmtSolver()
+        solver.assert_formula(And([x >= 3, Or([x <= 1, x <= 2]), y >= 0]))
+        assert solver.check().is_unsat
+        assert solver.statistics["farkas_cores"] == 2
+        assert solver.statistics["core_fallbacks"] == 0
+
+
+def test_program_theory_calls_pinned(monkeypatch):
+    """Farkas cores block whole families of paths at once.
+
+    On ``sorts/bubble_sort`` the DPLL(T) loop needs 42 theory checks, and
+    the count repeats exactly.  Blocking each conflict whole, as a solver
+    without cores for large conflicts does, takes 148.
+    """
+    import repro.smt.solver as solver_module
+    from repro.api import Analysis, AnalysisConfig
+    from repro.benchsuite import get_suite
+
+    program = next(p for p in get_suite("sorts") if p.name == "bubble_sort")
+    calls = []
+    real = solver_module.check_conjunction
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "check_conjunction", counting)
+    result = Analysis(
+        program.build(), config=AnalysisConfig(), name=program.name
+    ).run("termite")
+    assert result.proved
+    assert len(calls) == 42
