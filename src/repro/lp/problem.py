@@ -45,8 +45,9 @@ class LpResult:
 
     ``multipliers`` (one per input constraint ``expr_i ≤ 0`` /
     ``expr_i = 0``, nonnegative on inequalities) are the duals a one-shot
-    :func:`~repro.lp.simplex.solve_lp` reads off its final tableau, or
-    ``None`` when unavailable.  When INFEASIBLE, ``Σ μ_i·expr_i`` is a
+    :func:`~repro.lp.simplex.solve_lp` reads off its final tableau and
+    lifts back through its equality elimination, or ``None`` when
+    unavailable.  When INFEASIBLE, ``Σ μ_i·expr_i`` is a
     positive constant (a Farkas certificate); when OPTIMAL it equals
     ``f* − f`` for the minimised objective ``f`` with optimum ``f*`` (a
     maximised ``g`` gives ``g − g*``).  Variables passed as

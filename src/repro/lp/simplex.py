@@ -11,7 +11,8 @@ rows and columns), so a dense tableau is entirely adequate.
 
 Two entry points are provided:
 
-* :func:`solve_lp` — the one-shot solver (build, two-phase, extract);
+* :func:`solve_lp` — the one-shot solver (eliminate equalities, build,
+  two-phase, extract, lift back);
 * :class:`SimplexState` — a *persistent* LP that keeps the tableau and the
   optimal basis alive between solves.  Adding a constraint re-solves with
   dual-simplex pivots from the previous optimal basis, and changing the
@@ -56,11 +57,11 @@ def _spread_terms(
 ) -> None:
     """Add a LinExpr's coefficients into standard-form columns.
 
-    The single place that knows the column convention: every variable has
-    a ``+`` column, and free (split) variables additionally have a ``-``
-    column carrying the negated coefficient.  Both the cold
-    (:class:`_StandardForm`) and warm (:class:`SimplexState`) paths build
-    rows and cost vectors through this helper so they cannot diverge.
+    The column convention: every variable has a ``+`` column, and free
+    (split) variables additionally have a ``-`` column carrying the
+    negated coefficient.  The warm path (:class:`SimplexState`) prices
+    through this helper; :func:`_structural_entries` applies the same
+    convention to the rows and cost of :class:`_StandardForm`.
     """
     for name, value in terms.items():
         target[plus_index[name]] += value
@@ -101,6 +102,38 @@ def _column_value(
     return value
 
 
+def _expr_row(
+    expr: LinExpr, position: Dict[str, int], what: str
+) -> SparseRow:
+    """*expr* as a :class:`SparseRow` over variable positions.
+
+    Variable ``name`` sits at index ``position[name]`` and the constant
+    term at the :data:`_RHS` sentinel, so the row *is* the expression and
+    one fused row operation substitutes into coefficients and constant
+    together.
+    """
+    pairs = [(_RHS, expr.constant_term)]
+    for name, value in expr.terms.items():
+        if name not in position:
+            raise ValueError("%s mentions undeclared variable %r" % (what, name))
+        pairs.append((position[name], value))
+    return SparseRow.from_pairs(pairs)
+
+
+def _constraint_rows(
+    constraints: Sequence[Constraint], position: Dict[str, int]
+) -> List[Tuple[Relation, SparseRow]]:
+    """Each ``expr ⋈ 0`` as ``(⋈, expr row)`` (see :func:`_expr_row`)."""
+    rows = []
+    for constraint in constraints:
+        if constraint.relation is Relation.LT:
+            raise ValueError("strict inequalities are not LP constraints")
+        rows.append(
+            (constraint.relation, _expr_row(constraint.expr, position, "constraint"))
+        )
+    return rows
+
+
 class _StandardForm:
     """The LP rewritten as ``min c·y  s.t.  A y = b, y ≥ 0, b ≥ 0``.
 
@@ -110,6 +143,9 @@ class _StandardForm:
     per γ/δ instead of two).  Slack variables turn inequalities into
     equations.  The mapping back to the original variables is kept so that
     solutions and rays can be reported in user terms.
+
+    ``rows[i]`` is row ``i`` of ``A`` as a :class:`SparseRow` with ``b_i``
+    fused in at :data:`_RHS`, ready for the tableau.
     """
 
     def __init__(
@@ -119,79 +155,98 @@ class _StandardForm:
         variables: Sequence[str],
         nonnegative: FrozenSet[str] = frozenset(),
     ):
-        self.original_variables = list(variables)
+        position = {name: index for index, name in enumerate(variables)}
+        rows = _constraint_rows(constraints, position)
+        self._build(
+            _expr_row(objective, position, "objective"),
+            rows,
+            list(enumerate(variables)),
+            nonnegative,
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        objective: SparseRow,
+        rows: Sequence[Tuple[Relation, SparseRow]],
+        variables: Sequence[Tuple[int, str]],
+        nonnegative: FrozenSet[str],
+    ) -> "_StandardForm":
+        """Build from rows over variable positions (see :func:`_expr_row`).
+
+        *variables* pairs each kept variable's position with its name;
+        entries at positions past every variable (the tag columns of
+        :class:`_EqualityElimination`) are ignored.
+        """
+        standard = cls.__new__(cls)
+        standard._build(objective, rows, variables, nonnegative)
+        return standard
+
+    def _build(
+        self,
+        objective: SparseRow,
+        rows: Sequence[Tuple[Relation, SparseRow]],
+        variables: Sequence[Tuple[int, str]],
+        nonnegative: FrozenSet[str],
+    ) -> None:
+        self.original_variables = [name for _, name in variables]
         # Column layout: for every original variable two columns (x+, x-)
         # — or a single column when it is known nonnegative — then one
         # slack column per inequality row.
         self.plus_index: Dict[str, int] = {}
         self.minus_index: Dict[str, int] = {}
+        columns: Dict[int, Tuple[int, Optional[int]]] = {}
         column = 0
-        for name in self.original_variables:
-            self.plus_index[name] = column
+        for index, name in variables:
+            self.plus_index[name] = plus = column
             column += 1
+            minus = None
             if name not in nonnegative:
-                self.minus_index[name] = column
+                self.minus_index[name] = minus = column
                 column += 1
+            columns[index] = (plus, minus)
         self.num_structural = column
+        self.num_slacks = sum(
+            1 for relation, _ in rows if relation is Relation.LE
+        )
+        self.num_columns = self.num_structural + self.num_slacks
 
-        rows: List[List[Fraction]] = []
-        rhs: List[Fraction] = []
-        slack_count = 0
-        for constraint in constraints:
-            if constraint.relation is Relation.LT:
-                raise ValueError("strict inequalities are not LP constraints")
-            terms = constraint.expr.terms
-            for name in terms:
-                if name not in self.plus_index:
-                    raise ValueError(
-                        "constraint mentions undeclared variable %r" % name
-                    )
-            coefficients = [_ZERO] * self.num_structural
-            _spread_terms(terms, self.plus_index, self.minus_index, coefficients)
-            bound = -constraint.expr.constant_term
-            rows.append(coefficients)
-            rhs.append(bound)
-            if constraint.relation is Relation.LE:
-                slack_count += 1
-
-        self.num_slacks = slack_count
-        self.num_columns = self.num_structural + slack_count
-
-        # Second pass: install slack columns and normalise signs.  A row
-        # whose slack column keeps coefficient +1 after sign normalisation
-        # can use that slack as its initial basic variable, avoiding an
-        # artificial column (and the phase-1 pivots to drive it out).
-        slack_position = 0
-        self.matrix: List[List[Fraction]] = []
-        self.rhs: List[Fraction] = []
+        # A row whose slack column keeps coefficient +1 after sign
+        # normalisation can use that slack as its initial basic variable,
+        # avoiding an artificial column (and the phase-1 pivots to drive
+        # it out).
+        slack_column = self.num_structural
+        self.rows: List[SparseRow] = []
         self.basis_candidate: List[Optional[int]] = []
         self.negated: List[bool] = []
-        for constraint, row, bound in zip(constraints, rows, rhs):
-            full_row = row + [_ZERO] * slack_count
-            slack_column = None
-            if constraint.relation is Relation.LE:
-                slack_column = self.num_structural + slack_position
-                full_row[slack_column] = _ONE
-                slack_position += 1
-            negated = bound < 0
+        for relation, row in rows:
+            indices, numerators = _structural_entries(row, columns)
+            constant = row.numerator_at(_RHS)
+            basic = None
+            if relation is Relation.LE:
+                basic = slack_column
+                indices.append(slack_column)
+                numerators.append(row.denominator)
+                slack_column += 1
+            negated = constant > 0  # b = −constant < 0
             if negated:
-                full_row = [-value for value in full_row]
-                bound = -bound
-                slack_column = None
-            self.matrix.append(full_row)
-            self.rhs.append(bound)
-            self.basis_candidate.append(slack_column)
+                numerators = [-value for value in numerators]
+                basic = None
+            else:
+                constant = -constant
+            if constant:
+                indices.insert(0, _RHS)
+                numerators.insert(0, constant)
+            self.rows.append(SparseRow._make(indices, numerators, row.denominator))
+            self.basis_candidate.append(basic)
             self.negated.append(negated)
 
         # Objective over the standard columns (constant handled separately).
-        for name in objective.terms:
-            if name not in self.plus_index:
-                raise ValueError(
-                    "objective mentions undeclared variable %r" % name
-                )
         self.cost = [_ZERO] * self.num_columns
-        _spread_terms(objective.terms, self.plus_index, self.minus_index, self.cost)
-        self.objective_constant = objective.constant_term
+        indices, numerators = _structural_entries(objective, columns)
+        for column, numerator in zip(indices, numerators):
+            self.cost[column] = Fraction(numerator, objective.denominator)
+        self.objective_constant = objective.get(_RHS)
 
     def to_original(self, values: Sequence[Fraction]) -> Dict[str, Fraction]:
         """Map standard-form column values back to the original variables."""
@@ -199,6 +254,31 @@ class _StandardForm:
             name: _column_value(name, self.plus_index, self.minus_index, values)
             for name in self.original_variables
         }
+
+
+def _structural_entries(
+    row: SparseRow, columns: Dict[int, Tuple[int, Optional[int]]]
+) -> Tuple[List[int], List[int]]:
+    """Row *row*'s variable entries spread onto their standard columns.
+
+    Returns ascending ``(columns, numerators)`` over ``row.denominator``;
+    a split variable puts its coefficient on ``x+`` and its negation on
+    ``x-``.  The constant and entries at positions outside *columns* are
+    skipped.
+    """
+    indices: List[int] = []
+    numerators: List[int] = []
+    for index, numerator in row.iter_scaled():
+        pair = columns.get(index)
+        if pair is None:
+            continue
+        plus, minus = pair
+        indices.append(plus)
+        numerators.append(numerator)
+        if minus is not None:
+            indices.append(minus)
+            numerators.append(-numerator)
+    return indices, numerators
 
 
 class _Tableau:
@@ -639,7 +719,7 @@ def _two_phase(
     artificial — whose reduced cost later yields the row's multiplier
     (:func:`_multipliers`).
     """
-    num_rows = len(standard.matrix)
+    num_rows = len(standard.rows)
     num_cols = standard.num_columns
 
     # Rows whose slack can serve as the initial basic variable need no
@@ -655,12 +735,14 @@ def _two_phase(
         for position, row_index in enumerate(needy_rows)
     }
     rows: List[SparseRow] = []
-    for row_index, row in enumerate(standard.matrix):
-        pairs = [(_RHS, standard.rhs[row_index])]
-        pairs.extend(enumerate(row))
+    for row_index, row in enumerate(standard.rows):
         if row_index in artificial_of_row:
-            pairs.append((artificial_of_row[row_index], _ONE))
-        rows.append(SparseRow.from_pairs(pairs))
+            row = SparseRow._make(
+                list(row.indices) + [artificial_of_row[row_index]],
+                list(row.numerators) + [row.denominator],
+                row.denominator,
+            )
+        rows.append(row)
     phase1_cost = [
         (artificial_start + position, _ONE)
         for position in range(len(needy_rows))
@@ -724,6 +806,144 @@ def _multipliers(
     return multipliers
 
 
+class _EqualityElimination:
+    """Equality rows substituted out of a one-shot LP before the simplex.
+
+    Rows and objective are :func:`_expr_row` rows over variable positions
+    ``0 … n−1``.  Each ``=`` row ``p``, in input order, picks a pivot
+    variable that is not *nonnegative* and occurs in the fewest remaining
+    rows (ties broken by name), and the pivot is substituted out of every
+    other row and out of the objective.  Row ``p`` first gets the tag
+    column ``n + p`` at coefficient 1, so each fused substitution also
+    records its multiple of row ``p``: a surviving row reads
+    ``r_j = e_j + Σ_p C_jp·e_p`` with ``C_jp`` at its tag ``n + p``, and
+    the objective ``f' = f + Σ_p g_p·e_p`` likewise.  An ``=`` row
+    without an eligible variable — including one that has reduced to a
+    constant — stays in the system.
+
+    The reduced LP agrees with the input wherever every eliminated
+    ``e_p`` is zero, which back-substitution (:meth:`lift_point`)
+    guarantees; its multipliers ``λ'_j`` lift to the input rows as
+    ``μ_p = Σ_j λ'_j·C_jp`` (plus ``g_p`` at an optimum) by
+    :meth:`lift_multipliers`, so the Farkas and ``f* − f`` identities
+    of :class:`~repro.lp.problem.LpResult` hold on the input system.
+    """
+
+    def __init__(
+        self,
+        objective: SparseRow,
+        rows: List[Tuple[Relation, SparseRow]],
+        variables: Sequence[str],
+        nonnegative: FrozenSet[str],
+    ):
+        width = len(variables)
+        self.variables = variables
+        current: List[Optional[SparseRow]] = [row for _, row in rows]
+        equalities = [
+            index
+            for index, (relation, _) in enumerate(rows)
+            if relation is Relation.EQ
+        ]
+        # Variable position -> indices of the remaining rows that mention it.
+        occurrences: Dict[int, Set[int]] = {}
+        if equalities:
+            for index, row in enumerate(current):
+                for column in row.indices:
+                    if column >= 0:
+                        occurrences.setdefault(column, set()).add(index)
+        #: ``(variable position, tagged pivot row)`` in elimination order.
+        self.pivots: List[Tuple[int, SparseRow]] = []
+        for pivot_index in equalities:
+            row = current[pivot_index]
+            candidates = [
+                column
+                for column in row.indices
+                if 0 <= column < width
+                and variables[column] not in nonnegative
+            ]
+            if not candidates:
+                continue
+            pivot = min(
+                candidates,
+                key=lambda column: (len(occurrences[column]), variables[column]),
+            )
+            tagged = row + SparseRow((width + pivot_index,), (1,))
+            current[pivot_index] = None
+            for column in row.indices:
+                if 0 <= column < width:
+                    occurrences[column].discard(pivot_index)
+            for index in list(occurrences[pivot]):
+                old = current[index]
+                new = old.eliminate(pivot, tagged)
+                current[index] = new
+                old_support, new_support = set(old.indices), set(new.indices)
+                for column in old_support - new_support:
+                    if 0 <= column < width:
+                        occurrences[column].discard(index)
+                for column in new_support - old_support:
+                    if 0 <= column < width:
+                        occurrences.setdefault(column, set()).add(index)
+            objective = objective.eliminate(pivot, tagged)
+            self.pivots.append((pivot, tagged))
+
+        self.objective = objective
+        self.kept = [index for index, row in enumerate(current) if row is not None]
+        self.kept_rows = [(rows[index][0], current[index]) for index in self.kept]
+        self.num_rows = len(rows)
+        eliminated = {pivot for pivot, _ in self.pivots}
+        self.kept_variables = [
+            (index, name)
+            for index, name in enumerate(variables)
+            if index not in eliminated
+        ]
+
+    def lift_point(
+        self, values: Dict[str, Fraction], homogeneous: bool = False
+    ) -> Dict[str, Fraction]:
+        """Extend a reduced point (or, *homogeneous*, a ray) to every variable.
+
+        Back-substitutes in reverse pivot order: a pivot row mentions only
+        variables eliminated after it, which are already known.
+        """
+        width = len(self.variables)
+        point = [values.get(name, _ZERO) for name in self.variables]
+        for pivot, tagged in reversed(self.pivots):
+            total = _ZERO
+            for column, numerator in tagged.iter_scaled():
+                if column >= width:
+                    break
+                if column == _RHS:
+                    if not homogeneous:
+                        total += numerator
+                elif column != pivot:
+                    total += numerator * point[column]
+            point[pivot] = -total / tagged.numerator_at(pivot)
+        return dict(zip(self.variables, point))
+
+    def lift_multipliers(
+        self, reduced: Sequence[Fraction], optimal: bool
+    ) -> List[Fraction]:
+        """Input-row multipliers from the reduced rows' ``λ'_j``.
+
+        Kept rows keep their ``λ'_j``; eliminated row ``p`` gets
+        ``Σ_j λ'_j·C_jp``, plus the objective's ``g_p`` when *optimal*
+        (the ``f* − f`` identity carries the objective's combination too).
+        """
+        width = len(self.variables)
+        multipliers = [_ZERO] * self.num_rows
+        for (_, row), index, weight in zip(self.kept_rows, self.kept, reduced):
+            multipliers[index] = weight
+            if weight:
+                for column, value in row.items():
+                    if column >= width:
+                        multipliers[column - width] += weight * value
+        if optimal:
+            for column, value in self.objective.items():
+                if column >= width:
+                    multipliers[column - width] += value
+        return multipliers
+
+
 def solve_lp(
     objective: LinExpr,
     constraints: Sequence[Constraint],
@@ -742,6 +962,10 @@ def solve_lp(
     result — statuses, optima, pivot counts, multipliers — is identical
     either way.
 
+    Equality rows are substituted out first (:class:`_EqualityElimination`)
+    and the two-phase simplex runs on the smaller system that remains;
+    the assignment, ray and multipliers are lifted back to the input.
+
     INFEASIBLE and OPTIMAL results carry ``multipliers`` (see
     :class:`~repro.lp.problem.LpResult`), read off the final tableau at
     no extra pivots: the phase-1 duals are a Farkas certificate, the
@@ -756,10 +980,54 @@ def solve_lp(
     minimize_objective = (
         objective if sense is Sense.MINIMIZE else -objective
     )
-    standard = _StandardForm(
-        minimize_objective, constraints, variables, nonnegative
+    position = {name: index for index, name in enumerate(variables)}
+    rows = _constraint_rows(constraints, position)
+    presolve = _EqualityElimination(
+        _expr_row(minimize_objective, position, "objective"),
+        rows,
+        list(variables),
+        nonnegative,
+    )
+    standard = _StandardForm.from_rows(
+        presolve.objective,
+        presolve.kept_rows,
+        presolve.kept_variables,
+        nonnegative,
+    )
+    reduced = _solve_standard(standard, kernel)
+
+    if reduced.status is LpStatus.INFEASIBLE:
+        return LpResult(
+            status=LpStatus.INFEASIBLE,
+            pivots=reduced.pivots,
+            multipliers=presolve.lift_multipliers(reduced.multipliers, False),
+        )
+    assignment = presolve.lift_point(reduced.assignment)
+    if reduced.status is LpStatus.UNBOUNDED:
+        return LpResult(
+            status=LpStatus.UNBOUNDED,
+            assignment=assignment,
+            ray=presolve.lift_point(reduced.ray, homogeneous=True),
+            pivots=reduced.pivots,
+        )
+    objective_value = reduced.objective
+    if sense is Sense.MAXIMIZE:
+        objective_value = -objective_value
+    return LpResult(
+        status=LpStatus.OPTIMAL,
+        assignment=assignment,
+        objective=objective_value,
+        pivots=reduced.pivots,
+        multipliers=presolve.lift_multipliers(reduced.multipliers, True),
     )
 
+
+def _solve_standard(standard: _StandardForm, kernel: str) -> LpResult:
+    """Minimise *standard* by the two-phase simplex, in its own variables.
+
+    Kept apart from :func:`solve_lp` so that the one public entry point
+    is also the only one called per solve.
+    """
     num_cols = standard.num_columns
     kernel = resolve_kernel(kernel, num_cols + 1)
     feasible, tableau, identity = _two_phase(standard, kernel)
@@ -781,21 +1049,17 @@ def solve_lp(
 
     if status == "unbounded":
         direction = tableau.ray_direction(entering)[:num_cols]
-        ray = standard.to_original(direction)
         return LpResult(
             status=LpStatus.UNBOUNDED,
             assignment=assignment,
-            ray=ray,
+            ray=standard.to_original(direction),
             pivots=tableau.pivot_count,
         )
 
-    objective_value = tableau.objective_value() + standard.objective_constant
-    if sense is Sense.MAXIMIZE:
-        objective_value = -objective_value
     return LpResult(
         status=LpStatus.OPTIMAL,
         assignment=assignment,
-        objective=objective_value,
+        objective=tableau.objective_value() + standard.objective_constant,
         pivots=tableau.pivot_count,
         multipliers=_multipliers(standard, tableau, identity, False),
     )

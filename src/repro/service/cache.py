@@ -145,8 +145,20 @@ class ResultCache:
         # key → file size, oldest first; built lazily on first disk use.
         self._disk_lock = threading.Lock()
         self._disk_index: Optional["OrderedDict[str, int]"] = None
+        # Held while a hit builds its entry's problem or automaton, so
+        # concurrent first hits on one key build it once: the others wait
+        # and reuse it instead of each paying a build (all of them slower
+        # for sharing the interpreter lock).
+        self._build_lock = threading.Lock()
         if self.cache_dir is not None:
             os.makedirs(self.cache_dir, exist_ok=True)
+        if revalidate:
+            # Load the revalidation engines now, while the server starts:
+            # imported lazily, they would land on the first cache hit's
+            # latency instead.
+            import repro.api.pipeline  # noqa: F401
+            import repro.checking.checker  # noqa: F401
+            import repro.checking.recurrence  # noqa: F401
 
     # -- statistics --------------------------------------------------------------
 
@@ -238,18 +250,23 @@ class ResultCache:
 
         problem = entry.problem
         if problem is None:
-            try:
-                analysis = Analysis(
-                    request.program, config=request.config, name=request.name
-                )
-                problem = analysis.problem()
-            except Exception:
-                # The cached claim cannot even be re-anchored to a
-                # problem — refuse to serve it.
-                return False, False
-            with self._lock:
-                entry.problem = problem
-                entry.checkable = bool(problem.blocks)
+            with self._build_lock:
+                problem = entry.problem
+                if problem is None:
+                    try:
+                        analysis = Analysis(
+                            request.program,
+                            config=request.config,
+                            name=request.name,
+                        )
+                        problem = analysis.problem()
+                    except Exception:
+                        # The cached claim cannot even be re-anchored to a
+                        # problem — refuse to serve it.
+                        return False, False
+                    with self._lock:
+                        entry.problem = problem
+                        entry.checkable = bool(problem.blocks)
         if not entry.checkable:
             # No cyclic behaviour: termination is vacuous, nothing to refute.
             with self._lock:
@@ -290,15 +307,20 @@ class ResultCache:
             return False, False
         automaton = entry.automaton
         if automaton is None:
-            try:
-                analysis = Analysis(
-                    request.program, config=request.config, name=request.name
-                )
-                automaton = analysis.automaton()
-            except Exception:
-                return False, False
-            with self._lock:
-                entry.automaton = automaton
+            with self._build_lock:
+                automaton = entry.automaton
+                if automaton is None:
+                    try:
+                        analysis = Analysis(
+                            request.program,
+                            config=request.config,
+                            name=request.name,
+                        )
+                        automaton = analysis.automaton()
+                    except Exception:
+                        return False, False
+                    with self._lock:
+                        entry.automaton = automaton
         try:
             verdict = check_recurrence(automaton, result.lasso)
         except Exception:

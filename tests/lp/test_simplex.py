@@ -5,9 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.linalg.packed import numpy_available
+from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.problem import LinearProgram, Sense
-from repro.lp.simplex import check_feasibility, solve_lp
+from repro.lp.simplex import (
+    _EqualityElimination,
+    _constraint_rows,
+    _expr_row,
+    check_feasibility,
+    solve_lp,
+)
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -184,3 +192,220 @@ class TestMultipliers:
             assert total.is_constant() and total.constant_term > 0
         else:
             assert total == result.objective - (x - y)
+
+
+# -- equality elimination --------------------------------------------------
+
+names = ("w", "x", "y", "z")
+coefficient = st.integers(min_value=-3, max_value=3)
+random_row = st.tuples(
+    st.lists(coefficient, min_size=4, max_size=4),
+    st.integers(min_value=-6, max_value=6),
+    st.sampled_from([Relation.LE, Relation.EQ]),
+)
+senses = st.sampled_from([Sense.MINIMIZE, Sense.MAXIMIZE])
+
+
+def _system(rows):
+    return [
+        Constraint(
+            LinExpr(dict(zip(names, coefficients)), constant), relation
+        )
+        for coefficients, constant, relation in rows
+    ]
+
+
+def _as_inequalities(constraints):
+    """Each ``e = 0`` written as ``e ≤ 0 ∧ −e ≤ 0``: nothing to eliminate."""
+    rows = []
+    for constraint in constraints:
+        rows.append(Constraint(constraint.expr, Relation.LE))
+        if constraint.is_equality():
+            rows.append(Constraint(-constraint.expr, Relation.LE))
+    return rows
+
+
+def _assert_only_nonnegative(residual, nonnegative, sign):
+    """*residual* is ``sign·Σ ν_k·x_k`` with every ``ν_k ≥ 0``, ``x_k`` nonnegative.
+
+    The implicit ``−x_k ≤ 0`` rows of *nonnegative* variables carry
+    multipliers of their own, which ``LpResult.multipliers`` leaves out.
+    """
+    for name, value in residual.terms.items():
+        assert name in nonnegative and value * sign >= 0
+
+
+def _assert_certificate(constraints, objective, sense, result, nonnegative):
+    """The Farkas or ``f* − f`` identity of ``result.multipliers``."""
+    multipliers = result.multipliers
+    assert len(multipliers) == len(constraints)
+    assert _signs_ok(constraints, multipliers)
+    total = _combination(constraints, multipliers)
+    if result.is_infeasible:
+        assert total.constant_term > 0
+        _assert_only_nonnegative(total, nonnegative, 1)
+        return
+    expected = (
+        result.objective - objective
+        if sense is Sense.MINIMIZE
+        else objective - result.objective
+    )
+    residual = expected - total
+    assert residual.constant_term == 0
+    _assert_only_nonnegative(residual, nonnegative, -1)
+
+
+def _assert_improving_ray(constraints, objective, sense, result, nonnegative):
+    ray = result.ray
+    for constraint in constraints:
+        slope = LinExpr(constraint.expr.terms).evaluate(ray)
+        assert slope == 0 if constraint.is_equality() else slope <= 0
+    for name in nonnegative:
+        assert ray[name] >= 0
+    gain = LinExpr(objective.terms).evaluate(ray)
+    assert gain < 0 if sense is Sense.MINIMIZE else gain > 0
+
+
+class TestEqualityElimination:
+    @given(
+        st.lists(random_row, min_size=1, max_size=7),
+        st.lists(coefficient, min_size=4, max_size=4),
+        senses,
+        st.sets(st.sampled_from(names), max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_system_without_equalities(
+        self, rows, objective_coefficients, sense, nonnegative
+    ):
+        constraints = _system(rows)
+        objective = LinExpr(dict(zip(names, objective_coefficients)), 1)
+        nonnegative = frozenset(nonnegative)
+        result = solve_lp(
+            objective, constraints, sense, names, nonnegative=nonnegative
+        )
+        reference = solve_lp(
+            objective,
+            _as_inequalities(constraints),
+            sense,
+            names,
+            nonnegative=nonnegative,
+        )
+        assert result.status is reference.status
+        assert result.objective == reference.objective
+        if result.is_infeasible:
+            _assert_certificate(
+                constraints, objective, sense, result, nonnegative
+            )
+            return
+        assert set(result.assignment) == set(names)
+        for constraint in constraints:
+            assert constraint.satisfied_by(result.assignment)
+        for name in nonnegative:
+            assert result.assignment[name] >= 0
+        if result.is_unbounded:
+            assert result.multipliers is None
+            _assert_improving_ray(
+                constraints, objective, sense, result, nonnegative
+            )
+        else:
+            assert objective.evaluate(result.assignment) == result.objective
+            _assert_certificate(
+                constraints, objective, sense, result, nonnegative
+            )
+
+    @pytest.mark.skipif(
+        not numpy_available(), reason="packed kernel requires numpy"
+    )
+    @given(
+        st.lists(random_row, min_size=1, max_size=7),
+        st.lists(coefficient, min_size=4, max_size=4),
+        senses,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_agree(self, rows, objective_coefficients, sense):
+        constraints = _system(rows)
+        objective = LinExpr(dict(zip(names, objective_coefficients)))
+        exact = solve_lp(objective, constraints, sense, names, kernel="exact")
+        packed = solve_lp(objective, constraints, sense, names, kernel="packed")
+        assert packed == exact
+
+    @pytest.mark.parametrize("sense", [Sense.MINIMIZE, Sense.MAXIMIZE])
+    def test_objective_on_an_eliminated_variable(self, sense):
+        # ``y`` occurs once, so ``y = x + 1`` eliminates it; the objective's
+        # own combination of that row must enter its multiplier.
+        constraints = [y.eq(x + 1), x >= 2]
+        objective = y if sense is Sense.MINIMIZE else -y
+        result = solve_lp(objective, constraints, sense)
+        assert result.is_optimal
+        assert result.assignment == {"x": 2, "y": 3}
+        assert result.objective == (3 if sense is Sense.MINIMIZE else -3)
+        # Σ μ·e = 3 − y: the equality row weighs −1 (+1 would mean the
+        # objective's combination entered with the wrong sign).
+        assert result.multipliers == [-1, 1]
+        _assert_certificate(constraints, objective, sense, result, frozenset())
+
+    def test_contradictory_equalities(self):
+        constraints = [x.eq(1), x.eq(2)]
+        result = solve_lp(LinExpr(), constraints, Sense.MINIMIZE)
+        assert result.is_infeasible
+        _assert_certificate(
+            constraints, LinExpr(), Sense.MINIMIZE, result, frozenset()
+        )
+
+    def test_redundant_equalities(self):
+        constraints = [(x + y).eq(2), (2 * x + 2 * y).eq(4), (x - y).eq(0)]
+        result = solve_lp(x + 3 * y, constraints, Sense.MAXIMIZE)
+        assert result.is_optimal
+        assert result.assignment == {"x": 1, "y": 1}
+        assert result.objective == 4
+        _assert_certificate(
+            constraints, x + 3 * y, Sense.MAXIMIZE, result, frozenset()
+        )
+
+    def test_unbounded_ray_through_eliminated_variables(self):
+        constraints = [z.eq(x + y), y.eq(2 * x), x >= 0]
+        result = solve_lp(z, constraints, Sense.MAXIMIZE)
+        assert result.is_unbounded
+        assert result.ray["x"] > 0
+        assert result.ray["y"] == 2 * result.ray["x"]
+        assert result.ray["z"] == 3 * result.ray["x"]
+        _assert_improving_ray(
+            constraints, z, Sense.MAXIMIZE, result, frozenset()
+        )
+
+    def test_nonnegative_variables_are_never_eliminated(self):
+        # ``x = 1`` has only a nonnegative variable: the row stays.
+        # ``x = y + z`` must pivot on ``y`` or ``z``, never on ``x``.
+        constraints = [x.eq(1), x.eq(y + z), z <= 4]
+        variables = ["x", "y", "z"]
+        position = {name: index for index, name in enumerate(variables)}
+        presolve = _EqualityElimination(
+            _expr_row(LinExpr(), position, "objective"),
+            _constraint_rows(constraints, position),
+            variables,
+            frozenset({"x"}),
+        )
+        assert presolve.kept == [0, 2]
+        assert [variables[pivot] for pivot, _ in presolve.pivots] == ["y"]
+        assert presolve.kept_variables == [(0, "x"), (2, "z")]
+
+    def test_pivot_is_the_rarest_variable_then_the_first_name(self):
+        constraints = [(x + y + z).eq(3), x + y <= 1, x - z <= 0]
+        variables = ["x", "y", "z"]
+        position = {name: index for index, name in enumerate(variables)}
+        presolve = _EqualityElimination(
+            _expr_row(LinExpr(), position, "objective"),
+            _constraint_rows(constraints, position),
+            variables,
+            frozenset(),
+        )
+        # x occurs in 3 rows, y and z in 2 each: the tie goes to y.
+        assert [variables[pivot] for pivot, _ in presolve.pivots] == ["y"]
+
+    def test_equality_reducing_to_a_constant_stays(self):
+        constraints = [(x + y).eq(1), (2 * x + 2 * y).eq(3)]
+        result = solve_lp(x, constraints, Sense.MINIMIZE)
+        assert result.is_infeasible
+        _assert_certificate(
+            constraints, x, Sense.MINIMIZE, result, frozenset()
+        )

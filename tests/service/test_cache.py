@@ -1,5 +1,8 @@
 """The content-addressed cache: hits, revalidation, eviction, soundness."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import AnalysisConfig, AnalysisRequest, analyze
@@ -90,6 +93,40 @@ class TestRevalidation:
         stats = cache.stats()
         assert stats.revalidations == 2
         assert stats.problems_resident == 1
+
+    def test_concurrent_first_hits_build_the_problem_once(self, monkeypatch):
+        import repro.api.pipeline as pipeline
+
+        cache = ResultCache()
+        request = _request()
+        cache.store(request, _computed(request))
+        builds = []
+        real_problem = pipeline.Analysis.problem
+
+        def counting(self):
+            builds.append(1)
+            return real_problem(self)
+
+        monkeypatch.setattr(pipeline.Analysis, "problem", counting)
+        served = []
+        threads = [
+            threading.Thread(target=lambda: served.append(cache.lookup(request)))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(served) == 8
+        assert all(hit.provenance.revalidated for hit in served)
+        assert len(builds) == 1
+        assert cache.stats().revalidations == 8
 
     def test_corrupted_certificate_is_not_served(self):
         # Store countdown's proof under the *pair* program's key: the

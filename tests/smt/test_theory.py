@@ -250,9 +250,12 @@ class TestCertificateCheck:
 def test_program_theory_calls_pinned(monkeypatch):
     """Farkas cores block whole families of paths at once.
 
-    On ``sorts/bubble_sort`` the DPLL(T) loop needs 42 theory checks, and
+    On ``sorts/bubble_sort`` the DPLL(T) loop needs 41 theory checks, and
     the count repeats exactly.  Blocking each conflict whole, as a solver
-    without cores for large conflicts does, takes 148.
+    without cores for large conflicts does, takes 148.  The count follows
+    the Farkas certificate the simplex ends on: solving with the equality
+    rows left in (no elimination) gives other valid multipliers, other
+    cores from the 17th check on, and 42 checks.
     """
     import repro.smt.solver as solver_module
     from repro.api import Analysis, AnalysisConfig
@@ -271,4 +274,4 @@ def test_program_theory_calls_pinned(monkeypatch):
         program.build(), config=AnalysisConfig(), name=program.name
     ).run("termite")
     assert result.proved
-    assert len(calls) == 42
+    assert len(calls) == 41
