@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.lp_instance import LP_MODES
-from repro.linalg.packed import KERNELS
 from repro.smt.optimize import SearchMode
 from repro.synthesis.oracles import ORACLE_NAMES
 from repro.synthesis.strategies import STRATEGY_NAMES
@@ -46,6 +45,11 @@ CEX_STRATEGIES = tuple(STRATEGY_NAMES)
 
 #: Valid values of :attr:`AnalysisConfig.nonterm`.
 NONTERM_MODES = ("off", "auto", "only")
+
+#: Values the removed ``kernel`` field could hold; :meth:`AnalysisConfig.
+#: from_dict` drops a ``"kernel"`` key with one of them, so configs and
+#: requests serialised before its removal still load.
+_LEGACY_KERNELS = ("auto", "packed", "exact")
 
 
 class ConfigError(ValueError):
@@ -71,16 +75,9 @@ class AnalysisConfig:
     smt_mode: str = SearchMode.LOCAL.value
     #: How ``LP(V, Constraints(I))`` is re-solved across counterexample
     #: iterations: ``"incremental"`` (warm-started persistent tableau),
-    #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (both + cross-check).
+    #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (warm-start, and
+    #: cross-check each optimum against a cold solve).
     lp_mode: str = "incremental"
-    #: Row representation of the simplex/projection kernels:
-    #: ``"packed"`` (fixed-width numpy int64 rows with exact fallback on
-    #: int64 overflow), ``"exact"`` (pure-Python bignum rows) or
-    #: ``"auto"`` (packed iff numpy is available and the rows are wide
-    #: enough to win).  Verdicts, optima and pivot sequences are
-    #: identical across kernels; combine with ``lp_mode="audit"`` to
-    #: cross-check the packed path against the exact one per solve.
-    kernel: str = "auto"
     #: Tighten strict inequalities over integer-valued variables.
     integer_mode: bool = False
     #: Iteration budget of one monodimensional synthesis loop.
@@ -125,10 +122,6 @@ class AnalysisConfig:
         _require(
             self.lp_mode in LP_MODES,
             "lp_mode must be one of %s, got %r" % (", ".join(LP_MODES), self.lp_mode),
-        )
-        _require(
-            self.kernel in KERNELS,
-            "kernel must be one of %s, got %r" % (", ".join(KERNELS), self.kernel),
         )
         _require(
             isinstance(self.integer_mode, bool),
@@ -221,9 +214,19 @@ class AnalysisConfig:
 
         Unknown keys are rejected (a config written by a newer version
         must not be silently misread), missing keys take their defaults.
+        A legacy ``"kernel"`` key is dropped when its value is one of
+        :data:`_LEGACY_KERNELS` and rejected otherwise.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a dict, got %r" % type(data).__name__)
+        if "kernel" in data:
+            data = dict(data)
+            legacy = data.pop("kernel")
+            _require(
+                legacy in _LEGACY_KERNELS,
+                "kernel (removed) must be one of %s, got %r"
+                % (", ".join(_LEGACY_KERNELS), legacy),
+            )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

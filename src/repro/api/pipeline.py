@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import canonical_name, get_prover
@@ -105,7 +105,6 @@ class Analysis:
         self._problem: Optional[TerminationProblem] = None
         self._build_stages: List[StageTiming] = []
         self._build_lp_saved = 0
-        self._build_kernel_counts: Dict[str, int] = {}
 
     # -- observers ---------------------------------------------------------------
 
@@ -166,11 +165,9 @@ class Analysis:
         """The built termination problem (cached across :meth:`run` calls)."""
         if self._problem is not None:
             return self._problem
-        from repro.linalg import packed
         from repro.polyhedra import projection
 
         build_snapshot = projection.statistics.snapshot()
-        build_kernel_snapshot = packed.kernel_counters_snapshot()
         automaton = self.automaton()
         if not any(stage.name == "frontend" for stage in self._build_stages):
             # Automaton was given directly: record a zero-cost frontend
@@ -206,9 +203,6 @@ class Analysis:
         # Like the build-stage timings, projection savings from the
         # shared problem build reappear in every result of this Analysis.
         self._build_lp_saved = projection.lp_calls_saved_since(build_snapshot)
-        self._build_kernel_counts = packed.kernel_counters_since(
-            build_kernel_snapshot
-        )
         return self._problem
 
     def build_seconds(self) -> float:
@@ -224,13 +218,11 @@ class Analysis:
         build stages are shared — their recorded timings reappear in every
         result of this :class:`Analysis`, they are *not* re-run.
         """
-        from repro.linalg import packed
         from repro.polyhedra import projection
 
         prover = get_prover(tool)
         problem = self.problem()
         snapshot = projection.statistics.snapshot()
-        kernel_snapshot = packed.kernel_counters_snapshot()
         run_stages: List[StageTiming] = []
         prove_kwargs = {}
         if self._engine_observers and "events" in prover.capabilities:
@@ -242,18 +234,6 @@ class Analysis:
         result.lp_statistics.redundancy_lp_saved += (
             self._build_lp_saved + projection.lp_calls_saved_since(snapshot)
         )
-        # Kernel counters are global to the thread, so fold the deltas
-        # recorded around this run (plus the shared build's share) into
-        # the result the same way the projection savings are folded.
-        run_kernel_counts = packed.kernel_counters_since(kernel_snapshot)
-        for field in packed.COUNTER_FIELDS:
-            total = self._build_kernel_counts.get(field, 0)
-            total += run_kernel_counts.get(field, 0)
-            setattr(
-                result.lp_statistics,
-                field,
-                getattr(result.lp_statistics, field) + total,
-            )
         if (
             self.config.check_certificates
             and prover.supports_certificates

@@ -59,7 +59,6 @@ class TermiteProver(Prover):
             "cex-oracles",
             "cex-strategies",
             "lp-modes",
-            "kernels",
             "max-dimension",
             "events",
             "nontermination",
@@ -120,7 +119,6 @@ class TermiteProver(Prover):
                 max_iterations=config.max_iterations,
                 lp_statistics=lp_statistics,
                 lp_mode=config.lp_mode,
-                kernel=config.kernel,
                 oracle=config.cex_oracle,
                 cex_strategy=config.cex_strategy,
                 cex_batch=config.cex_batch,
@@ -178,7 +176,6 @@ class TermiteProver(Prover):
             budget=config.nonterm_budget,
             observers=(observer,) if observer is not None else (),
             should_stop=should_stop,
-            kernel=config.kernel,
         )
         elapsed = time.perf_counter() - start
         if outcome.success:

@@ -32,8 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: ``cex-strategies``  — honours ``cex_strategy`` / ``cex_batch`` /
 #:                       ``oracle_seed``;
 #: ``lp-modes``        — honours ``lp_mode`` (warm/cold/audit);
-#: ``kernels``         — honours ``kernel`` (packed int64 fast path vs
-#:                       exact bignum rows, or automatic selection);
 #: ``max-dimension``   — honours ``max_dimension``;
 #: ``events``          — :meth:`Prover.prove` accepts an ``observer``
 #:                       keyword receiving per-iteration engine events;
@@ -46,7 +44,6 @@ CAPABILITIES = (
     "cex-oracles",
     "cex-strategies",
     "lp-modes",
-    "kernels",
     "max-dimension",
     "events",
     "nontermination",

@@ -88,12 +88,11 @@ class Provenance:
       before computing (empty when the request ran exactly as asked).
       Under overload pressure the admission gate may drop a
       ``nonterm="auto"`` race to termination-only
-      (``"nonterm:auto->off"``) or force a non-default kernel back to
-      ``"kernel:...->auto"``; every such trade is stamped here so a
+      (``"nonterm:auto->off"``); every such trade is stamped here so a
       caller can always tell a full answer from a degraded one.
-    * ``kernel`` — which LP kernel actually ran the pivots
-      (``lp_statistics.kernel_chosen`` of the payload: ``"packed"``,
-      ``"exact"``, ``"mixed"`` or ``""`` when no pivot was recorded).
+
+    :meth:`from_dict` ignores unknown keys, so provenance written with
+    the removed ``kernel`` entry still loads.
     """
 
     cache: str = "miss"
@@ -101,7 +100,6 @@ class Provenance:
     revalidated: bool = False
     worker_pid: int = 0
     degraded: tuple = ()
-    kernel: str = ""
 
     def __post_init__(self) -> None:
         if self.cache not in CACHE_DISPOSITIONS:
@@ -118,7 +116,6 @@ class Provenance:
             "revalidated": self.revalidated,
             "worker_pid": self.worker_pid,
             "degraded": list(self.degraded),
-            "kernel": self.kernel,
         }
 
     @classmethod
@@ -129,7 +126,6 @@ class Provenance:
             revalidated=data.get("revalidated", False),
             worker_pid=data.get("worker_pid", 0),
             degraded=tuple(data.get("degraded", ())),
-            kernel=data.get("kernel", ""),
         )
 
 

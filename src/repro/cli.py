@@ -50,7 +50,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
 
 from repro.api import (
     AnalysisConfig,
@@ -59,7 +58,6 @@ from repro.api import (
     CEX_STRATEGIES,
     ConfigError,
     DOMAINS,
-    KERNELS,
     NONTERM_MODES,
     RequestError,
     SMT_MODES,
@@ -92,13 +90,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--smt-mode", choices=list(SMT_MODES), default=None)
     group.add_argument("--lp-mode", choices=list(LP_MODES), default=None)
-    group.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        help="LP/projection row kernel: 'packed' (numpy int64 fast path "
-        "with exact overflow fallback), 'exact' (bignum rows) or 'auto'",
-    )
     group.add_argument("--domain", choices=list(DOMAINS), default=None)
     group.add_argument(
         "--oracle",
@@ -173,7 +164,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
     for flag, field in [
         ("smt_mode", "smt_mode"),
         ("lp_mode", "lp_mode"),
-        ("kernel", "kernel"),
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
@@ -570,8 +560,6 @@ def command_fuzz(arguments: argparse.Namespace) -> int:
     progress = verbose_progress if arguments.verbose else None
 
     config = default_fuzz_config()
-    if arguments.kernel:
-        config = replace(config, kernel=arguments.kernel)
 
     report = fuzz(
         seed=arguments.seed,
@@ -842,7 +830,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "suites",
         nargs="*",
         metavar="SUITE",
-        help="suites to run (default: the five-kernel set; 'service' "
+        help="suites to run (default: the six default suites; 'service' "
         "measures the resident front door).  A partial selection merges "
         "into the existing JSON report instead of replacing it.  "
         "Choices: %s" % ", ".join(sorted(SUITE_RUNNERS)),
@@ -980,15 +968,6 @@ def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
         "ablation baseline), 'audit' does both and cross-checks the "
         "optima (default: incremental)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="LP/projection row kernel: 'packed' (numpy int64 fast path "
-        "with exact overflow fallback), 'exact' (bignum rows), or "
-        "'auto' (default: packed on wide systems when numpy is "
-        "available)",
-    )
 
 
 def command_table1(arguments: argparse.Namespace) -> int:
@@ -1018,7 +997,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         lp_mode=arguments.lp_mode,
         name_filter=arguments.name_filter,
-        kernel=arguments.kernel,
     )
     elapsed = time.perf_counter() - started
 
@@ -1035,7 +1013,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
             "jobs": arguments.jobs,
             "timeout": arguments.timeout,
             "lp_mode": arguments.lp_mode,
-            "kernel": arguments.kernel,
             "wall_seconds": round(elapsed, 3),
         },
     )
@@ -1238,14 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-program budget covering all tools (runs through the "
         "crash-isolated engine; default: none)",
-    )
-    fuzz.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        metavar="KERNEL",
-        help="LP/projection row kernel for every prover under test "
-        "(choices: %s; default: the config default)" % ", ".join(KERNELS),
     )
     fuzz.add_argument(
         "--no-shrink",

@@ -51,7 +51,6 @@ def synthesize_monodim(
     max_iterations: int = 200,
     lp_statistics: Optional[LpStatistics] = None,
     lp_mode: str = "incremental",
-    kernel: str = "auto",
     oracle: str = "smt",
     cex_strategy: str = "extremal",
     cex_batch: int = 1,
@@ -75,14 +74,13 @@ def synthesize_monodim(
     the defaults replay the paper's extremal-counterexample loop exactly.
     """
     template = LinearTemplate(
-        problem, integer_mode=integer_mode, smt_mode=smt_mode, kernel=kernel
+        problem, integer_mode=integer_mode, smt_mode=smt_mode
     )
     engine = CegisEngine(
         make_oracle(oracle, seed=oracle_seed),
         make_strategy(cex_strategy, batch=cex_batch, seed=oracle_seed),
         max_iterations=max_iterations,
         lp_mode=lp_mode,
-        kernel=kernel,
         observers=observers,
     )
     return engine.synthesize_component(

@@ -33,7 +33,6 @@ def synthesize_multidim(
     max_iterations: int = 200,
     lp_statistics: Optional[LpStatistics] = None,
     lp_mode: str = "incremental",
-    kernel: str = "auto",
     oracle: str = "smt",
     cex_strategy: str = "extremal",
     cex_batch: int = 1,
@@ -57,14 +56,12 @@ def synthesize_multidim(
         integer_mode=integer_mode,
         smt_mode=smt_mode,
         max_dimension=max_dimension,
-        kernel=kernel,
     )
     engine = CegisEngine(
         make_oracle(oracle, seed=oracle_seed),
         make_strategy(cex_strategy, batch=cex_batch, seed=oracle_seed),
         max_iterations=max_iterations,
         lp_mode=lp_mode,
-        kernel=kernel,
         observers=observers,
         should_stop=should_stop,
     )

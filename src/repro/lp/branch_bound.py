@@ -49,7 +49,6 @@ def solve_ilp(
     sense: Sense = Sense.MINIMIZE,
     variables: Optional[Sequence[str]] = None,
     max_nodes: int = 2000,
-    kernel: str = "exact",
 ) -> LpResult:
     """Optimise *objective* with the listed variables restricted to integers.
 
@@ -80,9 +79,7 @@ def solve_ilp(
                 "branch-and-bound exceeded %d nodes" % max_nodes
             )
         node_constraints = stack.pop()
-        relaxation = solve_lp(
-            objective, node_constraints, sense, variables, kernel=kernel
-        )
+        relaxation = solve_lp(objective, node_constraints, sense, variables)
         if relaxation.status is LpStatus.INFEASIBLE:
             if nodes_explored == 1:
                 # The root's Farkas multipliers refute the input system.
@@ -132,7 +129,6 @@ def find_integer_point(
     integer_variables: Sequence[str],
     variables: Optional[Sequence[str]] = None,
     max_nodes: int = 2000,
-    kernel: str = "exact",
 ) -> LpResult:
     """Find any integer-feasible point of the constraint system."""
     return solve_ilp(
@@ -142,5 +138,4 @@ def find_integer_point(
         Sense.MINIMIZE,
         variables,
         max_nodes,
-        kernel=kernel,
     )

@@ -139,12 +139,8 @@ class LinearProgram:
         """Number of variables — the "columns" statistic of Table 1."""
         return len(self.variables())
 
-    def solve(self, kernel: str = "exact") -> LpResult:
-        """Solve with the exact simplex (convenience wrapper).
-
-        ``kernel`` selects the row representation of the tableau (see
-        :data:`repro.linalg.packed.KERNELS`); results are identical.
-        """
+    def solve(self) -> LpResult:
+        """Solve with the exact simplex (convenience wrapper)."""
         from repro.lp.simplex import solve_lp
 
         return solve_lp(
@@ -152,5 +148,4 @@ class LinearProgram:
             self.constraints,
             sense=self.sense,
             variables=self.variables(),
-            kernel=kernel,
         )

@@ -27,14 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.linalg.packed import (
-    count_row_pivot,
-    count_stacked_pivot,
-    pack_row,
-    resolve_kernel,
-)
 from repro.linalg.sparse import SparseRow
-from repro.linalg.stacked import StackedTableau
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import LpResult, LpStatus, Sense
@@ -297,19 +290,7 @@ class _Tableau:
     tests) compare exact values, so the pivot *sequence* — and therefore
     every pivot counter the warm-start machinery reports — is identical
     to the dense-``Fraction`` tableau this replaces.
-
-    With ``kernel="packed"`` the :class:`_StackedTableau` subclass holds
-    every row in one contiguous int64 matrix
-    (:class:`~repro.linalg.stacked.StackedTableau`): a pivot runs as a
-    single fused broadcast sweep over all affected rows, and the
-    Bland/ratio scans gather their per-row column values as plain
-    slices.  Rows whose values outgrow int64 transparently fall back to
-    exact :class:`SparseRow` arithmetic (see the overflow contract in
-    :mod:`repro.linalg.stacked`), so the pivot sequence is bit-identical
-    to the exact kernel's in either mode.
     """
-
-    kernel = "exact"
 
     def __init__(
         self,
@@ -328,13 +309,9 @@ class _Tableau:
         #: in between), halving the per-pivot column gathers.
         self._gathered: Optional[Tuple[int, List[int]]] = None
 
-    def _pack(self, row: SparseRow):
-        """Hook for the packed subclass; the exact tableau keeps rows as-is."""
-        return row
-
     def install_cost(self, cost: List[Fraction]) -> None:
         """Install a new objective and price it out against the basis."""
-        priced = self._pack(SparseRow.from_pairs(enumerate(cost)))
+        priced = SparseRow.from_pairs(enumerate(cost))
         for row_index, basic_col in enumerate(self.basis):
             if priced.numerator_at(basic_col):
                 priced = priced.eliminate(basic_col, self.rows[row_index])
@@ -352,7 +329,7 @@ class _Tableau:
         (the δ of new counterexamples); callers must verify the columns
         are nonbasic first.
         """
-        self._cost = self._cost + self._pack(SparseRow.from_dict(entries))
+        self._cost = self._cost + SparseRow.from_dict(entries)
 
     # -- incremental growth ----------------------------------------------------
 
@@ -366,9 +343,7 @@ class _Tableau:
         self.num_cols += 1
         column = self.num_cols - 1
         if cost:
-            self._cost = self._cost + self._pack(
-                SparseRow.from_pairs([(column, cost)])
-            )
+            self._cost = self._cost + SparseRow.from_pairs([(column, cost)])
         return column
 
     def append_row(self, row: SparseRow, basic_column: int) -> None:
@@ -395,10 +370,6 @@ class _Tableau:
     def _column(self, col: int) -> List[int]:
         """Numerators of column *col* across every row, one batched sweep."""
         return [current.numerator_at(col) for current in self.rows]
-
-    def row_entries(self, row: int):
-        """Row *row*'s nonzero ``(column, numerator)`` pairs, ascending."""
-        return self.rows[row].iter_scaled()
 
     def pivot(self, row: int, col: int) -> None:
         """Pivot so that column *col* becomes basic in row *row*.
@@ -430,7 +401,6 @@ class _Tableau:
             )
         self.basis[row] = col
         self.pivot_count += 1
-        count_row_pivot()
 
     def reduced_cost_at(self, col: int) -> Fraction:
         """Reduced cost of one column for the current basis."""
@@ -477,13 +447,12 @@ class _Tableau:
     def _ratio_test(self, entering: int) -> Optional[int]:
         """Bland ratio test: the leaving row for *entering*, or ``None``.
 
-        One batched sweep gathers every row's entering-column coefficient
-        and fused rhs (an O(1) slot read per row under the packed
-        kernel), then only the rows with a positive coefficient survive
-        into the exact cross-multiplied comparison.  Within one row, rhs
-        and coefficient share the row denominator, so the ratio is the
-        numerator quotient and cross multiplication compares rows
-        exactly — the selected pivot is identical in both kernels.
+        One batched sweep gathers every row's entering-column coefficient,
+        then only the rows with a positive coefficient read their fused
+        rhs for the exact cross-multiplied comparison.  Within one row,
+        rhs and coefficient share the row denominator, so the ratio is
+        the numerator quotient and cross multiplication compares rows
+        exactly.
         """
         rows = self.rows
         column = self._column(entering)
@@ -522,9 +491,8 @@ class _Tableau:
         """
         while True:
             # Batched leaving-row sweep: one pass gathers every row's
-            # fused-rhs sign (an O(1) slot read under the packed kernel),
-            # then Bland's dual rule picks the smallest basic index among
-            # the negative ones.
+            # fused-rhs sign, then Bland's dual rule picks the smallest
+            # basic index among the negative ones.
             basis = self.basis
             negative = [
                 row
@@ -539,7 +507,7 @@ class _Tableau:
             # comparing numerator cross-products picks the same column.
             entering = None
             best_cost = best_coefficient = 0
-            for col, coefficient in self.row_entries(leaving):
+            for col, coefficient in self.rows[leaving].iter_scaled():
                 if col == _RHS or coefficient >= 0:
                     continue
                 if allowed_columns is not None and col not in allowed_columns:
@@ -564,152 +532,7 @@ class _Tableau:
         return direction
 
 
-class _StackedTableau(_Tableau):
-    """The packed kernel: rows live in one stacked int64 matrix.
-
-    Delegates all row storage to
-    :class:`~repro.linalg.stacked.StackedTableau` so that a pivot is one
-    fused broadcast sweep and the Bland/ratio/dual scans gather their
-    per-row values as plain slices.  The cost row stays a
-    :class:`~repro.linalg.packed.PackedRow` (or an exact ``SparseRow``
-    after an overflow) and merges against zero-copy views of the matrix
-    rows.  The inherited ``optimize``/``dual_optimize`` loops run
-    unchanged — only the storage-touching methods are overridden — and
-    every pivot decision compares exact values, so statuses, optima and
-    pivot sequences are bit-identical to the exact tableau's.
-    """
-
-    kernel = "packed"
-
-    def __init__(
-        self,
-        rows: List[SparseRow],
-        num_cols: int,
-        cost: SparseRow,
-    ):
-        width = num_cols + 1  # one slot per column plus the _RHS sentinel
-        stacked = StackedTableau(width)
-        for row in rows:
-            stacked.append_row(row)
-        self.stacked = stacked
-        self.rows = None  # all row storage lives in self.stacked
-        self.num_rows = stacked.num_rows
-        self.num_cols = num_cols
-        self.basis = []
-        self._cost = pack_row(cost, width)
-        self.pivot_count = 0
-        self._gathered = None
-
-    def _pack(self, row: SparseRow):
-        return pack_row(row, self.num_cols + 1)
-
-    def install_cost(self, cost: List[Fraction]) -> None:
-        priced = self._pack(SparseRow.from_pairs(enumerate(cost)))
-        stacked = self.stacked
-        for row_index, basic_col in enumerate(self.basis):
-            if priced.numerator_at(basic_col):
-                priced = priced.eliminate(
-                    basic_col, stacked.row_view(row_index)
-                )
-        self._cost = priced
-
-    def append_column(self, cost: Fraction = _ZERO) -> int:
-        column = super().append_column(cost)
-        self.stacked.ensure_width(self.num_cols + 1)
-        return column
-
-    def append_row(self, row: SparseRow, basic_column: int) -> None:
-        self.stacked.append_row(row)
-        self.basis.append(basic_column)
-        self.num_rows += 1
-        self._gathered = None
-
-    def eliminate_against_basis(self, row: SparseRow) -> SparseRow:
-        stacked = self.stacked
-        for row_index, basic_col in enumerate(self.basis):
-            if row.numerator_at(basic_col):
-                row = row.eliminate(basic_col, stacked.row_view(row_index))
-        return row
-
-    def _column(self, col: int) -> List[int]:
-        return self.stacked.column(col)
-
-    def row_entries(self, row: int):
-        return self.stacked.row_entries(row)
-
-    def pivot(self, row: int, col: int) -> None:
-        cached = self._gathered
-        self._gathered = None
-        column = cached[1] if cached and cached[0] == col else self._column(col)
-        self.stacked.pivot(row, col, column)
-        s_c = self._cost.numerator_at(col)
-        if s_c:
-            pivot_view = self.stacked.row_view(row)
-            p_c = pivot_view.numerator_at(col)
-            result = self._cost._merge(
-                pivot_view, p_c, -s_c, self._cost.denominator * p_c
-            )
-            self._cost = self._pack(result)
-        self.basis[row] = col
-        self.pivot_count += 1
-        count_stacked_pivot()
-
-    def _ratio_test(self, entering: int) -> Optional[int]:
-        column = self._column(entering)
-        self._gathered = (entering, column)
-        rhs_column = self.stacked.column(_RHS)
-        leaving = None
-        best_rhs = best_coefficient = 0
-        for row, coefficient in enumerate(column):
-            if coefficient <= 0:
-                continue
-            rhs = rhs_column[row]
-            if leaving is None:
-                take = True
-            else:
-                lhs = rhs * best_coefficient
-                rhs_cross = best_rhs * coefficient
-                take = lhs < rhs_cross or (
-                    lhs == rhs_cross
-                    and self.basis[row] < self.basis[leaving]
-                )
-            if take:
-                leaving = row
-                best_rhs = rhs
-                best_coefficient = coefficient
-        return leaving
-
-    def column_values(self) -> List[Fraction]:
-        values = [_ZERO] * self.num_cols
-        stacked = self.stacked
-        for row, col in enumerate(self.basis):
-            values[col] = stacked.value_at(row, _RHS)
-        return values
-
-    def ray_direction(self, entering: int) -> List[Fraction]:
-        direction = [_ZERO] * self.num_cols
-        direction[entering] = _ONE
-        stacked = self.stacked
-        for row, basic_col in enumerate(self.basis):
-            direction[basic_col] = -stacked.value_at(row, entering)
-        return direction
-
-
-def _make_tableau(
-    rows: List[SparseRow],
-    num_cols: int,
-    cost: SparseRow,
-    kernel: str,
-) -> _Tableau:
-    """Build the tableau variant for an already-resolved *kernel*."""
-    if kernel == "packed":
-        return _StackedTableau(rows, num_cols, cost)
-    return _Tableau(rows, num_cols, cost)
-
-
-def _two_phase(
-    standard: _StandardForm, kernel: str = "exact"
-) -> Tuple[bool, _Tableau, List[int]]:
+def _two_phase(standard: _StandardForm) -> Tuple[bool, _Tableau, List[int]]:
     """Phase 1: find a basic feasible solution for *standard*.
 
     Returns ``(feasible, tableau, identity)``; on success the tableau's
@@ -747,8 +570,9 @@ def _two_phase(
         (artificial_start + position, _ONE)
         for position in range(len(needy_rows))
     ]
-    tableau = _make_tableau(rows, num_cols + len(needy_rows),
-                            SparseRow.from_pairs(phase1_cost), kernel)
+    tableau = _Tableau(
+        rows, num_cols + len(needy_rows), SparseRow.from_pairs(phase1_cost)
+    )
     identity = [
         artificial_of_row.get(row_index, standard.basis_candidate[row_index])
         for row_index in range(num_rows)
@@ -767,7 +591,7 @@ def _two_phase(
     for row in range(num_rows):
         if tableau.basis[row] >= artificial_start:
             replacement = None
-            for col, _ in tableau.row_entries(row):
+            for col, _ in tableau.rows[row].iter_scaled():
                 if 0 <= col < num_cols:
                     replacement = col
                     break
@@ -950,17 +774,13 @@ def solve_lp(
     sense: Sense = Sense.MINIMIZE,
     variables: Optional[Sequence[str]] = None,
     nonnegative: FrozenSet[str] = frozenset(),
-    kernel: str = "exact",
 ) -> LpResult:
     """Solve ``optimise objective subject to constraints`` exactly.
 
     ``variables`` fixes the set (and order) of variables appearing in the
     result; when omitted it is inferred from the constraints and objective.
     Variables in ``nonnegative`` are treated as implicitly ``≥ 0`` (single
-    standard-form column instead of a split pair).  ``kernel`` selects the
-    row representation (see :data:`repro.linalg.packed.KERNELS`); the
-    result — statuses, optima, pivot counts, multipliers — is identical
-    either way.
+    standard-form column instead of a split pair).
 
     Equality rows are substituted out first (:class:`_EqualityElimination`)
     and the two-phase simplex runs on the smaller system that remains;
@@ -994,7 +814,7 @@ def solve_lp(
         presolve.kept_variables,
         nonnegative,
     )
-    reduced = _solve_standard(standard, kernel)
+    reduced = _solve_standard(standard)
 
     if reduced.status is LpStatus.INFEASIBLE:
         return LpResult(
@@ -1022,15 +842,14 @@ def solve_lp(
     )
 
 
-def _solve_standard(standard: _StandardForm, kernel: str) -> LpResult:
+def _solve_standard(standard: _StandardForm) -> LpResult:
     """Minimise *standard* by the two-phase simplex, in its own variables.
 
     Kept apart from :func:`solve_lp` so that the one public entry point
     is also the only one called per solve.
     """
     num_cols = standard.num_columns
-    kernel = resolve_kernel(kernel, num_cols + 1)
-    feasible, tableau, identity = _two_phase(standard, kernel)
+    feasible, tableau, identity = _two_phase(standard)
     if not feasible:
         return LpResult(
             status=LpStatus.INFEASIBLE,
@@ -1099,16 +918,10 @@ class SimplexState:
     iteration, whose fresh δ columns carry the new objective terms — the
     repricing is a constant-size cost-row update instead of a full
     re-elimination against the basis (``incremental_repricings``).
-
-    ``kernel`` selects the row representation (``"auto"`` resolves
-    against the tableau width at the first cold solve; see
-    :mod:`repro.linalg.packed`).  Pivot sequences and results are
-    identical across kernels.
     """
 
-    def __init__(self, sense: Sense = Sense.MINIMIZE, kernel: str = "auto"):
+    def __init__(self, sense: Sense = Sense.MINIMIZE):
         self.sense = sense
-        self.kernel = kernel
         self._objective = LinExpr()
         self._declared: Dict[str, bool] = {}  # name -> nonnegative, in order
         self._constraints: List[Constraint] = []
@@ -1232,9 +1045,7 @@ class SimplexState:
             nonnegative,
         )
         num_cols = standard.num_columns
-        feasible, tableau, _ = _two_phase(
-            standard, resolve_kernel(self.kernel, num_cols + 1)
-        )
+        feasible, tableau, _ = _two_phase(standard)
         if not feasible:
             self._record(tableau.pivot_count, warm=False)
             self._infeasible = True
@@ -1287,7 +1098,7 @@ class SimplexState:
                 entries[slack] = _ONE
                 entries[_RHS] = -expr.constant_term
                 row = tableau.eliminate_against_basis(
-                    tableau._pack(SparseRow.from_dict(entries))
+                    SparseRow.from_dict(entries)
                 )
                 tableau.append_row(row, slack)
         self._commit_pending()
@@ -1398,9 +1209,6 @@ class SimplexState:
 def check_feasibility(
     constraints: Sequence[Constraint],
     variables: Optional[Sequence[str]] = None,
-    kernel: str = "exact",
 ) -> LpResult:
     """Feasibility check: solve with the zero objective."""
-    return solve_lp(
-        LinExpr(), constraints, Sense.MINIMIZE, variables, kernel=kernel
-    )
+    return solve_lp(LinExpr(), constraints, Sense.MINIMIZE, variables)

@@ -136,13 +136,11 @@ class RecurrenceSynthesizer:
         budget: int = DEFAULT_BUDGET,
         observers: Sequence[CegisObserver] = (),
         should_stop: Optional[Callable[[], bool]] = None,
-        kernel: str = "exact",
     ):
         self.automaton = automaton
         self.budget = max(1, int(budget))
         self.observers = tuple(obs for obs in observers if obs is not None)
         self.should_stop = should_stop
-        self.kernel = kernel
         self.statistics = NontermStatistics()
         self._variables = list(automaton.variables)
         self._integer = set(automaton.integer_variables)
@@ -367,9 +365,7 @@ class RecurrenceSynthesizer:
             self._check_stop()
             self.statistics.refinements += 1
             if S:
-                feasible = check_conjunction(
-                    S, integer_variables=self._integer, kernel=self.kernel
-                )
+                feasible = check_conjunction(S, integer_variables=self._integer)
                 if not feasible.satisfiable:
                     return None
             escape = self._find_escape(S, f_map)
@@ -415,13 +411,11 @@ class RecurrenceSynthesizer:
                     # The row can never hold after the pass; any state of
                     # S (known feasible) escapes.
                     witness = check_conjunction(
-                        S, integer_variables=self._integer, kernel=self.kernel
+                        S, integer_variables=self._integer
                     )
                     return witness.model, row
                 result = check_conjunction(
-                    S + [branch],
-                    integer_variables=self._integer,
-                    kernel=self.kernel,
+                    S + [branch], integer_variables=self._integer
                 )
                 if result.satisfiable:
                     return result.model, row
@@ -475,7 +469,7 @@ class RecurrenceSynthesizer:
                 self.statistics.stems += 1
                 rows, slots_by_step, integer_names = attempt
                 result = check_conjunction(
-                    rows, integer_variables=integer_names, kernel=self.kernel
+                    rows, integer_variables=integer_names
                 )
                 if not result.satisfiable:
                     continue
@@ -652,7 +646,6 @@ def synthesize_recurrence(
     budget: int = DEFAULT_BUDGET,
     observers: Sequence[CegisObserver] = (),
     should_stop: Optional[Callable[[], bool]] = None,
-    kernel: str = "exact",
 ) -> NontermResult:
     """Search for a recurrence set of *automaton*; see the module doc."""
     synthesizer = RecurrenceSynthesizer(
@@ -660,6 +653,5 @@ def synthesize_recurrence(
         budget=budget,
         observers=observers,
         should_stop=should_stop,
-        kernel=kernel,
     )
     return synthesizer.synthesize()

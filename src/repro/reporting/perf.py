@@ -1,6 +1,6 @@
 """The measured-performance micro-suite behind ``repro bench``.
 
-Seven suites, cheapest first, each returning a plain dict that
+Six suites, cheapest first, each returning a plain dict that
 serialises into ``BENCH_kernel.json``.  The goal is a *committed*
 performance trajectory: every claim about the sparse scaled-integer
 kernel — and about the CEGIS oracle/strategy ablation — is a number in
@@ -21,9 +21,6 @@ the repository, not an assertion in a docstring.
   oracle × strategy variant (extremal / arbitrary / random; SMT, DD
   enumeration, sampling), reporting iterations, LP rows and wall time —
   the paper's §4.2 ablation as one committed number series.
-* ``kernel_packed`` — the packed int64 row kernel versus the exact
-  bignum path on identical wide LP and Fourier–Motzkin workloads,
-  asserting bit-identical outcomes before reporting the speedups.
 * ``cex_batch_ablation`` — the batched-counterexample knob
   (``cex_batch`` ∈ {1, 2, 4, 8}) over the WTC slice: iterations, LP
   rows, dual-repair passes and wall time per batch size.
@@ -328,388 +325,6 @@ def bench_cegis_ablation(quick: bool = False, seed: int = 0) -> Dict:
         "wall_seconds": round(total, 4),
         "programs": len(programs),
         "variants": variants,
-    }
-
-
-def _kernel_lp_instances(quick: bool, seed: int):
-    """Seeded wide LPs in the packed kernel's winning regime.
-
-    Box constraints plus a handful of dense ±1/±2 coupling rows — half of
-    them origin-infeasible demand rows, so phase 1 has real work and the
-    solve runs thousands of pivots.  Small coefficients keep the
-    subdeterminants (and hence every tableau entry) inside int64 for the
-    whole solve: zero overflow fallbacks, which is exactly the regime the
-    packed representation is built for.  Dense large-coefficient rows
-    would blow past int64 mid-solve and measure the fallback path
-    instead.
-    """
-    from repro.linexpr.constraint import Constraint, Relation
-    from repro.linexpr.expr import LinExpr
-
-    rng = random.Random(seed)
-    instances = 1 if quick else 2
-    variables = 120 if quick else 200
-    coupling = 12
-    density = 0.7
-    built = []
-    for _ in range(instances):
-        names = ["x%d" % i for i in range(variables)]
-        constraints = []
-        for name in names:
-            constraints.append(
-                Constraint(LinExpr({name: Fraction(-1)}), Relation.LE)
-            )
-            constraints.append(
-                Constraint(
-                    LinExpr({name: Fraction(1)}, Fraction(-rng.randint(5, 25))),
-                    Relation.LE,
-                )
-            )
-        for index in range(coupling):
-            terms = {
-                name: Fraction(rng.choice((-2, -1, 1, 2)))
-                for name in names
-                if rng.random() < density
-            }
-            if not terms:
-                terms = {names[0]: Fraction(1)}
-            if index % 2 == 0:
-                # Demand row (sum ≥ rhs): the origin violates it, forcing
-                # genuine phase-1 pivoting.
-                constraints.append(
-                    Constraint(
-                        LinExpr(
-                            {name: -c for name, c in terms.items()},
-                            Fraction(rng.randint(2, variables // 2)),
-                        ),
-                        Relation.LE,
-                    )
-                )
-            else:
-                constraints.append(
-                    Constraint(
-                        LinExpr(
-                            terms,
-                            Fraction(-rng.randint(variables, 4 * variables)),
-                        ),
-                        Relation.LE,
-                    )
-                )
-        objective = LinExpr(
-            {name: Fraction(rng.randint(1, 3)) for name in names}
-        )
-        built.append((objective, constraints))
-    return built
-
-
-def _narrow_lp_instances(variables: int, instances: int, seed: int):
-    """Seeded narrow LPs at WTC tableau scale (a handful of variables).
-
-    Same box-plus-coupling shape as the wide batch, scaled down: the
-    ranking LPs and SMT theory checks of the paper's corpus live at
-    these widths, so this is the regime the ``auto`` crossover has to
-    get right.
-    """
-    from repro.linexpr.constraint import Constraint, Relation
-    from repro.linexpr.expr import LinExpr
-
-    rng = random.Random(seed * 1000 + variables)
-    coupling = max(3, variables // 3)
-    built = []
-    for _ in range(instances):
-        names = ["x%d" % i for i in range(variables)]
-        constraints = []
-        for name in names:
-            constraints.append(
-                Constraint(LinExpr({name: Fraction(-1)}), Relation.LE)
-            )
-            constraints.append(
-                Constraint(
-                    LinExpr({name: Fraction(1)}, Fraction(-rng.randint(5, 25))),
-                    Relation.LE,
-                )
-            )
-        for index in range(coupling):
-            terms = {
-                name: Fraction(rng.choice((-2, -1, 1, 2)))
-                for name in names
-                if rng.random() < 0.8
-            }
-            if not terms:
-                terms = {names[0]: Fraction(1)}
-            if index % 2 == 0:
-                constraints.append(
-                    Constraint(
-                        LinExpr(
-                            {name: -c for name, c in terms.items()},
-                            Fraction(rng.randint(2, max(2, variables // 2))),
-                        ),
-                        Relation.LE,
-                    )
-                )
-            else:
-                constraints.append(
-                    Constraint(
-                        LinExpr(
-                            terms,
-                            Fraction(-rng.randint(variables, 4 * variables)),
-                        ),
-                        Relation.LE,
-                    )
-                )
-        objective = LinExpr(
-            {name: Fraction(rng.randint(1, 3)) for name in names}
-        )
-        built.append((objective, constraints))
-    return built
-
-
-def _kernel_projection_systems(quick: bool, seed: int):
-    """Seeded wide constraint systems for the packed FM comparison.
-
-    Wide systems with small ±1/±2 coefficients: the eliminations *and*
-    the redundancy LPs (which dominate FM wall time and inherit the
-    kernel) both stay inside int64, so the packed rows never fall back.
-    """
-    from repro.linexpr.constraint import Constraint, Relation
-    from repro.linexpr.expr import LinExpr
-
-    rng = random.Random(seed + 1)
-    systems = 1 if quick else 2
-    rows = 36 if quick else 40
-    eliminated = 3 if quick else 4
-    names = ["v%d" % i for i in range(120)]
-    built = []
-    for _ in range(systems):
-        constraints = []
-        for _ in range(rows):
-            terms = {
-                name: Fraction(rng.choice((-2, -1, 1, 2)))
-                for name in rng.sample(names, 12)
-            }
-            constraints.append(
-                Constraint(
-                    LinExpr(terms, Fraction(rng.randint(-9, 9))), Relation.LE
-                )
-            )
-        built.append((constraints, names[:eliminated]))
-    return built
-
-
-def bench_kernel_packed(quick: bool = False, seed: int = 0) -> Dict:
-    """Packed int64 kernel vs the exact bignum path, apples to apples.
-
-    Runs the same seeded wide LP batch and the same wide Fourier–Motzkin
-    projections under ``kernel="packed"`` and ``kernel="exact"`` and
-    asserts **exact agreement** — identical statuses, optima, pivot
-    counts and projected constraint sets — before reporting the
-    speedups.  A disagreement raises instead of reporting a number: the
-    packed kernel is a pure performance change or it is a bug.
-    """
-    from repro.linalg.packed import (
-        numpy_available,
-        overflow_fallbacks,
-        reset_overflow_fallbacks,
-    )
-    from repro.lp.problem import Sense
-    from repro.lp.simplex import solve_lp
-    from repro.polyhedra.projection import fourier_motzkin
-
-    if not numpy_available():
-        return {
-            "suite": "kernel_packed",
-            "wall_seconds": 0.0,
-            "skipped": "numpy unavailable (exact kernel only)",
-        }
-
-    lps = _kernel_lp_instances(quick, seed)
-    projections = _kernel_projection_systems(quick, seed)
-    reset_overflow_fallbacks()
-
-    timings = {"packed": 0.0, "exact": 0.0}
-    lp_outcomes: Dict[str, List] = {"packed": [], "exact": []}
-    for kernel in ("exact", "packed"):
-        started = time.perf_counter()
-        for objective, constraints in lps:
-            outcome = solve_lp(
-                objective, constraints, Sense.MAXIMIZE, kernel=kernel
-            )
-            lp_outcomes[kernel].append(
-                (outcome.status, outcome.objective, outcome.pivots)
-            )
-        timings[kernel] = time.perf_counter() - started
-    if lp_outcomes["packed"] != lp_outcomes["exact"]:
-        raise AssertionError("packed and exact kernels disagree on an LP")
-
-    # WTC-scale narrow batch: 24 variables standard-form to ~75 columns,
-    # the top of the corpus' ranking-LP width band (and squarely in the
-    # width class ``auto`` sends to the stacked kernel).  The stacked
-    # tableau must win here, or ``auto`` has no business picking it.
-    narrow_lps = _narrow_lp_instances(
-        24, 12 if quick else 36, seed + 7
-    )
-    narrow_timings = {"packed": 0.0, "exact": 0.0}
-    narrow_outcomes: Dict[str, List] = {"packed": [], "exact": []}
-    for kernel in ("exact", "packed"):
-        started = time.perf_counter()
-        for objective, constraints in narrow_lps:
-            outcome = solve_lp(
-                objective, constraints, Sense.MAXIMIZE, kernel=kernel
-            )
-            narrow_outcomes[kernel].append(
-                (outcome.status, outcome.objective, outcome.pivots)
-            )
-        narrow_timings[kernel] = time.perf_counter() - started
-    if narrow_outcomes["packed"] != narrow_outcomes["exact"]:
-        raise AssertionError(
-            "packed and exact kernels disagree on a narrow LP"
-        )
-
-    projection_timings = {"packed": 0.0, "exact": 0.0}
-    projection_results: Dict[str, List] = {"packed": [], "exact": []}
-    for kernel in ("exact", "packed"):
-        started = time.perf_counter()
-        for constraints, eliminate in projections:
-            projected = fourier_motzkin(constraints, eliminate, kernel=kernel)
-            projection_results[kernel].append(
-                sorted(str(constraint) for constraint in projected)
-            )
-        projection_timings[kernel] = time.perf_counter() - started
-    if projection_results["packed"] != projection_results["exact"]:
-        raise AssertionError(
-            "packed and exact kernels disagree on a projection"
-        )
-
-    pivots = sum(entry[2] for entry in lp_outcomes["packed"])
-    return {
-        "suite": "kernel_packed",
-        "wall_seconds": round(
-            timings["packed"]
-            + timings["exact"]
-            + narrow_timings["packed"]
-            + narrow_timings["exact"]
-            + projection_timings["packed"]
-            + projection_timings["exact"],
-            4,
-        ),
-        "lps_solved": len(lps),
-        "pivots": pivots,
-        "simplex_packed_seconds": round(timings["packed"], 4),
-        "simplex_exact_seconds": round(timings["exact"], 4),
-        "simplex_speedup": round(timings["exact"] / timings["packed"], 2)
-        if timings["packed"]
-        else None,
-        "narrow_lps_solved": len(narrow_lps),
-        "narrow_pivots": sum(
-            entry[2] for entry in narrow_outcomes["packed"]
-        ),
-        "narrow_packed_seconds": round(narrow_timings["packed"], 4),
-        "narrow_exact_seconds": round(narrow_timings["exact"], 4),
-        "narrow_speedup": round(
-            narrow_timings["exact"] / narrow_timings["packed"], 2
-        )
-        if narrow_timings["packed"]
-        else None,
-        "projections": len(projections),
-        "projection_packed_seconds": round(projection_timings["packed"], 4),
-        "projection_exact_seconds": round(projection_timings["exact"], 4),
-        "projection_speedup": round(
-            projection_timings["exact"] / projection_timings["packed"], 2
-        )
-        if projection_timings["packed"]
-        else None,
-        "overflow_fallbacks": overflow_fallbacks(),
-        "verdicts_identical": True,
-    }
-
-
-#: The LP widths (variable counts) of the ``kernel_crossover`` sweep.
-#: The sweep stops at 80 variables: past that, the dense ±1/±2
-#: coupling rows of the narrow generator push mid-solve subdeterminants
-#: over int64 and the measurement becomes a fallback storm rather than
-#: a kernel comparison — the in-range wide regime is what
-#: ``kernel_packed``'s 200-variable batch measures.
-CROSSOVER_WIDTHS = (3, 5, 8, 12, 20, 40, 80)
-
-
-def bench_kernel_crossover(quick: bool = False, seed: int = 0) -> Dict:
-    """Stacked-vs-exact width sweep: where does the fast path start winning?
-
-    Solves seeded LP batches at each width of :data:`CROSSOVER_WIDTHS`
-    under both kernels, asserts identical statuses / optima / pivot
-    counts per width, and reports the per-width speedup.  The
-    ``crossover_width`` — the smallest width from which the stacked
-    kernel never loses again — is what :data:`repro.linalg.packed.
-    PACKED_MIN_WIDTH` (the ``auto`` threshold) is tuned against; the
-    report carries both so a drift between them is visible in CI.
-    """
-    from repro.linalg.packed import PACKED_MIN_WIDTH, numpy_available
-    from repro.lp.problem import Sense
-    from repro.lp.simplex import solve_lp
-
-    if not numpy_available():
-        return {
-            "suite": "kernel_crossover",
-            "wall_seconds": 0.0,
-            "skipped": "numpy unavailable (exact kernel only)",
-        }
-
-    widths = (5, 12, 40) if quick else CROSSOVER_WIDTHS
-    wall = 0.0
-    points = []
-    for width in widths:
-        instances = max(2, (48 if quick else 144) // width)
-        lps = _narrow_lp_instances(width, instances, seed)
-        timings = {"packed": 0.0, "exact": 0.0}
-        outcomes: Dict[str, List] = {"packed": [], "exact": []}
-        for kernel in ("exact", "packed"):
-            started = time.perf_counter()
-            for objective, constraints in lps:
-                outcome = solve_lp(
-                    objective, constraints, Sense.MAXIMIZE, kernel=kernel
-                )
-                outcomes[kernel].append(
-                    (outcome.status, outcome.objective, outcome.pivots)
-                )
-            timings[kernel] = time.perf_counter() - started
-        if outcomes["packed"] != outcomes["exact"]:
-            raise AssertionError(
-                "packed and exact kernels disagree at width %d" % width
-            )
-        wall += timings["packed"] + timings["exact"]
-        points.append(
-            {
-                "width": width,
-                "instances": instances,
-                "pivots": sum(entry[2] for entry in outcomes["packed"]),
-                "packed_seconds": round(timings["packed"], 4),
-                "exact_seconds": round(timings["exact"], 4),
-                "speedup": round(timings["exact"] / timings["packed"], 2)
-                if timings["packed"]
-                else None,
-            }
-        )
-
-    # Smallest width from which the stacked kernel never loses again.
-    crossover_width = None
-    for index, point in enumerate(points):
-        speedup = point["speedup"]
-        if speedup is not None and speedup >= 1.0:
-            tail = points[index:]
-            if all(
-                later["speedup"] is None or later["speedup"] >= 1.0
-                for later in tail
-            ):
-                crossover_width = point["width"]
-                break
-
-    return {
-        "suite": "kernel_crossover",
-        "wall_seconds": round(wall, 4),
-        "points": points,
-        "crossover_width": crossover_width,
-        "packed_min_width": PACKED_MIN_WIDTH,
-        "verdicts_identical": True,
     }
 
 
@@ -1239,15 +854,13 @@ def bench_service_chaos(quick: bool = False, seed: int = 0) -> Dict:
 #: (``repro bench service nonterm service_chaos``): the first forks a
 #: worker pool, the second proves the nonterminating corpus slice end to
 #: end, and the third injects faults into live servers, so the default
-#: ``repro bench`` run keeps the historical five-suite document.
+#: ``repro bench`` run keeps the six-suite document.
 SUITE_RUNNERS = {
     "kernel_rows": bench_kernel_rows,
     "simplex": bench_simplex,
     "projection": bench_projection,
     "table1_wtc": lambda quick, seed: bench_table1_slice(quick=quick),
     "cegis_ablation": bench_cegis_ablation,
-    "kernel_packed": bench_kernel_packed,
-    "kernel_crossover": bench_kernel_crossover,
     "cex_batch_ablation": bench_cex_batch_ablation,
     "service": bench_service,
     "nonterm": bench_nonterm,
@@ -1261,14 +874,12 @@ DEFAULT_SUITES = (
     "projection",
     "table1_wtc",
     "cegis_ablation",
-    "kernel_packed",
-    "kernel_crossover",
     "cex_batch_ablation",
 )
 
 
 def run_suite(quick: bool = False, seed: int = 0, suites=None) -> Dict:
-    """Run the named *suites* (default: the five-kernel set) into the
+    """Run the named *suites* (default: :data:`DEFAULT_SUITES`) into the
     JSON document."""
     names = list(suites) if suites else list(DEFAULT_SUITES)
     unknown = [name for name in names if name not in SUITE_RUNNERS]

@@ -27,8 +27,7 @@ tier   name         behaviour
 0      ``normal``   free compute slots; requests run exactly as asked
 1      ``elevated`` all compute slots busy (requests are queueing);
                     ``nonterm="auto"`` races are dropped to
-                    termination-only and non-default kernels fall back
-                    to ``kernel="auto"`` — every shed feature is stamped
+                    termination-only — every shed feature is stamped
                     into ``provenance.degraded``
 2      ``shedding`` the queue is full too; new work is refused with
                     ``OVERLOADED``

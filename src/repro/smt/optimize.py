@@ -64,12 +64,10 @@ class OptimizingSmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         mode: str | SearchMode = SearchMode.LOCAL,
-        kernel: str = "exact",
     ):
         self._formulas: List[Formula] = []
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._mode = SearchMode(mode) if isinstance(mode, str) else mode
-        self._kernel = kernel
         self.statistics: Dict[str, int] = {
             "queries": 0,
             "assignments_explored": 0,
@@ -113,9 +111,7 @@ class OptimizingSmtSolver:
     # -- internals ---------------------------------------------------------------------
 
     def _fresh_solver(self) -> SmtSolver:
-        solver = SmtSolver(
-            integer_variables=self._integer_variables, kernel=self._kernel
-        )
+        solver = SmtSolver(integer_variables=self._integer_variables)
         for formula in self._formulas:
             solver.assert_formula(formula)
         return solver
@@ -195,19 +191,10 @@ class OptimizingSmtSolver:
                     integers,
                     Sense.MINIMIZE,
                     names,
-                    kernel=self._kernel,
                 )
             except BranchAndBoundLimit:
-                return solve_lp(
-                    objective,
-                    list(closure),
-                    Sense.MINIMIZE,
-                    names,
-                    kernel=self._kernel,
-                )
-        return solve_lp(
-            objective, list(closure), Sense.MINIMIZE, names, kernel=self._kernel
-        )
+                return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
+        return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
 
     @staticmethod
     def _satisfies(

@@ -71,10 +71,8 @@ class SmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         max_theory_iterations: int = 10_000,
-        kernel: str = "exact",
     ):
         self._sat = SatSolver()
-        self._kernel = kernel
         self._encoder = CnfEncoder(self._sat)
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._free_variables: Set[str] = set()
@@ -150,9 +148,7 @@ class SmtSolver:
             literals = self._theory_literals(boolean_model)
             constraints = self._constraints_of(literals)
             self.statistics["theory_calls"] += 1
-            outcome = check_conjunction(
-                constraints, self._integer_variables, kernel=self._kernel
-            )
+            outcome = check_conjunction(constraints, self._integer_variables)
             if outcome.satisfiable:
                 return literals, outcome.model
             self.statistics["theory_conflicts"] += 1

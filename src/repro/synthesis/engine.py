@@ -149,7 +149,6 @@ class CegisEngine:
         strategy,
         max_iterations: int = 200,
         lp_mode: str = "incremental",
-        kernel: str = "auto",
         observers: Sequence[CegisObserver] = (),
         should_stop: Optional[Callable[[], bool]] = None,
     ):
@@ -157,7 +156,6 @@ class CegisEngine:
         self.strategy = strategy
         self.max_iterations = max_iterations
         self.lp_mode = lp_mode
-        self.kernel = kernel
         self.should_stop = should_stop
         self._observers: List[CegisObserver] = list(observers)
 
@@ -192,9 +190,7 @@ class CegisEngine:
         exhausted or the LP proves no collected generator separable.
         """
         statistics = MonodimStatistics()
-        ranking_lp = template.make_lp(
-            statistics.lp, self.lp_mode, kernel=self.kernel
-        )
+        ranking_lp = template.make_lp(statistics.lp, self.lp_mode)
         flat_basis: List[Vector] = []
         self._emit(
             "component_start",

@@ -151,14 +151,12 @@ def has_stuttering_step(
     transition_formula: Formula,
     extra_constraints: Sequence,
     integer_mode: bool,
-    kernel: str = "exact",
 ) -> bool:
     """Whether ``Φ`` admits a step with ``u = 0`` (see end of Algorithm 1)."""
     solver = OptimizingSmtSolver(
         integer_variables=(
             problem.smt_integer_variables() if integer_mode else ()
-        ),
-        kernel=kernel,
+        )
     )
     solver.assert_formula(transition_formula)
     for constraint in extra_constraints:
@@ -200,7 +198,6 @@ class SmtOptimizingOracle(CounterexampleOracle):
                 problem.smt_integer_variables() if template.integer_mode else ()
             ),
             mode=template.smt_mode,
-            kernel=getattr(template, "kernel", "exact"),
         )
         solver.assert_formula(template.transition_formula)
         for constraint in self._extra_constraints:

@@ -43,12 +43,10 @@ class LinearTemplate:
         problem: TerminationProblem,
         integer_mode: bool = False,
         smt_mode: str | SearchMode = SearchMode.LOCAL,
-        kernel: str = "exact",
     ):
         self.problem = problem
         self.integer_mode = integer_mode
         self.smt_mode = smt_mode
-        self.kernel = kernel
         #: ``Φ``: the disjunction over blocks, built once per template and
         #: shared by every oracle query of every component.
         self.transition_formula = problem.transition_formula()
@@ -58,11 +56,9 @@ class LinearTemplate:
     def initial_candidate(self) -> AffineRankingFunction:
         return self.problem.zero_ranking()
 
-    def make_lp(
-        self, statistics: LpStatistics, lp_mode: str, kernel: str = "auto"
-    ) -> RankingLp:
+    def make_lp(self, statistics: LpStatistics, lp_mode: str) -> RankingLp:
         """A fresh ``LP(V, Constraints(I))`` instance (Definition 11)."""
-        return RankingLp(self.problem, statistics, mode=lp_mode, kernel=kernel)
+        return RankingLp(self.problem, statistics, mode=lp_mode)
 
     def objective(self, candidate: AffineRankingFunction) -> LinExpr:
         """``λ · u`` — what the oracle minimises / refutes."""
@@ -79,7 +75,6 @@ class LinearTemplate:
             self.transition_formula,
             extra_constraints,
             self.integer_mode,
-            kernel=self.kernel,
         )
 
 
@@ -97,14 +92,8 @@ class LexicographicTemplate(LinearTemplate):
         integer_mode: bool = False,
         smt_mode: str | SearchMode = SearchMode.LOCAL,
         max_dimension: Optional[int] = None,
-        kernel: str = "exact",
     ):
-        super().__init__(
-            problem,
-            integer_mode=integer_mode,
-            smt_mode=smt_mode,
-            kernel=kernel,
-        )
+        super().__init__(problem, integer_mode=integer_mode, smt_mode=smt_mode)
         self.max_dimension = (
             max_dimension
             if max_dimension is not None

@@ -91,3 +91,15 @@ class TestSerialisation:
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
             AnalysisConfig.from_dict(["lp_mode"])
+
+    @pytest.mark.parametrize("legacy", ["auto", "packed", "exact"])
+    def test_legacy_kernel_key_is_dropped(self, legacy):
+        data = {"kernel": legacy, "lp_mode": "cold"}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig(lp_mode="cold")
+        assert data == {"kernel": legacy, "lp_mode": "cold"}  # not mutated
+        assert "kernel" not in AnalysisConfig.from_dict(data).to_dict()
+
+    @pytest.mark.parametrize("legacy", ["fast", "", None, 1])
+    def test_legacy_kernel_key_with_another_value_rejected(self, legacy):
+        with pytest.raises(ConfigError, match="kernel"):
+            AnalysisConfig.from_dict({"kernel": legacy})

@@ -1,7 +1,12 @@
 """The staged pipeline: hook ordering, problem caching, batch execution."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.api import (
     Analysis,
     AnalysisConfig,
@@ -176,3 +181,17 @@ class TestBatchExecution:
         assert [(r.program, r.tool, r.proved) for r in parallel] == [
             (r.program, r.tool, r.proved) for r in inline
         ]
+
+
+def test_import_leaves_numpy_unloaded():
+    # Every LP and projection runs on exact Python integers.
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro, repro.cli, repro.service\n"
+        "assert 'numpy' not in sys.modules, 'importing repro loaded numpy'\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=source_root),
+    )

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.packed import numpy_available
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.problem import LinearProgram, Sense
@@ -16,6 +15,7 @@ from repro.lp.simplex import (
     check_feasibility,
     solve_lp,
 )
+from repro.polyhedra.projection import fourier_motzkin
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -313,22 +313,6 @@ class TestEqualityElimination:
                 constraints, objective, sense, result, nonnegative
             )
 
-    @pytest.mark.skipif(
-        not numpy_available(), reason="packed kernel requires numpy"
-    )
-    @given(
-        st.lists(random_row, min_size=1, max_size=7),
-        st.lists(coefficient, min_size=4, max_size=4),
-        senses,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_kernels_agree(self, rows, objective_coefficients, sense):
-        constraints = _system(rows)
-        objective = LinExpr(dict(zip(names, objective_coefficients)))
-        exact = solve_lp(objective, constraints, sense, names, kernel="exact")
-        packed = solve_lp(objective, constraints, sense, names, kernel="packed")
-        assert packed == exact
-
     @pytest.mark.parametrize("sense", [Sense.MINIMIZE, Sense.MAXIMIZE])
     def test_objective_on_an_eliminated_variable(self, sense):
         # ``y`` occurs once, so ``y = x + 1`` eliminates it; the objective's
@@ -409,3 +393,87 @@ class TestEqualityElimination:
         _assert_certificate(
             constraints, x, Sense.MINIMIZE, result, frozenset()
         )
+
+
+# -- coefficients beyond machine integers ---------------------------------------
+
+#: Column scale factors past int64: every coefficient of ``x`` is
+#: multiplied by 2**70 and every coefficient of ``z`` by 3**45.
+_BIG_SCALES = {"x": Fraction(2**70), "z": Fraction(3**45)}
+
+w = var("w")
+
+#: ``(constraints, objective, sense, variables to project away)``.
+_BIG_SYSTEMS = [
+    (
+        [x + y <= 4, x - y >= -2, y >= 0, x >= 0, z <= x + 1, z >= y - 3],
+        x + 2 * y + z,
+        Sense.MAXIMIZE,
+        ["x", "z"],
+    ),
+    (
+        [(x + z).eq(y + 3), 2 * x - z <= 7, z >= -5, y <= 10, w <= x + y, w >= z],
+        3 * x - y + w,
+        Sense.MINIMIZE,
+        ["x", "w"],
+    ),
+    (
+        [x - z <= 1, z - x <= 1, y >= x + z],
+        y - 3 * z,
+        Sense.MINIMIZE,
+        ["x"],
+    ),
+    (
+        [x + z <= 1, x >= 1, z >= 1],
+        x,
+        Sense.MAXIMIZE,
+        ["z"],
+    ),
+]
+
+
+def _rescale(expr, scales):
+    return LinExpr(
+        {name: value * scales.get(name, 1) for name, value in expr.terms.items()},
+        expr.constant_term,
+    )
+
+
+def _rescale_constraint(constraint, scales):
+    return Constraint(_rescale(constraint.expr, scales), constraint.relation)
+
+
+def _unscaled(values):
+    """A point of the scaled system as a point of the original one."""
+    return {name: value * _BIG_SCALES.get(name, 1) for name, value in values.items()}
+
+
+def _direction(values):
+    peak = max(abs(value) for value in values.values())
+    return {name: value / peak for name, value in values.items()}
+
+
+@pytest.mark.parametrize("constraints, objective, sense, eliminate", _BIG_SYSTEMS)
+def test_coefficients_beyond_int64_are_exact(constraints, objective, sense, eliminate):
+    # Substituting x = 2**70·x', z = 3**45·z' changes no status or optimum,
+    # and maps every solution and projected constraint back exactly.
+    inverse = {name: 1 / scale for name, scale in _BIG_SCALES.items()}
+    scaled = [_rescale_constraint(c, _BIG_SCALES) for c in constraints]
+    scaled_objective = _rescale(objective, _BIG_SCALES)
+
+    plain = solve_lp(objective, constraints, sense)
+    big = solve_lp(scaled_objective, scaled, sense)
+    assert big.status == plain.status
+    assert big.objective == plain.objective
+    assert big.pivots == plain.pivots
+    assert _unscaled(big.assignment) == plain.assignment
+    if plain.is_unbounded:
+        # A ray is only defined up to a positive factor.
+        assert _direction(_unscaled(big.ray)) == _direction(plain.ray)
+
+    projected = {c.normalized() for c in fourier_motzkin(constraints, eliminate)}
+    projected_big = {
+        _rescale_constraint(c, inverse).normalized()
+        for c in fourier_motzkin(scaled, eliminate)
+    }
+    assert projected_big == projected

@@ -138,6 +138,65 @@ class TestWarmColumnsAndObjective:
         assert state.cold_solves == 2
 
 
+class TestBatchedRepair:
+    """k appended rows -> one dual repair pass, not k."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 8])
+    def test_one_repair_pass_per_batch(self, batch):
+        state = SimplexState(Sense.MAXIMIZE)
+        state.add_constraints([x <= 50, y <= 50, x >= 0, y >= 0])
+        state.set_objective(x + y)
+        assert state.solve().status is LpStatus.OPTIMAL
+        assert state.dual_repair_passes == 0
+        # Append `batch` violated cutting rows, then one solve.
+        for k in range(batch):
+            state.add_constraint(x + y <= 40 - k)
+        result = state.solve()
+        assert result.status is LpStatus.OPTIMAL
+        assert result.objective == 40 - (batch - 1)
+        assert state.warm_solves == 1
+        assert state.dual_repair_passes == 1
+        assert state.last_repair_passes == 1
+
+    def test_repair_passes_accumulate_per_solve_not_per_row(self):
+        state = SimplexState(Sense.MAXIMIZE)
+        state.add_constraints([x <= 100, x >= 0])
+        state.set_objective(x)
+        state.solve()
+        for bound in (90, 80, 70):
+            state.add_constraint(x <= bound)
+        state.solve()
+        for bound in (60, 50):
+            state.add_constraint(x <= bound)
+        state.solve()
+        assert state.warm_solves == 2
+        assert state.dual_repair_passes == 2  # one pass per batch
+
+    def test_incremental_repricing_on_nonbasic_objective_change(self):
+        state = SimplexState(Sense.MAXIMIZE)
+        state.add_constraints([x <= 5, y <= 7, x >= 0, y >= 0])
+        state.set_objective(x)
+        assert state.solve().objective == 5
+        before = state.incremental_repricings
+        # y never entered the basis under the pure-x objective; adding a
+        # y term patches the cost row in O(1) instead of re-eliminating.
+        state.set_objective(x + y)
+        result = state.solve()
+        assert result.objective == 12
+        assert state.incremental_repricings > before
+
+    def test_constant_only_objective_change_is_free(self):
+        state = SimplexState(Sense.MAXIMIZE)
+        state.add_constraints([x <= 5, x >= 0])
+        state.set_objective(x)
+        assert state.solve().objective == 5
+        before = state.incremental_repricings
+        state.set_objective(x + 3)
+        result = state.solve()
+        assert result.objective == 8
+        assert state.incremental_repricings > before
+
+
 class TestValidation:
     def test_strict_inequality_rejected(self):
         state = SimplexState()

@@ -27,9 +27,7 @@ EXPECTED_SUITES = {
     "projection",
     "table1_wtc",
     "cegis_ablation",
-    "kernel_packed",
     "cex_batch_ablation",
-    "kernel_crossover",
 }
 
 

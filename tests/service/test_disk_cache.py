@@ -6,10 +6,12 @@ cost soundness, because the load path checks parse/schema/key/checksum
 and the serving path still runs the independent checker gate.
 """
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
-from repro.api import AnalysisConfig, AnalysisRequest, analyze
+from repro.api import AnalysisConfig, AnalysisRequest, AnalysisResult, analyze
 from repro.service import ResultCache
 from repro.service.faults import FaultInjector, FaultPlan
 
@@ -162,3 +164,39 @@ class TestDiskEviction:
         assert stats.disk_bytes == os.path.getsize(
             tmp_path / (request.cache_key() + ".json")
         )
+
+
+#: A wire ``analyze`` request and its response, written before the
+#: ``kernel`` config field and the kernel statistics were removed.
+KERNEL_ERA = json.loads(
+    (Path(__file__).parent / "data" / "kernel_era_analyze.json").read_text()
+)
+
+
+class TestKernelEraPayloads:
+    def test_wire_payload_still_round_trips(self):
+        request = AnalysisRequest.from_dict(KERNEL_ERA["params"])
+        assert request.config == AnalysisConfig(lp_mode="audit")
+        result = AnalysisResult.from_dict(KERNEL_ERA["result"])
+        assert result.proved and result.certificate_checked
+        assert result.lp_statistics.pivots == 2
+        assert result.provenance.key == KERNEL_ERA["result"]["provenance"]["key"]
+        assert AnalysisResult.from_json(result.to_json()) == result
+
+    def test_disk_entry_under_the_old_key_simply_misses(self, tmp_path):
+        # ``kernel`` left the config JSON, so the content address moved.
+        old_key = KERNEL_ERA["result"]["provenance"]["key"]
+        document = KERNEL_ERA["result"]
+        payload = json.dumps(document, sort_keys=True).encode("utf-8")
+        wrapper = {
+            "schema": 1,
+            "key": old_key,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "result": document,
+        }
+        (tmp_path / (old_key + ".json")).write_text(json.dumps(wrapper))
+        request = AnalysisRequest.from_dict(KERNEL_ERA["params"])
+        assert request.cache_key() != old_key
+        cache = ResultCache(cache_dir=str(tmp_path))
+        assert cache.lookup(request) is None
+        assert cache.stats().disk_drops == 0

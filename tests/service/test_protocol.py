@@ -167,11 +167,7 @@ class TestIntrospection:
     def test_cache_stats_without_a_cache(self):
         protocol = ServiceProtocol(InlineExecutor(cache=None))
         response = ask(protocol, rpc("cache_stats"))
-        assert response["result"] == {
-            "enabled": False,
-            "stats": None,
-            "kernels": {"overflow_fallbacks": 0},
-        }
+        assert response["result"] == {"enabled": False, "stats": None}
 
     def test_bypass_provenance_without_a_cache(self):
         protocol = ServiceProtocol(InlineExecutor(cache=None))

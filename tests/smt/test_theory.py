@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.smt.theory as theory
 from repro.checking.farkas import is_infeasible, tighten_integer_strict
-from repro.linalg.packed import numpy_available
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.linexpr.formula import And, Or
@@ -15,9 +14,6 @@ from repro.smt.solver import SmtSolver
 from repro.smt.theory import check_conjunction
 
 x, y = var("x"), var("y")
-
-#: Both row kernels when numpy is present; they must agree on every core.
-KERNELS = ("exact", "packed") if numpy_available() else ("exact",)
 
 
 class TestSatisfiable:
@@ -150,11 +146,7 @@ def infeasible_conjunctions(draw):
 @settings(max_examples=150, deadline=None)
 def test_farkas_cores_refute_independently(case):
     constraints, integers = case
-    results = [
-        check_conjunction(constraints, integers, kernel=kernel)
-        for kernel in KERNELS
-    ]
-    result = results[0]
+    result = check_conjunction(constraints, integers)
     assert not result.satisfiable
     assert result.core
     assert result.core == sorted(set(result.core))
@@ -167,13 +159,6 @@ def test_farkas_cores_refute_independently(case):
     assert is_infeasible(
         tighten_integer_strict(core, lambda name: name in integers)
     )
-    # The kernels pivot identically, so they read off identical cores.
-    for other in results[1:]:
-        assert (other.satisfiable, other.core, other.certified) == (
-            result.satisfiable,
-            result.core,
-            result.certified,
-        )
 
 
 # -- tampering and fallbacks -------------------------------------------------------
