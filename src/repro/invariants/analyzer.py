@@ -77,18 +77,18 @@ class InvariantAnalyzer:
             location: self.domain.bottom()
             for location in self.automaton.locations
         }
-        initial = self.domain.top()
-        for conjunct in self._initial_conjuncts():
-            initial = self.domain.constrain(self.domain.top(), conjunct)
-            break
-        values[self.automaton.initial_location] = initial
-        return values
-
-    def _initial_conjuncts(self):
         condition = self.automaton.initial_condition
         if condition is TRUE:
-            return []
-        return dnf_conjunctions(condition)[:1] or []
+            initial = self.domain.top()
+        else:
+            # Every disjunct of the initial condition is a possible start.
+            initial = self.domain.bottom()
+            for conjunct in dnf_conjunctions(condition):
+                initial = self.domain.join(
+                    initial, self.domain.constrain(self.domain.top(), conjunct)
+                )
+        values[self.automaton.initial_location] = initial
+        return values
 
     def _ascending_phase(self) -> Dict[str, object]:
         values = self._initial_values()

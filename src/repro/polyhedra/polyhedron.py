@@ -5,12 +5,35 @@ domain (our Aspic/Pagai substitute) and by the eager Ben-Amram & Genaim
 baseline.  It is a *closed convex rational* polyhedron as in Definition 1
 of the paper, described by a conjunction of non-strict inequalities and
 equalities over a fixed tuple of variables.
+
+Like PPL and NewPolka, a polyhedron also keeps what it learns about its
+other representation, lazily and exactly:
+
+* the *generator system* (vertices, rays, lines), either the one it was
+  built from by :meth:`Polyhedron.from_generators` or the memoised result
+  of the double-description conversion; inclusion and entailment are then
+  decided on the generators instead of one LP per constraint;
+* a *witness point*, one point known to lie in the polyhedron (from a
+  feasibility LP, a vertex, or carried through the operation that built
+  it), which settles :meth:`Polyhedron.is_empty` without an LP.
+
+Both caches are private and never mutated once set; a polyhedron is
+immutable as far as its callers can tell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -48,23 +71,34 @@ class Polyhedron:
             cleaned.append(constraint.weaken().normalized())
         self._constraints = cleaned
         self._empty_cache: Optional[bool] = None
+        self._generators: Optional[GeneratorSystem] = None
+        self._witness: Optional[Dict[str, Fraction]] = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def universe(cls, variables: Sequence[str]) -> "Polyhedron":
         """The whole space (no constraints)."""
-        return cls(variables, [])
+        result = cls(variables, [])
+        result._set_witness({name: Fraction(0) for name in result._variables})
+        return result
 
     @classmethod
     def empty(cls, variables: Sequence[str]) -> "Polyhedron":
         """The canonical empty polyhedron."""
-        return cls(variables, [Constraint(LinExpr.constant(1), Relation.LE)])
+        result = cls(variables, [Constraint(LinExpr.constant(1), Relation.LE)])
+        result._set_empty()
+        return result
 
     @classmethod
     def from_generators(cls, system: GeneratorSystem) -> "Polyhedron":
-        """Build the constraint representation from a generator system."""
-        return cls(system.variables, generators_to_constraints(system))
+        """Build the constraint representation from a generator system.
+
+        The result keeps *system* as its generator system.
+        """
+        result = cls(system.variables, generators_to_constraints(system))
+        result._set_generators(system)
+        return result
 
     # -- accessors -----------------------------------------------------------
 
@@ -87,12 +121,21 @@ class Polyhedron:
     # -- predicates ----------------------------------------------------------
 
     def is_empty(self) -> bool:
-        """Exact emptiness test (LP feasibility)."""
+        """Exact emptiness test: a known point or generator system settles
+        it, otherwise an LP feasibility check (whose solution is kept)."""
         if self._empty_cache is None:
             outcome = check_feasibility(
                 self._constraints, variables=self._variables
             )
-            self._empty_cache = outcome.is_infeasible
+            if outcome.is_infeasible:
+                self._set_empty()
+            else:
+                self._set_witness(
+                    {
+                        name: outcome.assignment.get(name, Fraction(0))
+                        for name in self._variables
+                    }
+                )
         return self._empty_cache
 
     def is_universe(self) -> bool:
@@ -102,15 +145,20 @@ class Polyhedron:
         return all(c.satisfied_by(point) for c in self._constraints)
 
     def entails_constraint(self, candidate: Constraint) -> bool:
-        """Whether every point of the polyhedron satisfies *candidate*."""
+        """Whether every point of the polyhedron satisfies *candidate*.
+
+        Decided on the generators when they are known, else by an LP.
+        """
+        if self._generators is not None:
+            return _generated_satisfy(self._generators, candidate)
         return entails(self._constraints, candidate)
 
     def includes(self, other: "Polyhedron") -> bool:
-        """Whether *other* ⊆ *self*."""
-        if other.is_empty():
-            return True
+        """Whether *other* ⊆ *self*: every generator of *other* obeys
+        every constraint of *self*."""
+        system = other.generators()
         return all(
-            entails(other._constraints, constraint)
+            _generated_satisfy(system, constraint)
             for constraint in self._constraints
         )
 
@@ -121,26 +169,38 @@ class Polyhedron:
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         self._check_space(other)
-        return Polyhedron(
+        result = Polyhedron(
             self._variables, self._constraints + other._constraints
         )
+        if self._empty_cache or other._empty_cache:
+            result._set_empty()
+        else:
+            result._adopt_point(self, other._constraints)
+            result._adopt_point(other, self._constraints)
+        return result
 
     def intersect_constraints(
         self, constraints: Iterable[Constraint]
     ) -> "Polyhedron":
-        return Polyhedron(
+        result = Polyhedron(
             self._variables, self._constraints + list(constraints)
         )
+        if self._empty_cache:
+            result._set_empty()
+        else:
+            added = result._constraints[len(self._constraints):]
+            result._adopt_point(self, added)
+        return result
 
     def join(self, other: "Polyhedron") -> "Polyhedron":
         """Convex hull of the union (the abstract-domain join)."""
         self._check_space(other)
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
         mine = self.generators()
+        if mine.is_empty():
+            return other
         theirs = other.generators()
+        if theirs.is_empty():
+            return self
         return Polyhedron.from_generators(mine.merge(theirs))
 
     def widen(self, other: "Polyhedron") -> "Polyhedron":
@@ -169,26 +229,50 @@ class Polyhedron:
             for constraint in candidates
             if other.entails_constraint(constraint)
         ]
-        return Polyhedron(self._variables, stable)
+        # The result contains both operands, so either one's point is in it.
+        witness = self._witness if self._witness is not None else other._witness
+        return self._derived(self._variables, stable, witness)
 
     # -- geometric operations ----------------------------------------------------
 
     def generators(self) -> GeneratorSystem:
-        """The generator system (vertices, rays, lines)."""
-        if self.is_empty():
-            return GeneratorSystem(self._variables)
-        return constraints_to_generators(self._constraints, self._variables)
+        """The generator system (vertices, rays, lines).
+
+        The system the polyhedron was built from, else the memoised
+        double-description result; it is shared, so callers must not
+        mutate it.
+        """
+        if self._generators is None:
+            if self._empty_cache:
+                self._set_generators(GeneratorSystem(self._variables))
+            else:
+                self._set_generators(
+                    constraints_to_generators(
+                        self._constraints, self._variables
+                    )
+                )
+        return self._generators
 
     def project(self, keep: Sequence[str]) -> "Polyhedron":
         """Orthogonal projection onto the variables in *keep*."""
         projected = project_constraints(self._constraints, keep)
-        return Polyhedron(tuple(keep), projected)
+        witness = self._witness
+        if witness is not None:
+            witness = {name: witness.get(name, Fraction(0)) for name in keep}
+        return self._derived(tuple(keep), projected, witness)
 
     def rename(self, mapping: Mapping[str, str]) -> "Polyhedron":
         new_variables = tuple(mapping.get(v, v) for v in self._variables)
-        return Polyhedron(
+        witness = self._witness
+        if witness is not None:
+            witness = {
+                mapping.get(name, name): value
+                for name, value in witness.items()
+            }
+        return self._derived(
             new_variables,
             [constraint.rename(mapping) for constraint in self._constraints],
+            witness,
         )
 
     def extend_space(self, variables: Sequence[str]) -> "Polyhedron":
@@ -196,7 +280,10 @@ class Polyhedron:
         missing = [v for v in self._variables if v not in variables]
         if missing:
             raise ValueError("extended space misses variables %s" % missing)
-        return Polyhedron(tuple(variables), self._constraints)
+        witness = self._witness
+        if witness is not None:
+            witness = {name: witness.get(name, Fraction(0)) for name in variables}
+        return self._derived(tuple(variables), self._constraints, witness)
 
     def assign(self, variable: str, expression: LinExpr) -> "Polyhedron":
         """Strongest postcondition of the assignment ``variable := expression``."""
@@ -208,7 +295,13 @@ class Polyhedron:
         new_value = LinExpr.variable(variable) - expression.rename(renaming)
         renamed.append(Constraint(new_value, Relation.EQ))
         kept = project_constraints(renamed, self._variables)
-        return Polyhedron(self._variables, kept)
+        witness = self._witness
+        if witness is not None and expression.variables() <= witness.keys():
+            witness = dict(witness)
+            witness[variable] = expression.evaluate(self._witness)
+        else:
+            witness = None
+        return self._derived(self._variables, kept, witness)
 
     def havoc(self, variable: str) -> "Polyhedron":
         """Forget everything about *variable* (nondeterministic assignment)."""
@@ -216,15 +309,17 @@ class Polyhedron:
             raise ValueError("unknown variable %r" % variable)
         others = [v for v in self._variables if v != variable]
         kept = project_constraints(self._constraints, others)
-        return Polyhedron(self._variables, kept)
+        return self._derived(self._variables, kept, self._witness)
 
     def minimized(self) -> "Polyhedron":
         """An equivalent polyhedron without redundant constraints."""
         if self.is_empty():
             return Polyhedron.empty(self._variables)
-        return Polyhedron(
+        result = Polyhedron(
             self._variables, remove_redundant(self._constraints)
         )
+        result._set_witness(self._witness)
+        return result
 
     def bounds(self, expression: LinExpr) -> Tuple[Optional[Fraction], Optional[Fraction]]:
         """Exact (min, max) of *expression* over the polyhedron.
@@ -262,9 +357,103 @@ class Polyhedron:
                 pairs.append((homogeneous, -expr.constant_term))
         return pairs
 
+    # -- the cached second representation -------------------------------------
+
+    def _set_empty(self) -> None:
+        self._empty_cache = True
+        self._witness = None
+
+    def _set_witness(self, point: Dict[str, Fraction]) -> None:
+        self._empty_cache = False
+        self._witness = point
+
+    def _set_generators(self, system: GeneratorSystem) -> None:
+        self._generators = system
+        if system.vertices:
+            self._set_witness(dict(zip(self._variables, system.vertices[0])))
+        elif system.is_empty():
+            self._set_empty()
+
+    def _known_points(self) -> Iterator[Dict[str, Fraction]]:
+        if self._witness is not None:
+            yield self._witness
+        if self._generators is not None:
+            for vertex in self._generators.vertices:
+                yield dict(zip(self._generators.variables, vertex))
+
+    def _adopt_point(
+        self, superset: "Polyhedron", rows: Sequence[Constraint]
+    ) -> None:
+        """Keep a known point of *superset* that satisfies *rows*, the
+        constraints that cut this polyhedron out of *superset*."""
+        if self._witness is not None:
+            return
+        for point in superset._known_points():
+            if all(_holds_at(row, point) for row in rows):
+                self._set_witness(point)
+                return
+
+    def _derived(
+        self,
+        variables: Sequence[str],
+        constraints: Iterable[Constraint],
+        witness: Optional[Dict[str, Fraction]],
+    ) -> "Polyhedron":
+        """A polyhedron computed from this one by a projection-like
+        operation: empty when this one is, else containing *witness*."""
+        result = Polyhedron(variables, constraints)
+        if self._empty_cache:
+            result._set_empty()
+        elif witness is not None:
+            result._set_witness(witness)
+        return result
+
     def _check_space(self, other: "Polyhedron") -> None:
         if self._variables != other._variables:
             raise ValueError(
                 "polyhedra over different variable tuples: %s vs %s"
                 % (self._variables, other._variables)
             )
+
+
+def _holds_at(constraint: Constraint, point: Mapping[str, Fraction]) -> bool:
+    value = constraint.expr.evaluate(point)
+    if constraint.is_equality():
+        return value == 0
+    return value < 0 if constraint.is_strict() else value <= 0
+
+
+def _generated_satisfy(system: GeneratorSystem, constraint: Constraint) -> bool:
+    """Whether every point generated by *system* satisfies *constraint*.
+
+    With ``constraint`` as ``a·x + c ⋈ 0``: every vertex must satisfy it,
+    ``a·r ≤ 0`` for every ray (``= 0`` for an equality) and ``a·l = 0``
+    for every line.
+    """
+    if not system.vertices:
+        return True  # the empty polyhedron entails everything
+    position = {name: index for index, name in enumerate(system.variables)}
+    terms = []
+    for name, coefficient in constraint.expr.terms.items():
+        if name not in position:
+            return False  # a free coordinate outside the space
+        terms.append((position[name], coefficient))
+    constant = constraint.expr.constant_term
+    equality = constraint.is_equality()
+    strict = constraint.is_strict()
+
+    def direction(vector) -> Fraction:
+        return sum(coefficient * vector[index] for index, coefficient in terms)
+
+    for line in system.lines:
+        if direction(line) != 0:
+            return False
+    for ray in system.rays:
+        value = direction(ray)
+        if value > 0 or (equality and value != 0):
+            return False
+    for vertex in system.vertices:
+        value = direction(vertex) + constant
+        if value > 0 or (equality and value != 0) or (strict and value == 0):
+            return False
+    return True

@@ -1,10 +1,12 @@
 """Tests for the abstract-interpretation engine."""
 
 
+from repro.api import Analysis, AnalysisConfig, AnalysisStatus
 from repro.invariants.analyzer import compute_invariants
 from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
 from repro.linexpr.expr import var
+from repro.linexpr.formula import disjunction
 from repro.program.builder import AutomatonBuilder
 
 x, y, i, j, n = var("x"), var("y"), var("i"), var("j"), var("n")
@@ -14,6 +16,21 @@ def counter_loop():
     builder = AutomatonBuilder(["i", "n"], initial="start", initial_condition=[n <= 100])
     builder.transition("start", "head", updates={"i": 0})
     builder.transition("head", "head", guard=[i < n], updates={"i": i + 1})
+    return builder.build()
+
+
+def two_sided_countdown():
+    """Counts down from either side of 0; diverges when it starts at -5."""
+    builder = AutomatonBuilder(
+        ["x"],
+        initial="init",
+        initial_condition=disjunction([x >= 1, x <= -5]),
+        integer_variables=["x"],
+    )
+    builder.transition("init", "head")
+    builder.transition("head", "head", guard=[x >= 1], updates={"x": x - 1})
+    builder.transition("head", "head", guard=[x <= -1], updates={"x": x - 1})
+    builder.transition("head", "exit", guard=[x.eq(0)])
     return builder.build()
 
 
@@ -63,6 +80,13 @@ class TestPolyhedralInvariants:
         assert invariants.get("2").entails_constraint(i <= 4)
         assert invariants.get("2").entails_constraint(j <= 10)
 
+    def test_disjunctive_initial_condition_seeds_every_disjunct(self):
+        invariants = compute_invariants(two_sided_countdown())
+        head = invariants.get("head")
+        assert head.contains_point({"x": 1})
+        assert head.contains_point({"x": -5})
+        assert not head.entails_constraint(x >= 0)
+
     def test_interval_domain_option(self):
         cfa = counter_loop()
         invariants = compute_invariants(
@@ -90,3 +114,19 @@ class TestInvariantMap:
         solver.assert_formula(invariants.formula("a"))
         solver.assert_formula(x >= 3)
         assert solver.check().is_unsat
+
+
+class TestDisjunctiveInitialCondition:
+    """Seeding with only the first disjunct made the invariant unsound:
+    the x ≤ -5 start was dropped and termination was "proved"."""
+
+    def test_termination_is_not_claimed(self):
+        result = Analysis(two_sided_countdown()).run()
+        assert result.status is AnalysisStatus.UNKNOWN
+
+    def test_nontermination_is_proved(self):
+        result = Analysis(
+            two_sided_countdown(), config=AnalysisConfig(nonterm="auto")
+        ).run()
+        assert result.status is AnalysisStatus.NONTERMINATING
+        assert result.certificate_checked

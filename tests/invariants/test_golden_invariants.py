@@ -1,0 +1,77 @@
+"""Golden invariants: the polyhedral invariants of the built-in corpus.
+
+``data/golden_invariants.json`` maps ``suite/program`` to, per location,
+the sorted normalised constraint strings of the invariant that
+``Analysis(...).problem()`` hands to synthesis.  The test recomputes them
+and requires exact equality, so a change inside the polyhedra domain or
+the analyzer is shown to keep every invariant of the corpus.
+
+Regenerate the file (only when a change is meant to move invariants)::
+
+    PYTHONPATH=src python tests/invariants/test_golden_invariants.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import pytest
+
+from repro.api import Analysis
+from repro.benchsuite.registry import get_suite
+
+GOLDEN = Path(__file__).parent / "data" / "golden_invariants.json"
+
+#: One polybench program per distinct loop-nest shape (the ones the corpus
+#: benchmark runs); the other polybench programs repeat these shapes.
+POLYBENCH_SHAPES = ("gemm", "jacobi_1d", "cholesky", "mvt", "durbin")
+
+
+def corpus():
+    """The ``suite/program`` keys and sources the golden file covers."""
+    for suite in ("wtc", "termcomp", "sorts", "polybench"):
+        for program in get_suite(suite):
+            if suite == "polybench" and program.name not in POLYBENCH_SHAPES:
+                continue
+            yield "%s/%s" % (suite, program.name), program.source
+
+
+def invariant_strings(source: str, name: str) -> Dict[str, List[str]]:
+    invariants = Analysis(source, name=name).problem().invariants
+    return {
+        location: sorted(
+            str(constraint.normalized()) for constraint in polyhedron.constraints
+        )
+        for location, polyhedron in sorted(invariants.items())
+    }
+
+
+def compute_golden() -> Dict[str, Dict[str, List[str]]]:
+    return {key: invariant_strings(source, key) for key, source in corpus()}
+
+
+SOURCES = dict(corpus())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_the_corpus(golden):
+    assert sorted(golden) == sorted(SOURCES)
+
+
+@pytest.mark.parametrize("key", list(SOURCES))
+def test_invariants_match_golden(key, golden):
+    assert invariant_strings(SOURCES[key], key) == golden[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_invariants.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(compute_golden(), indent=1, sort_keys=True) + "\n")

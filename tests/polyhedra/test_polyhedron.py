@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linexpr.expr import var
+from repro.linalg.vector import Vector
+from repro.linexpr.constraint import Constraint, Relation
+from repro.linexpr.expr import LinExpr, var
+from repro.lp.simplex import check_feasibility
+from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
+from repro.polyhedra.projection import entails
 
 x, y = var("x"), var("y")
 
@@ -130,3 +135,135 @@ class TestHypothesis:
         widened = first.widen(second)
         assert widened.includes(first)
         assert widened.includes(second)
+
+
+# -- both representations: generator checks and the witness point -------------
+
+SPACE = ("x", "y", "z")
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def constraints(draw, strict=False):
+    """``a·x + c ⋈ 0`` over SPACE with small integer coefficients."""
+    coefficients = draw(st.lists(small, min_size=3, max_size=3))
+    expr = LinExpr.from_terms(zip(SPACE, coefficients)) + draw(small)
+    relations = [Relation.LE, Relation.EQ] + ([Relation.LT] if strict else [])
+    return Constraint(expr, draw(st.sampled_from(relations)))
+
+
+@st.composite
+def generator_systems(draw):
+    vector = st.lists(small, min_size=3, max_size=3).map(Vector)
+    return GeneratorSystem(
+        SPACE,
+        draw(st.lists(vector, min_size=1, max_size=4)),
+        draw(st.lists(vector, max_size=2)),
+        draw(st.lists(vector, max_size=1)),
+    )
+
+
+@st.composite
+def polyhedra(draw):
+    """Empty, unbounded, lower-dimensional and line-containing polyhedra,
+    built from constraints or from generators (which are then cached)."""
+    if draw(st.booleans()):
+        return Polyhedron.from_generators(draw(generator_systems()))
+    return Polyhedron(SPACE, draw(st.lists(constraints(), max_size=4)))
+
+
+def lp_empty(polyhedron):
+    return check_feasibility(polyhedron.constraints).is_infeasible
+
+
+def lp_includes(bigger, smaller):
+    return lp_empty(smaller) or all(
+        entails(smaller.constraints, row) for row in bigger.constraints
+    )
+
+
+def assert_witness_holds(polyhedron):
+    """A stored point lies in the polyhedron; a stored verdict is exact."""
+    point = polyhedron._witness
+    if point is not None:
+        assert set(point) == set(polyhedron.variables)
+        assert polyhedron.contains_point(point)
+    if polyhedron._empty_cache is not None:
+        assert polyhedron._empty_cache == lp_empty(polyhedron)
+
+
+def snapshot(system):
+    return (list(system.vertices), list(system.rays), list(system.lines))
+
+
+class TestBothRepresentations:
+    @given(polyhedra(), polyhedra())
+    @settings(max_examples=150, deadline=None)
+    def test_includes_agrees_with_lp(self, bigger, smaller):
+        assert bigger.includes(smaller) == lp_includes(bigger, smaller)
+
+    @given(polyhedra(), constraints(strict=True))
+    @settings(max_examples=150, deadline=None)
+    def test_entails_constraint_agrees_with_lp(self, polyhedron, candidate):
+        polyhedron.generators()
+        assert polyhedron.entails_constraint(candidate) == entails(
+            polyhedron.constraints, candidate
+        )
+
+    @given(polyhedra(), st.lists(constraints(), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_is_empty_agrees_with_lp(self, polyhedron, rows):
+        polyhedron.is_empty()
+        narrowed = polyhedron.intersect_constraints(rows)
+        assert narrowed.is_empty() == lp_empty(narrowed)
+        assert polyhedron.generators().is_empty() == lp_empty(polyhedron)
+
+    @given(
+        polyhedra(),
+        polyhedra(),
+        st.lists(constraints(), max_size=3),
+        st.sampled_from(SPACE),
+        st.lists(small, min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_witness_satisfies_every_row(self, first, second, rows, name, numbers):
+        first.is_empty()
+        second.is_empty()
+        expression = LinExpr.from_terms(zip(SPACE, numbers)) + numbers[-1]
+        joined = first.join(second)
+        results = [
+            first.intersect_constraints(rows),
+            first.intersect(second),
+            first.assign(name, expression),
+            first.havoc(name),
+            first.project([name]),
+            first.rename({name: "w"}),
+            first.extend_space(SPACE + ("w",)),
+            joined,
+            first.widen(joined),
+            first.minimized(),
+        ]
+        for result in results:
+            assert_witness_holds(result)
+
+    @given(generator_systems(), polyhedra(), polyhedra())
+    @settings(max_examples=100, deadline=None)
+    def test_generators_are_cached_and_never_mutated(self, system, other, third):
+        before = snapshot(system)
+        built = Polyhedron.from_generators(system)
+        assert built.generators() is system
+        assert other.generators() is other.generators()
+        built.includes(other)
+        other.includes(built)
+        joined = built.join(other)
+        joined.includes(third)
+        built.widen(joined).join(third)
+        for row in third.constraints:
+            built.entails_constraint(row)
+        assert snapshot(system) == before
+
+    def test_constants_settle_emptiness(self):
+        assert Polyhedron.empty(SPACE)._empty_cache is True
+        universe = Polyhedron.universe(SPACE)
+        assert universe._empty_cache is False
+        assert universe.contains_point(universe._witness)
