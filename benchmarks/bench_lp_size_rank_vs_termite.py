@@ -7,17 +7,19 @@ same problems and asserts the ordering (eager ≫ lazy).
 """
 
 
+from repro.api import Analysis, AnalysisConfig
 from repro.baselines import eager_farkas_lexicographic
 from repro.benchsuite import get_suite
-from repro.core.termination import TerminationProver
 
 PROGRAMS = [p for p in get_suite("wtc") if p.terminating][:4]
+
+CONFIG = AnalysisConfig(check_certificates=False)
 
 
 def _lazy_sizes():
     rows = cols = count = 0
     for program in PROGRAMS:
-        result = TerminationProver(program.build(), check_certificates=False).prove()
+        result = Analysis(program.build(), config=CONFIG).run("termite")
         if result.lp_statistics.instances:
             rows += result.lp_statistics.average_rows
             cols += result.lp_statistics.average_cols
@@ -28,9 +30,7 @@ def _lazy_sizes():
 def _eager_sizes():
     rows = cols = count = 0
     for program in PROGRAMS:
-        problem = TerminationProver(
-            program.build(), check_certificates=False
-        ).build_problem()
+        problem = Analysis(program.build(), config=CONFIG).problem()
         result = eager_farkas_lexicographic(problem)
         if result.lp_statistics.instances:
             rows += result.lp_statistics.average_rows

@@ -17,7 +17,6 @@ Examples::
     python benchmarks/table1.py --tool termite --tool heuristic --tool dnf
     python benchmarks/table1.py --jobs 4 --timeout 60 --json table1.json
     python benchmarks/table1.py --filter sort          # name substring
-    python benchmarks/table1.py --lp-mode cold         # warm-start ablation
 """
 
 import sys

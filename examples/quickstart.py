@@ -24,7 +24,7 @@ def main() -> None:
     result = analyze(
         PROGRAM,
         tool="termite",
-        config=AnalysisConfig(lp_mode="incremental"),
+        config=AnalysisConfig(),
         name="quickstart",
     )
     print("status            :", result.status.value)

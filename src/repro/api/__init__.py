@@ -20,7 +20,7 @@ Quickstart::
     result = analyze(
         "var x; while (x > 0) { x = x - 1; }",
         tool="termite",
-        config=AnalysisConfig(lp_mode="incremental"),
+        config=AnalysisConfig(),
     )
     assert result.proved
     print(result.ranking.pretty())

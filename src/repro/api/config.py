@@ -6,7 +6,7 @@ pipeline lives.  It is
 * **frozen** — a config is a value, safe to share between threads, cache
   keys, and worker processes;
 * **validated** — every field is checked at construction time, so a typo
-  like ``lp_mode="warm"`` fails immediately with a :class:`ConfigError`
+  like ``domain="octagons"`` fails immediately with a :class:`ConfigError`
   instead of deep inside the synthesis loop;
 * **exactly JSON round-trippable** — ``from_dict(json.loads(json.dumps(
   cfg.to_dict()))) == cfg`` holds field for field, which is what lets a
@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.lp_instance import LP_MODES
 from repro.smt.optimize import SearchMode
 from repro.synthesis.oracles import ORACLE_NAMES
 from repro.synthesis.strategies import STRATEGY_NAMES
@@ -46,10 +45,13 @@ CEX_STRATEGIES = tuple(STRATEGY_NAMES)
 #: Valid values of :attr:`AnalysisConfig.nonterm`.
 NONTERM_MODES = ("off", "auto", "only")
 
-#: Values the removed ``kernel`` field could hold; :meth:`AnalysisConfig.
-#: from_dict` drops a ``"kernel"`` key with one of them, so configs and
-#: requests serialised before its removal still load.
-_LEGACY_KERNELS = ("auto", "packed", "exact")
+#: Removed fields and the values they could hold: :meth:`AnalysisConfig.
+#: from_dict` drops such a key when its value is one of them, so configs
+#: and requests serialised before the removal still load.
+_LEGACY_FIELDS = {
+    "kernel": ("auto", "packed", "exact"),
+    "lp_mode": ("incremental", "cold", "audit"),
+}
 
 
 class ConfigError(ValueError):
@@ -63,21 +65,11 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Every knob of the termination analysis, as one immutable value.
-
-    The fields correspond one-to-one to the keyword arguments the old
-    ``TerminationProver`` constructor used to take (see
-    ``docs/MIGRATION.md`` for the mapping).
-    """
+    """Every knob of the termination analysis, as one immutable value."""
 
     #: Counterexample search strategy of the optimising SMT oracle:
     #: ``"local"`` (per-disjunct optimisation) or ``"global"``.
     smt_mode: str = SearchMode.LOCAL.value
-    #: How ``LP(V, Constraints(I))`` is re-solved across counterexample
-    #: iterations: ``"incremental"`` (warm-started persistent tableau),
-    #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (warm-start, and
-    #: cross-check each optimum against a cold solve).
-    lp_mode: str = "incremental"
     #: Tighten strict inequalities over integer-valued variables.
     integer_mode: bool = False
     #: Iteration budget of one monodimensional synthesis loop.
@@ -118,10 +110,6 @@ class AnalysisConfig:
         _require(
             self.smt_mode in SMT_MODES,
             "smt_mode must be one of %s, got %r" % (", ".join(SMT_MODES), self.smt_mode),
-        )
-        _require(
-            self.lp_mode in LP_MODES,
-            "lp_mode must be one of %s, got %r" % (", ".join(LP_MODES), self.lp_mode),
         )
         _require(
             isinstance(self.integer_mode, bool),
@@ -214,19 +202,23 @@ class AnalysisConfig:
 
         Unknown keys are rejected (a config written by a newer version
         must not be silently misread), missing keys take their defaults.
-        A legacy ``"kernel"`` key is dropped when its value is one of
-        :data:`_LEGACY_KERNELS` and rejected otherwise.
+        A legacy ``"kernel"`` or ``"lp_mode"`` key is dropped when its
+        value is one the removed field could hold (:data:`_LEGACY_FIELDS`)
+        and rejected otherwise.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a dict, got %r" % type(data).__name__)
-        if "kernel" in data:
+        legacy_keys = [key for key in _LEGACY_FIELDS if key in data]
+        if legacy_keys:
             data = dict(data)
-            legacy = data.pop("kernel")
-            _require(
-                legacy in _LEGACY_KERNELS,
-                "kernel (removed) must be one of %s, got %r"
-                % (", ".join(_LEGACY_KERNELS), legacy),
-            )
+            for key in legacy_keys:
+                values = _LEGACY_FIELDS[key]
+                legacy = data.pop(key)
+                _require(
+                    legacy in values,
+                    "%s (removed) must be one of %s, got %r"
+                    % (key, ", ".join(values), legacy),
+                )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

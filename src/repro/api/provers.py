@@ -58,7 +58,6 @@ class TermiteProver(Prover):
         {
             "cex-oracles",
             "cex-strategies",
-            "lp-modes",
             "max-dimension",
             "events",
             "nontermination",
@@ -97,11 +96,11 @@ class TermiteProver(Prover):
             return self._race(
                 problem, config, automaton, observer, start, lp_statistics
             )
-        return self._prove_termination(
+        return self._synthesize_ranking(
             problem, config, observer, start, lp_statistics
         )
 
-    def _prove_termination(
+    def _synthesize_ranking(
         self,
         problem: TerminationProblem,
         config: AnalysisConfig,
@@ -118,7 +117,6 @@ class TermiteProver(Prover):
                 max_dimension=config.max_dimension,
                 max_iterations=config.max_iterations,
                 lp_statistics=lp_statistics,
-                lp_mode=config.lp_mode,
                 oracle=config.cex_oracle,
                 cex_strategy=config.cex_strategy,
                 cex_batch=config.cex_batch,
@@ -243,7 +241,7 @@ class TermiteProver(Prover):
                 target=lane,
                 args=(
                     "termination",
-                    lambda: self._prove_termination(
+                    lambda: self._synthesize_ranking(
                         problem,
                         config,
                         observer,

@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: ``cex-oracles``     — honours :attr:`AnalysisConfig.cex_oracle`;
 #: ``cex-strategies``  — honours ``cex_strategy`` / ``cex_batch`` /
 #:                       ``oracle_seed``;
-#: ``lp-modes``        — honours ``lp_mode`` (warm/cold/audit);
 #: ``max-dimension``   — honours ``max_dimension``;
 #: ``events``          — :meth:`Prover.prove` accepts an ``observer``
 #:                       keyword receiving per-iteration engine events;
@@ -43,7 +42,6 @@ CAPABILITIES = (
     "certificates",
     "cex-oracles",
     "cex-strategies",
-    "lp-modes",
     "max-dimension",
     "events",
     "nontermination",

@@ -33,10 +33,10 @@ Six subcommands, all built on the unified analysis API:
     as ``python benchmarks/table1.py``).
 
 ``repro bench``
-    The sparse-kernel performance micro-suite: row-kernel ops vs the
-    dense baseline, a simplex batch, pruned Fourier–Motzkin and a
-    Table-1 WTC slice, written to ``BENCH_kernel.json`` (also reachable
-    as ``python benchmarks/perf_kernel.py``).
+    The performance micro-suite: a simplex batch, pruned
+    Fourier–Motzkin, a Table-1 WTC slice and the CEGIS ablations,
+    written to ``BENCH_kernel.json`` (also reachable as
+    ``python benchmarks/perf_kernel.py``).
 
 Installed as a console script (``pip install -e .``) and always available
 as ``python -m repro``.
@@ -66,7 +66,6 @@ from repro.api import (
     prover_capabilities,
     prover_summaries,
 )
-from repro.core.lp_instance import LP_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "AnalysisConfig.to_json) and use it as the baseline",
     )
     group.add_argument("--smt-mode", choices=list(SMT_MODES), default=None)
-    group.add_argument("--lp-mode", choices=list(LP_MODES), default=None)
     group.add_argument("--domain", choices=list(DOMAINS), default=None)
     group.add_argument(
         "--oracle",
@@ -163,7 +161,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
     overrides = {}
     for flag, field in [
         ("smt_mode", "smt_mode"),
-        ("lp_mode", "lp_mode"),
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
@@ -830,7 +827,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "suites",
         nargs="*",
         metavar="SUITE",
-        help="suites to run (default: the six default suites; 'service' "
+        help="suites to run (default: the five default suites; 'service' "
         "measures the resident front door).  A partial selection merges "
         "into the existing JSON report instead of replacing it.  "
         "Choices: %s" % ", ".join(sorted(SUITE_RUNNERS)),
@@ -860,7 +857,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 def bench_main(argv=None) -> int:
     """Standalone entry point (used by ``benchmarks/perf_kernel.py``)."""
     parser = argparse.ArgumentParser(
-        description="Run the sparse-kernel performance micro-suite.",
+        description="Run the performance micro-suite.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     add_bench_arguments(parser)
@@ -958,16 +955,6 @@ def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
         help="also write the machine-readable run summary to OUT "
         "(schema_version 2; consumed by the CI benchmark smoke job)",
     )
-    parser.add_argument(
-        "--lp-mode",
-        choices=list(LP_MODES),
-        default="incremental",
-        help="how termite re-solves LP(V, Constraints(I)) across "
-        "counterexample iterations: 'incremental' warm-starts from the "
-        "previous optimal basis, 'cold' rebuilds from scratch (the "
-        "ablation baseline), 'audit' does both and cross-checks the "
-        "optima (default: incremental)",
-    )
 
 
 def command_table1(arguments: argparse.Namespace) -> int:
@@ -995,7 +982,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
         limit=limit,
         jobs=arguments.jobs,
         timeout=arguments.timeout,
-        lp_mode=arguments.lp_mode,
         name_filter=arguments.name_filter,
     )
     elapsed = time.perf_counter() - started
@@ -1012,7 +998,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
             "filter": arguments.name_filter,
             "jobs": arguments.jobs,
             "timeout": arguments.timeout,
-            "lp_mode": arguments.lp_mode,
             "wall_seconds": round(elapsed, 3),
         },
     )
@@ -1022,7 +1007,7 @@ def command_table1(arguments: argparse.Namespace) -> int:
         "%d programs, %d proved, %d failed (%d timeouts), %d unsound | "
         "%d simplex pivots (%d warm / %d cold solves) | "
         "%.2fs problem-build wall-clock saved (%d rebuilds avoided) | "
-        "lp-mode=%s jobs=%d wall=%.1fs"
+        "jobs=%d wall=%.1fs"
         % (
             totals["programs"],
             totals["successes"],
@@ -1034,7 +1019,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
             totals["cold_solves"],
             sharing["seconds_saved"],
             sharing["rebuilds_avoided"],
-            arguments.lp_mode,
             arguments.jobs,
             elapsed,
         )
@@ -1246,10 +1230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the sparse-kernel performance micro-suite",
-        description="Measure the scaled-integer row kernel, the simplex "
-        "on top of it, pruned Fourier-Motzkin projection and a Table-1 "
-        "WTC slice; write the trajectory to BENCH_kernel.json.",
+        help="run the performance micro-suite",
+        description="Measure the exact simplex, pruned Fourier-Motzkin "
+        "projection, a Table-1 WTC slice and the CEGIS ablations; write "
+        "the trajectory to BENCH_kernel.json.",
     )
     add_bench_arguments(bench)
     bench.set_defaults(handler=command_bench)

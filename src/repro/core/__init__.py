@@ -1,17 +1,17 @@
 """The paper's contribution: counterexample-guided ranking-function synthesis.
 
-The central entry point is :class:`TerminationProver`, which takes a
-control-flow automaton (or a prepared termination problem), computes
-invariants and the large-block encoding, and runs the multidimensional,
-multi-control-point synthesis algorithm (Algorithms 1–3 of the paper):
+The multidimensional, multi-control-point synthesis algorithm
+(Algorithms 1–3 of the paper) over a prepared termination problem; the
+end-to-end entry point that computes invariants and the large-block
+encoding first is :class:`repro.api.Analysis` (tool ``"termite"``):
 
 * :mod:`repro.core.monodim` — Algorithm 1 / Algorithm 3: one lexicographic
   component of maximal termination power, obtained by lazily enumerating
   extremal counterexamples (vertices and rays) with an optimising SMT
   solver and a small LP over the invariant's constraint cone.
 * :mod:`repro.core.multidim` — Algorithm 2: the lexicographic loop.
-* :mod:`repro.core.termination` — the end-to-end prover and its statistics
-  (number of iterations, LP sizes — the numbers reported in Table 1).
+* :mod:`repro.core.lp_instance` — ``LP(V, Constraints(I))`` and its
+  statistics (LP sizes — the numbers reported in Table 1).
 * :mod:`repro.core.certificate` — an independent checker that the returned
   ranking function really is one (decrease + nonnegativity), used by the
   test suite.
@@ -22,11 +22,6 @@ from repro.core.problem import TerminationProblem
 from repro.core.lp_instance import RankingLp, LpStatistics
 from repro.core.monodim import MonodimResult, synthesize_monodim
 from repro.core.multidim import synthesize_multidim
-from repro.core.termination import (
-    TerminationProver,
-    TerminationResult,
-    prove_termination,
-)
 from repro.core.certificate import check_certificate
 from repro.core.splitting import split_location
 
@@ -39,9 +34,6 @@ __all__ = [
     "MonodimResult",
     "synthesize_monodim",
     "synthesize_multidim",
-    "TerminationProver",
-    "TerminationResult",
-    "prove_termination",
     "check_certificate",
     "split_location",
 ]

@@ -17,18 +17,14 @@ The instance grows by **one row per counterexample** — this is the number
 reported as "lines" in Table 1 of the paper, and the reason the lazy
 approach beats the eager Farkas constructions by orders of magnitude.
 
-Because the instance only ever *grows*, the default solving mode keeps a
+Because the instance only ever *grows*, :class:`RankingLp` keeps one
 persistent :class:`~repro.lp.simplex.SimplexState` alive across the
 counterexample loop: each new generator appends one row (plus its δ
 column) to the already-solved tableau and re-solves with a handful of
-dual/primal pivots instead of a cold two-phase solve.  Three modes exist:
-
-* ``"incremental"`` (default) — warm-started persistent LP;
-* ``"cold"`` — rebuild and re-solve from scratch every iteration (the
-  seed behaviour, kept for the warm-vs-cold ablation);
-* ``"audit"`` — warm-start *and* shadow-solve cold, asserting that both
-  reach the same optimum; the measured pivot difference feeds the
-  ``pivots_saved`` counter.  This is the mode the regression tests run.
+dual/primal pivots instead of a cold two-phase solve.
+:meth:`RankingLp.textbook_program` rebuilds the same instance from scratch
+as a plain :class:`~repro.lp.problem.LinearProgram`; the tests shadow-solve
+it to check every warm optimum.
 """
 
 from __future__ import annotations
@@ -41,12 +37,8 @@ from repro.core.problem import TerminationProblem
 from repro.core.ranking import AffineRankingFunction
 from repro.linalg.vector import Vector
 from repro.linexpr.expr import LinExpr
-from repro.lp.problem import LinearProgram, LpResult, LpStatus, Sense
+from repro.lp.problem import LinearProgram, LpStatus, Sense
 from repro.lp.simplex import SimplexState
-
-#: Valid values for the ``mode`` argument of :class:`RankingLp` (and the
-#: ``lp_mode`` argument threaded down from the provers).
-LP_MODES = ("incremental", "cold", "audit")
 
 
 @dataclass
@@ -61,7 +53,6 @@ class LpStatistics:
     pivots: int = 0
     warm_solves: int = 0
     cold_solves: int = 0
-    pivots_saved: int = 0
     #: LP entailment solves the projection layer's syntactic/Kohler
     #: pruning made unnecessary during this run (attributed by the
     #: analysis pipeline from the process-wide projection counters).
@@ -116,7 +107,6 @@ class LpStatistics:
             "pivots": self.pivots,
             "warm_solves": self.warm_solves,
             "cold_solves": self.cold_solves,
-            "pivots_saved": self.pivots_saved,
             "redundancy_lp_saved": self.redundancy_lp_saved,
             "oracle_queries": self.oracle_queries,
             "cex_rows": self.cex_rows,
@@ -129,8 +119,9 @@ class LpStatistics:
     def from_dict(cls, data: dict) -> "LpStatistics":
         """Inverse of :meth:`to_dict` (derived keys are recomputed).
 
-        Unknown keys are ignored, so payloads that still carry the
-        removed kernel counters load unchanged.
+        Unknown keys are ignored, so payloads that still carry counters
+        removed since (the kernel and warm/cold audit counters) load
+        unchanged.
         """
         return cls(
             instances=data.get("instances", 0),
@@ -141,7 +132,6 @@ class LpStatistics:
             pivots=data.get("pivots", 0),
             warm_solves=data.get("warm_solves", 0),
             cold_solves=data.get("cold_solves", 0),
-            pivots_saved=data.get("pivots_saved", 0),
             redundancy_lp_saved=data.get("redundancy_lp_saved", 0),
             oracle_queries=data.get("oracle_queries", 0),
             cex_rows=data.get("cex_rows", 0),
@@ -157,7 +147,6 @@ class LpStatistics:
         self.pivots += other.pivots
         self.warm_solves += other.warm_solves
         self.cold_solves += other.cold_solves
-        self.pivots_saved += other.pivots_saved
         self.redundancy_lp_saved += other.redundancy_lp_saved
         self.oracle_queries += other.oracle_queries
         self.cex_rows += other.cex_rows
@@ -186,14 +175,8 @@ class RankingLp:
         self,
         problem: TerminationProblem,
         statistics: Optional[LpStatistics] = None,
-        mode: str = "incremental",
     ):
-        if mode not in LP_MODES:
-            raise ValueError(
-                "unknown LP mode %r (available: %s)" % (mode, ", ".join(LP_MODES))
-            )
         self.problem = problem
-        self.mode = mode
         self.rows = problem.invariant_rows()
         self.stacked_rows = [problem.stacked_row(row) for row in self.rows]
         self.counterexamples: List[Vector] = []
@@ -232,25 +215,40 @@ class RankingLp:
         return combination - LinExpr.variable(self._delta_name(j))
 
     def solve(self) -> RankingLpSolution:
-        """Solve the current instance (it is always feasible, Proposition 5)."""
+        """Solve the current instance (it is always feasible, Proposition 5).
+
+        New counterexamples are pushed into the persistent LP, which is
+        re-solved from its last optimal basis.  γ's and δ's are declared
+        nonnegative (single standard-form columns) so the explicit
+        ``γ ≥ 0`` / ``δ ≥ 0`` rows of :meth:`textbook_program` disappear
+        into the column bounds; each counterexample contributes its
+        ``δ_j ≤ 1`` bound and its generator row.
+        """
         # Table-1 statistics: one row per counterexample, one column block
         # for the γ's plus one δ per counterexample.  A repeat solve with
         # no new counterexample returns the persistent state's cached
-        # result: it must not be accounted as another instance/solve, nor
-        # shadow-solved again in audit mode (cold mode has no cache and
-        # genuinely re-solves, so it keeps recording every call).
+        # result: it is not accounted as another instance or solve.
         rows = len(self.counterexamples)
         cols = len(self.rows) + len(self.counterexamples)
         fresh = self._state is None or self._synced < len(self.counterexamples)
-        if self.mode == "cold" or fresh:
+        if fresh:
             self.statistics.record(rows, cols)
-
-        if self.mode == "cold":
-            outcome = self._solve_cold()
-        else:
-            outcome = self._solve_incremental(fresh)
-            if self.mode == "audit" and fresh:
-                self._audit_against_cold(outcome)
+        if self._state is None:
+            self._state = SimplexState(Sense.MAXIMIZE)
+            for i in range(len(self.rows)):
+                self._state.declare(self._gamma_name(i), nonnegative=True)
+        state = self._state
+        for j in range(self._synced, len(self.counterexamples)):
+            delta = self._delta_name(j)
+            state.declare(delta, nonnegative=True)
+            state.add_constraint(LinExpr.variable(delta) <= 1)
+            state.add_constraint(self._generator_row(j) >= 0)
+            self._objective = self._objective + LinExpr.variable(delta)
+        self._synced = len(self.counterexamples)
+        state.set_objective(self._objective)
+        outcome = state.solve()
+        if fresh:
+            self.statistics.record_solve(outcome.pivots, warm=state.last_solve_warm)
         if outcome.status is not LpStatus.OPTIMAL:
             raise RuntimeError(
                 "LP(V, Constraints(I)) must be feasible and bounded, got %s"
@@ -276,40 +274,15 @@ class RankingLp:
             cols=cols,
         )
 
-    # -- the three solving strategies -------------------------------------------------
+    def textbook_program(self) -> LinearProgram:
+        """The current instance as the textbook LP, built from scratch.
 
-    def _solve_incremental(self, fresh: bool) -> LpResult:
-        """Push new counterexamples into the persistent LP and re-solve.
-
-        γ's and δ's are declared nonnegative (single standard-form columns)
-        so the explicit ``γ ≥ 0`` / ``δ ≥ 0`` rows of the textbook
-        formulation disappear into the column bounds; each counterexample
-        contributes its ``δ_j ≤ 1`` bound and its generator row.  When
-        *fresh* is false the state returns its cached result and no solve
-        is accounted.
+        Explicit ``γ ≥ 0``, ``0 ≤ δ_j ≤ 1`` and generator rows over free
+        variables: the reference formulation a cold two-phase solve
+        answers, against which the warm optimum of :meth:`solve` is
+        checked.  Its :meth:`~repro.lp.problem.LinearProgram.variables`
+        are the γ's, then the δ's, in index order.
         """
-        if self._state is None:
-            self._state = SimplexState(Sense.MAXIMIZE)
-            for i in range(len(self.rows)):
-                self._state.declare(self._gamma_name(i), nonnegative=True)
-        state = self._state
-        for j in range(self._synced, len(self.counterexamples)):
-            delta = self._delta_name(j)
-            state.declare(delta, nonnegative=True)
-            state.add_constraint(LinExpr.variable(delta) <= 1)
-            state.add_constraint(self._generator_row(j) >= 0)
-            self._objective = self._objective + LinExpr.variable(delta)
-        self._synced = len(self.counterexamples)
-        state.set_objective(self._objective)
-        outcome = state.solve()
-        if fresh:
-            self.statistics.record_solve(
-                outcome.pivots, warm=state.last_solve_warm
-            )
-        return outcome
-
-    def _build_cold_program(self) -> LinearProgram:
-        """The textbook formulation rebuilt from scratch (seed behaviour)."""
         program = LinearProgram(Sense.MAXIMIZE)
         objective = LinExpr()
         for j in range(len(self.counterexamples)):
@@ -326,40 +299,6 @@ class RankingLp:
         for j in range(len(self.counterexamples)):
             program.add_constraint(self._generator_row(j) >= 0)
         return program
-
-    def _solve_cold(self) -> LpResult:
-        outcome = self._build_cold_program().solve()
-        self.statistics.record_solve(outcome.pivots, warm=False)
-        return outcome
-
-    def _audit_against_cold(self, warm_outcome: LpResult) -> None:
-        """Shadow-solve from scratch and check the warm optimum against it.
-
-        Both formulations describe the same polytope, so the *optimal
-        value* must agree exactly (Fraction equality, no tolerance); the
-        warm assignment must also be a feasible point of the cold program
-        achieving that value.  The measured pivot difference is the saving
-        the warm start bought on this instance.
-        """
-        program = self._build_cold_program()
-        cold_outcome = program.solve()
-        if cold_outcome.status is not warm_outcome.status:
-            raise RuntimeError(
-                "warm/cold status mismatch: %s vs %s"
-                % (warm_outcome.status, cold_outcome.status)
-            )
-        if warm_outcome.status is LpStatus.OPTIMAL:
-            if cold_outcome.objective != warm_outcome.objective:
-                raise RuntimeError(
-                    "warm/cold optimum mismatch: %s vs %s"
-                    % (warm_outcome.objective, cold_outcome.objective)
-                )
-            for constraint in program.constraints:
-                if not constraint.satisfied_by(warm_outcome.assignment):
-                    raise RuntimeError(
-                        "warm optimum violates cold constraint %s" % constraint
-                    )
-        self.statistics.pivots_saved += cold_outcome.pivots - warm_outcome.pivots
 
     def _ranking_from_gammas(self, gammas: Sequence[Fraction]) -> AffineRankingFunction:
         """``λ_k = Σ_i γ_{k,i} a_i^k`` over the homogenised space.

@@ -50,7 +50,6 @@ def synthesize_monodim(
     integer_mode: bool = False,
     max_iterations: int = 200,
     lp_statistics: Optional[LpStatistics] = None,
-    lp_mode: str = "incremental",
     oracle: str = "smt",
     cex_strategy: str = "extremal",
     cex_batch: int = 1,
@@ -64,9 +63,8 @@ def synthesize_monodim(
     lexicographic components here.  With ``integer_mode`` the SMT queries
     treat the program variables as integers (more precise, slower);
     otherwise the rational relaxation is used, which is always sound.
-    ``lp_mode`` selects how ``LP(V, Constraints(I))`` is re-solved as
-    counterexamples accumulate (see :data:`repro.core.lp_instance.LP_MODES`);
-    the default keeps one warm-started LP alive for the whole loop.
+    One warm-started ``LP(V, Constraints(I))`` stays alive for the whole
+    loop (see :mod:`repro.core.lp_instance`).
 
     ``oracle`` / ``cex_strategy`` / ``cex_batch`` / ``oracle_seed`` pick
     the counterexample source and selection policy (see
@@ -80,7 +78,6 @@ def synthesize_monodim(
         make_oracle(oracle, seed=oracle_seed),
         make_strategy(cex_strategy, batch=cex_batch, seed=oracle_seed),
         max_iterations=max_iterations,
-        lp_mode=lp_mode,
         observers=observers,
     )
     return engine.synthesize_component(

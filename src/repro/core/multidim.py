@@ -32,7 +32,6 @@ def synthesize_multidim(
     max_dimension: Optional[int] = None,
     max_iterations: int = 200,
     lp_statistics: Optional[LpStatistics] = None,
-    lp_mode: str = "incremental",
     oracle: str = "smt",
     cex_strategy: str = "extremal",
     cex_batch: int = 1,
@@ -44,9 +43,9 @@ def synthesize_multidim(
 
     Returns a strict lexicographic linear ranking function iff one exists
     relative to the given invariants (Theorem 1); the returned function has
-    minimal dimension.  Each dimension owns one persistent incremental LP
-    (``lp_mode``, see :data:`repro.core.lp_instance.LP_MODES`) that grows
-    row by row as its counterexample loop runs.  ``oracle`` /
+    minimal dimension.  Each dimension owns one persistent warm-started LP
+    (see :mod:`repro.core.lp_instance`) that grows row by row as its
+    counterexample loop runs.  ``oracle`` /
     ``cex_strategy`` / ``cex_batch`` / ``oracle_seed`` select the
     counterexample source and refinement policy of every component (see
     :mod:`repro.synthesis`); the defaults replay the paper's loop exactly.
@@ -61,7 +60,6 @@ def synthesize_multidim(
         make_oracle(oracle, seed=oracle_seed),
         make_strategy(cex_strategy, batch=cex_batch, seed=oracle_seed),
         max_iterations=max_iterations,
-        lp_mode=lp_mode,
         observers=observers,
         should_stop=should_stop,
     )

@@ -1,14 +1,11 @@
 """The measured-performance micro-suite behind ``repro bench``.
 
-Six suites, cheapest first, each returning a plain dict that
+Five suites, cheapest first, each returning a plain dict that
 serialises into ``BENCH_kernel.json``.  The goal is a *committed*
-performance trajectory: every claim about the sparse scaled-integer
-kernel — and about the CEGIS oracle/strategy ablation — is a number in
-the repository, not an assertion in a docstring.
+performance trajectory: every claim about the exact LP kernel — and
+about the CEGIS oracle/strategy ablation — is a number in the
+repository, not an assertion in a docstring.
 
-* ``kernel_rows`` — the raw row kernel: fused axpy/eliminate/dot on
-  :class:`~repro.linalg.sparse.SparseRow` versus the same operations
-  entry-by-entry on dense ``Fraction`` lists (the seed representation).
 * ``simplex`` — a seeded batch of one-shot LPs plus one incrementally
   grown :class:`~repro.lp.simplex.SimplexState`, with pivot counts.
 * ``projection`` — Fourier–Motzkin projections over seeded systems;
@@ -51,61 +48,6 @@ from fractions import Fraction
 from typing import Dict, List
 
 SCHEMA_VERSION = 1
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    if rng.random() < 0.4:
-        return Fraction(0)
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-
-
-def bench_kernel_rows(quick: bool = False, seed: int = 0) -> Dict:
-    """Fused sparse row operations vs dense ``Fraction`` loops."""
-    from repro.linalg.sparse import SparseRow
-
-    rng = random.Random(seed)
-    width = 24 if quick else 48
-    pairs = 60 if quick else 300
-    rounds = 3 if quick else 10
-
-    dense_rows: List[List[Fraction]] = [
-        [_random_fraction(rng) for _ in range(width)] for _ in range(pairs)
-    ]
-    factors = [
-        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(pairs)
-    ]
-    sparse_rows = [SparseRow.from_dense(row) for row in dense_rows]
-
-    started = time.perf_counter()
-    operations = 0
-    for _ in range(rounds):
-        for position in range(0, pairs - 1, 2):
-            a = sparse_rows[position]
-            b = sparse_rows[position + 1]
-            a.combine(1, b, factors[position])
-            a.dot(b)
-            operations += 2
-    sparse_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    for _ in range(rounds):
-        for position in range(0, pairs - 1, 2):
-            a = dense_rows[position]
-            b = dense_rows[position + 1]
-            factor = factors[position]
-            [x + factor * y for x, y in zip(a, b)]
-            sum((x * y for x, y in zip(a, b)), Fraction(0))
-    dense_seconds = time.perf_counter() - started
-
-    return {
-        "suite": "kernel_rows",
-        "wall_seconds": round(sparse_seconds, 4),
-        "dense_wall_seconds": round(dense_seconds, 4),
-        "speedup_vs_dense": round(dense_seconds / sparse_seconds, 2)
-        if sparse_seconds
-        else None,
-        "operations": operations,
-    }
 
 
 def bench_simplex(quick: bool = False, seed: int = 0) -> Dict:
@@ -221,19 +163,18 @@ def bench_projection(quick: bool = False, seed: int = 0) -> Dict:
 
 def bench_table1_slice(quick: bool = False) -> Dict:
     """End-to-end: the terminating WTC slice through the lazy prover."""
+    from repro.api import Analysis, AnalysisConfig
     from repro.benchsuite import get_suite
-    from repro.core.termination import TerminationProver
 
     programs = [p for p in get_suite("wtc") if p.terminating]
     programs = programs[:2] if quick else programs[:4]
 
+    config = AnalysisConfig(check_certificates=False)
     pivots = warm = cold = proved = 0
     rows = cols = instances = 0
     started = time.perf_counter()
     for program in programs:
-        result = TerminationProver(
-            program.build(), check_certificates=False
-        ).prove()
+        result = Analysis(program.build(), config=config).run("termite")
         proved += int(result.proved)
         statistics = result.lp_statistics
         pivots += statistics.pivots
@@ -854,9 +795,8 @@ def bench_service_chaos(quick: bool = False, seed: int = 0) -> Dict:
 #: (``repro bench service nonterm service_chaos``): the first forks a
 #: worker pool, the second proves the nonterminating corpus slice end to
 #: end, and the third injects faults into live servers, so the default
-#: ``repro bench`` run keeps the six-suite document.
+#: ``repro bench`` run keeps the five-suite document.
 SUITE_RUNNERS = {
-    "kernel_rows": bench_kernel_rows,
     "simplex": bench_simplex,
     "projection": bench_projection,
     "table1_wtc": lambda quick, seed: bench_table1_slice(quick=quick),
@@ -869,7 +809,6 @@ SUITE_RUNNERS = {
 
 #: The suites ``repro bench`` runs when none are named.
 DEFAULT_SUITES = (
-    "kernel_rows",
     "simplex",
     "projection",
     "table1_wtc",
@@ -907,7 +846,7 @@ def merge_bench_documents(previous: Dict, current: Dict) -> Dict:
 
     Suites re-measured by *current* replace their same-named entries in
     *previous* (in place); new suites append.  Every other key of
-    *previous* — notably ``baseline`` — is preserved, while
+    *previous* is preserved, while
     ``quick``/``seed`` reflect the current run and
     ``total_wall_seconds`` is re-summed over the merged suites.
     """

@@ -33,13 +33,6 @@ from repro.api.result import AnalysisResult
 from repro.benchsuite.program import BenchmarkProgram
 from repro.reporting.parallel import run_tasks
 
-#: Historical alias: the runner's per-program outcome **is** the unified
-#: result type now.  Reading old code keeps working (``proved``,
-#: ``time_seconds``, ``lp_statistics``, ``error``, ``timed_out`` are all
-#: present), but the old constructor shape is gone — ``proved`` is a
-#: derived property of ``status``, not an ``__init__`` argument.  See
-#: ``docs/MIGRATION.md``.
-ProgramOutcome = AnalysisResult
 
 class _ToolsView(Mapping):
     """A live, read-only view of the prover registry.
@@ -48,8 +41,8 @@ class _ToolsView(Mapping):
     registered after import appear immediately.  Note this intentionally
     differs from the pre-registry shape: keys are canonical underscore
     names (hyphenated spellings still resolve on lookup) and the values
-    are :class:`~repro.api.registry.Prover` objects, not
-    ``(program, lp_mode)`` callables — see ``docs/MIGRATION.md``.
+    are :class:`~repro.api.registry.Prover` objects, not callables —
+    see ``docs/MIGRATION.md``.
     """
 
     def __getitem__(self, name: str):
@@ -70,24 +63,15 @@ class _ToolsView(Mapping):
 TOOLS: Mapping = _ToolsView()
 
 
-def _benchmark_config(
-    lp_mode: str, config: Optional[AnalysisConfig]
-) -> AnalysisConfig:
+def _benchmark_config(config: Optional[AnalysisConfig]) -> AnalysisConfig:
     """The effective benchmark config.
 
     With no explicit *config*, benchmark runs measure synthesis, not the
-    (separately tested) certifier.  A non-default *lp_mode* combined
-    with an explicit *config* is rejected rather than silently dropped —
-    a mislabelled warm-vs-cold ablation is worse than an error.
+    (separately tested) certifier.
     """
     if config is not None:
-        if lp_mode != "incremental":
-            raise ValueError(
-                "pass lp_mode inside the explicit config (got lp_mode=%r "
-                "alongside config with lp_mode=%r)" % (lp_mode, config.lp_mode)
-            )
         return config
-    return AnalysisConfig(lp_mode=lp_mode, check_certificates=False)
+    return AnalysisConfig(check_certificates=False)
 
 
 @dataclass
@@ -97,6 +81,9 @@ class SuiteReport:
     suite: str
     tool: str
     outcomes: List[AnalysisResult] = field(default_factory=list)
+    #: Programs whose verdict contradicts the suite's ground truth: a
+    #: TERMINATING claim on a diverging program or a NONTERMINATING
+    #: claim on a terminating one.
     unsound: List[str] = field(default_factory=list)
 
     @property
@@ -222,7 +209,9 @@ def _collate(
             for index, program in enumerate(programs):
                 outcome = cell_outcomes[(suite, index)][position]
                 report.outcomes.append(outcome)
-                if outcome.proved and not program.terminating:
+                if (outcome.proved and not program.terminating) or (
+                    outcome.disproved and program.terminating
+                ):
                     report.unsound.append(program.name)
             reports.append(report)
     return reports
@@ -235,7 +224,6 @@ def run_suite(
     limit: Optional[int] = None,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    lp_mode: str = "incremental",
     config: Optional[AnalysisConfig] = None,
 ) -> SuiteReport:
     """Run *tool* over *programs* and aggregate the Table-1 statistics.
@@ -250,7 +238,7 @@ def run_suite(
     selected = select_programs(programs, limit)
     cells = [(suite, index, program) for index, program in enumerate(selected)]
     cell_outcomes = _run_cells(
-        cells, tools, _benchmark_config(lp_mode, config), jobs, timeout
+        cells, tools, _benchmark_config(config), jobs, timeout
     )
     reports = _collate({suite: selected}, tools, cell_outcomes)
     return reports[0]
@@ -262,7 +250,6 @@ def run_table1(
     limit: Optional[int] = None,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    lp_mode: str = "incremental",
     name_filter: Optional[str] = None,
     config: Optional[AnalysisConfig] = None,
 ) -> List[SuiteReport]:
@@ -287,7 +274,7 @@ def run_table1(
         for index, program in enumerate(programs)
     ]
     cell_outcomes = _run_cells(
-        cells, canonical, _benchmark_config(lp_mode, config), jobs, timeout
+        cells, canonical, _benchmark_config(config), jobs, timeout
     )
     return _collate(selected_by_suite, canonical, cell_outcomes)
 

@@ -20,6 +20,10 @@ matching ``repro prove --oracle/--cex-strategy`` flags) select the
 pieces end to end.
 """
 
+# The engine builds on repro.core's modules, and repro.core's package init
+# re-exports the engine-backed algorithms of core/monodim.py: load the core
+# package first so that init completes before the engine module starts.
+import repro.core  # noqa: F401
 from repro.synthesis.engine import (
     CegisEngine,
     CegisEvent,

@@ -148,14 +148,12 @@ class CegisEngine:
         oracle,
         strategy,
         max_iterations: int = 200,
-        lp_mode: str = "incremental",
         observers: Sequence[CegisObserver] = (),
         should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.oracle = oracle
         self.strategy = strategy
         self.max_iterations = max_iterations
-        self.lp_mode = lp_mode
         self.should_stop = should_stop
         self._observers: List[CegisObserver] = list(observers)
 
@@ -190,7 +188,7 @@ class CegisEngine:
         exhausted or the LP proves no collected generator separable.
         """
         statistics = MonodimStatistics()
-        ranking_lp = template.make_lp(statistics.lp, self.lp_mode)
+        ranking_lp = template.make_lp(statistics.lp)
         flat_basis: List[Vector] = []
         self._emit(
             "component_start",

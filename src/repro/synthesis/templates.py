@@ -56,9 +56,9 @@ class LinearTemplate:
     def initial_candidate(self) -> AffineRankingFunction:
         return self.problem.zero_ranking()
 
-    def make_lp(self, statistics: LpStatistics, lp_mode: str) -> RankingLp:
+    def make_lp(self, statistics: LpStatistics) -> RankingLp:
         """A fresh ``LP(V, Constraints(I))`` instance (Definition 11)."""
-        return RankingLp(self.problem, statistics, mode=lp_mode)
+        return RankingLp(self.problem, statistics)
 
     def objective(self, candidate: AffineRankingFunction) -> LinExpr:
         """``λ · u`` — what the oracle minimises / refutes."""

@@ -94,19 +94,21 @@ class TestProve:
         assert process.returncode == 1
 
     def test_config_file_baseline_with_flag_override(self, tmp_path):
+        # The file carries a legacy ``lp_mode`` key: configs written before
+        # the field was removed still load (the key is dropped).
         config_path = tmp_path / "config.json"
         config_path.write_text(
-            '{"lp_mode": "cold", "check_certificates": false}'
+            '{"lp_mode": "cold", "nonterm": "off", "check_certificates": false}'
         )
         process = run_cli(
             "prove", "-", "--json",
-            "--config", str(config_path), "--lp-mode", "audit",
-            stdin=COUNTDOWN,
+            "--config", str(config_path), "--nonterm", "auto",
+            stdin=DIVERGING,
         )
-        assert process.returncode == 0, process.stderr
+        assert process.returncode == 5, process.stderr  # proved diverging
         result = json.loads(process.stdout)
-        assert result["certificate_checked"] is False
-        assert result["lp"]["cold_solves"] > 0  # audit shadow-solves cold
+        assert result["status"] == "nonterminating"  # the flag wins
+        assert result["certificate_checked"] is False  # the file's baseline
 
 
 @pytest.mark.slow

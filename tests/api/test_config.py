@@ -13,7 +13,7 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = AnalysisConfig()
         assert config.smt_mode == "local"
-        assert config.lp_mode == "incremental"
+        assert config.cex_oracle == "smt"
         assert config.domain == "polyhedra"
         assert config.check_certificates and config.restrict_to_guarded
 
@@ -21,7 +21,7 @@ class TestValidation:
         "kwargs",
         [
             {"smt_mode": "sideways"},
-            {"lp_mode": "warm"},
+            {"cex_oracle": "warm"},
             {"domain": "octagons"},
             {"max_iterations": 0},
             {"max_iterations": -3},
@@ -39,18 +39,18 @@ class TestValidation:
 
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):
-            AnalysisConfig(lp_mode="warm")
+            AnalysisConfig(cex_oracle="warm")
 
     def test_frozen(self):
         config = AnalysisConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.lp_mode = "cold"
+            config.cex_oracle = "dd"
 
     def test_replace_revalidates(self):
         config = AnalysisConfig()
-        assert config.replace(lp_mode="audit").lp_mode == "audit"
+        assert config.replace(cex_oracle="dd").cex_oracle == "dd"
         with pytest.raises(ConfigError):
-            config.replace(lp_mode="warm")
+            config.replace(cex_oracle="warm")
 
     def test_search_mode_view(self):
         assert AnalysisConfig(smt_mode="global").search_mode is SearchMode.GLOBAL
@@ -60,7 +60,7 @@ class TestSerialisation:
     def test_round_trip_is_exact(self):
         config = AnalysisConfig(
             smt_mode="global",
-            lp_mode="audit",
+            cex_oracle="dd",
             integer_mode=True,
             max_iterations=33,
             max_dimension=2,
@@ -76,8 +76,8 @@ class TestSerialisation:
         assert AnalysisConfig.from_json(config.to_json()) == config
 
     def test_missing_keys_take_defaults(self):
-        assert AnalysisConfig.from_dict({"lp_mode": "cold"}) == AnalysisConfig(
-            lp_mode="cold"
+        assert AnalysisConfig.from_dict({"cex_oracle": "dd"}) == AnalysisConfig(
+            cex_oracle="dd"
         )
 
     def test_unknown_keys_rejected(self):
@@ -90,16 +90,33 @@ class TestSerialisation:
 
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
-            AnalysisConfig.from_dict(["lp_mode"])
+            AnalysisConfig.from_dict(["cex_oracle"])
 
     @pytest.mark.parametrize("legacy", ["auto", "packed", "exact"])
     def test_legacy_kernel_key_is_dropped(self, legacy):
-        data = {"kernel": legacy, "lp_mode": "cold"}
-        assert AnalysisConfig.from_dict(data) == AnalysisConfig(lp_mode="cold")
-        assert data == {"kernel": legacy, "lp_mode": "cold"}  # not mutated
+        data = {"kernel": legacy, "cex_oracle": "dd"}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig(cex_oracle="dd")
+        assert data == {"kernel": legacy, "cex_oracle": "dd"}  # not mutated
         assert "kernel" not in AnalysisConfig.from_dict(data).to_dict()
 
     @pytest.mark.parametrize("legacy", ["fast", "", None, 1])
     def test_legacy_kernel_key_with_another_value_rejected(self, legacy):
         with pytest.raises(ConfigError, match="kernel"):
             AnalysisConfig.from_dict({"kernel": legacy})
+
+    @pytest.mark.parametrize("legacy", ["incremental", "cold", "audit"])
+    def test_legacy_lp_mode_key_is_dropped(self, legacy):
+        data = {"lp_mode": legacy, "kernel": "exact", "cex_oracle": "dd"}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig(cex_oracle="dd")
+        assert data["lp_mode"] == legacy  # not mutated
+        assert "lp_mode" not in AnalysisConfig.from_dict(data).to_dict()
+
+    @pytest.mark.parametrize("legacy", ["warm", "", None, 1])
+    def test_legacy_lp_mode_key_with_another_value_rejected(self, legacy):
+        with pytest.raises(ConfigError, match="lp_mode"):
+            AnalysisConfig.from_dict({"lp_mode": legacy})
+
+    def test_removed_field_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            AnalysisConfig(lp_mode="incremental")
+        assert "lp_mode" not in AnalysisConfig().to_dict()

@@ -15,7 +15,6 @@ from repro.api import (
     analyze_many,
 )
 from repro.api.pipeline import run_tools_on_program
-from repro.core import TerminationProver
 from repro.frontend import compile_program
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
@@ -109,12 +108,12 @@ class TestProblemCache:
         assert result.stage_seconds("frontend") == 0.0
         assert result.proved
 
-    def test_matches_legacy_prover(self):
+    def test_automaton_and_source_inputs_agree(self):
         automaton = compile_program(NESTED, "nested")
-        legacy = TerminationProver(automaton).prove()
-        modern = analyze(compile_program(NESTED, "nested"), tool="termite")
-        assert legacy.proved == modern.proved is True
-        assert legacy.dimension == modern.dimension
+        compiled = Analysis(automaton).run("termite")
+        parsed = analyze(NESTED, tool="termite", name="nested")
+        assert compiled.proved == parsed.proved is True
+        assert compiled.dimension == parsed.dimension
 
     def test_rejects_unknown_program_type(self):
         with pytest.raises(TypeError):

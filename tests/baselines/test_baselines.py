@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Analysis, AnalysisConfig
 from repro.baselines import (
     eager_farkas_lexicographic,
     eager_generator_synthesis,
@@ -10,13 +11,15 @@ from repro.baselines import (
 )
 from repro.baselines.dnf import expand_disjuncts
 from repro.core.certificate import check_certificate
-from repro.core.termination import TerminationProver
 from repro.linexpr.expr import var
 from repro.program.builder import AutomatonBuilder
 
 
+CONFIG = AnalysisConfig(check_certificates=False)
+
+
 def problem_for(automaton):
-    return TerminationProver(automaton, check_certificates=False).build_problem()
+    return Analysis(automaton, config=CONFIG).problem()
 
 
 @pytest.fixture
@@ -93,7 +96,7 @@ class TestEagerFarkas:
 
     def test_lp_bigger_than_lazy(self, example1_problem, example1_automaton):
         eager = eager_farkas_lexicographic(example1_problem)
-        lazy = TerminationProver(example1_automaton, check_certificates=False).prove()
+        lazy = Analysis(example1_automaton, config=CONFIG).run("termite")
         assert eager.lp_statistics.max_rows > lazy.lp_statistics.max_rows
 
 

@@ -3,14 +3,18 @@
 from fractions import Fraction
 
 
+from repro.api import Analysis, AnalysisConfig
 from repro.core.certificate import check_certificate
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
     lexicographic_decreases,
 )
-from repro.core.termination import TerminationProver
 from repro.linalg.vector import Vector
+
+
+def _analysis(automaton):
+    return Analysis(automaton, config=AnalysisConfig(check_certificates=False))
 
 
 class TestRankingObjects:
@@ -56,14 +60,13 @@ class TestRankingObjects:
 
 class TestCertificate:
     def test_valid_certificate_accepted(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
-        result = prover.prove()
+        analysis = _analysis(example1_automaton)
+        problem = analysis.problem()
+        result = analysis.run("termite")
         assert check_certificate(problem, result.ranking)
 
     def test_bogus_certificate_rejected_decrease(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = _analysis(example1_automaton).problem()
         bogus = LexicographicRankingFunction(
             [
                 AffineRankingFunction(
@@ -76,8 +79,7 @@ class TestCertificate:
         assert not check_certificate(problem, bogus)
 
     def test_bogus_certificate_rejected_nonnegative(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = _analysis(example1_automaton).problem()
         bogus = LexicographicRankingFunction(
             [
                 AffineRankingFunction(
@@ -90,6 +92,5 @@ class TestCertificate:
         assert not check_certificate(problem, bogus)
 
     def test_empty_ranking_only_for_acyclic(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = _analysis(example1_automaton).problem()
         assert not check_certificate(problem, LexicographicRankingFunction([]))

@@ -1,121 +1,233 @@
-"""Regression tests: the incremental (warm-started) ranking LP.
+"""Regression tests: the warm-started ranking LP.
 
-The contract: across the whole counterexample loop, warm-started solves
-of ``LP(V, Constraints(I))`` return the exact optimum (Fraction equality)
-of the from-scratch formulation, the provers' verdicts are identical in
-every mode, and the warm path spends fewer simplex pivots than rebuilding
-cold each iteration.  ``mode="audit"`` enforces the optimum equality
-inside :class:`RankingLp` itself — every solve shadow-solves cold and
-raises on any mismatch — so simply running the prover in audit mode *is*
-the bit-exactness check.
+The contract: across the whole counterexample loop, every fresh solve of
+``LP(V, Constraints(I))`` on the persistent warm-started tableau returns
+the same status and the exact optimum (Fraction equality) as the textbook
+formulation solved cold from scratch, its point satisfies every textbook
+constraint, and the warm path spends fewer simplex pivots than the cold
+one.  :class:`ShadowCheck` enforces this by shadow-solving
+:meth:`RankingLp.textbook_program` next to each fresh
+:meth:`RankingLp.solve`; the corpus tests run it over every program of
+the golden invariant corpus.
 """
+
+import json
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repro.benchsuite import get_suite
-from repro.core.lp_instance import LP_MODES, LpStatistics, RankingLp
+from repro.api import Analysis, AnalysisConfig
+from repro.benchsuite.registry import get_suite
+from repro.core.lp_instance import LpStatistics, RankingLp
 from repro.core.monodim import synthesize_monodim
 from repro.core.multidim import synthesize_multidim
-from repro.core.termination import TerminationProver
+from repro.linalg.vector import Vector
+from repro.lp.problem import LpStatus
+
+GOLDEN = (
+    Path(__file__).parent.parent / "invariants" / "data" / "golden_invariants.json"
+)
+
+#: Programs ``termite`` proves per suite of the golden corpus, without
+#: certificate checking.
+PROVED = {"wtc": 34, "termcomp": 97, "sorts": 4, "polybench": 5}
+
+CONFIG = AnalysisConfig(check_certificates=False)
 
 
 def _problem(automaton):
-    return TerminationProver(automaton, check_certificates=False).build_problem()
+    return Analysis(automaton, config=CONFIG).problem()
+
+
+def _generator(problem, head):
+    """A stacked generator whose first coordinates are *head*."""
+    tail = [Fraction(0)] * (problem.stacked_dimension - len(head))
+    return Vector([Fraction(value) for value in head] + tail)
+
+
+def _textbook_mismatches(lp, solution):
+    """Solve *lp*'s textbook program cold; list where *solution* differs.
+
+    Returns the mismatches and the cold solve's pivots.
+    """
+    program = lp.textbook_program()
+    cold = program.solve()
+    if cold.status is not LpStatus.OPTIMAL:
+        return ["status OPTIMAL vs %s" % cold.status], cold.pivots
+    if cold.objective != sum(solution.deltas):
+        return (
+            ["optimum %s vs %s" % (sum(solution.deltas), cold.objective)],
+            cold.pivots,
+        )
+    # The textbook variables are the γ's, then the δ's.
+    point = dict(zip(program.variables(), solution.gammas + solution.deltas))
+    violated = [
+        "violates %s" % constraint
+        for constraint in program.constraints
+        if not constraint.satisfied_by(point)
+    ]
+    return violated, cold.pivots
+
+
+class ShadowCheck:
+    """Shadow-solves every fresh :meth:`RankingLp.solve` cold.
+
+    A warm solve that is not optimal raises inside :meth:`RankingLp.solve`
+    itself, so only the textbook side's status needs checking here.
+    """
+
+    def __init__(self):
+        self.mismatches = []
+        self.pivots = Counter()
+        self.label = ""
+
+    def install(self, patch):
+        original = RankingLp.solve
+
+        def shadowed(lp):
+            instances = lp.statistics.instances
+            pivots = lp.statistics.pivots
+            solution = original(lp)
+            if lp.statistics.instances == instances:
+                return solution  # cached repeat solve: nothing was solved
+            mismatches, cold_pivots = _textbook_mismatches(lp, solution)
+            self.mismatches.extend(
+                "%s: %s" % (self.label, line) for line in mismatches
+            )
+            self.pivots["warm"] += lp.statistics.pivots - pivots
+            self.pivots["cold"] += cold_pivots
+            self.pivots["solves"] += 1
+            return solution
+
+        patch.setattr(RankingLp, "solve", shadowed)
+
+
+@pytest.fixture(scope="module")
+def corpus_run():
+    """Every golden-corpus program through ``termite``, shadow-checked."""
+    shadow = ShadowCheck()
+    programs = {
+        suite: {program.name: program for program in get_suite(suite)}
+        for suite in PROVED
+    }
+    statuses = {}
+    with pytest.MonkeyPatch.context() as patch:
+        shadow.install(patch)
+        for key in sorted(json.loads(GOLDEN.read_text())):
+            suite, name = key.split("/")
+            shadow.label = key
+            result = Analysis(
+                programs[suite][name].build(), config=CONFIG, name=name
+            ).run("termite")
+            statuses[key] = result.status.value
+    return shadow, statuses
 
 
 class TestRankingLpModes:
-    def test_unknown_mode_rejected(self, countdown_automaton):
-        with pytest.raises(ValueError):
-            RankingLp(_problem(countdown_automaton), mode="lukewarm")
-
-    def test_modes_are_exported(self):
-        assert set(LP_MODES) == {"incremental", "cold", "audit"}
+    """Warm (incremental) solves against cold textbook solves."""
 
     def test_incremental_solution_matches_cold(self, example1_automaton):
-        """Same generators in, same optimum out, fewer pivots spent."""
+        """Same generators in, same optimum out as a cold textbook solve."""
         problem = _problem(example1_automaton)
-        warm_stats, cold_stats = LpStatistics(), LpStatistics()
-        warm = RankingLp(problem, warm_stats, mode="incremental")
-        cold = RankingLp(problem, cold_stats, mode="cold")
+        statistics = LpStatistics()
+        lp = RankingLp(problem, statistics)
+        for head in ([1, -1], [-1, -1]):
+            lp.add_counterexample(_generator(problem, head))
+            solution = lp.solve()
+            assert _textbook_mismatches(lp, solution)[0] == []
+        assert statistics.warm_solves == 1
+        assert statistics.cold_solves == 1
 
-        from repro.linalg.vector import Vector
-        from fractions import Fraction
-
-        generators = [
-            Vector([Fraction(1), Fraction(-1)] + [Fraction(0)] * (problem.stacked_dimension - 2)),
-            Vector([Fraction(-1), Fraction(-1)] + [Fraction(0)] * (problem.stacked_dimension - 2)),
-        ]
-        for generator in generators:
-            warm.add_counterexample(generator)
-            cold.add_counterexample(generator)
-            warm_solution = warm.solve()
-            cold_solution = cold.solve()
-            assert sum(warm_solution.deltas) == sum(cold_solution.deltas)
-            assert warm_solution.all_gamma_zero == cold_solution.all_gamma_zero
-        assert warm_stats.warm_solves == 1
-        assert warm_stats.cold_solves == 1
-        assert cold_stats.warm_solves == 0
-        assert warm_stats.pivots <= cold_stats.pivots
+    def test_textbook_program_shape(self, example1_automaton):
+        problem = _problem(example1_automaton)
+        lp = RankingLp(problem)
+        lp.add_counterexample(_generator(problem, [1, -1]))
+        program = lp.textbook_program()
+        gammas = len(lp.rows)
+        # γ ≥ 0 per invariant row; δ ≥ 0, δ ≤ 1 and one generator row per
+        # counterexample.
+        assert program.num_rows == gammas + 3
+        assert program.num_cols == gammas + 1
 
 
 class TestAuditModeAcrossTheLoop:
-    """audit mode raises on any warm/cold divergence — none may occur."""
+    """The shadow audit finds no warm/cold divergence in either algorithm."""
 
-    def test_monodim_loop_audits_clean(self, example1_automaton):
+    def test_monodim_loop_audits_clean(self, example1_automaton, monkeypatch):
+        shadow = ShadowCheck()
+        shadow.install(monkeypatch)
         problem = _problem(example1_automaton)
-        result = synthesize_monodim(problem, lp_mode="audit")
+        result = synthesize_monodim(problem)
         lp = result.statistics.lp
-        assert lp.pivots_saved >= 0
+        assert shadow.mismatches == []
+        assert shadow.pivots["solves"] == lp.instances >= 1
         assert lp.warm_solves + lp.cold_solves == lp.instances
 
-    def test_multidim_loop_audits_clean(self, lexicographic_automaton):
+    def test_multidim_loop_audits_clean(
+        self, lexicographic_automaton, monkeypatch
+    ):
+        shadow = ShadowCheck()
+        shadow.install(monkeypatch)
         problem = _problem(lexicographic_automaton)
         shared = LpStatistics()
-        result = synthesize_multidim(problem, lp_mode="audit", lp_statistics=shared)
+        result = synthesize_multidim(problem, lp_statistics=shared)
         assert result.success
-        assert shared.instances >= 1
+        assert shadow.mismatches == []
+        assert shadow.pivots["solves"] == shared.instances >= 1
 
     @pytest.mark.parametrize("suite,count", [("termcomp", 6), ("wtc", 6)])
-    def test_provers_audit_clean_on_benchmarks(self, suite, count):
+    def test_provers_audit_clean_on_benchmarks(self, suite, count, monkeypatch):
+        shadow = ShadowCheck()
+        shadow.install(monkeypatch)
         warm_solves = 0
         for program in get_suite(suite)[:count]:
-            result = TerminationProver(
-                program.build(), check_certificates=False, lp_mode="audit"
-            ).prove()
-            assert result.status in ("terminating", "unknown")
-            assert result.lp_statistics.pivots_saved >= 0
+            shadow.label = "%s/%s" % (suite, program.name)
+            result = Analysis(
+                program.build(), config=CONFIG, name=program.name
+            ).run("termite")
+            assert result.status.value in ("terminating", "unknown")
             warm_solves += result.lp_statistics.warm_solves
+        assert shadow.mismatches == []
         # The slice contains programs whose loops iterate, so warm
         # restarts must actually have happened (and audited clean).
         assert warm_solves >= 1
 
 
+class TestShadowSolvedCorpus:
+    def test_corpus_has_198_programs(self, corpus_run):
+        _, statuses = corpus_run
+        assert len(statuses) == 198
+
+    def test_no_warm_cold_mismatch(self, corpus_run):
+        shadow, statuses = corpus_run
+        assert "error" not in statuses.values()
+        assert shadow.pivots["solves"] > 0
+        assert shadow.mismatches == []
+
+
 class TestVerdictsAndSavings:
-    def test_identical_verdicts_and_fewer_pivots_on_benchmarks(self):
-        """The acceptance criterion, in miniature: same verdicts, fewer
-        total pivots, on a representative slice of two suites."""
-        total_warm = total_cold = 0
-        for suite in ("termcomp", "wtc"):
-            for program in get_suite(suite)[:6]:
-                warm = TerminationProver(
-                    program.build(), check_certificates=True, lp_mode="incremental"
-                ).prove()
-                cold = TerminationProver(
-                    program.build(), check_certificates=True, lp_mode="cold"
-                ).prove()
-                assert warm.proved == cold.proved, program.name
-                total_warm += warm.lp_statistics.pivots
-                total_cold += cold.lp_statistics.pivots
-        assert total_warm < total_cold
+    def test_identical_verdicts_and_fewer_pivots_on_benchmarks(self, corpus_run):
+        """The shadow-checked corpus proves the known per-suite counts, and
+        the warm solves spend strictly fewer pivots than the cold ones."""
+        shadow, statuses = corpus_run
+        proved = Counter(
+            key.split("/")[0]
+            for key, status in statuses.items()
+            if status == "terminating"
+        )
+        assert dict(proved) == PROVED
+        assert shadow.pivots["warm"] < shadow.pivots["cold"]
 
     def test_monodim_statistics_carry_lp_counters(self, countdown_automaton):
         problem = _problem(countdown_automaton)
         result = synthesize_monodim(problem)
         lp = result.statistics.lp
         assert lp.instances >= 1
-        assert lp.cold_solves >= 1
-        assert lp.pivots == lp.pivots  # present and an int
-        assert isinstance(lp.pivots, int)
+        assert lp.cold_solves == 1  # only the first solve starts cold
+        assert lp.warm_solves + lp.cold_solves == lp.instances
+        assert lp.pivots >= 1
 
     def test_shared_statistics_accumulate_across_dimensions(
         self, lexicographic_automaton
@@ -135,9 +247,8 @@ class TestVerdictsAndSavings:
 class TestStatisticsSurviveIterationBudget:
     def test_lp_statistics_merged_when_budget_blows(self, example3_automaton):
         """Hitting max_iterations must not lose the LP work already done."""
-        result = TerminationProver(
-            example3_automaton, check_certificates=False, max_iterations=1
-        ).prove()
+        config = CONFIG.replace(max_iterations=1)
+        result = Analysis(example3_automaton, config=config).run("termite")
         assert result.status == "unknown"
         assert result.lp_statistics.instances >= 1
         assert result.lp_statistics.cold_solves >= 1
@@ -148,31 +259,26 @@ class TestStatisticsMergeAndSerialisation:
         a, b = LpStatistics(), LpStatistics()
         a.record_solve(5, warm=False)
         b.record_solve(2, warm=True)
-        b.pivots_saved = 3
         a.merge(b)
         assert a.pivots == 7
         assert a.warm_solves == 1
         assert a.cold_solves == 1
-        assert a.pivots_saved == 3
+
+    def test_removed_counter_in_old_payload_is_ignored(self):
+        statistics = LpStatistics(pivots=4, warm_solves=1)
+        data = dict(statistics.to_dict(), pivots_saved=3)
+        assert LpStatistics.from_dict(data) == statistics
+        assert "pivots_saved" not in statistics.to_dict()
 
 
 class TestRepeatSolveAccounting:
     def test_cached_resolve_not_double_counted(self, example1_automaton):
         """A repeat solve with no new counterexample reuses the cached
         optimum and must not inflate the pivot/solve counters."""
-        from fractions import Fraction
-
-        from repro.linalg.vector import Vector
-
         problem = _problem(example1_automaton)
         statistics = LpStatistics()
-        lp = RankingLp(problem, statistics, mode="incremental")
-        lp.add_counterexample(
-            Vector(
-                [Fraction(1), Fraction(-1)]
-                + [Fraction(0)] * (problem.stacked_dimension - 2)
-            )
-        )
+        lp = RankingLp(problem, statistics)
+        lp.add_counterexample(_generator(problem, [1, -1]))
         first = lp.solve()
         pivots = statistics.pivots
         solves = statistics.warm_solves + statistics.cold_solves
@@ -181,27 +287,4 @@ class TestRepeatSolveAccounting:
         assert second.gammas == first.gammas and second.deltas == first.deltas
         assert statistics.pivots == pivots
         assert statistics.warm_solves + statistics.cold_solves == solves
-        assert statistics.instances == instances
-
-    def test_audit_mode_repeat_solve_does_not_inflate_savings(
-        self, example1_automaton
-    ):
-        from fractions import Fraction
-
-        from repro.linalg.vector import Vector
-
-        problem = _problem(example1_automaton)
-        statistics = LpStatistics()
-        lp = RankingLp(problem, statistics, mode="audit")
-        lp.add_counterexample(
-            Vector(
-                [Fraction(1), Fraction(-1)]
-                + [Fraction(0)] * (problem.stacked_dimension - 2)
-            )
-        )
-        lp.solve()
-        saved = statistics.pivots_saved
-        instances = statistics.instances
-        lp.solve()  # cached: no shadow cold solve, no extra instance
-        assert statistics.pivots_saved == saved
         assert statistics.instances == instances

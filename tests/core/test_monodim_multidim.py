@@ -3,16 +3,16 @@
 
 import pytest
 
+from repro.api import Analysis
 from repro.core.monodim import synthesize_monodim
 from repro.core.multidim import synthesize_multidim
 from repro.synthesis.oracles import avoid_space
-from repro.core.termination import TerminationProver
 from repro.linalg.vector import Vector
 from repro.smt.solver import SmtSolver
 
 
 def build_problem(automaton):
-    return TerminationProver(automaton).build_problem()
+    return Analysis(automaton).problem()
 
 
 class TestMonodim:

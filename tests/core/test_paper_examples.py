@@ -1,18 +1,19 @@
 """End-to-end reproduction of the paper's worked examples."""
 
 
-from repro.core import TerminationProver, check_certificate, prove_termination
+from repro.api import Analysis, AnalysisConfig, analyze
+from repro.core import check_certificate
 
 
 class TestExample1:
     def test_terminates_with_dimension_one(self, example1_automaton):
-        result = prove_termination(example1_automaton)
+        result = analyze(example1_automaton)
         assert result.proved
         assert result.dimension == 1
         assert result.certificate_checked
 
     def test_ranking_depends_on_y(self, example1_automaton):
-        result = prove_termination(example1_automaton)
+        result = analyze(example1_automaton)
         component = result.ranking.components[0]
         expression = component.expression("k0")
         # The paper derives ρ(x, y) = y + 1; any valid witness must give y a
@@ -20,7 +21,7 @@ class TestExample1:
         assert expression.coefficient("y") > 0
 
     def test_lp_instances_stay_tiny(self, example1_automaton):
-        result = prove_termination(example1_automaton)
+        result = analyze(example1_automaton)
         assert result.lp_statistics.max_rows <= 5
 
     def test_explicit_paper_invariant(self, example1_automaton):
@@ -35,9 +36,7 @@ class TestExample1:
                 "start": [x.eq(5), y.eq(10)],
             },
         )
-        result = TerminationProver(
-            example1_automaton, invariants=invariants
-        ).prove()
+        result = Analysis(example1_automaton, invariants=invariants).run("termite")
         assert result.proved
         assert result.certificate_checked
 
@@ -45,40 +44,40 @@ class TestExample1:
 class TestExample3:
     def test_algorithm_terminates_even_without_proof(self, example3_automaton):
         """The naive loop would diverge; the corrected one must halt."""
-        prover = TerminationProver(example3_automaton, max_iterations=60)
-        result = prover.prove()
+        config = AnalysisConfig(max_iterations=60)
+        result = Analysis(example3_automaton, config=config).run("termite")
         assert result.status in ("terminating", "unknown")
 
     def test_no_false_positives_from_rays(self, example3_automaton):
-        result = prove_termination(example3_automaton)
+        result = analyze(example3_automaton)
         if result.proved:
-            problem = TerminationProver(example3_automaton).build_problem()
+            problem = Analysis(example3_automaton).problem()
             assert check_certificate(problem, result.ranking)
 
 
 class TestExample4:
     def test_nested_loop_proved(self, example4_automaton):
-        result = prove_termination(example4_automaton)
+        result = analyze(example4_automaton)
         assert result.proved
         assert result.certificate_checked
 
     def test_multi_control_point_ranking(self, example4_automaton):
-        result = prove_termination(example4_automaton)
+        result = analyze(example4_automaton)
         component = result.ranking.components[0]
         assert set(component.coefficients) == {"1", "2"}
 
 
 class TestClassics:
     def test_countdown(self, countdown_automaton):
-        result = prove_termination(countdown_automaton)
+        result = analyze(countdown_automaton)
         assert result.proved and result.dimension == 1
 
     def test_stutter_is_not_proved(self, stutter_automaton):
-        result = prove_termination(stutter_automaton)
+        result = analyze(stutter_automaton)
         assert not result.proved
 
     def test_lexicographic_family(self, lexicographic_automaton):
-        result = prove_termination(lexicographic_automaton)
+        result = analyze(lexicographic_automaton)
         assert result.proved
         assert result.certificate_checked
 
@@ -89,5 +88,5 @@ class TestClassics:
         x = var("x")
         builder = AutomatonBuilder(["x"], initial="k")
         builder.transition("k", "k", guard=[x > 0], updates={"x": None})
-        result = prove_termination(builder.build())
+        result = analyze(builder.build())
         assert not result.proved

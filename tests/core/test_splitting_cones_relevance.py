@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import analyze
 from repro.core.cones import (
     in_constraint_cone,
     in_orthogonal_cone,
@@ -10,7 +11,6 @@ from repro.core.cones import (
 )
 from repro.core.relevance import restrict_to_guarded_states
 from repro.core.splitting import split_location
-from repro.core import prove_termination
 from repro.invariants.analyzer import compute_invariants
 from repro.linalg.vector import Vector
 from repro.linexpr.expr import var
@@ -82,7 +82,7 @@ class TestSplitting:
         """The §8 phases loop needs the disjunctive-invariant split."""
         automaton = self.phases_automaton()
         split = split_location(automaton, "k", [[d.eq(1)], [d.eq(-1)]])
-        result = prove_termination(split)
+        result = analyze(split)
         assert result.proved
 
 

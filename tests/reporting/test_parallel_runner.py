@@ -3,7 +3,7 @@
 Covers the three guarantees of :mod:`repro.reporting.parallel` (hard
 timeouts, crash isolation, deterministic ordering) plus the runner-level
 robustness requirements: a crashing or hanging benchmark records a failed
-:class:`ProgramOutcome` instead of aborting the table, empty/filtered
+:class:`~repro.api.AnalysisResult` instead of aborting the table, empty/filtered
 suites produce empty reports, and the JSON serialisation round-trips.
 """
 
@@ -14,6 +14,9 @@ import time
 
 import pytest
 
+from repro.api import AnalysisConfig
+from repro.api.registry import Prover, _REGISTRY, register_prover
+from repro.api.result import AnalysisResult, AnalysisStatus
 from repro.benchsuite import get_suite
 from repro.benchsuite.program import BenchmarkProgram
 from repro.reporting import (
@@ -256,11 +259,44 @@ class TestToolsViewAndConfig:
         assert "termite" in TOOLS and TOOLS["termite"].name == "termite"
         assert "eager-farkas" in TOOLS  # hyphenated lookups resolve too
 
-    def test_conflicting_lp_mode_and_config_rejected(self):
-        from repro.api import AnalysisConfig
 
-        with pytest.raises(ValueError, match="lp_mode"):
-            run_suite(
-                "wtc", [], tool="termite",
-                lp_mode="cold", config=AnalysisConfig(),
-            )
+class _DisprovesEverything(Prover):
+    """Test stub: claims NONTERMINATING on every program, no witness."""
+
+    name = "disproves_everything_test_prover"
+    summary = "test stub: claims NONTERMINATING on every program"
+
+    def prove(self, problem, config):
+        return AnalysisResult(tool=self.name, status=AnalysisStatus.NONTERMINATING)
+
+
+@pytest.fixture
+def disproves_everything():
+    register_prover(_DisprovesEverything())
+    try:
+        yield _DisprovesEverything.name
+    finally:
+        _REGISTRY.pop(_DisprovesEverything.name, None)
+
+
+class TestUnsoundClaims:
+    """Both directions of a wrong verdict land in ``SuiteReport.unsound``."""
+
+    def test_nonterminating_claim_on_terminating_program(
+        self, disproves_everything
+    ):
+        wtc = get_suite("wtc")
+        terminating = next(p for p in wtc if p.terminating)
+        diverging = next(p for p in wtc if not p.terminating)
+        config = AnalysisConfig(nonterm="auto", check_certificates=False)
+        report = run_suite(
+            "wtc", [terminating, diverging], tool=disproves_everything,
+            config=config,
+        )
+        assert report.unsound == [terminating.name]
+        (table_report,) = run_table1(
+            {"wtc": [terminating, diverging]}, [disproves_everything],
+            config=config,
+        )
+        assert table_report.unsound == [terminating.name]
+        assert reports_to_json_dict([table_report])["totals"]["unsound"] == 1

@@ -12,7 +12,6 @@ from repro.reporting.perf import (
     SCHEMA_VERSION,
     SUITE_RUNNERS,
     bench_cegis_ablation,
-    bench_kernel_rows,
     bench_nonterm,
     bench_projection,
     bench_service,
@@ -22,7 +21,6 @@ from repro.reporting.perf import (
 )
 
 EXPECTED_SUITES = {
-    "kernel_rows",
     "simplex",
     "projection",
     "table1_wtc",
@@ -32,13 +30,6 @@ EXPECTED_SUITES = {
 
 
 class TestSuites:
-    def test_kernel_rows_counts_operations(self):
-        report = bench_kernel_rows(quick=True)
-        assert report["suite"] == "kernel_rows"
-        assert report["operations"] > 0
-        assert report["wall_seconds"] >= 0
-        assert report["dense_wall_seconds"] >= 0
-
     def test_simplex_reports_pivots(self):
         report = bench_simplex(quick=True)
         assert report["lps_solved"] > 0
@@ -109,12 +100,12 @@ class TestSuiteSelection:
         )
 
     def test_run_suite_with_a_selection(self):
-        document = run_suite(quick=True, suites=["kernel_rows"])
-        assert [s["suite"] for s in document["suites"]] == ["kernel_rows"]
+        document = run_suite(quick=True, suites=["simplex"])
+        assert [s["suite"] for s in document["suites"]] == ["simplex"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
-            run_suite(quick=True, suites=["kernel_rows", "nope"])
+            run_suite(quick=True, suites=["simplex", "nope"])
 
     def test_merge_replaces_and_preserves(self):
         previous = {
@@ -123,7 +114,7 @@ class TestSuiteSelection:
             "seed": 0,
             "total_wall_seconds": 3.0,
             "suites": [
-                {"suite": "kernel_rows", "wall_seconds": 1.0, "operations": 9},
+                {"suite": "projection", "wall_seconds": 1.0, "rows_eliminated": 9},
                 {"suite": "simplex", "wall_seconds": 2.0},
             ],
             "baseline": {"kept": True},
@@ -140,12 +131,12 @@ class TestSuiteSelection:
         }
         merged = merge_bench_documents(previous, current)
         assert [s["suite"] for s in merged["suites"]] == [
-            "kernel_rows",
+            "projection",
             "simplex",
             "service",
         ]
         assert merged["suites"][1]["wall_seconds"] == 0.25
-        assert merged["suites"][0]["operations"] == 9
+        assert merged["suites"][0]["rows_eliminated"] == 9
         assert merged["baseline"] == {"kept": True}
         assert merged["quick"] is True and merged["seed"] == 7
         assert merged["total_wall_seconds"] == 1.5

@@ -167,7 +167,8 @@ class TestDiskEviction:
 
 
 #: A wire ``analyze`` request and its response, written before the
-#: ``kernel`` config field and the kernel statistics were removed.
+#: ``kernel`` and ``lp_mode`` config fields and the kernel and
+#: ``pivots_saved`` statistics were removed.
 KERNEL_ERA = json.loads(
     (Path(__file__).parent / "data" / "kernel_era_analyze.json").read_text()
 )
@@ -176,7 +177,7 @@ KERNEL_ERA = json.loads(
 class TestKernelEraPayloads:
     def test_wire_payload_still_round_trips(self):
         request = AnalysisRequest.from_dict(KERNEL_ERA["params"])
-        assert request.config == AnalysisConfig(lp_mode="audit")
+        assert request.config == AnalysisConfig()
         result = AnalysisResult.from_dict(KERNEL_ERA["result"])
         assert result.proved and result.certificate_checked
         assert result.lp_statistics.pivots == 2
@@ -184,7 +185,8 @@ class TestKernelEraPayloads:
         assert AnalysisResult.from_json(result.to_json()) == result
 
     def test_disk_entry_under_the_old_key_simply_misses(self, tmp_path):
-        # ``kernel`` left the config JSON, so the content address moved.
+        # ``kernel`` and ``lp_mode`` left the config JSON, so the content
+        # address moved.
         old_key = KERNEL_ERA["result"]["provenance"]["key"]
         document = KERNEL_ERA["result"]
         payload = json.dumps(document, sort_keys=True).encode("utf-8")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.termination import TerminationProver
+from repro.api import Analysis
 from repro.synthesis.engine import (
     CegisEngine,
     MaxIterationsExceeded,
@@ -14,7 +14,7 @@ from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
-    return TerminationProver(automaton).build_problem()
+    return Analysis(automaton).problem()
 
 
 def make_engine(observers=(), max_iterations=200, oracle="smt",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.termination import TerminationProver
+from repro.api import Analysis
 from repro.linexpr.constraint import Relation
 from repro.synthesis.oracles import (
     DdEnumerationOracle,
@@ -19,7 +19,7 @@ from repro.synthesis.templates import LinearTemplate
 
 
 def template_for(automaton):
-    problem = TerminationProver(automaton).build_problem()
+    problem = Analysis(automaton).problem()
     return LinearTemplate(problem)
 
 
@@ -156,7 +156,7 @@ class TestSamplingOracle:
 class TestStateSpaceTranslation:
     def test_flatness_constraint_translates_exactly(self, example1_automaton):
         """λ·u = 0 over u-variables becomes the same linear fact in state space."""
-        problem = TerminationProver(example1_automaton).build_problem()
+        problem = Analysis(example1_automaton).problem()
         template = LinearTemplate(problem)
         # Use a non-trivial candidate: rank by x + 2y at the cut point.
         from repro.core.ranking import AffineRankingFunction
