@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import canonical_name, get_prover
@@ -36,6 +37,7 @@ from repro.invariants.analyzer import compute_invariants
 from repro.invariants.domain import AbstractDomain
 from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
+from repro.metrics import recording
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.large_block import large_block_encoding
@@ -104,7 +106,7 @@ class Analysis:
         self._given_domain = domain
         self._problem: Optional[TerminationProblem] = None
         self._build_stages: List[StageTiming] = []
-        self._build_lp_saved = 0
+        self._build_metrics: Dict[str, int] = {}
 
     # -- observers ---------------------------------------------------------------
 
@@ -165,9 +167,12 @@ class Analysis:
         """The built termination problem (cached across :meth:`run` calls)."""
         if self._problem is not None:
             return self._problem
-        from repro.polyhedra import projection
+        with recording() as counters:
+            self._problem = self._build_problem()
+        self._build_metrics = dict(counters)
+        return self._problem
 
-        build_snapshot = projection.statistics.snapshot()
+    def _build_problem(self) -> TerminationProblem:
         automaton = self.automaton()
         if not any(stage.name == "frontend" for stage in self._build_stages):
             # Automaton was given directly: record a zero-cost frontend
@@ -193,17 +198,13 @@ class Analysis:
                     automaton, cutset, invariants
                 )
             blocks = large_block_encoding(automaton, cutset)
-            self._problem = TerminationProblem(
+            return TerminationProblem(
                 automaton.variables,
                 cutset,
                 invariants,
                 blocks,
                 sorted(automaton.integer_variables),
             )
-        # Like the build-stage timings, projection savings from the
-        # shared problem build reappear in every result of this Analysis.
-        self._build_lp_saved = projection.lp_calls_saved_since(build_snapshot)
-        return self._problem
 
     def build_seconds(self) -> float:
         """Wall-clock spent building the shared problem (0.0 until built)."""
@@ -214,47 +215,46 @@ class Analysis:
     def run(self, tool: str = "termite") -> AnalysisResult:
         """Run *tool* (a registry name) on the cached problem.
 
-        The returned result carries the full per-stage breakdown; the
-        build stages are shared — their recorded timings reappear in every
-        result of this :class:`Analysis`, they are *not* re-run.
+        The returned result carries the full per-stage breakdown and the
+        work counters (:mod:`repro.metrics`) of the build and of this run.
+        The build is shared — its recorded timings and counters reappear
+        in every result of this :class:`Analysis`, it is *not* re-run.
         """
-        from repro.polyhedra import projection
-
         prover = get_prover(tool)
         problem = self.problem()
-        snapshot = projection.statistics.snapshot()
         run_stages: List[StageTiming] = []
         prove_kwargs = {}
         if self._engine_observers and "events" in prover.capabilities:
             prove_kwargs["observer"] = self._notify_engine
         if self.config.nonterm != "off" and "nontermination" in prover.capabilities:
             prove_kwargs["automaton"] = self.automaton()
-        with self._stage("synthesis", run_stages):
-            result = prover.prove(problem, self.config, **prove_kwargs)
-        result.lp_statistics.redundancy_lp_saved += (
-            self._build_lp_saved + projection.lp_calls_saved_since(snapshot)
-        )
-        if (
-            self.config.check_certificates
-            and prover.supports_certificates
-            and result.proved
-            and result.ranking is not None
-        ):
-            with self._stage("certificate", run_stages):
-                result.certificate_checked = prover.certify(
-                    problem, result, self.config
-                )
-        elif (
-            self.config.check_certificates
-            and result.status is AnalysisStatus.NONTERMINATING
-            and result.lasso is not None
-        ):
-            from repro.checking.recurrence import check_recurrence
+        with recording() as counters:
+            with self._stage("synthesis", run_stages):
+                result = prover.prove(problem, self.config, **prove_kwargs)
+            if (
+                self.config.check_certificates
+                and prover.supports_certificates
+                and result.proved
+                and result.ranking is not None
+            ):
+                with self._stage("certificate", run_stages):
+                    result.certificate_checked = prover.certify(
+                        problem, result, self.config
+                    )
+            elif (
+                self.config.check_certificates
+                and result.status is AnalysisStatus.NONTERMINATING
+                and result.lasso is not None
+            ):
+                from repro.checking.recurrence import check_recurrence
 
-            with self._stage("certificate", run_stages):
-                verdict = check_recurrence(self.automaton(), result.lasso)
-                result.details["lasso_verdict"] = verdict.to_dict()
-                result.certificate_checked = verdict.status == "valid"
+                with self._stage("certificate", run_stages):
+                    verdict = check_recurrence(self.automaton(), result.lasso)
+                    result.details["lasso_verdict"] = verdict.to_dict()
+                    result.certificate_checked = verdict.status == "valid"
+        result.metrics = dict(
+            sorted((Counter(self._build_metrics) + Counter(counters)).items())
+        )
         result.program = self.name
         result.problem_statistics = problem.statistics()
         result.stages = list(self._build_stages) + run_stages

@@ -36,10 +36,17 @@ from repro.baselines import (
 from repro.baselines.result import BaselineResult
 from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
-from repro.core.monodim import MaxIterationsExceeded
-from repro.core.multidim import synthesize_multidim
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
+from repro.metrics import count, recording
+from repro.synthesis.engine import (
+    CegisEngine,
+    MaxIterationsExceeded,
+    SynthesisCancelled,
+)
+from repro.synthesis.oracles import make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate
 
 
 class TermiteProver(Prover):
@@ -109,20 +116,26 @@ class TermiteProver(Prover):
         lp_statistics: LpStatistics,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> AnalysisResult:
+        template = LexicographicTemplate(
+            problem,
+            integer_mode=config.integer_mode,
+            smt_mode=config.search_mode,
+            max_dimension=config.max_dimension,
+        )
+        engine = CegisEngine(
+            make_oracle(config.cex_oracle, seed=config.oracle_seed),
+            make_strategy(
+                config.cex_strategy,
+                batch=config.cex_batch,
+                seed=config.oracle_seed,
+            ),
+            max_iterations=config.max_iterations,
+            observers=(observer,) if observer is not None else (),
+            should_stop=should_stop,
+        )
         try:
-            outcome = synthesize_multidim(
-                problem,
-                smt_mode=config.search_mode,
-                integer_mode=config.integer_mode,
-                max_dimension=config.max_dimension,
-                max_iterations=config.max_iterations,
-                lp_statistics=lp_statistics,
-                oracle=config.cex_oracle,
-                cex_strategy=config.cex_strategy,
-                cex_batch=config.cex_batch,
-                oracle_seed=config.oracle_seed,
-                observers=(observer,) if observer is not None else (),
-                should_stop=should_stop,
+            outcome = engine.synthesize_lexicographic(
+                template, lp_statistics=lp_statistics
             )
         except MaxIterationsExceeded as error:
             return AnalysisResult(
@@ -133,9 +146,7 @@ class TermiteProver(Prover):
                 message=str(error),
             )
         elapsed = time.perf_counter() - start
-        iterations = sum(
-            component.statistics.iterations for component in outcome.components
-        )
+        iterations = sum(component.iterations for component in outcome.components)
         if not outcome.success:
             return AnalysisResult(
                 tool=self.name,
@@ -185,7 +196,6 @@ class TermiteProver(Prover):
                 iterations=outcome.iterations,
                 lp_statistics=lp_statistics,
                 message=outcome.lasso.describe(),
-                details={"nonterm": outcome.statistics.to_dict()},
             )
         return AnalysisResult(
             tool=self.name,
@@ -194,7 +204,6 @@ class TermiteProver(Prover):
             iterations=outcome.iterations,
             lp_statistics=lp_statistics,
             message="no recurrence set found (%s)" % outcome.message,
-            details={"nonterm": outcome.statistics.to_dict()},
         )
 
     def _race(
@@ -216,22 +225,27 @@ class TermiteProver(Prover):
         here).  Soundness makes the race deterministic: on a given
         program at most one lane can ever succeed, so which thread is
         scheduled first only affects wall time, never the verdict.
-        """
-        from repro.synthesis.engine import SynthesisCancelled
 
+        Counters are thread-local, so each lane records its own and the
+        counts of both lanes (a cancelled one's included) are added to
+        the caller's recording after the join.
+        """
         stop = threading.Event()
         outcomes: dict = {}
+        lane_counters: list = []
 
         def lane(label: str, run: Callable[[], AnalysisResult], wins) -> None:
-            try:
-                result = run()
-            except SynthesisCancelled:
-                outcomes[label] = None
-                return
-            except BaseException as error:  # re-raised on the caller thread
-                outcomes[label] = error
-                stop.set()
-                return
+            with recording() as counters:
+                lane_counters.append(counters)
+                try:
+                    result = run()
+                except SynthesisCancelled:
+                    outcomes[label] = None
+                    return
+                except BaseException as error:  # re-raised on the caller thread
+                    outcomes[label] = error
+                    stop.set()
+                    return
             outcomes[label] = result
             if wins(result):
                 stop.set()
@@ -274,6 +288,9 @@ class TermiteProver(Prover):
             thread.start()
         for thread in threads:
             thread.join()
+        for counters in lane_counters:
+            for name, n in counters.items():
+                count(name, n)
 
         term = outcomes.get("termination")
         nonterm = outcomes.get("nontermination")
@@ -307,7 +324,6 @@ class TermiteProver(Prover):
         )
         merged.time_seconds = time.perf_counter() - start
         if isinstance(nonterm, AnalysisResult):
-            merged.details["nonterm"] = nonterm.details.get("nonterm", {})
             if nonterm.message:
                 merged.message = (
                     "%s; %s" % (merged.message, nonterm.message)

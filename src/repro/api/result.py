@@ -183,6 +183,9 @@ class AnalysisResult:
 
     ``status`` is the single source of truth; ``proved`` is a derived
     view kept for compatibility with the historical result types.
+    ``metrics`` holds the :mod:`repro.metrics` counters of the problem
+    build plus those of this run (empty for results that did not come
+    out of :meth:`repro.api.Analysis.run`).
     """
 
     tool: str = "termite"
@@ -202,6 +205,7 @@ class AnalysisResult:
     details: Dict[str, object] = field(default_factory=dict)
     lasso: Optional[Lasso] = None
     provenance: Optional[Provenance] = None
+    metrics: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Accept plain strings for convenience; store the enum.
@@ -262,6 +266,7 @@ class AnalysisResult:
             "error": self.error,
             "timed_out": self.timed_out,
             "details": dict(self.details),
+            "metrics": dict(self.metrics),
             "provenance": (
                 self.provenance.to_dict() if self.provenance is not None else None
             ),
@@ -291,6 +296,7 @@ class AnalysisResult:
             error=data.get("error"),
             timed_out=data.get("timed_out", False),
             details=dict(data.get("details", {})),
+            metrics=dict(data.get("metrics", {})),
             lasso=Lasso.from_dict(lasso) if lasso is not None else None,
             provenance=(
                 Provenance.from_dict(provenance) if provenance is not None else None

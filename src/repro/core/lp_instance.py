@@ -53,10 +53,6 @@ class LpStatistics:
     pivots: int = 0
     warm_solves: int = 0
     cold_solves: int = 0
-    #: LP entailment solves the projection layer's syntactic/Kohler
-    #: pruning made unnecessary during this run (attributed by the
-    #: analysis pipeline from the process-wide projection counters).
-    redundancy_lp_saved: int = 0
     #: Unified CEGIS-engine counters (see :mod:`repro.synthesis.engine`):
     #: counterexample-oracle queries issued, generator rows added to
     #: ``LP(V, Constraints(I))``, and flat directions absorbed into the
@@ -107,7 +103,6 @@ class LpStatistics:
             "pivots": self.pivots,
             "warm_solves": self.warm_solves,
             "cold_solves": self.cold_solves,
-            "redundancy_lp_saved": self.redundancy_lp_saved,
             "oracle_queries": self.oracle_queries,
             "cex_rows": self.cex_rows,
             "flat_directions": self.flat_directions,
@@ -120,8 +115,8 @@ class LpStatistics:
         """Inverse of :meth:`to_dict` (derived keys are recomputed).
 
         Unknown keys are ignored, so payloads that still carry counters
-        removed since (the kernel and warm/cold audit counters) load
-        unchanged.
+        removed since (the kernel, warm/cold audit and projection-savings
+        counters) load unchanged.
         """
         return cls(
             instances=data.get("instances", 0),
@@ -132,7 +127,6 @@ class LpStatistics:
             pivots=data.get("pivots", 0),
             warm_solves=data.get("warm_solves", 0),
             cold_solves=data.get("cold_solves", 0),
-            redundancy_lp_saved=data.get("redundancy_lp_saved", 0),
             oracle_queries=data.get("oracle_queries", 0),
             cex_rows=data.get("cex_rows", 0),
             flat_directions=data.get("flat_directions", 0),
@@ -147,7 +141,6 @@ class LpStatistics:
         self.pivots += other.pivots
         self.warm_solves += other.warm_solves
         self.cold_solves += other.cold_solves
-        self.redundancy_lp_saved += other.redundancy_lp_saved
         self.oracle_queries += other.oracle_queries
         self.cex_rows += other.cex_rows
         self.flat_directions += other.flat_directions

@@ -20,7 +20,6 @@ only ``linexpr``/``program``/``smt`` plus the synthesis-event seams
 
 from repro.nontermination.engine import (
     NontermResult,
-    NontermStatistics,
     RecurrenceSynthesizer,
     synthesize_recurrence,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "CycleStep",
     "Lasso",
     "NontermResult",
-    "NontermStatistics",
     "RecurrenceSynthesizer",
     "StemStep",
     "synthesize_recurrence",

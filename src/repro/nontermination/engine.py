@@ -40,7 +40,7 @@ deliberately incomplete — budgets bound cycles, refinements and stems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,6 +48,7 @@ from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import And, Atom, Formula, Not, Or, _Constant
 from repro.linexpr.transform import dnf_conjunctions
+from repro.metrics import count
 from repro.nontermination.templates import (
     candidate_pool,
     negation_branches,
@@ -99,24 +100,6 @@ def evaluate_formula(formula: Formula, state: Dict[str, Fraction]) -> bool:
 
 
 @dataclass
-class NontermStatistics:
-    """Counters of one recurrence-set search."""
-
-    candidates: int = 0
-    refinements: int = 0
-    escapes: int = 0
-    stems: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "candidates": self.candidates,
-            "refinements": self.refinements,
-            "escapes": self.escapes,
-            "stems": self.stems,
-        }
-
-
-@dataclass
 class NontermResult:
     """Outcome of the recurrence-set search."""
 
@@ -124,11 +107,14 @@ class NontermResult:
     lasso: Optional[Lasso] = None
     iterations: int = 0
     message: str = ""
-    statistics: NontermStatistics = field(default_factory=NontermStatistics)
 
 
 class RecurrenceSynthesizer:
-    """One recurrence-set search over a :class:`ControlFlowAutomaton`."""
+    """One recurrence-set search over a :class:`ControlFlowAutomaton`.
+
+    The search counts its ``candidates``, ``refinements``, ``escapes``
+    and ``stems`` as ``nontermination.engine.*`` (:mod:`repro.metrics`).
+    """
 
     def __init__(
         self,
@@ -141,7 +127,8 @@ class RecurrenceSynthesizer:
         self.budget = max(1, int(budget))
         self.observers = tuple(obs for obs in observers if obs is not None)
         self.should_stop = should_stop
-        self.statistics = NontermStatistics()
+        self._candidates = 0
+        self._refinements = 0
         self._variables = list(automaton.variables)
         self._integer = set(automaton.integer_variables)
         self._pool = candidate_pool(automaton)
@@ -156,7 +143,7 @@ class RecurrenceSynthesizer:
     def _emit(self, kind: str, **payload) -> None:
         if not self.observers:
             return
-        event = CegisEvent(kind, 0, self.statistics.candidates, payload)
+        event = CegisEvent(kind, 0, self._candidates, payload)
         for observer in self.observers:
             observer(event)
 
@@ -194,10 +181,11 @@ class RecurrenceSynthesizer:
             for path in self._cycle_paths(cutpoint):
                 for rows, f_map, steps in self._cycle_candidates(path):
                     self._check_stop()
-                    if self.statistics.candidates >= self.budget:
+                    if self._candidates >= self.budget:
                         exhausted = True
                         break
-                    self.statistics.candidates += 1
+                    self._candidates += 1
+                    count("nontermination.engine.candidates")
                     self._emit(
                         "nonterm_candidate", cutpoint=cutpoint, length=len(path)
                     )
@@ -242,9 +230,8 @@ class RecurrenceSynthesizer:
         return NontermResult(
             success=success,
             lasso=lasso,
-            iterations=self.statistics.refinements,
+            iterations=self._refinements,
             message=message,
-            statistics=self.statistics,
         )
 
     # -- cycle enumeration -------------------------------------------------------
@@ -363,7 +350,8 @@ class RecurrenceSynthesizer:
 
         for _ in range(MAX_REFINEMENTS):
             self._check_stop()
-            self.statistics.refinements += 1
+            self._refinements += 1
+            count("nontermination.engine.refinements")
             if S:
                 feasible = check_conjunction(S, integer_variables=self._integer)
                 if not feasible.satisfiable:
@@ -371,7 +359,7 @@ class RecurrenceSynthesizer:
             escape = self._find_escape(S, f_map)
             if escape is None:
                 return S
-            self.statistics.escapes += 1
+            count("nontermination.engine.escapes")
             model, violated = escape
             state = {
                 v: model.get(v, Fraction(0)) for v in self._variables
@@ -466,7 +454,7 @@ class RecurrenceSynthesizer:
                 path, init_conjuncts, S, base_map, base_integers
             ):
                 self._check_stop()
-                self.statistics.stems += 1
+                count("nontermination.engine.stems")
                 rows, slots_by_step, integer_names = attempt
                 result = check_conjunction(
                     rows, integer_variables=integer_names

@@ -25,14 +25,18 @@ Three layers keep the row count down, cheapest first:
    :func:`remove_redundant` run once at the end of a projection (and
    mid-flight only if the system still outgrows a safety threshold),
    instead of once per constraint per eliminated variable as the dense
-   implementation did.  :data:`statistics` counts how many LP solves the
-   cheap layers saved.
+   implementation did.
+
+The ``polyhedra.projection.*`` counters (:mod:`repro.metrics`) record
+the work: ``variables_eliminated``, ``combinations``, ``lp_calls`` (exact
+entailment LPs solved), ``rows_pruned_syntactic``/``rows_pruned_kohler``
+(rows the cheap layers dropped) and ``lp_calls_saved`` — only
+*dominated* and Kohler-pruned rows count there, the rows the per-step LP
+pruning of the dense implementation would have entailment-checked.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -42,6 +46,7 @@ from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import Sense
 from repro.lp.simplex import solve_lp
+from repro.metrics import count
 
 #: Sentinel row index carrying the affine constant of a constraint.
 _CONST = -1
@@ -50,106 +55,6 @@ _CONST = -1
 #: it exceeds this multiple of its pre-step size does the expensive
 #: LP-based pruning run mid-flight instead of once at the end.
 _LP_PRUNE_GROWTH = 4
-
-
-@dataclass
-class ProjectionStatistics:
-    """Counters for the work (and the avoided work) of FM elimination.
-
-    ``lp_calls`` is the number of exact LP entailment checks actually
-    solved; ``lp_calls_saved`` the number the cheap layers made
-    unnecessary — only *dominated* (not duplicate, not trivially-true)
-    and Kohler-pruned rows count, because those are exactly the rows the
-    per-step LP pruning of the previous implementation would have
-    entailment-checked; ``rows_eliminated`` the number of rows dropped
-    by any cheap layer.  The module-level :data:`statistics` handle is
-    **thread-local**: every thread folds into its own instance, so
-    concurrent analyses (e.g. the ``nonterm=auto`` race) can never
-    corrupt each other's counters or mis-attribute saved LP calls.
-    """
-
-    variables_eliminated: int = 0
-    combinations: int = 0
-    lp_calls: int = 0
-    lp_calls_saved: int = 0
-    rows_pruned_syntactic: int = 0
-    rows_pruned_kohler: int = 0
-
-    @property
-    def rows_eliminated(self) -> int:
-        return self.rows_pruned_syntactic + self.rows_pruned_kohler
-
-    def snapshot(self) -> Tuple[int, ...]:
-        return (
-            self.variables_eliminated,
-            self.combinations,
-            self.lp_calls,
-            self.lp_calls_saved,
-            self.rows_pruned_syntactic,
-            self.rows_pruned_kohler,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "variables_eliminated": self.variables_eliminated,
-            "combinations": self.combinations,
-            "lp_calls": self.lp_calls,
-            "lp_calls_saved": self.lp_calls_saved,
-            "rows_pruned_syntactic": self.rows_pruned_syntactic,
-            "rows_pruned_kohler": self.rows_pruned_kohler,
-            "rows_eliminated": self.rows_eliminated,
-        }
-
-
-_THREAD_STATE = threading.local()
-
-
-def _current_statistics() -> ProjectionStatistics:
-    """This thread's counter instance (created lazily per thread)."""
-    stats = getattr(_THREAD_STATE, "statistics", None)
-    if stats is None:
-        stats = ProjectionStatistics()
-        _THREAD_STATE.statistics = stats
-    return stats
-
-
-class _ThreadLocalStatistics:
-    """Forwarding proxy onto the calling thread's :class:`ProjectionStatistics`.
-
-    Preserves the historical module-level ``statistics.xxx += 1`` /
-    ``statistics.snapshot()`` interface while keeping every thread's
-    counters isolated: attribute reads and writes resolve against the
-    calling thread's own instance, so two provers racing in one process
-    (``nonterm=auto``) cannot interleave increments or fold each other's
-    ``lp_calls_saved`` into their results.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        return getattr(_current_statistics(), name)
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(_current_statistics(), name, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<thread-local %r>" % (_current_statistics(),)
-
-
-#: Per-thread counters behind one module-level handle;
-#: :func:`repro.api.pipeline` snapshots them around a run to attribute
-#: saved LP calls to that run's ``LpStatistics``.
-statistics = _ThreadLocalStatistics()
-
-
-def lp_calls_saved_since(snapshot: Tuple[int, ...]) -> int:
-    """LP calls saved since *snapshot* (from :meth:`ProjectionStatistics.snapshot`).
-
-    Both the snapshot and this read resolve against the calling thread's
-    counters, so the difference is meaningful only when taken on the
-    thread that performed the projections.
-    """
-    return statistics.lp_calls_saved - snapshot[3]
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +144,11 @@ def _prune_syntactic(rows: List[_HistRow]) -> List[_HistRow]:
             # counted as saved LP calls: the LP-based pruning never
             # entailment-checked those either.
             if _is_trivially_true(row, relation):
-                statistics.rows_pruned_syntactic += 1
+                count("polyhedra.projection.rows_pruned_syntactic")
                 continue
             identity = (row, relation)
             if identity in passthrough_seen:
-                statistics.rows_pruned_syntactic += 1
+                count("polyhedra.projection.rows_pruned_syntactic")
                 continue
             passthrough_seen.add(identity)
             passthrough.append(entry)
@@ -276,12 +181,12 @@ def _prune_syntactic(rows: List[_HistRow]) -> List[_HistRow]:
                 or (strict == held_strict and len(history) < held_history)
             )
         )
-        statistics.rows_pruned_syntactic += 1
+        count("polyhedra.projection.rows_pruned_syntactic")
         if constant != held_constant or strict != held_strict:
             # A genuinely dominated (not duplicate) row: the previous
             # implementation would have paid an LP entailment check to
             # discover it.
-            statistics.lp_calls_saved += 1
+            count("polyhedra.projection.lp_calls_saved")
         if tighter:
             best[key] = (constant, strict, len(history))
             keyed[key] = entry
@@ -309,7 +214,7 @@ def _combine_pair(
         if upper_relation is Relation.LT or lower_relation is Relation.LT
         else Relation.LE
     )
-    statistics.combinations += 1
+    count("polyhedra.projection.combinations")
     return combined, relation, upper_history | lower_history
 
 
@@ -355,8 +260,8 @@ def _eliminate_index(
             if _is_trivially_true(combined, relation):
                 continue
             if kohler_bound is not None and len(history) > kohler_bound:
-                statistics.rows_pruned_kohler += 1
-                statistics.lp_calls_saved += 1
+                count("polyhedra.projection.rows_pruned_kohler")
+                count("polyhedra.projection.lp_calls_saved")
                 continue
             result.append((combined, relation, history))
     return result
@@ -376,7 +281,7 @@ def eliminate_variable(
     ]
     # A single step eliminates one variable: Kohler's bound is k + 1 = 2.
     survivors = _prune_syntactic(_eliminate_index(rows, index, 2))
-    statistics.variables_eliminated += 1
+    count("polyhedra.projection.variables_eliminated")
     return [
         _row_constraint(row, relation, names)
         for row, relation, _ in survivors
@@ -413,7 +318,7 @@ def fourier_motzkin(
         rows = _eliminate_index(
             rows, index, eliminated + 1 if simplify else None
         )
-        statistics.variables_eliminated += 1
+        count("polyhedra.projection.variables_eliminated")
         if simplify:
             rows = _prune_syntactic(rows)
             if len(rows) > _LP_PRUNE_GROWTH * baseline:
@@ -459,7 +364,8 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
 
     Duplicates and syntactically dominated constraints are removed
     first; each *dominated* drop is one LP solve saved (duplicates were
-    always caught without an LP), counted in :data:`statistics`.  Each
+    always caught without an LP), counted as
+    ``polyhedra.projection.lp_calls_saved``.  Each
     remaining inequality is then tested for entailment by maximising
     its left-hand side subject to the others.
     """
@@ -471,7 +377,7 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
             continue
         key = (normal.expr, normal.relation)
         if key in seen:
-            statistics.rows_pruned_syntactic += 1
+            count("polyhedra.projection.rows_pruned_syntactic")
             continue
         seen.add(key)
         unique.append(normal)
@@ -501,7 +407,7 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
         # examined; this never drops two mutually redundant constraints.
         others = result + unique[index + 1 :]
         context = [c.weaken() for c in others]
-        statistics.lp_calls += 1
+        count("polyhedra.projection.lp_calls")
         outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE)
         if outcome.is_optimal and outcome.objective is not None and (
             outcome.objective <= 0

@@ -119,44 +119,45 @@ def bench_projection(quick: bool = False, seed: int = 0) -> Dict:
     """Seeded Fourier–Motzkin projections, counting pruned rows."""
     from repro.linexpr.constraint import Constraint, Relation
     from repro.linexpr.expr import LinExpr
+    from repro.metrics import recording
     from repro.polyhedra import projection
 
     rng = random.Random(seed)
     systems = 10 if quick else 40
     names = ["a", "b", "c", "d", "e"]
 
-    snapshot = projection.statistics.snapshot()
     started = time.perf_counter()
-    for _ in range(systems):
-        constraints = []
-        for _ in range(rng.randint(4, 8)):
-            terms = {
-                name: Fraction(rng.randint(-3, 3))
-                for name in rng.sample(names, rng.randint(1, 3))
-            }
-            constraints.append(
-                Constraint(
-                    LinExpr(terms, Fraction(rng.randint(-5, 5))), Relation.LE
+    with recording() as counters:
+        for _ in range(systems):
+            constraints = []
+            for _ in range(rng.randint(4, 8)):
+                terms = {
+                    name: Fraction(rng.randint(-3, 3))
+                    for name in rng.sample(names, rng.randint(1, 3))
+                }
+                constraints.append(
+                    Constraint(
+                        LinExpr(terms, Fraction(rng.randint(-5, 5))),
+                        Relation.LE,
+                    )
                 )
-            )
-        drop = rng.sample(names, rng.randint(1, 3))
-        projection.fourier_motzkin(constraints, drop)
+            drop = rng.sample(names, rng.randint(1, 3))
+            projection.fourier_motzkin(constraints, drop)
     wall = time.perf_counter() - started
-    after = projection.statistics
+
+    def counter(name: str) -> int:
+        return counters.get("polyhedra.projection." + name, 0)
 
     return {
         "suite": "projection",
         "wall_seconds": round(wall, 4),
         "systems": systems,
-        "variables_eliminated": after.variables_eliminated - snapshot[0],
-        "combinations": after.combinations - snapshot[1],
-        "lp_calls": after.lp_calls - snapshot[2],
-        "lp_calls_saved": after.lp_calls_saved - snapshot[3],
+        "variables_eliminated": counter("variables_eliminated"),
+        "combinations": counter("combinations"),
+        "lp_calls": counter("lp_calls"),
+        "lp_calls_saved": counter("lp_calls_saved"),
         "rows_eliminated": (
-            after.rows_pruned_syntactic
-            + after.rows_pruned_kohler
-            - snapshot[4]
-            - snapshot[5]
+            counter("rows_pruned_syntactic") + counter("rows_pruned_kohler")
         ),
     }
 

@@ -30,6 +30,7 @@ from repro.linexpr.formula import Formula, atom
 from repro.lp.branch_bound import BranchAndBoundLimit, solve_ilp
 from repro.lp.problem import LpResult, LpStatus, Sense
 from repro.lp.simplex import solve_lp
+from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
 
 
@@ -68,10 +69,6 @@ class OptimizingSmtSolver:
         self._formulas: List[Formula] = []
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._mode = SearchMode(mode) if isinstance(mode, str) else mode
-        self.statistics: Dict[str, int] = {
-            "queries": 0,
-            "assignments_explored": 0,
-        }
 
     # -- construction ------------------------------------------------------------
 
@@ -92,11 +89,11 @@ class OptimizingSmtSolver:
 
     def minimize(self, objective: LinExpr) -> OptimizationResult:
         """Minimise *objective*; extremal model or ray per the search mode."""
-        self.statistics["queries"] += 1
+        count("smt.optimize.queries")
         solver = self._fresh_solver()
         best: Optional[OptimizationResult] = None
         for constraints, model in solver.enumerate_assignments():
-            self.statistics["assignments_explored"] += 1
+            count("smt.optimize.assignments_explored")
             candidate = self._minimize_in_disjunct(objective, constraints, model)
             if candidate.unbounded:
                 return candidate
@@ -193,6 +190,7 @@ class OptimizingSmtSolver:
                     names,
                 )
             except BranchAndBoundLimit:
+                count("lp.ilp.bb_limit_fallbacks")
                 return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
         return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
 

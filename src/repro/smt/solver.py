@@ -13,9 +13,10 @@ linear-arithmetic theory solver (:mod:`repro.smt.theory`):
    either a theory-consistent model is found or the propositional
    abstraction becomes unsatisfiable.
 
-``statistics`` counts SAT calls, theory checks and conflicts, and how
-each conflict was blocked: ``farkas_cores`` through a checked
-certificate's core, ``core_fallbacks`` through the whole assignment.
+The ``smt.solver.*`` counters (:mod:`repro.metrics`) record SAT calls,
+theory checks and conflicts, and how each conflict was blocked:
+``farkas_cores`` through a checked certificate's core, ``core_fallbacks``
+through the whole assignment.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.linexpr.formula import (
     atom,
 )
 from repro.linexpr.transform import formula_variables, to_nnf
+from repro.metrics import count
 from repro.smt.cnf import CnfEncoder
 from repro.smt.sat import SatSolver
 from repro.smt.theory import check_conjunction
@@ -78,13 +80,6 @@ class SmtSolver:
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
         self._max_theory_iterations = max_theory_iterations
-        self.statistics: Dict[str, int] = {
-            "sat_calls": 0,
-            "theory_calls": 0,
-            "theory_conflicts": 0,
-            "farkas_cores": 0,
-            "core_fallbacks": 0,
-        }
 
     # -- problem construction ---------------------------------------------------
 
@@ -141,24 +136,24 @@ class SmtSolver:
                     "theory/SAT refinement did not converge within %d rounds"
                     % self._max_theory_iterations
                 )
-            self.statistics["sat_calls"] += 1
+            count("smt.solver.sat_calls")
             boolean_model = self._sat.solve()
             if boolean_model is None:
                 return None
             literals = self._theory_literals(boolean_model)
             constraints = self._constraints_of(literals)
-            self.statistics["theory_calls"] += 1
+            count("smt.solver.theory_calls")
             outcome = check_conjunction(constraints, self._integer_variables)
             if outcome.satisfiable:
                 return literals, outcome.model
-            self.statistics["theory_conflicts"] += 1
+            count("smt.solver.theory_conflicts")
             if outcome.certified:
-                self.statistics["farkas_cores"] += 1
+                count("smt.solver.farkas_cores")
                 core_literals = [literals[index] for index in outcome.core]
             else:
                 # No checked certificate: blocking the whole assignment is
                 # always sound, only weaker.
-                self.statistics["core_fallbacks"] += 1
+                count("smt.solver.core_fallbacks")
                 core_literals = literals
             self._sat.add_clause([-literal for literal in core_literals])
 

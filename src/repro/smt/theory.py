@@ -32,6 +32,7 @@ from repro.linexpr.expr import LinExpr
 from repro.lp.branch_bound import BranchAndBoundLimit, solve_ilp
 from repro.lp.problem import LpStatus, Sense
 from repro.lp.simplex import solve_lp
+from repro.metrics import count
 
 _DELTA = "__delta__"
 
@@ -210,5 +211,6 @@ def _solve(
         except BranchAndBoundLimit:
             # Fall back to the rational relaxation: for the synthesis loop a
             # rational witness is still a sound counterexample direction.
+            count("lp.ilp.bb_limit_fallbacks")
             return solve_lp(objective, list(rows), sense, names)
     return solve_lp(objective, list(rows), sense, names)

@@ -13,24 +13,18 @@ This package owns the counterexample-guided loop of the paper
 * :mod:`repro.synthesis.templates` — the candidate spaces (linear
   per-cutpoint, lexicographic multidimensional).
 
-``core/monodim.py`` and ``core/multidim.py`` are thin configurations of
-this engine; the ``cex_oracle`` / ``cex_strategy`` / ``cex_batch`` /
+The ``cex_oracle`` / ``cex_strategy`` / ``cex_batch`` /
 ``oracle_seed`` fields of :class:`repro.api.AnalysisConfig` (and the
 matching ``repro prove --oracle/--cex-strategy`` flags) select the
 pieces end to end.
 """
 
-# The engine builds on repro.core's modules, and repro.core's package init
-# re-exports the engine-backed algorithms of core/monodim.py: load the core
-# package first so that init completes before the engine module starts.
-import repro.core  # noqa: F401
 from repro.synthesis.engine import (
     CegisEngine,
     CegisEvent,
     CegisObserver,
     MaxIterationsExceeded,
     MonodimResult,
-    MonodimStatistics,
     MultidimResult,
     SynthesisCancelled,
     eliminate_lexicographic,
@@ -62,7 +56,6 @@ __all__ = [
     "CegisObserver",
     "MaxIterationsExceeded",
     "MonodimResult",
-    "MonodimStatistics",
     "MultidimResult",
     "SynthesisCancelled",
     "eliminate_lexicographic",

@@ -1,8 +1,7 @@
 """The generic CEGIS synthesis engine (Algorithms 1–3 of the paper).
 
-The counterexample-guided loop that used to be hard-wired into
-``core/monodim.py`` and ``core/multidim.py`` lives here, decomposed into
-four swappable pieces:
+The paper's counterexample-guided loop lives here, decomposed into four
+swappable pieces:
 
 * a **template** (:mod:`repro.synthesis.templates`) — the candidate space
   and its LP (``LP(V, Constraints(I))``, Definition 11), plus the
@@ -53,6 +52,7 @@ from repro.core.ranking import (
 )
 from repro.linalg.matrix import in_span
 from repro.linalg.vector import Vector
+from repro.metrics import count
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -77,30 +77,19 @@ class SynthesisCancelled(RuntimeError):
 
 
 @dataclass
-class MonodimStatistics:
-    """Counters for one run of the mono-dimensional loop.
-
-    ``lp`` carries this component's own LP solve costs (pivots, warm vs
-    cold solves) plus the unified engine counters (oracle queries,
-    counterexample rows, flat directions) so the evaluation harness can
-    report them through one :class:`~repro.core.lp_instance.LpStatistics`.
-    """
-
-    iterations: int = 0
-    counterexamples: int = 0
-    rays: int = 0
-    flat_directions: int = 0
-    lp: LpStatistics = field(default_factory=LpStatistics)
-
-
-@dataclass
 class MonodimResult:
-    """Output of Algorithm 1/3: ``(λ, λ0, strict?)`` plus diagnostics."""
+    """Output of Algorithm 1/3: ``(λ, λ0, strict?)`` plus diagnostics.
+
+    ``lp_statistics`` carries this component's own LP solve costs
+    (pivots, warm vs cold solves) plus the engine counters (oracle
+    queries, counterexample rows, flat directions).
+    """
 
     ranking: AffineRankingFunction
     strict: bool
     flat_basis: List[Vector] = field(default_factory=list)
-    statistics: MonodimStatistics = field(default_factory=MonodimStatistics)
+    iterations: int = 0
+    lp_statistics: LpStatistics = field(default_factory=LpStatistics)
 
     @property
     def is_trivial(self) -> bool:
@@ -180,15 +169,38 @@ class CegisEngine:
     ) -> MonodimResult:
         """Synthesise one component over ``Φ ∧ extra_constraints``.
 
-        This is the alternation of Algorithm 1: ask the oracle for
-        counterexamples on which the current candidate fails to decrease
-        strictly, add the rows the strategy selects to
-        ``LP(V, Constraints(I))``, and re-solve for the quasi ranking
-        function of maximal termination power — until the oracle is
-        exhausted or the LP proves no collected generator separable.
+        This is Algorithm 1 (single cut point) / Algorithm 3 (general
+        case).  The loop alternates between
+
+        * a counterexample query — with the paper's ``smt`` oracle the
+          optimising query ``Sat(Φ ∧ AvoidSpace(u, B) ∧ λ·u ≤ 0)``
+          minimising ``λ·u``: a counterexample is a transition on which
+          the current candidate fails to decrease strictly, and
+          minimisation makes it *extremal* (a vertex of one disjunct of
+          the convex hull of one-step differences, or a ray when the
+          objective is unbounded, §4.2) — and
+        * the LP ``LP(V, Constraints(I))`` of Definition 11, which gets
+          the rows the strategy selects and recomputes the quasi ranking
+          function of maximal termination power over the generators
+          collected so far; one warm-started instance stays alive for
+          the whole loop (see :mod:`repro.core.lp_instance`),
+
+        until the oracle is exhausted or the LP proves no collected
+        generator separable.  Flat directions (counterexamples whose δ is
+        forced to 0: every quasi ranking function is constant along them)
+        are accumulated in the basis ``B`` and excluded from later
+        queries through ``AvoidSpace`` (§4.1), which is what makes the
+        loop terminate even when no strict ranking function exists.
+
+        ``extra_constraints`` restricts the transition relation —
+        Algorithm 2 passes the flatness constraints ``λ_{d'} · u = 0`` of
+        the previous lexicographic components here.  With the template's
+        ``integer_mode`` the SMT queries treat the program variables as
+        integers (more precise, slower); otherwise the rational
+        relaxation is used, which is always sound.
         """
-        statistics = MonodimStatistics()
-        ranking_lp = template.make_lp(statistics.lp)
+        lp = LpStatistics()
+        ranking_lp = template.make_lp(lp)
         flat_basis: List[Vector] = []
         self._emit(
             "component_start",
@@ -198,10 +210,10 @@ class CegisEngine:
             strategy=getattr(self.strategy, "name", ""),
         )
         try:
-            current, deltas = self._refinement_loop(
+            current, deltas, iterations, vertices = self._refinement_loop(
                 template,
                 ranking_lp,
-                statistics,
+                lp,
                 extra_constraints,
                 flat_basis,
                 component,
@@ -210,7 +222,7 @@ class CegisEngine:
             # Merge even when the iteration budget blows: the caller's
             # shared statistics must reflect the work actually performed.
             if lp_statistics is not None:
-                lp_statistics.merge(statistics.lp)
+                lp_statistics.merge(lp)
 
         strict = bool(deltas) and all(value == 1 for value in deltas)
         if strict:
@@ -219,49 +231,54 @@ class CegisEngine:
         self._emit(
             "component_end",
             component,
-            statistics.iterations,
+            iterations,
             strict=strict,
-            counterexamples=statistics.counterexamples,
+            counterexamples=vertices,
         )
         return MonodimResult(
             ranking=current,
             strict=strict,
             flat_basis=flat_basis,
-            statistics=statistics,
+            iterations=iterations,
+            lp_statistics=lp,
         )
 
     def _refinement_loop(
         self,
         template,
         ranking_lp,
-        statistics: MonodimStatistics,
+        lp: LpStatistics,
         extra_constraints: Sequence,
         flat_basis: List[Vector],
         component: int,
     ):
-        """Oracle query → strategy selection → LP re-solve, until fixpoint."""
+        """Oracle query → strategy selection → LP re-solve, until fixpoint.
+
+        Returns the final candidate, its δ values, the iteration count and
+        the number of vertex rows added.
+        """
         # Imported here: the oracles module lazily reaches into the
         # baselines package, which itself builds on this engine.
         from repro.synthesis.oracles import OracleRequest
 
         current = template.initial_candidate()
         deltas: List[Fraction] = []
+        iterations = vertices = 0
         self.oracle.reset(template, extra_constraints)
 
         while True:
             if self.should_stop is not None and self.should_stop():
                 raise SynthesisCancelled(
-                    "synthesis cancelled before iteration %d"
-                    % (statistics.iterations + 1)
+                    "synthesis cancelled before iteration %d" % (iterations + 1)
                 )
-            statistics.iterations += 1
-            if statistics.iterations > self.max_iterations:
+            iterations += 1
+            if iterations > self.max_iterations:
                 raise MaxIterationsExceeded(
                     "mono-dimensional synthesis exceeded %d iterations"
                     % self.max_iterations
                 )
             objective = template.objective(current)
-            statistics.lp.oracle_queries += 1
+            lp.oracle_queries += 1
             groups = self.oracle.find(
                 OracleRequest(
                     objective=objective,
@@ -271,8 +288,7 @@ class CegisEngine:
                 )
             )
             if not groups:
-                self._emit("iteration", component, statistics.iterations,
-                           exhausted=True)
+                self._emit("iteration", component, iterations, exhausted=True)
                 break
 
             chosen = self.strategy.select(groups)
@@ -282,14 +298,15 @@ class CegisEngine:
             for group in chosen:
                 for witness in group:
                     if witness.kind == "vertex":
-                        statistics.counterexamples += 1
-                        statistics.lp.cex_rows += 1
+                        count("synthesis.engine.counterexamples")
+                        vertices += 1
+                        lp.cex_rows += 1
                         index = ranking_lp.add_counterexample(witness.vector)
                         vertex_rows.append((witness.vector, index))
                     else:
                         if not witness.vector.is_zero():
-                            statistics.rays += 1
-                            statistics.lp.cex_rows += 1
+                            count("synthesis.engine.rays")
+                            lp.cex_rows += 1
                             ranking_lp.add_counterexample(witness.vector)
                             rays_added += 1
 
@@ -300,7 +317,7 @@ class CegisEngine:
                 # No quasi ranking function separates any collected
                 # generator: the component is finished (λ possibly 0).
                 current = solution.ranking
-                self._emit("iteration", component, statistics.iterations,
+                self._emit("iteration", component, iterations,
                            counterexamples=len(vertex_rows), rays=rays_added,
                            separable=False)
                 break
@@ -310,14 +327,13 @@ class CegisEngine:
                 if solution.delta_of(index) == 0:
                     if not vector.is_zero() and not in_span(vector, flat_basis):
                         flat_basis.append(vector)
-                        statistics.flat_directions += 1
-                        statistics.lp.flat_directions += 1
+                        lp.flat_directions += 1
                         flats += 1
-            self._emit("iteration", component, statistics.iterations,
+            self._emit("iteration", component, iterations,
                        counterexamples=len(vertex_rows), rays=rays_added,
                        flat_directions=flats)
 
-        return current, deltas
+        return current, deltas, iterations, vertices
 
     # -- Algorithm 2: lexicographic composition ------------------------------------
 
@@ -333,7 +349,10 @@ class CegisEngine:
         every previous component is constant (``λ_{d'} · u = 0``).  The
         loop stops as soon as a component is strict (success) or when the
         new component is linearly dependent on the previous ones without
-        being strict (failure — Theorem 1).
+        being strict (failure — Theorem 1).  So a success is a strict
+        lexicographic linear ranking function, of minimal dimension, iff
+        one exists relative to the given invariants.  Each dimension owns
+        one persistent warm-started ``LP(V, Constraints(I))``.
         """
         components: List[MonodimResult] = []
         stacked: List[Vector] = []

@@ -44,6 +44,7 @@ from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, conjunction, disjunction
 from repro.linexpr.transform import prime_suffix
+from repro.metrics import count
 from repro.smt.optimize import OptimizingSmtSolver
 
 #: Registry names of the built-in oracles, in preference order.
@@ -92,13 +93,6 @@ class CounterexampleOracle(abc.ABC):
 
     #: Stable registry name (the ``cex_oracle`` config value).
     name: str = ""
-
-    def __init__(self) -> None:
-        self.statistics: Dict[str, int] = {
-            "queries": 0,
-            "smt_queries": 0,
-            "candidates": 0,
-        }
 
     def reset(self, template, extra_constraints: Sequence = ()) -> None:
         """Prepare for one component of *template* (called by the engine)."""
@@ -207,8 +201,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
         return solver
 
     def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        self.statistics["queries"] += 1
-        self.statistics["smt_queries"] += 1
+        count("synthesis.oracles.smt_queries")
         problem = self._template.problem
         solver = self._build_query(request.objective, request.flat_basis)
         if request.want_extremal:
@@ -235,7 +228,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
             )
             if not ray.is_zero():
                 group.append(Witness(vector=ray, kind="ray", origin=self.name))
-        self.statistics["candidates"] += 1
+        count("synthesis.oracles.candidates")
         return [group]
 
 
@@ -450,7 +443,6 @@ class DdEnumerationOracle(CounterexampleOracle):
         ]
 
     def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        self.statistics["queries"] += 1
         groups: List[WitnessGroup] = []
         flat_basis = list(request.flat_basis)
         for index, generator in enumerate(self._generators):
@@ -469,12 +461,11 @@ class DdEnumerationOracle(CounterexampleOracle):
                 # checks would be thrown away.
                 break
         if groups:
-            self.statistics["candidates"] += len(groups)
+            count("synthesis.oracles.candidates", len(groups))
             return groups
         # No un-consumed generator violates: confirm exhaustion with the
         # complete query (covers degenerate DD output and interactions
         # between AvoidSpace and non-generator points).
-        self.statistics["smt_queries"] += 1
         return self._confirmation.find(replace(request, want_extremal=True))
 
     def consumed(self, groups: Sequence[WitnessGroup]) -> None:
@@ -505,7 +496,6 @@ class SamplingOracle(DdEnumerationOracle):
     MIX_WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 8))
 
     def __init__(self, seed: int = 0) -> None:
-        super().__init__()
         self.seed = seed
         self._resets = 0
         self._rng = random.Random(seed)

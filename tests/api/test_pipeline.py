@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,10 @@ from repro.api import (
     analyze_many,
 )
 from repro.api.pipeline import run_tools_on_program
+from repro.benchsuite import get_suite
 from repro.frontend import compile_program
+from repro.metrics import recording
+from repro.reporting.runner import run_suite
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 NESTED = """
@@ -122,20 +126,70 @@ class TestProblemCache:
 
 class TestProjectionSavingsAttribution:
     def test_build_savings_reappear_in_every_result(self):
-        # Like the shared build-stage timings, the LP calls the pruned
-        # projection saved while building the problem belong to every
-        # result of the Analysis, not just whichever tool ran first.
+        # Like the shared build-stage timings, the counters of the
+        # problem build (the LP calls the pruned projection saved among
+        # them) belong to every result of the Analysis, not just
+        # whichever tool ran first; each run adds only its own.
         analysis = Analysis(
             NESTED,
             config=AnalysisConfig(check_certificates=False),
             name="nested",
         )
-        first = analysis.run("termite")
-        second = analysis.run("heuristic")
-        build_share = analysis._build_lp_saved
-        assert build_share > 0
-        assert first.lp_statistics.redundancy_lp_saved >= build_share
-        assert second.lp_statistics.redundancy_lp_saved >= build_share
+        with recording() as build:
+            analysis.problem()
+        with recording() as termite:
+            first = analysis.run("termite")
+        with recording() as heuristic:
+            second = analysis.run("heuristic")
+        assert build["polyhedra.projection.lp_calls_saved"] > 0
+        assert first.metrics == dict(Counter(build) + Counter(termite))
+        assert second.metrics == dict(Counter(build) + Counter(heuristic))
+        assert termite["smt.solver.sat_calls"] > 0
+
+
+#: Terminates, but not provably with interval-free polyhedral invariants
+#: from an unbounded start, and has no recurrence set: UNKNOWN both ways.
+UNDECIDED = "var x, y; while (x > 0) { x = x + y; y = y - 1; }"
+
+
+def _minus(metrics, build):
+    return dict(Counter(metrics) - Counter(build))
+
+
+class TestMetrics:
+    def test_program_analysed_twice_gives_identical_metrics(self):
+        first = Analysis(NESTED, name="nested").run("termite")
+        second = Analysis(NESTED, name="nested").run("termite")
+        assert first.metrics["smt.solver.theory_calls"] > 0
+        assert first.metrics == second.metrics
+
+    def test_jobs_do_not_change_per_program_metrics(self):
+        programs = get_suite("wtc")[:4]
+        serial = run_suite("wtc", programs, jobs=1)
+        parallel = run_suite("wtc", programs, jobs=2)
+        assert [r.metrics for r in serial.outcomes] == [
+            r.metrics for r in parallel.outcomes
+        ]
+        assert all(r.metrics for r in serial.outcomes)
+
+    def test_auto_race_counts_both_lanes_exactly_once(self):
+        results = {}
+        builds = {}
+        for mode in ("off", "only", "auto"):
+            analysis = Analysis(
+                UNDECIDED, config=AnalysisConfig(nonterm=mode), name="undecided"
+            )
+            with recording() as build:
+                analysis.problem()
+            results[mode] = analysis.run("termite")
+            builds[mode] = build
+        assert all(r.status == "unknown" for r in results.values())
+        lanes = Counter(_minus(results["off"].metrics, builds["off"])) + Counter(
+            _minus(results["only"].metrics, builds["only"])
+        )
+        assert _minus(results["auto"].metrics, builds["auto"]) == dict(lanes)
+        assert lanes["smt.solver.sat_calls"] > 0
+        assert lanes["nontermination.engine.candidates"] > 0
 
 
 class TestBatchExecution:

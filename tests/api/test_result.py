@@ -80,9 +80,11 @@ class TestResultSerialisation:
             stages=[StageTiming("invariants", 0.01), StageTiming("synthesis", 0.1)],
             message="all good",
             details={"disjuncts": 3},
+            metrics={"smt.solver.sat_calls": 12, "lp.ilp.bb_limit_fallbacks": 1},
         )
         rebuilt = AnalysisResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert rebuilt == result
+        assert rebuilt.metrics == result.metrics
         assert AnalysisResult.from_json(result.to_json()) == result
 
     def test_failure_round_trip(self):
@@ -102,6 +104,7 @@ class TestResultSerialisation:
         rebuilt = AnalysisResult.from_json(result.to_json())
         assert rebuilt == result
         assert rebuilt.ranking.pretty() == result.ranking.pretty()
+        assert rebuilt.metrics == result.metrics != {}
 
     def test_status_string_compatibility(self):
         # The enum inherits str: old-style string comparisons keep working.

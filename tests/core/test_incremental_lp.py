@@ -21,10 +21,12 @@ import pytest
 from repro.api import Analysis, AnalysisConfig
 from repro.benchsuite.registry import get_suite
 from repro.core.lp_instance import LpStatistics, RankingLp
-from repro.core.monodim import synthesize_monodim
-from repro.core.multidim import synthesize_multidim
 from repro.linalg.vector import Vector
 from repro.lp.problem import LpStatus
+from repro.synthesis.engine import CegisEngine
+from repro.synthesis.oracles import make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 GOLDEN = (
     Path(__file__).parent.parent / "invariants" / "data" / "golden_invariants.json"
@@ -39,6 +41,21 @@ CONFIG = AnalysisConfig(check_certificates=False)
 
 def _problem(automaton):
     return Analysis(automaton, config=CONFIG).problem()
+
+
+def _engine():
+    """The paper's configuration: smt oracle, extremal strategy, batch 1."""
+    return CegisEngine(make_oracle("smt"), make_strategy("extremal"))
+
+
+def _component(problem):
+    return _engine().synthesize_component(LinearTemplate(problem))
+
+
+def _lexicographic(problem, lp_statistics):
+    return _engine().synthesize_lexicographic(
+        LexicographicTemplate(problem), lp_statistics=lp_statistics
+    )
 
 
 def _generator(problem, head):
@@ -159,8 +176,8 @@ class TestAuditModeAcrossTheLoop:
         shadow = ShadowCheck()
         shadow.install(monkeypatch)
         problem = _problem(example1_automaton)
-        result = synthesize_monodim(problem)
-        lp = result.statistics.lp
+        result = _component(problem)
+        lp = result.lp_statistics
         assert shadow.mismatches == []
         assert shadow.pivots["solves"] == lp.instances >= 1
         assert lp.warm_solves + lp.cold_solves == lp.instances
@@ -172,7 +189,7 @@ class TestAuditModeAcrossTheLoop:
         shadow.install(monkeypatch)
         problem = _problem(lexicographic_automaton)
         shared = LpStatistics()
-        result = synthesize_multidim(problem, lp_statistics=shared)
+        result = _lexicographic(problem, shared)
         assert result.success
         assert shadow.mismatches == []
         assert shadow.pivots["solves"] == shared.instances >= 1
@@ -222,8 +239,8 @@ class TestVerdictsAndSavings:
 
     def test_monodim_statistics_carry_lp_counters(self, countdown_automaton):
         problem = _problem(countdown_automaton)
-        result = synthesize_monodim(problem)
-        lp = result.statistics.lp
+        result = _component(problem)
+        lp = result.lp_statistics
         assert lp.instances >= 1
         assert lp.cold_solves == 1  # only the first solve starts cold
         assert lp.warm_solves + lp.cold_solves == lp.instances
@@ -234,11 +251,11 @@ class TestVerdictsAndSavings:
     ):
         problem = _problem(lexicographic_automaton)
         shared = LpStatistics()
-        result = synthesize_multidim(problem, lp_statistics=shared)
+        result = _lexicographic(problem, shared)
         assert result.success
         per_component = LpStatistics()
         for component in result.components:
-            per_component.merge(component.statistics.lp)
+            per_component.merge(component.lp_statistics)
         assert shared.instances == per_component.instances
         assert shared.pivots == per_component.pivots
         assert shared.warm_solves == per_component.warm_solves

@@ -1,48 +1,70 @@
-"""Tests for Algorithms 1–3 at the API level (below the prover driver)."""
+"""Tests for Algorithms 1–3 at the engine level (below the prover driver)."""
 
 
 import pytest
 
 from repro.api import Analysis
-from repro.core.monodim import synthesize_monodim
-from repro.core.multidim import synthesize_multidim
-from repro.synthesis.oracles import avoid_space
 from repro.linalg.vector import Vector
+from repro.metrics import recording
 from repro.smt.solver import SmtSolver
+from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
+from repro.synthesis.oracles import avoid_space, make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
     return Analysis(automaton).problem()
 
 
+def paper_engine(max_iterations=200):
+    """The paper's configuration: smt oracle, extremal strategy, batch 1."""
+    return CegisEngine(
+        make_oracle("smt"),
+        make_strategy("extremal"),
+        max_iterations=max_iterations,
+    )
+
+
+def synthesize_component(problem, max_iterations=200):
+    return paper_engine(max_iterations).synthesize_component(
+        LinearTemplate(problem)
+    )
+
+
+def synthesize_lexicographic(problem, max_dimension=None):
+    return paper_engine().synthesize_lexicographic(
+        LexicographicTemplate(problem, max_dimension=max_dimension)
+    )
+
+
 class TestMonodim:
     def test_example1_strict_component(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        result = synthesize_monodim(problem)
+        with recording() as counters:
+            result = synthesize_component(problem)
         assert result.strict
         assert not result.is_trivial
-        assert result.statistics.counterexamples >= 1
+        assert counters["synthesis.engine.counterexamples"] >= 1
 
     def test_stutter_gives_non_strict(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         assert not result.strict
 
     def test_lexicographic_needs_more_than_one_dimension(
         self, lexicographic_automaton
     ):
         problem = build_problem(lexicographic_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         # A single component cannot strictly decrease both transitions unless
         # it cleverly combines them; either way it must be a quasi component.
         assert result.ranking is not None
 
     def test_iteration_budget_enforced(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        from repro.core.monodim import MaxIterationsExceeded
-
         with pytest.raises(MaxIterationsExceeded):
-            synthesize_monodim(problem, max_iterations=0)
+            synthesize_component(problem, max_iterations=0)
 
 
 class TestAvoidSpace:
@@ -88,24 +110,24 @@ class TestAvoidSpace:
 class TestMultidim:
     def test_example1_dimension_one(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert outcome.success
         assert outcome.dimension == 1
 
     def test_lexicographic_success(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert outcome.success
         assert 1 <= outcome.dimension <= 2
 
     def test_failure_reported(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert not outcome.success
         assert outcome.ranking is None
 
     def test_max_dimension_cap(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
-        outcome = synthesize_multidim(problem, max_dimension=1)
+        outcome = synthesize_lexicographic(problem, max_dimension=1)
         # With the cap at 1 the synthesis either finds a 1-D witness or fails.
         assert outcome.dimension <= 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.frontend.lowering import compile_program
+from repro.metrics import recording
 from repro.nontermination import synthesize_recurrence
 from repro.synthesis.engine import SynthesisCancelled
 
@@ -83,7 +84,7 @@ class TestSeams:
             _synthesize(COUNTUP, should_stop=lambda: True)
 
     def test_statistics_surface_in_result(self):
-        outcome = _synthesize(COUNTUP)
-        statistics = outcome.statistics.to_dict()
-        assert statistics["candidates"] >= 1
-        assert outcome.iterations == statistics["refinements"]
+        with recording() as counters:
+            outcome = _synthesize(COUNTUP)
+        assert counters["nontermination.engine.candidates"] >= 1
+        assert outcome.iterations == counters["nontermination.engine.refinements"]

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.checking.farkas import Refutation, decide_system
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
+from repro.metrics import recording
 from repro.polyhedra import projection
 
 NAMES = ["a", "b", "c", "d"]
@@ -84,46 +85,50 @@ class TestPrunedMatchesNaive:
 class TestPruningActuallyPrunes:
     def test_dominated_rows_counted_as_saved_lp_calls(self):
         x, y = var("x"), var("y")
-        before = projection.statistics.snapshot()
-        result = projection.remove_redundant(
-            [x <= 1, x <= 5, x <= 9, y >= 0]
-        )
+        with recording() as counters:
+            result = projection.remove_redundant(
+                [x <= 1, x <= 5, x <= 9, y >= 0]
+            )
         assert len(result) == 2
         # x ≤ 5 and x ≤ 9 are syntactically dominated by x ≤ 1: two LP
         # solves the previous implementation would have paid.
-        assert projection.lp_calls_saved_since(before) >= 2
+        assert counters["polyhedra.projection.lp_calls_saved"] == 2
 
     def test_kohler_prunes_on_dense_eliminations(self):
-        rng = random.Random(3)
-        before = projection.statistics.rows_pruned_kohler
-        for seed in range(40):
-            rng = random.Random(seed)
-            system = _random_system(rng, 8)
-            projection.fourier_motzkin(system, NAMES[:3], simplify=True)
-        assert projection.statistics.rows_pruned_kohler > before
+        with recording() as counters:
+            for seed in range(40):
+                rng = random.Random(seed)
+                system = _random_system(rng, 8)
+                projection.fourier_motzkin(system, NAMES[:3], simplify=True)
+        assert counters["polyhedra.projection.rows_pruned_kohler"] > 0
 
     def test_duplicate_constraints_not_counted_as_saved(self):
         # Duplicates were always dropped without an LP (the seen-set
         # existed pre-kernel), so they prune rows without crediting
         # lp_calls_saved.
         x = var("x")
-        before = projection.statistics.snapshot()
-        pruned_before = projection.statistics.rows_pruned_syntactic
-        result = projection.remove_redundant([x <= 1, 2 * x <= 2])
+        with recording() as counters:
+            result = projection.remove_redundant([x <= 1, 2 * x <= 2])
         assert len(result) == 1
-        assert projection.lp_calls_saved_since(before) == 0
-        assert projection.statistics.rows_pruned_syntactic > pruned_before
+        assert "polyhedra.projection.lp_calls_saved" not in counters
+        assert counters["polyhedra.projection.rows_pruned_syntactic"] == 1
 
 
 class TestStatisticsSchema:
     def test_to_dict_keys(self):
-        document = projection.statistics.to_dict()
-        assert {
-            "variables_eliminated",
-            "combinations",
-            "lp_calls",
-            "lp_calls_saved",
-            "rows_pruned_syntactic",
-            "rows_pruned_kohler",
-            "rows_eliminated",
-        } <= set(document)
+        # Every projection counter is named polyhedra.projection.<event>.
+        with recording() as counters:
+            for seed in range(40):
+                system = _random_system(random.Random(seed), 8)
+                projection.fourier_motzkin(system, NAMES[:3], simplify=True)
+        assert set(counters) == {
+            "polyhedra.projection." + name
+            for name in (
+                "variables_eliminated",
+                "combinations",
+                "lp_calls",
+                "lp_calls_saved",
+                "rows_pruned_syntactic",
+                "rows_pruned_kohler",
+            )
+        }

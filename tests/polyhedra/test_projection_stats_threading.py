@@ -1,12 +1,11 @@
-"""Thread isolation of the FM projection statistics.
+"""Thread isolation of the FM projection counters.
 
-The module-level ``projection.statistics`` handle is a thread-local
-proxy: concurrent projections (the ``nonterm=auto`` race runs two
-provers in one process) must never interleave counter increments or
-fold each other's ``lp_calls_saved`` into their results.  These tests
-run identical projection workloads concurrently and assert every thread
-observed exactly the counters of its *own* work — byte-identical to a
-solo run of the same workload.
+:mod:`repro.metrics` recordings are thread-local: concurrent projections
+(the ``nonterm=auto`` race runs two provers in one process) must never
+interleave counter increments or fold each other's ``lp_calls_saved``
+into their results.  These tests run identical projection workloads
+concurrently and assert every thread recorded exactly the counters of
+its *own* work — identical to a solo run of the same workload.
 """
 
 import threading
@@ -15,8 +14,8 @@ from fractions import Fraction
 from repro.api import AnalysisConfig, AnalysisRequest, analyze
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.polyhedra import projection
-from repro.polyhedra.projection import fourier_motzkin, lp_calls_saved_since
+from repro.metrics import recording
+from repro.polyhedra.projection import fourier_motzkin
 
 NESTED = """
 var i, j, n;
@@ -63,12 +62,11 @@ class TestCounterIsolation:
         observed = {}
 
         def run(label):
-            snapshot = projection.statistics.snapshot()
-            barrier.wait()
-            for _ in range(repeats):
-                _workload()
-            after = projection.statistics.snapshot()
-            observed[label] = tuple(b - a for a, b in zip(snapshot, after))
+            with recording() as counters:
+                barrier.wait()
+                for _ in range(repeats):
+                    _workload()
+            observed[label] = counters
 
         threads = [
             threading.Thread(target=run, args=(name,))
@@ -80,26 +78,22 @@ class TestCounterIsolation:
             thread.join()
 
         # Solo baseline on this (third) thread.
-        solo_before = projection.statistics.snapshot()
-        for _ in range(repeats):
-            _workload()
-        solo = tuple(
-            b - a
-            for a, b in zip(solo_before, projection.statistics.snapshot())
-        )
+        with recording() as solo:
+            for _ in range(repeats):
+                _workload()
 
         assert observed["first"] == solo
         assert observed["second"] == solo
         # The workload is non-trivial (the counters actually moved).
-        assert any(delta > 0 for delta in solo)
+        assert solo["polyhedra.projection.lp_calls_saved"] >= repeats
+        assert solo["polyhedra.projection.variables_eliminated"] > 0
 
     def test_other_threads_do_not_disturb_a_snapshot(self):
-        snapshot = projection.statistics.snapshot()
-        worker = threading.Thread(target=_workload)
-        worker.start()
-        worker.join()
-        assert lp_calls_saved_since(snapshot) == 0
-        assert projection.statistics.snapshot() == snapshot
+        with recording() as counters:
+            worker = threading.Thread(target=_workload)
+            worker.start()
+            worker.join()
+        assert counters == {}
 
 
 class TestConcurrentProvers:
@@ -107,7 +101,7 @@ class TestConcurrentProvers:
         """Two concurrent analyses must report the same savings as one."""
         config = AnalysisConfig()
         request = AnalysisRequest(program=NESTED, tool="termite", config=config)
-        solo = analyze(request).lp_statistics.redundancy_lp_saved
+        solo = analyze(request).metrics
 
         results = {}
         barrier = threading.Barrier(2)
@@ -116,7 +110,7 @@ class TestConcurrentProvers:
             barrier.wait()
             results[label] = analyze(
                 AnalysisRequest(program=NESTED, tool="termite", config=config)
-            ).lp_statistics.redundancy_lp_saved
+            ).metrics
 
         threads = [
             threading.Thread(target=run, args=(name,))
@@ -127,5 +121,6 @@ class TestConcurrentProvers:
         for thread in threads:
             thread.join()
 
+        assert solo["polyhedra.projection.lp_calls_saved"] > 0
         assert results["first"] == solo
         assert results["second"] == solo

@@ -184,6 +184,15 @@ class TestKernelEraPayloads:
         assert result.provenance.key == KERNEL_ERA["result"]["provenance"]["key"]
         assert AnalysisResult.from_json(result.to_json()) == result
 
+    def test_payload_without_metrics_loads_empty(self):
+        # The payload predates AnalysisResult.metrics (and still carries
+        # the removed redundancy_lp_saved counter).
+        assert "metrics" not in KERNEL_ERA["result"]
+        assert "redundancy_lp_saved" in KERNEL_ERA["result"]["lp"]
+        result = AnalysisResult.from_dict(KERNEL_ERA["result"])
+        assert result.metrics == {}
+        assert "redundancy_lp_saved" not in result.to_dict()["lp"]
+
     def test_disk_entry_under_the_old_key_simply_misses(self, tmp_path):
         # ``kernel`` and ``lp_mode`` left the config JSON, so the content
         # address moved.

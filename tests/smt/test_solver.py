@@ -3,6 +3,7 @@
 
 from repro.linexpr.expr import var
 from repro.linexpr.formula import And, Exists, Or
+from repro.metrics import recording
 from repro.smt.solver import SmtSolver
 
 x, y, z = var("x"), var("y"), var("z")
@@ -69,8 +70,12 @@ class TestUnsat:
     def test_statistics_recorded(self):
         solver = SmtSolver()
         solver.assert_formula(And([x >= 3, Or([x <= 1, x <= 2])]))
-        solver.check()
-        assert solver.statistics["theory_calls"] >= 1
+        with recording() as counters:
+            solver.check()
+        assert counters["smt.solver.theory_calls"] >= 1
+        assert counters["smt.solver.sat_calls"] == (
+            counters["smt.solver.theory_calls"] + 1
+        )
 
 
 class TestEnumeration:

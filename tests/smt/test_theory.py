@@ -10,6 +10,7 @@ from repro.checking.farkas import is_infeasible, tighten_integer_strict
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.linexpr.formula import And, Or
+from repro.metrics import recording
 from repro.smt.solver import SmtSolver
 from repro.smt.theory import check_conjunction
 
@@ -213,23 +214,27 @@ class TestCertificateCheck:
         tampered(lambda weights: [-weight for weight in weights])
         solver = SmtSolver()
         solver.assert_formula(And([x >= 3, x <= 1]))
-        assert solver.check().is_unsat
-        assert solver.statistics["core_fallbacks"] == 1
-        assert solver.statistics["farkas_cores"] == 0
+        with recording() as counters:
+            assert solver.check().is_unsat
+        assert counters["smt.solver.core_fallbacks"] == 1
+        assert "smt.solver.farkas_cores" not in counters
 
     def test_integer_gap_falls_back(self):
         solver = SmtSolver(integer_variables=["x"])
         solver.assert_formula(And([(2 * x).eq(1), y >= 0]))
-        assert solver.check().is_unsat
-        assert solver.statistics["core_fallbacks"] == 1
-        assert solver.statistics["farkas_cores"] == 0
+        with recording() as counters:
+            assert solver.check().is_unsat
+        assert counters["smt.solver.core_fallbacks"] == 1
+        assert "smt.solver.farkas_cores" not in counters
 
     def test_certified_cores_are_counted(self):
         solver = SmtSolver()
         solver.assert_formula(And([x >= 3, Or([x <= 1, x <= 2]), y >= 0]))
-        assert solver.check().is_unsat
-        assert solver.statistics["farkas_cores"] == 2
-        assert solver.statistics["core_fallbacks"] == 0
+        with recording() as counters:
+            assert solver.check().is_unsat
+        assert counters["smt.solver.farkas_cores"] == 2
+        assert counters["smt.solver.theory_conflicts"] == 2
+        assert "smt.solver.core_fallbacks" not in counters
 
 
 def test_program_theory_calls_pinned(monkeypatch):

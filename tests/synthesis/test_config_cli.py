@@ -157,9 +157,14 @@ class TestRemovedAliases:
     """The PR-5 deprecation shims are gone; repro.synthesis is the one path."""
 
     def test_core_avoid_space_alias_removed(self):
-        import repro.core.monodim as monodim
+        # The whole repro.core.monodim shim is gone, not just the alias.
+        import importlib
 
-        assert not hasattr(monodim, "avoid_space")
+        import repro.core
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.monodim")
+        assert not hasattr(repro.core, "avoid_space")
         from repro.synthesis.oracles import avoid_space  # noqa: F401
 
     def test_eager_generator_aliases_removed(self):
