@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.smt.optimize import SearchMode
 from repro.synthesis.oracles import ORACLE_NAMES
-from repro.synthesis.strategies import STRATEGY_NAMES
 
 #: Valid values of :attr:`AnalysisConfig.smt_mode`.
 SMT_MODES = tuple(mode.value for mode in SearchMode)
@@ -40,17 +39,30 @@ DOMAINS = ("polyhedra", "intervals")
 CEX_ORACLES = tuple(ORACLE_NAMES)
 
 #: Valid values of :attr:`AnalysisConfig.cex_strategy`.
-CEX_STRATEGIES = tuple(STRATEGY_NAMES)
+CEX_STRATEGIES = ("extremal", "arbitrary")
 
 #: Valid values of :attr:`AnalysisConfig.nonterm`.
 NONTERM_MODES = ("off", "auto", "only")
 
-#: Removed fields and the values they could hold: :meth:`AnalysisConfig.
-#: from_dict` drops such a key when its value is one of them, so configs
-#: and requests serialised before the removal still load.
+
+def _one_of(*values):
+    return "one of " + ", ".join(values), lambda value: value in values
+
+
+#: Removed fields, each with a description and a test of the values it
+#: could hold without changing the analysis: :meth:`AnalysisConfig.
+#: from_dict` drops such a key when its value passes, so configs and
+#: requests serialised before the removal still load.  ``cex_batch`` only
+#: ever added rows beyond the first, and ``oracle_seed`` only seeded the
+#: deleted ``sampling`` oracle and ``random`` strategy.
 _LEGACY_FIELDS = {
-    "kernel": ("auto", "packed", "exact"),
-    "lp_mode": ("incremental", "cold", "audit"),
+    "kernel": _one_of("auto", "packed", "exact"),
+    "lp_mode": _one_of("incremental", "cold", "audit"),
+    "cex_batch": ("1", lambda value: type(value) is int and value == 1),
+    "oracle_seed": (
+        "a nonnegative int",
+        lambda value: type(value) is int and value >= 0,
+    ),
 }
 
 
@@ -84,18 +96,13 @@ class AnalysisConfig:
     #: ``"intervals"``.
     domain: str = "polyhedra"
     #: Counterexample oracle of the CEGIS engine: ``"smt"`` (the paper's
-    #: optimising extremal-point query), ``"dd"`` (double-description
-    #: vertex/ray enumeration) or ``"sampling"`` (seeded interior points).
+    #: optimising extremal-point query) or ``"dd"`` (double-description
+    #: vertex/ray enumeration).
     cex_oracle: str = "smt"
-    #: Counterexample selection strategy: ``"extremal"`` (the paper's
-    #: choice), ``"arbitrary"`` (first found, no optimisation) or
-    #: ``"random"`` (seeded pick) — the §4.2 ablation axis.
+    #: Which counterexample the oracle returns: ``"extremal"`` (the
+    #: paper's choice, the most violating one) or ``"arbitrary"`` (first
+    #: found, no optimisation) — the §4.2 ablation axis.
     cex_strategy: str = "extremal"
-    #: LP rows added per refinement iteration (batched refinement; 1
-    #: replays the paper's one-row-per-counterexample loop).
-    cex_batch: int = 1
-    #: Seed of the sampling oracle and the random strategy.
-    oracle_seed: int = 0
     #: Nontermination analysis: ``"off"`` (termination only — the
     #: historical behaviour), ``"auto"`` (race recurrence-set synthesis
     #: against termination; first definitive verdict wins) or ``"only"``
@@ -154,19 +161,6 @@ class AnalysisConfig:
             % (", ".join(CEX_STRATEGIES), self.cex_strategy),
         )
         _require(
-            isinstance(self.cex_batch, int)
-            and not isinstance(self.cex_batch, bool)
-            and self.cex_batch >= 1,
-            "cex_batch must be a positive int, got %r" % (self.cex_batch,),
-        )
-        _require(
-            isinstance(self.oracle_seed, int)
-            and not isinstance(self.oracle_seed, bool)
-            and self.oracle_seed >= 0,
-            "oracle_seed must be a nonnegative int, got %r"
-            % (self.oracle_seed,),
-        )
-        _require(
             self.nonterm in NONTERM_MODES,
             "nonterm must be one of %s, got %r"
             % (", ".join(NONTERM_MODES), self.nonterm),
@@ -202,9 +196,9 @@ class AnalysisConfig:
 
         Unknown keys are rejected (a config written by a newer version
         must not be silently misread), missing keys take their defaults.
-        A legacy ``"kernel"`` or ``"lp_mode"`` key is dropped when its
-        value is one the removed field could hold (:data:`_LEGACY_FIELDS`)
-        and rejected otherwise.
+        A legacy ``"kernel"``, ``"lp_mode"``, ``"cex_batch"`` or
+        ``"oracle_seed"`` key is dropped when its value passes the removed
+        field's test (:data:`_LEGACY_FIELDS`) and rejected otherwise.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a dict, got %r" % type(data).__name__)
@@ -212,12 +206,11 @@ class AnalysisConfig:
         if legacy_keys:
             data = dict(data)
             for key in legacy_keys:
-                values = _LEGACY_FIELDS[key]
+                expected, accepts = _LEGACY_FIELDS[key]
                 legacy = data.pop(key)
                 _require(
-                    legacy in values,
-                    "%s (removed) must be one of %s, got %r"
-                    % (key, ", ".join(values), legacy),
+                    accepts(legacy),
+                    "%s (removed) must be %s, got %r" % (key, expected, legacy),
                 )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)

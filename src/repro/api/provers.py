@@ -45,16 +45,15 @@ from repro.synthesis.engine import (
     SynthesisCancelled,
 )
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.strategies import make_strategy
 from repro.synthesis.templates import LexicographicTemplate
 
 
 class TermiteProver(Prover):
     """The paper's contribution: lazy, counterexample-guided synthesis.
 
-    The counterexample source and refinement policy are swappable
-    through ``config.cex_oracle`` / ``cex_strategy`` / ``cex_batch`` /
-    ``oracle_seed`` (see :mod:`repro.synthesis`); *observer*, when
+    The counterexample source and the extremal/arbitrary choice are
+    swappable through ``config.cex_oracle`` / ``cex_strategy`` (see
+    :mod:`repro.synthesis`); *observer*, when
     given, receives the engine's per-iteration
     :class:`~repro.synthesis.engine.CegisEvent` stream.
     """
@@ -123,12 +122,8 @@ class TermiteProver(Prover):
             max_dimension=config.max_dimension,
         )
         engine = CegisEngine(
-            make_oracle(config.cex_oracle, seed=config.oracle_seed),
-            make_strategy(
-                config.cex_strategy,
-                batch=config.cex_batch,
-                seed=config.oracle_seed,
-            ),
+            make_oracle(config.cex_oracle),
+            extremal=config.cex_strategy == "extremal",
             max_iterations=config.max_iterations,
             observers=(observer,) if observer is not None else (),
             should_stop=should_stop,
@@ -138,10 +133,13 @@ class TermiteProver(Prover):
                 template, lp_statistics=lp_statistics
             )
         except MaxIterationsExceeded as error:
+            # One oracle query per iteration: the queries are the
+            # iterations of every component, the aborted one included.
             return AnalysisResult(
                 tool=self.name,
                 status=AnalysisStatus.UNKNOWN,
                 time_seconds=time.perf_counter() - start,
+                iterations=lp_statistics.oracle_queries,
                 lp_statistics=lp_statistics,
                 message=str(error),
             )

@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #:
 #: ``certificates``    — :meth:`Prover.certify` performs a real check;
 #: ``cex-oracles``     — honours :attr:`AnalysisConfig.cex_oracle`;
-#: ``cex-strategies``  — honours ``cex_strategy`` / ``cex_batch`` /
-#:                       ``oracle_seed``;
+#: ``cex-strategies``  — honours ``cex_strategy`` (extremal or arbitrary
+#:                       counterexamples);
 #: ``max-dimension``   — honours ``max_dimension``;
 #: ``events``          — :meth:`Prover.prove` accepts an ``observer``
 #:                       keyword receiving per-iteration engine events;

@@ -102,21 +102,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(CEX_STRATEGIES),
         default=None,
         help="counterexample selection strategy (default: extremal; "
-        "'arbitrary'/'random' are the paper's ablation)",
-    )
-    group.add_argument(
-        "--cex-batch",
-        type=int,
-        metavar="K",
-        default=None,
-        help="LP rows added per refinement iteration (default: 1)",
-    )
-    group.add_argument(
-        "--oracle-seed",
-        type=int,
-        metavar="N",
-        default=None,
-        help="seed of the sampling oracle / random strategy (default: 0)",
+        "'arbitrary' is the paper's ablation)",
     )
     group.add_argument("--max-iterations", type=int, metavar="N", default=None)
     group.add_argument("--max-dimension", type=int, metavar="N", default=None)
@@ -164,8 +150,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
-        ("cex_batch", "cex_batch"),
-        ("oracle_seed", "oracle_seed"),
         ("max_iterations", "max_iterations"),
         ("max_dimension", "max_dimension"),
         ("nonterm", "nonterm"),
@@ -827,7 +811,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "suites",
         nargs="*",
         metavar="SUITE",
-        help="suites to run (default: the five default suites; 'service' "
+        help="suites to run (default: the four default suites; 'service' "
         "measures the resident front door).  A partial selection merges "
         "into the existing JSON report instead of replacing it.  "
         "Choices: %s" % ", ".join(sorted(SUITE_RUNNERS)),

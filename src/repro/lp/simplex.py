@@ -911,13 +911,13 @@ class SimplexState:
     dual-simplex basis-repair pass for the whole batch, not one per row:
     every pending row is installed first, and a single
     :meth:`_Tableau.dual_optimize` run restores primal feasibility for
-    all of them (``dual_repair_passes`` / ``last_repair_passes`` count
-    the passes so the ``cex_batch`` ablation can assert this).  When the
-    objective change since the last solve only *added* terms on columns
-    that are still nonbasic — the shape of every batched counterexample
-    iteration, whose fresh δ columns carry the new objective terms — the
-    repricing is a constant-size cost-row update instead of a full
-    re-elimination against the basis (``incremental_repricings``).
+    all of them (a CEGIS iteration's vertex and ray rows arrive
+    together).  When the objective change since the last solve only
+    *added* terms on columns that are still nonbasic — the shape of every
+    counterexample iteration, whose fresh δ columns carry the new
+    objective terms — the repricing is a constant-size cost-row update
+    instead of a full re-elimination against the basis
+    (``incremental_repricings``).
     """
 
     def __init__(self, sense: Sense = Sense.MINIMIZE):
@@ -940,8 +940,6 @@ class SimplexState:
         self.total_pivots = 0
         self.last_solve_pivots = 0
         self.last_solve_warm = False
-        self.dual_repair_passes = 0
-        self.last_repair_passes = 0
         self.incremental_repricings = 0
 
     # -- construction ----------------------------------------------------------
@@ -1085,8 +1083,7 @@ class SimplexState:
         # one ≤ row per direction), eliminated against the current basis;
         # a negative right-hand side is precisely what the dual simplex
         # repairs next.  The whole batch is installed before any repair
-        # pivot runs, so a ``cex_batch = k`` iteration pays one repair
-        # pass, not k.
+        # pivot runs, so k appended rows pay one repair pass, not k.
         for constraint in self._pending_constraints:
             expressions = [constraint.expr]
             if constraint.relation is Relation.EQ:
@@ -1106,8 +1103,6 @@ class SimplexState:
         # 3. Restore primal feasibility under the previously-priced
         # objective (for which the basis is dual feasible): one multi-row
         # dual-simplex repair pass for the whole appended batch.
-        self.dual_repair_passes += 1
-        self.last_repair_passes = 1
         status = tableau.dual_optimize(self._allowed)
         if status == "infeasible":
             self._record(tableau.pivot_count - start_pivots, warm=True)

@@ -1,6 +1,6 @@
 """The measured-performance micro-suite behind ``repro bench``.
 
-Five suites, cheapest first, each returning a plain dict that
+Four suites, cheapest first, each returning a plain dict that
 serialises into ``BENCH_kernel.json``.  The goal is a *committed*
 performance trajectory: every claim about the exact LP kernel — and
 about the CEGIS oracle/strategy ablation — is a number in the
@@ -15,12 +15,9 @@ repository, not an assertion in a docstring.
   proved by the paper's lazy prover (the same slice
   ``bench_lp_size_rank_vs_termite.py`` measures), with total pivots.
 * ``cegis_ablation`` — the same WTC slice once per counterexample
-  oracle × strategy variant (extremal / arbitrary / random; SMT, DD
-  enumeration, sampling), reporting iterations, LP rows and wall time —
-  the paper's §4.2 ablation as one committed number series.
-* ``cex_batch_ablation`` — the batched-counterexample knob
-  (``cex_batch`` ∈ {1, 2, 4, 8}) over the WTC slice: iterations, LP
-  rows, dual-repair passes and wall time per batch size.
+  oracle × strategy point (SMT or DD enumeration × extremal or
+  arbitrary), reporting iterations, LP rows and wall time — the paper's
+  §4.2 ablation as one committed number series.
 
 Reachable as ``repro bench``, ``python -m repro bench`` and
 ``python benchmarks/perf_kernel.py``.
@@ -200,26 +197,24 @@ def bench_table1_slice(quick: bool = False) -> Dict:
 
 
 #: The oracle × strategy points of the ``cegis_ablation`` suite: the
-#: paper's default, the two §4.2 counterexample-selection ablations, and
-#: the two alternative oracles.
+#: paper's §4.2 extremal-vs-arbitrary axis on both oracles.
 CEGIS_ABLATION_VARIANTS = (
     ("smt", "extremal"),
     ("smt", "arbitrary"),
-    ("smt", "random"),
     ("dd", "extremal"),
-    ("sampling", "random"),
+    ("dd", "arbitrary"),
 )
 
 
 def bench_cegis_ablation(quick: bool = False, seed: int = 0) -> Dict:
-    """Extremal vs. arbitrary vs. random counterexamples, end to end.
+    """Extremal vs. arbitrary counterexamples on both oracles, end to end.
 
     Runs the WTC Table-1 slice (the same terminating programs as
     ``table1_wtc``) through the lazy prover once per oracle × strategy
-    variant and reports the quantities the paper's ablation compares:
+    point and reports the quantities the paper's ablation compares:
     refinement iterations, LP rows (one per counterexample), and wall
-    time.  Every variant must prove the same programs — the strategies
-    change the *cost*, never the verdict.
+    time.  Every point must prove the same programs — the ablation
+    changes the *cost*, never the verdict.
     """
     from repro.api import AnalysisConfig, analyze
     from repro.benchsuite import get_suite
@@ -234,7 +229,6 @@ def bench_cegis_ablation(quick: bool = False, seed: int = 0) -> Dict:
             check_certificates=False,
             cex_oracle=oracle,
             cex_strategy=strategy,
-            oracle_seed=seed,
         )
         proved = iterations = lp_rows = oracle_queries = 0
         started = time.perf_counter()
@@ -267,77 +261,6 @@ def bench_cegis_ablation(quick: bool = False, seed: int = 0) -> Dict:
         "wall_seconds": round(total, 4),
         "programs": len(programs),
         "variants": variants,
-    }
-
-
-#: The row-batch sizes of the ``cex_batch_ablation`` suite.
-CEX_BATCH_POINTS = (1, 2, 4, 8)
-
-
-def bench_cex_batch_ablation(quick: bool = False, seed: int = 0) -> Dict:
-    """Batched refinement: ``cex_batch`` ∈ {1, 2, 4, 8} over the WTC slice.
-
-    Each iteration of a ``cex_batch = k`` run appends up to ``k``
-    counterexample rows and pays **one** dual-simplex repair pass (the
-    multi-row repair of ``SimplexState``) instead of ``k``.  The DD
-    enumeration oracle supplies many candidates per query, which is the
-    regime batching targets.  Every point must prove the same programs —
-    batching changes the cost, never the verdict.
-    """
-    from repro.api import AnalysisConfig, analyze
-    from repro.benchsuite import get_suite
-
-    programs = [p for p in get_suite("wtc") if p.terminating]
-    programs = programs[:2] if quick else programs[:4]
-
-    points: List[Dict] = []
-    total = 0.0
-    proved_by_batch = []
-    for batch in CEX_BATCH_POINTS:
-        config = AnalysisConfig(
-            check_certificates=False,
-            cex_oracle="dd",
-            cex_batch=batch,
-            oracle_seed=seed,
-        )
-        proved = iterations = lp_rows = 0
-        pivots = warm = 0
-        started = time.perf_counter()
-        for program in programs:
-            result = analyze(
-                program.build(), tool="termite", config=config,
-                name=program.name,
-            )
-            proved += int(result.proved)
-            iterations += result.iterations
-            lp_rows += result.lp_statistics.cex_rows
-            pivots += result.lp_statistics.pivots
-            warm += result.lp_statistics.warm_solves
-        wall = time.perf_counter() - started
-        total += wall
-        proved_by_batch.append(proved)
-        points.append(
-            {
-                "cex_batch": batch,
-                "programs": len(programs),
-                "proved": proved,
-                "iterations": iterations,
-                "lp_rows": lp_rows,
-                "pivots": pivots,
-                "warm_solves": warm,
-                "wall_seconds": round(wall, 4),
-            }
-        )
-    if len(set(proved_by_batch)) != 1:
-        raise AssertionError(
-            "cex_batch changed a verdict: proved counts %r" % proved_by_batch
-        )
-
-    return {
-        "suite": "cex_batch_ablation",
-        "wall_seconds": round(total, 4),
-        "programs": len(programs),
-        "points": points,
     }
 
 
@@ -400,7 +323,8 @@ def bench_service(quick: bool = False, seed: int = 0) -> Dict:
     connections:
 
     * **cold** — every request carries a distinct cache key (the same
-      programs under distinct ``oracle_seed`` configs), so each one pays
+      programs under distinct ``max_iterations`` budgets, none of them
+      reached), so each one pays
       a full analysis in the worker pool;
     * **warm** — the identical requests again, so every one is a cache
       hit re-validated by the independent checker before serving.
@@ -440,7 +364,7 @@ def bench_service(quick: bool = False, seed: int = 0) -> Dict:
     requests = [
         AnalysisRequest(
             program=program.source,
-            config=AnalysisConfig(oracle_seed=seed + variant),
+            config=AnalysisConfig(max_iterations=200 + seed + variant),
             name="%s@%d" % (program.name, variant),
         )
         for program in programs
@@ -610,7 +534,7 @@ def bench_service_chaos(quick: bool = False, seed: int = 0) -> Dict:
     requests = [
         AnalysisRequest(
             program=program.source,
-            config=AnalysisConfig(oracle_seed=seed + variant),
+            config=AnalysisConfig(max_iterations=200 + seed + variant),
             name="%s@%d" % (program.name, variant),
         )
         for program in programs
@@ -796,13 +720,12 @@ def bench_service_chaos(quick: bool = False, seed: int = 0) -> Dict:
 #: (``repro bench service nonterm service_chaos``): the first forks a
 #: worker pool, the second proves the nonterminating corpus slice end to
 #: end, and the third injects faults into live servers, so the default
-#: ``repro bench`` run keeps the five-suite document.
+#: ``repro bench`` run keeps the four-suite document.
 SUITE_RUNNERS = {
     "simplex": bench_simplex,
     "projection": bench_projection,
     "table1_wtc": lambda quick, seed: bench_table1_slice(quick=quick),
     "cegis_ablation": bench_cegis_ablation,
-    "cex_batch_ablation": bench_cex_batch_ablation,
     "service": bench_service,
     "nonterm": bench_nonterm,
     "service_chaos": bench_service_chaos,
@@ -814,7 +737,6 @@ DEFAULT_SUITES = (
     "projection",
     "table1_wtc",
     "cegis_ablation",
-    "cex_batch_ablation",
 )
 
 

@@ -1,6 +1,6 @@
 """The generic CEGIS synthesis engine (Algorithms 1–3 of the paper).
 
-The paper's counterexample-guided loop lives here, decomposed into four
+The paper's counterexample-guided loop lives here, decomposed into three
 swappable pieces:
 
 * a **template** (:mod:`repro.synthesis.templates`) — the candidate space
@@ -8,22 +8,21 @@ swappable pieces:
   lexicographic composition rules of Algorithm 2;
 * a **counterexample oracle** (:mod:`repro.synthesis.oracles`) — where
   counterexamples come from: the paper's optimising-SMT extremal-point
-  search, double-description generator enumeration, or seeded sampling;
-* a **refinement strategy** (:mod:`repro.synthesis.strategies`) — which
-  of the oracle's candidates are turned into LP rows each iteration
-  (extremal / arbitrary / random selection, one row or a batch of ``k``);
+  search or double-description generator enumeration, each asked for
+  an extremal or an arbitrary counterexample;
 * **budgets and observers** — the iteration cap and a per-iteration event
   stream the analysis pipeline surfaces to its callers.
 
-With the default configuration (``smt`` oracle, ``extremal`` strategy,
-batch 1) the engine replays the seed loop of the paper decision for
-decision: one optimising SMT query per iteration, one generator row per
-counterexample, flat directions accumulated into the ``AvoidSpace``
-basis.  Every other oracle × strategy combination is an ablation the
-paper discusses (§4.2: extremal vs. arbitrary counterexamples) or an
-eager/lazy hybrid, and all of them are sound: the loop only concludes
-from LP facts about genuine transition points and from oracle
-exhaustion, which every oracle backs with a complete check.
+Each iteration adds the one witness group the oracle returns (a vertex,
+plus its ray when the candidate is unbounded), as in the paper.  With
+the default configuration (``smt`` oracle, extremal counterexamples) the
+engine is the paper's loop: one optimising SMT query per iteration, one
+generator row per counterexample, flat directions accumulated into the
+``AvoidSpace`` basis.  Arbitrary counterexamples are the paper's §4.2
+ablation and ``dd`` an eager/lazy hybrid; all combinations are sound:
+the loop only concludes from LP facts about genuine transition points
+and from oracle exhaustion, which every oracle backs with a complete
+check.
 
 :func:`eliminate_lexicographic` is the second loop shape the repository
 kept re-implementing — the greedy "synthesise a component, discard what
@@ -61,7 +60,7 @@ class MaxIterationsExceeded(RuntimeError):
     With an SMT solver returning generators of the transition polyhedra
     the loop provably terminates (Lemma 1); the budget is a safety net
     for the fallback paths of the reproduction's own OMT layer and for
-    the non-extremal ablation strategies, whose counterexamples are not
+    the non-extremal ablation, whose counterexamples are not
     generators and therefore carry no termination guarantee.
     """
 
@@ -130,18 +129,22 @@ CegisObserver = Callable[[CegisEvent], None]
 
 
 class CegisEngine:
-    """Template + oracle + strategy + budgets, composed into the loop."""
+    """Template + oracle + budgets, composed into the loop.
+
+    ``extremal`` asks the oracle for the most violating counterexample
+    (the paper's choice) instead of an arbitrary one (§4.2 ablation).
+    """
 
     def __init__(
         self,
         oracle,
-        strategy,
+        extremal: bool = True,
         max_iterations: int = 200,
         observers: Sequence[CegisObserver] = (),
         should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.oracle = oracle
-        self.strategy = strategy
+        self.extremal = extremal
         self.max_iterations = max_iterations
         self.should_stop = should_stop
         self._observers: List[CegisObserver] = list(observers)
@@ -180,7 +183,7 @@ class CegisEngine:
           the convex hull of one-step differences, or a ray when the
           objective is unbounded, §4.2) — and
         * the LP ``LP(V, Constraints(I))`` of Definition 11, which gets
-          the rows the strategy selects and recomputes the quasi ranking
+          the oracle's witness rows and recomputes the quasi ranking
           function of maximal termination power over the generators
           collected so far; one warm-started instance stays alive for
           the whole loop (see :mod:`repro.core.lp_instance`),
@@ -207,7 +210,7 @@ class CegisEngine:
             component,
             0,
             oracle=getattr(self.oracle, "name", ""),
-            strategy=getattr(self.strategy, "name", ""),
+            strategy="extremal" if self.extremal else "arbitrary",
         )
         try:
             current, deltas, iterations, vertices = self._refinement_loop(
@@ -252,15 +255,11 @@ class CegisEngine:
         flat_basis: List[Vector],
         component: int,
     ):
-        """Oracle query → strategy selection → LP re-solve, until fixpoint.
+        """Oracle query → LP re-solve, until fixpoint.
 
         Returns the final candidate, its δ values, the iteration count and
         the number of vertex rows added.
         """
-        # Imported here: the oracles module lazily reaches into the
-        # baselines package, which itself builds on this engine.
-        from repro.synthesis.oracles import OracleRequest
-
         current = template.initial_candidate()
         deltas: List[Fraction] = []
         iterations = vertices = 0
@@ -279,36 +278,25 @@ class CegisEngine:
                 )
             objective = template.objective(current)
             lp.oracle_queries += 1
-            groups = self.oracle.find(
-                OracleRequest(
-                    objective=objective,
-                    flat_basis=flat_basis,
-                    want_extremal=self.strategy.wants_extremal,
-                    max_witnesses=self.strategy.batch,
-                )
-            )
-            if not groups:
+            group = self.oracle.find(objective, flat_basis, self.extremal)
+            if group is None:
                 self._emit("iteration", component, iterations, exhausted=True)
                 break
 
-            chosen = self.strategy.select(groups)
-            self.oracle.consumed(chosen)
             vertex_rows: List[Tuple[Vector, int]] = []
             rays_added = 0
-            for group in chosen:
-                for witness in group:
-                    if witness.kind == "vertex":
-                        count("synthesis.engine.counterexamples")
-                        vertices += 1
-                        lp.cex_rows += 1
-                        index = ranking_lp.add_counterexample(witness.vector)
-                        vertex_rows.append((witness.vector, index))
-                    else:
-                        if not witness.vector.is_zero():
-                            count("synthesis.engine.rays")
-                            lp.cex_rows += 1
-                            ranking_lp.add_counterexample(witness.vector)
-                            rays_added += 1
+            for witness in group:
+                if witness.kind == "vertex":
+                    count("synthesis.engine.counterexamples")
+                    vertices += 1
+                    lp.cex_rows += 1
+                    index = ranking_lp.add_counterexample(witness.vector)
+                    vertex_rows.append((witness.vector, index))
+                elif not witness.vector.is_zero():
+                    count("synthesis.engine.rays")
+                    lp.cex_rows += 1
+                    ranking_lp.add_counterexample(witness.vector)
+                    rays_added += 1
 
             solution = ranking_lp.solve()
             deltas = solution.deltas

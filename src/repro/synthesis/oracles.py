@@ -2,27 +2,23 @@
 
 An oracle answers one question: *given the current candidate, produce a
 transition step on which it fails to decrease strictly* — a model of
-``Φ ∧ AvoidSpace(u, B) ∧ λ·u ≤ 0`` — or certify that none exists.  Three
-interchangeable implementations:
+``Φ ∧ AvoidSpace(u, B) ∧ λ·u ≤ 0`` — or certify that none exists.  It
+also owns the paper's §4.2 ablation axis: with ``extremal`` set it
+returns the most violating counterexample it can find, otherwise the
+first one.  Two interchangeable implementations:
 
 * :class:`SmtOptimizingOracle` (``"smt"``) — the paper's oracle: an
   optimising SMT query minimising ``λ·u``, so the witness is *extremal*
   (a vertex of one disjunct of the convex hull of one-step differences,
-  or a ray when the objective is unbounded, §4.2).  With a non-extremal
-  strategy the same query is asked without the minimisation, yielding an
-  arbitrary theory model — the paper's extremal-vs-arbitrary ablation.
+  plus a ray when the objective is unbounded, §4.2).  Without
+  ``extremal`` the same query is asked without the minimisation,
+  yielding an arbitrary theory model.
 * :class:`DdEnumerationOracle` (``"dd"``) — vertex/ray enumeration: the
   generators of every path polyhedron are computed once per component
   with the double-description method of :mod:`repro.polyhedra.dd` and
-  handed out lazily, most useful with batched refinement.  When no
-  un-consumed generator violates the candidate, exhaustion is *confirmed*
-  with one complete SMT query, so verdicts never depend on the
-  enumeration being lossless.
-* :class:`SamplingOracle` (``"sampling"``) — seeded sampling: violating
-  generators are perturbed into interior (deliberately non-extremal)
-  points of their disjunct, exercising the engine on the kind of
-  counterexamples a plain ``get-model`` call would produce.  Exhaustion
-  is SMT-confirmed exactly like the DD oracle.
+  handed out one per query.  When no unused generator violates the
+  candidate, exhaustion is *confirmed* with one complete SMT query, so
+  verdicts never depend on the enumeration being lossless.
 
 Every oracle only ever returns genuine points/rays of the restricted
 transition relation, and only reports exhaustion after a complete check
@@ -32,8 +28,7 @@ transition relation, and only reports exhaustion after a complete check
 from __future__ import annotations
 
 import abc
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +43,7 @@ from repro.metrics import count
 from repro.smt.optimize import OptimizingSmtSolver
 
 #: Registry names of the built-in oracles, in preference order.
-ORACLE_NAMES = ("smt", "dd", "sampling")
+ORACLE_NAMES = ("smt", "dd")
 
 
 # ---------------------------------------------------------------------------
@@ -58,34 +53,20 @@ ORACLE_NAMES = ("smt", "dd", "sampling")
 
 @dataclass
 class Witness:
-    """One counterexample candidate in the stacked ``u`` space.
+    """One counterexample in the stacked ``u`` space.
 
     A ``"vertex"`` witness is a genuine one-step difference vector; a
     ``"ray"`` witness is a recession direction along which the candidate
-    is unbounded.  ``token`` is an oracle-private handle the engine hands
-    back through :meth:`CounterexampleOracle.consumed` once the witness
-    was actually turned into an LP row.
+    is unbounded.  ``origin`` names the oracle that produced it.
     """
 
     vector: Vector
     kind: str  # "vertex" | "ray"
-    objective_value: Optional[Fraction] = None
     origin: str = ""
-    token: Optional[int] = None
 
 
-#: Witnesses that must be added together (an SMT vertex and its ray).
+#: Witnesses that must be added together (a vertex and its ray).
 WitnessGroup = List[Witness]
-
-
-@dataclass
-class OracleRequest:
-    """One engine query: refute *objective* outside ``span(flat_basis)``."""
-
-    objective: LinExpr
-    flat_basis: Sequence[Vector] = ()
-    want_extremal: bool = True
-    max_witnesses: int = 1
 
 
 class CounterexampleOracle(abc.ABC):
@@ -100,16 +81,19 @@ class CounterexampleOracle(abc.ABC):
         self._extra_constraints = list(extra_constraints)
 
     @abc.abstractmethod
-    def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        """Candidate witness groups violating the request's objective.
+    def find(
+        self,
+        objective: LinExpr,
+        flat_basis: Sequence[Vector],
+        extremal: bool = True,
+    ) -> Optional[WitnessGroup]:
+        """One witness group refuting *objective* outside ``span(flat_basis)``.
 
-        An empty list means *exhausted*: no counterexample exists (the
-        component is finished).  Oracles must only return an empty list
-        after a complete check.
+        The group is a vertex, followed by a ray when the candidate is
+        unbounded below along one.  ``None`` means *exhausted*: no
+        counterexample exists (the component is finished); oracles must
+        only return ``None`` after a complete check.
         """
-
-    def consumed(self, groups: Sequence[WitnessGroup]) -> None:
-        """The engine added these groups as LP rows (default: no-op)."""
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +184,26 @@ class SmtOptimizingOracle(CounterexampleOracle):
         solver.assert_formula(objective <= 0)
         return solver
 
-    def find(self, request: OracleRequest) -> List[WitnessGroup]:
+    def find(
+        self,
+        objective: LinExpr,
+        flat_basis: Sequence[Vector],
+        extremal: bool = True,
+    ) -> Optional[WitnessGroup]:
         count("synthesis.oracles.smt_queries")
         problem = self._template.problem
-        solver = self._build_query(request.objective, request.flat_basis)
-        if request.want_extremal:
-            outcome = solver.minimize(request.objective)
+        solver = self._build_query(objective, flat_basis)
+        if extremal:
+            outcome = solver.minimize(objective)
         else:
             # Same query, no minimisation: an arbitrary theory model —
             # the non-extremal half of the paper's §4.2 ablation.
             outcome = solver.check()
         if outcome.is_unsat:
-            return []
+            return None
         witness = problem.difference_vector(outcome.model)
         group: WitnessGroup = [
-            Witness(
-                vector=witness,
-                kind="vertex",
-                objective_value=outcome.objective_value,
-                origin=self.name,
-            )
+            Witness(vector=witness, kind="vertex", origin=self.name)
         ]
         if outcome.unbounded:
             ray = Vector(
@@ -229,7 +213,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
             if not ray.is_zero():
                 group.append(Witness(vector=ray, kind="ray", origin=self.name))
         count("synthesis.oracles.candidates")
-        return [group]
+        return group
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +330,40 @@ def constraint_in_state_space(
 
 @dataclass
 class _Generator:
-    """One enumerated generator with its provenance."""
+    """One enumerated generator with its provenance.
+
+    ``key`` is a total order on generators that depends only on their
+    content (kind, then exact vector entries): it breaks ties between
+    equally violating generators independently of enumeration order.
+    """
 
     vector: Vector
     kind: str  # "vertex" | "ray"
     disjunct: int
+    key: tuple = field(init=False, repr=False, compare=False)
     used: bool = field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.key = (
+            self.kind,
+            tuple((entry.numerator, entry.denominator) for entry in self.vector),
+        )
 
 
 class DdEnumerationOracle(CounterexampleOracle):
-    """Lazy hand-out of eagerly enumerated vertex/ray generators.
+    """One-at-a-time hand-out of eagerly enumerated vertex/ray generators.
 
     The component's restricted transition relation (including the
     lexicographic flatness constraints, translated into each disjunct's
-    state space) is converted to generators once per :meth:`reset`; each
-    :meth:`find` returns the not-yet-consumed generators violating the
-    current candidate.  Exhaustion is confirmed with one complete SMT
-    query, whose witness (if any) is returned like a normal candidate.
+    state space) is converted to generators once per :meth:`reset`.  Each
+    :meth:`find` returns one unused generator violating the current
+    candidate — the most violating one (ties broken by content) when
+    ``extremal`` is set, the first one in enumeration order otherwise —
+    and marks it used.  A violating ray comes with the most violating
+    vertex of its disjunct, as the SMT oracle's rays do: a ray alone
+    carries no point of the relation for the LP to separate.  Exhaustion
+    is confirmed with one complete SMT query, whose witness (if any) is
+    returned like a normal candidate.
     """
 
     name = "dd"
@@ -373,12 +374,6 @@ class DdEnumerationOracle(CounterexampleOracle):
         self._confirmation = SmtOptimizingOracle()
         self._confirmation.reset(template, extra_constraints)
         self._generators = self._enumerate(template, extra_constraints)
-        self._vertices_by_disjunct: Dict[int, List[Vector]] = {}
-        for generator in self._generators:
-            if generator.kind == "vertex":
-                self._vertices_by_disjunct.setdefault(
-                    generator.disjunct, []
-                ).append(generator.vector)
 
     def _enumerate(self, template, extra_constraints) -> List[_Generator]:
         # Imported lazily: the baselines package is built on the engine,
@@ -406,15 +401,17 @@ class DdEnumerationOracle(CounterexampleOracle):
                 generators.append(_Generator(vector, kind, position))
         return generators
 
-    def _violates(
+    def _value(self, generator: _Generator, objective: LinExpr) -> Fraction:
+        return objective_on_vector(objective, generator.vector, self._names)
+
+    def _violation(
         self,
         generator: _Generator,
-        request: OracleRequest,
+        objective: LinExpr,
         flat_basis: List[Vector],
     ) -> Optional[Fraction]:
-        value = objective_on_vector(
-            request.objective, generator.vector, self._names
-        )
+        """``λ·g`` when *generator* refutes the candidate, else ``None``."""
+        value = self._value(generator, objective)
         if generator.kind == "vertex":
             if value > 0:
                 return None
@@ -425,124 +422,53 @@ class DdEnumerationOracle(CounterexampleOracle):
                 return None
         return value
 
-    def _make_group(
+    def find(
         self,
-        index: int,
-        generator: _Generator,
-        value: Fraction,
-        request: OracleRequest,
-    ) -> WitnessGroup:
-        return [
-            Witness(
-                vector=generator.vector,
-                kind=generator.kind,
-                objective_value=value,
-                origin=self.name,
-                token=index,
-            )
-        ]
-
-    def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        groups: List[WitnessGroup] = []
-        flat_basis = list(request.flat_basis)
-        for index, generator in enumerate(self._generators):
+        objective: LinExpr,
+        flat_basis: Sequence[Vector],
+        extremal: bool = True,
+    ) -> Optional[WitnessGroup]:
+        flat_basis = list(flat_basis)
+        violating: List[Tuple[Fraction, _Generator]] = []
+        for generator in self._generators:
             if generator.used:
                 continue
-            value = self._violates(generator, request, flat_basis)
-            if value is None:
-                continue
-            groups.append(self._make_group(index, generator, value, request))
-            if (
-                not request.want_extremal
-                and len(groups) >= request.max_witnesses
-            ):
-                # A non-extremal strategy keeps at most max_witnesses
-                # candidates and does not rank them, so further span/dot
-                # checks would be thrown away.
-                break
-        if groups:
-            count("synthesis.oracles.candidates", len(groups))
-            return groups
-        # No un-consumed generator violates: confirm exhaustion with the
-        # complete query (covers degenerate DD output and interactions
-        # between AvoidSpace and non-generator points).
-        return self._confirmation.find(replace(request, want_extremal=True))
-
-    def consumed(self, groups: Sequence[WitnessGroup]) -> None:
-        for group in groups:
-            for witness in group:
-                if witness.token is not None:
-                    self._generators[witness.token].used = True
-
-
-# ---------------------------------------------------------------------------
-# Seeded sampling oracle
-# ---------------------------------------------------------------------------
-
-
-class SamplingOracle(DdEnumerationOracle):
-    """Interior-point (non-extremal) counterexamples, deterministically seeded.
-
-    Enumerates generators like the DD oracle but perturbs every violating
-    vertex towards another vertex of the same disjunct, returning a point
-    *inside* the path polyhedron whenever one still violates the
-    candidate.  This is the "what if counterexamples are not extremal"
-    scenario of §4.2, reproducible via ``oracle_seed``.
-    """
-
-    name = "sampling"
-
-    #: Mixing weights tried (largest first) when perturbing a vertex.
-    MIX_WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 8))
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._resets = 0
-        self._rng = random.Random(seed)
-
-    def reset(self, template, extra_constraints: Sequence = ()) -> None:
-        super().reset(template, extra_constraints)
-        # Re-seed per component so a run is reproducible from
-        # (oracle_seed, component) alone, independent of query counts.
-        self._rng = random.Random((self.seed + 1) * 1000003 + self._resets)
-        self._resets += 1
-
-    def _make_group(
-        self,
-        index: int,
-        generator: _Generator,
-        value: Fraction,
-        request: OracleRequest,
-    ) -> WitnessGroup:
-        if generator.kind != "vertex":
-            return super()._make_group(index, generator, value, request)
-        partners = [
-            vector
-            for vector in self._vertices_by_disjunct.get(generator.disjunct, [])
-            if vector != generator.vector
-        ]
-        point, point_value = generator.vector, value
-        if partners:
-            partner = self._rng.choice(partners)
-            for weight in self.MIX_WEIGHTS:
-                mixed = generator.vector * (1 - weight) + partner * weight
-                mixed_value = objective_on_vector(
-                    request.objective, mixed, self._names
+            value = self._violation(generator, objective, flat_basis)
+            if value is not None:
+                violating.append((value, generator))
+                if not extremal:
+                    break
+        if not violating:
+            # No unused generator violates: confirm exhaustion with the
+            # complete query (covers degenerate DD output and interactions
+            # between AvoidSpace and non-generator points).
+            return self._confirmation.find(objective, flat_basis)
+        count("synthesis.oracles.candidates", len(violating))
+        _, best = min(violating, key=lambda item: (item[0], item[1].key))
+        chosen = [best]
+        if best.kind == "ray":
+            vertices = [
+                generator
+                for generator in self._generators
+                if generator.kind == "vertex"
+                and generator.disjunct == best.disjunct
+            ]
+            if vertices:
+                chosen.insert(
+                    0,
+                    min(
+                        vertices,
+                        key=lambda vertex: (
+                            self._value(vertex, objective),
+                            vertex.key,
+                        ),
+                    ),
                 )
-                if mixed_value > 0 or mixed.is_zero():
-                    continue
-                if in_span(mixed, list(request.flat_basis)):
-                    continue
-                point, point_value = mixed, mixed_value
-                break
+        for generator in chosen:
+            generator.used = True
         return [
-            Witness(
-                vector=point,
-                kind="vertex",
-                objective_value=point_value,
-                origin=self.name,
-                token=index,
-            )
+            Witness(vector=generator.vector, kind=generator.kind, origin=self.name)
+            for generator in chosen
         ]
 
 
@@ -551,7 +477,7 @@ class SamplingOracle(DdEnumerationOracle):
 # ---------------------------------------------------------------------------
 
 
-def make_oracle(name, seed: int = 0) -> CounterexampleOracle:
+def make_oracle(name) -> CounterexampleOracle:
     """Resolve an oracle name (or pass an instance through unchanged)."""
     if isinstance(name, CounterexampleOracle):
         return name
@@ -559,8 +485,6 @@ def make_oracle(name, seed: int = 0) -> CounterexampleOracle:
         return SmtOptimizingOracle()
     if name == "dd":
         return DdEnumerationOracle()
-    if name == "sampling":
-        return SamplingOracle(seed=seed)
     raise ValueError(
         "unknown counterexample oracle %r (available: %s)"
         % (name, ", ".join(ORACLE_NAMES))

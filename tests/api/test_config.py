@@ -116,6 +116,31 @@ class TestSerialisation:
         with pytest.raises(ConfigError, match="lp_mode"):
             AnalysisConfig.from_dict({"lp_mode": legacy})
 
+    @pytest.mark.parametrize(
+        "key,legacy", [("cex_batch", 1), ("oracle_seed", 0), ("oracle_seed", 7)]
+    )
+    def test_legacy_cegis_key_is_dropped(self, key, legacy):
+        data = {key: legacy, "cex_strategy": "arbitrary"}
+        config = AnalysisConfig.from_dict(data)
+        assert config == AnalysisConfig(cex_strategy="arbitrary")
+        assert data[key] == legacy  # not mutated
+        assert key not in config.to_dict()
+
+    @pytest.mark.parametrize(
+        "key,legacy",
+        [
+            ("cex_batch", 4),
+            ("cex_batch", True),
+            ("cex_batch", "1"),
+            ("oracle_seed", -1),
+            ("oracle_seed", False),
+            ("oracle_seed", None),
+        ],
+    )
+    def test_legacy_cegis_key_with_another_value_rejected(self, key, legacy):
+        with pytest.raises(ConfigError, match=key):
+            AnalysisConfig.from_dict({key: legacy})
+
     def test_removed_field_is_no_constructor_argument(self):
         with pytest.raises(TypeError):
             AnalysisConfig(lp_mode="incremental")

@@ -75,7 +75,7 @@ class TestJsonRoundTrip:
         request = AnalysisRequest(
             program=PAIR,
             tool="termite",
-            config=AnalysisConfig(integer_mode=True, oracle_seed=7),
+            config=AnalysisConfig(integer_mode=True, max_iterations=7),
             name="pair",
             request_id="req-1",
         )
@@ -127,7 +127,7 @@ class TestCacheKey:
     def test_config_changes_the_key(self):
         a = AnalysisRequest(program=COUNTDOWN)
         b = AnalysisRequest(
-            program=COUNTDOWN, config=AnalysisConfig(oracle_seed=3)
+            program=COUNTDOWN, config=AnalysisConfig(max_iterations=3)
         )
         assert a.cache_key() != b.cache_key()
 

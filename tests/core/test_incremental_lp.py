@@ -25,7 +25,6 @@ from repro.linalg.vector import Vector
 from repro.lp.problem import LpStatus
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.strategies import make_strategy
 from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 GOLDEN = (
@@ -44,8 +43,8 @@ def _problem(automaton):
 
 
 def _engine():
-    """The paper's configuration: smt oracle, extremal strategy, batch 1."""
-    return CegisEngine(make_oracle("smt"), make_strategy("extremal"))
+    """The paper's configuration: smt oracle, extremal counterexamples."""
+    return CegisEngine(make_oracle("smt"))
 
 
 def _component(problem):

@@ -9,7 +9,6 @@ from repro.metrics import recording
 from repro.smt.solver import SmtSolver
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import avoid_space, make_oracle
-from repro.synthesis.strategies import make_strategy
 from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
@@ -18,12 +17,8 @@ def build_problem(automaton):
 
 
 def paper_engine(max_iterations=200):
-    """The paper's configuration: smt oracle, extremal strategy, batch 1."""
-    return CegisEngine(
-        make_oracle("smt"),
-        make_strategy("extremal"),
-        max_iterations=max_iterations,
-    )
+    """The paper's configuration: smt oracle, extremal counterexamples."""
+    return CegisEngine(make_oracle("smt"), max_iterations=max_iterations)
 
 
 def synthesize_component(problem, max_iterations=200):

@@ -60,7 +60,7 @@ class TestMissStoreHit:
         cache = ResultCache()
         request = _request()
         cache.store(request, _computed(request))
-        other = _request(config=AnalysisConfig(oracle_seed=9))
+        other = _request(config=AnalysisConfig(max_iterations=9))
         assert cache.lookup(other) is None
 
     def test_error_results_never_cached(self):

@@ -767,7 +767,7 @@ class TestBatchFanout:
                     {
                         "program": COUNTDOWN,
                         "name": name,
-                        "config": {"oracle_seed": index},
+                        "config": {"max_iterations": 200 + index},
                     }
                     for index, name in enumerate(names)
                 ]

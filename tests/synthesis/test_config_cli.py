@@ -23,8 +23,6 @@ class TestConfigValidation:
         config = AnalysisConfig()
         assert config.cex_oracle == "smt"
         assert config.cex_strategy == "extremal"
-        assert config.cex_batch == 1
-        assert config.oracle_seed == 0
 
     def test_unknown_oracle_rejected(self):
         with pytest.raises(ConfigError, match="cex_oracle"):
@@ -34,26 +32,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="cex_strategy"):
             AnalysisConfig(cex_strategy="greedy")
 
-    def test_batch_must_be_positive_int(self):
-        with pytest.raises(ConfigError, match="cex_batch"):
-            AnalysisConfig(cex_batch=0)
-        with pytest.raises(ConfigError, match="cex_batch"):
-            AnalysisConfig(cex_batch=True)
-
-    def test_seed_must_be_nonnegative(self):
-        with pytest.raises(ConfigError, match="oracle_seed"):
-            AnalysisConfig(oracle_seed=-1)
+    def test_removed_knobs_are_gone(self):
+        for removed in ("cex_batch", "oracle_seed"):
+            with pytest.raises(TypeError):
+                AnalysisConfig(**{removed: 1})
+            assert removed not in AnalysisConfig().to_dict()
+        with pytest.raises(ConfigError, match="cex_oracle"):
+            AnalysisConfig(cex_oracle="sampling")
 
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("oracle,strategy", ALL_COMBOS)
     def test_every_combination_round_trips_exactly(self, oracle, strategy):
-        config = AnalysisConfig(
-            cex_oracle=oracle,
-            cex_strategy=strategy,
-            cex_batch=3,
-            oracle_seed=17,
-        )
+        config = AnalysisConfig(cex_oracle=oracle, cex_strategy=strategy)
         assert (
             AnalysisConfig.from_dict(json.loads(json.dumps(config.to_dict())))
             == config
@@ -73,22 +64,16 @@ class TestCliRoundTrip:
                 oracle,
                 "--cex-strategy",
                 strategy,
-                "--cex-batch",
-                "2",
-                "--oracle-seed",
-                "9",
             ]
         )
         config = _config_from_arguments(arguments)
         assert config.cex_oracle == oracle
         assert config.cex_strategy == strategy
-        assert config.cex_batch == 2
-        assert config.oracle_seed == 9
 
     def test_config_file_baseline_with_flag_override(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(
-            AnalysisConfig(cex_oracle="dd", cex_strategy="random").to_json()
+            AnalysisConfig(cex_oracle="dd", cex_strategy="extremal").to_json()
         )
         parser = build_parser()
         arguments = parser.parse_args(
@@ -103,6 +88,12 @@ class TestCliRoundTrip:
         with pytest.raises(SystemExit):
             parser.parse_args(["prove", "p.imp", "--oracle", "magic"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--cex-batch", "--oracle-seed"])
+    def test_removed_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["prove", "p.imp", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCapabilityFlags:

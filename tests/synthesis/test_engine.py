@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import Analysis
+from repro.api import Analysis, AnalysisConfig
+from repro.benchsuite.registry import get_suite
 from repro.metrics import recording
 from repro.synthesis.engine import (
     CegisEngine,
@@ -10,7 +11,6 @@ from repro.synthesis.engine import (
     eliminate_lexicographic,
 )
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.strategies import make_strategy
 from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
@@ -18,11 +18,10 @@ def build_problem(automaton):
     return Analysis(automaton).problem()
 
 
-def make_engine(observers=(), max_iterations=200, oracle="smt",
-                strategy="extremal", batch=1):
+def make_engine(observers=(), max_iterations=200, oracle="smt", extremal=True):
     return CegisEngine(
         make_oracle(oracle),
-        make_strategy(strategy, batch=batch),
+        extremal=extremal,
         max_iterations=max_iterations,
         observers=observers,
     )
@@ -48,6 +47,16 @@ class TestComponentSynthesis:
             make_engine(max_iterations=0).synthesize_component(
                 LinearTemplate(problem)
             )
+
+    def test_budget_overrun_reports_the_iterations_run(self):
+        source = next(p for p in get_suite("wtc") if p.name == "wise").source
+        result = Analysis(
+            source, config=AnalysisConfig(max_iterations=2)
+        ).run("termite")
+        assert result.status.value == "unknown"
+        assert "exceeded 2 iterations" in result.message
+        assert result.iterations == result.lp_statistics.oracle_queries
+        assert result.iterations >= 2
 
     def test_unified_counters_folded_into_lp_statistics(
         self, example1_automaton
@@ -126,7 +135,7 @@ class TestEvents:
         problem = build_problem(countdown_automaton)
         events = []
         engine = make_engine(
-            observers=[events.append], oracle="dd", strategy="arbitrary"
+            observers=[events.append], oracle="dd", extremal=False
         )
         engine.synthesize_component(LinearTemplate(problem))
         start = events[0]
@@ -178,19 +187,14 @@ class TestEliminateLexicographic:
         assert proved and len(components) == 1 and not remaining
 
 
-class TestSeedDeterminism:
-    """``oracle_seed`` must fully pin the run, including event payloads."""
+class TestDeterminism:
+    """A run is a function of its program and configuration alone."""
 
-    def _event_stream(self, problem, seed):
-        from repro.synthesis.oracles import make_oracle
-        from repro.synthesis.strategies import make_strategy
-
+    @staticmethod
+    def _event_stream(problem, extremal):
         events = []
-        engine = CegisEngine(
-            make_oracle("dd", seed=seed),
-            make_strategy("random", batch=2, seed=seed),
-            max_iterations=200,
-            observers=[events.append],
+        engine = make_engine(
+            observers=[events.append], oracle="dd", extremal=extremal
         )
         engine.synthesize_lexicographic(LexicographicTemplate(problem))
         return [
@@ -198,33 +202,14 @@ class TestSeedDeterminism:
             for event in events
         ]
 
-    def test_same_seed_identical_event_streams(self, example1_automaton):
+    def test_repeat_runs_identical_event_streams(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        first = self._event_stream(problem, seed=13)
-        second = self._event_stream(problem, seed=13)
-        assert first == second
+        first = self._event_stream(problem, extremal=True)
+        assert first == self._event_stream(problem, extremal=True)
 
-    def test_same_seed_identical_streams_sampling_oracle(
+    def test_repeat_runs_identical_streams_arbitrary(
         self, lexicographic_automaton
     ):
-        from repro.synthesis.oracles import make_oracle
-        from repro.synthesis.strategies import make_strategy
-
         problem = build_problem(lexicographic_automaton)
-        streams = []
-        for _ in range(2):
-            events = []
-            engine = CegisEngine(
-                make_oracle("sampling", seed=5),
-                make_strategy("random", batch=2, seed=5),
-                max_iterations=200,
-                observers=[events.append],
-            )
-            engine.synthesize_lexicographic(LexicographicTemplate(problem))
-            streams.append(
-                [
-                    (e.kind, e.component, e.iteration, repr(e.payload))
-                    for e in events
-                ]
-            )
-        assert streams[0] == streams[1]
+        first = self._event_stream(problem, extremal=False)
+        assert first == self._event_stream(problem, extremal=False)

@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.api import Analysis
+from repro.api import Analysis, AnalysisConfig
+from repro.benchsuite.registry import get_suite
+from repro.checking.checker import CertificateVerdict, check_ranking
 from repro.linexpr.constraint import Relation
 from repro.metrics import recording
+from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import (
     DdEnumerationOracle,
-    OracleRequest,
-    SamplingOracle,
     SmtOptimizingOracle,
     constraint_in_state_space,
     make_oracle,
     objective_on_vector,
 )
-from repro.synthesis.templates import LinearTemplate
+from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def template_for(automaton):
@@ -24,16 +25,13 @@ def template_for(automaton):
     return LinearTemplate(problem)
 
 
-def zero_request(template, **overrides):
+def zero_objective(template):
     """The first engine query: refute the all-zero candidate."""
-    defaults = dict(
-        objective=template.objective(template.initial_candidate()),
-        flat_basis=[],
-        want_extremal=True,
-        max_witnesses=1,
-    )
-    defaults.update(overrides)
-    return OracleRequest(**defaults)
+    return template.objective(template.initial_candidate())
+
+
+def wtc_source(name):
+    return next(p for p in get_suite("wtc") if p.name == name).source
 
 
 class TestSmtOracle:
@@ -41,26 +39,30 @@ class TestSmtOracle:
         template = template_for(countdown_automaton)
         oracle = SmtOptimizingOracle()
         oracle.reset(template, ())
-        groups = oracle.find(zero_request(template))
-        assert groups, "the zero candidate must be refutable"
-        witness = groups[0][0]
+        objective = zero_objective(template)
+        group = oracle.find(objective, [])
+        assert group, "the zero candidate must be refutable"
+        witness = group[0]
         assert witness.kind == "vertex"
         assert not witness.vector.is_zero()
         # The witness is a genuine non-increasing step: λ·u ≤ 0 with λ = 0.
-        assert witness.objective_value == 0
+        names = template.problem.difference_variables()
+        assert objective_on_vector(objective, witness.vector, names) == 0
 
     def test_arbitrary_model_also_violates(self, countdown_automaton):
         template = template_for(countdown_automaton)
         oracle = SmtOptimizingOracle()
         oracle.reset(template, ())
-        groups = oracle.find(zero_request(template, want_extremal=False))
-        assert groups and groups[0][0].kind == "vertex"
+        group = oracle.find(zero_objective(template), [], extremal=False)
+        assert group and group[0].kind == "vertex"
 
     def test_factory_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown counterexample oracle"):
             make_oracle("magic")
+        with pytest.raises(ValueError, match="unknown counterexample oracle"):
+            make_oracle("sampling")
         assert make_oracle("smt").name == "smt"
-        instance = SamplingOracle(seed=3)
+        instance = DdEnumerationOracle()
         assert make_oracle(instance) is instance
 
 
@@ -69,16 +71,13 @@ class TestDdOracle:
         template = template_for(countdown_automaton)
         oracle = DdEnumerationOracle()
         oracle.reset(template, ())
-        groups = oracle.find(zero_request(template, max_witnesses=8))
-        assert groups
+        objective = zero_objective(template)
+        group = oracle.find(objective, [])
+        assert group
         names = template.problem.difference_variables()
-        for group in groups:
-            for witness in group:
-                assert witness.origin == "dd"
-                value = objective_on_vector(
-                    zero_request(template).objective, witness.vector, names
-                )
-                assert value <= 0
+        for witness in group:
+            assert witness.origin == "dd"
+            assert objective_on_vector(objective, witness.vector, names) <= 0
 
     def test_consumed_generators_are_not_returned_again(
         self, countdown_automaton
@@ -86,15 +85,17 @@ class TestDdOracle:
         template = template_for(countdown_automaton)
         oracle = DdEnumerationOracle()
         oracle.reset(template, ())
-        request = zero_request(template, max_witnesses=64)
-        first = oracle.find(request)
-        oracle.consumed(first)
-        second = oracle.find(request)
-        # Everything enumerable was consumed; anything further must come
-        # from the SMT confirmation path (origin "smt"), or be empty.
-        for group in second:
-            for witness in group:
-                assert witness.origin == "smt"
+        objective = zero_objective(template)
+        handed_out = []
+        while True:
+            group = oracle.find(objective, [])
+            if group is None or group[0].origin == "smt":
+                # Everything enumerable was handed out; anything further
+                # comes from the SMT confirmation path, or nothing does.
+                break
+            handed_out.extend(witness.vector for witness in group)
+        assert handed_out
+        assert len(handed_out) == len(set(map(tuple, handed_out)))
 
     def test_exhaustion_is_smt_confirmed(self, countdown_automaton):
         template = template_for(countdown_automaton)
@@ -113,47 +114,38 @@ class TestDdOracle:
             {location: Fraction(0)},
         )
         with recording() as counters:
-            groups = oracle.find(
-                zero_request(template, objective=template.objective(candidate))
-            )
-        assert groups == []
+            group = oracle.find(template.objective(candidate), [])
+        assert group is None
         # One complete query, counted once (by the SMT oracle it runs).
         assert counters["synthesis.oracles.smt_queries"] == 1
         assert counters["smt.optimize.queries"] == 1
 
+    @pytest.mark.parametrize("extremal", [True, False])
+    def test_rays_come_with_a_vertex(self, extremal):
+        """A ray alone gives the LP no point to separate (``wtc/wise``)."""
+        problem = Analysis(wtc_source("wise")).problem()
+        events = []
+        engine = CegisEngine(
+            DdEnumerationOracle(), extremal=extremal, observers=[events.append]
+        )
+        outcome = engine.synthesize_lexicographic(LexicographicTemplate(problem))
+        assert outcome.success
+        rounds = [e.payload for e in events if e.kind == "iteration"]
+        assert any(payload.get("rays") for payload in rounds)
+        for payload in rounds:
+            if payload.get("rays"):
+                assert payload["counterexamples"] >= 1
 
-class TestSamplingOracle:
-    def test_points_are_interior_but_still_violating(self, example1_automaton):
-        template = template_for(example1_automaton)
-        oracle = SamplingOracle(seed=0)
-        oracle.reset(template, ())
-        request = zero_request(template, max_witnesses=16)
-        groups = oracle.find(request)
-        assert groups
-        names = template.problem.difference_variables()
-        for group in groups:
-            for witness in group:
-                if witness.kind != "vertex":
-                    continue
-                value = objective_on_vector(
-                    request.objective, witness.vector, names
-                )
-                assert value <= 0
-                assert not witness.vector.is_zero()
 
-    def test_same_seed_same_samples(self, example1_automaton):
-        template = template_for(example1_automaton)
-        request = zero_request(template, max_witnesses=16)
-
-        def run(seed):
-            oracle = SamplingOracle(seed=seed)
-            oracle.reset(template, ())
-            return [
-                [witness.vector for witness in group]
-                for group in oracle.find(request)
-            ]
-
-        assert run(7) == run(7)
+class TestDdProvesWise:
+    @pytest.mark.parametrize("strategy", ["extremal", "arbitrary"])
+    def test_wise_is_proved_with_a_valid_certificate(self, strategy):
+        config = AnalysisConfig(cex_oracle="dd", cex_strategy=strategy)
+        analysis = Analysis(wtc_source("wise"), config=config, name="wise")
+        result = analysis.run("termite")
+        assert result.status.value == "terminating"
+        verdict = check_ranking(analysis.problem(), result.ranking)
+        assert verdict.status == CertificateVerdict.VALID
 
 
 class TestStateSpaceTranslation:

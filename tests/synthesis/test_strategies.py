@@ -1,122 +1,130 @@
-"""Strategy selection policies and batching."""
+"""The extremal/arbitrary counterexample choice (the §4.2 ablation axis).
 
+The choice is made by the oracles: the engine forwards its ``extremal``
+flag, and the DD oracle picks the most violating unused generator (ties
+broken by content) or the first one in enumeration order.
+"""
+
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from repro.synthesis.oracles import Witness
-from repro.synthesis.strategies import (
-    ArbitraryStrategy,
-    ExtremalStrategy,
-    RandomStrategy,
-    make_strategy,
-)
+from repro.api import Analysis, AnalysisConfig, CEX_STRATEGIES, ConfigError
 from repro.linalg.vector import Vector
+from repro.linexpr.expr import LinExpr
+from repro.synthesis.engine import CegisEngine
+from repro.synthesis.oracles import DdEnumerationOracle, _Generator
+from repro.synthesis.templates import LinearTemplate
+
+COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 
 
-def group(value):
-    return [
-        Witness(
-            vector=Vector([Fraction(value)]),
-            kind="vertex",
-            objective_value=Fraction(value),
-        )
-    ]
+def generator(value, kind="vertex", disjunct=0, second=1):
+    return _Generator(Vector([Fraction(value), Fraction(second)]), kind, disjunct)
 
 
-GROUPS = [group(-1), group(-5), group(-3), group(0)]
+def dd_oracle(generators):
+    """A DD oracle handing out *generators* instead of enumerated ones.
+
+    The countdown program has a two-coordinate ``u`` space; the query
+    objective below reads the first one, so a generator's objective value
+    is its first entry.
+    """
+    template = LinearTemplate(Analysis(COUNTDOWN).problem())
+    oracle = DdEnumerationOracle()
+    oracle.reset(template, ())
+    oracle._generators = list(generators)
+    objective = LinExpr({template.problem.difference_variables()[0]: 1})
+    return oracle, objective
+
+
+def first_entries(oracle, objective, extremal, rounds):
+    picks = []
+    for _ in range(rounds):
+        group = oracle.find(objective, [], extremal)
+        picks.append([witness.vector[0] for witness in group])
+    return picks
+
+
+def vertices():
+    return [generator(value) for value in (-1, -5, -3, 2)]
 
 
 class TestExtremal:
     def test_picks_most_violating_first(self):
-        chosen = ExtremalStrategy(batch=2).select(GROUPS)
-        values = [g[0].objective_value for g in chosen]
-        assert values == [Fraction(-5), Fraction(-3)]
+        oracle, objective = dd_oracle(vertices())
+        assert first_entries(oracle, objective, True, 3) == [[-5], [-3], [-1]]
+
+    def test_ray_group_leads_with_the_most_violating_vertex_of_its_disjunct(
+        self,
+    ):
+        oracle, objective = dd_oracle(
+            [
+                generator(4, disjunct=0),
+                generator(3, disjunct=1),
+                generator(7, disjunct=1),
+                generator(-2, "ray", disjunct=1),
+            ]
+        )
+        group = oracle.find(objective, [], True)
+        assert [(w.kind, w.vector[0]) for w in group] == [
+            ("vertex", 3),
+            ("ray", -2),
+        ]
 
     def test_declares_extremal_intent(self):
-        assert ExtremalStrategy().wants_extremal
-        assert not ArbitraryStrategy().wants_extremal
-        assert not RandomStrategy().wants_extremal
+        """The engine hands its extremal flag to every oracle query."""
 
-    def test_groups_without_value_sort_last(self):
-        anonymous = [Witness(vector=Vector([Fraction(0)]), kind="vertex")]
-        chosen = ExtremalStrategy(batch=1).select([anonymous, group(-2)])
-        assert chosen[0][0].objective_value == Fraction(-2)
+        class Recording(DdEnumerationOracle):
+            def find(self, objective, flat_basis, extremal=True):
+                asked.append(extremal)
+                return super().find(objective, flat_basis, extremal)
+
+        problem = Analysis(COUNTDOWN).problem()
+        for extremal in (True, False):
+            asked = []
+            CegisEngine(Recording(), extremal=extremal).synthesize_component(
+                LinearTemplate(problem)
+            )
+            assert asked and set(asked) == {extremal}
 
 
 class TestArbitrary:
     def test_takes_first_in_order(self):
-        chosen = ArbitraryStrategy(batch=2).select(GROUPS)
-        values = [g[0].objective_value for g in chosen]
-        assert values == [Fraction(-1), Fraction(-5)]
-
-
-class TestRandom:
-    def test_seeded_and_reproducible(self):
-        first = RandomStrategy(batch=2, seed=11).select(GROUPS)
-        second = RandomStrategy(batch=2, seed=11).select(GROUPS)
-        assert [g[0].objective_value for g in first] == [
-            g[0].objective_value for g in second
-        ]
-
-    def test_small_pool_returned_whole(self):
-        assert RandomStrategy(batch=5, seed=0).select(GROUPS) == list(GROUPS)
-
-    def test_seed_pins_selection_across_pool_orders(self):
-        """The oracle's enumeration order must not influence sampling.
-
-        The strategy sorts the pool by a canonical content key before
-        sampling, so the same seed picks the same *witnesses* no matter
-        how the oracle happened to order its candidates.
-        """
-        import itertools
-
-        baseline = None
-        for permutation in itertools.permutations(GROUPS):
-            chosen = RandomStrategy(batch=2, seed=7).select(list(permutation))
-            picked = sorted(g[0].objective_value for g in chosen)
-            if baseline is None:
-                baseline = picked
-            assert picked == baseline
+        oracle, objective = dd_oracle(vertices())
+        assert first_entries(oracle, objective, False, 3) == [[-1], [-5], [-3]]
 
 
 class TestBatchedExtremalDeterminism:
     def test_objective_ties_break_canonically(self):
-        """Equally violating groups must not be picked by pool order."""
-        import itertools
-
-        tied = [
-            [
-                Witness(
-                    vector=Vector([Fraction(value)]),
-                    kind="vertex",
-                    objective_value=Fraction(-2),
-                )
-            ]
-            for value in (3, 1, 2)
-        ]
+        """Equally violating generators must not be picked by pool order."""
         baseline = None
-        for permutation in itertools.permutations(tied):
-            chosen = ExtremalStrategy(batch=2).select(list(permutation))
-            vectors = [g[0].vector for g in chosen]
+        for seconds in itertools.permutations([3, 1, 2]):
+            oracle, objective = dd_oracle(
+                [generator(-2, second=second) for second in seconds]
+            )
+            picks = [
+                oracle.find(objective, [], True)[0].vector for _ in range(3)
+            ]
             if baseline is None:
-                baseline = vectors
-            assert vectors == baseline
+                baseline = picks
+            assert picks == baseline
 
 
 class TestFactory:
-    def test_batch_validation(self):
-        with pytest.raises(ValueError, match="batch"):
-            make_strategy("extremal", batch=0)
-
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown counterexample strategy"):
-            make_strategy("greedy")
-
-    def test_instances_pass_through(self):
-        instance = RandomStrategy(batch=3, seed=5)
-        assert make_strategy(instance) is instance
+        for name in ("greedy", "random"):
+            with pytest.raises(ConfigError, match="cex_strategy"):
+                AnalysisConfig(cex_strategy=name)
 
     def test_names_resolve(self):
-        for name in ("extremal", "arbitrary", "random"):
-            assert make_strategy(name, batch=2).name == name
+        assert CEX_STRATEGIES == ("extremal", "arbitrary")
+        for name in CEX_STRATEGIES:
+            events = []
+            analysis = Analysis(
+                COUNTDOWN, config=AnalysisConfig(cex_strategy=name)
+            )
+            analysis.add_engine_observer(events.append)
+            assert analysis.run("termite").proved
+            assert events[0].payload["strategy"] == name
