@@ -104,10 +104,10 @@ class AnalysisConfig:
     #: found, no optimisation) — the §4.2 ablation axis.
     cex_strategy: str = "extremal"
     #: Nontermination analysis: ``"off"`` (termination only — the
-    #: historical behaviour), ``"auto"`` (race recurrence-set synthesis
-    #: against termination; first definitive verdict wins) or ``"only"``
-    #: (recurrence-set synthesis alone).  Only provers advertising the
-    #: ``"nontermination"`` capability honour it.
+    #: historical behaviour), ``"auto"`` (termination synthesis, then
+    #: recurrence-set synthesis when termination is not proved) or
+    #: ``"only"`` (recurrence-set synthesis alone).  Only provers
+    #: advertising the ``"nontermination"`` capability honour it.
     nonterm: str = "off"
     #: Cap on recurrence-set candidates (cycle x guard-conjunct x havoc
     #: choice combinations) examined per program.

@@ -19,9 +19,8 @@ compatibility with the historical Table-1 command lines.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import Prover, register_prover
@@ -38,12 +37,7 @@ from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
-from repro.metrics import count, recording
-from repro.synthesis.engine import (
-    CegisEngine,
-    MaxIterationsExceeded,
-    SynthesisCancelled,
-)
+from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import make_oracle
 from repro.synthesis.templates import LexicographicTemplate
 
@@ -98,13 +92,23 @@ class TermiteProver(Prover):
             return self._prove_nontermination(
                 config, automaton, observer, start, lp_statistics
             )
-        if mode == "auto":
-            return self._race(
-                problem, config, automaton, observer, start, lp_statistics
-            )
-        return self._synthesize_ranking(
+        term = self._synthesize_ranking(
             problem, config, observer, start, lp_statistics
         )
+        if mode == "off" or term.proved:
+            return term
+        # nonterm="auto": termination first, nontermination only when it
+        # is not proved, so a terminating result equals the "off" one.
+        nonterm = self._prove_nontermination(
+            config, automaton, observer, start, lp_statistics
+        )
+        if nonterm.disproved:
+            return nonterm
+        term.time_seconds = nonterm.time_seconds
+        term.message = "; ".join(
+            message for message in (term.message, nonterm.message) if message
+        )
+        return term
 
     def _synthesize_ranking(
         self,
@@ -113,7 +117,6 @@ class TermiteProver(Prover):
         observer,
         start: float,
         lp_statistics: LpStatistics,
-        should_stop: Optional[Callable[[], bool]] = None,
     ) -> AnalysisResult:
         template = LexicographicTemplate(
             problem,
@@ -126,7 +129,6 @@ class TermiteProver(Prover):
             extremal=config.cex_strategy == "extremal",
             max_iterations=config.max_iterations,
             observers=(observer,) if observer is not None else (),
-            should_stop=should_stop,
         )
         try:
             outcome = engine.synthesize_lexicographic(
@@ -172,7 +174,6 @@ class TermiteProver(Prover):
         observer,
         start: float,
         lp_statistics: LpStatistics,
-        should_stop: Optional[Callable[[], bool]] = None,
     ) -> AnalysisResult:
         # Imported lazily so the prover table stays importable even if
         # the nontermination package is stripped from a deployment.
@@ -182,7 +183,6 @@ class TermiteProver(Prover):
             automaton,
             budget=config.nonterm_budget,
             observers=(observer,) if observer is not None else (),
-            should_stop=should_stop,
         )
         elapsed = time.perf_counter() - start
         if outcome.success:
@@ -203,132 +203,6 @@ class TermiteProver(Prover):
             lp_statistics=lp_statistics,
             message="no recurrence set found (%s)" % outcome.message,
         )
-
-    def _race(
-        self,
-        problem: TerminationProblem,
-        config: AnalysisConfig,
-        automaton,
-        observer,
-        start: float,
-        lp_statistics: LpStatistics,
-    ) -> AnalysisResult:
-        """Race termination against nontermination; first verdict wins.
-
-        Each lane runs in its own thread with a co-operative
-        ``should_stop`` hook; the lane that reaches a definitive verdict
-        sets the shared event and the loser stands down at its next
-        iteration boundary (raising
-        :class:`~repro.synthesis.engine.SynthesisCancelled`, absorbed
-        here).  Soundness makes the race deterministic: on a given
-        program at most one lane can ever succeed, so which thread is
-        scheduled first only affects wall time, never the verdict.
-
-        Counters are thread-local, so each lane records its own and the
-        counts of both lanes (a cancelled one's included) are added to
-        the caller's recording after the join.
-        """
-        stop = threading.Event()
-        outcomes: dict = {}
-        lane_counters: list = []
-
-        def lane(label: str, run: Callable[[], AnalysisResult], wins) -> None:
-            with recording() as counters:
-                lane_counters.append(counters)
-                try:
-                    result = run()
-                except SynthesisCancelled:
-                    outcomes[label] = None
-                    return
-                except BaseException as error:  # re-raised on the caller thread
-                    outcomes[label] = error
-                    stop.set()
-                    return
-            outcomes[label] = result
-            if wins(result):
-                stop.set()
-
-        threads = [
-            threading.Thread(
-                target=lane,
-                args=(
-                    "termination",
-                    lambda: self._synthesize_ranking(
-                        problem,
-                        config,
-                        observer,
-                        start,
-                        lp_statistics,
-                        should_stop=stop.is_set,
-                    ),
-                    lambda result: result.proved,
-                ),
-                daemon=True,
-            ),
-            threading.Thread(
-                target=lane,
-                args=(
-                    "nontermination",
-                    lambda: self._prove_nontermination(
-                        config,
-                        automaton,
-                        observer,
-                        start,
-                        lp_statistics,
-                        should_stop=stop.is_set,
-                    ),
-                    lambda result: result.disproved,
-                ),
-                daemon=True,
-            ),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for counters in lane_counters:
-            for name, n in counters.items():
-                count(name, n)
-
-        term = outcomes.get("termination")
-        nonterm = outcomes.get("nontermination")
-        term_ok = isinstance(term, AnalysisResult) and term.proved
-        nonterm_ok = isinstance(nonterm, AnalysisResult) and nonterm.disproved
-        if term_ok and nonterm_ok:
-            # Both lanes claiming is a soundness bug somewhere; refuse to
-            # pick a side so the harness flags it loudly.
-            return AnalysisResult(
-                tool=self.name,
-                status=AnalysisStatus.ERROR,
-                time_seconds=time.perf_counter() - start,
-                lp_statistics=lp_statistics,
-                error="termination and nontermination both claimed a verdict",
-            )
-        if term_ok:
-            return term
-        if nonterm_ok:
-            return nonterm
-        for outcome in (term, nonterm):
-            if isinstance(outcome, BaseException):
-                raise outcome
-        merged = (
-            term
-            if isinstance(term, AnalysisResult)
-            else AnalysisResult(
-                tool=self.name,
-                status=AnalysisStatus.UNKNOWN,
-                lp_statistics=lp_statistics,
-            )
-        )
-        merged.time_seconds = time.perf_counter() - start
-        if isinstance(nonterm, AnalysisResult):
-            if nonterm.message:
-                merged.message = (
-                    "%s; %s" % (merged.message, nonterm.message)
-                    if merged.message
-                    else nonterm.message
-                )
-        return merged
 
     def certify(
         self,

@@ -85,8 +85,8 @@ class Provenance:
       (a pool worker on a miss, the serving process on a hit);
     * ``degraded`` — the load-shedding degradations the service applied
       before computing (empty when the request ran exactly as asked).
-      Under overload pressure the admission gate may drop a
-      ``nonterm="auto"`` race to termination-only
+      Under overload pressure the admission gate may run a
+      ``nonterm="auto"`` request termination-only
       (``"nonterm:auto->off"``); every such trade is stamped here so a
       caller can always tell a full answer from a degraded one.
 

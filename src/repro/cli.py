@@ -110,8 +110,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--nonterm",
         choices=list(NONTERM_MODES),
         default=None,
-        help="nontermination analysis: 'off' (default), 'auto' (race "
-        "recurrence-set synthesis against termination) or 'only'",
+        help="nontermination analysis: 'off' (default), 'auto' "
+        "(recurrence-set synthesis when termination is not proved) or 'only'",
     )
     group.add_argument(
         "--nonterm-budget",
@@ -204,9 +204,8 @@ def command_prove(arguments: argparse.Namespace) -> int:
         return 1
     # The trace stream is opened *before* the engine runs and every event
     # is written and flushed as it happens, inside a context manager.  An
-    # engine exception (or a cancelled nonterm race) therefore still
-    # leaves a closed file of complete, individually parseable JSON lines
-    # — buffering the events and dumping them after ``analyze`` returned
+    # engine exception therefore still leaves a closed file of complete,
+    # individually parseable JSON lines — buffering the events and dumping them after ``analyze`` returned
     # used to leak the handle and truncate the last line on a crash.
     trace_handle = None
     if arguments.trace:

@@ -10,10 +10,10 @@ a :func:`recording` is open on the calling thread::
 
 A recording holds the counts of its own block only.  When it closes, its
 counts are added into the enclosing recording of the same thread, if
-any, so nested recordings never lose work.  Counters are thread-local: a
-thread that should contribute to a caller's recording opens its own and
-hands the counts back (see the ``nonterm="auto"`` race in
-:mod:`repro.api.provers`).
+any, so nested recordings never lose work.  Counters are thread-local,
+so analyses running on different threads (service requests, tests)
+never see each other's counts; a thread that should contribute to a
+caller's recording opens its own and hands the counts back.
 
 Names are ``<package>.<module>.<event>``, e.g.
 ``polyhedra.projection.lp_calls_saved``.

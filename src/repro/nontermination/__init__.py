@@ -12,9 +12,8 @@ stem plus a symbolic cycle — which the *independent*
 Farkas engine and replays step-by-step against the automaton semantics.
 
 Layering: this package sits beside :mod:`repro.synthesis` and imports
-only ``linexpr``/``program``/``smt`` plus the synthesis-event seams
-(:class:`~repro.synthesis.engine.CegisEvent`,
-:class:`~repro.synthesis.engine.SynthesisCancelled`).  It never imports
+only ``linexpr``/``program``/``smt`` plus the synthesis-event seam
+(:class:`~repro.synthesis.engine.CegisEvent`).  It never imports
 ``repro.api`` or ``repro.checking``.
 """
 

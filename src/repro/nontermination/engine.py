@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
@@ -59,7 +59,7 @@ from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.transition import Transition
 from repro.smt.theory import check_conjunction
-from repro.synthesis.engine import CegisEvent, CegisObserver, SynthesisCancelled
+from repro.synthesis.engine import CegisEvent, CegisObserver
 
 #: Default cap on full candidates (cycle x conjuncts x sigma) examined.
 DEFAULT_BUDGET = 64
@@ -121,12 +121,10 @@ class RecurrenceSynthesizer:
         automaton: ControlFlowAutomaton,
         budget: int = DEFAULT_BUDGET,
         observers: Sequence[CegisObserver] = (),
-        should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.automaton = automaton
         self.budget = max(1, int(budget))
         self.observers = tuple(obs for obs in observers if obs is not None)
-        self.should_stop = should_stop
         self._candidates = 0
         self._refinements = 0
         self._variables = list(automaton.variables)
@@ -146,10 +144,6 @@ class RecurrenceSynthesizer:
         event = CegisEvent(kind, 0, self._candidates, payload)
         for observer in self.observers:
             observer(event)
-
-    def _check_stop(self) -> None:
-        if self.should_stop is not None and self.should_stop():
-            raise SynthesisCancelled("nontermination search cancelled")
 
     def _conjunctions(self, transition: Transition) -> List[List[Constraint]]:
         """The raw DNF conjuncts of a guard, cached per transition.
@@ -180,7 +174,6 @@ class RecurrenceSynthesizer:
         for cutpoint in cutpoints:
             for path in self._cycle_paths(cutpoint):
                 for rows, f_map, steps in self._cycle_candidates(path):
-                    self._check_stop()
                     if self._candidates >= self.budget:
                         exhausted = True
                         break
@@ -349,7 +342,6 @@ class RecurrenceSynthesizer:
                 return None
 
         for _ in range(MAX_REFINEMENTS):
-            self._check_stop()
             self._refinements += 1
             count("nontermination.engine.refinements")
             if S:
@@ -453,7 +445,6 @@ class RecurrenceSynthesizer:
             for attempt in self._stem_attempts(
                 path, init_conjuncts, S, base_map, base_integers
             ):
-                self._check_stop()
                 count("nontermination.engine.stems")
                 rows, slots_by_step, integer_names = attempt
                 result = check_conjunction(
@@ -633,13 +624,8 @@ def synthesize_recurrence(
     automaton: ControlFlowAutomaton,
     budget: int = DEFAULT_BUDGET,
     observers: Sequence[CegisObserver] = (),
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> NontermResult:
     """Search for a recurrence set of *automaton*; see the module doc."""
-    synthesizer = RecurrenceSynthesizer(
-        automaton,
-        budget=budget,
-        observers=observers,
-        should_stop=should_stop,
-    )
-    return synthesizer.synthesize()
+    return RecurrenceSynthesizer(
+        automaton, budget=budget, observers=observers
+    ).synthesize()

@@ -18,7 +18,7 @@ Overload hardening (see :mod:`repro.service.admission`): every compute
 passes the **admission gate** (``--max-inflight`` / ``--max-queue``) —
 load beyond both bounds is shed with ``OVERLOADED`` (-32005) carrying
 ``retry_after_seconds``; under pressure, requests are **degraded**
-(``nonterm=auto`` races dropped to termination-only), with every trade
+(``nonterm=auto`` requests run termination-only), with every trade
 stamped into ``provenance.degraded``.  A per-tool **circuit breaker** fails fast
 after repeated worker crashes instead of burning the pool's respawn
 budget.
@@ -123,8 +123,8 @@ def _analyze_request_document(document: dict) -> dict:
 def degrade_request(request: AnalysisRequest) -> Tuple[AnalysisRequest, tuple]:
     """The load-shedding degradation tier: trade precision for slots.
 
-    Under pressure the expensive half of a request is dropped — the
-    ``nonterm="auto"`` two-thread race becomes termination-only — and
+    Under pressure the expensive half of a request is dropped — a
+    ``nonterm="auto"`` request runs termination-only — and
     each trade is named in the returned tuple so the executor can stamp
     it into ``provenance.degraded``.  A request with nothing to shed
     comes back unchanged with an empty tuple.

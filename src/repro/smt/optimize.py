@@ -27,11 +27,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, atom
-from repro.lp.branch_bound import BranchAndBoundLimit, solve_ilp
-from repro.lp.problem import LpResult, LpStatus, Sense
-from repro.lp.simplex import solve_lp
+from repro.lp.problem import LpStatus, Sense
 from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
+from repro.smt.theory import solve
 
 
 class SearchMode(enum.Enum):
@@ -136,7 +135,9 @@ class OptimizingSmtSolver:
             | {n for c in closure for n in c.variables()}
             | set(objective.variables())
         )
-        outcome = self._solve(objective, closure, names)
+        outcome = solve(
+            objective, closure, Sense.MINIMIZE, names, self._integer_variables
+        )
 
         if outcome.status is LpStatus.UNBOUNDED:
             ray = {
@@ -172,27 +173,6 @@ class OptimizingSmtSolver:
         return OptimizationResult(
             SmtStatus.SAT, model=model, objective_value=value
         )
-
-    def _solve(
-        self,
-        objective: LinExpr,
-        closure: Sequence[Constraint],
-        names: Sequence[str],
-    ) -> LpResult:
-        integers = [name for name in names if name in self._integer_variables]
-        if integers:
-            try:
-                return solve_ilp(
-                    objective,
-                    list(closure),
-                    integers,
-                    Sense.MINIMIZE,
-                    names,
-                )
-            except BranchAndBoundLimit:
-                count("lp.ilp.bb_limit_fallbacks")
-                return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
-        return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
 
     @staticmethod
     def _satisfies(

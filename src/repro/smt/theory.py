@@ -115,7 +115,7 @@ def check_conjunction(
             LinExpr.variable(_DELTA) >= 0,
             LinExpr.variable(_DELTA) <= 1,
         ]
-        outcome = _solve(
+        outcome = solve(
             objective,
             rows + bounds,
             Sense.MAXIMIZE,
@@ -128,7 +128,7 @@ def check_conjunction(
             and outcome.objective > 0
         )
     else:
-        outcome = _solve(
+        outcome = solve(
             LinExpr(),
             rows,
             Sense.MINIMIZE,
@@ -186,13 +186,18 @@ def _farkas_core(
     return None
 
 
-def _solve(
+def solve(
     objective: LinExpr,
     rows: Sequence[Constraint],
     sense: Sense,
     variables: Sequence[str],
     integer_variables: Set[str],
 ):
+    """Optimise over *rows*; branch and bound when integers are involved.
+
+    A :class:`BranchAndBoundLimit` falls back to the rational relaxation,
+    counted as ``lp.ilp.bb_limit_fallbacks``.
+    """
     names = sorted(
         set(variables)
         | set(objective.variables())

@@ -24,7 +24,6 @@ from repro.synthesis.engine import (
     MaxIterationsExceeded,
     MonodimResult,
     MultidimResult,
-    SynthesisCancelled,
     eliminate_lexicographic,
 )
 from repro.synthesis.oracles import (
@@ -45,7 +44,6 @@ __all__ = [
     "MaxIterationsExceeded",
     "MonodimResult",
     "MultidimResult",
-    "SynthesisCancelled",
     "eliminate_lexicographic",
     "CounterexampleOracle",
     "Witness",

@@ -65,16 +65,6 @@ class MaxIterationsExceeded(RuntimeError):
     """
 
 
-class SynthesisCancelled(RuntimeError):
-    """The synthesis loop was cancelled through its ``should_stop`` hook.
-
-    Raised co-operatively (between iterations, never mid-solve) when a
-    caller racing several engines — e.g. termination against
-    nontermination in the combined ``nonterm="auto"`` mode — has already
-    obtained a verdict and asks the losers to stand down.
-    """
-
-
 @dataclass
 class MonodimResult:
     """Output of Algorithm 1/3: ``(λ, λ0, strict?)`` plus diagnostics.
@@ -141,12 +131,10 @@ class CegisEngine:
         extremal: bool = True,
         max_iterations: int = 200,
         observers: Sequence[CegisObserver] = (),
-        should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.oracle = oracle
         self.extremal = extremal
         self.max_iterations = max_iterations
-        self.should_stop = should_stop
         self._observers: List[CegisObserver] = list(observers)
 
     def add_observer(self, observer: CegisObserver) -> None:
@@ -266,10 +254,6 @@ class CegisEngine:
         self.oracle.reset(template, extra_constraints)
 
         while True:
-            if self.should_stop is not None and self.should_stop():
-                raise SynthesisCancelled(
-                    "synthesis cancelled before iteration %d" % (iterations + 1)
-                )
             iterations += 1
             if iterations > self.max_iterations:
                 raise MaxIterationsExceeded(

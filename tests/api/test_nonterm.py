@@ -1,6 +1,8 @@
-"""Nontermination through the API: config knobs, results, pipeline, race."""
+"""Nontermination through the API: config knobs, results, pipeline, auto."""
 
 import json
+import os
+from collections import Counter
 
 import pytest
 
@@ -14,9 +16,16 @@ from repro.api import (
     analyze,
     available_provers,
 )
+from repro.checking.corpus import load_corpus
+from repro.metrics import recording
 
 NONTERM = "var x; while (x >= 0) { x = x + 1; }"
 TERM = "var x; while (x > 0) { x = x - 1; }"
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+PROGRAMS = [("term", TERM), ("nonterm", NONTERM)] + [
+    (entry.name, entry.source) for entry in load_corpus(CORPUS_DIR)
+]
 
 
 class TestConfig:
@@ -97,6 +106,8 @@ class TestPipeline:
 
 
 class TestRace:
+    """``nonterm="auto"``: termination first, then nontermination."""
+
     def test_auto_mode_disproves_the_nonterminating_loop(self):
         result = analyze(NONTERM, config=AnalysisConfig(nonterm="auto"))
         assert result.status is AnalysisStatus.NONTERMINATING
@@ -129,3 +140,35 @@ class TestRace:
     def test_acyclic_program_short_circuits(self):
         result = analyze("var x; x = 1;", config=AnalysisConfig(nonterm="auto"))
         assert result.status is AnalysisStatus.TERMINATING
+
+
+def _run(name, source, mode):
+    """Analyse with termite; return the result and its run-only metrics."""
+    analysis = Analysis(source, config=AnalysisConfig(nonterm=mode), name=name)
+    with recording() as build:
+        analysis.problem()
+    result = analysis.run("termite")
+    return result, Counter(result.metrics) - Counter(build)
+
+
+class TestAutoIsSequential:
+    """``auto`` is termination, then nontermination if not proved."""
+
+    @pytest.mark.parametrize(
+        "name,source", PROGRAMS, ids=[name for name, _ in PROGRAMS]
+    )
+    def test_auto_is_off_then_only(self, name, source):
+        off, off_run = _run(name, source, "off")
+        auto, auto_run = _run(name, source, "auto")
+        again, _ = _run(name, source, "auto")
+        assert auto.metrics == again.metrics
+        if off.status is AnalysisStatus.TERMINATING:
+            assert auto.status is AnalysisStatus.TERMINATING
+            assert auto.ranking == off.ranking
+            assert auto.iterations == off.iterations
+            assert auto.dimension == off.dimension
+            assert auto.lp_statistics == off.lp_statistics
+            assert auto.metrics == off.metrics
+        else:
+            _, only_run = _run(name, source, "only")
+            assert auto_run == off_run + only_run

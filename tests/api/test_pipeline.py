@@ -173,6 +173,7 @@ class TestMetrics:
         assert all(r.metrics for r in serial.outcomes)
 
     def test_auto_race_counts_both_lanes_exactly_once(self):
+        # An undecided auto run is an "off" run followed by an "only" run.
         results = {}
         builds = {}
         for mode in ("off", "only", "auto"):

@@ -7,7 +7,6 @@ import pytest
 from repro.frontend.lowering import compile_program
 from repro.metrics import recording
 from repro.nontermination import synthesize_recurrence
-from repro.synthesis.engine import SynthesisCancelled
 
 COUNTUP = "var x; while (x >= 0) { x = x + 1; }"
 CONSTANT_LOOP = "var x; x = 1; while (x >= 1) { x = x; }"
@@ -78,10 +77,6 @@ class TestSeams:
         assert kinds[0] == "nonterm_start"
         assert kinds[-1] == "nonterm_end"
         assert "nonterm_success" in kinds
-
-    def test_should_stop_cancels(self):
-        with pytest.raises(SynthesisCancelled):
-            _synthesize(COUNTUP, should_stop=lambda: True)
 
     def test_statistics_surface_in_result(self):
         with recording() as counters:

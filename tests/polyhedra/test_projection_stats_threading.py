@@ -1,7 +1,7 @@
 """Thread isolation of the FM projection counters.
 
 :mod:`repro.metrics` recordings are thread-local: concurrent projections
-(the ``nonterm=auto`` race runs two provers in one process) must never
+(service request threads run analyses side by side in one process) must never
 interleave counter increments or fold each other's ``lp_calls_saved``
 into their results.  These tests run identical projection workloads
 concurrently and assert every thread recorded exactly the counters of

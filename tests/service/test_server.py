@@ -463,7 +463,7 @@ class TestOverloadControl:
                 if r["result"]["provenance"]["degraded"]
             ]
             # The queued request admitted while the other still waited
-            # ran under pressure: its nonterm race was shed — and said so.
+            # ran under pressure: its nontermination search was shed — and said so.
             assert degraded
             assert all(d == ["nonterm:auto->off"] for d in degraded)
         finally:

@@ -1,15 +1,16 @@
 """Branch-and-bound limits fall back to the rational relaxation, counted.
 
-Both integer sites of the SMT layer — the OMT minimisation and the
-theory check — catch :class:`BranchAndBoundLimit` and answer with the
-rational relaxation instead.  The fallback is sound for the synthesis
-loop, but it is counted as ``lp.ilp.bb_limit_fallbacks``.  On systems
-whose relaxation optimum is integral the answer must not change.
+Both integer queries of the SMT layer — the OMT minimisation and the
+theory check — solve through :func:`repro.smt.theory.solve`, which
+catches :class:`BranchAndBoundLimit` and answers with the rational
+relaxation instead.  The fallback is sound for the synthesis loop, but
+it is counted as ``lp.ilp.bb_limit_fallbacks``; the OMT query's count
+includes the theory checks of its DPLL(T) search.  On systems whose
+relaxation optimum is integral the answer must not change.
 """
 
 import pytest
 
-import repro.smt.optimize as optimize
 import repro.smt.theory as theory
 from repro.linexpr.expr import var
 from repro.linexpr.formula import And
@@ -40,17 +41,19 @@ def _check():
 
 
 @pytest.mark.parametrize(
-    "module,query",
-    [(optimize, _minimize), (theory, _check)],
+    "query,fallbacks",
+    # The OMT query: one theory check of its only Boolean assignment,
+    # then one minimisation inside that disjunct.
+    [(_minimize, 2), (_check, 1)],
     ids=["optimize", "theory"],
 )
-def test_limit_falls_back_and_is_counted(module, query, monkeypatch):
+def test_limit_falls_back_and_is_counted(query, fallbacks, monkeypatch):
     with recording() as counters:
         expected = query()
     assert "lp.ilp.bb_limit_fallbacks" not in counters
 
-    monkeypatch.setattr(module, "solve_ilp", _limit)
+    monkeypatch.setattr(theory, "solve_ilp", _limit)
     with recording() as counters:
         fallback = query()
-    assert counters["lp.ilp.bb_limit_fallbacks"] == 1
+    assert counters["lp.ilp.bb_limit_fallbacks"] == fallbacks
     assert fallback == expected
