@@ -33,7 +33,6 @@ from repro.api.config import (
     ConfigError,
     DOMAINS,
     NONTERM_MODES,
-    SMT_MODES,
 )
 from repro.api.registry import (
     CAPABILITIES,
@@ -76,7 +75,6 @@ from repro.api import provers as _provers  # noqa: F401
 __all__ = [
     "AnalysisConfig",
     "ConfigError",
-    "SMT_MODES",
     "DOMAINS",
     "CEX_ORACLES",
     "CEX_STRATEGIES",

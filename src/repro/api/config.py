@@ -26,11 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.smt.optimize import SearchMode
 from repro.synthesis.oracles import ORACLE_NAMES
-
-#: Valid values of :attr:`AnalysisConfig.smt_mode`.
-SMT_MODES = tuple(mode.value for mode in SearchMode)
 
 #: Valid values of :attr:`AnalysisConfig.domain`.
 DOMAINS = ("polyhedra", "intervals")
@@ -53,8 +49,9 @@ def _one_of(*values):
 #: could hold without changing the analysis: :meth:`AnalysisConfig.
 #: from_dict` drops such a key when its value passes, so configs and
 #: requests serialised before the removal still load.  ``cex_batch`` only
-#: ever added rows beyond the first, and ``oracle_seed`` only seeded the
-#: deleted ``sampling`` oracle and ``random`` strategy.
+#: ever added rows beyond the first, ``oracle_seed`` only seeded the
+#: deleted ``sampling`` oracle and ``random`` strategy, and ``"local"``
+#: is the only OMT search left.
 _LEGACY_FIELDS = {
     "kernel": _one_of("auto", "packed", "exact"),
     "lp_mode": _one_of("incremental", "cold", "audit"),
@@ -63,6 +60,7 @@ _LEGACY_FIELDS = {
         "a nonnegative int",
         lambda value: type(value) is int and value >= 0,
     ),
+    "smt_mode": _one_of("local"),
 }
 
 
@@ -79,9 +77,6 @@ def _require(condition: bool, message: str) -> None:
 class AnalysisConfig:
     """Every knob of the termination analysis, as one immutable value."""
 
-    #: Counterexample search strategy of the optimising SMT oracle:
-    #: ``"local"`` (per-disjunct optimisation) or ``"global"``.
-    smt_mode: str = SearchMode.LOCAL.value
     #: Tighten strict inequalities over integer-valued variables.
     integer_mode: bool = False
     #: Iteration budget of one monodimensional synthesis loop.
@@ -114,10 +109,6 @@ class AnalysisConfig:
     nonterm_budget: int = 64
 
     def __post_init__(self) -> None:
-        _require(
-            self.smt_mode in SMT_MODES,
-            "smt_mode must be one of %s, got %r" % (", ".join(SMT_MODES), self.smt_mode),
-        )
         _require(
             isinstance(self.integer_mode, bool),
             "integer_mode must be a bool, got %r" % (self.integer_mode,),
@@ -175,11 +166,6 @@ class AnalysisConfig:
 
     # -- derived views -----------------------------------------------------------
 
-    @property
-    def search_mode(self) -> SearchMode:
-        """The :attr:`smt_mode` as the solver's :class:`SearchMode` enum."""
-        return SearchMode(self.smt_mode)
-
     def replace(self, **changes) -> "AnalysisConfig":
         """A copy with *changes* applied (re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -196,8 +182,7 @@ class AnalysisConfig:
 
         Unknown keys are rejected (a config written by a newer version
         must not be silently misread), missing keys take their defaults.
-        A legacy ``"kernel"``, ``"lp_mode"``, ``"cex_batch"`` or
-        ``"oracle_seed"`` key is dropped when its value passes the removed
+        The key of a removed field is dropped when its value passes that
         field's test (:data:`_LEGACY_FIELDS`) and rejected otherwise.
         """
         if not isinstance(data, dict):

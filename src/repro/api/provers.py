@@ -39,7 +39,6 @@ from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.templates import LexicographicTemplate
 
 
 class TermiteProver(Prover):
@@ -118,21 +117,18 @@ class TermiteProver(Prover):
         start: float,
         lp_statistics: LpStatistics,
     ) -> AnalysisResult:
-        template = LexicographicTemplate(
-            problem,
-            integer_mode=config.integer_mode,
-            smt_mode=config.search_mode,
-            max_dimension=config.max_dimension,
-        )
         engine = CegisEngine(
             make_oracle(config.cex_oracle),
             extremal=config.cex_strategy == "extremal",
             max_iterations=config.max_iterations,
+            integer_mode=config.integer_mode,
             observers=(observer,) if observer is not None else (),
         )
         try:
             outcome = engine.synthesize_lexicographic(
-                template, lp_statistics=lp_statistics
+                problem,
+                max_dimension=config.max_dimension,
+                lp_statistics=lp_statistics,
             )
         except MaxIterationsExceeded as error:
             # One oracle query per iteration: the queries are the

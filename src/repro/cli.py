@@ -60,7 +60,6 @@ from repro.api import (
     DOMAINS,
     NONTERM_MODES,
     RequestError,
-    SMT_MODES,
     analyze,
     canonical_name,
     prover_capabilities,
@@ -87,7 +86,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="load an AnalysisConfig JSON document (as written by "
         "AnalysisConfig.to_json) and use it as the baseline",
     )
-    group.add_argument("--smt-mode", choices=list(SMT_MODES), default=None)
     group.add_argument("--domain", choices=list(DOMAINS), default=None)
     group.add_argument(
         "--oracle",
@@ -146,7 +144,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
         config = AnalysisConfig()
     overrides = {}
     for flag, field in [
-        ("smt_mode", "smt_mode"),
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),

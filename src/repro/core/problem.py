@@ -78,6 +78,7 @@ class TerminationProblem:
             integer_variables if integer_variables is not None else variables
         )
         self._rows = self._collect_invariant_rows()
+        self._transition_formula: Optional[Formula] = None
 
     # -- dimensions and names ------------------------------------------------------
 
@@ -134,11 +135,15 @@ class TerminationProblem:
     # -- formulas for the SMT queries -----------------------------------------------------
 
     def transition_formula(self) -> Formula:
-        """``Φ``: the disjunction over blocks of ``I_k(x) ∧ φ(x, x') ∧ u-defs``."""
-        disjuncts: List[Formula] = []
-        for block in self.blocks:
-            disjuncts.append(self._block_formula(block))
-        return disjunction(disjuncts)
+        """``Φ``: the disjunction over blocks of ``I_k(x) ∧ φ(x, x') ∧ u-defs``.
+
+        Built once and shared by every oracle query of every component.
+        """
+        if self._transition_formula is None:
+            self._transition_formula = disjunction(
+                [self._block_formula(block) for block in self.blocks]
+            )
+        return self._transition_formula
 
     def _block_formula(self, block: BlockTransition) -> Formula:
         parts: List[Formula] = []

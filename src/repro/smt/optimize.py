@@ -6,20 +6,14 @@ counterexample is extremal — a vertex of (one disjunct of) the convex hull
 of one-step differences, or a ray when the objective is unbounded
 (section 4.2 of the paper).
 
-Two search modes are provided:
-
-* ``"local"`` (default): take the first theory-consistent disjunct found by
-  the lazy solver and minimise inside it.  The witness is a generator of
-  that disjunct's polyhedron, which is all the termination argument of the
-  paper needs, and it is what keeps the query cheap.
-* ``"global"``: enumerate every theory-consistent boolean assignment and
-  return the overall optimum.  This matches the letter of
-  "optimization modulo theory" and is used by the ablation benchmark.
+The search is *local*: take the first theory-consistent disjunct found by
+the lazy solver and minimise inside it.  The witness is a generator of
+that disjunct's polyhedron, which is all the termination argument of the
+paper needs, and it is what keeps the query cheap.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set
@@ -31,11 +25,6 @@ from repro.lp.problem import LpStatus, Sense
 from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
 from repro.smt.theory import solve
-
-
-class SearchMode(enum.Enum):
-    LOCAL = "local"
-    GLOBAL = "global"
 
 
 @dataclass
@@ -60,14 +49,9 @@ class OptimizationResult:
 class OptimizingSmtSolver:
     """Minimise a linear objective over the models of asserted formulas."""
 
-    def __init__(
-        self,
-        integer_variables: Optional[Iterable[str]] = None,
-        mode: str | SearchMode = SearchMode.LOCAL,
-    ):
+    def __init__(self, integer_variables: Optional[Iterable[str]] = None):
         self._formulas: List[Formula] = []
         self._integer_variables: Set[str] = set(integer_variables or ())
-        self._mode = SearchMode(mode) if isinstance(mode, str) else mode
 
     # -- construction ------------------------------------------------------------
 
@@ -87,22 +71,18 @@ class OptimizingSmtSolver:
         return OptimizationResult(result.status, model=result.model)
 
     def minimize(self, objective: LinExpr) -> OptimizationResult:
-        """Minimise *objective*; extremal model or ray per the search mode."""
+        """Minimise *objective* in the first theory-consistent disjunct.
+
+        The result is an extremal model, or a ray when the objective is
+        unbounded below in that disjunct.
+        """
         count("smt.optimize.queries")
-        solver = self._fresh_solver()
-        best: Optional[OptimizationResult] = None
-        for constraints, model in solver.enumerate_assignments():
-            count("smt.optimize.assignments_explored")
-            candidate = self._minimize_in_disjunct(objective, constraints, model)
-            if candidate.unbounded:
-                return candidate
-            if best is None or self._improves(candidate, best):
-                best = candidate
-            if self._mode is SearchMode.LOCAL:
-                break
-        if best is None:
+        assignment = self._fresh_solver().assignment()
+        if assignment is None:
             return OptimizationResult(SmtStatus.UNSAT)
-        return best
+        count("smt.optimize.assignments_explored")
+        constraints, model = assignment
+        return self._minimize_in_disjunct(objective, constraints, model)
 
     # -- internals ---------------------------------------------------------------------
 
@@ -111,16 +91,6 @@ class OptimizingSmtSolver:
         for formula in self._formulas:
             solver.assert_formula(formula)
         return solver
-
-    @staticmethod
-    def _improves(
-        candidate: OptimizationResult, incumbent: OptimizationResult
-    ) -> bool:
-        if candidate.objective_value is None:
-            return False
-        if incumbent.objective_value is None:
-            return True
-        return candidate.objective_value < incumbent.objective_value
 
     def _minimize_in_disjunct(
         self,

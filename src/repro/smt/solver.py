@@ -103,25 +103,20 @@ class SmtSolver:
         _, theory_model = assignment
         return SmtResult(SmtStatus.SAT, model=self._complete_model(theory_model))
 
-    def enumerate_assignments(
+    def assignment(
         self,
-    ) -> Iterable[Tuple[List[Constraint], Dict[str, Fraction]]]:
-        """Yield theory-consistent assignments, blocking each one in turn.
+    ) -> Optional[Tuple[List[Constraint], Dict[str, Fraction]]]:
+        """One theory-consistent assignment, or ``None`` when unsatisfiable.
 
-        Every yielded pair is ``(asserted constraints, model)`` where the
-        constraints are the theory literals made true by the boolean model.
-        The generator terminates when the propositional abstraction has no
-        further theory-consistent models.  Used by the optimising layer to
-        search all disjuncts for the global optimum.
+        The pair is ``(asserted constraints, model)``: the theory literals
+        made true by the boolean model — one disjunct of the assertions —
+        and a model of them.  The optimising layer minimises inside it.
         """
-        while True:
-            assignment = self._next_consistent_assignment()
-            if assignment is None:
-                return
-            literals, model = assignment
-            yield self._constraints_of(literals), self._complete_model(model)
-            # Block this exact set of theory literals.
-            self._sat.add_clause([-literal for literal in literals])
+        assignment = self._next_consistent_assignment()
+        if assignment is None:
+            return None
+        literals, model = assignment
+        return self._constraints_of(literals), self._complete_model(model)
 
     # -- internals --------------------------------------------------------------------
 

@@ -1,16 +1,14 @@
 """The pluggable CEGIS synthesis engine.
 
 This package owns the counterexample-guided loop of the paper
-(Algorithms 1–3), decomposed into swappable pieces:
+(Algorithms 1–3) over a :class:`~repro.core.problem.TerminationProblem`:
 
 * :mod:`repro.synthesis.engine` — the loop itself (budgets, flat-basis
-  bookkeeping, per-iteration events) plus the greedy elimination loop
-  the eager baselines share;
+  bookkeeping, lexicographic composition, per-iteration events) plus the
+  greedy elimination loop the eager baselines share;
 * :mod:`repro.synthesis.oracles` — where counterexamples come from
   (optimising SMT or double-description enumeration, each extremal or
-  arbitrary);
-* :mod:`repro.synthesis.templates` — the candidate spaces (linear
-  per-cutpoint, lexicographic multidimensional).
+  arbitrary).
 
 The ``cex_oracle`` / ``cex_strategy`` fields of
 :class:`repro.api.AnalysisConfig` (and the matching ``repro prove
@@ -35,7 +33,6 @@ from repro.synthesis.oracles import (
     avoid_space,
     make_oracle,
 )
-from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 __all__ = [
     "CegisEngine",
@@ -52,6 +49,4 @@ __all__ = [
     "ORACLE_NAMES",
     "avoid_space",
     "make_oracle",
-    "LinearTemplate",
-    "LexicographicTemplate",
 ]

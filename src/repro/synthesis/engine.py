@@ -1,11 +1,11 @@
 """The generic CEGIS synthesis engine (Algorithms 1–3 of the paper).
 
-The paper's counterexample-guided loop lives here, decomposed into three
-swappable pieces:
+The paper's counterexample-guided loop lives here.  It works on a
+:class:`~repro.core.problem.TerminationProblem` — which owns the stacked
+``u`` space, the ``λ · u`` objective and ``Φ`` — and the problem's
+``LP(V, Constraints(I))`` (:class:`~repro.core.lp_instance.RankingLp`,
+Definition 11), plus two swappable pieces:
 
-* a **template** (:mod:`repro.synthesis.templates`) — the candidate space
-  and its LP (``LP(V, Constraints(I))``, Definition 11), plus the
-  lexicographic composition rules of Algorithm 2;
 * a **counterexample oracle** (:mod:`repro.synthesis.oracles`) — where
   counterexamples come from: the paper's optimising-SMT extremal-point
   search or double-description generator enumeration, each asked for
@@ -44,14 +44,17 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.lp_instance import LpStatistics
+from repro.core.lp_instance import LpStatistics, RankingLp
+from repro.core.problem import TerminationProblem
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
 )
 from repro.linalg.matrix import in_span
 from repro.linalg.vector import Vector
+from repro.linexpr.constraint import Constraint, Relation
 from repro.metrics import count
+from repro.synthesis.oracles import has_stuttering_step
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -119,10 +122,13 @@ CegisObserver = Callable[[CegisEvent], None]
 
 
 class CegisEngine:
-    """Template + oracle + budgets, composed into the loop.
+    """Oracle + budgets, composed into the loop.
 
     ``extremal`` asks the oracle for the most violating counterexample
     (the paper's choice) instead of an arbitrary one (§4.2 ablation).
+    With ``integer_mode`` the SMT queries treat the program variables as
+    integers (more precise, slower); otherwise the rational relaxation is
+    used, which is always sound.
     """
 
     def __init__(
@@ -130,15 +136,14 @@ class CegisEngine:
         oracle,
         extremal: bool = True,
         max_iterations: int = 200,
+        integer_mode: bool = False,
         observers: Sequence[CegisObserver] = (),
     ):
         self.oracle = oracle
         self.extremal = extremal
         self.max_iterations = max_iterations
+        self.integer_mode = integer_mode
         self._observers: List[CegisObserver] = list(observers)
-
-    def add_observer(self, observer: CegisObserver) -> None:
-        self._observers.append(observer)
 
     def _emit(
         self, kind: str, component: int, iteration: int, **payload
@@ -153,7 +158,7 @@ class CegisEngine:
 
     def synthesize_component(
         self,
-        template,
+        problem: TerminationProblem,
         extra_constraints: Sequence = (),
         component: int = 0,
         lp_statistics: Optional[LpStatistics] = None,
@@ -185,13 +190,10 @@ class CegisEngine:
 
         ``extra_constraints`` restricts the transition relation —
         Algorithm 2 passes the flatness constraints ``λ_{d'} · u = 0`` of
-        the previous lexicographic components here.  With the template's
-        ``integer_mode`` the SMT queries treat the program variables as
-        integers (more precise, slower); otherwise the rational
-        relaxation is used, which is always sound.
+        the previous lexicographic components here.
         """
         lp = LpStatistics()
-        ranking_lp = template.make_lp(lp)
+        ranking_lp = RankingLp(problem, lp)
         flat_basis: List[Vector] = []
         self._emit(
             "component_start",
@@ -202,7 +204,7 @@ class CegisEngine:
         )
         try:
             current, deltas, iterations, vertices = self._refinement_loop(
-                template,
+                problem,
                 ranking_lp,
                 lp,
                 extra_constraints,
@@ -217,7 +219,9 @@ class CegisEngine:
 
         strict = bool(deltas) and all(value == 1 for value in deltas)
         if strict:
-            strict = not template.has_stuttering_step(extra_constraints)
+            strict = not has_stuttering_step(
+                problem, extra_constraints, self.integer_mode
+            )
         current.strict = strict
         self._emit(
             "component_end",
@@ -236,7 +240,7 @@ class CegisEngine:
 
     def _refinement_loop(
         self,
-        template,
+        problem: TerminationProblem,
         ranking_lp,
         lp: LpStatistics,
         extra_constraints: Sequence,
@@ -248,10 +252,10 @@ class CegisEngine:
         Returns the final candidate, its δ values, the iteration count and
         the number of vertex rows added.
         """
-        current = template.initial_candidate()
+        current = problem.zero_ranking()
         deltas: List[Fraction] = []
         iterations = vertices = 0
-        self.oracle.reset(template, extra_constraints)
+        self.oracle.reset(problem, extra_constraints, self.integer_mode)
 
         while True:
             iterations += 1
@@ -260,7 +264,7 @@ class CegisEngine:
                     "mono-dimensional synthesis exceeded %d iterations"
                     % self.max_iterations
                 )
-            objective = template.objective(current)
+            objective = problem.objective(current)
             lp.oracle_queries += 1
             group = self.oracle.find(objective, flat_basis, self.extremal)
             if group is None:
@@ -311,10 +315,11 @@ class CegisEngine:
 
     def synthesize_lexicographic(
         self,
-        template,
+        problem: TerminationProblem,
+        max_dimension: Optional[int] = None,
         lp_statistics: Optional[LpStatistics] = None,
     ) -> MultidimResult:
-        """Run Algorithm 2 over *template* (a lexicographic template).
+        """Run Algorithm 2 over *problem*.
 
         One component is synthesised per dimension; before dimension
         ``d`` the transition relation is restricted to the steps on which
@@ -324,8 +329,12 @@ class CegisEngine:
         being strict (failure — Theorem 1).  So a success is a strict
         lexicographic linear ranking function, of minimal dimension, iff
         one exists relative to the given invariants.  Each dimension owns
-        one persistent warm-started ``LP(V, Constraints(I))``.
+        one persistent warm-started ``LP(V, Constraints(I))``.  At most
+        *max_dimension* components are synthesised (default: the stacked
+        dimension, which Theorem 1 never exceeds).
         """
+        if max_dimension is None:
+            max_dimension = problem.stacked_dimension
         components: List[MonodimResult] = []
         stacked: List[Vector] = []
         flatness_constraints: List = []
@@ -333,13 +342,13 @@ class CegisEngine:
 
         while True:
             result = self.synthesize_component(
-                template,
+                problem,
                 extra_constraints=flatness_constraints,
                 component=len(components),
                 lp_statistics=lp_statistics,
             )
             components.append(result)
-            vector = template.stacked_vector(result.ranking)
+            vector = result.ranking.stacked_vector(problem.cutset)
 
             if not result.strict:
                 if vector.is_zero() or in_span(vector, stacked):
@@ -354,11 +363,12 @@ class CegisEngine:
             if result.strict:
                 return MultidimResult(True, ranking, components)
 
-            if len(ranking.components) >= template.max_dimension:
+            if len(ranking.components) >= max_dimension:
                 return MultidimResult(False, None, components)
 
+            # λ_d · u = 0: restrict the next dimension to constant steps.
             flatness_constraints.append(
-                template.flatness_constraint(result.ranking)
+                Constraint(problem.objective(result.ranking), Relation.EQ)
             )
 
 

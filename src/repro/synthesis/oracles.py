@@ -75,10 +75,16 @@ class CounterexampleOracle(abc.ABC):
     #: Stable registry name (the ``cex_oracle`` config value).
     name: str = ""
 
-    def reset(self, template, extra_constraints: Sequence = ()) -> None:
-        """Prepare for one component of *template* (called by the engine)."""
-        self._template = template
+    def reset(
+        self,
+        problem: TerminationProblem,
+        extra_constraints: Sequence = (),
+        integer_mode: bool = False,
+    ) -> None:
+        """Prepare for one component of *problem* (called by the engine)."""
+        self._problem = problem
         self._extra_constraints = list(extra_constraints)
+        self._integer_mode = integer_mode
 
     @abc.abstractmethod
     def find(
@@ -126,7 +132,6 @@ def avoid_space(
 
 def has_stuttering_step(
     problem: TerminationProblem,
-    transition_formula: Formula,
     extra_constraints: Sequence,
     integer_mode: bool,
 ) -> bool:
@@ -136,7 +141,7 @@ def has_stuttering_step(
             problem.smt_integer_variables() if integer_mode else ()
         )
     )
-    solver.assert_formula(transition_formula)
+    solver.assert_formula(problem.transition_formula())
     for constraint in extra_constraints:
         solver.assert_formula(constraint)
     zero = conjunction(
@@ -169,15 +174,13 @@ class SmtOptimizingOracle(CounterexampleOracle):
     def _build_query(
         self, objective: LinExpr, flat_basis: Sequence[Vector]
     ) -> OptimizingSmtSolver:
-        template = self._template
-        problem = template.problem
+        problem = self._problem
         solver = OptimizingSmtSolver(
             integer_variables=(
-                problem.smt_integer_variables() if template.integer_mode else ()
-            ),
-            mode=template.smt_mode,
+                problem.smt_integer_variables() if self._integer_mode else ()
+            )
         )
-        solver.assert_formula(template.transition_formula)
+        solver.assert_formula(problem.transition_formula())
         for constraint in self._extra_constraints:
             solver.assert_formula(constraint)
         solver.assert_formula(avoid_space(problem, flat_basis))
@@ -191,7 +194,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
         extremal: bool = True,
     ) -> Optional[WitnessGroup]:
         count("synthesis.oracles.smt_queries")
-        problem = self._template.problem
+        problem = self._problem
         solver = self._build_query(objective, flat_basis)
         if extremal:
             outcome = solver.minimize(objective)
@@ -368,19 +371,25 @@ class DdEnumerationOracle(CounterexampleOracle):
 
     name = "dd"
 
-    def reset(self, template, extra_constraints: Sequence = ()) -> None:
-        super().reset(template, extra_constraints)
-        self._names = template.problem.difference_variables()
+    def reset(
+        self,
+        problem: TerminationProblem,
+        extra_constraints: Sequence = (),
+        integer_mode: bool = False,
+    ) -> None:
+        super().reset(problem, extra_constraints, integer_mode)
+        self._names = problem.difference_variables()
         self._confirmation = SmtOptimizingOracle()
-        self._confirmation.reset(template, extra_constraints)
-        self._generators = self._enumerate(template, extra_constraints)
+        self._confirmation.reset(problem, extra_constraints, integer_mode)
+        self._generators = self._enumerate(problem, extra_constraints)
 
-    def _enumerate(self, template, extra_constraints) -> List[_Generator]:
+    def _enumerate(
+        self, problem: TerminationProblem, extra_constraints: Sequence
+    ) -> List[_Generator]:
         # Imported lazily: the baselines package is built on the engine,
         # so the synthesis layer must not import it at module load time.
         from repro.baselines.dnf import TransitionDisjunct, expand_disjuncts
 
-        problem = template.problem
         generators: List[_Generator] = []
         for position, disjunct in enumerate(expand_disjuncts(problem)):
             rows = list(disjunct.constraints)

@@ -6,21 +6,20 @@ import json
 import pytest
 
 from repro.api import AnalysisConfig, ConfigError
-from repro.smt.optimize import SearchMode
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         config = AnalysisConfig()
-        assert config.smt_mode == "local"
         assert config.cex_oracle == "smt"
+        assert config.cex_strategy == "extremal"
         assert config.domain == "polyhedra"
         assert config.check_certificates and config.restrict_to_guarded
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"smt_mode": "sideways"},
+            {"cex_strategy": "greedy"},
             {"cex_oracle": "warm"},
             {"domain": "octagons"},
             {"max_iterations": 0},
@@ -52,14 +51,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config.replace(cex_oracle="warm")
 
-    def test_search_mode_view(self):
-        assert AnalysisConfig(smt_mode="global").search_mode is SearchMode.GLOBAL
+    def test_smt_mode_keyword_rejected(self):
+        """``smt_mode`` was removed: only the local OMT search is left."""
+        with pytest.raises(TypeError):
+            AnalysisConfig(smt_mode="local")
 
 
 class TestSerialisation:
     def test_round_trip_is_exact(self):
         config = AnalysisConfig(
-            smt_mode="global",
             cex_oracle="dd",
             integer_mode=True,
             max_iterations=33,
@@ -140,6 +140,17 @@ class TestSerialisation:
     def test_legacy_cegis_key_with_another_value_rejected(self, key, legacy):
         with pytest.raises(ConfigError, match=key):
             AnalysisConfig.from_dict({key: legacy})
+
+    def test_legacy_smt_mode_key_is_dropped(self):
+        data = {"smt_mode": "local"}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig()
+        assert data == {"smt_mode": "local"}  # not mutated
+        assert "smt_mode" not in AnalysisConfig.from_dict(data).to_dict()
+
+    @pytest.mark.parametrize("legacy", ["global", "", None])
+    def test_legacy_smt_mode_key_with_another_value_rejected(self, legacy):
+        with pytest.raises(ConfigError, match="smt_mode"):
+            AnalysisConfig.from_dict({"smt_mode": legacy})
 
     def test_removed_field_is_no_constructor_argument(self):
         with pytest.raises(TypeError):

@@ -25,7 +25,6 @@ from repro.linalg.vector import Vector
 from repro.lp.problem import LpStatus
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 GOLDEN = (
     Path(__file__).parent.parent / "invariants" / "data" / "golden_invariants.json"
@@ -48,12 +47,12 @@ def _engine():
 
 
 def _component(problem):
-    return _engine().synthesize_component(LinearTemplate(problem))
+    return _engine().synthesize_component(problem)
 
 
 def _lexicographic(problem, lp_statistics):
     return _engine().synthesize_lexicographic(
-        LexicographicTemplate(problem), lp_statistics=lp_statistics
+        problem, lp_statistics=lp_statistics
     )
 
 

@@ -9,7 +9,6 @@ from repro.metrics import recording
 from repro.smt.solver import SmtSolver
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import avoid_space, make_oracle
-from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
@@ -22,14 +21,12 @@ def paper_engine(max_iterations=200):
 
 
 def synthesize_component(problem, max_iterations=200):
-    return paper_engine(max_iterations).synthesize_component(
-        LinearTemplate(problem)
-    )
+    return paper_engine(max_iterations).synthesize_component(problem)
 
 
 def synthesize_lexicographic(problem, max_dimension=None):
     return paper_engine().synthesize_lexicographic(
-        LexicographicTemplate(problem, max_dimension=max_dimension)
+        problem, max_dimension=max_dimension
     )
 
 

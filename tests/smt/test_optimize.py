@@ -4,12 +4,12 @@
 
 from repro.linexpr.expr import var
 from repro.linexpr.formula import And, Or
-from repro.smt.optimize import OptimizingSmtSolver, SearchMode
+from repro.smt.optimize import OptimizingSmtSolver
 
 x, y = var("x"), var("y")
 
 
-def example1_solver(mode="global"):
+def example1_solver():
     xp, yp = var("x'"), var("y'")
     tau = Or(
         [
@@ -18,7 +18,7 @@ def example1_solver(mode="global"):
         ]
     )
     invariant = And([x + 1 >= 0, x <= 11, y + 1 >= 0, y <= x + 5, x + y <= 15])
-    solver = OptimizingSmtSolver(mode=mode)
+    solver = OptimizingSmtSolver()
     solver.assert_formula(invariant)
     solver.assert_formula(tau)
     return solver
@@ -32,13 +32,8 @@ class TestMinimize:
         assert result.is_sat
         assert result.objective_value == 3
 
-    def test_global_searches_all_disjuncts(self):
-        solver = OptimizingSmtSolver(mode=SearchMode.GLOBAL)
-        solver.assert_formula(Or([And([x >= 5, x <= 6]), And([x >= 1, x <= 2])]))
-        assert solver.minimize(x).objective_value == 1
-
     def test_local_stays_in_one_disjunct(self):
-        solver = OptimizingSmtSolver(mode=SearchMode.LOCAL)
+        solver = OptimizingSmtSolver()
         solver.assert_formula(Or([And([x >= 5, x <= 6]), And([x >= 1, x <= 2])]))
         result = solver.minimize(x)
         assert result.objective_value in (1, 5)
@@ -87,5 +82,8 @@ class TestPaperExample1Queries:
 
     def test_x_can_increase(self):
         solver = example1_solver()
+        # The oracle's query for candidate x: a step on which x does not
+        # decrease (λ·u ≤ 0), minimised inside its disjunct.
+        solver.assert_formula((x - var("x'")) <= 0)
         result = solver.minimize(x - var("x'"))
         assert result.objective_value == -1

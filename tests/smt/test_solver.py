@@ -78,18 +78,16 @@ class TestUnsat:
         )
 
 
-class TestEnumeration:
-    def test_enumerate_disjuncts(self):
+class TestAssignment:
+    def test_model_satisfies_the_returned_constraints(self):
         solver = SmtSolver()
         solver.assert_formula(Or([And([x >= 0, x <= 1]), And([x >= 10, x <= 11])]))
-        regions = []
-        for constraints, model in solver.enumerate_assignments():
-            regions.append(model["x"])
-        assert len(regions) >= 2
-        assert any(value <= 1 for value in regions)
-        assert any(value >= 10 for value in regions)
+        constraints, model = solver.assignment()
+        assert constraints
+        assert all(constraint.satisfied_by(model) for constraint in constraints)
+        assert model["x"] <= 1 or model["x"] >= 10
 
-    def test_enumeration_terminates_on_unsat(self):
+    def test_unsat_returns_none(self):
         solver = SmtSolver()
         solver.assert_formula(And([x >= 1, x <= 0]))
-        assert list(solver.enumerate_assignments()) == []
+        assert solver.assignment() is None

@@ -11,7 +11,6 @@ from repro.synthesis.engine import (
     eliminate_lexicographic,
 )
 from repro.synthesis.oracles import make_oracle
-from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
@@ -31,22 +30,20 @@ class TestComponentSynthesis:
     def test_example1_strict_component(self, example1_automaton):
         problem = build_problem(example1_automaton)
         with recording() as counters:
-            result = make_engine().synthesize_component(LinearTemplate(problem))
+            result = make_engine().synthesize_component(problem)
         assert result.strict
         assert not result.is_trivial
         assert counters["synthesis.engine.counterexamples"] >= 1
 
     def test_stutter_gives_non_strict(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        result = make_engine().synthesize_component(LinearTemplate(problem))
+        result = make_engine().synthesize_component(problem)
         assert not result.strict
 
     def test_iteration_budget_enforced(self, example1_automaton):
         problem = build_problem(example1_automaton)
         with pytest.raises(MaxIterationsExceeded):
-            make_engine(max_iterations=0).synthesize_component(
-                LinearTemplate(problem)
-            )
+            make_engine(max_iterations=0).synthesize_component(problem)
 
     def test_budget_overrun_reports_the_iterations_run(self):
         source = next(p for p in get_suite("wtc") if p.name == "wise").source
@@ -67,7 +64,7 @@ class TestComponentSynthesis:
         shared = LpStatistics()
         with recording() as counters:
             result = make_engine().synthesize_component(
-                LinearTemplate(problem), lp_statistics=shared
+                problem, lp_statistics=shared
             )
         assert shared.oracle_queries == result.iterations
         assert shared.cex_rows == (
@@ -85,24 +82,20 @@ class TestComponentSynthesis:
 class TestLexicographic:
     def test_example1_dimension_one(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        outcome = make_engine().synthesize_lexicographic(
-            LexicographicTemplate(problem)
-        )
+        outcome = make_engine().synthesize_lexicographic(problem)
         assert outcome.success
         assert outcome.dimension == 1
 
     def test_failure_reported(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        outcome = make_engine().synthesize_lexicographic(
-            LexicographicTemplate(problem)
-        )
+        outcome = make_engine().synthesize_lexicographic(problem)
         assert not outcome.success
         assert outcome.ranking is None
 
     def test_max_dimension_cap(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
         outcome = make_engine().synthesize_lexicographic(
-            LexicographicTemplate(problem, max_dimension=1)
+            problem, max_dimension=1
         )
         assert outcome.dimension <= 1
 
@@ -112,7 +105,7 @@ class TestEvents:
         problem = build_problem(example1_automaton)
         events = []
         engine = make_engine(observers=[events.append])
-        engine.synthesize_lexicographic(LexicographicTemplate(problem))
+        engine.synthesize_lexicographic(problem)
 
         kinds = [event.kind for event in events]
         assert kinds[0] == "component_start"
@@ -137,7 +130,7 @@ class TestEvents:
         engine = make_engine(
             observers=[events.append], oracle="dd", extremal=False
         )
-        engine.synthesize_component(LinearTemplate(problem))
+        engine.synthesize_component(problem)
         start = events[0]
         assert start.payload["oracle"] == "dd"
         assert start.payload["strategy"] == "arbitrary"
@@ -196,7 +189,7 @@ class TestDeterminism:
         engine = make_engine(
             observers=[events.append], oracle="dd", extremal=extremal
         )
-        engine.synthesize_lexicographic(LexicographicTemplate(problem))
+        engine.synthesize_lexicographic(problem)
         return [
             (event.kind, event.component, event.iteration, repr(event.payload))
             for event in events

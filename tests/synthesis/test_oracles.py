@@ -17,17 +17,15 @@ from repro.synthesis.oracles import (
     make_oracle,
     objective_on_vector,
 )
-from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
-def template_for(automaton):
-    problem = Analysis(automaton).problem()
-    return LinearTemplate(problem)
+def problem_for(automaton):
+    return Analysis(automaton).problem()
 
 
-def zero_objective(template):
+def zero_objective(problem):
     """The first engine query: refute the all-zero candidate."""
-    return template.objective(template.initial_candidate())
+    return problem.objective(problem.zero_ranking())
 
 
 def wtc_source(name):
@@ -36,24 +34,24 @@ def wtc_source(name):
 
 class TestSmtOracle:
     def test_extremal_witness_on_countdown(self, countdown_automaton):
-        template = template_for(countdown_automaton)
+        problem = problem_for(countdown_automaton)
         oracle = SmtOptimizingOracle()
-        oracle.reset(template, ())
-        objective = zero_objective(template)
+        oracle.reset(problem, ())
+        objective = zero_objective(problem)
         group = oracle.find(objective, [])
         assert group, "the zero candidate must be refutable"
         witness = group[0]
         assert witness.kind == "vertex"
         assert not witness.vector.is_zero()
         # The witness is a genuine non-increasing step: λ·u ≤ 0 with λ = 0.
-        names = template.problem.difference_variables()
+        names = problem.difference_variables()
         assert objective_on_vector(objective, witness.vector, names) == 0
 
     def test_arbitrary_model_also_violates(self, countdown_automaton):
-        template = template_for(countdown_automaton)
+        problem = problem_for(countdown_automaton)
         oracle = SmtOptimizingOracle()
-        oracle.reset(template, ())
-        group = oracle.find(zero_objective(template), [], extremal=False)
+        oracle.reset(problem, ())
+        group = oracle.find(zero_objective(problem), [], extremal=False)
         assert group and group[0].kind == "vertex"
 
     def test_factory_rejects_unknown_names(self):
@@ -68,13 +66,13 @@ class TestSmtOracle:
 
 class TestDdOracle:
     def test_returns_enumerated_generators(self, countdown_automaton):
-        template = template_for(countdown_automaton)
+        problem = problem_for(countdown_automaton)
         oracle = DdEnumerationOracle()
-        oracle.reset(template, ())
-        objective = zero_objective(template)
+        oracle.reset(problem, ())
+        objective = zero_objective(problem)
         group = oracle.find(objective, [])
         assert group
-        names = template.problem.difference_variables()
+        names = problem.difference_variables()
         for witness in group:
             assert witness.origin == "dd"
             assert objective_on_vector(objective, witness.vector, names) <= 0
@@ -82,10 +80,10 @@ class TestDdOracle:
     def test_consumed_generators_are_not_returned_again(
         self, countdown_automaton
     ):
-        template = template_for(countdown_automaton)
+        problem = problem_for(countdown_automaton)
         oracle = DdEnumerationOracle()
-        oracle.reset(template, ())
-        objective = zero_objective(template)
+        oracle.reset(problem, ())
+        objective = zero_objective(problem)
         handed_out = []
         while True:
             group = oracle.find(objective, [])
@@ -98,15 +96,14 @@ class TestDdOracle:
         assert len(handed_out) == len(set(map(tuple, handed_out)))
 
     def test_exhaustion_is_smt_confirmed(self, countdown_automaton):
-        template = template_for(countdown_automaton)
+        problem = problem_for(countdown_automaton)
         oracle = DdEnumerationOracle()
-        oracle.reset(template, ())
+        oracle.reset(problem, ())
         # A candidate that strictly decreases on every step of
         # `while (x > 0) x = x - 1`: rank by x at the only cut point.
         from repro.core.ranking import AffineRankingFunction
         from repro.linalg.vector import Vector
 
-        problem = template.problem
         location = problem.cutset[0]
         candidate = AffineRankingFunction(
             problem.variables,
@@ -114,7 +111,7 @@ class TestDdOracle:
             {location: Fraction(0)},
         )
         with recording() as counters:
-            group = oracle.find(template.objective(candidate), [])
+            group = oracle.find(problem.objective(candidate), [])
         assert group is None
         # One complete query, counted once (by the SMT oracle it runs).
         assert counters["synthesis.oracles.smt_queries"] == 1
@@ -128,7 +125,7 @@ class TestDdOracle:
         engine = CegisEngine(
             DdEnumerationOracle(), extremal=extremal, observers=[events.append]
         )
-        outcome = engine.synthesize_lexicographic(LexicographicTemplate(problem))
+        outcome = engine.synthesize_lexicographic(problem)
         assert outcome.success
         rounds = [e.payload for e in events if e.kind == "iteration"]
         assert any(payload.get("rays") for payload in rounds)
@@ -152,7 +149,6 @@ class TestStateSpaceTranslation:
     def test_flatness_constraint_translates_exactly(self, example1_automaton):
         """λ·u = 0 over u-variables becomes the same linear fact in state space."""
         problem = Analysis(example1_automaton).problem()
-        template = LinearTemplate(problem)
         # Use a non-trivial candidate: rank by x + 2y at the cut point.
         from repro.core.ranking import AffineRankingFunction
         from repro.linalg.vector import Vector
@@ -166,7 +162,7 @@ class TestStateSpaceTranslation:
         )
         from repro.linexpr.constraint import Constraint
 
-        flat = Constraint(template.objective(candidate), Relation.EQ)
+        flat = Constraint(problem.objective(candidate), Relation.EQ)
         translated = constraint_in_state_space(
             problem, flat, source=location, target=location
         )

@@ -15,7 +15,6 @@ from repro.linalg.vector import Vector
 from repro.linexpr.expr import LinExpr
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import DdEnumerationOracle, _Generator
-from repro.synthesis.templates import LinearTemplate
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 
@@ -31,11 +30,11 @@ def dd_oracle(generators):
     objective below reads the first one, so a generator's objective value
     is its first entry.
     """
-    template = LinearTemplate(Analysis(COUNTDOWN).problem())
+    problem = Analysis(COUNTDOWN).problem()
     oracle = DdEnumerationOracle()
-    oracle.reset(template, ())
+    oracle.reset(problem, ())
     oracle._generators = list(generators)
-    objective = LinExpr({template.problem.difference_variables()[0]: 1})
+    objective = LinExpr({problem.difference_variables()[0]: 1})
     return oracle, objective
 
 
@@ -85,7 +84,7 @@ class TestExtremal:
         for extremal in (True, False):
             asked = []
             CegisEngine(Recording(), extremal=extremal).synthesize_component(
-                LinearTemplate(problem)
+                problem
             )
             assert asked and set(asked) == {extremal}
 
