@@ -365,8 +365,9 @@ class DdEnumerationOracle(CounterexampleOracle):
     and marks it used.  A violating ray comes with the most violating
     vertex of its disjunct, as the SMT oracle's rays do: a ray alone
     carries no point of the relation for the LP to separate.  Exhaustion
-    is confirmed with one complete SMT query, whose witness (if any) is
-    returned like a normal candidate.
+    is confirmed with one complete SMT query of the same kind (extremal
+    or arbitrary), whose witness (if any) is returned like a normal
+    candidate.
     """
 
     name = "dd"
@@ -450,8 +451,9 @@ class DdEnumerationOracle(CounterexampleOracle):
         if not violating:
             # No unused generator violates: confirm exhaustion with the
             # complete query (covers degenerate DD output and interactions
-            # between AvoidSpace and non-generator points).
-            return self._confirmation.find(objective, flat_basis)
+            # between AvoidSpace and non-generator points), extremal or
+            # arbitrary as asked.
+            return self._confirmation.find(objective, flat_basis, extremal)
         count("synthesis.oracles.candidates", len(violating))
         _, best = min(violating, key=lambda item: (item[0], item[1].key))
         chosen = [best]

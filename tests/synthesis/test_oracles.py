@@ -1,6 +1,7 @@
 """Oracle unit behaviour: witnesses, exhaustion, determinism."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,12 @@ def problem_for(automaton):
 def zero_objective(problem):
     """The first engine query: refute the all-zero candidate."""
     return problem.objective(problem.zero_ranking())
+
+
+#: ``examples/listing1.imp``: the paper's Listing 1.
+EXAMPLE_LISTING1 = (
+    Path(__file__).parents[2] / "examples" / "listing1.imp"
+).read_text()
 
 
 def wtc_source(name):
@@ -116,6 +123,37 @@ class TestDdOracle:
         # One complete query, counted once (by the SMT oracle it runs).
         assert counters["synthesis.oracles.smt_queries"] == 1
         assert counters["smt.optimize.queries"] == 1
+
+    def test_arbitrary_exhaustion_check_does_not_minimise(
+        self, countdown_automaton
+    ):
+        """The confirming SMT query honours ``extremal=False`` too."""
+        problem = problem_for(countdown_automaton)
+        oracle = DdEnumerationOracle()
+        oracle.reset(problem, ())
+        from repro.core.ranking import AffineRankingFunction
+        from repro.linalg.vector import Vector
+
+        location = problem.cutset[0]
+        candidate = AffineRankingFunction(
+            problem.variables,
+            {location: Vector([Fraction(1)])},
+            {location: Fraction(0)},
+        )
+        with recording() as counters:
+            group = oracle.find(problem.objective(candidate), [], False)
+        assert group is None
+        assert counters["synthesis.oracles.smt_queries"] == 1
+        assert "smt.optimize.queries" not in counters
+
+    @pytest.mark.parametrize("oracle", ["smt", "dd"])
+    def test_arbitrary_runs_issue_no_optimize_query(self, oracle):
+        """§4.2's arbitrary lane never minimises, whatever the oracle."""
+        config = AnalysisConfig(cex_oracle=oracle, cex_strategy="arbitrary")
+        result = Analysis(EXAMPLE_LISTING1, config=config).run("termite")
+        assert result.proved
+        optimize = [name for name in result.metrics if name.startswith("smt.optimize.")]
+        assert optimize == []
 
     @pytest.mark.parametrize("extremal", [True, False])
     def test_rays_come_with_a_vertex(self, extremal):
