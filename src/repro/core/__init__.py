@@ -10,16 +10,17 @@ point that computes invariants and the large-block encoding first is
   invariants, large blocks and the stacked ``u`` space.
 * :mod:`repro.core.lp_instance` — ``LP(V, Constraints(I))`` and its
   statistics (LP sizes — the numbers reported in Table 1).
-* :mod:`repro.core.certificate` — an independent checker that the returned
-  ranking function really is one (decrease + nonnegativity), used by the
-  test suite.
+* :mod:`repro.core.certificate` — the check that the returned ranking
+  function really is one (decrease + nonnegativity), which the termite
+  pipeline's ``certificate`` stage runs on every proof.  It shares the
+  synthesiser's SMT stack; :mod:`repro.checking.checker` is the
+  independent second opinion.
 """
 
 from repro.core.ranking import AffineRankingFunction, LexicographicRankingFunction
 from repro.core.problem import TerminationProblem
 from repro.core.lp_instance import RankingLp, LpStatistics
 from repro.core.certificate import check_certificate
-from repro.core.splitting import split_location
 
 __all__ = [
     "AffineRankingFunction",
@@ -28,5 +29,4 @@ __all__ = [
     "RankingLp",
     "LpStatistics",
     "check_certificate",
-    "split_location",
 ]
