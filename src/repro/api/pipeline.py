@@ -233,7 +233,6 @@ class Analysis:
                 result = prover.prove(problem, self.config, **prove_kwargs)
             if (
                 self.config.check_certificates
-                and prover.supports_certificates
                 and result.proved
                 and result.ranking is not None
             ):

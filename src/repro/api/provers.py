@@ -33,7 +33,6 @@ from repro.baselines import (
     podelski_rybalchenko,
 )
 from repro.baselines.result import BaselineResult
-from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
@@ -52,7 +51,6 @@ class TermiteProver(Prover):
     """
 
     name = "termite"
-    supports_certificates = True
     extra_capabilities = frozenset(
         {
             "cex-oracles",
@@ -200,18 +198,6 @@ class TermiteProver(Prover):
             message="no recurrence set found (%s)" % outcome.message,
         )
 
-    def certify(
-        self,
-        problem: TerminationProblem,
-        result: AnalysisResult,
-        config: AnalysisConfig,
-    ) -> bool:
-        if result.ranking is None:
-            return False
-        return check_certificate(
-            problem, result.ranking, integer_mode=config.integer_mode
-        )
-
 
 class BaselineProver(Prover):
     """Adapter putting one baseline function behind the prover interface.
@@ -219,14 +205,12 @@ class BaselineProver(Prover):
     The baselines are fixed published methods reproduced as-is; the only
     config knob they honour is ``max_dimension`` (where the method is
     lexicographic at all — Podelski–Rybalchenko is inherently
-    monodimensional).  Their rankings are certified by the independent
-    Farkas checker of :mod:`repro.checking`, whose per-transition
-    Definition-6 obligations accept every sound lexicographic style (the
-    SMT-based check of :mod:`repro.core.certificate` assumes Termite's
-    globally-nonnegative components).
+    monodimensional).  Their rankings are certified like every prover's,
+    by the independent Farkas checker (:meth:`Prover.certify`), whose
+    per-transition Definition-6 obligations accept every sound
+    lexicographic style, not just Termite's globally nonnegative
+    components.
     """
-
-    supports_certificates = True
 
     def __init__(
         self,
@@ -261,30 +245,6 @@ class BaselineProver(Prover):
             lp_statistics=outcome.lp_statistics,
             details=dict(outcome.details),
         )
-
-    def certify(
-        self,
-        problem: TerminationProblem,
-        result: AnalysisResult,
-        config: AnalysisConfig,
-    ) -> bool:
-        # Imported lazily: repro.checking sits above the api layering.
-        from repro.checking.checker import CertificateVerdict, check_ranking
-
-        if result.ranking is None:
-            return False
-        # Budget overruns surface as an "inconclusive" verdict from
-        # check_ranking itself; anything else the checker raises is a
-        # checker bug and must propagate loudly (the pipeline records it
-        # as an error result) — a second opinion that fails silently is
-        # no opinion.  The full verdict lands in the result details so
-        # JSON consumers can tell invalid / inconclusive / unchecked
-        # apart, not just see certificate_checked=False.
-        verdict = check_ranking(
-            problem, result.ranking, integer_mode=config.integer_mode
-        )
-        result.details["certificate_verdict"] = verdict.to_dict()
-        return verdict.status == CertificateVerdict.VALID
 
 
 register_prover(TermiteProver())

@@ -19,6 +19,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.core.certificate import check_certificate
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.config import AnalysisConfig
     from repro.api.result import AnalysisResult
@@ -27,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 #: The capability flags a prover may advertise:
 #:
-#: ``certificates``    — :meth:`Prover.certify` performs a real check;
+#: ``certificates``    — every prover: the pipeline's ``certificate`` stage
+#:                       re-checks its rankings (:meth:`Prover.certify`);
 #: ``cex-oracles``     — honours :attr:`AnalysisConfig.cex_oracle`;
 #: ``cex-strategies``  — honours ``cex_strategy`` (extremal or arbitrary
 #:                       counterexamples);
@@ -55,9 +58,6 @@ class Prover(abc.ABC):
     name: str = ""
     #: One-line description shown by ``repro list-provers``.
     summary: str = ""
-    #: Whether :meth:`certify` performs a real check (gates the pipeline's
-    #: ``certificate`` stage; a no-op certifier is simply skipped).
-    supports_certificates: bool = False
     #: Which optional config knobs / hooks this prover honours beyond
     #: certification (a subset of :data:`CAPABILITIES`); everything else
     #: is silently ignored, and the flags let
@@ -69,14 +69,10 @@ class Prover(abc.ABC):
     def capabilities(self) -> frozenset:
         """All capability flags of this prover.
 
-        ``"certificates"`` is derived from :attr:`supports_certificates`
-        (the attribute that actually gates the pipeline's certificate
-        stage), so the two can never drift apart.
+        ``"certificates"`` is always present: :meth:`certify` is the same
+        independent check for every prover.
         """
-        flags = set(self.extra_capabilities)
-        if self.supports_certificates:
-            flags.add("certificates")
-        return frozenset(flags)
+        return frozenset(self.extra_capabilities) | {"certificates"}
 
     @abc.abstractmethod
     def prove(
@@ -92,11 +88,18 @@ class Prover(abc.ABC):
     ) -> bool:
         """Independently re-check *result*'s ranking function.
 
-        Runs as the pipeline's ``certificate`` stage.  The default is a
-        no-op (not every prover's witness format supports the exact
-        checker); provers that do support it override this.
+        Runs as the pipeline's ``certificate`` stage, for every prover.
+        The full :class:`~repro.checking.checker.CertificateVerdict` lands
+        in ``result.details["certificate_verdict"]``, so JSON consumers
+        can tell invalid from inconclusive.  Anything the checker raises
+        is a checker bug and propagates: a second opinion that fails
+        silently is no opinion.
         """
-        return False
+        verdict = check_certificate(
+            problem, result.ranking, integer_mode=config.integer_mode
+        )
+        result.details["certificate_verdict"] = verdict.to_dict()
+        return verdict.status == "valid"
 
     def __repr__(self) -> str:
         return "<Prover %s>" % (self.name or type(self).__name__)

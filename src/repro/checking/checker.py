@@ -42,7 +42,7 @@ concern (see ``docs/TESTING.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.checking import farkas
 from repro.core.problem import TerminationProblem
@@ -404,20 +404,3 @@ def check_ranking(
     elif inconclusive:
         verdict.status = CertificateVerdict.INCONCLUSIVE
     return verdict
-
-
-def check_result(
-    problem: TerminationProblem,
-    ranking: Optional[LexicographicRankingFunction],
-    integer_mode: bool = False,
-    **kwargs,
-) -> Optional[CertificateVerdict]:
-    """Check a prover result's ranking; ``None`` when there is none to check."""
-    if ranking is None:
-        if not problem.blocks:
-            return CertificateVerdict(
-                status=CertificateVerdict.VALID,
-                notes=["no block transitions: trivially terminating"],
-            )
-        return None
-    return check_ranking(problem, ranking, integer_mode=integer_mode, **kwargs)

@@ -9,9 +9,8 @@ sharing it, exactly like the batch runner), then audits the results:
   (``certificate_rejected``) — the checker's witness state is attached;
 * any ``TERMINATING`` verdict on a program that is nonterminating by
   construction is a soundness violation (``proved_nonterminating``);
-* a certificate-capable prover claiming ``TERMINATING`` on a cyclic
-  program *without* producing a ranking is flagged
-  (``missing_certificate``);
+* a prover claiming ``TERMINATING`` on a cyclic program *without*
+  producing a ranking is flagged (``missing_certificate``);
 * the ground truth is **two-sided**: any ``NONTERMINATING`` verdict on a
   program that is terminating by construction is a soundness violation
   (``nonterm_on_terminating``), and a ``NONTERMINATING`` claim whose
@@ -56,8 +55,9 @@ SCHEMA_VERSION = 1
 def default_fuzz_config() -> AnalysisConfig:
     """The fuzz campaign's analysis configuration.
 
-    Provers' own certificate re-checks are switched off (the harness runs
-    the *independent* checker instead) and the synthesis budgets are kept
+    The pipeline's ``certificate`` stage is switched off: the harness runs
+    the same independent checkers on every claim itself, so the stage
+    would only repeat their work.  The synthesis budgets are kept
     modest: a hard generated program coming back UNKNOWN is fine — the
     campaign optimises for many diverse programs per second.
     """
@@ -222,13 +222,11 @@ def audit_source(
     config: Optional[AnalysisConfig] = None,
     name: str = "program",
     expected: str = "unknown",
-    disjunct_cap: Optional[int] = None,
 ) -> ProgramAudit:
     """Run *tools* on mini-language *source* and audit every claim."""
     tools = _resolve_tools(tools)
     config = config if config is not None else AnalysisConfig()
     audit = ProgramAudit(name=name)
-    checker_kwargs = {} if disjunct_cap is None else {"disjunct_cap": disjunct_cap}
 
     analysis = Analysis(source, config=config, name=name)
     try:
@@ -325,7 +323,6 @@ def audit_source(
             problem,
             result.ranking,
             integer_mode=config.integer_mode,
-            **checker_kwargs,
         )
         audit.verdicts[tool] = verdict
         if verdict.status == CertificateVerdict.INVALID:
@@ -349,7 +346,6 @@ def audit_generated_program(
     program: GeneratedProgram,
     tools: Optional[Sequence[str]] = None,
     config: Optional[AnalysisConfig] = None,
-    disjunct_cap: Optional[int] = None,
 ) -> ProgramAudit:
     """:func:`audit_source` for a generator program (carries ground truth)."""
     audit = audit_source(
@@ -358,7 +354,6 @@ def audit_generated_program(
         config=config,
         name=program.name,
         expected=program.expected,
-        disjunct_cap=disjunct_cap,
     )
     for violation in audit.violations:
         violation.seed = program.seed
@@ -402,7 +397,6 @@ def _shrink_violation(
     violation: SoundnessViolation,
     program: GeneratedProgram,
     config: AnalysisConfig,
-    disjunct_cap: Optional[int],
     max_checks: int,
     timeout: Optional[float] = None,
 ) -> SoundnessViolation:
@@ -421,7 +415,6 @@ def _shrink_violation(
             candidate,
             tools=[violation.tool],
             config=config,
-            disjunct_cap=disjunct_cap,
         )
 
     def still_failing(candidate: GeneratedProgram) -> bool:
@@ -455,7 +448,6 @@ def run_differential(
     tools: Optional[Sequence[str]] = None,
     config: Optional[AnalysisConfig] = None,
     shrink: bool = True,
-    disjunct_cap: Optional[int] = None,
     max_shrink_checks: int = 60,
     jobs: int = 1,
     timeout: Optional[float] = None,
@@ -487,7 +479,6 @@ def run_differential(
             program,
             tools=tools,
             config=config,
-            disjunct_cap=disjunct_cap,
         )
         for program in programs
     ]
@@ -516,7 +507,6 @@ def run_differential(
                     violation,
                     program,
                     config,
-                    disjunct_cap,
                     max_shrink_checks,
                     timeout=timeout,
                 )
@@ -533,7 +523,6 @@ def fuzz(
     tools: Optional[Sequence[str]] = None,
     config: Optional[AnalysisConfig] = None,
     shrink: bool = True,
-    disjunct_cap: Optional[int] = None,
     jobs: int = 1,
     timeout: Optional[float] = None,
     progress: Optional[Callable[[int, ProgramAudit], None]] = None,
@@ -550,7 +539,6 @@ def fuzz(
         tools=tools,
         config=config,
         shrink=shrink,
-        disjunct_cap=disjunct_cap,
         jobs=jobs,
         timeout=timeout,
         progress=progress,

@@ -11,10 +11,9 @@ point that computes invariants and the large-block encoding first is
 * :mod:`repro.core.lp_instance` — ``LP(V, Constraints(I))`` and its
   statistics (LP sizes — the numbers reported in Table 1).
 * :mod:`repro.core.certificate` — the check that the returned ranking
-  function really is one (decrease + nonnegativity), which the termite
-  pipeline's ``certificate`` stage runs on every proof.  It shares the
-  synthesiser's SMT stack; :mod:`repro.checking.checker` is the
-  independent second opinion.
+  function really is one (decrease + nonnegativity), which the pipeline's
+  ``certificate`` stage runs on every prover's proof.  It delegates to the
+  independent Farkas checker :mod:`repro.checking.checker`.
 """
 
 from repro.core.ranking import AffineRankingFunction, LexicographicRankingFunction

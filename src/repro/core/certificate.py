@@ -1,138 +1,38 @@
-"""Independent checking of ranking-function certificates.
+"""The pipeline's ranking-certificate check.
 
 A synthesised lexicographic ranking function is only worth something if it
-can be re-checked without trusting the synthesis loop.  The checker poses
-the two defining conditions of Definition 6 as SMT queries over the very
-same large-block encoding:
+can be re-checked without trusting the synthesis loop.
+:func:`check_certificate` is the entry point every prover's ``certificate``
+stage calls (:meth:`repro.api.registry.Prover.certify`); it delegates to
+the independent Farkas checker :func:`repro.checking.checker.check_ranking`,
+which discharges the Definition-6 obligations with its own exact
+Gauss/Fourier–Motzkin engine and shares no code with the LP/SMT stack of
+the synthesiser.
 
-* **decrease**: there is no block transition on which the tuple fails to
-  decrease lexicographically, and
-* **nonnegativity**: no component is negative on a state satisfying the
-  invariant of its cut point (restricted, for component ``d``, to the
-  states on which the previous components are constant along a step —
-  matching the restricted-invariant reading of §8 / Definition 6(3) used
-  by the synthesiser).
-
-Both queries must be UNSAT for the certificate to be accepted.
-
-This check shares the SMT stack with the synthesiser, which makes it
-fast but not independent: a bug in the solver could hide a bug in the
-synthesis.  :mod:`repro.checking.checker` provides the second opinion —
-the same Definition-6 obligations discharged by a self-contained exact
-Gauss/Fourier–Motzkin engine (with witness states on rejection); it is
-what ``repro check``, the differential fuzz harness, and the baselines'
-``certify`` use.
+The function exists only because the benchmark's layer tracer names
+``repro.core.certificate.check_certificate`` as its ``certificate`` layer;
+it goes once the tracer is retargeted at the checker.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
-from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import Formula, conjunction, disjunction
-from repro.linexpr.transform import prime_suffix
-from repro.smt.solver import SmtSolver
+
+if TYPE_CHECKING:  # pragma: no cover - repro.checking sits above repro.core
+    from repro.checking.checker import CertificateVerdict
 
 
 def check_certificate(
     problem: TerminationProblem,
     ranking: LexicographicRankingFunction,
     integer_mode: bool = False,
-) -> bool:
-    """Verify decrease and nonnegativity of *ranking* on *problem*."""
-    if ranking.dimension == 0:
-        return not problem.blocks
-    return _check_decrease(problem, ranking, integer_mode) and _check_nonnegative(
-        problem, ranking, integer_mode
-    )
+) -> "CertificateVerdict":
+    """Independently verify *ranking* on *problem* (decrease + nonnegativity)."""
+    # Imported lazily: repro.checking imports the api layer, which imports
+    # repro.core.
+    from repro.checking.checker import check_ranking
 
-
-def _integer_declarations(problem: TerminationProblem, integer_mode: bool):
-    return problem.smt_integer_variables() if integer_mode else ()
-
-
-def _check_decrease(
-    problem: TerminationProblem,
-    ranking: LexicographicRankingFunction,
-    integer_mode: bool,
-) -> bool:
-    """UNSAT of "some block transition does not decrease lexicographically"."""
-    for block in problem.blocks:
-        before = [
-            component.expression(block.source)
-            for component in ranking.components
-        ]
-        after = [
-            component.expression(block.target).rename(
-                {name: prime_suffix(name) for name in problem.variables}
-            )
-            for component in ranking.components
-        ]
-        solver = SmtSolver(
-            integer_variables=_integer_declarations(problem, integer_mode)
-        )
-        solver.assert_formula(
-            conjunction(problem.invariant(block.source).constraints)
-        )
-        solver.assert_formula(block.formula)
-        solver.assert_formula(_not_lexicographically_less(after, before))
-        if solver.check().is_sat:
-            return False
-    return True
-
-
-def _not_lexicographically_less(
-    after: Sequence[LinExpr], before: Sequence[LinExpr]
-) -> Formula:
-    """``¬(after ≺ before)`` for tuples compared lexicographically.
-
-    ``after ⊀ before`` holds iff for every prefix where all earlier
-    components are equal, the current component does not strictly decrease
-    — encoded as the disjunction over the position of the first strict
-    *increase-or-equal-everywhere* pattern:
-
-        (a_1 ≥ b_1 ∧ a_1 ≠ b_1)                      -- first component grew
-      ∨ (a_1 = b_1 ∧ a_2 > b_2) ∨ …                  -- later component grew
-      ∨ (a_1 = b_1 ∧ … ∧ a_m = b_m)                  -- nothing decreased
-    """
-    cases: List[Formula] = []
-    for position in range(len(before)):
-        prefix_equal = [
-            after[j].eq(before[j]) for j in range(position)
-        ]
-        cases.append(
-            conjunction(prefix_equal + [after[position] > before[position]])
-        )
-    cases.append(
-        conjunction([after[j].eq(before[j]) for j in range(len(before))])
-    )
-    return disjunction(cases)
-
-
-def _check_nonnegative(
-    problem: TerminationProblem,
-    ranking: LexicographicRankingFunction,
-    integer_mode: bool,
-) -> bool:
-    """UNSAT of "some component is negative on the invariant of its cut point".
-
-    The synthesiser obtains every component from the Farkas cone of the
-    invariant's constraints (Equation 2 / Proposition 5), so nonnegativity
-    holds over the *whole* invariant; the check mirrors Definition 6(3)
-    directly.
-    """
-    for location in problem.cutset:
-        invariant = problem.invariant(location)
-        if invariant.is_empty():
-            continue
-        for component in ranking.components:
-            solver = SmtSolver(
-                integer_variables=_integer_declarations(problem, integer_mode)
-            )
-            solver.assert_formula(conjunction(invariant.constraints))
-            solver.assert_formula(component.expression(location) < 0)
-            if solver.check().is_sat:
-                return False
-    return True
+    return check_ranking(problem, ranking, integer_mode=integer_mode)

@@ -94,15 +94,3 @@ class LexicographicRankingFunction:
 
     def __repr__(self) -> str:
         return "LexicographicRankingFunction(%s)" % self.pretty()
-
-
-def lexicographic_decreases(
-    before: Sequence[Fraction], after: Sequence[Fraction]
-) -> bool:
-    """``after ≺ before`` in the strict lexicographic order of Definition 6."""
-    for former, latter in zip(before, after):
-        if latter < former:
-            return True
-        if latter > former:
-            return False
-    return False

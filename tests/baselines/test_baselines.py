@@ -73,7 +73,8 @@ class TestPodelskiRybalchenko:
         # result must at least be sound: if claimed, the certificate holds.
         result = podelski_rybalchenko(lexicographic_problem)
         if result.proved:
-            assert check_certificate(lexicographic_problem, result.ranking)
+            verdict = check_certificate(lexicographic_problem, result.ranking)
+            assert verdict.status == "valid"
 
 
 class TestEagerFarkas:
@@ -85,7 +86,8 @@ class TestEagerFarkas:
     def test_example1_certificate(self, example1_problem):
         result = eager_farkas_lexicographic(example1_problem)
         assert result.proved
-        assert check_certificate(example1_problem, result.ranking)
+        verdict = check_certificate(example1_problem, result.ranking)
+        assert verdict.status == "valid"
 
     def test_lexicographic(self, lexicographic_problem):
         result = eager_farkas_lexicographic(lexicographic_problem)

@@ -4,11 +4,7 @@ import copy
 from fractions import Fraction
 
 from repro.api import Analysis, AnalysisConfig
-from repro.checking.checker import (
-    CertificateVerdict,
-    check_ranking,
-    check_result,
-)
+from repro.checking.checker import CertificateVerdict, check_ranking
 from repro.core.ranking import LexicographicRankingFunction
 
 LISTING1 = """
@@ -119,10 +115,6 @@ class TestEdges:
         )
         assert verdict.accepted
         assert verdict.obligations == 0
-
-    def test_check_result_without_ranking(self):
-        problem, _ = analyse(COUNTDOWN)
-        assert check_result(problem, None) is None
 
     def test_disjunct_cap_yields_inconclusive(self):
         problem, result = analyse(LISTING1)

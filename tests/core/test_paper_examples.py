@@ -1,8 +1,15 @@
 """End-to-end reproduction of the paper's worked examples."""
 
+from fractions import Fraction
 
-from repro.api import Analysis, AnalysisConfig, analyze
+import pytest
+
+from repro.api import Analysis, AnalysisConfig, analyze, available_provers
+from repro.api.registry import Prover, _REGISTRY, register_prover
+from repro.api.result import AnalysisResult, AnalysisStatus
 from repro.core import check_certificate
+from repro.core.ranking import AffineRankingFunction, LexicographicRankingFunction
+from repro.linalg.vector import Vector
 
 
 class TestExample1:
@@ -41,6 +48,51 @@ class TestExample1:
         assert result.certificate_checked
 
 
+class BogusRankingProver(Prover):
+    """Test stub: claims TERMINATING with ``x + 100``, which t1 increases."""
+
+    name = "bogus_ranking_test_prover"
+    summary = "test stub: TERMINATING with a ranking that does not decrease"
+
+    def prove(self, problem, config):
+        ranking = LexicographicRankingFunction(
+            [
+                AffineRankingFunction(
+                    problem.variables,
+                    {"k0": Vector([1, 0])},
+                    {"k0": Fraction(100)},
+                )
+            ]
+        )
+        return AnalysisResult(
+            tool=self.name,
+            status=AnalysisStatus.TERMINATING,
+            ranking=ranking,
+            dimension=1,
+        )
+
+
+class TestCertificateStage:
+    """Every prover's certificate stage runs the same independent checker."""
+
+    @pytest.mark.parametrize("tool", available_provers())
+    def test_every_prover_certified(self, example1_automaton, tool):
+        result = Analysis(example1_automaton).run(tool)
+        assert result.proved
+        assert result.certificate_checked
+        assert result.details["certificate_verdict"]["status"] == "valid"
+
+    def test_stub_prover_bogus_ranking_rejected(self, example1_automaton):
+        register_prover(BogusRankingProver())
+        try:
+            result = Analysis(example1_automaton).run(BogusRankingProver.name)
+        finally:
+            _REGISTRY.pop(BogusRankingProver.name, None)
+        assert result.proved
+        assert not result.certificate_checked
+        assert result.details["certificate_verdict"]["status"] == "invalid"
+
+
 class TestExample3:
     def test_algorithm_terminates_even_without_proof(self, example3_automaton):
         """The naive loop would diverge; the corrected one must halt."""
@@ -52,7 +104,7 @@ class TestExample3:
         result = analyze(example3_automaton)
         if result.proved:
             problem = Analysis(example3_automaton).problem()
-            assert check_certificate(problem, result.ranking)
+            assert check_certificate(problem, result.ranking).status == "valid"
 
 
 class TestExample4:
