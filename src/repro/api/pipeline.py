@@ -30,6 +30,7 @@ from repro.api.config import AnalysisConfig
 from repro.api.registry import canonical_name, get_prover
 from repro.api.request import AnalysisRequest
 from repro.api.result import AnalysisResult, AnalysisStatus, StageTiming
+from repro.core.certificate import check_certificate
 from repro.core.problem import TerminationProblem
 from repro.core.relevance import restrict_to_guarded_states
 from repro.frontend.lowering import compile_program
@@ -42,7 +43,8 @@ from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.large_block import large_block_encoding
 
-if TYPE_CHECKING:  # pragma: no cover - layering: reporting imports the api
+if TYPE_CHECKING:  # pragma: no cover - layering: these import the api
+    from repro.checking.checker import CertificateVerdict
     from repro.reporting.parallel import TaskResult
     from repro.synthesis.engine import CegisEvent
 
@@ -231,26 +233,15 @@ class Analysis:
         with recording() as counters:
             with self._stage("synthesis", run_stages):
                 result = prover.prove(problem, self.config, **prove_kwargs)
-            if (
-                self.config.check_certificates
-                and result.proved
-                and result.ranking is not None
+            if self.config.check_certificates and (
+                result.proved or result.disproved
             ):
                 with self._stage("certificate", run_stages):
-                    result.certificate_checked = prover.certify(
-                        problem, result, self.config
-                    )
-            elif (
-                self.config.check_certificates
-                and result.status is AnalysisStatus.NONTERMINATING
-                and result.lasso is not None
-            ):
-                from repro.checking.recurrence import check_recurrence
-
-                with self._stage("certificate", run_stages):
-                    verdict = check_recurrence(self.automaton(), result.lasso)
-                    result.details["lasso_verdict"] = verdict.to_dict()
-                    result.certificate_checked = verdict.status == "valid"
+                    verdict = self.certify(result)
+                if verdict is not None:
+                    key = "certificate_verdict" if result.proved else "lasso_verdict"
+                    result.details[key] = verdict.to_dict()
+                    result.certificate_checked = verdict.accepted
         result.metrics = dict(
             sorted((Counter(self._build_metrics) + Counter(counters)).items())
         )
@@ -259,6 +250,49 @@ class Analysis:
         result.stages = list(self._build_stages) + run_stages
         result.time_seconds = sum(stage.seconds for stage in result.stages)
         return result
+
+    def certify(self, result: AnalysisResult) -> Optional["CertificateVerdict"]:
+        """Independently audit the claim of *result* on this program.
+
+        The one audit rule, shared by the ``certificate`` stage,
+        ``repro check``, the fuzz harness and the service cache:
+
+        * a TERMINATING claim with a ranking function goes to the Farkas
+          checker (:func:`~repro.core.certificate.check_certificate`) on
+          the built problem;
+        * a NONTERMINATING claim with a lasso is replayed by
+          :func:`~repro.checking.recurrence.check_recurrence` on the
+          automaton alone — the problem is not built;
+        * a TERMINATING claim on a cyclic problem without a ranking, or a
+          NONTERMINATING claim without a lasso, is ``invalid`` (a missing
+          certificate), and no checker runs;
+        * anything else has nothing to audit: ``None``.
+
+        Anything a checker raises is a checker bug and propagates: a
+        second opinion that fails silently is no opinion.
+        """
+        from repro.checking.checker import CertificateVerdict
+        from repro.checking.recurrence import check_recurrence
+
+        if result.proved:
+            if result.ranking is not None:
+                return check_certificate(
+                    self.problem(),
+                    result.ranking,
+                    integer_mode=self.config.integer_mode,
+                )
+            if self.problem().blocks:
+                return CertificateVerdict.missing(
+                    "TERMINATING claim on a cyclic program without a "
+                    "ranking function"
+                )
+        elif result.disproved:
+            if result.lasso is not None:
+                return check_recurrence(self.automaton(), result.lasso)
+            return CertificateVerdict.missing(
+                "NONTERMINATING claim without a lasso witness"
+            )
+        return None
 
     def run_many(self, tools: Sequence[str]) -> List[AnalysisResult]:
         """Run several tools, building the problem exactly once."""

@@ -205,8 +205,9 @@ class BaselineProver(Prover):
     The baselines are fixed published methods reproduced as-is; the only
     config knob they honour is ``max_dimension`` (where the method is
     lexicographic at all — Podelski–Rybalchenko is inherently
-    monodimensional).  Their rankings are certified like every prover's,
-    by the independent Farkas checker (:meth:`Prover.certify`), whose
+    monodimensional).  Their rankings are audited like every prover's,
+    by the pipeline's independent Farkas checker
+    (:meth:`repro.api.pipeline.Analysis.certify`), whose
     per-transition Definition-6 obligations accept every sound
     lexicographic style, not just Termite's globally nonnegative
     components.

@@ -19,8 +19,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.certificate import check_certificate
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.config import AnalysisConfig
     from repro.api.result import AnalysisResult
@@ -30,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: The capability flags a prover may advertise:
 #:
 #: ``certificates``    — every prover: the pipeline's ``certificate`` stage
-#:                       re-checks its rankings (:meth:`Prover.certify`);
+#:                       audits its claims (``Analysis.certify``);
 #: ``cex-oracles``     — honours :attr:`AnalysisConfig.cex_oracle`;
 #: ``cex-strategies``  — honours ``cex_strategy`` (extremal or arbitrary
 #:                       counterexamples);
@@ -52,7 +50,12 @@ CAPABILITIES = (
 
 
 class Prover(abc.ABC):
-    """One termination prover behind the uniform analysis interface."""
+    """One termination prover behind the uniform analysis interface.
+
+    A prover only proves; it never audits its own claims.  The pipeline's
+    ``certificate`` stage does that, with the same independent checkers
+    for every prover (:meth:`repro.api.pipeline.Analysis.certify`).
+    """
 
     #: Stable registry name (also the ``tool`` field of results).
     name: str = ""
@@ -69,8 +72,9 @@ class Prover(abc.ABC):
     def capabilities(self) -> frozenset:
         """All capability flags of this prover.
 
-        ``"certificates"`` is always present: :meth:`certify` is the same
-        independent check for every prover.
+        ``"certificates"`` is always present: the pipeline audits every
+        prover's claims the same way
+        (:meth:`~repro.api.pipeline.Analysis.certify`).
         """
         return frozenset(self.extra_capabilities) | {"certificates"}
 
@@ -79,27 +83,6 @@ class Prover(abc.ABC):
         self, problem: "TerminationProblem", config: "AnalysisConfig"
     ) -> "AnalysisResult":
         """Attempt a termination proof of *problem* under *config*."""
-
-    def certify(
-        self,
-        problem: "TerminationProblem",
-        result: "AnalysisResult",
-        config: "AnalysisConfig",
-    ) -> bool:
-        """Independently re-check *result*'s ranking function.
-
-        Runs as the pipeline's ``certificate`` stage, for every prover.
-        The full :class:`~repro.checking.checker.CertificateVerdict` lands
-        in ``result.details["certificate_verdict"]``, so JSON consumers
-        can tell invalid from inconclusive.  Anything the checker raises
-        is a checker bug and propagates: a second opinion that fails
-        silently is no opinion.
-        """
-        verdict = check_certificate(
-            problem, result.ranking, integer_mode=config.integer_mode
-        )
-        result.details["certificate_verdict"] = verdict.to_dict()
-        return verdict.status == "valid"
 
     def __repr__(self) -> str:
         return "<Prover %s>" % (self.name or type(self).__name__)

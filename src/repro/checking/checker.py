@@ -101,6 +101,10 @@ class ObligationFailure:
         return "ObligationFailure(%s->%s: %s)" % (self.source, self.target, self.case)
 
 
+#: The note marking the verdict on a claim that carries no certificate.
+MISSING_CERTIFICATE = "missing certificate"
+
+
 @dataclass
 class CertificateVerdict:
     """Outcome of independently re-checking one certificate."""
@@ -118,9 +122,31 @@ class CertificateVerdict:
     INVALID = "invalid"
     INCONCLUSIVE = "inconclusive"
 
+    @classmethod
+    def missing(cls, case: str) -> "CertificateVerdict":
+        """The ``invalid`` verdict on a claim that carries no certificate."""
+        return cls(
+            status=cls.INVALID,
+            failures=[ObligationFailure(source="*", target="*", case=case)],
+            notes=[MISSING_CERTIFICATE],
+        )
+
+    @classmethod
+    def from_dict(cls, document: dict) -> "CertificateVerdict":
+        """Inverse of :meth:`to_dict` (verdicts travel in result details)."""
+        fields = dict(document)
+        fields["failures"] = [
+            ObligationFailure(**failure) for failure in document["failures"]
+        ]
+        return cls(**fields)
+
     @property
     def accepted(self) -> bool:
         return self.status == self.VALID
+
+    @property
+    def certificate_missing(self) -> bool:
+        return MISSING_CERTIFICATE in self.notes
 
     def to_dict(self) -> dict:
         return {

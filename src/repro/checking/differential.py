@@ -2,7 +2,9 @@
 
 The harness runs every requested prover from the :mod:`repro.api`
 registry on each program (building the termination problem once and
-sharing it, exactly like the batch runner), then audits the results:
+sharing it, exactly like the batch runner) with the pipeline's
+``certificate`` stage on, and judges the results by that stage's
+verdicts (:meth:`repro.api.Analysis.certify`) and the ground truth:
 
 * a claimed ``TERMINATING`` verdict whose ranking function the
   independent checker *rejects* is a soundness violation
@@ -34,11 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api import AnalysisConfig, Analysis, available_provers, canonical_name
 from repro.api.result import AnalysisResult
-from repro.checking.checker import (
-    CertificateVerdict,
-    check_ranking,
-)
-from repro.checking.recurrence import check_recurrence
+from repro.checking.checker import CertificateVerdict
 from repro.checking.generator import (
     GeneratedProgram,
     NONTERMINATING,
@@ -55,14 +53,12 @@ SCHEMA_VERSION = 1
 def default_fuzz_config() -> AnalysisConfig:
     """The fuzz campaign's analysis configuration.
 
-    The pipeline's ``certificate`` stage is switched off: the harness runs
-    the same independent checkers on every claim itself, so the stage
-    would only repeat their work.  The synthesis budgets are kept
-    modest: a hard generated program coming back UNKNOWN is fine — the
+    The pipeline's ``certificate`` stage stays on: it is the audit the
+    harness reads every claim's verdict from.  The synthesis budgets are
+    kept modest: a hard generated program coming back UNKNOWN is fine — the
     campaign optimises for many diverse programs per second.
     """
     return AnalysisConfig(
-        check_certificates=False,
         max_iterations=60,
         max_dimension=4,
         nonterm="auto",
@@ -223,9 +219,14 @@ def audit_source(
     name: str = "program",
     expected: str = "unknown",
 ) -> ProgramAudit:
-    """Run *tools* on mini-language *source* and audit every claim."""
+    """Run *tools* on mini-language *source* and audit every claim.
+
+    The audit is the pipeline's ``certificate`` stage (forced on here):
+    each claim's verdict is read back from the result's ``details``.
+    """
     tools = _resolve_tools(tools)
     config = config if config is not None else AnalysisConfig()
+    config = config.replace(check_certificates=True)
     audit = ProgramAudit(name=name)
 
     analysis = Analysis(source, config=config, name=name)
@@ -249,52 +250,18 @@ def audit_source(
                 error="%s: %s" % (type(error).__name__, error),
             )
         audit.results.append(result)
-        if result.disproved:
-            if expected == TERMINATING:
-                audit.violations.append(
-                    SoundnessViolation(
-                        kind="nonterm_on_terminating",
-                        program=name,
-                        tool=tool,
-                        detail="claimed NONTERMINATING on a program that "
-                        "is terminating by construction",
-                        source=source,
-                    )
+        if result.disproved and expected == TERMINATING:
+            audit.violations.append(
+                SoundnessViolation(
+                    kind="nonterm_on_terminating",
+                    program=name,
+                    tool=tool,
+                    detail="claimed NONTERMINATING on a program that "
+                    "is terminating by construction",
+                    source=source,
                 )
-            if result.lasso is None:
-                audit.violations.append(
-                    SoundnessViolation(
-                        kind="lasso_rejected",
-                        program=name,
-                        tool=tool,
-                        detail="claimed NONTERMINATING without a lasso "
-                        "witness",
-                        source=source,
-                    )
-                )
-                continue
-            lasso_verdict = check_recurrence(analysis.automaton(), result.lasso)
-            audit.lasso_verdicts[tool] = lasso_verdict
-            if lasso_verdict.status == CertificateVerdict.INVALID:
-                audit.violations.append(
-                    SoundnessViolation(
-                        kind="lasso_rejected",
-                        program=name,
-                        tool=tool,
-                        detail="; ".join(
-                            "%s->%s: %s" % (f.source, f.target, f.case)
-                            for f in lasso_verdict.failures[:3]
-                        ),
-                        source=source,
-                        failures=[
-                            f.to_dict() for f in lasso_verdict.failures
-                        ],
-                    )
-                )
-            continue
-        if not result.proved:
-            continue
-        if expected == NONTERMINATING:
+            )
+        if result.proved and expected == NONTERMINATING:
             audit.violations.append(
                 SoundnessViolation(
                     kind="proved_nonterminating",
@@ -305,30 +272,35 @@ def audit_source(
                     source=source,
                 )
             )
-        if not problem.blocks:
-            continue  # trivially terminating; nothing to audit
-        if result.ranking is None:
+        document = result.details.get(
+            "certificate_verdict", result.details.get("lasso_verdict")
+        )
+        if document is None or (result.proved and not problem.blocks):
+            continue  # no claim audited, or trivially terminating
+        verdict = CertificateVerdict.from_dict(document)
+        if verdict.certificate_missing:
             audit.violations.append(
                 SoundnessViolation(
-                    kind="missing_certificate",
+                    kind="missing_certificate"
+                    if result.proved
+                    else "lasso_rejected",
                     program=name,
                     tool=tool,
-                    detail="claimed TERMINATING on a cyclic program "
-                    "without a ranking function",
+                    detail=verdict.failures[0].case,
                     source=source,
                 )
             )
             continue
-        verdict = check_ranking(
-            problem,
-            result.ranking,
-            integer_mode=config.integer_mode,
-        )
-        audit.verdicts[tool] = verdict
+        if result.proved:
+            audit.verdicts[tool] = verdict
+        else:
+            audit.lasso_verdicts[tool] = verdict
         if verdict.status == CertificateVerdict.INVALID:
             audit.violations.append(
                 SoundnessViolation(
-                    kind="certificate_rejected",
+                    kind="certificate_rejected"
+                    if result.proved
+                    else "lasso_rejected",
                     program=name,
                     tool=tool,
                     detail="; ".join(

@@ -14,9 +14,11 @@ Six subcommands, all built on the unified analysis API:
     The prover registry: every stable tool name with its summary.
 
 ``repro check FILE | repro check --suite NAME``
-    Prove a program (or a whole benchmark suite) and re-verify every
-    claimed ranking function with the independent Farkas certificate
-    checker of :mod:`repro.checking`.  Exit code: 0 every claim
+    Prove a program (or a whole benchmark suite) with the pipeline's
+    ``certificate`` stage forced on, and report its audit of every claim
+    (:meth:`repro.api.Analysis.certify`): a ranking function re-verified
+    by the independent Farkas checker, a lasso replayed by the
+    recurrence checker.  Exit code: 0 every claim
     validated, 3 a certificate was rejected or missing (soundness!), 4 a
     check hit its budget (inconclusive), 2 nothing proved (file mode),
     1 error.
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 import time
@@ -61,6 +62,7 @@ from repro.api import (
     NONTERM_MODES,
     RequestError,
     analyze,
+    analyze_many,
     canonical_name,
     prover_capabilities,
     prover_summaries,
@@ -283,61 +285,29 @@ def command_prove(arguments: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_one_program(program, name, tool, config, disjunct_cap):
-    """Prove + independently audit one program.
+def _report_row(result) -> dict:
+    """One ``repro check`` row, read from the result's certificate stage."""
+    from repro.checking.checker import MISSING_CERTIFICATE
 
-    Returns ``(result, verdict, missing)``: *verdict* is the checker's
-    (or ``None`` when there was nothing to check), *missing* flags an
-    unauditable claim the exit code must not green-light — a
-    ``TERMINATING`` claim on a cyclic program with no ranking attached,
-    or a ``NONTERMINATING`` claim with no lasso witness.  *program* is
-    mini-language source, a prepared automaton, or a benchmark
-    description with ``build()``.
-    """
-    from repro.api import Analysis
-    from repro.checking.checker import check_ranking
-    from repro.checking.recurrence import check_recurrence
-
-    if hasattr(program, "build"):
-        program = program.build()
-    analysis = Analysis(program, config=config, name=name)
-    problem = analysis.problem()
-    result = analysis.run(tool)
-    verdict = None
-    missing = False
-    if result.proved and problem.blocks:
-        if result.ranking is None:
-            missing = True
-        else:
-            kwargs = (
-                {} if disjunct_cap is None else {"disjunct_cap": disjunct_cap}
-            )
-            verdict = check_ranking(
-                problem,
-                result.ranking,
-                integer_mode=config.integer_mode,
-                **kwargs,
-            )
-    elif result.disproved:
-        if result.lasso is None:
-            missing = True
-        else:
-            verdict = check_recurrence(analysis.automaton(), result.lasso)
-    return result, verdict, missing
-
-
-def _check_row(program, name, tool, config, disjunct_cap) -> dict:
-    """One ``repro check`` row as a plain dict (crosses worker boundaries)."""
-    result, verdict, missing = _check_one_program(
-        program, name, tool, config, disjunct_cap
+    if result.status.value in ("error", "timeout"):
+        return {
+            "program": result.program,
+            "tool": result.tool,
+            "status": result.status.value,
+            "error": result.error,
+            "verdict": None,
+        }
+    verdict = result.details.get(
+        "certificate_verdict", result.details.get("lasso_verdict")
     )
     return {
-        "program": name,
-        "tool": tool,
+        "program": result.program,
+        "tool": result.tool,
         "status": result.status.value,
         "dimension": result.dimension,
-        "verdict": verdict.to_dict() if verdict is not None else None,
-        "missing_certificate": missing,
+        "verdict": verdict,
+        "missing_certificate": verdict is not None
+        and MISSING_CERTIFICATE in verdict["notes"],
     }
 
 
@@ -353,9 +323,8 @@ def command_check(arguments: argparse.Namespace) -> int:
     except (ConfigError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1
-    # The command runs its own independent audit below; the prover-side
-    # certificate stage would re-verify every ranking a second time.
-    config = config.replace(check_certificates=False)
+    # The audit is the pipeline's certificate stage: always on here.
+    config = config.replace(check_certificates=True)
 
     if arguments.suite and arguments.file:
         print(
@@ -392,34 +361,22 @@ def command_check(arguments: argparse.Namespace) -> int:
         return 1
 
     # Each program runs through the crash-isolated engine when --jobs or
-    # --timeout ask for it (run_tasks stays inline otherwise), so one
+    # --timeout ask for it (it stays inline otherwise), so one
     # pathological program costs its budget, not the sweep.
-    from repro.reporting.parallel import run_tasks
-
-    thunks = [
-        functools.partial(
-            _check_row, program, name, tool, config, arguments.max_disjuncts
-        )
-        for name, program in jobs
-    ]
-    tasks = run_tasks(thunks, jobs=arguments.jobs, timeout=arguments.timeout)
+    results = analyze_many(
+        [program for _, program in jobs],
+        [tool],
+        config,
+        names=[name for name, _ in jobs],
+        jobs=arguments.jobs,
+        timeout=arguments.timeout,
+    )
 
     rows = []
     rejected = proved = validated = inconclusive = errors = missing = 0
     disproved = 0
-    for (name, _), task in zip(jobs, tasks):
-        if task.ok:
-            row = task.value
-        else:
-            status = "timeout" if task.kind == "timeout" else "error"
-            row = {
-                "program": name,
-                "tool": tool,
-                "status": status,
-                "error": task.message
-                or "%s after %.1fs" % (task.kind, task.elapsed),
-                "verdict": None,
-            }
+    for result in results:
+        row = _report_row(result)
         rows.append(row)
         if row["status"] in ("error", "timeout"):
             errors += 1
@@ -428,10 +385,10 @@ def command_check(arguments: argparse.Namespace) -> int:
             proved += 1
         if row["status"] == "nonterminating":
             disproved += 1
-        if row.get("missing_certificate"):
-            missing += 1
         verdict = row["verdict"]
-        if verdict is not None:
+        if row["missing_certificate"]:
+            missing += 1
+        elif verdict is not None:
             if verdict["status"] == "valid":
                 validated += 1
             elif verdict["status"] == "invalid":
@@ -463,11 +420,7 @@ def command_check(arguments: argparse.Namespace) -> int:
         for row in rows:
             verdict = row["verdict"]
             if row.get("missing_certificate"):
-                note = (
-                    "NONTERMINATING claim without a lasso witness!"
-                    if row["status"] == "nonterminating"
-                    else "TERMINATING claim without a ranking function!"
-                )
+                note = verdict["failures"][0]["case"] + "!"
             elif verdict is None:
                 note = row.get("error") or "no certificate to check"
             else:
@@ -1112,15 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TOOL",
         help="registry name of the prover whose certificates to audit "
         "(default: termite)",
-    )
-    check.add_argument(
-        "--max-disjuncts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on path disjuncts expanded per block before the "
-        "checker reports 'inconclusive' (default: the checker's "
-        "DEFAULT_DISJUNCT_CAP, 4096)",
     )
     check.add_argument(
         "--jobs",

@@ -2,8 +2,9 @@
 
 A synthesised lexicographic ranking function is only worth something if it
 can be re-checked without trusting the synthesis loop.
-:func:`check_certificate` is the entry point every prover's ``certificate``
-stage calls (:meth:`repro.api.registry.Prover.certify`); it delegates to
+:func:`check_certificate` is what the pipeline's one audit rule
+(:meth:`repro.api.pipeline.Analysis.certify`) calls for a ranking
+function, whichever prover claimed it; it delegates to
 the independent Farkas checker :func:`repro.checking.checker.check_ranking`,
 which discharges the Definition-6 obligations with its own exact
 Gauss/Fourier–Motzkin engine and shares no code with the LP/SMT stack of

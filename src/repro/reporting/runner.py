@@ -17,21 +17,15 @@ the table, and the whole run serialises to machine-readable JSON for CI.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.api.config import AnalysisConfig
-from repro.api.pipeline import (
-    BUILD_STAGES,
-    results_from_task,
-    run_tools_on_program,
-)
+from repro.api.pipeline import BUILD_STAGES, analyze_many
 from repro.api.registry import available_provers, canonical_name, get_prover
 from repro.api.result import AnalysisResult
 from repro.benchsuite.program import BenchmarkProgram
-from repro.reporting.parallel import run_tasks
 
 
 class _ToolsView(Mapping):
@@ -171,43 +165,34 @@ def select_programs(
     return selected
 
 
-def _run_cells(
-    cells: List[tuple],
-    tools: List[str],
-    config: AnalysisConfig,
+def _run_and_collate(
+    suites_programs: Dict[str, List[BenchmarkProgram]],
+    tools: Sequence[str],
+    config: Optional[AnalysisConfig],
     jobs: int,
     timeout: Optional[float],
-) -> Dict[tuple, List[AnalysisResult]]:
-    """Execute ``(suite, index, program)`` cells; each runs *all* tools
-    sharing one built problem.  Returns per-cell result lists aligned
-    with *tools*, keyed by ``(suite, index)`` (positions, not names — two
-    same-named programs must not collide)."""
-    thunks = [
-        functools.partial(run_tools_on_program, program, tools, config)
-        for _suite, _index, program in cells
-    ]
-    tasks = run_tasks(thunks, jobs=jobs, timeout=timeout)
-    outcomes: Dict[tuple, List[AnalysisResult]] = {}
-    for (suite, index, program), task in zip(cells, tasks):
-        outcomes[(suite, index)] = results_from_task(
-            task, tools, program.name, timeout
-        )
-    return outcomes
-
-
-def _collate(
-    suites_programs: Dict[str, List[BenchmarkProgram]],
-    tools: List[str],
-    cell_outcomes: Dict[tuple, List[AnalysisResult]],
 ) -> List[SuiteReport]:
-    """Group per-program result lists into (suite, tool) reports, ordered
-    suite-major then tool, with programs in selection order."""
+    """Run every program with all *tools* (:func:`analyze_many`: one task
+    per program, sharing its built problem) and group the results into
+    (suite, tool) reports, ordered suite-major then tool, with programs
+    in selection order."""
+    tools = [canonical_name(tool) for tool in tools]
+    results = iter(
+        analyze_many(
+            [p for programs in suites_programs.values() for p in programs],
+            tools,
+            _benchmark_config(config),
+            jobs=jobs,
+            timeout=timeout,
+        )
+    )
     reports: List[SuiteReport] = []
     for suite, programs in suites_programs.items():
+        rows = [[next(results) for _ in tools] for _ in programs]
         for position, tool in enumerate(tools):
             report = SuiteReport(suite=suite, tool=tool)
-            for index, program in enumerate(programs):
-                outcome = cell_outcomes[(suite, index)][position]
+            for program, row in zip(programs, rows):
+                outcome = row[position]
                 report.outcomes.append(outcome)
                 if (outcome.proved and not program.terminating) or (
                     outcome.disproved and program.terminating
@@ -234,14 +219,8 @@ def run_suite(
     seconds and records a failed outcome in its place.  An empty (or
     fully filtered) suite yields an empty report, not an error.
     """
-    tools = [canonical_name(tool)]
-    selected = select_programs(programs, limit)
-    cells = [(suite, index, program) for index, program in enumerate(selected)]
-    cell_outcomes = _run_cells(
-        cells, tools, _benchmark_config(config), jobs, timeout
-    )
-    reports = _collate({suite: selected}, tools, cell_outcomes)
-    return reports[0]
+    selected = {suite: select_programs(programs, limit)}
+    return _run_and_collate(selected, [tool], config, jobs, timeout)[0]
 
 
 def run_table1(
@@ -263,20 +242,11 @@ def run_table1(
     (suite, tool) submission order, programs in selection order,
     deterministically regardless of ``jobs``.
     """
-    canonical = [canonical_name(tool) for tool in tools]
-    selected_by_suite = {
+    selected = {
         suite: select_programs(programs, limit, name_filter)
         for suite, programs in suites.items()
     }
-    cells = [
-        (suite, index, program)
-        for suite, programs in selected_by_suite.items()
-        for index, program in enumerate(programs)
-    ]
-    cell_outcomes = _run_cells(
-        cells, canonical, _benchmark_config(config), jobs, timeout
-    )
-    return _collate(selected_by_suite, canonical, cell_outcomes)
+    return _run_and_collate(selected, tools, config, jobs, timeout)
 
 
 def _problem_sharing_totals(reports: Sequence[SuiteReport]) -> dict:

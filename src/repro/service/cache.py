@@ -8,23 +8,24 @@ plain-JSON dictionary (the exact round-trip of
 :class:`~repro.api.result.AnalysisResult`), which makes entries immune
 to caller-side mutation: every lookup deserialises a fresh result.
 
-**The revalidation guarantee.**  A cached ``TERMINATING`` claim is never
-served on trust.  On every hit the synthesised ranking function is
-re-verified against a freshly built termination problem by the
-independent certificate checker of :mod:`repro.checking.checker` — the
-engine that shares no code with the LP/SMT synthesis loop.  A cached
-``NONTERMINATING`` claim gets the same treatment: its lasso witness is
-replayed against a freshly built automaton by
-:func:`repro.checking.recurrence.check_recurrence`, and an entry with
-no lasso at all is unauditable and refused.  A hit whose certificate
-the checker cannot re-validate is **dropped and recounted as a miss**
-(and ``revalidation_failures`` is incremented), so a corrupted or stale
-entry can cost throughput but never soundness.  Problems/automata are
-memoised per key, so steady-state revalidation costs one checker pass,
-not a pipeline rebuild.
+**The revalidation guarantee.**  A cached ``TERMINATING`` or
+``NONTERMINATING`` claim is never served on trust.  On every hit it is
+audited by the same rule as the pipeline's ``certificate`` stage,
+:meth:`repro.api.pipeline.Analysis.certify`, on the request's own
+:class:`~repro.api.pipeline.Analysis`: a ranking function is
+re-verified against the rebuilt termination problem by the independent
+Farkas checker (which shares no code with the LP/SMT synthesis loop), a
+lasso is replayed against the rebuilt automaton, and a claim with no
+certificate at all is unauditable and refused.  A hit whose verdict is
+not valid is **dropped and recounted as a miss** (and
+``revalidation_failures`` is incremented), so a corrupted or stale entry
+can cost throughput but never soundness.  One ``Analysis`` is memoised
+per key, so steady-state revalidation costs one checker pass, not a
+pipeline rebuild.
 
-Unproved cached results (``unknown``) carry no certificate; they are
-served as hits with ``provenance.revalidated = False``.  Error and
+Results with nothing to audit (``unknown``, or a rankingless
+``TERMINATING`` claim on an acyclic program) are served as hits with
+``provenance.revalidated = False``.  Error and
 timeout results are never cached at all — failures are assumed
 transient.
 
@@ -51,7 +52,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.api.request import AnalysisRequest
@@ -108,14 +109,10 @@ class CacheStats:
 @dataclass
 class _Entry:
     result: dict
-    # The rebuilt TerminationProblem, memoised after the first
-    # revalidation so later hits pay one checker pass only.
-    problem: object = None
-    checkable: bool = field(default=False)
-    # The rebuilt ControlFlowAutomaton, memoised likewise for
-    # NONTERMINATING entries (lasso replay anchors to the automaton,
-    # not the large-block problem).
-    automaton: object = None
+    # The request's Analysis, kept after the first revalidation so later
+    # hits reuse its built problem (or automaton) and pay one checker
+    # pass only.
+    analysis: object = None
 
 
 class ResultCache:
@@ -173,7 +170,9 @@ class ResultCache:
         with self._lock:
             self._stats.entries = len(self._entries)
             self._stats.problems_resident = sum(
-                1 for entry in self._entries.values() if entry.problem is not None
+                1
+                for entry in self._entries.values()
+                if entry.analysis is not None and entry.analysis.problem_built
             )
             self._stats.disk_entries = disk_entries
             self._stats.disk_bytes = disk_bytes
@@ -201,17 +200,8 @@ class ResultCache:
 
         result = AnalysisResult.from_dict(entry.result)
         revalidated = False
-        if self.revalidate and result.proved and result.ranking is not None:
-            ok, revalidated = self._revalidate(request, key, entry, result)
-            if not ok:
-                with self._lock:
-                    self._stats.revalidation_failures += 1
-                    self._stats.misses += 1
-                    self._entries.pop(key, None)
-                self._disk_discard(key)
-                return None
-        elif self.revalidate and result.status is AnalysisStatus.NONTERMINATING:
-            ok, revalidated = self._revalidate_lasso(request, entry, result)
+        if self.revalidate and (result.proved or result.disproved):
+            ok, revalidated = self._revalidate(request, entry, result)
             if not ok:
                 with self._lock:
                     self._stats.revalidation_failures += 1
@@ -232,103 +222,51 @@ class ResultCache:
     def _revalidate(
         self,
         request: AnalysisRequest,
-        key: str,
         entry: _Entry,
         result: AnalysisResult,
     ) -> Tuple[bool, bool]:
-        """Re-check *result*'s certificate; ``(serve it, was checked)``.
+        """Audit *result*'s claim; ``(serve it, was checked)``.
 
-        ``serve it`` is False when the independent checker refutes (or
-        cannot conclude on) the certificate.  ``was checked`` is True
-        when the checker actually re-validated it — a proved program with
-        no proof obligations (no cycle) is vacuously valid and also
-        reported as revalidated.
+        The entry's memoised :class:`~repro.api.pipeline.Analysis`
+        decides and runs the audit
+        (:meth:`~repro.api.pipeline.Analysis.certify`).  ``serve it`` is
+        False unless the verdict is valid: a refuted, inconclusive or
+        missing certificate, or a claim that cannot even be rebuilt, is
+        refused.  A claim with nothing to audit (a rankingless
+        ``TERMINATING`` claim on an acyclic program) is served unchecked.
         """
-        from repro.api.pipeline import Analysis
-        from repro.checking.checker import CertificateVerdict, check_ranking
-
-        problem = entry.problem
-        if problem is None:
-            with self._build_lock:
-                problem = entry.problem
-                if problem is None:
-                    try:
-                        analysis = Analysis(
-                            request.program,
-                            config=request.config,
-                            name=request.name,
-                        )
-                        problem = analysis.problem()
-                    except Exception:
-                        # The cached claim cannot even be re-anchored to a
-                        # problem — refuse to serve it.
-                        return False, False
-                    with self._lock:
-                        entry.problem = problem
-                        entry.checkable = bool(problem.blocks)
-        if not entry.checkable:
-            # No cyclic behaviour: termination is vacuous, nothing to refute.
-            with self._lock:
-                self._stats.revalidations += 1
-            return True, True
         try:
-            verdict = check_ranking(
-                problem,
-                result.ranking,
-                integer_mode=request.config.integer_mode,
-            )
+            verdict = self._certify(request, entry, result)
         except Exception:
             return False, False
+        if verdict is None:
+            return True, False
         with self._lock:
             self._stats.revalidations += 1
-        if verdict.status != CertificateVerdict.VALID:
-            return False, False
-        return True, True
+        return verdict.accepted, verdict.accepted
 
-    def _revalidate_lasso(
-        self,
-        request: AnalysisRequest,
-        entry: _Entry,
-        result: AnalysisResult,
-    ) -> Tuple[bool, bool]:
-        """Replay a cached NONTERMINATING claim's lasso witness.
+    def _certify(
+        self, request: AnalysisRequest, entry: _Entry, result: AnalysisResult
+    ):
+        """``entry.analysis.certify(result)``, memoising the analysis.
 
-        Mirrors :meth:`_revalidate` for the other verdict: the automaton
-        is rebuilt once and memoised on the entry, and only a lasso the
-        independent recurrence checker marks VALID is served.  An entry
-        claiming NONTERMINATING without a lasso is unauditable — dropped.
+        An entry's first audit runs under ``_build_lock``, so concurrent
+        first hits on one key build the problem (or automaton) once: the
+        others wait and reuse it.
         """
         from repro.api.pipeline import Analysis
-        from repro.checking.checker import CertificateVerdict
-        from repro.checking.recurrence import check_recurrence
 
-        if result.lasso is None:
-            return False, False
-        automaton = entry.automaton
-        if automaton is None:
+        if entry.analysis is None:
             with self._build_lock:
-                automaton = entry.automaton
-                if automaton is None:
-                    try:
-                        analysis = Analysis(
-                            request.program,
-                            config=request.config,
-                            name=request.name,
-                        )
-                        automaton = analysis.automaton()
-                    except Exception:
-                        return False, False
+                if entry.analysis is None:
+                    analysis = Analysis(
+                        request.program, config=request.config, name=request.name
+                    )
+                    verdict = analysis.certify(result)
                     with self._lock:
-                        entry.automaton = automaton
-        try:
-            verdict = check_recurrence(automaton, result.lasso)
-        except Exception:
-            return False, False
-        with self._lock:
-            self._stats.revalidations += 1
-        if verdict.status != CertificateVerdict.VALID:
-            return False, False
-        return True, True
+                        entry.analysis = analysis
+                    return verdict
+        return entry.analysis.certify(result)
 
     # -- the write path ----------------------------------------------------------
 

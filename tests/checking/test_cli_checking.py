@@ -1,5 +1,6 @@
 """The ``repro check`` and ``repro fuzz`` subcommands (in-process)."""
 
+import functools
 import json
 
 import pytest
@@ -50,9 +51,16 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == 1
         assert "ParseError" in capsys.readouterr().out
 
-    def test_inconclusive_exits_4(self, countdown_file, capsys):
+    def test_inconclusive_exits_4(self, countdown_file, capsys, monkeypatch):
         # A zero disjunct cap forces every block expansion over budget.
-        code = main(["check", countdown_file, "--max-disjuncts", "0"])
+        from repro.checking import checker
+
+        monkeypatch.setattr(
+            checker,
+            "check_ranking",
+            functools.partial(checker.check_ranking, disjunct_cap=0),
+        )
+        code = main(["check", countdown_file])
         assert code == 4
         assert "inconclusive" in capsys.readouterr().out
 

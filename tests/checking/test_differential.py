@@ -193,6 +193,10 @@ class TestCampaign:
 
 class TestDefaultConfig:
     def test_default_fuzz_config_is_lean(self):
+        # The certificate stage is the audit, so it stays on; only the
+        # synthesis budgets are lean.
         config = default_fuzz_config()
-        assert config.check_certificates is False
         assert isinstance(config, AnalysisConfig)
+        assert config.check_certificates is True
+        assert (config.max_iterations, config.max_dimension) == (60, 4)
+        assert config.nonterm == "auto"

@@ -101,13 +101,13 @@ class TestRevalidation:
         request = _request()
         cache.store(request, _computed(request))
         builds = []
-        real_problem = pipeline.Analysis.problem
+        real_build = pipeline.Analysis._build_problem
 
         def counting(self):
             builds.append(1)
-            return real_problem(self)
+            return real_build(self)
 
-        monkeypatch.setattr(pipeline.Analysis, "problem", counting)
+        monkeypatch.setattr(pipeline.Analysis, "_build_problem", counting)
         served = []
         threads = [
             threading.Thread(target=lambda: served.append(cache.lookup(request)))
@@ -148,6 +148,19 @@ class TestRevalidation:
         hit = cache.lookup(request)
         assert hit is not None
         assert hit.provenance.revalidated is True
+
+    def test_terminating_claim_without_ranking_is_refused(self, tmp_path):
+        cache = ResultCache(cache_dir=str(tmp_path))
+        request = _request("var x; while (x > 0) { skip; }")
+        bare = AnalysisResult(tool="termite", status=AnalysisStatus.TERMINATING)
+        cache.store(request, bare)
+        assert cache.disk_keys() == [request.cache_key()]
+        assert cache.lookup(request) is None
+        stats = cache.stats()
+        assert stats.revalidation_failures == 1
+        assert (stats.hits, stats.misses) == (0, 1)
+        assert len(cache) == 0
+        assert cache.disk_keys() == []
 
     def test_unproved_results_served_without_checking(self):
         cache = ResultCache()
@@ -195,9 +208,12 @@ class TestNonterminationRevalidation:
         stats = cache.stats()
         assert stats.revalidations == 2
         assert stats.revalidation_failures == 0
-        # The rebuilt automaton is memoised on the entry.
+        # The entry's analysis is memoised, and a lasso replay needs the
+        # automaton only: the problem is never built.
         entry = cache._entries[request.cache_key()]
-        assert entry.automaton is not None
+        assert entry.analysis is not None
+        assert not entry.analysis.problem_built
+        assert stats.problems_resident == 0
 
     def test_corrupted_lasso_is_not_served(self):
         cache = ResultCache()
