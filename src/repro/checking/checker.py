@@ -102,7 +102,7 @@ class ObligationFailure:
 
 
 #: The note marking the verdict on a claim that carries no certificate.
-MISSING_CERTIFICATE = "missing certificate"
+_MISSING_CERTIFICATE = "missing certificate"
 
 
 @dataclass
@@ -128,12 +128,16 @@ class CertificateVerdict:
         return cls(
             status=cls.INVALID,
             failures=[ObligationFailure(source="*", target="*", case=case)],
-            notes=[MISSING_CERTIFICATE],
+            notes=[_MISSING_CERTIFICATE],
         )
 
     @classmethod
     def from_dict(cls, document: dict) -> "CertificateVerdict":
-        """Inverse of :meth:`to_dict` (verdicts travel in result details)."""
+        """Inverse of :meth:`to_dict`.
+
+        Verdicts travel in result ``details`` as plain dictionaries (they
+        cross worker-process boundaries that way).
+        """
         fields = dict(document)
         fields["failures"] = [
             ObligationFailure(**failure) for failure in document["failures"]
@@ -146,7 +150,7 @@ class CertificateVerdict:
 
     @property
     def certificate_missing(self) -> bool:
-        return MISSING_CERTIFICATE in self.notes
+        return _MISSING_CERTIFICATE in self.notes
 
     def to_dict(self) -> dict:
         return {

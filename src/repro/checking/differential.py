@@ -2,9 +2,9 @@
 
 The harness runs every requested prover from the :mod:`repro.api`
 registry on each program (building the termination problem once and
-sharing it, exactly like the batch runner) with the pipeline's
-``certificate`` stage on, and judges the results by that stage's
-verdicts (:meth:`repro.api.Analysis.certify`) and the ground truth:
+sharing it, exactly like the batch runner), audits every claim with the
+pipeline's one audit rule (:meth:`repro.api.Analysis.certify`), and
+judges the results by those verdicts and the ground truth:
 
 * a claimed ``TERMINATING`` verdict whose ranking function the
   independent checker *rejects* is a soundness violation
@@ -53,10 +53,12 @@ SCHEMA_VERSION = 1
 def default_fuzz_config() -> AnalysisConfig:
     """The fuzz campaign's analysis configuration.
 
-    The pipeline's ``certificate`` stage stays on: it is the audit the
-    harness reads every claim's verdict from.  The synthesis budgets are
-    kept modest: a hard generated program coming back UNKNOWN is fine — the
-    campaign optimises for many diverse programs per second.
+    Only the synthesis budgets differ from the defaults, and they are kept
+    modest: a hard generated program coming back UNKNOWN is fine — the
+    campaign optimises for many diverse programs per second.  The
+    ``certificate`` stage keeps its default (on) for anyone running this
+    config through the pipeline; :func:`audit_source` audits every claim
+    itself, whatever the flag says.
     """
     return AnalysisConfig(
         max_iterations=60,
@@ -221,15 +223,20 @@ def audit_source(
 ) -> ProgramAudit:
     """Run *tools* on mini-language *source* and audit every claim.
 
-    The audit is the pipeline's ``certificate`` stage (forced on here):
-    each claim's verdict is read back from the result's ``details``.
+    Each claim is audited by :meth:`repro.api.Analysis.certify`, called
+    outside the prover's error handling: a prover that raises is recorded
+    as an ``error`` result, but a checker that raises is a checker bug
+    and propagates (the program's task fails, so the report is not ok).
+    The provers run with the pipeline's ``certificate`` stage off, so
+    each claim is checked once.
     """
     tools = _resolve_tools(tools)
     config = config if config is not None else AnalysisConfig()
-    config = config.replace(check_certificates=True)
     audit = ProgramAudit(name=name)
 
-    analysis = Analysis(source, config=config, name=name)
+    analysis = Analysis(
+        source, config=config.replace(check_certificates=False), name=name
+    )
     try:
         problem = analysis.problem()
     except FrontendError as error:
@@ -272,12 +279,9 @@ def audit_source(
                     source=source,
                 )
             )
-        document = result.details.get(
-            "certificate_verdict", result.details.get("lasso_verdict")
-        )
-        if document is None or (result.proved and not problem.blocks):
-            continue  # no claim audited, or trivially terminating
-        verdict = CertificateVerdict.from_dict(document)
+        verdict = analysis.certify(result)
+        if verdict is None or (result.proved and not problem.blocks):
+            continue  # nothing to audit, or trivially terminating
         if verdict.certificate_missing:
             audit.violations.append(
                 SoundnessViolation(

@@ -287,7 +287,7 @@ def command_prove(arguments: argparse.Namespace) -> int:
 
 def _report_row(result) -> dict:
     """One ``repro check`` row, read from the result's certificate stage."""
-    from repro.checking.checker import MISSING_CERTIFICATE
+    from repro.checking.checker import CertificateVerdict
 
     if result.status.value in ("error", "timeout"):
         return {
@@ -307,7 +307,7 @@ def _report_row(result) -> dict:
         "dimension": result.dimension,
         "verdict": verdict,
         "missing_certificate": verdict is not None
-        and MISSING_CERTIFICATE in verdict["notes"],
+        and CertificateVerdict.from_dict(verdict).certificate_missing,
     }
 
 

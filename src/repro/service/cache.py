@@ -234,39 +234,40 @@ class ResultCache:
         missing certificate, or a claim that cannot even be rebuilt, is
         refused.  A claim with nothing to audit (a rankingless
         ``TERMINATING`` claim on an acyclic program) is served unchecked.
+        ``revalidations`` counts checker passes, so a claim refused for a
+        missing certificate counts only as a failure.
         """
+        from repro.api.pipeline import Analysis
+
         try:
-            verdict = self._certify(request, entry, result)
+            if entry.analysis is None:
+                # Concurrent first hits on one key build once: the others
+                # wait here and reuse the build.  Only the build holds the
+                # lock; the checker pass below runs outside it.
+                with self._build_lock:
+                    if entry.analysis is None:
+                        analysis = Analysis(
+                            request.program,
+                            config=request.config,
+                            name=request.name,
+                        )
+                        # What the audit reads: the problem for a ranking,
+                        # the automaton alone for a lasso.
+                        if result.proved:
+                            analysis.problem()
+                        else:
+                            analysis.automaton()
+                        with self._lock:
+                            entry.analysis = analysis
+            verdict = entry.analysis.certify(result)
         except Exception:
             return False, False
         if verdict is None:
             return True, False
-        with self._lock:
-            self._stats.revalidations += 1
+        if not verdict.certificate_missing:
+            with self._lock:
+                self._stats.revalidations += 1
         return verdict.accepted, verdict.accepted
-
-    def _certify(
-        self, request: AnalysisRequest, entry: _Entry, result: AnalysisResult
-    ):
-        """``entry.analysis.certify(result)``, memoising the analysis.
-
-        An entry's first audit runs under ``_build_lock``, so concurrent
-        first hits on one key build the problem (or automaton) once: the
-        others wait and reuse it.
-        """
-        from repro.api.pipeline import Analysis
-
-        if entry.analysis is None:
-            with self._build_lock:
-                if entry.analysis is None:
-                    analysis = Analysis(
-                        request.program, config=request.config, name=request.name
-                    )
-                    verdict = analysis.certify(result)
-                    with self._lock:
-                        entry.analysis = analysis
-                    return verdict
-        return entry.analysis.certify(result)
 
     # -- the write path ----------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """One claim audit: ``Analysis.certify`` is the only place a checker runs.
 
-``repro check``, the fuzz harness and the service cache all read the
-verdict of the pipeline's ``certificate`` stage, so each decided claim
-costs exactly one checker call on every surface.
+``repro check`` reads the verdict of the pipeline's ``certificate``
+stage, and the fuzz harness and the service cache call ``certify``
+directly, so each decided claim costs exactly one checker call on every
+surface.
 """
 
 import json

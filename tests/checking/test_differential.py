@@ -173,6 +173,20 @@ class TestCampaign:
         assert len(violation.source) < len(violation.original_source)
         assert "while" in violation.source
 
+    def test_checker_crash_fails_the_report(self, monkeypatch):
+        # A crashing checker is a checker bug: it must not be mistaken for
+        # a prover error and tallied as an ordinary per-tool outcome.
+        import repro.api.pipeline as pipeline
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("checker crash")
+
+        monkeypatch.setattr(pipeline, "check_certificate", crash)
+        programs = [ProgramGenerator(2).generate(0)]  # a countdown
+        report = run_differential(programs, tools=["termite"], shrink=False)
+        assert not report.ok
+        assert "checker crash" in report.build_errors[0]
+
     def test_report_serialises(self):
         report = fuzz(seed=1, count=2, tools=["heuristic"])
         import json
@@ -193,8 +207,8 @@ class TestCampaign:
 
 class TestDefaultConfig:
     def test_default_fuzz_config_is_lean(self):
-        # The certificate stage is the audit, so it stays on; only the
-        # synthesis budgets are lean.
+        # The certificate stage keeps its default; only the synthesis
+        # budgets are lean.
         config = default_fuzz_config()
         assert isinstance(config, AnalysisConfig)
         assert config.check_certificates is True
