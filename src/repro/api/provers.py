@@ -36,6 +36,7 @@ from repro.baselines.result import BaselineResult
 from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
+from repro.smt.solver import TheoryRoundLimit
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import make_oracle
 
@@ -128,9 +129,10 @@ class TermiteProver(Prover):
                 max_dimension=config.max_dimension,
                 lp_statistics=lp_statistics,
             )
-        except MaxIterationsExceeded as error:
-            # One oracle query per iteration: the queries are the
-            # iterations of every component, the aborted one included.
+        except (MaxIterationsExceeded, TheoryRoundLimit) as error:
+            # A cap ends the search without a verdict.  One oracle query
+            # per iteration: the queries are the iterations of every
+            # component, the aborted one included.
             return AnalysisResult(
                 tool=self.name,
                 status=AnalysisStatus.UNKNOWN,

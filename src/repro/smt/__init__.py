@@ -15,10 +15,12 @@ Architecture (classic lazy SMT / DPLL(T)):
 boolean model is checked for theory consistency by an exact-simplex
 theory solver; theory conflicts are returned as unsat cores and blocked.
 Integer variables are handled by branch-and-bound inside the theory
-solver.
+solver.  Parallel bounds get static *bound axioms* when their atoms are
+encoded, and one solver serves a whole sequence of queries: per-query
+formulas sit under guard literals passed as SAT assumptions.
 """
 
-from repro.smt.solver import SmtResult, SmtSolver, SmtStatus
+from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, TheoryRoundLimit
 from repro.smt.optimize import OptimizationResult, OptimizingSmtSolver
 from repro.smt.theory import TheoryResult, check_conjunction
 
@@ -26,6 +28,7 @@ __all__ = [
     "SmtSolver",
     "SmtResult",
     "SmtStatus",
+    "TheoryRoundLimit",
     "OptimizingSmtSolver",
     "OptimizationResult",
     "TheoryResult",

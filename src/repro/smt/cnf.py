@@ -6,13 +6,23 @@ encoder caches on object identity, so sub-formulas shared by the
 large-block encoding are translated once — the CNF stays linear in the
 size of the program rather than in its number of paths, which is the
 structural property the paper's laziness relies on.
+
+Each new atom also brings its *bound axioms* (Dutertre & de Moura,
+CAV 2006): atoms with parallel term vectors bound one linear form from
+above, from below or to a point, and two such bounds whose intervals are
+disjoint get the binary clause ``¬a ∨ ¬b``.  The SAT core then refutes a
+pair such as ``x ≤ 0 ∧ x ≥ 1`` on its own, with no theory check.
+Disjointness is decided over the rationals, so every axiom also holds
+over the integers.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro.linexpr.constraint import Constraint
+from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.formula import (
     And,
     Atom,
@@ -24,7 +34,51 @@ from repro.linexpr.formula import (
     TRUE,
 )
 from repro.linexpr.transform import to_nnf
+from repro.metrics import count
 from repro.smt.sat import SatSolver
+
+#: One end of an interval: (value, strict), or None when unbounded.
+_End = Optional[Tuple[Fraction, bool]]
+
+
+def _direction_interval(
+    constraint: Constraint,
+) -> Optional[Tuple[tuple, Tuple[_End, _End]]]:
+    """``(direction, (lower, upper))``: the interval *constraint* allows.
+
+    *constraint* is in normalized form, so its coefficients are integers.
+    The direction is the term vector divided by the gcd of its entries,
+    signed so that the leading one (first variable by name) is positive;
+    on ``d·x`` the constraint is an upper bound, a lower bound or a point.
+    ``None`` for constant constraints.
+    """
+    terms = constraint.expr.terms
+    if not terms:
+        return None
+    names = sorted(terms)
+    coefficients = [terms[name].numerator for name in names]
+    scale = math.gcd(*coefficients)
+    if coefficients[0] < 0:
+        scale = -scale
+    direction = (tuple(names), tuple(c // scale for c in coefficients))
+    end = (-constraint.expr.constant_term / scale, constraint.is_strict())
+    if constraint.relation is Relation.EQ:
+        return direction, (end, end)
+    return direction, ((None, end) if scale > 0 else (end, None))
+
+
+def _below(upper: _End, lower: _End) -> bool:
+    """Whether every point under *upper* lies below every point over *lower*."""
+    if upper is None or lower is None:
+        return False
+    return upper[0] < lower[0] or (
+        upper[0] == lower[0] and (upper[1] or lower[1])
+    )
+
+
+def _disjoint(first: Tuple[_End, _End], second: Tuple[_End, _End]) -> bool:
+    """Whether two intervals on the same direction share no point."""
+    return _below(first[1], second[0]) or _below(second[1], first[0])
 
 
 class CnfEncoder:
@@ -39,6 +93,8 @@ class CnfEncoder:
         # id() of a garbage-collected node and alias two distinct formulas.
         self._node_cache: Dict[int, Tuple[Formula, int]] = {}
         self._true_literal: Optional[int] = None
+        # direction → [(literal, interval)] of the atoms filed under it.
+        self._bounds: Dict[tuple, List[Tuple[int, Tuple[_End, _End]]]] = {}
 
     # -- atom bookkeeping ------------------------------------------------------
 
@@ -50,7 +106,21 @@ class CnfEncoder:
             literal = self._solver.new_variable()
             self._atom_literal[key] = literal
             self._literal_atom[literal] = key
+            self._add_bound_axioms(key, literal)
         return literal
+
+    def _add_bound_axioms(self, constraint: Constraint, literal: int) -> None:
+        """``¬a ∨ ¬b`` for every earlier parallel atom disjoint from this one."""
+        bound = _direction_interval(constraint)
+        if bound is None:
+            return
+        direction, interval = bound
+        filed = self._bounds.setdefault(direction, [])
+        for other, other_interval in filed:
+            if _disjoint(interval, other_interval):
+                count("smt.solver.bound_axioms")
+                self._solver.add_clause([-literal, -other])
+        filed.append((literal, interval))
 
     def atoms(self) -> Dict[int, Constraint]:
         """Mapping from propositional variable to the atom it encodes."""

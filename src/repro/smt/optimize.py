@@ -10,17 +10,22 @@ The search is *local*: take the first theory-consistent disjunct found by
 the lazy solver and minimise inside it.  The witness is a generator of
 that disjunct's polyhedron, which is all the termination argument of the
 paper needs, and it is what keeps the query cheap.
+
+One :class:`OptimizingSmtSolver` is one SMT context.  The fixed part of a
+sequence of queries (``I ∧ τ``) is asserted once; each query passes its
+own formulas as ``scoped``, asserted under a guard for that call only, so
+the theory lemmas of earlier queries keep pruning the later ones.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import Formula, atom
 from repro.lp.problem import LpStatus, Sense
 from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
@@ -50,34 +55,37 @@ class OptimizingSmtSolver:
     """Minimise a linear objective over the models of asserted formulas."""
 
     def __init__(self, integer_variables: Optional[Iterable[str]] = None):
-        self._formulas: List[Formula] = []
-        self._integer_variables: Set[str] = set(integer_variables or ())
+        self._solver = SmtSolver(integer_variables=integer_variables)
 
     # -- construction ------------------------------------------------------------
 
     def assert_formula(self, formula) -> None:
-        """Conjoin *formula* (a Formula or a bare Constraint) to the assertions."""
-        self._formulas.append(atom(formula))
+        """Conjoin *formula* (a Formula or a bare Constraint) for good."""
+        self._solver.assert_formula(formula)
 
     def add_integer_variables(self, names: Iterable[str]) -> None:
-        self._integer_variables |= set(names)
+        self._solver.add_integer_variables(names)
 
     # -- queries --------------------------------------------------------------------
 
-    def check(self) -> OptimizationResult:
-        """Plain satisfiability of the asserted conjunction."""
-        solver = self._fresh_solver()
-        result = solver.check()
+    def check(self, scoped: Sequence = ()) -> OptimizationResult:
+        """Plain satisfiability of the assertions and *scoped*."""
+        with self._scope(scoped):
+            result = self._solver.check()
         return OptimizationResult(result.status, model=result.model)
 
-    def minimize(self, objective: LinExpr) -> OptimizationResult:
+    def minimize(
+        self, objective: LinExpr, scoped: Sequence = ()
+    ) -> OptimizationResult:
         """Minimise *objective* in the first theory-consistent disjunct.
 
-        The result is an extremal model, or a ray when the objective is
-        unbounded below in that disjunct.
+        The disjunct satisfies the assertions and, for this call only, the
+        formulas of *scoped*.  The result is an extremal model, or a ray
+        when the objective is unbounded below in that disjunct.
         """
         count("smt.optimize.queries")
-        assignment = self._fresh_solver().assignment()
+        with self._scope(scoped):
+            assignment = self._solver.assignment()
         if assignment is None:
             return OptimizationResult(SmtStatus.UNSAT)
         count("smt.optimize.assignments_explored")
@@ -86,11 +94,19 @@ class OptimizingSmtSolver:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _fresh_solver(self) -> SmtSolver:
-        solver = SmtSolver(integer_variables=self._integer_variables)
-        for formula in self._formulas:
-            solver.assert_formula(formula)
-        return solver
+    @contextmanager
+    def _scope(self, scoped: Sequence) -> Iterator[None]:
+        """Assert *scoped* under a fresh guard, retired on exit."""
+        if not scoped:
+            yield
+            return
+        guard = self._solver.new_guard()
+        try:
+            for formula in scoped:
+                self._solver.assert_formula(formula, guard=guard)
+            yield
+        finally:
+            self._solver.retire(guard)
 
     def _minimize_in_disjunct(
         self,
@@ -106,7 +122,11 @@ class OptimizingSmtSolver:
             | set(objective.variables())
         )
         outcome = solve(
-            objective, closure, Sense.MINIMIZE, names, self._integer_variables
+            objective,
+            closure,
+            Sense.MINIMIZE,
+            names,
+            self._solver.integer_variables,
         )
 
         if outcome.status is LpStatus.UNBOUNDED:

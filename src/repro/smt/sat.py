@@ -6,7 +6,14 @@ literal of variable ``v``, ``-v`` its negation).  The solver implements
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with clause learning,
 * non-chronological backjumping,
-* a lightweight VSIDS-style activity heuristic with phase saving.
+* a VSIDS-style activity heuristic with phase saving, whose decisions
+  come from a lazy heap.
+
+``solve`` takes *assumptions*, MiniSat-style (Eén & Sörensson, SAT 2003):
+literals decided first, true for that call only.  A guard variable
+assumed true switches on the clauses it guards for one query; the clauses
+learned under it stay valid, because they follow from the clause database
+alone.
 
 It is deliberately compact: the boolean structure of a large-block
 transition relation is small (tens to a few hundred clauses), and the
@@ -15,7 +22,8 @@ heavy lifting of the reproduction happens in the theory solver.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class SatSolver:
@@ -33,6 +41,14 @@ class SatSolver:
         self._activity: Dict[int, float] = {}
         self._phase: Dict[int, bool] = {}
         self._activity_increment = 1.0
+        # Decision candidates keyed (-activity, variable): the top valid
+        # entry is the scan's choice, the lowest index of maximal activity.
+        # Entries go stale when a variable is bumped or assigned; every
+        # unassigned variable keeps one entry with its current activity.
+        self._heap: List[Tuple[float, int]] = []
+        # Units learned above level 0 (under assumptions), re-asserted at
+        # level 0 when the call returns.
+        self._learned_units: List[int] = []
         self._unsatisfiable = False
         self._processed = 0
 
@@ -44,6 +60,7 @@ class SatSolver:
         index = self._num_vars
         self._activity[index] = 0.0
         self._phase[index] = False
+        heapq.heappush(self._heap, (-0.0, index))
         return index
 
     @property
@@ -103,8 +120,14 @@ class SatSolver:
         """Return a satisfying assignment (variable → bool) or None for UNSAT.
 
         The assignment is total over the allocated variables.  *assumptions*
-        are literals assumed true for this call only.
+        are literals assumed true for this call only; ``None`` under
+        assumptions says nothing about later calls without them.
         """
+        model = self._search(assumptions)
+        self._assert_learned_units()
+        return model
+
+    def _search(self, assumptions: Sequence[int]) -> Optional[Dict[int, bool]]:
         if self._unsatisfiable:
             return None
         self._backtrack_to(0)
@@ -155,6 +178,21 @@ class SatSolver:
 
     # -- internals ---------------------------------------------------------------
 
+    def _assert_learned_units(self) -> None:
+        """Keep the units learned under assumptions, at level 0.
+
+        A learned clause follows from the clause database alone, so its
+        unit holds without the assumptions it was found under.
+        """
+        units, self._learned_units = self._learned_units, []
+        if not units or self._unsatisfiable:
+            return
+        self._backtrack_to(0)
+        if not all(self._enqueue(literal, None) for literal in units):
+            self._unsatisfiable = True
+        elif self._propagate() is not None:
+            self._unsatisfiable = True
+
     def _value(self, literal: int) -> Optional[bool]:
         assigned = self._assignment.get(abs(literal))
         if assigned is None:
@@ -191,6 +229,7 @@ class SatSolver:
                 del self._assignment[variable]
                 self._level.pop(variable, None)
                 self._reason.pop(variable, None)
+                heapq.heappush(self._heap, (-self._activity[variable], variable))
         if self._processed > len(self._trail):
             self._processed = len(self._trail)
 
@@ -285,6 +324,8 @@ class SatSolver:
 
     def _learn(self, learned: List[int]) -> None:
         if len(learned) == 1:
+            if self._decision_level() > 0:
+                self._learned_units.append(learned[0])
             self._enqueue(learned[0], None)
             return
         # Place a literal from the backjump level in the second watch slot.
@@ -300,28 +341,34 @@ class SatSolver:
         self._enqueue(learned[0], index)
 
     def _pick_branch_literal(self) -> Optional[int]:
-        best_variable = None
-        best_activity = -1.0
-        for variable in range(1, self._num_vars + 1):
-            if variable in self._assignment:
-                continue
-            activity = self._activity.get(variable, 0.0)
-            if activity > best_activity:
-                best_activity = activity
-                best_variable = variable
-        if best_variable is None:
-            return None
-        preferred = self._phase.get(best_variable, False)
-        return best_variable if preferred else -best_variable
+        if len(self._heap) > 4 * self._num_vars + 64:
+            self._rebuild_heap()  # mostly stale entries
+        heap = self._heap
+        while heap:
+            negated, variable = heapq.heappop(heap)
+            if variable in self._assignment or -negated != self._activity[variable]:
+                continue  # stale: assigned, or bumped since it was pushed
+            preferred = self._phase.get(variable, False)
+            return variable if preferred else -variable
+        return None
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [
+            (-self._activity[variable], variable)
+            for variable in range(1, self._num_vars + 1)
+            if variable not in self._assignment
+        ]
+        heapq.heapify(self._heap)
 
     def _bump_activity(self, variable: int) -> None:
-        self._activity[variable] = (
-            self._activity.get(variable, 0.0) + self._activity_increment
-        )
+        self._activity[variable] += self._activity_increment
         if self._activity[variable] > 1e100:
             for key in self._activity:
                 self._activity[key] *= 1e-100
             self._activity_increment *= 1e-100
+            self._rebuild_heap()
+        elif variable not in self._assignment:
+            heapq.heappush(self._heap, (-self._activity[variable], variable))
 
     def _decay_activities(self) -> None:
         self._activity_increment /= 0.95

@@ -13,10 +13,19 @@ linear-arithmetic theory solver (:mod:`repro.smt.theory`):
    either a theory-consistent model is found or the propositional
    abstraction becomes unsatisfiable.
 
+One solver is one long-lived context.  Formulas asserted without a
+guard hold for every query; a formula asserted under a *guard* (a fresh
+boolean variable, assumed true in each SAT call until :meth:`retire`)
+holds only while the guard is active.  Blocking clauses are theory
+tautologies, so every lemma learned under one guard keeps pruning the
+queries after it.
+
 The ``smt.solver.*`` counters (:mod:`repro.metrics`) record SAT calls,
 theory checks and conflicts, and how each conflict was blocked:
 ``farkas_cores`` through a checked certificate's core, ``core_fallbacks``
-through the whole assignment.
+through the whole assignment; ``bound_axioms`` counts the clauses
+:mod:`repro.smt.cnf` adds between disjoint parallel bounds, and
+``round_cap_hits`` the checks that gave up (:class:`TheoryRoundLimit`).
 """
 
 from __future__ import annotations
@@ -44,6 +53,14 @@ from repro.smt.sat import SatSolver
 from repro.smt.theory import check_conjunction
 
 
+#: Theory/SAT rounds one check may take before it gives up.
+MAX_THEORY_ROUNDS = 10_000
+
+
+class TheoryRoundLimit(RuntimeError):
+    """The theory/SAT refinement did not converge within its round cap."""
+
+
 class SmtStatus(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -69,29 +86,47 @@ class SmtResult:
 class SmtSolver:
     """Lazy SMT solver for quantifier-free / existential linear arithmetic."""
 
-    def __init__(
-        self,
-        integer_variables: Optional[Iterable[str]] = None,
-        max_theory_iterations: int = 10_000,
-    ):
+    def __init__(self, integer_variables: Optional[Iterable[str]] = None):
         self._sat = SatSolver()
         self._encoder = CnfEncoder(self._sat)
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
-        self._max_theory_iterations = max_theory_iterations
+        # Active guard → the formulas it switches on and their variables.
+        self._guarded: Dict[int, Tuple[List[Formula], Set[str]]] = {}
 
     # -- problem construction ---------------------------------------------------
 
     def add_integer_variables(self, names: Iterable[str]) -> None:
         self._integer_variables |= set(names)
 
-    def assert_formula(self, formula) -> None:
-        """Conjoin *formula* (a Formula or a bare Constraint) to the assertions."""
+    def assert_formula(self, formula, guard: Optional[int] = None) -> None:
+        """Conjoin *formula* (a Formula or a bare Constraint) to the assertions.
+
+        With a *guard* from :meth:`new_guard` the formula holds only until
+        the guard is retired; without one it holds for good.
+        """
         node = to_nnf(atom(formula))
-        self._free_variables |= formula_variables(node)
-        self._roots.append(node)
-        self._encoder.assert_formula(node)
+        if guard is None:
+            self._free_variables |= formula_variables(node)
+            self._roots.append(node)
+            self._encoder.assert_formula(node)
+            return
+        roots, variables = self._guarded[guard]
+        variables |= formula_variables(node)
+        roots.append(node)
+        self._sat.add_clause([-guard, self._encoder.encode(node)])
+
+    def new_guard(self) -> int:
+        """A fresh guard literal, active until :meth:`retire`."""
+        guard = self._sat.new_variable()
+        self._guarded[guard] = ([], set())
+        return guard
+
+    def retire(self, guard: int) -> None:
+        """Switch *guard*'s formulas off for good; learned clauses stay."""
+        del self._guarded[guard]
+        self._sat.add_clause([-guard])
 
     # -- solving -------------------------------------------------------------------
 
@@ -126,13 +161,14 @@ class SmtSolver:
         iterations = 0
         while True:
             iterations += 1
-            if iterations > self._max_theory_iterations:
-                raise RuntimeError(
+            if iterations > MAX_THEORY_ROUNDS:
+                count("smt.solver.round_cap_hits")
+                raise TheoryRoundLimit(
                     "theory/SAT refinement did not converge within %d rounds"
-                    % self._max_theory_iterations
+                    % MAX_THEORY_ROUNDS
                 )
             count("smt.solver.sat_calls")
-            boolean_model = self._sat.solve()
+            boolean_model = self._sat.solve(list(self._guarded))
             if boolean_model is None:
                 return None
             literals = self._theory_literals(boolean_model)
@@ -165,9 +201,16 @@ class SmtSolver:
         and their blocking clauses much smaller.
         """
         justified: Dict[int, None] = {}
-        for root in self._roots:
+        for root in self._active_roots():
             self._justify(root, boolean_model, justified)
         return list(justified)
+
+    def _active_roots(self) -> List[Formula]:
+        """The permanent assertions, then those of the active guards."""
+        roots = list(self._roots)
+        for guarded, _ in self._guarded.values():
+            roots.extend(guarded)
+        return roots
 
     def _justify(
         self,
@@ -250,7 +293,7 @@ class SmtSolver:
 
     def _complete_model(self, theory_model: Dict[str, Fraction]) -> Dict[str, Fraction]:
         model = dict(theory_model)
-        for name in self._free_variables:
+        for name in self.free_variables:
             model.setdefault(name, Fraction(0))
         return model
 
@@ -262,4 +305,8 @@ class SmtSolver:
 
     @property
     def free_variables(self) -> Set[str]:
-        return set(self._free_variables)
+        """The variables of the permanent and the active assertions."""
+        names = set(self._free_variables)
+        for _, variables in self._guarded.values():
+            names |= variables
+        return names

@@ -167,25 +167,37 @@ def objective_on_vector(
 
 
 class SmtOptimizingOracle(CounterexampleOracle):
-    """Extremal (or arbitrary) counterexamples from optimising SMT."""
+    """Extremal (or arbitrary) counterexamples from optimising SMT.
+
+    One SMT context per component: ``Φ`` and the extra constraints are
+    encoded once, on the first query after :meth:`reset`, and each query
+    adds ``AvoidSpace(u, B) ∧ λ·u ≤ 0`` for itself only.  What the DPLL(T)
+    loop learns in one query prunes the next.
+    """
 
     name = "smt"
 
-    def _build_query(
-        self, objective: LinExpr, flat_basis: Sequence[Vector]
-    ) -> OptimizingSmtSolver:
-        problem = self._problem
-        solver = OptimizingSmtSolver(
-            integer_variables=(
-                problem.smt_integer_variables() if self._integer_mode else ()
+    def reset(
+        self,
+        problem: TerminationProblem,
+        extra_constraints: Sequence = (),
+        integer_mode: bool = False,
+    ) -> None:
+        super().reset(problem, extra_constraints, integer_mode)
+        self._context: Optional[OptimizingSmtSolver] = None
+
+    def _solver(self) -> OptimizingSmtSolver:
+        if self._context is None:
+            problem = self._problem
+            self._context = OptimizingSmtSolver(
+                integer_variables=(
+                    problem.smt_integer_variables() if self._integer_mode else ()
+                )
             )
-        )
-        solver.assert_formula(problem.transition_formula())
-        for constraint in self._extra_constraints:
-            solver.assert_formula(constraint)
-        solver.assert_formula(avoid_space(problem, flat_basis))
-        solver.assert_formula(objective <= 0)
-        return solver
+            self._context.assert_formula(problem.transition_formula())
+            for constraint in self._extra_constraints:
+                self._context.assert_formula(constraint)
+        return self._context
 
     def find(
         self,
@@ -195,13 +207,13 @@ class SmtOptimizingOracle(CounterexampleOracle):
     ) -> Optional[WitnessGroup]:
         count("synthesis.oracles.smt_queries")
         problem = self._problem
-        solver = self._build_query(objective, flat_basis)
+        scoped = (avoid_space(problem, flat_basis), objective <= 0)
         if extremal:
-            outcome = solver.minimize(objective)
+            outcome = self._solver().minimize(objective, scoped)
         else:
             # Same query, no minimisation: an arbitrary theory model —
             # the non-extremal half of the paper's §4.2 ablation.
-            outcome = solver.check()
+            outcome = self._solver().check(scoped)
         if outcome.is_unsat:
             return None
         witness = problem.difference_vector(outcome.model)

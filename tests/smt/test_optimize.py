@@ -68,6 +68,22 @@ class TestMinimize:
         assert solver.check().is_sat
 
 
+class TestScopedQueries:
+    def test_scoped_formulas_hold_for_one_call(self):
+        solver = OptimizingSmtSolver()
+        solver.assert_formula(And([x >= 0, x <= 10]))
+        assert solver.minimize(x, scoped=[x >= 4]).objective_value == 4
+        assert solver.minimize(x).objective_value == 0
+        assert solver.check(scoped=[x >= 11]).is_unsat
+        assert solver.check().is_sat
+
+    def test_scoped_variables_leave_the_model_with_their_query(self):
+        solver = OptimizingSmtSolver()
+        solver.assert_formula(x >= 0)
+        assert "y" in solver.check(scoped=[y >= 1]).model
+        assert "y" not in solver.check().model
+
+
 class TestPaperExample1Queries:
     def test_y_decreases_by_one(self):
         solver = example1_solver()

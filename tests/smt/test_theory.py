@@ -212,8 +212,9 @@ class TestCertificateCheck:
 
     def test_solver_counts_the_fallback(self, tampered):
         tampered(lambda weights: [-weight for weight in weights])
+        # Not a parallel pair: the bound axioms leave it to the theory.
         solver = SmtSolver()
-        solver.assert_formula(And([x >= 3, x <= 1]))
+        solver.assert_formula(And([x + y >= 3, x <= 1, y <= 1]))
         with recording() as counters:
             assert solver.check().is_unsat
         assert counters["smt.solver.core_fallbacks"] == 1
@@ -228,8 +229,12 @@ class TestCertificateCheck:
         assert "smt.solver.farkas_cores" not in counters
 
     def test_certified_cores_are_counted(self):
+        # Two theory conflicts, neither a parallel pair a bound axiom
+        # would refute before the theory sees it.
         solver = SmtSolver()
-        solver.assert_formula(And([x >= 3, Or([x <= 1, x <= 2]), y >= 0]))
+        solver.assert_formula(
+            And([x + y >= 3, y <= 1, Or([x <= 1, x - y <= 0]), y >= -5])
+        )
         with recording() as counters:
             assert solver.check().is_unsat
         assert counters["smt.solver.farkas_cores"] == 2
@@ -240,13 +245,16 @@ class TestCertificateCheck:
 def test_program_theory_calls_pinned(monkeypatch):
     """Farkas cores block whole families of paths at once.
 
-    On ``sorts/bubble_sort`` the DPLL(T) loop of the synthesis needs 31
+    On ``sorts/bubble_sort`` the DPLL(T) loop of the synthesis needs 19
     theory checks, and the count repeats exactly.  Blocking each conflict
-    whole, as a solver without cores for large conflicts does, takes 138.
-    The count follows the Farkas certificate the simplex ends on: solving
-    with the equality rows left in (no elimination) gives other valid
-    multipliers, other cores from the 17th check on, and 32 checks.  The
-    certificate stage is off, so the pin measures synthesis alone.
+    whole, as a solver without cores for large conflicts does, takes 66.
+    The count follows the Farkas certificate the simplex ends on, and it
+    counts two savings on top of the cores: one SMT context per CEGIS
+    component keeps the cores of one oracle query for the next, and the
+    bound axioms refute parallel pairs such as ``x ≤ 0 ∧ x ≥ 1`` with no
+    theory check.  With a fresh context per query and no axioms the
+    count was 31 (138 blocking whole).  The certificate stage is off, so
+    the pin measures synthesis alone.
     """
     import repro.smt.solver as solver_module
     from repro.api import Analysis, AnalysisConfig
@@ -267,4 +275,4 @@ def test_program_theory_calls_pinned(monkeypatch):
         name=program.name,
     ).run("termite")
     assert result.proved
-    assert len(calls) == 31
+    assert len(calls) == 19

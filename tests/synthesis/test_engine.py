@@ -55,6 +55,16 @@ class TestComponentSynthesis:
         assert result.iterations == result.lp_statistics.oracle_queries
         assert result.iterations >= 2
 
+    def test_theory_round_cap_reports_unknown(self, monkeypatch):
+        import repro.smt.solver as solver_module
+
+        monkeypatch.setattr(solver_module, "MAX_THEORY_ROUNDS", 1)
+        source = next(p for p in get_suite("wtc") if p.name == "wise").source
+        result = Analysis(source).run("termite")
+        assert result.status.value == "unknown"
+        assert "did not converge within 1 rounds" in result.message
+        assert result.metrics["smt.solver.round_cap_hits"] == 1
+
     def test_unified_counters_folded_into_lp_statistics(
         self, example1_automaton
     ):
