@@ -31,7 +31,6 @@ from repro.api.config import (
     CEX_ORACLES,
     CEX_STRATEGIES,
     ConfigError,
-    DOMAINS,
     NONTERM_MODES,
 )
 from repro.api.registry import (
@@ -75,7 +74,6 @@ from repro.api import provers as _provers  # noqa: F401
 __all__ = [
     "AnalysisConfig",
     "ConfigError",
-    "DOMAINS",
     "CEX_ORACLES",
     "CEX_STRATEGIES",
     "NONTERM_MODES",

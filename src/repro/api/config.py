@@ -6,15 +6,14 @@ pipeline lives.  It is
 * **frozen** — a config is a value, safe to share between threads, cache
   keys, and worker processes;
 * **validated** — every field is checked at construction time, so a typo
-  like ``domain="octagons"`` fails immediately with a :class:`ConfigError`
+  like ``cex_oracle="smtt"`` fails immediately with a :class:`ConfigError`
   instead of deep inside the synthesis loop;
 * **exactly JSON round-trippable** — ``from_dict(json.loads(json.dumps(
   cfg.to_dict()))) == cfg`` holds field for field, which is what lets a
   config travel through the crash-isolated parallel engine, CI artifacts,
   and the ``repro`` command line unchanged.
 
-Non-serializable inputs (a prepared :class:`~repro.invariants.domain.
-AbstractDomain` instance, externally supplied invariants or cut-sets) are
+Non-serializable inputs (externally supplied invariants or cut-sets) are
 deliberately *not* part of the config; they are advanced overrides passed
 directly to :class:`repro.api.pipeline.Analysis`.
 """
@@ -27,9 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.synthesis.oracles import ORACLE_NAMES
-
-#: Valid values of :attr:`AnalysisConfig.domain`.
-DOMAINS = ("polyhedra", "intervals")
 
 #: Valid values of :attr:`AnalysisConfig.cex_oracle`.
 CEX_ORACLES = tuple(ORACLE_NAMES)
@@ -50,8 +46,9 @@ def _one_of(*values):
 #: from_dict` drops such a key when its value passes, so configs and
 #: requests serialised before the removal still load.  ``cex_batch`` only
 #: ever added rows beyond the first, ``oracle_seed`` only seeded the
-#: deleted ``sampling`` oracle and ``random`` strategy, and ``"local"``
-#: is the only OMT search left.
+#: deleted ``sampling`` oracle and ``random`` strategy, ``"local"`` is the
+#: only OMT search left, and the invariants are always polyhedra
+#: restricted to the guarded states.
 _LEGACY_FIELDS = {
     "kernel": _one_of("auto", "packed", "exact"),
     "lp_mode": _one_of("incremental", "cold", "audit"),
@@ -61,6 +58,8 @@ _LEGACY_FIELDS = {
         lambda value: type(value) is int and value >= 0,
     ),
     "smt_mode": _one_of("local"),
+    "domain": _one_of("polyhedra"),
+    "restrict_to_guarded": ("true", lambda value: value is True),
 }
 
 
@@ -85,11 +84,6 @@ class AnalysisConfig:
     max_dimension: Optional[int] = None
     #: Independently re-check the synthesised ranking function.
     check_certificates: bool = True
-    #: Restrict invariants to the states that can still reach a cycle.
-    restrict_to_guarded: bool = True
-    #: Abstract domain of the invariant generator: ``"polyhedra"`` or
-    #: ``"intervals"``.
-    domain: str = "polyhedra"
     #: Counterexample oracle of the CEGIS engine: ``"smt"`` (the paper's
     #: optimising extremal-point query) or ``"dd"`` (double-description
     #: vertex/ray enumeration).
@@ -132,14 +126,6 @@ class AnalysisConfig:
         _require(
             isinstance(self.check_certificates, bool),
             "check_certificates must be a bool, got %r" % (self.check_certificates,),
-        )
-        _require(
-            isinstance(self.restrict_to_guarded, bool),
-            "restrict_to_guarded must be a bool, got %r" % (self.restrict_to_guarded,),
-        )
-        _require(
-            self.domain in DOMAINS,
-            "domain must be one of %s, got %r" % (", ".join(DOMAINS), self.domain),
         )
         _require(
             self.cex_oracle in CEX_ORACLES,

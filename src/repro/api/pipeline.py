@@ -35,8 +35,6 @@ from repro.core.problem import TerminationProblem
 from repro.core.relevance import restrict_to_guarded_states
 from repro.frontend.lowering import compile_program
 from repro.invariants.analyzer import compute_invariants
-from repro.invariants.domain import AbstractDomain
-from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
 from repro.metrics import recording
 from repro.program.automaton import ControlFlowAutomaton
@@ -72,9 +70,9 @@ class Analysis:
     """One program moving through the staged termination pipeline.
 
     *program* is mini-language source text or a prepared control-flow
-    automaton.  *invariants*, *cutset* and *domain* are advanced overrides
-    (externally computed invariants, a fixed cut-set, a prepared abstract
-    domain instance); they are not part of the serializable config.
+    automaton.  *invariants* and *cutset* are advanced overrides
+    (externally computed invariants, a fixed cut-set); they are not part
+    of the serializable config.
     """
 
     def __init__(
@@ -86,7 +84,6 @@ class Analysis:
         engine_observers: Sequence[EngineObserver] = (),
         invariants: Optional[InvariantMap] = None,
         cutset: Optional[Sequence[str]] = None,
-        domain: Optional[AbstractDomain] = None,
     ):
         self.config = config if config is not None else AnalysisConfig()
         if isinstance(program, ControlFlowAutomaton):
@@ -105,7 +102,6 @@ class Analysis:
         self._engine_observers: List[EngineObserver] = list(engine_observers)
         self._given_invariants = invariants
         self._given_cutset = list(cutset) if cutset is not None else None
-        self._given_domain = domain
         self._problem: Optional[TerminationProblem] = None
         self._build_stages: List[StageTiming] = []
         self._build_metrics: Dict[str, int] = {}
@@ -152,15 +148,6 @@ class Analysis:
                 self._automaton = compile_program(self._source, self.name)
         return self._automaton
 
-    def _domain_instance(
-        self, automaton: ControlFlowAutomaton
-    ) -> Optional[AbstractDomain]:
-        if self._given_domain is not None:
-            return self._given_domain
-        if self.config.domain == "intervals":
-            return IntervalDomain(automaton.variables)
-        return None  # the analyzer defaults to the polyhedra domain
-
     @property
     def problem_built(self) -> bool:
         return self._problem is not None
@@ -185,9 +172,7 @@ class Analysis:
         with self._stage("invariants", self._build_stages):
             invariants = self._given_invariants
             if invariants is None:
-                invariants = compute_invariants(
-                    automaton, self._domain_instance(automaton)
-                )
+                invariants = compute_invariants(automaton)
         with self._stage("cutset", self._build_stages):
             cutset = self._given_cutset or compute_cutset(automaton)
             if not cutset:
@@ -195,10 +180,7 @@ class Analysis:
                 # placeholder cut point so the problem stays well-formed.
                 cutset = [automaton.initial_location]
         with self._stage("large_block", self._build_stages):
-            if self.config.restrict_to_guarded:
-                invariants = restrict_to_guarded_states(
-                    automaton, cutset, invariants
-                )
+            invariants = restrict_to_guarded_states(automaton, cutset, invariants)
             blocks = large_block_encoding(automaton, cutset)
             return TerminationProblem(
                 automaton.variables,

@@ -194,6 +194,7 @@ def _synthesize_component(
 
     statistics.record(program.num_rows, program.num_cols)
     outcome = program.solve()
+    statistics.record_solve(outcome.pivots, warm=False)
     if outcome.status is not LpStatus.OPTIMAL or outcome.objective == 0:
         return None
 

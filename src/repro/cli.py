@@ -58,7 +58,6 @@ from repro.api import (
     CEX_ORACLES,
     CEX_STRATEGIES,
     ConfigError,
-    DOMAINS,
     NONTERM_MODES,
     RequestError,
     analyze,
@@ -88,7 +87,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="load an AnalysisConfig JSON document (as written by "
         "AnalysisConfig.to_json) and use it as the baseline",
     )
-    group.add_argument("--domain", choices=list(DOMAINS), default=None)
     group.add_argument(
         "--oracle",
         dest="cex_oracle",
@@ -131,11 +129,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the independent certificate check",
     )
-    group.add_argument(
-        "--no-guard-restriction",
-        action="store_true",
-        help="do not restrict invariants to guarded states",
-    )
 
 
 def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
@@ -146,7 +139,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
         config = AnalysisConfig()
     overrides = {}
     for flag, field in [
-        ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
         ("max_iterations", "max_iterations"),
@@ -160,8 +152,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
             overrides[field] = value
     if arguments.no_certificates:
         overrides["check_certificates"] = False
-    if arguments.no_guard_restriction:
-        overrides["restrict_to_guarded"] = False
     return config.replace(**overrides)
 
 

@@ -2,12 +2,14 @@
 
 A standard worklist algorithm over the control-flow automaton:
 
-* abstract values are propagated along transitions with the domain's
-  transfer functions (guard, assignments, havoc),
-* at *widening points* (by default the cut-set of the automaton) the new
-  value is widened against the previous one, guaranteeing termination,
-* once the ascending iteration stabilises, a bounded number of descending
-  (narrowing) iterations recovers some precision lost to widening.
+* polyhedra are propagated along transitions with the transfer functions
+  of :class:`~repro.invariants.polyhedra_domain.PolyhedraDomain` (guard,
+  assignments, havoc),
+* at the *widening points* (the cut-set of the automaton) the new value
+  is widened, up to the guard thresholds, against the previous one,
+  guaranteeing termination,
+* once the ascending iteration stabilises, a descending (narrowing) pass
+  recovers some precision lost to widening.
 
 The output is an :class:`~repro.invariants.invariant_map.InvariantMap`
 with one polyhedron per reachable location.
@@ -15,65 +17,55 @@ with one polyhedron per reachable location.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.invariants.domain import AbstractDomain
 from repro.invariants.invariant_map import InvariantMap
 from repro.invariants.polyhedra_domain import PolyhedraDomain
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import TRUE
 from repro.linexpr.transform import dnf_conjunctions
+from repro.polyhedra.polyhedron import Polyhedron
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.transition import Transition
 
+#: Joins at a widening point before the widening kicks in.
+WIDENING_DELAY = 2
+
+#: Descending (narrowing) passes after the ascending phase stabilises.
+DESCENDING_ITERATIONS = 1
+
+#: Budget of worklist steps of the ascending phase.
+MAX_ITERATIONS = 10_000
+
 
 class InvariantAnalyzer:
-    """Forward reachability analysis parameterised by an abstract domain."""
+    """Forward reachability analysis over convex polyhedra."""
 
-    def __init__(
-        self,
-        automaton: ControlFlowAutomaton,
-        domain: Optional[AbstractDomain] = None,
-        widening_points: Optional[Sequence[str]] = None,
-        widening_delay: int = 2,
-        descending_iterations: int = 1,
-        max_iterations: int = 10_000,
-    ):
+    def __init__(self, automaton: ControlFlowAutomaton):
         self.automaton = automaton
-        if domain is None:
-            domain = PolyhedraDomain(
-                automaton.variables,
-                automaton.integer_variables,
-                thresholds=_guard_thresholds(automaton),
-            )
-        self.domain = domain
-        self.widening_points = set(
-            widening_points
-            if widening_points is not None
-            else compute_cutset(automaton)
+        self.domain = PolyhedraDomain(
+            automaton.variables,
+            automaton.integer_variables,
+            thresholds=_guard_thresholds(automaton),
         )
-        self.widening_delay = widening_delay
-        self.descending_iterations = descending_iterations
-        self.max_iterations = max_iterations
+        self.widening_points = set(compute_cutset(automaton))
 
     # -- the public entry point ----------------------------------------------------
 
     def run(self) -> InvariantMap:
         values = self._ascending_phase()
-        for _ in range(self.descending_iterations):
+        for _ in range(DESCENDING_ITERATIONS):
             values = self._descending_pass(values)
         invariants = InvariantMap(self.automaton.variables)
         for location, value in values.items():
-            invariants.set(
-                location, self.domain.to_polyhedron(value).minimized()
-            )
+            invariants.set(location, value.minimized())
         return invariants
 
     # -- iteration phases --------------------------------------------------------------
 
-    def _initial_values(self) -> Dict[str, object]:
-        values: Dict[str, object] = {
+    def _initial_values(self) -> Dict[str, Polyhedron]:
+        values: Dict[str, Polyhedron] = {
             location: self.domain.bottom()
             for location in self.automaton.locations
         }
@@ -90,17 +82,17 @@ class InvariantAnalyzer:
         values[self.automaton.initial_location] = initial
         return values
 
-    def _ascending_phase(self) -> Dict[str, object]:
+    def _ascending_phase(self) -> Dict[str, Polyhedron]:
         values = self._initial_values()
         visit_count: Dict[str, int] = {}
         worklist: List[str] = [self.automaton.initial_location]
         iterations = 0
         while worklist:
             iterations += 1
-            if iterations > self.max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise RuntimeError(
                     "invariant analysis did not converge within %d steps"
-                    % self.max_iterations
+                    % MAX_ITERATIONS
                 )
             location = worklist.pop(0)
             for transition in self.automaton.outgoing(location):
@@ -114,14 +106,16 @@ class InvariantAnalyzer:
                 joined = self.domain.join(previous, contribution)
                 if target in self.widening_points:
                     visit_count[target] = visit_count.get(target, 0) + 1
-                    if visit_count[target] > self.widening_delay:
+                    if visit_count[target] > WIDENING_DELAY:
                         joined = self.domain.widen(previous, joined)
                 values[target] = joined
                 if target not in worklist:
                     worklist.append(target)
         return values
 
-    def _descending_pass(self, values: Dict[str, object]) -> Dict[str, object]:
+    def _descending_pass(
+        self, values: Dict[str, Polyhedron]
+    ) -> Dict[str, Polyhedron]:
         refined = dict(values)
         for location in sorted(self.automaton.locations):
             if location == self.automaton.initial_location:
@@ -138,7 +132,7 @@ class InvariantAnalyzer:
 
     # -- transfer function ------------------------------------------------------------------
 
-    def _post(self, value: object, transition: Transition) -> object:
+    def _post(self, value: Polyhedron, transition: Transition) -> Polyhedron:
         if self.domain.is_bottom(value):
             return value
         guard_constraints = transition.guard_constraints()
@@ -156,7 +150,9 @@ class InvariantAnalyzer:
         constrained = self.domain.constrain(value, guard_constraints)
         return self._apply_updates(constrained, transition)
 
-    def _apply_updates(self, value: object, transition: Transition) -> object:
+    def _apply_updates(
+        self, value: Polyhedron, transition: Transition
+    ) -> Polyhedron:
         if self.domain.is_bottom(value):
             return value
         result = value
@@ -175,31 +171,22 @@ class InvariantAnalyzer:
                 else:
                     result = self.domain.assign(result, name, expression)
             return result
-        # Simultaneous update via the polyhedron fallback: this is exact for
-        # the polyhedra domain and a sound approximation for boxes.
-        polyhedron = self.domain.to_polyhedron(result)
+        # Simultaneous update: assign through staged copies, then project.
         staged = {}
         for name, expression in transition.updates.items():
             if expression is None:
-                polyhedron = polyhedron.havoc(name)
+                result = result.havoc(name)
             else:
                 staged[name] = expression
-        if staged:
-            stage_names = {name: name + "!stage" for name in staged}
-            extended = polyhedron.extend_space(
-                list(polyhedron.variables) + list(stage_names.values())
-            )
-            for name, expression in staged.items():
-                extended = extended.assign(
-                    stage_names[name], expression
-                )
-            for name in staged:
-                extended = extended.assign(
-                    name, LinExpr.variable(stage_names[name])
-                )
-            polyhedron = extended.project(self.domain.variables)
-        converted = self.domain.constrain(self.domain.top(), polyhedron.constraints)
-        return converted
+        stage_names = {name: name + "!stage" for name in staged}
+        extended = result.extend_space(
+            list(result.variables) + list(stage_names.values())
+        )
+        for name, expression in staged.items():
+            extended = extended.assign(stage_names[name], expression)
+        for name in staged:
+            extended = extended.assign(name, LinExpr.variable(stage_names[name]))
+        return extended.project(self.domain.variables)
 
 
 def _guard_thresholds(automaton: ControlFlowAutomaton):
@@ -225,10 +212,6 @@ def _guard_thresholds(automaton: ControlFlowAutomaton):
     return thresholds
 
 
-def compute_invariants(
-    automaton: ControlFlowAutomaton,
-    domain: Optional[AbstractDomain] = None,
-    **options,
-) -> InvariantMap:
-    """Convenience wrapper: run the analyzer with default settings."""
-    return InvariantAnalyzer(automaton, domain, **options).run()
+def compute_invariants(automaton: ControlFlowAutomaton) -> InvariantMap:
+    """The polyhedral invariant of every reachable location of *automaton*."""
+    return InvariantAnalyzer(automaton).run()

@@ -2,21 +2,20 @@
 
 Abstract values are :class:`~repro.polyhedra.polyhedron.Polyhedron`
 objects over the program variables.  This is the domain the paper's
-toolchain obtains from Aspic/Pagai and the one used by default for every
-benchmark of the reproduction.
+toolchain obtains from Aspic/Pagai and the only one of the reproduction.
+Operations are value-oriented: they return new polyhedra, never mutate.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.invariants.domain import AbstractDomain
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.polyhedra.polyhedron import Polyhedron
 
 
-class PolyhedraDomain(AbstractDomain[Polyhedron]):
+class PolyhedraDomain:
     """Closed convex polyhedra with the standard widening."""
 
     def __init__(
@@ -25,7 +24,7 @@ class PolyhedraDomain(AbstractDomain[Polyhedron]):
         integer_variables=None,
         thresholds: Sequence[Constraint] = (),
     ):
-        super().__init__(variables)
+        self.variables = list(variables)
         self.integer_variables = set(
             integer_variables if integer_variables is not None else variables
         )
@@ -94,11 +93,6 @@ class PolyhedraDomain(AbstractDomain[Polyhedron]):
 
     def havoc(self, value: Polyhedron, variable: str) -> Polyhedron:
         return value.havoc(variable)
-
-    # -- conversions -------------------------------------------------------------------
-
-    def to_polyhedron(self, value: Polyhedron) -> Polyhedron:
-        return value
 
     def narrow(self, previous: Polyhedron, current: Polyhedron) -> Polyhedron:
         # Descending iteration: the new value is always sound; guard against

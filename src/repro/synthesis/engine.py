@@ -54,7 +54,6 @@ from repro.linalg.matrix import in_span
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.metrics import count
-from repro.synthesis.oracles import has_stuttering_step
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -219,9 +218,7 @@ class CegisEngine:
 
         strict = bool(deltas) and all(value == 1 for value in deltas)
         if strict:
-            strict = not has_stuttering_step(
-                problem, extra_constraints, self.integer_mode
-            )
+            strict = not self.oracle.stutters()
         current.strict = strict
         self._emit(
             "component_end",

@@ -101,6 +101,14 @@ class CounterexampleOracle(abc.ABC):
         only return ``None`` after a complete check.
         """
 
+    @abc.abstractmethod
+    def stutters(self) -> bool:
+        """Whether the component's ``Φ`` admits a step with ``u = 0``.
+
+        The check at the end of Algorithm 1: a component whose every δ is
+        1 is strict only if no step has ``u = 0``, which nothing decreases.
+        """
+
 
 # ---------------------------------------------------------------------------
 # Shared query building blocks
@@ -130,30 +138,6 @@ def avoid_space(
     return disjunction(disequalities)
 
 
-def has_stuttering_step(
-    problem: TerminationProblem,
-    extra_constraints: Sequence,
-    integer_mode: bool,
-) -> bool:
-    """Whether ``Φ`` admits a step with ``u = 0`` (see end of Algorithm 1)."""
-    solver = OptimizingSmtSolver(
-        integer_variables=(
-            problem.smt_integer_variables() if integer_mode else ()
-        )
-    )
-    solver.assert_formula(problem.transition_formula())
-    for constraint in extra_constraints:
-        solver.assert_formula(constraint)
-    zero = conjunction(
-        [
-            LinExpr.variable(name).eq(0)
-            for name in problem.difference_variables()
-        ]
-    )
-    solver.assert_formula(zero)
-    return solver.check().is_sat
-
-
 def objective_on_vector(
     objective: LinExpr, vector: Vector, names: Sequence[str]
 ) -> Fraction:
@@ -171,8 +155,9 @@ class SmtOptimizingOracle(CounterexampleOracle):
 
     One SMT context per component: ``Φ`` and the extra constraints are
     encoded once, on the first query after :meth:`reset`, and each query
-    adds ``AvoidSpace(u, B) ∧ λ·u ≤ 0`` for itself only.  What the DPLL(T)
-    loop learns in one query prunes the next.
+    adds ``AvoidSpace(u, B) ∧ λ·u ≤ 0`` — or ``u = 0`` for the stutter
+    check — for itself only.  What the DPLL(T) loop learns in one query
+    prunes the next.
     """
 
     name = "smt"
@@ -229,6 +214,15 @@ class SmtOptimizingOracle(CounterexampleOracle):
                 group.append(Witness(vector=ray, kind="ray", origin=self.name))
         count("synthesis.oracles.candidates")
         return group
+
+    def stutters(self) -> bool:
+        zero = conjunction(
+            [
+                LinExpr.variable(name).eq(0)
+                for name in self._problem.difference_variables()
+            ]
+        )
+        return self._solver().check((zero,)).is_sat
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +487,9 @@ class DdEnumerationOracle(CounterexampleOracle):
             Witness(vector=generator.vector, kind=generator.kind, origin=self.name)
             for generator in chosen
         ]
+
+    def stutters(self) -> bool:
+        return self._confirmation.stutters()
 
 
 # ---------------------------------------------------------------------------

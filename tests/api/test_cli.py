@@ -110,6 +110,14 @@ class TestProve:
         assert result["status"] == "nonterminating"  # the flag wins
         assert result["certificate_checked"] is False  # the file's baseline
 
+    @pytest.mark.parametrize(
+        "flags", [["--domain", "polyhedra"], ["--no-guard-restriction"]]
+    )
+    def test_removed_invariant_flags_are_usage_errors(self, flags):
+        process = run_cli("prove", "-", *flags, stdin=COUNTDOWN)
+        assert process.returncode == 2
+        assert "unrecognized arguments" in process.stderr
+
 
 @pytest.mark.slow
 class TestTable1Subcommand:

@@ -13,15 +13,13 @@ class TestValidation:
         config = AnalysisConfig()
         assert config.cex_oracle == "smt"
         assert config.cex_strategy == "extremal"
-        assert config.domain == "polyhedra"
-        assert config.check_certificates and config.restrict_to_guarded
+        assert config.check_certificates
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"cex_strategy": "greedy"},
             {"cex_oracle": "warm"},
-            {"domain": "octagons"},
             {"max_iterations": 0},
             {"max_iterations": -3},
             {"max_iterations": "many"},
@@ -29,7 +27,8 @@ class TestValidation:
             {"max_dimension": 0},
             {"integer_mode": "yes"},
             {"check_certificates": 1},
-            {"restrict_to_guarded": None},
+            {"max_dimension": True},
+            {"integer_mode": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -65,8 +64,6 @@ class TestSerialisation:
             max_iterations=33,
             max_dimension=2,
             check_certificates=False,
-            restrict_to_guarded=False,
-            domain="intervals",
         )
         assert AnalysisConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
         assert AnalysisConfig.from_json(config.to_json()) == config
@@ -156,3 +153,34 @@ class TestSerialisation:
         with pytest.raises(TypeError):
             AnalysisConfig(lp_mode="incremental")
         assert "lp_mode" not in AnalysisConfig().to_dict()
+
+    def test_config_has_eight_fields(self):
+        assert len(dataclasses.fields(AnalysisConfig)) == 8
+
+    def test_legacy_invariant_keys_are_dropped(self):
+        data = {"domain": "polyhedra", "restrict_to_guarded": True}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig()
+        assert data == {"domain": "polyhedra", "restrict_to_guarded": True}
+        assert "domain" not in AnalysisConfig().to_dict()
+        assert "restrict_to_guarded" not in AnalysisConfig().to_dict()
+
+    @pytest.mark.parametrize(
+        "key,legacy",
+        [
+            ("domain", "intervals"),
+            ("domain", None),
+            ("restrict_to_guarded", False),
+            ("restrict_to_guarded", 1),
+            ("restrict_to_guarded", None),
+        ],
+    )
+    def test_legacy_invariant_key_with_another_value_rejected(self, key, legacy):
+        with pytest.raises(ConfigError, match=key):
+            AnalysisConfig.from_dict({key: legacy})
+
+    @pytest.mark.parametrize(
+        "key,value", [("domain", "polyhedra"), ("restrict_to_guarded", True)]
+    )
+    def test_invariant_keywords_rejected(self, key, value):
+        with pytest.raises(TypeError):
+            AnalysisConfig(**{key: value})

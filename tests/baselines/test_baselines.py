@@ -56,6 +56,17 @@ class TestDnfExpansion:
         assert len(disjuncts) == 1
 
 
+@pytest.mark.parametrize(
+    "prover", [eager_farkas_lexicographic, podelski_rybalchenko]
+)
+def test_eager_lp_solves_are_counted(prover, example1_problem):
+    """Every eager Farkas LP is one cold solve, and its pivots are counted."""
+    statistics = prover(example1_problem).lp_statistics
+    assert statistics.cold_solves == statistics.instances >= 1
+    assert statistics.warm_solves == 0
+    assert statistics.pivots > 0
+
+
 class TestPodelskiRybalchenko:
     def test_countdown(self, countdown_problem):
         result = podelski_rybalchenko(countdown_problem)

@@ -3,7 +3,6 @@
 
 from repro.api import Analysis, AnalysisConfig, AnalysisStatus
 from repro.invariants.analyzer import compute_invariants
-from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
 from repro.linexpr.expr import var
 from repro.linexpr.formula import disjunction
@@ -86,13 +85,6 @@ class TestPolyhedralInvariants:
         assert head.contains_point({"x": 1})
         assert head.contains_point({"x": -5})
         assert not head.entails_constraint(x >= 0)
-
-    def test_interval_domain_option(self):
-        cfa = counter_loop()
-        invariants = compute_invariants(
-            cfa, domain=IntervalDomain(cfa.variables, cfa.integer_variables)
-        )
-        assert invariants.get("head").entails_constraint(i >= 0)
 
 
 class TestInvariantMap:

@@ -1,65 +1,10 @@
-"""Tests for the interval and polyhedra abstract domains."""
+"""Tests for the polyhedra abstract domain."""
 
 
-
-from repro.invariants.intervals import IntervalDomain
 from repro.invariants.polyhedra_domain import PolyhedraDomain
 from repro.linexpr.expr import var
 
 x, y = var("x"), var("y")
-
-
-class TestIntervalDomain:
-    def setup_method(self):
-        self.domain = IntervalDomain(["x", "y"])
-
-    def test_top_bottom(self):
-        assert not self.domain.is_bottom(self.domain.top())
-        assert self.domain.is_bottom(self.domain.bottom())
-
-    def test_constrain_single_variable(self):
-        value = self.domain.constrain(self.domain.top(), [x >= 0, x <= 5])
-        poly = self.domain.to_polyhedron(value)
-        assert poly.bounds(x) == (0, 5)
-
-    def test_constrain_detects_emptiness(self):
-        value = self.domain.constrain(self.domain.top(), [x >= 1, x <= 0])
-        assert self.domain.is_bottom(value)
-
-    def test_strict_guard_tightened_for_integers(self):
-        value = self.domain.constrain(self.domain.top(), [x > 0])
-        poly = self.domain.to_polyhedron(value)
-        assert poly.bounds(x)[0] == 1
-
-    def test_assign_interval_arithmetic(self):
-        value = self.domain.constrain(self.domain.top(), [x >= 0, x <= 2])
-        assigned = self.domain.assign(value, "y", 2 * x + 1)
-        assert self.domain.to_polyhedron(assigned).bounds(y) == (1, 5)
-
-    def test_havoc(self):
-        value = self.domain.constrain(self.domain.top(), [x >= 0, x <= 2])
-        assert self.domain.to_polyhedron(self.domain.havoc(value, "x")).bounds(x) == (
-            None,
-            None,
-        )
-
-    def test_join(self):
-        a = self.domain.constrain(self.domain.top(), [x >= 0, x <= 1])
-        b = self.domain.constrain(self.domain.top(), [x >= 5, x <= 6])
-        joined = self.domain.join(a, b)
-        assert self.domain.to_polyhedron(joined).bounds(x) == (0, 6)
-
-    def test_widen_drops_unstable_bound(self):
-        a = self.domain.constrain(self.domain.top(), [x >= 0, x <= 1])
-        b = self.domain.constrain(self.domain.top(), [x >= 0, x <= 2])
-        widened = self.domain.widen(a, b)
-        assert self.domain.to_polyhedron(widened).bounds(x) == (0, None)
-
-    def test_includes(self):
-        small = self.domain.constrain(self.domain.top(), [x >= 0, x <= 1])
-        large = self.domain.constrain(self.domain.top(), [x >= 0, x <= 9])
-        assert self.domain.includes(large, small)
-        assert not self.domain.includes(small, large)
 
 
 class TestPolyhedraDomain:

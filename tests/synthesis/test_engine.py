@@ -35,6 +35,27 @@ class TestComponentSynthesis:
         assert not result.is_trivial
         assert counters["synthesis.engine.counterexamples"] >= 1
 
+    @pytest.mark.parametrize("oracle", ["smt", "dd"])
+    def test_stutter_check_reuses_the_oracle_context(
+        self, oracle, countdown_automaton, monkeypatch
+    ):
+        """The strict component's ``u = 0`` query builds no solver of its own."""
+        from repro.smt.solver import SmtSolver
+
+        problem = build_problem(countdown_automaton)
+        builds = []
+        original = SmtSolver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmtSolver, "__init__", counting_init)
+        result = make_engine(oracle=oracle).synthesize_component(problem)
+        assert result.strict
+        # dd builds its confirmation context only when enumeration runs dry.
+        assert len(builds) == 1 if oracle == "smt" else len(builds) <= 1
+
     def test_stutter_gives_non_strict(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
         result = make_engine().synthesize_component(problem)
