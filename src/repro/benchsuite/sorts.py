@@ -1,4 +1,4 @@
-"""Sorting-algorithm loop structures (6 programs).
+"""Sorting-algorithm loop structures (6 programs, 5 terminating).
 
 Comparison sorts are modelled by their index manipulation: the array
 contents are irrelevant to termination, but comparisons on them are kept
@@ -110,16 +110,23 @@ while (gap > 1) {
 def build_suite() -> List[BenchmarkProgram]:
     """The 6 sorting benchmarks."""
     table = [
-        ("bubble_sort", BUBBLE_SORT, "outer countdown, inner counted scan"),
-        ("insertion_sort", INSERTION_SORT, "inner loop walks back nondeterministically"),
-        ("selection_sort", SELECTION_SORT, "minimum search with data-dependent branch"),
-        ("gnome_sort", GNOME_SORT, "position can move backwards (needs relational argument)"),
-        ("cocktail_sort", COCKTAIL_SORT, "shrinking window swept in both directions"),
-        ("shell_sort", SHELL_SORT_GAPS, "gap sequence with gap-strided inner walk"),
+        ("bubble_sort", BUBBLE_SORT, "outer countdown, inner counted scan", True),
+        ("insertion_sort", INSERTION_SORT, "inner loop walks back nondeterministically", True),
+        ("selection_sort", SELECTION_SORT, "minimum search with data-dependent branch", True),
+        (
+            "gnome_sort",
+            GNOME_SORT,
+            "non-terminating: the nondeterministic comparison can step back "
+            "forever. From pos = 0 with n >= 2, the pos == 0 branch sets "
+            "pos = 1, then the nondet() else-branch sets pos = 0 again",
+            False,
+        ),
+        ("cocktail_sort", COCKTAIL_SORT, "shrinking window swept in both directions", True),
+        ("shell_sort", SHELL_SORT_GAPS, "gap sequence with gap-strided inner walk", True),
     ]
     return [
-        BenchmarkProgram(name, SUITE, True, source, description=description)
-        for name, source, description in table
+        BenchmarkProgram(name, SUITE, terminating, source, description=description)
+        for name, source, description, terminating in table
     ]
 
 

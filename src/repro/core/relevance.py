@@ -55,10 +55,8 @@ def restrict_to_guarded_states(
             domain = domain.join(
                 _guarded_states(automaton, base, transition)
             )
-        if domain.is_empty():
-            restricted.set(location, base)
-        else:
-            restricted.set(location, domain.minimized())
+        minimal = domain.minimized()
+        restricted.set(location, base if minimal.is_empty() else minimal)
     # Locations outside the cut-set keep their original invariants.
     for location, value in invariants.items():
         if location not in cut:

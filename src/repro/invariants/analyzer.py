@@ -4,7 +4,9 @@ A standard worklist algorithm over the control-flow automaton:
 
 * polyhedra are propagated along transitions with the transfer functions
   of :class:`~repro.invariants.polyhedra_domain.PolyhedraDomain` (guard,
-  assignments, havoc),
+  assignments, havoc); the generators of ``value ∧ guard`` are computed
+  once per transition and the updates map them, so a transition whose
+  image is full-dimensional solves no LP,
 * at the *widening points* (the cut-set of the automaton) the new value
   is widened, up to the guard thresholds, against the previous one,
   guaranteeing termination,
@@ -153,6 +155,11 @@ class InvariantAnalyzer:
     def _apply_updates(
         self, value: Polyhedron, transition: Transition
     ) -> Polyhedron:
+        # One conversion to generators of ``value ∧ guard``: it settles
+        # emptiness, the updates map it, and inclusion in the target's
+        # value is then tested on the image's generators.  None of these
+        # steps solves an LP.
+        value.generators()
         if self.domain.is_bottom(value):
             return value
         result = value

@@ -105,6 +105,6 @@ def integer_normalize(coefficients: Sequence[Rat]) -> List[Fraction]:
         c if type(c) is Fraction else as_fraction(c) for c in coefficients
     ]
     divisor = fraction_gcd(fracs)
-    if divisor == 0:
+    if divisor == 0 or divisor == 1:
         return fracs
     return [frac / divisor for frac in fracs]

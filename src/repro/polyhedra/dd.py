@@ -4,25 +4,32 @@ The core routine, :func:`cone_double_description`, incrementally intersects
 the full space with homogeneous half-spaces ``a·y ≤ 0`` while maintaining a
 generating system of lines and rays.  Polyhedra are handled through the
 usual homogenisation ``x ↦ (x, t)``: a generator with ``t > 0`` is a vertex
-(after scaling ``t`` to 1) and a generator with ``t = 0`` is a ray.
+(after scaling ``t`` to 1) and a generator with ``t = 0`` is a ray.  The
+conversions build their half-spaces as primitive integer rows straight
+from normalised constraints and from the memoised homogenised generators.
 
 The adjacency test used when combining rays is the combinatorial one
-(zero-set inclusion), with the zero sets recomputed exactly against the
-half-spaces already processed.  In degenerate situations the output may
-contain a few redundant generators, which is harmless for every use in
-this library (consumers deduplicate or run LP-based redundancy removal).
+(zero-set inclusion); each ray's zero set against the half-spaces already
+processed is kept as a bit mask and updated step by step.  In degenerate
+situations the output may contain a few redundant generators.  That is
+harmless for every use in this library: consumers deduplicate, test
+membership generator by generator, or decide redundancy from the
+generators' saturation sets (:func:`repro.polyhedra.projection.remove_redundant`),
+which redundant generators do not change.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.linalg.sparse import SparseRow
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.polyhedra.generators import GeneratorSystem
+
+_ZERO = Fraction(0)
 
 
 def cone_double_description(
@@ -32,12 +39,6 @@ def cone_double_description(
 
     *rows* is a sequence of ``(a, is_equality)`` pairs.  Returns
     ``(lines, rays)`` such that the cone equals ``span(lines) + cone(rays)``.
-
-    Internally normals and generators are primitive-integer
-    :class:`~repro.linalg.sparse.SparseRow` vectors, so the inner loops
-    (dot-product sign tests, zero sets, ray combination) run on machine
-    integers; generators are scale-invariant, which makes the integer
-    dot *numerators* directly usable as combination coefficients.
     """
     halfspaces: List[SparseRow] = []
     for normal, is_equality in rows:
@@ -47,14 +48,32 @@ def cone_double_description(
         halfspaces.append(row)
         if is_equality:
             halfspaces.append(-row)
+    lines, rays = _double_description(halfspaces, dimension)
+    return (
+        [Vector(line.to_dense(dimension)) for line in lines],
+        [Vector(ray.to_dense(dimension)) for ray in rays],
+    )
 
-    lines: List[SparseRow] = [
-        SparseRow.from_pairs([(i, 1)]) for i in range(dimension)
-    ]
-    rays: List[SparseRow] = []
+
+def _double_description(
+    halfspaces: Sequence[SparseRow], dimension: int
+) -> Tuple[List[SparseRow], List[SparseRow]]:
+    """The lines and extreme rays of ``{y | h·y ≤ 0 for h in halfspaces}``.
+
+    Normals and generators are primitive-integer
+    :class:`~repro.linalg.sparse.SparseRow` vectors, so the inner loops
+    (dot-product sign tests, ray combination) run on machine integers;
+    generators are scale-invariant, which makes the integer dot
+    *numerators* directly usable as combination coefficients.  Each
+    ray's zero set -- the processed half-spaces it saturates -- is kept
+    as a bit mask and updated as the half-spaces are added.
+    """
+    lines: List[SparseRow] = [SparseRow((i,), (1,)) for i in range(dimension)]
+    #: Each ray with its zero set, in order (a ray appears once).
+    rays: Dict[SparseRow, int] = {}
 
     for index, normal in enumerate(halfspaces):
-        processed = halfspaces[:index]
+        bit = 1 << index
 
         # ---- Case 1: some line does not lie in the hyperplane. -----------
         # All generators are kept at denominator 1, so ``dot_numerator``
@@ -84,82 +103,72 @@ def cone_double_description(
                 projected = line.combine_int(-value, pivot_line, scalar)
                 if not projected.is_zero():
                     new_lines.append(projected.normalized_direction())
-            new_rays: List[SparseRow] = []
-            for ray in rays:
+            # Lines lie in every processed hyperplane, so moving a ray
+            # along the pivot keeps its zero set; it now also saturates
+            # this half-space.
+            new_rays: Dict[SparseRow, int] = {}
+            for ray, zeros in rays.items():
                 scalar = normal.dot_numerator(ray)
-                if scalar == 0:
-                    new_rays.append(ray)
-                else:
-                    projected = ray.combine_int(-value, pivot_line, scalar)
-                    if not projected.is_zero():
-                        new_rays.append(projected.normalized_direction())
+                if scalar != 0:
+                    ray = ray.combine_int(-value, pivot_line, scalar)
+                    if ray.is_zero():
+                        continue
+                    ray = ray.normalized_direction()
+                new_rays.setdefault(ray, zeros | bit)
             # The pivot line survives as a ray strictly inside the half-space.
-            new_rays.append(pivot_line)
+            new_rays.setdefault(pivot_line, bit - 1)
             lines = new_lines
-            rays = _deduplicate(new_rays)
+            rays = new_rays
             continue
 
         # ---- Case 2: all lines lie in the hyperplane; split the rays. ----
-        values = [normal.dot_numerator(ray) for ray in rays]
-        satisfied = [ray for ray, v in zip(rays, values) if v < 0]
-        tight = [ray for ray, v in zip(rays, values) if v == 0]
-        violated = [ray for ray, v in zip(rays, values) if v > 0]
+        satisfied: List[Tuple[SparseRow, int]] = []
+        tight: List[SparseRow] = []
+        violated: List[Tuple[SparseRow, int]] = []
+        for ray in rays:
+            scalar = normal.dot_numerator(ray)
+            if scalar < 0:
+                satisfied.append((ray, scalar))
+            elif scalar == 0:
+                tight.append(ray)
+            else:
+                violated.append((ray, scalar))
 
         if not violated:
+            for ray in tight:
+                rays[ray] |= bit
             continue
 
-        zero_sets = {
-            id(ray): _zero_set(ray, processed) for ray in rays
-        }
-
-        combined: List[SparseRow] = []
-        for plus in violated:
-            for minus in satisfied:
-                if not _adjacent(plus, minus, rays, zero_sets):
+        masks = list(rays.values())
+        combined: List[Tuple[SparseRow, int]] = []
+        for plus, plus_value in violated:
+            plus_zeros = rays[plus]
+            for minus, minus_value in satisfied:
+                # Combinatorial adjacency: no third ray saturates every
+                # half-space both of them saturate.
+                common = plus_zeros & rays[minus]
+                covering = 0
+                for zeros in masks:
+                    if not common & ~zeros:
+                        covering += 1
+                        if covering > 2:  # plus, minus and a third ray
+                            break
+                if covering > 2:
                     continue
-                plus_value = normal.dot_numerator(plus)
-                minus_value = normal.dot_numerator(minus)
                 new_ray = minus.combine_int(plus_value, plus, -minus_value)
                 if not new_ray.is_zero():
-                    combined.append(new_ray.normalized_direction())
+                    combined.append((new_ray.normalized_direction(), common | bit))
 
-        rays = _deduplicate(satisfied + tight + combined)
+        new_rays = {}
+        for ray, _ in satisfied:
+            new_rays[ray] = rays[ray]
+        for ray in tight:
+            new_rays.setdefault(ray, rays[ray] | bit)
+        for ray, zeros in combined:
+            new_rays.setdefault(ray, zeros)
+        rays = new_rays
 
-    to_vector = lambda row: Vector(row.to_dense(dimension))  # noqa: E731
-    return [to_vector(line) for line in lines], [to_vector(ray) for ray in rays]
-
-
-def _zero_set(ray: SparseRow, halfspaces: Sequence[SparseRow]) -> Set[int]:
-    return {
-        position
-        for position, normal in enumerate(halfspaces)
-        if normal.dot_numerator(ray) == 0
-    }
-
-
-def _adjacent(
-    first: SparseRow,
-    second: SparseRow,
-    rays: Sequence[SparseRow],
-    zero_sets: Dict[int, Set[int]],
-) -> bool:
-    """Combinatorial adjacency test for the double-description step."""
-    common = zero_sets[id(first)] & zero_sets[id(second)]
-    for other in rays:
-        if other is first or other is second:
-            continue
-        if common <= zero_sets[id(other)]:
-            return False
-    return True
-
-
-def _deduplicate(rays: List[SparseRow]) -> List[SparseRow]:
-    seen: Dict[SparseRow, None] = {}
-    for ray in rays:
-        if ray.is_zero():
-            continue
-        seen.setdefault(ray.normalized_direction())
-    return list(seen)
+    return lines, list(rays)
 
 
 # ---------------------------------------------------------------------------
@@ -177,38 +186,34 @@ def constraints_to_generators(
     guards on integer variables beforehand.
     """
     ordering = tuple(variables)
-    dimension = len(ordering) + 1  # homogenising coordinate comes last
+    size = len(ordering)
+    position = {name: index for index, name in enumerate(ordering)}
 
-    rows: List[Tuple[Vector, bool]] = []
+    halfspaces: List[SparseRow] = []
     for constraint in constraints:
-        coefficients = [
-            constraint.expr.coefficient(name) for name in ordering
-        ]
-        coefficients.append(constraint.expr.constant_term)
-        rows.append((Vector(coefficients), constraint.is_equality()))
-    # t ≥ 0, i.e. -t ≤ 0.
-    rows.append((Vector([Fraction(0)] * len(ordering) + [Fraction(-1)]), False))
+        row = _constraint_row(constraint, position, size)
+        halfspaces.append(row)
+        if constraint.is_equality():
+            halfspaces.append(-row)
+    # t ≥ 0, i.e. -t ≤ 0 (the homogenising coordinate comes last).
+    halfspaces.append(SparseRow((size,), (-1,)))
 
-    lines, rays = cone_double_description(rows, dimension)
+    lines, rays = _double_description(halfspaces, size + 1)
 
     system = GeneratorSystem(ordering)
     for line in lines:
         # The homogenising coordinate of a line must be zero because t ≥ 0.
-        spatial = Vector(line[: len(ordering)])
-        if not spatial.is_zero():
-            system.lines.append(spatial)
-    has_point = False
+        if line.indices[0] < size:
+            system.lines.append(_spatial(line, size, 1))
     for ray in rays:
-        weight = ray[len(ordering)]
-        spatial = Vector(ray[: len(ordering)])
+        weight = ray.numerator_at(size)
         if weight > 0:
-            system.vertices.append(spatial / weight)
-            has_point = True
-        elif not spatial.is_zero():
-            system.rays.append(spatial.normalized())
-    if not has_point:
+            system.vertices.append(_spatial(ray, size, weight))
+        elif ray.indices[0] < size:
+            system.rays.append(_spatial(ray, size, 1))
+    if not system.vertices:
         # Without a single point the polyhedron is empty: drop the stray
-        # recession directions so is_empty() answers correctly.
+        # recession directions.
         system.rays = []
         system.lines = []
     return system
@@ -222,40 +227,78 @@ def generators_to_constraints(system: GeneratorSystem) -> List[Constraint]:
     homogenised cone, whose extreme rays are exactly the facets.
     """
     ordering = system.variables
-    dimension = len(ordering) + 1
     if system.is_empty():
         # The canonical representation of the empty polyhedron.
         return [Constraint(LinExpr.constant(1), Relation.LE)]
 
-    rows: List[Tuple[Vector, bool]] = []
-    for vertex in system.vertices:
-        rows.append((Vector(list(vertex) + [Fraction(1)]), False))
-    for ray in system.rays:
-        rows.append((Vector(list(ray) + [Fraction(0)]), False))
-    for line in system.lines:
-        rows.append((Vector(list(line) + [Fraction(0)]), True))
+    vertices, rays, lines = system.homogenized()
+    halfspaces: List[SparseRow] = []
+    for generator in vertices + rays:
+        halfspaces.append(_integer_row(generator))
+    for line in lines:
+        row = _integer_row(line)
+        halfspaces.append(row)
+        halfspaces.append(-row)
 
-    lines, rays = cone_double_description(rows, dimension)
+    polar_lines, polar_rays = _double_description(halfspaces, len(ordering) + 1)
 
     constraints: List[Constraint] = []
-    for line in lines:
+    for line in polar_lines:
         constraint = _row_to_constraint(line, ordering, Relation.EQ)
         if constraint is not None:
             constraints.append(constraint)
-    for ray in rays:
+    for ray in polar_rays:
         constraint = _row_to_constraint(ray, ordering, Relation.LE)
         if constraint is not None:
             constraints.append(constraint)
     return constraints
 
 
+def _constraint_row(
+    constraint: Constraint, position: Dict[str, int], size: int
+) -> SparseRow:
+    """The primitive integer normal ``(a, c)`` of ``a·x + c ⋈ 0``."""
+    expr = constraint.expr
+    pairs = sorted(
+        (position[name], value) for name, value in expr.terms.items()
+    )
+    if expr.constant_term:
+        pairs.append((size, expr.constant_term))
+    if all(value.denominator == 1 for _, value in pairs):
+        return SparseRow(
+            [index for index, _ in pairs],
+            [value.numerator for _, value in pairs],
+        ).normalized_direction()
+    return SparseRow.from_pairs(pairs).normalized_direction()
+
+
+def _integer_row(values: Sequence[int]) -> SparseRow:
+    """A dense primitive integer vector as a sparse row."""
+    indices = [index for index, value in enumerate(values) if value]
+    return SparseRow(indices, [values[index] for index in indices])
+
+
+def _spatial(row: SparseRow, size: int, weight: int) -> Vector:
+    """The first *size* coordinates of an integer *row*, over *weight*."""
+    entries = [_ZERO] * size
+    for index, numerator in row.iter_scaled():
+        if index < size:
+            entries[index] = Fraction(numerator, weight)
+    return Vector(entries)
+
+
 def _row_to_constraint(
-    row: Vector, ordering: Sequence[str], relation: Relation
+    row: SparseRow, ordering: Sequence[str], relation: Relation
 ) -> Optional[Constraint]:
-    coefficients = {name: row[i] for i, name in enumerate(ordering)}
-    constant = row[len(ordering)]
-    expr = LinExpr(coefficients, constant)
-    constraint = Constraint(expr, relation)
+    size = len(ordering)
+    coefficients: Dict[str, Fraction] = {}
+    constant = _ZERO
+    for index, numerator in row.iter_scaled():
+        if index < size:
+            coefficients[ordering[index]] = Fraction(numerator)
+        else:
+            constant = Fraction(numerator)
+    constraint = Constraint(LinExpr(coefficients, constant), relation)
     if constraint.is_trivially_true():
         return None
     return constraint.normalized()

@@ -3,15 +3,31 @@
 This is the representation of Definition 3 of the paper: every point of the
 polyhedron is a convex combination of the vertices plus a nonnegative
 combination of the rays plus an arbitrary combination of the lines.
+
+The polyhedral domain computes on this representation directly: an affine
+map sends generators to generators of the image
+(:meth:`GeneratorSystem.affine_image`), and the affine dimension of the
+polyhedron, or of one of its faces, is the rank of the homogenised
+generators (:func:`integer_rank`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.linalg.vector import Vector
+
+
+#: How :meth:`GeneratorSystem.affine_image` defines one image coordinate.
+Output = Optional[Union[int, Tuple[Sequence[Tuple[int, Fraction]], Fraction]]]
+
+#: Integer vertices, rays and lines of :meth:`GeneratorSystem.homogenized`.
+Homogenized = Tuple[List[List[int]], List[List[int]], List[List[int]]]
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -22,14 +38,90 @@ class GeneratorSystem:
     vertices: List[Vector] = field(default_factory=list)
     rays: List[Vector] = field(default_factory=list)
     lines: List[Vector] = field(default_factory=list)
+    _homogenized: Optional[Homogenized] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
         return len(self.variables)
 
     def is_empty(self) -> bool:
-        """A polyhedron is empty iff it has no vertex (and no generator)."""
-        return not self.vertices and not self.rays and not self.lines
+        """A polyhedron is empty iff it has no vertex: rays and lines alone
+        generate no point."""
+        return not self.vertices
+
+    def homogenized(self) -> Homogenized:
+        """Vertices ``(v, 1)``, rays ``(r, 0)`` and lines ``(l, 0)`` as
+        primitive integer vectors (each scaled by a positive factor).
+
+        Memoised: a generator system is not mutated once it is built.
+        """
+        if self._homogenized is None:
+            self._homogenized = (
+                [_integer_vector(vertex, 1) for vertex in self.vertices],
+                [_integer_vector(ray, 0) for ray in self.rays],
+                [_integer_vector(line, 0) for line in self.lines],
+            )
+        return self._homogenized
+
+    def is_full_dimensional(self) -> bool:
+        """Whether the generated polyhedron has affine dimension
+        ``len(variables)``: its homogenised generators have full rank."""
+        if not self.vertices:
+            return False
+        vertices, rays, lines = self.homogenized()
+        size = len(self.variables) + 1
+        return integer_rank(vertices + rays + lines, size) == size
+
+    def affine_image(
+        self, variables: Sequence[str], outputs: Sequence[Output]
+    ) -> "GeneratorSystem":
+        """Generators of the image of the polyhedron under an affine map.
+
+        ``outputs[j]`` defines coordinate ``j`` of the image (over
+        *variables*): an ``int`` copies that input coordinate, a pair
+        ``(terms, constant)`` is ``Σ c·x[k] + constant`` over the
+        ``(k, c)`` in *terms*, and ``None`` leaves the coordinate
+        unconstrained (it gets a line).  Vertices go through the affine
+        map, rays and lines through its linear part; directions it sends
+        to zero are dropped.
+        """
+
+        def image(vector: Vector, constant_weight: int) -> List[Fraction]:
+            entries = vector.entries()
+            result: List[Fraction] = []
+            for output in outputs:
+                if output is None:
+                    result.append(_ZERO)
+                elif isinstance(output, int):
+                    result.append(entries[output])
+                else:
+                    terms, constant = output
+                    value = constant if constant_weight else _ZERO
+                    for index, coefficient in terms:
+                        value += coefficient * entries[index]
+                    result.append(value)
+            return result
+
+        def directions(vectors: List[Vector]) -> List[Vector]:
+            mapped = [Vector(image(vector, 0)) for vector in vectors]
+            return _dedupe_directions(
+                [vector for vector in mapped if not vector.is_zero()]
+            )
+
+        size = len(outputs)
+        free = [
+            Vector.unit(size, position)
+            for position, output in enumerate(outputs)
+            if output is None
+        ]
+        return GeneratorSystem(
+            tuple(variables),
+            _dedupe_points([Vector(image(vertex, 1)) for vertex in self.vertices]),
+            directions(self.rays),
+            free + directions(self.lines),
+        )
 
     def all_ray_like(self) -> List[Vector]:
         """Rays plus both orientations of every line."""
@@ -100,8 +192,8 @@ class GeneratorSystem:
             constraints.append(
                 LinExpr.from_terms([(name, 1) for name in alpha]).eq(1)
             )
-        elif not self.rays and not self.lines:
-            return False
+        else:
+            return False  # no vertex: the empty polyhedron
         for coordinate in range(self.dimension):
             combination = LinExpr()
             for name, vertex in zip(alpha, self.vertices):
@@ -113,6 +205,54 @@ class GeneratorSystem:
                 combination = combination - LinExpr.variable(neg) * line[coordinate]
             constraints.append(combination.eq(target[coordinate]))
         return check_feasibility(constraints).is_optimal
+
+
+def _integer_vector(vector: Vector, weight: int) -> List[int]:
+    """``(vector, weight)`` scaled to a primitive integer vector."""
+    entries = list(vector.entries())
+    scale = 1
+    for entry in entries:
+        denominator = entry.denominator
+        if denominator != 1:
+            scale = scale * denominator // gcd(scale, denominator)
+    row = [entry.numerator * (scale // entry.denominator) for entry in entries]
+    row.append(weight * scale)
+    divisor = gcd(*row)
+    if divisor > 1:
+        row = [value // divisor for value in row]
+    return row
+
+
+def integer_rank(
+    rows: Iterable[Sequence[int]], limit: Optional[int] = None
+) -> int:
+    """Rank of a family of integer vectors, by fraction-free elimination.
+
+    Stops as soon as the rank reaches *limit* (when given).
+    """
+    basis: List[Tuple[int, List[int]]] = []
+    for row in rows:
+        reduced = list(row)
+        for pivot, base in basis:
+            value = reduced[pivot]
+            if value:
+                head = base[pivot]
+                reduced = [
+                    head * mine - value * theirs
+                    for mine, theirs in zip(reduced, base)
+                ]
+        pivot = next(
+            (index for index, value in enumerate(reduced) if value), None
+        )
+        if pivot is None:
+            continue
+        divisor = gcd(*reduced)
+        if divisor > 1:
+            reduced = [value // divisor for value in reduced]
+        basis.append((pivot, reduced))
+        if limit is not None and len(basis) >= limit:
+            break
+    return len(basis)
 
 
 def _dedupe_points(vectors: List[Vector]) -> List[Vector]:

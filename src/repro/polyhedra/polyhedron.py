@@ -11,13 +11,25 @@ other representation, lazily and exactly:
 
 * the *generator system* (vertices, rays, lines), either the one it was
   built from by :meth:`Polyhedron.from_generators` or the memoised result
-  of the double-description conversion; inclusion and entailment are then
-  decided on the generators instead of one LP per constraint;
+  of the double-description conversion; inclusion, entailment and
+  emptiness are then decided on the generators instead of by LPs;
 * a *witness point*, one point known to lie in the polyhedron (from a
   feasibility LP, a vertex, or carried through the operation that built
   it), which settles :meth:`Polyhedron.is_empty` without an LP.
 
-Both caches are private and never mutated once set; a polyhedron is
+When the generators are cached, the transfer functions (:meth:`assign`,
+:meth:`havoc`, :meth:`project`) map them through the affine operation
+instead of running Fourier–Motzkin on the constraints.  A
+full-dimensional image has a unique irredundant normalised constraint
+system, its facets, so its constraints are converted back from the
+generators -- only when a caller first reads them -- and read exactly as
+the Fourier–Motzkin result would.  A lower-dimensional image keeps the
+Fourier–Motzkin path (its equalities could otherwise be written
+differently, and :meth:`widen` is syntactic), run when the constraints
+are first read.  The ``polyhedra.polyhedron.*`` counters record which
+path each transfer took and how each emptiness test was settled.
+
+Caches are private and never mutated once set; a polyhedron is
 immutable as far as its callers can tell.
 """
 
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -39,16 +52,21 @@ from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import Sense
 from repro.lp.simplex import check_feasibility, solve_lp
+from repro.metrics import count
 from repro.polyhedra.dd import (
     constraints_to_generators,
     generators_to_constraints,
 )
-from repro.polyhedra.generators import GeneratorSystem
+from repro.polyhedra.generators import GeneratorSystem, Output
 from repro.polyhedra.projection import (
     entails,
     project_constraints,
     remove_redundant,
 )
+
+#: Computes the constraints of a transfer's result from its input's
+#: constraints and, when known, the generators of the result.
+_Fallback = Callable[[List[Constraint], Optional[GeneratorSystem]], List[Constraint]]
 
 
 class Polyhedron:
@@ -69,7 +87,9 @@ class Polyhedron:
                     % (constraint, sorted(unknown))
                 )
             cleaned.append(constraint.weaken().normalized())
-        self._constraints = cleaned
+        #: ``None`` until :attr:`_pending` has computed them.
+        self._constraints: Optional[List[Constraint]] = cleaned
+        self._pending: Optional[Callable[[], List[Constraint]]] = None
         self._empty_cache: Optional[bool] = None
         self._generators: Optional[GeneratorSystem] = None
         self._witness: Optional[Dict[str, Fraction]] = None
@@ -92,13 +112,12 @@ class Polyhedron:
 
     @classmethod
     def from_generators(cls, system: GeneratorSystem) -> "Polyhedron":
-        """Build the constraint representation from a generator system.
-
-        The result keeps *system* as its generator system.
-        """
-        result = cls(system.variables, generators_to_constraints(system))
-        result._set_generators(system)
-        return result
+        """The polyhedron generated by *system*, which it keeps as its
+        generator system; the constraints are converted when first read
+        (a widened join never reads them)."""
+        return cls._lazy(
+            system.variables, lambda: generators_to_constraints(system), system
+        )
 
     # -- accessors -----------------------------------------------------------
 
@@ -109,40 +128,40 @@ class Polyhedron:
     @property
     def constraints(self) -> List[Constraint]:
         """The defining constraints (Definition 5's ``Constraints(I)``)."""
-        return list(self._constraints)
+        return list(self._rows())
 
     def __repr__(self) -> str:
-        if not self._constraints:
+        rows = self._rows()
+        if not rows:
             return "Polyhedron(universe over %s)" % (list(self._variables),)
-        return "Polyhedron(%s)" % " ∧ ".join(
-            str(constraint) for constraint in self._constraints
-        )
+        return "Polyhedron(%s)" % " ∧ ".join(str(constraint) for constraint in rows)
 
     # -- predicates ----------------------------------------------------------
 
     def is_empty(self) -> bool:
         """Exact emptiness test: a known point or generator system settles
         it, otherwise an LP feasibility check (whose solution is kept)."""
-        if self._empty_cache is None:
-            outcome = check_feasibility(
-                self._constraints, variables=self._variables
+        if self._empty_cache is not None:
+            count("polyhedra.polyhedron.emptiness_without_lp")
+            return self._empty_cache
+        count("polyhedra.polyhedron.emptiness_by_lp")
+        outcome = check_feasibility(self._rows(), variables=self._variables)
+        if outcome.is_infeasible:
+            self._set_empty()
+        else:
+            self._set_witness(
+                {
+                    name: outcome.assignment.get(name, Fraction(0))
+                    for name in self._variables
+                }
             )
-            if outcome.is_infeasible:
-                self._set_empty()
-            else:
-                self._set_witness(
-                    {
-                        name: outcome.assignment.get(name, Fraction(0))
-                        for name in self._variables
-                    }
-                )
         return self._empty_cache
 
     def is_universe(self) -> bool:
-        return all(c.is_trivially_true() for c in self._constraints)
+        return all(c.is_trivially_true() for c in self._rows())
 
     def contains_point(self, point: Mapping[str, Fraction]) -> bool:
-        return all(c.satisfied_by(point) for c in self._constraints)
+        return all(c.satisfied_by(point) for c in self._rows())
 
     def entails_constraint(self, candidate: Constraint) -> bool:
         """Whether every point of the polyhedron satisfies *candidate*.
@@ -151,15 +170,14 @@ class Polyhedron:
         """
         if self._generators is not None:
             return _generated_satisfy(self._generators, candidate)
-        return entails(self._constraints, candidate)
+        return entails(self._rows(), candidate)
 
     def includes(self, other: "Polyhedron") -> bool:
         """Whether *other* ⊆ *self*: every generator of *other* obeys
         every constraint of *self*."""
         system = other.generators()
         return all(
-            _generated_satisfy(system, constraint)
-            for constraint in self._constraints
+            _generated_satisfy(system, constraint) for constraint in self._rows()
         )
 
     def equals(self, other: "Polyhedron") -> bool:
@@ -168,28 +186,48 @@ class Polyhedron:
     # -- lattice operations ----------------------------------------------------
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
+        """The conjunction of both constraint systems.
+
+        When one operand is full-dimensional with cached generators and
+        the other includes it, the intersection is that operand: it keeps
+        its generators, and the joined constraints are only built when
+        read.
+        """
         self._check_space(other)
-        result = Polyhedron(
-            self._variables, self._constraints + other._constraints
-        )
+        if not (self._empty_cache or other._empty_cache):
+            for inner, outer in ((other, self), (self, other)):
+                system = inner._generators
+                if (
+                    system is not None
+                    and system.is_full_dimensional()
+                    and outer.includes(inner)
+                ):
+                    return self._lazy(
+                        self._variables,
+                        lambda: self._rows() + other._rows(),
+                        system,
+                    )
+        mine, theirs = self._rows(), other._rows()
+        result = Polyhedron(self._variables, mine + theirs)
         if self._empty_cache or other._empty_cache:
             result._set_empty()
         else:
-            result._adopt_point(self, other._constraints)
-            result._adopt_point(other, self._constraints)
+            result._adopt_point(self, theirs)
+            result._adopt_point(other, mine)
         return result
 
     def intersect_constraints(
         self, constraints: Iterable[Constraint]
     ) -> "Polyhedron":
-        result = Polyhedron(
-            self._variables, self._constraints + list(constraints)
-        )
+        added = list(constraints)
+        if not added:
+            return self
+        rows = self._rows()
+        result = Polyhedron(self._variables, rows + added)
         if self._empty_cache:
             result._set_empty()
         else:
-            added = result._constraints[len(self._constraints):]
-            result._adopt_point(self, added)
+            result._adopt_point(self, result._constraints[len(rows):])
         return result
 
     def join(self, other: "Polyhedron") -> "Polyhedron":
@@ -216,7 +254,7 @@ class Polyhedron:
         if other.is_empty():
             return self
         candidates: List[Constraint] = []
-        for constraint in self._constraints:
+        for constraint in self._rows():
             if constraint.is_equality():
                 # Split equalities so that one half can survive widening even
                 # when the other is lost (e.g. ``j = 0`` keeps ``j ≥ 0``).
@@ -247,19 +285,26 @@ class Polyhedron:
                 self._set_generators(GeneratorSystem(self._variables))
             else:
                 self._set_generators(
-                    constraints_to_generators(
-                        self._constraints, self._variables
-                    )
+                    constraints_to_generators(self._rows(), self._variables)
                 )
         return self._generators
 
     def project(self, keep: Sequence[str]) -> "Polyhedron":
         """Orthogonal projection onto the variables in *keep*."""
-        projected = project_constraints(self._constraints, keep)
+        keep = tuple(keep)
+        position = self._positions()
+        outputs: Optional[List[Output]] = None
+        if set(keep) <= position.keys():
+            outputs = [position[name] for name in keep]
         witness = self._witness
         if witness is not None:
             witness = {name: witness.get(name, Fraction(0)) for name in keep}
-        return self._derived(tuple(keep), projected, witness)
+        return self._transfer(
+            keep,
+            outputs,
+            lambda rows, image: project_constraints(rows, keep, generators=image),
+            witness,
+        )
 
     def rename(self, mapping: Mapping[str, str]) -> "Polyhedron":
         new_variables = tuple(mapping.get(v, v) for v in self._variables)
@@ -269,9 +314,15 @@ class Polyhedron:
                 mapping.get(name, name): value
                 for name, value in witness.items()
             }
-        return self._derived(
+        system = self._generators
+        if system is not None:
+            system = GeneratorSystem(
+                new_variables, system.vertices, system.rays, system.lines
+            )
+        return self._reembedded(
             new_variables,
-            [constraint.rename(mapping) for constraint in self._constraints],
+            lambda rows: [constraint.rename(mapping) for constraint in rows],
+            system,
             witness,
         )
 
@@ -280,45 +331,76 @@ class Polyhedron:
         missing = [v for v in self._variables if v not in variables]
         if missing:
             raise ValueError("extended space misses variables %s" % missing)
+        variables = tuple(variables)
         witness = self._witness
         if witness is not None:
             witness = {name: witness.get(name, Fraction(0)) for name in variables}
-        return self._derived(tuple(variables), self._constraints, witness)
+        system = self._generators
+        if system is not None:
+            position = self._positions()
+            system = system.affine_image(
+                variables, [position.get(name) for name in variables]
+            )
+        return self._reembedded(variables, list, system, witness)
 
     def assign(self, variable: str, expression: LinExpr) -> "Polyhedron":
         """Strongest postcondition of the assignment ``variable := expression``."""
         if variable not in self._variables:
             raise ValueError("unknown variable %r" % variable)
+        position = self._positions()
+        outputs: Optional[List[Output]] = None
+        if expression.variables() <= position.keys():
+            outputs = list(range(len(self._variables)))
+            outputs[position[variable]] = (
+                [(position[name], value) for name, value in expression.terms.items()],
+                expression.constant_term,
+            )
         fresh = variable + "!old"
         renaming = {variable: fresh}
-        renamed = [c.rename(renaming) for c in self._constraints]
         new_value = LinExpr.variable(variable) - expression.rename(renaming)
-        renamed.append(Constraint(new_value, Relation.EQ))
-        kept = project_constraints(renamed, self._variables)
+
+        def fallback(rows, image):
+            renamed = [c.rename(renaming) for c in rows]
+            renamed.append(Constraint(new_value, Relation.EQ))
+            return project_constraints(renamed, self._variables, generators=image)
+
         witness = self._witness
         if witness is not None and expression.variables() <= witness.keys():
             witness = dict(witness)
             witness[variable] = expression.evaluate(self._witness)
         else:
             witness = None
-        return self._derived(self._variables, kept, witness)
+        return self._transfer(self._variables, outputs, fallback, witness)
 
     def havoc(self, variable: str) -> "Polyhedron":
         """Forget everything about *variable* (nondeterministic assignment)."""
         if variable not in self._variables:
             raise ValueError("unknown variable %r" % variable)
         others = [v for v in self._variables if v != variable]
-        kept = project_constraints(self._constraints, others)
-        return self._derived(self._variables, kept, self._witness)
+        outputs: List[Output] = [
+            None if name == variable else index
+            for index, name in enumerate(self._variables)
+        ]
+        return self._transfer(
+            self._variables,
+            outputs,
+            lambda rows, image: project_constraints(rows, others, generators=image),
+            self._witness,
+        )
 
     def minimized(self) -> "Polyhedron":
-        """An equivalent polyhedron without redundant constraints."""
-        if self.is_empty():
+        """An equivalent polyhedron without redundant constraints.
+
+        The generators (converted if need be) settle emptiness and decide
+        redundancy by saturation; only the rows they leave open need LPs.
+        The result keeps a vertex as its witness but not the generators:
+        minimised polyhedra are the invariants a problem holds on to.
+        """
+        system = self.generators()
+        if system.is_empty():
             return Polyhedron.empty(self._variables)
-        result = Polyhedron(
-            self._variables, remove_redundant(self._constraints)
-        )
-        result._set_witness(self._witness)
+        result = Polyhedron(self._variables, remove_redundant(self._rows(), system))
+        result._set_witness(dict(zip(self._variables, system.vertices[0])))
         return result
 
     def bounds(self, expression: LinExpr) -> Tuple[Optional[Fraction], Optional[Fraction]]:
@@ -329,12 +411,9 @@ class Polyhedron:
         """
         if self.is_empty():
             return (None, None)
-        low = solve_lp(
-            expression, self._constraints, Sense.MINIMIZE, self._variables
-        )
-        high = solve_lp(
-            expression, self._constraints, Sense.MAXIMIZE, self._variables
-        )
+        rows = self._rows()
+        low = solve_lp(expression, rows, Sense.MINIMIZE, self._variables)
+        high = solve_lp(expression, rows, Sense.MAXIMIZE, self._variables)
         return (
             low.objective if low.is_optimal else None,
             high.objective if high.is_optimal else None,
@@ -349,7 +428,7 @@ class Polyhedron:
         flipped into ``(-c)·x ≥ c0``; equalities contribute two pairs.
         """
         pairs: List[Tuple[LinExpr, Fraction]] = []
-        for constraint in self._constraints:
+        for constraint in self._rows():
             expr = constraint.expr
             homogeneous = expr - expr.constant_term
             pairs.append((-homogeneous, expr.constant_term))
@@ -358,6 +437,89 @@ class Polyhedron:
         return pairs
 
     # -- the cached second representation -------------------------------------
+
+    def _rows(self) -> List[Constraint]:
+        """The constraints, computed on first use when they are pending."""
+        if self._constraints is None:
+            self._constraints = [
+                constraint.weaken().normalized() for constraint in self._pending()
+            ]
+            self._pending = None
+        return self._constraints
+
+    def _positions(self) -> Dict[str, int]:
+        return {name: index for index, name in enumerate(self._variables)}
+
+    def _transfer(
+        self,
+        variables: Tuple[str, ...],
+        outputs: Optional[Sequence[Output]],
+        fallback: _Fallback,
+        witness: Optional[Dict[str, Fraction]],
+    ) -> "Polyhedron":
+        """The image of this polyhedron under the affine map *outputs*.
+
+        With the generators cached (and *outputs* given), they are mapped
+        through it.  A full-dimensional image converts back to its facets
+        when its constraints are read.  A lower-dimensional one runs
+        *fallback* (Fourier–Motzkin) when they are read, with the image's
+        generators deciding redundancy, and does not keep them: its
+        generators are converted from its constraints, as without them,
+        because :meth:`join` writes its equalities from them.
+        """
+        system = self._generators
+        if outputs is None or system is None or not system.vertices:
+            count("polyhedra.polyhedron.transfers_by_fm")
+            return self._derived(variables, fallback(self._rows(), None), witness)
+        image = system.affine_image(variables, outputs)
+        if image.is_full_dimensional():
+            count("polyhedra.polyhedron.transfers_on_generators")
+            return self._lazy(
+                variables,
+                lambda: remove_redundant(generators_to_constraints(image), image),
+                image,
+            )
+        count("polyhedra.polyhedron.transfers_by_fm")
+        result = self._lazy(variables, lambda: fallback(self._rows(), image))
+        result._set_witness(dict(zip(variables, image.vertices[0])))
+        return result
+
+    @staticmethod
+    def _lazy(
+        variables: Tuple[str, ...],
+        pending: Callable[[], List[Constraint]],
+        system: Optional[GeneratorSystem] = None,
+    ) -> "Polyhedron":
+        """A polyhedron whose constraints *pending* computes when first
+        read; *system*, when given, generates it."""
+        result = Polyhedron(variables)
+        result._constraints = None
+        result._pending = pending
+        if system is not None:
+            result._set_generators(system)
+        return result
+
+    def _reembedded(
+        self,
+        variables: Tuple[str, ...],
+        convert: Callable[[List[Constraint]], List[Constraint]],
+        system: Optional[GeneratorSystem],
+        witness: Optional[Dict[str, Fraction]],
+    ) -> "Polyhedron":
+        """The same polyhedron in another space: *convert* carries its
+        constraints over (when they are read) and *system* its generators."""
+        if self._constraints is None:
+            result = self._lazy(variables, lambda: convert(self._rows()))
+        else:
+            result = Polyhedron(variables)
+            result._constraints = convert(self._constraints)
+        if system is not None:
+            result._set_generators(system)
+        elif self._empty_cache:
+            result._set_empty()
+        elif witness is not None:
+            result._set_witness(witness)
+        return result
 
     def _set_empty(self) -> None:
         self._empty_cache = True
@@ -369,10 +531,10 @@ class Polyhedron:
 
     def _set_generators(self, system: GeneratorSystem) -> None:
         self._generators = system
-        if system.vertices:
-            self._set_witness(dict(zip(self._variables, system.vertices[0])))
-        elif system.is_empty():
+        if system.is_empty():
             self._set_empty()
+        else:
+            self._set_witness(dict(zip(self._variables, system.vertices[0])))
 
     def _known_points(self) -> Iterator[Dict[str, Fraction]]:
         if self._witness is not None:
@@ -428,32 +590,33 @@ def _generated_satisfy(system: GeneratorSystem, constraint: Constraint) -> bool:
 
     With ``constraint`` as ``a·x + c ⋈ 0``: every vertex must satisfy it,
     ``a·r ≤ 0`` for every ray (``= 0`` for an equality) and ``a·l = 0``
-    for every line.
+    for every line.  Decided on the homogenised integer generators, with
+    the constraint scaled to integer coefficients.
     """
     if not system.vertices:
         return True  # the empty polyhedron entails everything
     position = {name: index for index, name in enumerate(system.variables)}
+    normal = constraint.normalized()  # integer coefficients, same direction
     terms = []
-    for name, coefficient in constraint.expr.terms.items():
+    for name, coefficient in normal.expr.terms.items():
         if name not in position:
             return False  # a free coordinate outside the space
-        terms.append((position[name], coefficient))
-    constant = constraint.expr.constant_term
-    equality = constraint.is_equality()
-    strict = constraint.is_strict()
-
-    def direction(vector) -> Fraction:
-        return sum(coefficient * vector[index] for index, coefficient in terms)
-
-    for line in system.lines:
-        if direction(line) != 0:
+        terms.append((position[name], int(coefficient)))
+    constant = int(normal.expr.constant_term)
+    if constant:
+        terms.append((len(position), constant))
+    equality = normal.is_equality()
+    strict = normal.is_strict()
+    vertices, rays, lines = system.homogenized()
+    for line in lines:
+        if sum(coefficient * line[index] for index, coefficient in terms):
             return False
-    for ray in system.rays:
-        value = direction(ray)
+    for ray in rays:
+        value = sum(coefficient * ray[index] for index, coefficient in terms)
         if value > 0 or (equality and value != 0):
             return False
-    for vertex in system.vertices:
-        value = direction(vertex) + constant
+    for vertex in vertices:
+        value = sum(coefficient * vertex[index] for index, coefficient in terms)
         if value > 0 or (equality and value != 0) or (strict and value == 0):
             return False
     return True

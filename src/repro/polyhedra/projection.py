@@ -1,9 +1,11 @@
-"""Fourier–Motzkin elimination (projection of polyhedra).
+"""Fourier–Motzkin elimination and exact redundancy removal.
 
-Used by the polyhedral abstract domain (assignments and havoc operations
-project the old value of the assigned variable away) and by the eager
-baselines when they need the transition polyhedron in ``(x, x')`` space
-with the auxiliary existential variables removed.
+Fourier–Motzkin is the polyhedral abstract domain's fallback for an
+assignment, havoc or projection whose image is lower-dimensional (a
+full-dimensional image is computed on the generators, see
+:mod:`repro.polyhedra.polyhedron`), and the eager baselines use it for
+the transition polyhedron in ``(x, x')`` space with the auxiliary
+existential variables removed.
 
 The paper points out (§2.2) that eliminating a block of existential
 quantifiers can blow up exponentially; the lazy algorithm never does it,
@@ -21,18 +23,25 @@ Three layers keep the row count down, cheapest first:
    bound — a combination touching more than ``k + 1`` original
    inequalities after ``k`` eliminations is always redundant — never
    survive.  No LP is solved for any of this.
-3. **LP-based pruning.**  Exact entailment checks via
-   :func:`remove_redundant` run once at the end of a projection (and
-   mid-flight only if the system still outgrows a safety threshold),
-   instead of once per constraint per eliminated variable as the dense
-   implementation did.
+3. **Exact pruning.**  :func:`remove_redundant` runs once at the end
+   of a projection (and, by LP, mid-flight only if the system still
+   outgrows a safety threshold), instead of once per constraint per
+   eliminated variable as the dense implementation did.  Given the
+   generators of the result, it reads most decisions off the generators
+   each row saturates (a facet's rows span a face of dimension ``d − 1``)
+   and solves an entailment LP only for the implicit equalities of a
+   lower-dimensional result.  It keeps exactly the rows the sequential
+   LP test keeps.
 
 The ``polyhedra.projection.*`` counters (:mod:`repro.metrics`) record
 the work: ``variables_eliminated``, ``combinations``, ``lp_calls`` (exact
-entailment LPs solved), ``rows_pruned_syntactic``/``rows_pruned_kohler``
-(rows the cheap layers dropped) and ``lp_calls_saved`` — only
-*dominated* and Kohler-pruned rows count there, the rows the per-step LP
-pruning of the dense implementation would have entailment-checked.
+entailment LPs solved), ``rows_by_saturation``/``rows_to_lp`` (rows the
+generators decided, rows they left to the LP),
+``rows_pruned_syntactic``/``rows_pruned_kohler`` (rows the cheap layers
+dropped) and ``lp_calls_saved`` — the entailment LPs avoided: *dominated*
+and Kohler-pruned rows, which the per-step LP pruning of the dense
+implementation would have entailment-checked, and rows decided by
+saturation.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.linalg.sparse import SparseRow
+from repro.polyhedra.generators import GeneratorSystem, integer_rank
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import Sense
@@ -292,13 +302,16 @@ def fourier_motzkin(
     constraints: Sequence[Constraint],
     eliminate: Iterable[str],
     simplify: bool = True,
+    generators: Optional[GeneratorSystem] = None,
 ) -> List[Constraint]:
     """Eliminate every variable in *eliminate* from the conjunction.
 
     With *simplify* the cheap syntactic/Kohler layers run after every
-    step and the exact LP-based :func:`remove_redundant` once at the end
-    (or mid-flight when a step still left the system more than
-    :data:`_LP_PRUNE_GROWTH` times its input size).
+    step and the exact :func:`remove_redundant` once at the end (or, by
+    LP, mid-flight when a step still left the system more than
+    :data:`_LP_PRUNE_GROWTH` times its input size).  *generators*, when
+    given, generate the projection; the final redundancy removal reads
+    them.
     """
     names, indexed = _index_rows(constraints)
     index_of = {name: i for i, name in enumerate(names)}
@@ -341,7 +354,7 @@ def fourier_motzkin(
         _row_constraint(row, relation, names) for row, relation, _ in rows
     ]
     if simplify:
-        result = remove_redundant(result)
+        result = remove_redundant(result, generators)
     return result
 
 
@@ -349,25 +362,38 @@ def project_constraints(
     constraints: Sequence[Constraint],
     keep: Sequence[str],
     simplify: bool = True,
+    generators: Optional[GeneratorSystem] = None,
 ) -> List[Constraint]:
-    """Project the conjunction onto the variables in *keep*."""
+    """Project the conjunction onto the variables in *keep*
+    (*generators*, when given, generate the projection)."""
     keep_set = set(keep)
     mentioned = set()
     for constraint in constraints:
         mentioned |= constraint.variables()
     eliminate = sorted(mentioned - keep_set)
-    return fourier_motzkin(constraints, eliminate, simplify)
+    return fourier_motzkin(constraints, eliminate, simplify, generators)
 
 
-def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
-    """Drop constraints implied by the others (LP-based, exact).
+def remove_redundant(
+    constraints: Sequence[Constraint],
+    generators: Optional[GeneratorSystem] = None,
+) -> List[Constraint]:
+    """Drop constraints implied by the others (exact).
 
-    Duplicates and syntactically dominated constraints are removed
-    first; each *dominated* drop is one LP solve saved (duplicates were
-    always caught without an LP), counted as
-    ``polyhedra.projection.lp_calls_saved``.  Each
-    remaining inequality is then tested for entailment by maximising
-    its left-hand side subject to the others.
+    Duplicates are removed first.  Without *generators*, so are
+    syntactically dominated constraints; each *dominated* drop is one LP
+    solve saved (duplicates were always caught without an LP), counted
+    as ``polyhedra.projection.lp_calls_saved``.
+
+    *generators*, when given, generate ``{x | constraints}``; every
+    inequality the saturation test of :func:`_saturation_decisions`
+    settles needs no LP (``polyhedra.projection.rows_by_saturation``,
+    also counted as saved LP solves).
+    Each remaining inequality is tested for entailment by maximising
+    its left-hand side subject to the others
+    (``polyhedra.projection.lp_calls``).  The result is the same either
+    way: the sequential LP test keeps exactly the rows the saturation
+    test keeps.
     """
     unique: List[Constraint] = []
     seen = set()
@@ -382,25 +408,41 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
         seen.add(key)
         unique.append(normal)
 
-    # Syntactic dominance: same homogeneous direction, weaker bound.
-    names, indexed = _index_rows(unique)
-    survivors = _prune_syntactic(
-        [
-            (row, relation, frozenset([position]))
-            for position, (row, relation) in enumerate(indexed)
-        ]
-    )
-    if len(survivors) < len(unique):
-        kept = {next(iter(history)) for _, _, history in survivors}
+    decisions: List[Optional[bool]]
+    if generators is not None and generators.vertices:
+        # A syntactically dominated row is never tight, so the saturation
+        # test drops it too.
+        decisions = _saturation_decisions(unique, generators)
+        # Rows found redundant go at once: they are redundant in every
+        # subsystem that still defines the polyhedron, so no later LP
+        # answer depends on them.
         unique = [
             constraint
-            for position, constraint in enumerate(unique)
-            if position in kept
+            for constraint, decision in zip(unique, decisions)
+            if decision is not False
         ]
+        decisions = [decision for decision in decisions if decision is not False]
+    else:
+        # Syntactic dominance: same homogeneous direction, weaker bound.
+        _, indexed = _index_rows(unique)
+        survivors = _prune_syntactic(
+            [
+                (row, relation, frozenset([position]))
+                for position, (row, relation) in enumerate(indexed)
+            ]
+        )
+        if len(survivors) < len(unique):
+            kept = {next(iter(history)) for _, _, history in survivors}
+            unique = [
+                constraint
+                for position, constraint in enumerate(unique)
+                if position in kept
+            ]
+        decisions = [None] * len(unique)
 
     result: List[Constraint] = []
     for index, candidate in enumerate(unique):
-        if candidate.is_equality():
+        if candidate.is_equality() or decisions[index]:
             result.append(candidate)
             continue
         # Test against the constraints already kept plus the ones not yet
@@ -416,6 +458,79 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
             continue
         result.append(candidate)
     return result
+
+
+def _saturation_decisions(
+    constraints: Sequence[Constraint], generators: GeneratorSystem
+) -> List[Optional[bool]]:
+    """Redundancy of each (normalised) inequality, read off the generators
+    it saturates.
+
+    Let ``P`` be the nonempty polyhedron, of affine dimension ``d``.  The
+    face of a valid inequality is spanned by the generators saturating
+    it, so its dimension is their homogenised rank minus one.  In any
+    system that defines ``P``:
+
+    * an inequality whose face is empty or of dimension below ``d − 1``
+      is redundant: ``False``;
+    * every facet (dimension ``d − 1``) needs one of its inequalities,
+      and any one of them makes the others redundant.  The sequential LP
+      test drops each but the last, so the last is ``True`` and the
+      earlier ones ``False``;
+    * an inequality tight on all of ``P`` (an implicit equality of a
+      lower-dimensional ``P``), an equality and a strict row are left to
+      the LP: ``None``.
+    """
+    position = {name: index for index, name in enumerate(generators.variables)}
+    size = len(position)
+    vertices, rays, lines = generators.homogenized()
+    points_and_rays = vertices + rays
+    dimension = integer_rank(points_and_rays + lines) - 1
+    decisions: List[Optional[bool]] = []
+    facets: Dict[FrozenSet[int], int] = {}
+    for constraint in constraints:
+        terms = constraint.expr.terms
+        if (
+            constraint.relation is not Relation.LE
+            or not terms.keys() <= position.keys()
+        ):
+            decisions.append(None)
+            continue
+        # Normalised rows have integer coefficients.
+        normal = [(position[name], int(value)) for name, value in terms.items()]
+        constant = int(constraint.expr.constant_term)
+        if constant:
+            normal.append((size, constant))
+        saturated = [
+            index
+            for index, generator in enumerate(points_and_rays)
+            if not sum(value * generator[column] for column, value in normal)
+        ]
+        rank = -1
+        if (
+            saturated
+            and saturated[0] < len(vertices)  # the face is nonempty
+            and len(saturated) + len(lines) >= dimension  # it can be a facet
+        ):
+            face = [points_and_rays[index] for index in saturated]
+            rank = integer_rank(face + lines, dimension + 1)
+        decision: Optional[bool] = None
+        if rank < dimension:
+            decision = False
+        elif rank == dimension:
+            key = frozenset(saturated)
+            earlier = facets.get(key)
+            if earlier is not None:
+                decisions[earlier] = False
+            facets[key] = len(decisions)
+            decision = True
+        if decision is None:
+            count("polyhedra.projection.rows_to_lp")
+        else:
+            count("polyhedra.projection.rows_by_saturation")
+            count("polyhedra.projection.lp_calls_saved")
+        decisions.append(decision)
+    return decisions
 
 
 def entails(constraints: Sequence[Constraint], candidate: Constraint) -> bool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Analysis, AnalysisConfig, AnalysisStatus
 from repro.benchsuite import get_suite, suite_names
 from repro.benchsuite.registry import get_program
 from repro.program.cutset import compute_cutset
@@ -32,6 +33,23 @@ class TestSuiteShapes:
     def test_every_suite_contains_nonterminating_controls(self):
         for suite in ("termcomp", "wtc"):
             assert any(not p.terminating for p in get_suite(suite))
+
+    def test_gnome_sort_does_not_terminate(self):
+        # pos = 0 -> (pos == 0) pos = 1 -> (nondet() else-branch) pos = 0.
+        program = get_program("sorts", "gnome_sort")
+        assert program.terminating is False
+        assert "pos = 1" in program.description
+        assert [p.name for p in get_suite("sorts") if not p.terminating] == [
+            "gnome_sort"
+        ]
+
+    @pytest.mark.parametrize("nonterm", ["off", "auto"])
+    def test_termite_never_proves_gnome_sort(self, nonterm):
+        program = get_program("sorts", "gnome_sort")
+        result = Analysis(
+            program.source, name=program.name, config=AnalysisConfig(nonterm=nonterm)
+        ).run("termite")
+        assert result.status is not AnalysisStatus.TERMINATING
 
     @pytest.mark.parametrize("suite", suite_names())
     def test_all_programs_compile(self, suite):

@@ -2,6 +2,7 @@
 
 
 from repro.api import Analysis, AnalysisConfig, AnalysisStatus
+from repro.benchsuite.registry import get_program
 from repro.invariants.analyzer import compute_invariants
 from repro.invariants.invariant_map import InvariantMap
 from repro.linexpr.expr import var
@@ -122,3 +123,24 @@ class TestDisjunctiveInitialCondition:
         ).run()
         assert result.status is AnalysisStatus.NONTERMINATING
         assert result.certificate_checked
+
+
+class TestGeneratorCounters:
+    """The invariant stage reports how it used the generators."""
+
+    def test_counters_appear_in_the_result_metrics(self):
+        program = get_program("wtc", "cousot9")
+        metrics = Analysis(program.source, name=program.name).run("termite").metrics
+        for name in (
+            "polyhedra.polyhedron.transfers_on_generators",
+            "polyhedra.polyhedron.transfers_by_fm",
+            "polyhedra.projection.rows_by_saturation",
+            "polyhedra.projection.rows_to_lp",
+            "polyhedra.polyhedron.emptiness_without_lp",
+        ):
+            assert metrics.get(name, 0) > 0, name
+        # Every row sent to the LP is one entailment LP.
+        assert (
+            metrics["polyhedra.projection.lp_calls"]
+            >= metrics["polyhedra.projection.rows_to_lp"]
+        )
