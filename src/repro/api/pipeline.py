@@ -108,9 +108,6 @@ class Analysis:
 
     # -- observers ---------------------------------------------------------------
 
-    def add_observer(self, observer: StageObserver) -> None:
-        self._observers.append(observer)
-
     def add_engine_observer(self, observer: EngineObserver) -> None:
         """Subscribe to the synthesis engine's per-iteration events.
 
@@ -275,10 +272,6 @@ class Analysis:
                 "NONTERMINATING claim without a lasso witness"
             )
         return None
-
-    def run_many(self, tools: Sequence[str]) -> List[AnalysisResult]:
-        """Run several tools, building the problem exactly once."""
-        return [self.run(tool) for tool in tools]
 
 
 # -- batch execution ------------------------------------------------------------------

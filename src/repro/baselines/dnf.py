@@ -55,13 +55,10 @@ def expand_disjuncts(
     for block in problem.blocks:
         invariant = problem.invariant(block.source).constraints
         for conjunct in dnf_conjunctions(block.formula):
-            rows: List[Constraint] = []
-            for constraint in list(invariant) + list(conjunct):
-                if constraint.is_strict():
-                    if constraint.variables() <= integer_variables:
-                        constraint = constraint.tighten_for_integers()
-                    constraint = constraint.weaken()
-                rows.append(constraint)
+            rows = [
+                constraint.closure(integer_variables)
+                for constraint in list(invariant) + list(conjunct)
+            ]
             if prune_infeasible:
                 outcome = check_conjunction(rows)
                 if not outcome.satisfiable:

@@ -23,10 +23,9 @@ steps.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import Sequence, Set
 
 from repro.invariants.invariant_map import InvariantMap
-from repro.linexpr.constraint import Constraint
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.transition import Transition
@@ -73,19 +72,12 @@ def _guarded_states(
     guard = transition.guard_constraints()
     if guard is None:
         return base
-    prepared: List[Constraint] = []
-    for constraint in guard:
-        if constraint.variables() - set(automaton.variables):
-            # Guards over havoc inputs do not restrict the program state.
-            continue
-        if constraint.is_strict():
-            if constraint.variables() <= automaton.integer_variables:
-                prepared.append(constraint.tighten_for_integers().weaken())
-            else:
-                prepared.append(constraint.weaken())
-        else:
-            prepared.append(constraint)
-    return base.intersect_constraints(prepared)
+    return base.intersect_constraints(
+        constraint.closure(automaton.integer_variables)
+        for constraint in guard
+        # Guards over havoc inputs do not restrict the program state.
+        if not constraint.variables() - set(automaton.variables)
+    )
 
 
 def _reaches_cutset(

@@ -2,11 +2,12 @@
 
 A standard worklist algorithm over the control-flow automaton:
 
-* polyhedra are propagated along transitions with the transfer functions
-  of :class:`~repro.invariants.polyhedra_domain.PolyhedraDomain` (guard,
-  assignments, havoc); the generators of ``value ∧ guard`` are computed
-  once per transition and the updates map them, so a transition whose
-  image is full-dimensional solves no LP,
+* :class:`~repro.polyhedra.polyhedron.Polyhedron` values are propagated
+  along transitions (guard, assignments, havoc); a strict guard row is
+  closed by :meth:`~repro.linexpr.constraint.Constraint.closure`, the
+  generators of ``value ∧ guard`` are computed once per transition and
+  the updates map them, so a transition whose image is full-dimensional
+  solves no LP,
 * at the *widening points* (the cut-set of the automaton) the new value
   is widened, up to the guard thresholds, against the previous one,
   guaranteeing termination,
@@ -19,13 +20,13 @@ with one polyhedron per reachable location.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.invariants.invariant_map import InvariantMap
-from repro.invariants.polyhedra_domain import PolyhedraDomain
+from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import TRUE
-from repro.linexpr.transform import dnf_conjunctions
+from repro.linexpr.transform import dnf_conjunctions, formula_atoms
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
@@ -46,11 +47,8 @@ class InvariantAnalyzer:
 
     def __init__(self, automaton: ControlFlowAutomaton):
         self.automaton = automaton
-        self.domain = PolyhedraDomain(
-            automaton.variables,
-            automaton.integer_variables,
-            thresholds=_guard_thresholds(automaton),
-        )
+        self.variables = automaton.variables
+        self.thresholds = _guard_thresholds(automaton)
         self.widening_points = set(compute_cutset(automaton))
 
     # -- the public entry point ----------------------------------------------------
@@ -68,19 +66,18 @@ class InvariantAnalyzer:
 
     def _initial_values(self) -> Dict[str, Polyhedron]:
         values: Dict[str, Polyhedron] = {
-            location: self.domain.bottom()
+            location: Polyhedron.empty(self.variables)
             for location in self.automaton.locations
         }
         condition = self.automaton.initial_condition
+        universe = Polyhedron.universe(self.variables)
         if condition is TRUE:
-            initial = self.domain.top()
+            initial = universe
         else:
             # Every disjunct of the initial condition is a possible start.
-            initial = self.domain.bottom()
+            initial = Polyhedron.empty(self.variables)
             for conjunct in dnf_conjunctions(condition):
-                initial = self.domain.join(
-                    initial, self.domain.constrain(self.domain.top(), conjunct)
-                )
+                initial = initial.join(self._constrain(universe, conjunct))
         values[self.automaton.initial_location] = initial
         return values
 
@@ -99,17 +96,17 @@ class InvariantAnalyzer:
             location = worklist.pop(0)
             for transition in self.automaton.outgoing(location):
                 contribution = self._post(values[location], transition)
-                if self.domain.is_bottom(contribution):
+                if contribution.is_empty():
                     continue
                 target = transition.target
                 previous = values[target]
-                if self.domain.includes(previous, contribution):
+                if previous.includes(contribution):
                     continue
-                joined = self.domain.join(previous, contribution)
+                joined = previous.join(contribution)
                 if target in self.widening_points:
                     visit_count[target] = visit_count.get(target, 0) + 1
                     if visit_count[target] > WIDENING_DELAY:
-                        joined = self.domain.widen(previous, joined)
+                        joined = previous.widen(joined, self.thresholds)
                 values[target] = joined
                 if target not in worklist:
                     worklist.append(target)
@@ -125,31 +122,40 @@ class InvariantAnalyzer:
             incoming = self.automaton.incoming(location)
             if not incoming:
                 continue
-            recomputed = self.domain.bottom()
+            recomputed = Polyhedron.empty(self.variables)
             for transition in incoming:
                 contribution = self._post(refined[transition.source], transition)
-                recomputed = self.domain.join(recomputed, contribution)
-            refined[location] = self.domain.narrow(values[location], recomputed)
+                recomputed = recomputed.join(contribution)
+            # Narrowing: the recomputed value is sound on its own; keeping
+            # the meet guards against losing the fixpoint property.
+            refined[location] = values[location].intersect(recomputed)
         return refined
 
     # -- transfer function ------------------------------------------------------------------
 
+    def _constrain(
+        self, value: Polyhedron, constraints: Iterable[Constraint]
+    ) -> Polyhedron:
+        """``value ∧ constraints``, with strict rows closed."""
+        integer_variables = self.automaton.integer_variables
+        return value.intersect_constraints(
+            constraint.closure(integer_variables) for constraint in constraints
+        )
+
     def _post(self, value: Polyhedron, transition: Transition) -> Polyhedron:
-        if self.domain.is_bottom(value):
+        if value.is_empty():
             return value
         guard_constraints = transition.guard_constraints()
         if guard_constraints is None:
             # Disjunctive or quantified guard: analyse each disjunct and join,
             # which keeps the transfer function sound and reasonably precise.
             disjuncts = dnf_conjunctions(transition.guard)
-            result = self.domain.bottom()
+            result = Polyhedron.empty(self.variables)
             for conjunct in disjuncts:
-                constrained = self.domain.constrain(value, conjunct)
-                result = self.domain.join(
-                    result, self._apply_updates(constrained, transition)
-                )
+                constrained = self._constrain(value, conjunct)
+                result = result.join(self._apply_updates(constrained, transition))
             return result
-        constrained = self.domain.constrain(value, guard_constraints)
+        constrained = self._constrain(value, guard_constraints)
         return self._apply_updates(constrained, transition)
 
     def _apply_updates(
@@ -160,7 +166,7 @@ class InvariantAnalyzer:
         # value is then tested on the image's generators.  None of these
         # steps solves an LP.
         value.generators()
-        if self.domain.is_bottom(value):
+        if value.is_empty():
             return value
         result = value
         # Updates are simultaneous; stage them through fresh names when a
@@ -174,9 +180,9 @@ class InvariantAnalyzer:
         if not needs_staging:
             for name, expression in transition.updates.items():
                 if expression is None:
-                    result = self.domain.havoc(result, name)
+                    result = result.havoc(name)
                 else:
-                    result = self.domain.assign(result, name, expression)
+                    result = result.assign(name, expression)
             return result
         # Simultaneous update: assign through staged copies, then project.
         staged = {}
@@ -193,30 +199,24 @@ class InvariantAnalyzer:
             extended = extended.assign(stage_names[name], expression)
         for name in staged:
             extended = extended.assign(name, LinExpr.variable(stage_names[name]))
-        return extended.project(self.domain.variables)
+        return extended.project(self.variables)
 
 
-def _guard_thresholds(automaton: ControlFlowAutomaton):
-    """Widening-up-to thresholds: the guard constraints of the program.
+def _guard_thresholds(automaton: ControlFlowAutomaton) -> List[Constraint]:
+    """Widening-up-to thresholds: the closed guard constraints of the program.
 
     These are the constraints Aspic/Pagai would typically keep across
     widening; using them recovers loop bounds such as ``i ≤ 4`` that plain
     widening throws away.
     """
-    from repro.linexpr.transform import formula_atoms
-
-    integer_variables = automaton.integer_variables
-    thresholds = []
     sources = [automaton.initial_condition] + [
         transition.guard for transition in automaton.transitions
     ]
-    for formula in sources:
-        for constraint in formula_atoms(formula):
-            prepared = constraint
-            if constraint.is_strict() and constraint.variables() <= integer_variables:
-                prepared = constraint.tighten_for_integers()
-            thresholds.append(prepared.weaken())
-    return thresholds
+    return [
+        constraint.closure(automaton.integer_variables)
+        for formula in sources
+        for constraint in formula_atoms(formula)
+    ]
 
 
 def compute_invariants(automaton: ControlFlowAutomaton) -> InvariantMap:

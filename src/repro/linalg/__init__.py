@@ -10,7 +10,6 @@ from repro.linalg.rational import (
     Rat,
     as_fraction,
     fraction_gcd,
-    fraction_lcm,
     integer_normalize,
 )
 from repro.linalg.sparse import SparseRow
@@ -27,7 +26,6 @@ __all__ = [
     "Rat",
     "as_fraction",
     "fraction_gcd",
-    "fraction_lcm",
     "integer_normalize",
     "SparseRow",
     "Vector",

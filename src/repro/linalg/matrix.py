@@ -230,11 +230,6 @@ class Matrix:
             basis.append(Vector(entries))
         return basis
 
-    def row_space_basis(self) -> List[Vector]:
-        """A basis of the row space (non-zero rows of the echelon form)."""
-        echelon, pivots = self.row_echelon()
-        return [echelon.row(i) for i in range(len(pivots))]
-
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """One solution of ``self · x = rhs`` or ``None`` when inconsistent."""
         if len(rhs) != self._num_rows:

@@ -69,28 +69,6 @@ def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
-def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
-    """Least common multiple of the denominators-cleared values.
-
-    Mostly used to rescale a rational vector into an integer one.
-    """
-    result = Fraction(1)
-    seen = False
-    for value in values:
-        frac = value if type(value) is Fraction else as_fraction(value)
-        if frac == 0:
-            continue
-        seen = True
-        num = result.numerator * frac.numerator // gcd(
-            result.numerator, frac.numerator
-        )
-        den = gcd(result.denominator, frac.denominator)
-        result = Fraction(num, den)
-    if not seen:
-        return Fraction(0)
-    return result
-
-
 def integer_normalize(coefficients: Sequence[Rat]) -> List[Fraction]:
     """Scale *coefficients* by a positive rational to primitive integers.
 

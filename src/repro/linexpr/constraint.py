@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import weakref
 from fractions import Fraction
-from typing import Mapping, Tuple
+from typing import AbstractSet, Mapping, Tuple
 
 from repro.linalg.rational import Rat, as_fraction, integer_normalize
 from repro.linexpr.expr import LinExpr
@@ -129,6 +129,19 @@ class Constraint:
         if any(value.denominator != 1 for value in coefficients):
             return self
         return Constraint(self._expr + 1, Relation.LE)
+
+    def closure(self, integer_variables: AbstractSet[str]) -> "Constraint":
+        """The closed row a polyhedron keeps for this constraint.
+
+        A strict row over *integer_variables* only is tightened first
+        (``x > 3`` becomes ``x ≥ 4``); any other strict row is relaxed to
+        its topological closure, a sound over-approximation.
+        """
+        if self._relation is not Relation.LT:
+            return self
+        if self.variables() <= integer_variables:
+            return self.tighten_for_integers().weaken()
+        return self.weaken()
 
     def normalized(self) -> "Constraint":
         """The interned canonical form: primitive integer coefficients,

@@ -144,15 +144,6 @@ class GeneratorSystem:
             tagged.append(("ray", ray))
         return tagged
 
-    def translate(self, offset: Vector) -> "GeneratorSystem":
-        """The generator system of the polyhedron translated by *offset*."""
-        return GeneratorSystem(
-            self.variables,
-            [vertex + offset for vertex in self.vertices],
-            list(self.rays),
-            list(self.lines),
-        )
-
     def scale(self, factor: Fraction) -> "GeneratorSystem":
         """Scale every generator (factor must be positive)."""
         if factor <= 0:

@@ -1,10 +1,10 @@
 """Constraint-representation polyhedra and the lattice operations on them.
 
-:class:`Polyhedron` is the value manipulated by the polyhedral abstract
-domain (our Aspic/Pagai substitute) and by the eager Ben-Amram & Genaim
-baseline.  It is a *closed convex rational* polyhedron as in Definition 1
-of the paper, described by a conjunction of non-strict inequalities and
-equalities over a fixed tuple of variables.
+:class:`Polyhedron` is the abstract value the invariant analyzer
+(:mod:`repro.invariants.analyzer`, our Aspic/Pagai substitute)
+propagates.  It is a *closed convex rational* polyhedron as in
+Definition 1 of the paper, described by a conjunction of non-strict
+inequalities and equalities over a fixed tuple of variables.
 
 Like PPL and NewPolka, a polyhedron also keeps what it learns about its
 other representation, lazily and exactly:
@@ -13,9 +13,12 @@ other representation, lazily and exactly:
   built from by :meth:`Polyhedron.from_generators` or the memoised result
   of the double-description conversion; inclusion, entailment and
   emptiness are then decided on the generators instead of by LPs;
-* a *witness point*, one point known to lie in the polyhedron (from a
-  feasibility LP, a vertex, or carried through the operation that built
-  it), which settles :meth:`Polyhedron.is_empty` without an LP.
+* an *emptiness flag* (unknown, empty or nonempty), which settles
+  :meth:`Polyhedron.is_empty` without an LP.  Generators set it, and so
+  does the one feasibility LP; a transfer, renaming or embedding
+  inherits it from its operand; a widening contains its nonempty new
+  iterate; an intersection is nonempty when one operand, nonempty by
+  its cached generators, is included in the other.
 
 When the generators are cached, the transfer functions (:meth:`assign`,
 :meth:`havoc`, :meth:`project`) map them through the affine operation
@@ -40,7 +43,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -90,9 +92,9 @@ class Polyhedron:
         #: ``None`` until :attr:`_pending` has computed them.
         self._constraints: Optional[List[Constraint]] = cleaned
         self._pending: Optional[Callable[[], List[Constraint]]] = None
+        #: The emptiness flag: ``None`` while unknown.
         self._empty_cache: Optional[bool] = None
         self._generators: Optional[GeneratorSystem] = None
-        self._witness: Optional[Dict[str, Fraction]] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -100,14 +102,14 @@ class Polyhedron:
     def universe(cls, variables: Sequence[str]) -> "Polyhedron":
         """The whole space (no constraints)."""
         result = cls(variables, [])
-        result._set_witness({name: Fraction(0) for name in result._variables})
+        result._empty_cache = False
         return result
 
     @classmethod
     def empty(cls, variables: Sequence[str]) -> "Polyhedron":
         """The canonical empty polyhedron."""
         result = cls(variables, [Constraint(LinExpr.constant(1), Relation.LE)])
-        result._set_empty()
+        result._empty_cache = True
         return result
 
     @classmethod
@@ -139,22 +141,14 @@ class Polyhedron:
     # -- predicates ----------------------------------------------------------
 
     def is_empty(self) -> bool:
-        """Exact emptiness test: a known point or generator system settles
-        it, otherwise an LP feasibility check (whose solution is kept)."""
+        """Exact emptiness test: the emptiness flag when it is known,
+        otherwise an LP feasibility check (whose verdict sets the flag)."""
         if self._empty_cache is not None:
             count("polyhedra.polyhedron.emptiness_without_lp")
             return self._empty_cache
         count("polyhedra.polyhedron.emptiness_by_lp")
         outcome = check_feasibility(self._rows(), variables=self._variables)
-        if outcome.is_infeasible:
-            self._set_empty()
-        else:
-            self._set_witness(
-                {
-                    name: outcome.assignment.get(name, Fraction(0))
-                    for name in self._variables
-                }
-            )
+        self._empty_cache = outcome.is_infeasible
         return self._empty_cache
 
     def is_universe(self) -> bool:
@@ -188,32 +182,32 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         """The conjunction of both constraint systems.
 
-        When one operand is full-dimensional with cached generators and
-        the other includes it, the intersection is that operand: it keeps
-        its generators, and the joined constraints are only built when
-        read.
+        When one operand is nonempty with cached generators and the other
+        includes it, the intersection is that operand, so it is nonempty
+        too.  A full-dimensional such operand also lends it its
+        generators, and the joined constraints are only built when read.
         """
         self._check_space(other)
-        if not (self._empty_cache or other._empty_cache):
-            for inner, outer in ((other, self), (self, other)):
-                system = inner._generators
-                if (
-                    system is not None
-                    and system.is_full_dimensional()
-                    and outer.includes(inner)
-                ):
+        empty = True if self._empty_cache or other._empty_cache else None
+        if empty is None:
+            included = [
+                inner._generators
+                for inner, outer in ((other, self), (self, other))
+                if inner._generators is not None
+                and not inner._generators.is_empty()
+                and outer.includes(inner)
+            ]
+            for system in included:
+                if system.is_full_dimensional():
                     return self._lazy(
                         self._variables,
                         lambda: self._rows() + other._rows(),
                         system,
                     )
-        mine, theirs = self._rows(), other._rows()
-        result = Polyhedron(self._variables, mine + theirs)
-        if self._empty_cache or other._empty_cache:
-            result._set_empty()
-        else:
-            result._adopt_point(self, theirs)
-            result._adopt_point(other, mine)
+            if included:
+                empty = False
+        result = Polyhedron(self._variables, self._rows() + other._rows())
+        result._empty_cache = empty
         return result
 
     def intersect_constraints(
@@ -222,12 +216,9 @@ class Polyhedron:
         added = list(constraints)
         if not added:
             return self
-        rows = self._rows()
-        result = Polyhedron(self._variables, rows + added)
+        result = Polyhedron(self._variables, self._rows() + added)
         if self._empty_cache:
-            result._set_empty()
-        else:
-            result._adopt_point(self, result._constraints[len(rows):])
+            result._empty_cache = True
         return result
 
     def join(self, other: "Polyhedron") -> "Polyhedron":
@@ -241,12 +232,18 @@ class Polyhedron:
             return self
         return Polyhedron.from_generators(mine.merge(theirs))
 
-    def widen(self, other: "Polyhedron") -> "Polyhedron":
-        """Standard widening: keep the constraints of *self* that *other* obeys.
+    def widen(
+        self, other: "Polyhedron", thresholds: Sequence[Constraint] = ()
+    ) -> "Polyhedron":
+        """Standard widening up to *thresholds*: keep the constraints of
+        *self* that *other* obeys, then add back the thresholds *other*
+        obeys that the widened rows no longer entail (Halbwachs' "widening
+        up to", PPL's limited extrapolation).
 
         ``self`` is the previous iterate, ``other`` the new one; the result
         is an upper bound of both that guarantees termination of the
-        ascending iteration sequence.
+        ascending iteration sequence.  Past the emptiness tests it
+        contains the nonempty *other*, so it is known nonempty.
         """
         self._check_space(other)
         if self.is_empty():
@@ -267,9 +264,17 @@ class Polyhedron:
             for constraint in candidates
             if other.entails_constraint(constraint)
         ]
-        # The result contains both operands, so either one's point is in it.
-        witness = self._witness if self._witness is not None else other._witness
-        return self._derived(self._variables, stable, witness)
+        result = Polyhedron(self._variables, stable)
+        kept = [
+            threshold
+            for threshold in thresholds
+            if other.entails_constraint(threshold)
+            and not result.entails_constraint(threshold)
+        ]
+        if kept:
+            result = Polyhedron(self._variables, stable + kept)
+        result._empty_cache = False
+        return result
 
     # -- geometric operations ----------------------------------------------------
 
@@ -296,24 +301,14 @@ class Polyhedron:
         outputs: Optional[List[Output]] = None
         if set(keep) <= position.keys():
             outputs = [position[name] for name in keep]
-        witness = self._witness
-        if witness is not None:
-            witness = {name: witness.get(name, Fraction(0)) for name in keep}
         return self._transfer(
             keep,
             outputs,
             lambda rows, image: project_constraints(rows, keep, generators=image),
-            witness,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "Polyhedron":
         new_variables = tuple(mapping.get(v, v) for v in self._variables)
-        witness = self._witness
-        if witness is not None:
-            witness = {
-                mapping.get(name, name): value
-                for name, value in witness.items()
-            }
         system = self._generators
         if system is not None:
             system = GeneratorSystem(
@@ -323,7 +318,6 @@ class Polyhedron:
             new_variables,
             lambda rows: [constraint.rename(mapping) for constraint in rows],
             system,
-            witness,
         )
 
     def extend_space(self, variables: Sequence[str]) -> "Polyhedron":
@@ -332,16 +326,13 @@ class Polyhedron:
         if missing:
             raise ValueError("extended space misses variables %s" % missing)
         variables = tuple(variables)
-        witness = self._witness
-        if witness is not None:
-            witness = {name: witness.get(name, Fraction(0)) for name in variables}
         system = self._generators
         if system is not None:
             position = self._positions()
             system = system.affine_image(
                 variables, [position.get(name) for name in variables]
             )
-        return self._reembedded(variables, list, system, witness)
+        return self._reembedded(variables, list, system)
 
     def assign(self, variable: str, expression: LinExpr) -> "Polyhedron":
         """Strongest postcondition of the assignment ``variable := expression``."""
@@ -364,13 +355,7 @@ class Polyhedron:
             renamed.append(Constraint(new_value, Relation.EQ))
             return project_constraints(renamed, self._variables, generators=image)
 
-        witness = self._witness
-        if witness is not None and expression.variables() <= witness.keys():
-            witness = dict(witness)
-            witness[variable] = expression.evaluate(self._witness)
-        else:
-            witness = None
-        return self._transfer(self._variables, outputs, fallback, witness)
+        return self._transfer(self._variables, outputs, fallback)
 
     def havoc(self, variable: str) -> "Polyhedron":
         """Forget everything about *variable* (nondeterministic assignment)."""
@@ -385,7 +370,6 @@ class Polyhedron:
             self._variables,
             outputs,
             lambda rows, image: project_constraints(rows, others, generators=image),
-            self._witness,
         )
 
     def minimized(self) -> "Polyhedron":
@@ -393,14 +377,14 @@ class Polyhedron:
 
         The generators (converted if need be) settle emptiness and decide
         redundancy by saturation; only the rows they leave open need LPs.
-        The result keeps a vertex as its witness but not the generators:
+        The result is known nonempty but does not keep the generators:
         minimised polyhedra are the invariants a problem holds on to.
         """
         system = self.generators()
         if system.is_empty():
             return Polyhedron.empty(self._variables)
         result = Polyhedron(self._variables, remove_redundant(self._rows(), system))
-        result._set_witness(dict(zip(self._variables, system.vertices[0])))
+        result._empty_cache = False
         return result
 
     def bounds(self, expression: LinExpr) -> Tuple[Optional[Fraction], Optional[Fraction]]:
@@ -455,7 +439,6 @@ class Polyhedron:
         variables: Tuple[str, ...],
         outputs: Optional[Sequence[Output]],
         fallback: _Fallback,
-        witness: Optional[Dict[str, Fraction]],
     ) -> "Polyhedron":
         """The image of this polyhedron under the affine map *outputs*.
 
@@ -465,12 +448,15 @@ class Polyhedron:
         *fallback* (Fourier–Motzkin) when they are read, with the image's
         generators deciding redundancy, and does not keep them: its
         generators are converted from its constraints, as without them,
-        because :meth:`join` writes its equalities from them.
+        because :meth:`join` writes its equalities from them.  Either way
+        the image inherits the emptiness flag.
         """
         system = self._generators
         if outputs is None or system is None or not system.vertices:
             count("polyhedra.polyhedron.transfers_by_fm")
-            return self._derived(variables, fallback(self._rows(), None), witness)
+            result = Polyhedron(variables, fallback(self._rows(), None))
+            result._empty_cache = self._empty_cache
+            return result
         image = system.affine_image(variables, outputs)
         if image.is_full_dimensional():
             count("polyhedra.polyhedron.transfers_on_generators")
@@ -481,7 +467,7 @@ class Polyhedron:
             )
         count("polyhedra.polyhedron.transfers_by_fm")
         result = self._lazy(variables, lambda: fallback(self._rows(), image))
-        result._set_witness(dict(zip(variables, image.vertices[0])))
+        result._empty_cache = False
         return result
 
     @staticmethod
@@ -504,10 +490,10 @@ class Polyhedron:
         variables: Tuple[str, ...],
         convert: Callable[[List[Constraint]], List[Constraint]],
         system: Optional[GeneratorSystem],
-        witness: Optional[Dict[str, Fraction]],
     ) -> "Polyhedron":
         """The same polyhedron in another space: *convert* carries its
-        constraints over (when they are read) and *system* its generators."""
+        constraints over (when they are read), *system* its generators and
+        the flag its emptiness."""
         if self._constraints is None:
             result = self._lazy(variables, lambda: convert(self._rows()))
         else:
@@ -515,60 +501,13 @@ class Polyhedron:
             result._constraints = convert(self._constraints)
         if system is not None:
             result._set_generators(system)
-        elif self._empty_cache:
-            result._set_empty()
-        elif witness is not None:
-            result._set_witness(witness)
+        else:
+            result._empty_cache = self._empty_cache
         return result
-
-    def _set_empty(self) -> None:
-        self._empty_cache = True
-        self._witness = None
-
-    def _set_witness(self, point: Dict[str, Fraction]) -> None:
-        self._empty_cache = False
-        self._witness = point
 
     def _set_generators(self, system: GeneratorSystem) -> None:
         self._generators = system
-        if system.is_empty():
-            self._set_empty()
-        else:
-            self._set_witness(dict(zip(self._variables, system.vertices[0])))
-
-    def _known_points(self) -> Iterator[Dict[str, Fraction]]:
-        if self._witness is not None:
-            yield self._witness
-        if self._generators is not None:
-            for vertex in self._generators.vertices:
-                yield dict(zip(self._generators.variables, vertex))
-
-    def _adopt_point(
-        self, superset: "Polyhedron", rows: Sequence[Constraint]
-    ) -> None:
-        """Keep a known point of *superset* that satisfies *rows*, the
-        constraints that cut this polyhedron out of *superset*."""
-        if self._witness is not None:
-            return
-        for point in superset._known_points():
-            if all(_holds_at(row, point) for row in rows):
-                self._set_witness(point)
-                return
-
-    def _derived(
-        self,
-        variables: Sequence[str],
-        constraints: Iterable[Constraint],
-        witness: Optional[Dict[str, Fraction]],
-    ) -> "Polyhedron":
-        """A polyhedron computed from this one by a projection-like
-        operation: empty when this one is, else containing *witness*."""
-        result = Polyhedron(variables, constraints)
-        if self._empty_cache:
-            result._set_empty()
-        elif witness is not None:
-            result._set_witness(witness)
-        return result
+        self._empty_cache = system.is_empty()
 
     def _check_space(self, other: "Polyhedron") -> None:
         if self._variables != other._variables:
@@ -576,13 +515,6 @@ class Polyhedron:
                 "polyhedra over different variable tuples: %s vs %s"
                 % (self._variables, other._variables)
             )
-
-
-def _holds_at(constraint: Constraint, point: Mapping[str, Fraction]) -> bool:
-    value = constraint.expr.evaluate(point)
-    if constraint.is_equality():
-        return value == 0
-    return value < 0 if constraint.is_strict() else value <= 0
 
 
 def _generated_satisfy(system: GeneratorSystem, constraint: Constraint) -> bool:

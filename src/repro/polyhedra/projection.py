@@ -1,11 +1,11 @@
 """Fourier–Motzkin elimination and exact redundancy removal.
 
-Fourier–Motzkin is the polyhedral abstract domain's fallback for an
-assignment, havoc or projection whose image is lower-dimensional (a
-full-dimensional image is computed on the generators, see
-:mod:`repro.polyhedra.polyhedron`), and the eager baselines use it for
-the transition polyhedron in ``(x, x')`` space with the auxiliary
-existential variables removed.
+Fourier–Motzkin is the fallback of
+:class:`~repro.polyhedra.polyhedron.Polyhedron` for an assignment, havoc
+or projection whose image is lower-dimensional (a full-dimensional image
+is computed on the generators).  No baseline uses it: the eager
+baselines keep their auxiliary variables and work on the lifted path
+polyhedra directly (see :mod:`repro.baselines.dnf`).
 
 The paper points out (§2.2) that eliminating a block of existential
 quantifiers can blow up exponentially; the lazy algorithm never does it,

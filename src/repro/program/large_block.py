@@ -157,14 +157,3 @@ def _step_formula(
     return transition.relation(
         variables, prime=prime, source_renaming=source_renaming
     )
-
-
-def single_location_relation(
-    blocks: Sequence[BlockTransition], location: str
-) -> Formula:
-    """The union of the self-loop blocks at *location* (single control point)."""
-    return disjunction(
-        block.formula
-        for block in blocks
-        if block.source == location and block.target == location
-    )

@@ -59,14 +59,8 @@ class Transition:
 
     # -- queries ---------------------------------------------------------------
 
-    def assigned_variables(self) -> List[str]:
-        return sorted(self.updates)
-
     def guard_variables(self) -> frozenset:
         return formula_variables(self.guard)
-
-    def is_self_loop(self) -> bool:
-        return self.source == self.target
 
     # -- semantics ---------------------------------------------------------------
 

@@ -4,7 +4,9 @@
 the sorted normalised constraint strings of the invariant that
 ``Analysis(...).problem()`` hands to synthesis.  The test recomputes them
 and requires exact equality, so a change inside the polyhedra domain or
-the analyzer is shown to keep every invariant of the corpus.
+the analyzer is shown to keep every invariant of the corpus.  The same
+runs show that the polyhedra's emptiness flag settles every emptiness
+test of the invariant stage: none needs a feasibility LP.
 
 Regenerate the file (only when a change is meant to move invariants)::
 
@@ -13,15 +15,17 @@ Regenerate the file (only when a change is meant to move invariants)::
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.api import Analysis
 from repro.benchsuite.registry import get_suite
+from repro.metrics import recording
 
 GOLDEN = Path(__file__).parent / "data" / "golden_invariants.json"
 
@@ -39,14 +43,21 @@ def corpus():
             yield "%s/%s" % (suite, program.name), program.source
 
 
-def invariant_strings(source: str, name: str) -> Dict[str, List[str]]:
-    invariants = Analysis(source, name=name).problem().invariants
-    return {
+def analyse(source: str, name: str) -> Tuple[Dict[str, List[str]], Dict[str, int]]:
+    """The invariant strings of the built problem and its work counters."""
+    with recording() as counters:
+        invariants = Analysis(source, name=name).problem().invariants
+    strings = {
         location: sorted(
             str(constraint.normalized()) for constraint in polyhedron.constraints
         )
         for location, polyhedron in sorted(invariants.items())
     }
+    return strings, counters
+
+
+def invariant_strings(source: str, name: str) -> Dict[str, List[str]]:
+    return analyse(source, name)[0]
 
 
 def compute_golden() -> Dict[str, Dict[str, List[str]]]:
@@ -54,6 +65,11 @@ def compute_golden() -> Dict[str, Dict[str, List[str]]]:
 
 
 SOURCES = dict(corpus())
+
+
+@functools.lru_cache(maxsize=None)
+def analysed(key: str) -> Tuple[Dict[str, List[str]], Dict[str, int]]:
+    return analyse(SOURCES[key], key)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +83,15 @@ def test_golden_file_covers_the_corpus(golden):
 
 @pytest.mark.parametrize("key", list(SOURCES))
 def test_invariants_match_golden(key, golden):
-    assert invariant_strings(SOURCES[key], key) == golden[key]
+    assert analysed(key)[0] == golden[key]
+
+
+def test_emptiness_is_decided_without_lp():
+    by_lp = {
+        key: analysed(key)[1].get("polyhedra.polyhedron.emptiness_by_lp", 0)
+        for key in SOURCES
+    }
+    assert {key: n for key, n in by_lp.items() if n} == {}
 
 
 if __name__ == "__main__":

@@ -49,6 +49,14 @@ class TestTransformations:
         constraint = Constraint(var("x") * Fraction(1, 2), Relation.LT)
         assert constraint.tighten_for_integers().is_strict()
 
+    def test_closure(self):
+        x, y = var("x"), var("y")
+        assert (x > 3).closure({"x"}) == (x >= 4)
+        assert (x + y > 3).closure({"x"}) == (x + y >= 3)
+        half = Constraint(x * Fraction(1, 2), Relation.LT)
+        assert half.closure({"x"}) == Constraint(x * Fraction(1, 2), Relation.LE)
+        assert x.eq(1).closure({"x"}) == x.eq(1)
+
     def test_normalized(self):
         constraint = (2 * var("x") + 4 * var("y") <= 6).normalized()
         assert constraint.expr.coefficient("x") == 1

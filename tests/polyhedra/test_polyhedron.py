@@ -137,7 +137,7 @@ class TestHypothesis:
         assert widened.includes(second)
 
 
-# -- both representations: generator checks and the witness point -------------
+# -- both representations: generator checks and the emptiness flag ------------
 
 SPACE = ("x", "y", "z")
 small = st.integers(min_value=-3, max_value=3)
@@ -182,14 +182,73 @@ def lp_includes(bigger, smaller):
     )
 
 
-def assert_witness_holds(polyhedron):
-    """A stored point lies in the polyhedron; a stored verdict is exact."""
-    point = polyhedron._witness
-    if point is not None:
-        assert set(point) == set(polyhedron.variables)
-        assert polyhedron.contains_point(point)
-    if polyhedron._empty_cache is not None:
-        assert polyhedron._empty_cache == lp_empty(polyhedron)
+def assert_flag_exact(polyhedron):
+    """``is_empty()`` is the LP's verdict, and a flag known before the
+    query already is."""
+    known = polyhedron._empty_cache
+    answer = lp_empty(polyhedron)
+    assert polyhedron.is_empty() == answer
+    if known is not None:
+        assert known == answer
+
+
+def round_trip(moved, back):
+    return [moved, back(moved)]
+
+
+@st.composite
+def operations(draw):
+    """One polyhedron operation: a function from its operand to the
+    results of its steps, the last of which continues the chain in the
+    operand's space."""
+    kind = draw(
+        st.sampled_from(
+            [
+                "intersect",
+                "intersect_constraints",
+                "assign",
+                "havoc",
+                "project",
+                "rename",
+                "extend_space",
+                "join",
+                "widen",
+                "minimized",
+            ]
+        )
+    )
+    name = draw(st.sampled_from(SPACE))
+    rest = [v for v in SPACE if v != name]
+    wide = SPACE + ("w",)
+    if kind == "intersect":
+        other = draw(polyhedra())
+        return lambda p: [p.intersect(other)]
+    if kind == "intersect_constraints":
+        rows = draw(st.lists(constraints(), min_size=1, max_size=3))
+        return lambda p: [p.intersect_constraints(rows)]
+    if kind == "assign":
+        numbers = draw(st.lists(small, min_size=4, max_size=4))
+        expression = LinExpr.from_terms(zip(SPACE, numbers)) + numbers[-1]
+        return lambda p: [p.assign(name, expression)]
+    if kind == "havoc":
+        return lambda p: [p.havoc(name)]
+    # Leave the space and come back to it.
+    if kind == "project":
+        return lambda p: round_trip(p.project(rest), lambda q: q.extend_space(SPACE))
+    if kind == "rename":
+        return lambda p: round_trip(
+            p.rename({name: "w"}), lambda q: q.rename({"w": name})
+        )
+    if kind == "extend_space":
+        return lambda p: round_trip(p.extend_space(wide), lambda q: q.project(SPACE))
+    if kind == "join":
+        other = draw(polyhedra())
+        return lambda p: [p.join(other)]
+    if kind == "widen":
+        other = draw(polyhedra())
+        thresholds = draw(st.lists(constraints(), max_size=2))
+        return lambda p: [p.widen(p.join(other), thresholds)]
+    return lambda p: [p.minimized()]
 
 
 def snapshot(system):
@@ -218,33 +277,24 @@ class TestBothRepresentations:
         assert narrowed.is_empty() == lp_empty(narrowed)
         assert polyhedron.generators().is_empty() == lp_empty(polyhedron)
 
-    @given(
-        polyhedra(),
-        polyhedra(),
-        st.lists(constraints(), max_size=3),
-        st.sampled_from(SPACE),
-        st.lists(small, min_size=4, max_size=4),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_witness_satisfies_every_row(self, first, second, rows, name, numbers):
-        first.is_empty()
-        second.is_empty()
-        expression = LinExpr.from_terms(zip(SPACE, numbers)) + numbers[-1]
-        joined = first.join(second)
-        results = [
-            first.intersect_constraints(rows),
-            first.intersect(second),
-            first.assign(name, expression),
-            first.havoc(name),
-            first.project([name]),
-            first.rename({name: "w"}),
-            first.extend_space(SPACE + ("w",)),
-            joined,
-            first.widen(joined),
-            first.minimized(),
-        ]
+    @given(polyhedra(), st.lists(operations(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_emptiness_flag_is_exact(self, polyhedron, chain, data):
+        """Every intermediate result of a chain of operations, queried or
+        not (the next operation then runs on an unknown flag)."""
+        if data.draw(st.booleans()):
+            polyhedron.is_empty()
+        results = []
+        for operation in chain:
+            steps = operation(polyhedron)
+            polyhedron = steps[-1]
+            for result in steps:
+                if data.draw(st.booleans()):
+                    assert_flag_exact(result)
+                else:
+                    results.append(result)
         for result in results:
-            assert_witness_holds(result)
+            assert_flag_exact(result)
 
     @given(generator_systems(), polyhedra(), polyhedra())
     @settings(max_examples=100, deadline=None)
@@ -264,6 +314,4 @@ class TestBothRepresentations:
 
     def test_constants_settle_emptiness(self):
         assert Polyhedron.empty(SPACE)._empty_cache is True
-        universe = Polyhedron.universe(SPACE)
-        assert universe._empty_cache is False
-        assert universe.contains_point(universe._witness)
+        assert Polyhedron.universe(SPACE)._empty_cache is False

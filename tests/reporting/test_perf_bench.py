@@ -154,12 +154,14 @@ class TestServiceSuite:
         # The committed acceptance claims: a warm (revalidated) hit is
         # strictly cheaper than a cold analysis, and no cached
         # certificate ever failed its independent re-check.
-        assert report["warm_p99_seconds"] < report["cold_p99_seconds"]
+        # The timing comparisons carry the measured report, so a failure
+        # on a loaded machine shows the numbers that lost.
+        assert report["warm_p99_seconds"] < report["cold_p99_seconds"], report
         assert report["revalidations"] == report["warm_requests"]
         assert report["revalidation_failures"] == 0
         assert report["warm_programs_per_second"] > (
             report["cold_programs_per_second"]
-        )
+        ), report
 
 
 class TestCommandLine:
