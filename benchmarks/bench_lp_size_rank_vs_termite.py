@@ -8,7 +8,6 @@ same problems and asserts the ordering (eager ≫ lazy).
 
 
 from repro.api import Analysis, AnalysisConfig
-from repro.baselines import eager_farkas_lexicographic
 from repro.benchsuite import get_suite
 
 PROGRAMS = [p for p in get_suite("wtc") if p.terminating][:4]
@@ -16,27 +15,23 @@ PROGRAMS = [p for p in get_suite("wtc") if p.terminating][:4]
 CONFIG = AnalysisConfig(check_certificates=False)
 
 
-def _lazy_sizes():
+def _average_sizes(tool):
     rows = cols = count = 0
     for program in PROGRAMS:
-        result = Analysis(program.build(), config=CONFIG).run("termite")
+        result = Analysis(program.build(), config=CONFIG).run(tool)
         if result.lp_statistics.instances:
             rows += result.lp_statistics.average_rows
             cols += result.lp_statistics.average_cols
             count += 1
     return (rows / count, cols / count) if count else (0.0, 0.0)
+
+
+def _lazy_sizes():
+    return _average_sizes("termite")
 
 
 def _eager_sizes():
-    rows = cols = count = 0
-    for program in PROGRAMS:
-        problem = Analysis(program.build(), config=CONFIG).problem()
-        result = eager_farkas_lexicographic(problem)
-        if result.lp_statistics.instances:
-            rows += result.lp_statistics.average_rows
-            cols += result.lp_statistics.average_cols
-            count += 1
-    return (rows / count, cols / count) if count else (0.0, 0.0)
+    return _average_sizes("eager_farkas")
 
 
 def test_lazy_lp_sizes(benchmark):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import time
-from collections import Counter
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
@@ -31,12 +30,13 @@ from repro.api.registry import canonical_name, get_prover
 from repro.api.request import AnalysisRequest
 from repro.api.result import AnalysisResult, AnalysisStatus, StageTiming
 from repro.core.certificate import check_certificate
+from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.relevance import restrict_to_guarded_states
 from repro.frontend.lowering import compile_program
 from repro.invariants.analyzer import compute_invariants
 from repro.invariants.invariant_map import InvariantMap
-from repro.metrics import recording
+from repro.metrics import merge, recording
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.large_block import large_block_encoding
@@ -197,7 +197,9 @@ class Analysis:
         """Run *tool* (a registry name) on the cached problem.
 
         The returned result carries the full per-stage breakdown and the
-        work counters (:mod:`repro.metrics`) of the build and of this run.
+        work counters (:mod:`repro.metrics`) of the build and of this run;
+        its ``lp_statistics`` is the view of the ``synthesis`` stage's
+        counters.
         The build is shared — its recorded timings and counters reappear
         in every result of this :class:`Analysis`, it is *not* re-run.
         """
@@ -210,8 +212,9 @@ class Analysis:
         if self.config.nonterm != "off" and "nontermination" in prover.capabilities:
             prove_kwargs["automaton"] = self.automaton()
         with recording() as counters:
-            with self._stage("synthesis", run_stages):
+            with self._stage("synthesis", run_stages), recording() as synthesis:
                 result = prover.prove(problem, self.config, **prove_kwargs)
+            result.lp_statistics = LpStatistics.from_metrics(synthesis)
             if self.config.check_certificates and (
                 result.proved or result.disproved
             ):
@@ -221,9 +224,8 @@ class Analysis:
                     key = "certificate_verdict" if result.proved else "lasso_verdict"
                     result.details[key] = verdict.to_dict()
                     result.certificate_checked = verdict.accepted
-        result.metrics = dict(
-            sorted((Counter(self._build_metrics) + Counter(counters)).items())
-        )
+        merged = merge(dict(self._build_metrics), counters)
+        result.metrics = {name: n for name, n in sorted(merged.items()) if n}
         result.program = self.name
         result.problem_statistics = problem.statistics()
         result.stages = list(self._build_stages) + run_stages

@@ -33,9 +33,9 @@ from repro.baselines import (
     podelski_rybalchenko,
 )
 from repro.baselines.result import BaselineResult
-from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
+from repro.metrics import recording
 from repro.smt.solver import TheoryRoundLimit
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import make_oracle
@@ -74,7 +74,6 @@ class TermiteProver(Prover):
         automaton=None,
     ) -> AnalysisResult:
         start = time.perf_counter()
-        lp_statistics = LpStatistics()
         if not problem.blocks:
             return AnalysisResult(
                 tool=self.name,
@@ -82,24 +81,17 @@ class TermiteProver(Prover):
                 ranking=LexicographicRankingFunction(),
                 time_seconds=time.perf_counter() - start,
                 dimension=0,
-                lp_statistics=lp_statistics,
                 message="no cycle through the cut-set",
             )
         mode = config.nonterm if automaton is not None else "off"
         if mode == "only":
-            return self._prove_nontermination(
-                config, automaton, observer, start, lp_statistics
-            )
-        term = self._synthesize_ranking(
-            problem, config, observer, start, lp_statistics
-        )
+            return self._prove_nontermination(config, automaton, observer, start)
+        term = self._synthesize_ranking(problem, config, observer, start)
         if mode == "off" or term.proved:
             return term
         # nonterm="auto": termination first, nontermination only when it
         # is not proved, so a terminating result equals the "off" one.
-        nonterm = self._prove_nontermination(
-            config, automaton, observer, start, lp_statistics
-        )
+        nonterm = self._prove_nontermination(config, automaton, observer, start)
         if nonterm.disproved:
             return nonterm
         term.time_seconds = nonterm.time_seconds
@@ -114,7 +106,6 @@ class TermiteProver(Prover):
         config: AnalysisConfig,
         observer,
         start: float,
-        lp_statistics: LpStatistics,
     ) -> AnalysisResult:
         engine = CegisEngine(
             make_oracle(config.cex_oracle),
@@ -123,24 +114,22 @@ class TermiteProver(Prover):
             integer_mode=config.integer_mode,
             observers=(observer,) if observer is not None else (),
         )
-        try:
-            outcome = engine.synthesize_lexicographic(
-                problem,
-                max_dimension=config.max_dimension,
-                lp_statistics=lp_statistics,
-            )
-        except (MaxIterationsExceeded, TheoryRoundLimit) as error:
-            # A cap ends the search without a verdict.  One oracle query
-            # per iteration: the queries are the iterations of every
-            # component, the aborted one included.
-            return AnalysisResult(
-                tool=self.name,
-                status=AnalysisStatus.UNKNOWN,
-                time_seconds=time.perf_counter() - start,
-                iterations=lp_statistics.oracle_queries,
-                lp_statistics=lp_statistics,
-                message=str(error),
-            )
+        with recording() as counters:
+            try:
+                outcome = engine.synthesize_lexicographic(
+                    problem, max_dimension=config.max_dimension
+                )
+            except (MaxIterationsExceeded, TheoryRoundLimit) as error:
+                # A cap ends the search without a verdict.  One oracle
+                # query per iteration: the queries are the iterations of
+                # every component, the aborted one included.
+                return AnalysisResult(
+                    tool=self.name,
+                    status=AnalysisStatus.UNKNOWN,
+                    time_seconds=time.perf_counter() - start,
+                    iterations=counters.get("synthesis.engine.oracle_queries", 0),
+                    message=str(error),
+                )
         elapsed = time.perf_counter() - start
         iterations = sum(component.iterations for component in outcome.components)
         if not outcome.success:
@@ -149,7 +138,6 @@ class TermiteProver(Prover):
                 status=AnalysisStatus.UNKNOWN,
                 time_seconds=elapsed,
                 iterations=iterations,
-                lp_statistics=lp_statistics,
                 message="no lexicographic linear ranking function "
                 "relative to the computed invariant",
             )
@@ -160,7 +148,6 @@ class TermiteProver(Prover):
             time_seconds=elapsed,
             iterations=iterations,
             dimension=outcome.dimension,
-            lp_statistics=lp_statistics,
         )
 
     def _prove_nontermination(
@@ -169,7 +156,6 @@ class TermiteProver(Prover):
         automaton,
         observer,
         start: float,
-        lp_statistics: LpStatistics,
     ) -> AnalysisResult:
         # Imported lazily so the prover table stays importable even if
         # the nontermination package is stripped from a deployment.
@@ -188,7 +174,6 @@ class TermiteProver(Prover):
                 lasso=outcome.lasso,
                 time_seconds=elapsed,
                 iterations=outcome.iterations,
-                lp_statistics=lp_statistics,
                 message=outcome.lasso.describe(),
             )
         return AnalysisResult(
@@ -196,7 +181,6 @@ class TermiteProver(Prover):
             status=AnalysisStatus.UNKNOWN,
             time_seconds=elapsed,
             iterations=outcome.iterations,
-            lp_statistics=lp_statistics,
             message="no recurrence set found (%s)" % outcome.message,
         )
 
@@ -245,7 +229,6 @@ class BaselineProver(Prover):
             ranking=outcome.ranking,
             time_seconds=outcome.time_seconds,
             dimension=outcome.ranking.dimension if outcome.ranking else 0,
-            lp_statistics=outcome.lp_statistics,
             details=dict(outcome.details),
         )
 

@@ -184,8 +184,9 @@ class AnalysisResult:
     ``status`` is the single source of truth; ``proved`` is a derived
     view kept for compatibility with the historical result types.
     ``metrics`` holds the :mod:`repro.metrics` counters of the problem
-    build plus those of this run (empty for results that did not come
-    out of :meth:`repro.api.Analysis.run`).
+    build plus those of this run, and ``lp_statistics`` the view of the
+    LP and CEGIS counters of its ``synthesis`` stage (both empty for
+    results that did not come out of :meth:`repro.api.Analysis.run`).
     """
 
     tool: str = "termite"

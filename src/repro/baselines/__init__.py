@@ -26,8 +26,10 @@ competitors on identical inputs:
   one-by-one synthesis): many small Farkas LPs instead of one global one.
 
 All five consume the same :class:`~repro.core.problem.TerminationProblem`
-(or a control-flow automaton) and report results in the same shape as the
-main prover, including LP-size statistics.
+and its path polyhedra, expanded by each run
+(:meth:`~repro.core.problem.TerminationProblem.disjuncts`), report results
+in the same shape as the main prover, and count the sizes of their LPs
+with :func:`~repro.core.lp_instance.record_lp`, as the main prover does.
 """
 
 from repro.baselines.result import BaselineResult

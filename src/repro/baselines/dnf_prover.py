@@ -8,7 +8,7 @@ classic one-by-one elimination of Bradley–Manna–Sipma-style lexicographic
 synthesis:
 
 1. expand the transition relation into disjunctive normal form (the
-   shared :func:`~repro.baselines.dnf.expand_disjuncts`),
+   :meth:`~repro.core.problem.TerminationProblem.disjuncts`),
 2. look for a disjunct ``d`` admitting an affine function that is
    *bounded below* on the invariants, *strictly decreasing* on ``d`` and
    *non-increasing* on every other remaining disjunct (one small Farkas
@@ -32,15 +32,14 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from repro.baselines.dnf import TransitionDisjunct, expand_disjuncts
 from repro.baselines.eager_farkas import (
     _FarkasSystem,
     _merge_coefficients,
     _ranking_coefficients,
 )
 from repro.baselines.result import BaselineResult
-from repro.core.lp_instance import LpStatistics
-from repro.core.problem import TerminationProblem
+from repro.core.lp_instance import record_lp
+from repro.core.problem import TerminationProblem, TransitionDisjunct
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
@@ -54,7 +53,6 @@ def _eliminate_disjunct(
     problem: TerminationProblem,
     remaining: Sequence[TransitionDisjunct],
     target: int,
-    statistics: LpStatistics,
 ) -> Optional[AffineRankingFunction]:
     """One Farkas feasibility LP: kill disjunct *target*, respect the rest.
 
@@ -94,9 +92,8 @@ def _eliminate_disjunct(
             coefficients, constant, problem.invariant(location).constraints
         )
 
-    statistics.record(program.num_rows, program.num_cols)
     outcome = program.solve()
-    statistics.record_solve(outcome.pivots, warm=False)
+    record_lp(program.num_rows, program.num_cols, outcome.pivots, warm=False)
     if outcome.status is not LpStatus.OPTIMAL:
         return None
 
@@ -130,14 +127,13 @@ def dnf_prover(
     only supplies the "find one eliminable disjunct" step.
     """
     start = time.perf_counter()
-    statistics = LpStatistics()
-    disjuncts = expand_disjuncts(problem)
+    disjuncts = problem.disjuncts()
     if max_dimension is None:
         max_dimension = max(4, len(disjuncts))
 
     def find_component(remaining):
         for index in range(len(remaining)):
-            component = _eliminate_disjunct(problem, remaining, index, statistics)
+            component = _eliminate_disjunct(problem, remaining, index)
             if component is not None:
                 return component, [index]
         return None
@@ -153,7 +149,6 @@ def dnf_prover(
         proved=proved,
         ranking=ranking,
         time_seconds=elapsed,
-        lp_statistics=statistics,
         details={
             "disjuncts": len(disjuncts),
             "dimension": len(components),

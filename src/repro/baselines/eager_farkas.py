@@ -25,10 +25,9 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.dnf import TransitionDisjunct, expand_disjuncts
 from repro.baselines.result import BaselineResult
-from repro.core.lp_instance import LpStatistics
-from repro.core.problem import TerminationProblem
+from repro.core.lp_instance import record_lp
+from repro.core.problem import TerminationProblem, TransitionDisjunct
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
@@ -143,7 +142,6 @@ def _merge_coefficients(
 def _synthesize_component(
     problem: TerminationProblem,
     disjuncts: Sequence[TransitionDisjunct],
-    statistics: LpStatistics,
 ) -> Optional[Tuple[AffineRankingFunction, List[int]]]:
     """One greedy lexicographic component over the remaining disjuncts.
 
@@ -192,9 +190,8 @@ def _synthesize_component(
             coefficients, constant, problem.invariant(location).constraints
         )
 
-    statistics.record(program.num_rows, program.num_cols)
     outcome = program.solve()
-    statistics.record_solve(outcome.pivots, warm=False)
+    record_lp(program.num_rows, program.num_cols, outcome.pivots, warm=False)
     if outcome.status is not LpStatus.OPTIMAL or outcome.objective == 0:
         return None
 
@@ -228,8 +225,7 @@ def eager_farkas_lexicographic(
 ) -> BaselineResult:
     """Greedy multidimensional synthesis over the eagerly expanded DNF."""
     start = time.perf_counter()
-    statistics = LpStatistics()
-    disjuncts = expand_disjuncts(problem)
+    disjuncts = problem.disjuncts()
     if max_dimension is None:
         max_dimension = max(4, problem.stacked_dimension)
 
@@ -237,7 +233,7 @@ def eager_farkas_lexicographic(
     # synthesis engine; this baseline only supplies the Farkas step.
     components, _, proved = eliminate_lexicographic(
         disjuncts,
-        lambda remaining: _synthesize_component(problem, remaining, statistics),
+        lambda remaining: _synthesize_component(problem, remaining),
         max_dimension,
     )
 
@@ -248,7 +244,6 @@ def eager_farkas_lexicographic(
         proved=proved,
         ranking=ranking,
         time_seconds=elapsed,
-        lp_statistics=statistics,
         details={
             "disjuncts": len(disjuncts),
             "dimension": len(components),
@@ -265,12 +260,11 @@ def podelski_rybalchenko_via_farkas(
     of one component strictly decreases *every* transition polyhedron.
     """
     start = time.perf_counter()
-    statistics = LpStatistics()
-    disjuncts = expand_disjuncts(problem)
+    disjuncts = problem.disjuncts()
     proved = not disjuncts
     ranking = None
     if disjuncts:
-        outcome = _synthesize_component(problem, disjuncts, statistics)
+        outcome = _synthesize_component(problem, disjuncts)
         if outcome is not None:
             component, killed = outcome
             if len(killed) == len(disjuncts):
@@ -282,6 +276,5 @@ def podelski_rybalchenko_via_farkas(
         proved=proved,
         ranking=ranking,
         time_seconds=elapsed,
-        lp_statistics=statistics,
         details={"disjuncts": len(disjuncts)},
     )

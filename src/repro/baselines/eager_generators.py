@@ -24,9 +24,8 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
-from repro.baselines.dnf import expand_disjuncts
 from repro.baselines.result import BaselineResult
-from repro.core.lp_instance import LpStatistics, RankingLp
+from repro.core.lp_instance import RankingLp
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
 from repro.linalg.matrix import in_span
@@ -41,11 +40,10 @@ def eager_generator_synthesis(
 ) -> BaselineResult:
     """Lexicographic synthesis with the full, eagerly computed generator set."""
     start = time.perf_counter()
-    statistics = LpStatistics()
     if max_dimension is None:
         max_dimension = problem.stacked_dimension
 
-    disjuncts = expand_disjuncts(problem)
+    disjuncts = problem.disjuncts()
     generators: List[Tuple[str, Vector]] = []
     for disjunct in disjuncts:
         generators.extend(disjunct_generators(problem, disjunct))
@@ -54,7 +52,7 @@ def eager_generator_synthesis(
 
     def find_component(remaining):
         """One ``LP(V, Constraints(I))`` solve over the remaining generators."""
-        ranking_lp = RankingLp(problem, statistics)
+        ranking_lp = RankingLp(problem)
         for _, generator in remaining:
             ranking_lp.add_counterexample(generator)
         solution = ranking_lp.solve()
@@ -85,7 +83,6 @@ def eager_generator_synthesis(
         proved=proved,
         ranking=ranking,
         time_seconds=elapsed,
-        lp_statistics=statistics,
         details={
             "disjuncts": len(disjuncts),
             "generators": len(generators),

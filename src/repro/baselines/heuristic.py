@@ -27,10 +27,9 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.dnf import TransitionDisjunct, expand_disjuncts
 from repro.baselines.result import BaselineResult
-from repro.core.lp_instance import LpStatistics
-from repro.core.problem import TerminationProblem
+from repro.core.lp_instance import record_lp
+from repro.core.problem import TerminationProblem, TransitionDisjunct
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
@@ -96,8 +95,7 @@ def heuristic_prover(
 ) -> BaselineResult:
     """Greedy lexicographic combination of syntactic candidates."""
     start = time.perf_counter()
-    statistics = LpStatistics()
-    disjuncts = expand_disjuncts(problem)
+    disjuncts = problem.disjuncts()
     candidates = _candidates(problem, disjuncts)
     if max_dimension is None:
         max_dimension = max(4, len(problem.variables) + 1)
@@ -114,7 +112,7 @@ def heuristic_prover(
             non_increasing = True
             strictly_decreased: List[int] = []
             for index, disjunct in enumerate(remaining):
-                statistics.record(len(disjunct.constraints), 2)
+                record_lp(len(disjunct.constraints), 2)
                 decrease = _extreme(delta, disjunct, Sense.MINIMIZE)
                 if decrease is None or decrease < 0:
                     non_increasing = False
@@ -161,7 +159,6 @@ def heuristic_prover(
         proved=proved,
         ranking=ranking,
         time_seconds=elapsed,
-        lp_statistics=statistics,
         details={
             "disjuncts": len(disjuncts),
             "candidates": len(candidates),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.core.lp_instance import LpStatistics
 from repro.core.ranking import LexicographicRankingFunction
 
 
@@ -17,7 +16,6 @@ class BaselineResult:
     proved: bool
     ranking: Optional[LexicographicRankingFunction] = None
     time_seconds: float = 0.0
-    lp_statistics: LpStatistics = field(default_factory=LpStatistics)
     details: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -25,10 +23,8 @@ class BaselineResult:
         return "terminating" if self.proved else "unknown"
 
     def __repr__(self) -> str:
-        return "BaselineResult(%s, %s, %.1f ms, LP avg (%.1f, %.1f))" % (
+        return "BaselineResult(%s, %s, %.1f ms)" % (
             self.name,
             self.status,
             self.time_seconds * 1000.0,
-            self.lp_statistics.average_rows,
-            self.lp_statistics.average_cols,
         )

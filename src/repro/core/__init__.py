@@ -7,9 +7,11 @@ point that computes invariants and the large-block encoding first is
 :class:`repro.api.Analysis` (tool ``"termite"``):
 
 * :mod:`repro.core.problem` — the termination problem: cut-set,
-  invariants, large blocks and the stacked ``u`` space.
-* :mod:`repro.core.lp_instance` — ``LP(V, Constraints(I))`` and its
-  statistics (LP sizes — the numbers reported in Table 1).
+  invariants, large blocks, their path polyhedra and the stacked ``u``
+  space.
+* :mod:`repro.core.lp_instance` — ``LP(V, Constraints(I))``, the one
+  counter site of LP sizes (the numbers reported in Table 1) and their
+  read-only view ``LpStatistics``.
 * :mod:`repro.core.certificate` — the check that the returned ranking
   function really is one (decrease + nonnegativity), which the pipeline's
   ``certificate`` stage runs on every prover's proof.  It delegates to the

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import AffineRankingFunction
@@ -39,11 +39,39 @@ from repro.linalg.vector import Vector
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import LinearProgram, LpStatus, Sense
 from repro.lp.simplex import SimplexState
+from repro.metrics import count
 
 
-@dataclass
+#: Name prefix of the :mod:`repro.metrics` counters of :func:`record_lp`.
+_PREFIX = "core.lp_instance."
+
+
+def record_lp(rows: int, cols: int, pivots: int = 0, warm: Optional[bool] = None) -> None:
+    """Count one LP instance of *rows* × *cols* (:mod:`repro.metrics`).
+
+    The one recording site of ``LP(V, Constraints(I))`` and of the eager
+    baselines' Farkas LPs.  When *warm* is given the instance was solved
+    (warm-started or cold) with *pivots* pivots; the heuristic baseline
+    records the size of its LPs only.
+    """
+    count(_PREFIX + "instances")
+    count(_PREFIX + "rows", rows)
+    count(_PREFIX + "cols", cols)
+    count(_PREFIX + "rows.max", rows)
+    count(_PREFIX + "cols.max", cols)
+    if warm is not None:
+        count(_PREFIX + "pivots", pivots)
+        count(_PREFIX + ("warm_solves" if warm else "cold_solves"))
+
+
+@dataclass(frozen=True)
 class LpStatistics:
-    """Sizes and solve costs of the LP instances of one synthesis run."""
+    """Sizes and solve costs of the LP instances of one synthesis run.
+
+    A read-only view of :mod:`repro.metrics` counts, built by
+    :meth:`from_metrics` (the pipeline does so from the counts of its
+    ``synthesis`` stage) or :meth:`from_dict`.
+    """
 
     instances: int = 0
     total_rows: int = 0
@@ -53,31 +81,19 @@ class LpStatistics:
     pivots: int = 0
     warm_solves: int = 0
     cold_solves: int = 0
-    #: Unified CEGIS-engine counters (see :mod:`repro.synthesis.engine`):
+    #: CEGIS-engine counters (see :mod:`repro.synthesis.engine`):
     #: counterexample-oracle queries issued, generator rows added to
     #: ``LP(V, Constraints(I))``, and flat directions absorbed into the
     #: ``AvoidSpace`` basis.
     oracle_queries: int = 0
     cex_rows: int = 0
     flat_directions: int = 0
-    #: Always 0; kept until the benchmark drops
-    #: ``lp.kernel.stacked_pivots_all``.  Not serialised.
-    stacked_pivots: int = 0
 
-    def record(self, rows: int, cols: int) -> None:
-        self.instances += 1
-        self.total_rows += rows
-        self.total_cols += cols
-        self.max_rows = max(self.max_rows, rows)
-        self.max_cols = max(self.max_cols, cols)
-
-    def record_solve(self, pivots: int, warm: bool) -> None:
-        """Account one simplex solve (its pivots, and warm vs cold)."""
-        self.pivots += pivots
-        if warm:
-            self.warm_solves += 1
-        else:
-            self.cold_solves += 1
+    @property
+    def stacked_pivots(self) -> int:
+        """Always 0; kept until the benchmark drops
+        ``lp.kernel.stacked_pivots_all``.  Not serialised."""
+        return 0
 
     @property
     def average_rows(self) -> float:
@@ -86,6 +102,27 @@ class LpStatistics:
     @property
     def average_cols(self) -> float:
         return self.total_cols / self.instances if self.instances else 0.0
+
+    @classmethod
+    def from_metrics(cls, counts: Mapping[str, int]) -> "LpStatistics":
+        """The view of the :mod:`repro.metrics` *counts* of a synthesis run."""
+        def get(name: str) -> int:
+            return counts.get(name, 0)
+
+        return cls(
+            instances=get(_PREFIX + "instances"),
+            total_rows=get(_PREFIX + "rows"),
+            total_cols=get(_PREFIX + "cols"),
+            max_rows=get(_PREFIX + "rows.max"),
+            max_cols=get(_PREFIX + "cols.max"),
+            pivots=get(_PREFIX + "pivots"),
+            warm_solves=get(_PREFIX + "warm_solves"),
+            cold_solves=get(_PREFIX + "cold_solves"),
+            oracle_queries=get("synthesis.engine.oracle_queries"),
+            cex_rows=get("synthesis.engine.counterexamples")
+            + get("synthesis.engine.rays"),
+            flat_directions=get("synthesis.engine.flat_directions"),
+        )
 
     def to_dict(self) -> dict:
         """Plain-JSON view: the raw counters plus derived averages.
@@ -132,19 +169,6 @@ class LpStatistics:
             flat_directions=data.get("flat_directions", 0),
         )
 
-    def merge(self, other: "LpStatistics") -> None:
-        self.instances += other.instances
-        self.total_rows += other.total_rows
-        self.total_cols += other.total_cols
-        self.max_rows = max(self.max_rows, other.max_rows)
-        self.max_cols = max(self.max_cols, other.max_cols)
-        self.pivots += other.pivots
-        self.warm_solves += other.warm_solves
-        self.cold_solves += other.cold_solves
-        self.oracle_queries += other.oracle_queries
-        self.cex_rows += other.cex_rows
-        self.flat_directions += other.flat_directions
-
 
 @dataclass
 class RankingLpSolution:
@@ -164,16 +188,11 @@ class RankingLpSolution:
 class RankingLp:
     """Builder/solver for the incremental constraint system of Algorithm 1."""
 
-    def __init__(
-        self,
-        problem: TerminationProblem,
-        statistics: Optional[LpStatistics] = None,
-    ):
+    def __init__(self, problem: TerminationProblem):
         self.problem = problem
         self.rows = problem.invariant_rows()
         self.stacked_rows = [problem.stacked_row(row) for row in self.rows]
         self.counterexamples: List[Vector] = []
-        self.statistics = statistics if statistics is not None else LpStatistics()
         self._state: Optional[SimplexState] = None
         self._synced = 0  # counterexamples already pushed into the state
         self._objective = LinExpr()
@@ -217,15 +236,9 @@ class RankingLp:
         into the column bounds; each counterexample contributes its
         ``δ_j ≤ 1`` bound and its generator row.
         """
-        # Table-1 statistics: one row per counterexample, one column block
-        # for the γ's plus one δ per counterexample.  A repeat solve with
-        # no new counterexample returns the persistent state's cached
-        # result: it is not accounted as another instance or solve.
         rows = len(self.counterexamples)
         cols = len(self.rows) + len(self.counterexamples)
         fresh = self._state is None or self._synced < len(self.counterexamples)
-        if fresh:
-            self.statistics.record(rows, cols)
         if self._state is None:
             self._state = SimplexState(Sense.MAXIMIZE)
             for i in range(len(self.rows)):
@@ -241,7 +254,11 @@ class RankingLp:
         state.set_objective(self._objective)
         outcome = state.solve()
         if fresh:
-            self.statistics.record_solve(outcome.pivots, warm=state.last_solve_warm)
+            # Table-1 statistics: one row per counterexample, one column
+            # block for the γ's plus one δ per counterexample.  A repeat
+            # solve with no new counterexample returns the persistent
+            # state's cached result: it is not another instance or solve.
+            record_lp(rows, cols, outcome.pivots, warm=state.last_solve_warm)
         if outcome.status is not LpStatus.OPTIMAL:
             raise RuntimeError(
                 "LP(V, Constraints(I)) must be feasible and bounded, got %s"

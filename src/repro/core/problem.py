@@ -8,14 +8,17 @@ A :class:`TerminationProblem` packages everything Algorithms 1–3 need:
 * which variables range over the integers.
 
 It also owns the encoding conventions shared by the SMT queries and the
-LP.  The block vector ``u`` of Algorithm 3 (Definition 12) is laid out as
-one group per cut point over the *homogenised* space ``(x, 1)``: the extra
-constant-one coordinate carries the affine offset of the per-location
-ranking functions, so that ``λ · u`` equals ``ρ(k, x) − ρ(k', x')``
-including the offsets when the control point changes.  The invariant
-constraints are lifted to that space accordingly (Definition 14): each
-``a·x ≥ b`` becomes the homogeneous row ``a·x + (−b)·1 ≥ 0`` and every cut
-point additionally contributes the row ``1 ≥ 0``.
+LP, and the eager expansion of the blocks into path polyhedra
+(:meth:`TerminationProblem.disjuncts`) that the baselines and the ``dd``
+oracle run on.  The block vector ``u`` of Algorithm 3 (Definition 12) is
+laid out as one group per cut point over the *homogenised* space
+``(x, 1)``: the extra constant-one coordinate carries the affine offset
+of the per-location ranking functions, so that ``λ · u`` equals
+``ρ(k, x) − ρ(k', x')`` including the offsets when the control point
+changes.  The invariant constraints are lifted to that space accordingly
+(Definition 14): each ``a·x ≥ b`` becomes the homogeneous row
+``a·x + (−b)·1 ≥ 0`` and every cut point additionally contributes the
+row ``1 ≥ 0``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.core.ranking import AffineRankingFunction
 from repro.invariants.invariant_map import InvariantMap
 from repro.linalg.vector import Vector
+from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, conjunction, disjunction
-from repro.linexpr.transform import prime_suffix
+from repro.linexpr.transform import dnf_conjunctions, prime_suffix
 from repro.program.large_block import BlockTransition
 from repro.polyhedra.polyhedron import Polyhedron
+from repro.smt.theory import check_conjunction
 
 #: Name of the synthetic constant-one coordinate of the stacked space.
 ONE_COORDINATE = "@one"
@@ -48,6 +53,26 @@ class InvariantRow:
 
     location: str
     normal: LinExpr
+
+
+@dataclass(frozen=True)
+class TransitionDisjunct:
+    """One path polyhedron ``I_source ∧ path`` of the eager expansion.
+
+    It keeps the auxiliary (intermediate copy / havoc) variables of its
+    path: Farkas reasoning and generator projection are both exact over
+    the lifted space, so no quantifier elimination is required.
+    """
+
+    source: str
+    target: str
+    constraints: Tuple[Constraint, ...]
+
+    def variables(self) -> List[str]:
+        names: Set[str] = set()
+        for constraint in self.constraints:
+            names |= constraint.variables()
+        return sorted(names)
 
 
 class TerminationProblem:
@@ -144,6 +169,38 @@ class TerminationProblem:
                 [self._block_formula(block) for block in self.blocks]
             )
         return self._transition_formula
+
+    def disjuncts(self) -> Tuple[TransitionDisjunct, ...]:
+        """All feasible path polyhedra ``I_source ∧ path`` of the blocks.
+
+        The transition relation in disjunctive normal form, the explicit
+        list of convex polyhedra the eager baselines need and the paper's
+        lazy algorithm avoids computing.  Every strict inequality over
+        integer variables is tightened and the remaining ones are relaxed
+        to their closures (the baselines work with closed polyhedra, as
+        in the original publications).  Infeasible disjuncts, paths that
+        are syntactically present but semantically dead, are dropped.
+
+        Expanded afresh on every call, unlike :meth:`transition_formula`:
+        the expansion (one feasibility LP per disjunct) is part of what an
+        eager method costs, so each baseline run pays for its own and its
+        time does not depend on which tool ran first on the problem.  The
+        ``dd`` oracle keeps one expansion for all components of its run.
+        """
+        integer_variables = self.smt_integer_variables()
+        disjuncts: List[TransitionDisjunct] = []
+        for block in self.blocks:
+            invariant = self.invariant(block.source).constraints
+            for conjunct in dnf_conjunctions(block.formula):
+                rows = tuple(
+                    constraint.closure(integer_variables)
+                    for constraint in list(invariant) + list(conjunct)
+                )
+                if check_conjunction(rows).satisfiable:
+                    disjuncts.append(
+                        TransitionDisjunct(block.source, block.target, rows)
+                    )
+        return tuple(disjuncts)
 
     def _block_formula(self, block: BlockTransition) -> Formula:
         parts: List[Formula] = []

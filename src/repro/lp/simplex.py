@@ -31,6 +31,7 @@ from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import LpResult, LpStatus, Sense
+from repro.metrics import count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -902,10 +903,10 @@ class SimplexState:
 
     The first :meth:`solve` (and any solve after an UNBOUNDED outcome,
     where no optimal basis exists to restart from) is a cold two-phase
-    solve; every other solve is warm.  ``cold_solves`` / ``warm_solves`` /
-    ``total_pivots`` / ``last_solve_pivots`` expose the counters the
-    evaluation harness aggregates into
-    :class:`~repro.core.lp_instance.LpStatistics`.
+    solve; every other solve is warm.  ``last_solve_warm`` tells which the
+    last solve was, and its :class:`~repro.lp.problem.LpResult` carries
+    its pivots; counting solves is the caller's job (the ranking LP's
+    :func:`~repro.core.lp_instance.record_lp`).
 
     Appending a *batch* of constraints between solves costs one
     dual-simplex basis-repair pass for the whole batch, not one per row:
@@ -916,8 +917,8 @@ class SimplexState:
     *added* terms on columns that are still nonbasic — the shape of every
     counterexample iteration, whose fresh δ columns carry the new
     objective terms — the repricing is a constant-size cost-row update
-    instead of a full re-elimination against the basis
-    (``incremental_repricings``).
+    instead of a full re-elimination against the basis (counted as
+    ``lp.simplex.incremental_repricings``).
     """
 
     def __init__(self, sense: Sense = Sense.MINIMIZE):
@@ -935,12 +936,7 @@ class SimplexState:
         self._warm_ready = False
         self._infeasible = False
         self._last_result: Optional[LpResult] = None
-        self.cold_solves = 0
-        self.warm_solves = 0
-        self.total_pivots = 0
-        self.last_solve_pivots = 0
         self.last_solve_warm = False
-        self.incremental_repricings = 0
 
     # -- construction ----------------------------------------------------------
 
@@ -1018,10 +1014,11 @@ class SimplexState:
             return LpResult(status=LpStatus.INFEASIBLE)
         if self._last_result is not None:
             return self._last_result
-        if self._tableau is None or not self._warm_ready:
-            result = self._solve_cold()
-        else:
+        self.last_solve_warm = self._tableau is not None and self._warm_ready
+        if self.last_solve_warm:
             result = self._solve_warm()
+        else:
+            result = self._solve_cold()
         self._last_result = result
         return result
 
@@ -1045,7 +1042,6 @@ class SimplexState:
         num_cols = standard.num_columns
         feasible, tableau, _ = _two_phase(standard)
         if not feasible:
-            self._record(tableau.pivot_count, warm=False)
             self._infeasible = True
             return LpResult(
                 status=LpStatus.INFEASIBLE, pivots=tableau.pivot_count
@@ -1061,7 +1057,6 @@ class SimplexState:
         self._allowed = allowed
         self._priced_objective = self._objective
         self._warm_ready = status == "optimal"
-        self._record(tableau.pivot_count, warm=False)
         return self._extract(status, entering, tableau.pivot_count)
 
     def _solve_warm(self) -> LpResult:
@@ -1105,7 +1100,6 @@ class SimplexState:
         # dual-simplex repair pass for the whole appended batch.
         status = tableau.dual_optimize(self._allowed)
         if status == "infeasible":
-            self._record(tableau.pivot_count - start_pivots, warm=True)
             self._infeasible = True
             return LpResult(
                 status=LpStatus.INFEASIBLE,
@@ -1123,7 +1117,6 @@ class SimplexState:
         self._priced_objective = self._objective
         self._warm_ready = status == "optimal"
         pivots = tableau.pivot_count - start_pivots
-        self._record(pivots, warm=True)
         return self._extract(status, entering, pivots)
 
     def _reprice(self, tableau: _Tableau) -> None:
@@ -1145,24 +1138,15 @@ class SimplexState:
         if not delta.terms:
             # Constant-only change: the constant lives outside the tableau
             # (it is re-added at extraction), so the priced row is intact.
-            self.incremental_repricings += 1
+            count("lp.simplex.incremental_repricings")
             return
         entries = _sparse_terms(delta.terms, self._plus, self._minus)
         basic = set(tableau.basis)
         if all(column not in basic for column in entries):
             tableau.extend_cost(entries)
-            self.incremental_repricings += 1
+            count("lp.simplex.incremental_repricings")
             return
         tableau.install_cost(self._cost_vector(tableau.num_cols))
-
-    def _record(self, pivots: int, warm: bool) -> None:
-        self.total_pivots += pivots
-        self.last_solve_pivots = pivots
-        self.last_solve_warm = warm
-        if warm:
-            self.warm_solves += 1
-        else:
-            self.cold_solves += 1
 
     def _to_original(self, values: Sequence[Fraction]) -> Dict[str, Fraction]:
         result: Dict[str, Fraction] = {}

@@ -9,35 +9,55 @@ a :func:`recording` is open on the calling thread::
     counters["smt.solver.sat_calls"]
 
 A recording holds the counts of its own block only.  When it closes, its
-counts are added into the enclosing recording of the same thread, if
+counts are merged into the enclosing recording of the same thread, if
 any, so nested recordings never lose work.  Counters are thread-local,
 so analyses running on different threads (service requests, tests)
 never see each other's counts; a thread that should contribute to a
 caller's recording opens its own and hands the counts back.
 
 Names are ``<package>.<module>.<event>``, e.g.
-``polyhedra.projection.lp_calls_saved``.
+``polyhedra.projection.lp_calls_saved``.  A counter whose name ends in
+``.max`` (e.g. ``core.lp_instance.rows.max``) keeps its largest value
+instead of a sum: in :func:`count`, when recordings nest and in
+:func:`merge`.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Mapping
 
 _LOCAL = threading.local()
 
 
+def _add(counters: Dict[str, int], name: str, n: int) -> None:
+    if name.endswith(".max"):
+        counters[name] = max(counters.get(name, n), n)
+    else:
+        counters[name] = counters.get(name, 0) + n
+
+
 def count(name: str, n: int = 1) -> None:
-    """Add *n* to counter *name* of the open recording (no-op without one)."""
+    """Add *n* to counter *name* of the open recording (no-op without one).
+
+    A ``.max`` counter keeps the largest *n* instead.
+    """
     counters = getattr(_LOCAL, "counters", None)
     if counters is not None:
-        counters[name] = counters.get(name, 0) + n
+        _add(counters, name, n)
+
+
+def merge(into: Dict[str, int], counts: Mapping[str, int]) -> Dict[str, int]:
+    """Merge *counts* into *into* (sums; ``.max`` counters keep the larger)."""
+    for name, n in counts.items():
+        _add(into, name, n)
+    return into
 
 
 @contextmanager
 def recording() -> Iterator[Dict[str, int]]:
-    """Collect the counts of the block; add them to the enclosing recording."""
+    """Collect the counts of the block; merge them into the enclosing one."""
     outer = getattr(_LOCAL, "counters", None)
     counters: Dict[str, int] = {}
     _LOCAL.counters = counters
@@ -46,5 +66,4 @@ def recording() -> Iterator[Dict[str, int]]:
     finally:
         _LOCAL.counters = outer
         if outer is not None:
-            for name, n in counters.items():
-                outer[name] = outer.get(name, 0) + n
+            merge(outer, counters)

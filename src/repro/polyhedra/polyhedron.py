@@ -265,14 +265,22 @@ class Polyhedron:
             if other.entails_constraint(constraint)
         ]
         result = Polyhedron(self._variables, stable)
-        kept = [
+        obeyed = [
             threshold
             for threshold in thresholds
             if other.entails_constraint(threshold)
-            and not result.entails_constraint(threshold)
         ]
-        if kept:
-            result = Polyhedron(self._variables, stable + kept)
+        if obeyed:
+            # One conversion of the widened rows decides every threshold
+            # on generators, instead of one entailment LP per threshold.
+            system = constraints_to_generators(stable, self._variables)
+            kept = [
+                threshold
+                for threshold in obeyed
+                if not _generated_satisfy(system, threshold)
+            ]
+            if kept:
+                result = Polyhedron(self._variables, stable + kept)
         result._empty_cache = False
         return result
 

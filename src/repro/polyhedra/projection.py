@@ -5,7 +5,7 @@ Fourier–Motzkin is the fallback of
 or projection whose image is lower-dimensional (a full-dimensional image
 is computed on the generators).  No baseline uses it: the eager
 baselines keep their auxiliary variables and work on the lifted path
-polyhedra directly (see :mod:`repro.baselines.dnf`).
+polyhedra directly (see :meth:`repro.core.problem.TerminationProblem.disjuncts`).
 
 The paper points out (§2.2) that eliminating a block of existential
 quantifiers can blow up exponentially; the lazy algorithm never does it,

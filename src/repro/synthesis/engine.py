@@ -44,7 +44,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.lp_instance import LpStatistics, RankingLp
+from repro.core.lp_instance import RankingLp
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import (
     AffineRankingFunction,
@@ -69,18 +69,12 @@ class MaxIterationsExceeded(RuntimeError):
 
 @dataclass
 class MonodimResult:
-    """Output of Algorithm 1/3: ``(λ, λ0, strict?)`` plus diagnostics.
-
-    ``lp_statistics`` carries this component's own LP solve costs
-    (pivots, warm vs cold solves) plus the engine counters (oracle
-    queries, counterexample rows, flat directions).
-    """
+    """Output of Algorithm 1/3: ``(λ, λ0, strict?)`` plus diagnostics."""
 
     ranking: AffineRankingFunction
     strict: bool
     flat_basis: List[Vector] = field(default_factory=list)
     iterations: int = 0
-    lp_statistics: LpStatistics = field(default_factory=LpStatistics)
 
     @property
     def is_trivial(self) -> bool:
@@ -160,7 +154,6 @@ class CegisEngine:
         problem: TerminationProblem,
         extra_constraints: Sequence = (),
         component: int = 0,
-        lp_statistics: Optional[LpStatistics] = None,
     ) -> MonodimResult:
         """Synthesise one component over ``Φ ∧ extra_constraints``.
 
@@ -191,8 +184,7 @@ class CegisEngine:
         Algorithm 2 passes the flatness constraints ``λ_{d'} · u = 0`` of
         the previous lexicographic components here.
         """
-        lp = LpStatistics()
-        ranking_lp = RankingLp(problem, lp)
+        ranking_lp = RankingLp(problem)
         flat_basis: List[Vector] = []
         self._emit(
             "component_start",
@@ -201,20 +193,9 @@ class CegisEngine:
             oracle=getattr(self.oracle, "name", ""),
             strategy="extremal" if self.extremal else "arbitrary",
         )
-        try:
-            current, deltas, iterations, vertices = self._refinement_loop(
-                problem,
-                ranking_lp,
-                lp,
-                extra_constraints,
-                flat_basis,
-                component,
-            )
-        finally:
-            # Merge even when the iteration budget blows: the caller's
-            # shared statistics must reflect the work actually performed.
-            if lp_statistics is not None:
-                lp_statistics.merge(lp)
+        current, deltas, iterations, vertices = self._refinement_loop(
+            problem, ranking_lp, extra_constraints, flat_basis, component
+        )
 
         strict = bool(deltas) and all(value == 1 for value in deltas)
         if strict:
@@ -232,14 +213,12 @@ class CegisEngine:
             strict=strict,
             flat_basis=flat_basis,
             iterations=iterations,
-            lp_statistics=lp,
         )
 
     def _refinement_loop(
         self,
         problem: TerminationProblem,
         ranking_lp,
-        lp: LpStatistics,
         extra_constraints: Sequence,
         flat_basis: List[Vector],
         component: int,
@@ -247,7 +226,9 @@ class CegisEngine:
         """Oracle query → LP re-solve, until fixpoint.
 
         Returns the final candidate, its δ values, the iteration count and
-        the number of vertex rows added.
+        the number of vertex rows added.  Counts oracle queries,
+        counterexample rows (vertices and rays) and flat directions as
+        ``synthesis.engine.*`` (:mod:`repro.metrics`).
         """
         current = problem.zero_ranking()
         deltas: List[Fraction] = []
@@ -262,7 +243,7 @@ class CegisEngine:
                     % self.max_iterations
                 )
             objective = problem.objective(current)
-            lp.oracle_queries += 1
+            count("synthesis.engine.oracle_queries")
             group = self.oracle.find(objective, flat_basis, self.extremal)
             if group is None:
                 self._emit("iteration", component, iterations, exhausted=True)
@@ -274,12 +255,10 @@ class CegisEngine:
                 if witness.kind == "vertex":
                     count("synthesis.engine.counterexamples")
                     vertices += 1
-                    lp.cex_rows += 1
                     index = ranking_lp.add_counterexample(witness.vector)
                     vertex_rows.append((witness.vector, index))
                 elif not witness.vector.is_zero():
                     count("synthesis.engine.rays")
-                    lp.cex_rows += 1
                     ranking_lp.add_counterexample(witness.vector)
                     rays_added += 1
 
@@ -300,7 +279,7 @@ class CegisEngine:
                 if solution.delta_of(index) == 0:
                     if not vector.is_zero() and not in_span(vector, flat_basis):
                         flat_basis.append(vector)
-                        lp.flat_directions += 1
+                        count("synthesis.engine.flat_directions")
                         flats += 1
             self._emit("iteration", component, iterations,
                        counterexamples=len(vertex_rows), rays=rays_added,
@@ -314,7 +293,6 @@ class CegisEngine:
         self,
         problem: TerminationProblem,
         max_dimension: Optional[int] = None,
-        lp_statistics: Optional[LpStatistics] = None,
     ) -> MultidimResult:
         """Run Algorithm 2 over *problem*.
 
@@ -342,7 +320,6 @@ class CegisEngine:
                 problem,
                 extra_constraints=flatness_constraints,
                 component=len(components),
-                lp_statistics=lp_statistics,
             )
             components.append(result)
             vector = result.ranking.stacked_vector(problem.cutset)

@@ -28,11 +28,11 @@ transition relation, and only reports exhaustion after a complete check
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.problem import ONE_COORDINATE, TerminationProblem
+from repro.core.problem import ONE_COORDINATE, TerminationProblem, TransitionDisjunct
 from repro.linalg.matrix import in_span, orthogonal_complement
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint
@@ -362,9 +362,11 @@ class _Generator:
 class DdEnumerationOracle(CounterexampleOracle):
     """One-at-a-time hand-out of eagerly enumerated vertex/ray generators.
 
-    The component's restricted transition relation (including the
-    lexicographic flatness constraints, translated into each disjunct's
-    state space) is converted to generators once per :meth:`reset`.  Each
+    The problem's path polyhedra (:meth:`TerminationProblem.disjuncts`,
+    expanded at the first :meth:`reset` and kept for the later components
+    of the same problem), restricted by the component's
+    lexicographic flatness constraints translated into each disjunct's
+    state space, are converted to generators once per :meth:`reset`.  Each
     :meth:`find` returns one unused generator violating the current
     candidate — the most violating one (ties broken by content) when
     ``extremal`` is set, the first one in enumeration order otherwise —
@@ -378,6 +380,12 @@ class DdEnumerationOracle(CounterexampleOracle):
 
     name = "dd"
 
+    def __init__(self) -> None:
+        # The last problem reset on, with its path polyhedra.
+        self._expanded: Optional[
+            Tuple[TerminationProblem, Tuple[TransitionDisjunct, ...]]
+        ] = None
+
     def reset(
         self,
         problem: TerminationProblem,
@@ -388,26 +396,24 @@ class DdEnumerationOracle(CounterexampleOracle):
         self._names = problem.difference_variables()
         self._confirmation = SmtOptimizingOracle()
         self._confirmation.reset(problem, extra_constraints, integer_mode)
+        if self._expanded is None or self._expanded[0] is not problem:
+            self._expanded = (problem, problem.disjuncts())
         self._generators = self._enumerate(problem, extra_constraints)
 
     def _enumerate(
         self, problem: TerminationProblem, extra_constraints: Sequence
     ) -> List[_Generator]:
-        # Imported lazily: the baselines package is built on the engine,
-        # so the synthesis layer must not import it at module load time.
-        from repro.baselines.dnf import TransitionDisjunct, expand_disjuncts
-
         generators: List[_Generator] = []
-        for position, disjunct in enumerate(expand_disjuncts(problem)):
-            rows = list(disjunct.constraints)
-            for constraint in extra_constraints:
-                rows.append(
+        for position, disjunct in enumerate(self._expanded[1]):
+            restricted = replace(
+                disjunct,
+                constraints=disjunct.constraints
+                + tuple(
                     constraint_in_state_space(
                         problem, constraint, disjunct.source, disjunct.target
                     )
-                )
-            restricted = TransitionDisjunct(
-                disjunct.source, disjunct.target, rows
+                    for constraint in extra_constraints
+                ),
             )
             for kind, vector in disjunct_generators(problem, restricted):
                 if vector.is_zero():

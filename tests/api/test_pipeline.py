@@ -16,6 +16,8 @@ from repro.api import (
     analyze_many,
 )
 from repro.api.pipeline import run_tools_on_program
+from repro.api.result import AnalysisResult
+from repro.core.lp_instance import LpStatistics
 from repro.benchsuite import get_suite
 from repro.frontend import compile_program
 from repro.metrics import recording
@@ -156,6 +158,21 @@ def _minus(metrics, build):
     return dict(Counter(metrics) - Counter(build))
 
 
+def _undecided_runs():
+    """UNDECIDED under each ``nonterm`` mode: results and build counts."""
+    results = {}
+    builds = {}
+    for mode in ("off", "only", "auto"):
+        analysis = Analysis(
+            UNDECIDED, config=AnalysisConfig(nonterm=mode), name="undecided"
+        )
+        with recording() as build:
+            analysis.problem()
+        results[mode] = analysis.run("termite")
+        builds[mode] = build
+    return results, builds
+
+
 class TestMetrics:
     def test_program_analysed_twice_gives_identical_metrics(self):
         first = Analysis(NESTED, name="nested").run("termite")
@@ -174,16 +191,7 @@ class TestMetrics:
 
     def test_auto_race_counts_both_lanes_exactly_once(self):
         # An undecided auto run is an "off" run followed by an "only" run.
-        results = {}
-        builds = {}
-        for mode in ("off", "only", "auto"):
-            analysis = Analysis(
-                UNDECIDED, config=AnalysisConfig(nonterm=mode), name="undecided"
-            )
-            with recording() as build:
-                analysis.problem()
-            results[mode] = analysis.run("termite")
-            builds[mode] = build
+        results, builds = _undecided_runs()
         assert all(r.status == "unknown" for r in results.values())
         lanes = Counter(_minus(results["off"].metrics, builds["off"])) + Counter(
             _minus(results["only"].metrics, builds["only"])
@@ -191,6 +199,40 @@ class TestMetrics:
         assert _minus(results["auto"].metrics, builds["auto"]) == dict(lanes)
         assert lanes["smt.solver.sat_calls"] > 0
         assert lanes["nontermination.engine.candidates"] > 0
+
+    def test_auto_lanes_merge_max_counters(self):
+        # The lanes' run counters merge by the recorder's rule: sums, but
+        # a ``.max`` counter keeps the larger of the two lanes' values.
+        results, builds = _undecided_runs()
+        off, only, auto = (
+            _minus(results[mode].metrics, builds[mode])
+            for mode in ("off", "only", "auto")
+        )
+        assert off["core.lp_instance.rows.max"] > 0
+        for name in set(off) | set(only):
+            lanes = (off.get(name, 0), only.get(name, 0))
+            expected = max(lanes) if name.endswith(".max") else sum(lanes)
+            assert auto[name] == expected, name
+        assert results["auto"].lp_statistics == results["off"].lp_statistics
+        assert results["only"].lp_statistics == LpStatistics()
+
+    def test_lp_statistics_is_the_view_of_the_synthesis_counts(self):
+        result = Analysis(NESTED, name="nested").run("termite")
+        rebuilt = AnalysisResult.from_json(result.to_json())
+        assert rebuilt.lp_statistics == result.lp_statistics
+        assert rebuilt.lp_statistics == LpStatistics.from_metrics(rebuilt.metrics)
+        assert rebuilt.lp_statistics.instances > 0
+        assert rebuilt.lp_statistics.max_rows == rebuilt.metrics[
+            "core.lp_instance.rows.max"
+        ]
+
+    def test_budget_overrun_keeps_the_counts_of_the_aborted_component(self):
+        config = AnalysisConfig(max_iterations=1)
+        result = Analysis(NESTED, config=config, name="nested").run("termite")
+        assert result.status == "unknown"
+        assert "exceeded 1 iterations" in result.message
+        assert result.iterations == result.lp_statistics.oracle_queries >= 1
+        assert result.lp_statistics.instances > 0
 
 
 class TestBatchExecution:

@@ -13,12 +13,13 @@ from repro.api import (
     analyze,
 )
 from repro.api.result import ranking_from_dict, ranking_to_dict
-from repro.core.lp_instance import LpStatistics
+from repro.core.lp_instance import LpStatistics, record_lp
 from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
 )
 from repro.linalg.vector import Vector
+from repro.metrics import recording
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 
@@ -63,9 +64,9 @@ class TestRankingSerialisation:
 
 class TestResultSerialisation:
     def test_synthetic_round_trip_is_exact(self):
-        statistics = LpStatistics()
-        statistics.record(5, 7)
-        statistics.record_solve(3, warm=True)
+        with recording() as counts:
+            record_lp(5, 7, 3, warm=True)
+        statistics = LpStatistics.from_metrics(counts)
         result = AnalysisResult(
             tool="termite",
             program="sample",

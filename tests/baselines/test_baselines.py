@@ -4,14 +4,16 @@ import pytest
 
 from repro.api import Analysis, AnalysisConfig
 from repro.baselines import (
+    dnf_prover,
     eager_farkas_lexicographic,
     eager_generator_synthesis,
     heuristic_prover,
     podelski_rybalchenko,
 )
-from repro.baselines.dnf import expand_disjuncts
 from repro.core.certificate import check_certificate
+from repro.core.lp_instance import LpStatistics
 from repro.linexpr.expr import var
+from repro.metrics import recording
 from repro.program.builder import AutomatonBuilder
 
 
@@ -20,6 +22,13 @@ CONFIG = AnalysisConfig(check_certificates=False)
 
 def problem_for(automaton):
     return Analysis(automaton, config=CONFIG).problem()
+
+
+def run_counted(prover, problem):
+    """Run *prover* on *problem*; its result and the view of its LP counts."""
+    with recording() as counts:
+        result = prover(problem)
+    return result, LpStatistics.from_metrics(counts)
 
 
 @pytest.fixture
@@ -44,7 +53,7 @@ def lexicographic_problem(lexicographic_automaton):
 
 class TestDnfExpansion:
     def test_example1_has_two_disjuncts(self, example1_problem):
-        disjuncts = expand_disjuncts(example1_problem)
+        disjuncts = example1_problem.disjuncts()
         assert len(disjuncts) == 2
 
     def test_infeasible_paths_pruned(self):
@@ -52,8 +61,41 @@ class TestDnfExpansion:
         builder = AutomatonBuilder(["x"], initial="k")
         builder.transition("k", "k", guard=[x > 0, x < 0], updates={"x": x - 1})
         builder.transition("k", "k", guard=[x > 0], updates={"x": x - 1})
-        disjuncts = expand_disjuncts(problem_for(builder.build()))
+        disjuncts = problem_for(builder.build()).disjuncts()
         assert len(disjuncts) == 1
+
+    def test_rows_are_immutable(self, example1_problem):
+        disjuncts = example1_problem.disjuncts()
+        assert all(isinstance(d.constraints, tuple) for d in disjuncts)
+        with pytest.raises(AttributeError):
+            disjuncts[0].constraints = ()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_each_baseline_run_expands_its_own_paths(
+        self, example1_problem, monkeypatch, order
+    ):
+        """The expansion is timed inside every run, whatever ran first."""
+        import repro.core.problem
+
+        expanded = []
+        original = repro.core.problem.dnf_conjunctions
+
+        def counted(formula):
+            expanded.append(formula)
+            return original(formula)
+
+        monkeypatch.setattr(repro.core.problem, "dnf_conjunctions", counted)
+        provers = (
+            dnf_prover,
+            eager_farkas_lexicographic,
+            eager_generator_synthesis,
+            heuristic_prover,
+            podelski_rybalchenko,
+        )
+        blocks = len(example1_problem.blocks)
+        for runs, prover in enumerate(provers[::order], start=1):
+            prover(example1_problem)
+            assert len(expanded) == runs * blocks
 
 
 @pytest.mark.parametrize(
@@ -61,7 +103,7 @@ class TestDnfExpansion:
 )
 def test_eager_lp_solves_are_counted(prover, example1_problem):
     """Every eager Farkas LP is one cold solve, and its pivots are counted."""
-    statistics = prover(example1_problem).lp_statistics
+    _, statistics = run_counted(prover, example1_problem)
     assert statistics.cold_solves == statistics.instances >= 1
     assert statistics.warm_solves == 0
     assert statistics.pivots > 0
@@ -90,9 +132,11 @@ class TestPodelskiRybalchenko:
 
 class TestEagerFarkas:
     def test_countdown(self, countdown_problem):
-        result = eager_farkas_lexicographic(countdown_problem)
+        result, statistics = run_counted(
+            eager_farkas_lexicographic, countdown_problem
+        )
         assert result.proved
-        assert result.lp_statistics.instances >= 1
+        assert statistics.instances >= 1
 
     def test_example1_certificate(self, example1_problem):
         result = eager_farkas_lexicographic(example1_problem)
@@ -108,9 +152,9 @@ class TestEagerFarkas:
         assert not eager_farkas_lexicographic(stutter_problem).proved
 
     def test_lp_bigger_than_lazy(self, example1_problem, example1_automaton):
-        eager = eager_farkas_lexicographic(example1_problem)
+        _, eager = run_counted(eager_farkas_lexicographic, example1_problem)
         lazy = Analysis(example1_automaton, config=CONFIG).run("termite")
-        assert eager.lp_statistics.max_rows > lazy.lp_statistics.max_rows
+        assert eager.max_rows > lazy.lp_statistics.max_rows
 
 
 class TestEagerGenerators:

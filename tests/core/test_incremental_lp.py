@@ -20,9 +20,10 @@ import pytest
 
 from repro.api import Analysis, AnalysisConfig
 from repro.benchsuite.registry import get_suite
-from repro.core.lp_instance import LpStatistics, RankingLp
+from repro.core.lp_instance import LpStatistics, RankingLp, record_lp
 from repro.linalg.vector import Vector
 from repro.lp.problem import LpStatus
+from repro.metrics import recording
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import make_oracle
 
@@ -46,14 +47,19 @@ def _engine():
     return CegisEngine(make_oracle("smt"))
 
 
+def _counted(call, *args):
+    """``call(*args)`` and the :class:`LpStatistics` view of its counts."""
+    with recording() as counts:
+        result = call(*args)
+    return result, LpStatistics.from_metrics(counts)
+
+
 def _component(problem):
-    return _engine().synthesize_component(problem)
+    return _counted(_engine().synthesize_component, problem)
 
 
-def _lexicographic(problem, lp_statistics):
-    return _engine().synthesize_lexicographic(
-        problem, lp_statistics=lp_statistics
-    )
+def _lexicographic(problem):
+    return _counted(_engine().synthesize_lexicographic, problem)
 
 
 def _generator(problem, head):
@@ -102,16 +108,14 @@ class ShadowCheck:
         original = RankingLp.solve
 
         def shadowed(lp):
-            instances = lp.statistics.instances
-            pivots = lp.statistics.pivots
-            solution = original(lp)
-            if lp.statistics.instances == instances:
+            solution, statistics = _counted(original, lp)
+            if not statistics.instances:
                 return solution  # cached repeat solve: nothing was solved
             mismatches, cold_pivots = _textbook_mismatches(lp, solution)
             self.mismatches.extend(
                 "%s: %s" % (self.label, line) for line in mismatches
             )
-            self.pivots["warm"] += lp.statistics.pivots - pivots
+            self.pivots["warm"] += statistics.pivots
             self.pivots["cold"] += cold_pivots
             self.pivots["solves"] += 1
             return solution
@@ -146,12 +150,13 @@ class TestRankingLpModes:
     def test_incremental_solution_matches_cold(self, example1_automaton):
         """Same generators in, same optimum out as a cold textbook solve."""
         problem = _problem(example1_automaton)
-        statistics = LpStatistics()
-        lp = RankingLp(problem, statistics)
-        for head in ([1, -1], [-1, -1]):
-            lp.add_counterexample(_generator(problem, head))
-            solution = lp.solve()
-            assert _textbook_mismatches(lp, solution)[0] == []
+        lp = RankingLp(problem)
+        with recording() as counts:
+            for head in ([1, -1], [-1, -1]):
+                lp.add_counterexample(_generator(problem, head))
+                solution = lp.solve()
+                assert _textbook_mismatches(lp, solution)[0] == []
+        statistics = LpStatistics.from_metrics(counts)
         assert statistics.warm_solves == 1
         assert statistics.cold_solves == 1
 
@@ -174,8 +179,7 @@ class TestAuditModeAcrossTheLoop:
         shadow = ShadowCheck()
         shadow.install(monkeypatch)
         problem = _problem(example1_automaton)
-        result = _component(problem)
-        lp = result.lp_statistics
+        _, lp = _component(problem)
         assert shadow.mismatches == []
         assert shadow.pivots["solves"] == lp.instances >= 1
         assert lp.warm_solves + lp.cold_solves == lp.instances
@@ -186,8 +190,7 @@ class TestAuditModeAcrossTheLoop:
         shadow = ShadowCheck()
         shadow.install(monkeypatch)
         problem = _problem(lexicographic_automaton)
-        shared = LpStatistics()
-        result = _lexicographic(problem, shared)
+        result, shared = _lexicographic(problem)
         assert result.success
         assert shadow.mismatches == []
         assert shadow.pivots["solves"] == shared.instances >= 1
@@ -237,26 +240,34 @@ class TestVerdictsAndSavings:
 
     def test_monodim_statistics_carry_lp_counters(self, countdown_automaton):
         problem = _problem(countdown_automaton)
-        result = _component(problem)
-        lp = result.lp_statistics
+        _, lp = _component(problem)
         assert lp.instances >= 1
         assert lp.cold_solves == 1  # only the first solve starts cold
         assert lp.warm_solves + lp.cold_solves == lp.instances
         assert lp.pivots >= 1
 
     def test_shared_statistics_accumulate_across_dimensions(
-        self, lexicographic_automaton
+        self, lexicographic_automaton, monkeypatch
     ):
+        per_component = []
+        original = CegisEngine.synthesize_component
+
+        def recorded(engine, *args, **kwargs):
+            result, statistics = _counted(
+                lambda: original(engine, *args, **kwargs)
+            )
+            per_component.append(statistics)
+            return result
+
+        monkeypatch.setattr(CegisEngine, "synthesize_component", recorded)
         problem = _problem(lexicographic_automaton)
-        shared = LpStatistics()
-        result = _lexicographic(problem, shared)
+        result, shared = _lexicographic(problem)
         assert result.success
-        per_component = LpStatistics()
-        for component in result.components:
-            per_component.merge(component.lp_statistics)
-        assert shared.instances == per_component.instances
-        assert shared.pivots == per_component.pivots
-        assert shared.warm_solves == per_component.warm_solves
+        assert len(per_component) == len(result.components)
+        for name in ("instances", "pivots", "warm_solves"):
+            assert getattr(shared, name) == sum(
+                getattr(statistics, name) for statistics in per_component
+            )
 
 
 class TestStatisticsSurviveIterationBudget:
@@ -271,16 +282,19 @@ class TestStatisticsSurviveIterationBudget:
 
 class TestStatisticsMergeAndSerialisation:
     def test_merge_includes_solver_counters(self):
-        a, b = LpStatistics(), LpStatistics()
-        a.record_solve(5, warm=False)
-        b.record_solve(2, warm=True)
-        a.merge(b)
+        with recording() as counts:
+            with recording():
+                record_lp(3, 4, 5, warm=False)
+            with recording():
+                record_lp(6, 2, 2, warm=True)
+        a = LpStatistics.from_metrics(counts)
         assert a.pivots == 7
         assert a.warm_solves == 1
         assert a.cold_solves == 1
+        assert (a.max_rows, a.max_cols) == (6, 4)
 
     def test_removed_counter_in_old_payload_is_ignored(self):
-        statistics = LpStatistics(pivots=4, warm_solves=1)
+        statistics = LpStatistics.from_dict({"pivots": 4, "warm_solves": 1})
         data = dict(statistics.to_dict(), pivots_saved=3)
         assert LpStatistics.from_dict(data) == statistics
         assert "pivots_saved" not in statistics.to_dict()
@@ -291,15 +305,12 @@ class TestRepeatSolveAccounting:
         """A repeat solve with no new counterexample reuses the cached
         optimum and must not inflate the pivot/solve counters."""
         problem = _problem(example1_automaton)
-        statistics = LpStatistics()
-        lp = RankingLp(problem, statistics)
+        lp = RankingLp(problem)
         lp.add_counterexample(_generator(problem, [1, -1]))
-        first = lp.solve()
-        pivots = statistics.pivots
-        solves = statistics.warm_solves + statistics.cold_solves
-        instances = statistics.instances
-        second = lp.solve()
+        first, statistics = _counted(lp.solve)
+        assert statistics.instances == 1
+        second, repeat = _counted(lp.solve)
         assert second.gammas == first.gammas and second.deltas == first.deltas
-        assert statistics.pivots == pivots
-        assert statistics.warm_solves + statistics.cold_solves == solves
-        assert statistics.instances == instances
+        assert repeat.pivots == 0
+        assert repeat.warm_solves + repeat.cold_solves == 0
+        assert repeat.instances == 0

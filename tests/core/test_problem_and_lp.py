@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from repro.api import Analysis
-from repro.core.lp_instance import LpStatistics, RankingLp
+from repro.core.lp_instance import LpStatistics, RankingLp, record_lp
 from repro.core.problem import ONE_COORDINATE, TerminationProblem
 from repro.linalg.vector import Vector
+from repro.metrics import recording
 
 
 @pytest.fixture
@@ -112,18 +113,20 @@ class TestRankingLp:
             lp.add_counterexample(Vector([1, 2]))
 
     def test_statistics_recorded(self, example1_problem):
-        statistics = LpStatistics()
-        lp = RankingLp(example1_problem, statistics)
+        lp = RankingLp(example1_problem)
         lp.add_counterexample(Vector([0] * example1_problem.stacked_dimension))
-        lp.solve()
+        with recording() as counts:
+            lp.solve()
+        statistics = LpStatistics.from_metrics(counts)
         assert statistics.instances == 1
         assert statistics.max_rows == 1
 
     def test_statistics_merge(self):
-        a, b = LpStatistics(), LpStatistics()
-        a.record(2, 3)
-        b.record(4, 1)
-        a.merge(b)
+        with recording() as counts:
+            with recording():
+                record_lp(2, 3)
+            record_lp(4, 1)
+        a = LpStatistics.from_metrics(counts)
         assert a.instances == 2
         assert a.max_rows == 4
         assert a.average_cols == 2.0

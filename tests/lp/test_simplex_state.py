@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.problem import LpStatus, Sense
 from repro.lp.simplex import SimplexState, solve_lp
+from repro.metrics import recording
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -40,7 +41,7 @@ class TestWarmRowAddition:
         first = state.solve()
         assert first.status is LpStatus.OPTIMAL
         assert first.objective == 7
-        assert state.cold_solves == 1 and state.warm_solves == 0
+        assert not state.last_solve_warm
 
         cutting = x + y <= 5
         state.add_constraint(cutting)
@@ -48,7 +49,7 @@ class TestWarmRowAddition:
         second = state.solve()
         assert second.status is LpStatus.OPTIMAL
         assert second.objective == 5
-        assert state.warm_solves == 1
+        assert state.last_solve_warm
         # One dual pivot repairs the violated row; a cold solve pays the
         # whole two-phase bill again.
         cold = solve_lp(x + y, constraints, Sense.MAXIMIZE)
@@ -74,7 +75,7 @@ class TestWarmRowAddition:
         state.add_constraint(equality)
         constraints.append(equality)
         assert_matches_cold(state, constraints, x, Sense.MINIMIZE)
-        assert state.warm_solves == 1
+        assert state.last_solve_warm
 
     def test_infeasibility_detected_and_final(self):
         state = SimplexState(Sense.MAXIMIZE)
@@ -112,7 +113,7 @@ class TestWarmColumnsAndObjective:
         state.set_objective(y)
         result = state.solve()
         assert result.objective == 4
-        assert state.warm_solves == 1
+        assert state.last_solve_warm
 
     def test_unchanged_problem_returns_cached_result(self):
         state = SimplexState(Sense.MINIMIZE)
@@ -121,7 +122,7 @@ class TestWarmColumnsAndObjective:
         first = state.solve()
         second = state.solve()
         assert second is first
-        assert state.cold_solves == 1 and state.warm_solves == 0
+        assert not state.last_solve_warm
 
     def test_unbounded_then_cold_recovery(self):
         state = SimplexState(Sense.MINIMIZE)
@@ -135,7 +136,7 @@ class TestWarmColumnsAndObjective:
         result = state.solve()
         assert result.status is LpStatus.OPTIMAL
         assert result.objective == -7
-        assert state.cold_solves == 2
+        assert not state.last_solve_warm
 
 
 @pytest.fixture
@@ -170,7 +171,7 @@ class TestBatchedRepair:
         result = state.solve()
         assert result.status is LpStatus.OPTIMAL
         assert result.objective == 40 - (batch - 1)
-        assert state.warm_solves == 1
+        assert state.last_solve_warm
         assert len(repair_passes) == 1
 
     def test_repair_passes_accumulate_per_solve_not_per_row(self, repair_passes):
@@ -178,13 +179,13 @@ class TestBatchedRepair:
         state.add_constraints([x <= 100, x >= 0])
         state.set_objective(x)
         state.solve()
-        for bound in (90, 80, 70):
-            state.add_constraint(x <= bound)
-        state.solve()
-        for bound in (60, 50):
-            state.add_constraint(x <= bound)
-        state.solve()
-        assert state.warm_solves == 2
+        warm = []
+        for bounds in ((90, 80, 70), (60, 50)):
+            for bound in bounds:
+                state.add_constraint(x <= bound)
+            state.solve()
+            warm.append(state.last_solve_warm)
+        assert warm == [True, True]
         assert len(repair_passes) == 2  # one pass per batch
 
     def test_incremental_repricing_on_nonbasic_objective_change(self):
@@ -192,24 +193,24 @@ class TestBatchedRepair:
         state.add_constraints([x <= 5, y <= 7, x >= 0, y >= 0])
         state.set_objective(x)
         assert state.solve().objective == 5
-        before = state.incremental_repricings
         # y never entered the basis under the pure-x objective; adding a
         # y term patches the cost row in O(1) instead of re-eliminating.
         state.set_objective(x + y)
-        result = state.solve()
+        with recording() as counts:
+            result = state.solve()
         assert result.objective == 12
-        assert state.incremental_repricings > before
+        assert counts["lp.simplex.incremental_repricings"] > 0
 
     def test_constant_only_objective_change_is_free(self):
         state = SimplexState(Sense.MAXIMIZE)
         state.add_constraints([x <= 5, x >= 0])
         state.set_objective(x)
         assert state.solve().objective == 5
-        before = state.incremental_repricings
         state.set_objective(x + 3)
-        result = state.solve()
+        with recording() as counts:
+            result = state.solve()
         assert result.objective == 8
-        assert state.incremental_repricings > before
+        assert counts["lp.simplex.incremental_repricings"] > 0
 
 
 class TestValidation:
@@ -278,15 +279,22 @@ def test_incremental_prefixes_match_one_shot_solves(bounds):
 
 
 def test_pivot_accounting_totals():
+    """Each solve reports its own pivots; totals are the caller's to keep.
+
+    The state records no solve or pivot counts of its own, so a caller
+    that counts its solves (the ranking LP) counts each one once.
+    """
     state = SimplexState(Sense.MAXIMIZE)
     state.add_constraints([x <= 3, y <= 4, x >= 0, y >= 0])
     state.set_objective(x + y)
-    total = state.solve().pivots
-    state.add_constraint(x + y <= 5)
-    total += state.solve().pivots
-    assert state.total_pivots == total
+    with recording() as counts:
+        total = state.solve().pivots
+        state.add_constraint(x + y <= 5)
+        last = state.solve().pivots
+    total += last
     assert state.last_solve_warm
-    assert state.last_solve_pivots <= total
+    assert 0 < last <= total
+    assert set(counts) <= {"lp.simplex.incremental_repricings"}
 
 
 def test_fraction_exactness_preserved():

@@ -182,6 +182,28 @@ class TestDdProvesWise:
         verdict = check_ranking(analysis.problem(), result.ranking)
         assert verdict.status == CertificateVerdict.VALID
 
+    def test_path_polyhedra_are_expanded_once_per_run(self, monkeypatch):
+        import repro.core.problem
+
+        expanded = []
+        original = repro.core.problem.dnf_conjunctions
+
+        def counted(formula):
+            expanded.append(formula)
+            return original(formula)
+
+        monkeypatch.setattr(repro.core.problem, "dnf_conjunctions", counted)
+        config = AnalysisConfig(cex_oracle="dd")
+        analysis = Analysis(wtc_source("wise"), config=config, name="wise")
+        blocks = len(analysis.problem().blocks)
+        result = analysis.run("termite")
+        # Two components: the oracle was reset twice on the one expansion.
+        assert result.dimension == 2
+        assert len(expanded) == blocks
+        # A second run is charged its own expansion.
+        analysis.run("termite")
+        assert len(expanded) == 2 * blocks
+
 
 class TestStateSpaceTranslation:
     def test_flatness_constraint_translates_exactly(self, example1_automaton):
