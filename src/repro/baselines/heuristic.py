@@ -72,6 +72,10 @@ def _extreme(
     sense: Sense,
 ) -> Optional[Fraction]:
     outcome = solve_lp(expression, disjunct.constraints, sense)
+    columns = expression.variables().union(
+        *(constraint.variables() for constraint in disjunct.constraints)
+    )
+    record_lp(len(disjunct.constraints), len(columns), outcome.pivots, warm=False)
     if outcome.status is LpStatus.OPTIMAL:
         return outcome.objective
     if outcome.status is LpStatus.INFEASIBLE:
@@ -112,7 +116,6 @@ def heuristic_prover(
             non_increasing = True
             strictly_decreased: List[int] = []
             for index, disjunct in enumerate(remaining):
-                record_lp(len(disjunct.constraints), 2)
                 decrease = _extreme(delta, disjunct, Sense.MINIMIZE)
                 if decrease is None or decrease < 0:
                     non_increasing = False

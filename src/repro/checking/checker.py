@@ -218,9 +218,10 @@ def _expand(formula: Formula, negated: bool, cap: int) -> List[List[Constraint]]
                 raise _DisjunctCapExceeded()
         return union
     if isinstance(formula, Exists):
-        # Large-block formulas leave intermediate copies free rather than
-        # quantified, so this does not occur in practice; refusing keeps
-        # the checker honest instead of guessing capture semantics.
+        # Large-block formulas leave join copies and havoc inputs free
+        # rather than quantified, so this does not occur in practice;
+        # refusing keeps the checker honest instead of guessing capture
+        # semantics.
         raise _UnsupportedFormula("existential quantifier in block formula")
     raise _UnsupportedFormula("unknown formula node %r" % (formula,))
 
@@ -283,8 +284,9 @@ def _integer_predicate(problem: TerminationProblem):
     """Whether a (possibly primed/copied) variable name is integer-valued.
 
     The large-block encoding derives every auxiliary name from a program
-    variable: primed names carry a ``'`` suffix, per-location copies an
-    ``@location!batch`` suffix and freshened auxiliaries a ``!n`` suffix.
+    variable: primed names carry a ``'`` suffix, join copies an
+    ``@location!bN`` suffix, and havocked values and freshened auxiliaries
+    a ``!n`` suffix.
     """
     integers = set(problem.integer_variables)
 

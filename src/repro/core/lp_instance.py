@@ -46,22 +46,20 @@ from repro.metrics import count
 _PREFIX = "core.lp_instance."
 
 
-def record_lp(rows: int, cols: int, pivots: int = 0, warm: Optional[bool] = None) -> None:
-    """Count one LP instance of *rows* × *cols* (:mod:`repro.metrics`).
+def record_lp(rows: int, cols: int, pivots: int, warm: bool) -> None:
+    """Count one LP instance of *rows* × *cols*, solved warm-started or
+    cold with *pivots* pivots (:mod:`repro.metrics`).
 
-    The one recording site of ``LP(V, Constraints(I))`` and of the eager
-    baselines' Farkas LPs.  When *warm* is given the instance was solved
-    (warm-started or cold) with *pivots* pivots; the heuristic baseline
-    records the size of its LPs only.
+    The one recording site of ``LP(V, Constraints(I))`` and of the
+    baselines' LPs.
     """
     count(_PREFIX + "instances")
     count(_PREFIX + "rows", rows)
     count(_PREFIX + "cols", cols)
     count(_PREFIX + "rows.max", rows)
     count(_PREFIX + "cols.max", cols)
-    if warm is not None:
-        count(_PREFIX + "pivots", pivots)
-        count(_PREFIX + ("warm_solves" if warm else "cold_solves"))
+    count(_PREFIX + "pivots", pivots)
+    count(_PREFIX + ("warm_solves" if warm else "cold_solves"))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class InvariantRow:
 class TransitionDisjunct:
     """One path polyhedron ``I_source ∧ path`` of the eager expansion.
 
-    It keeps the auxiliary (intermediate copy / havoc) variables of its
+    It keeps the auxiliary (join copy / havoc) variables of its
     path: Farkas reasoning and generator projection are both exact over
     the lifted space, so no quantifier elimination is required.
     """

@@ -156,10 +156,18 @@ def formula_variables(formula: Formula) -> FrozenSet[str]:
 
 
 def formula_atoms(formula: Formula) -> List[Constraint]:
-    """All atomic constraints occurring in *formula* (duplicates removed)."""
+    """All atomic constraints occurring in *formula* (duplicates removed).
+
+    Shared sub-formulas are visited once, so the walk is linear in the
+    size of the DAG, not of its unfolding.
+    """
     seen: Dict[Constraint, None] = {}
+    visited: Set[int] = set()
 
     def walk(node: Formula) -> None:
+        if id(node) in visited:
+            return
+        visited.add(id(node))
         if isinstance(node, Atom):
             seen.setdefault(node.constraint)
             return

@@ -9,25 +9,27 @@ A transition carries
   nondeterministic assignment).  Variables absent from the update map keep
   their value.
 
-The method :meth:`Transition.relation` turns the transition into a formula
-over ``x`` and ``x'`` — the building block of both the step-by-step
-semantics used by the invariant generator and the large-block encoding
-used by the synthesiser.
+:meth:`Transition.post` is one step of symbolic execution: it maps the
+affine *versions* of the variables before the step to the guard and the
+versions after it, naming only what the step havocs.  The large-block
+encoding chains it along the paths between cut points;
+:meth:`Transition.relation` closes one step into a formula over ``x`` and
+``x'``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.linexpr.constraint import Constraint, Relation
+from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, TRUE, atom, conjunction
 from repro.linexpr.transform import (
     formula_variables,
     prime_suffix,
-    rename_formula,
+    substitute_formula,
 )
 
 _fresh_counter = itertools.count()
@@ -62,54 +64,55 @@ class Transition:
     def guard_variables(self) -> frozenset:
         return formula_variables(self.guard)
 
+    def havocs(self, name: str) -> bool:
+        """Whether the transition assigns *name* a nondeterministic value."""
+        return name in self.updates and self.updates[name] is None
+
     # -- semantics ---------------------------------------------------------------
 
-    def relation(
-        self,
-        variables: Sequence[str],
-        prime: Optional[Mapping[str, str]] = None,
-        source_renaming: Optional[Mapping[str, str]] = None,
-    ) -> Formula:
-        """The transition relation as a formula over ``x`` and ``x'``.
+    def post(
+        self, versions: Mapping[str, LinExpr]
+    ) -> Tuple[Formula, Dict[str, LinExpr]]:
+        """One symbolic step from the values *versions*.
 
-        ``prime`` maps each program variable to the name holding its value
-        *after* the transition (default: the ``'``-suffixed name);
-        ``source_renaming`` optionally renames the *pre*-state variables
-        (used by the large-block encoder, which gives every intermediate
-        location its own copies).  Auxiliary (havoc) variables are renamed
-        to globally fresh names so that two occurrences of the same
+        *versions* maps every program variable to the affine expression
+        holding its value before the step.  Returns the guard over those
+        values and the version map after the step: an assigned variable's
+        version is its update over the current versions, a havocked one
+        gets a fresh name, and every auxiliary variable (a havoc input)
+        is renamed to a fresh name, so that two steps of the same
         transition never share their nondeterministic choices.
         """
-        if prime is None:
-            prime = {name: prime_suffix(name) for name in variables}
-        source_renaming = dict(source_renaming or {})
-
-        # Fresh copies for auxiliary variables appearing in the guard or in
-        # the right-hand sides but not being program variables.
-        auxiliaries = set()
-        auxiliaries |= set(self.guard_variables()) - set(variables)
+        auxiliaries = set(self.guard_variables())
         for expression in self.updates.values():
             if expression is not None:
-                auxiliaries |= set(expression.variables()) - set(variables)
-        aux_renaming = {name: fresh_variable(name) for name in sorted(auxiliaries)}
-
-        pre_renaming = dict(aux_renaming)
-        pre_renaming.update(source_renaming)
-
-        parts: List[Formula] = [rename_formula(self.guard, pre_renaming)]
-        for name in variables:
-            post_name = prime[name]
-            expression = self.updates.get(name, LinExpr.variable(name))
+                auxiliaries |= expression.variables()
+        substitution = dict(versions)
+        for name in sorted(auxiliaries - set(versions)):
+            substitution[name] = LinExpr.variable(fresh_variable(name))
+        after = dict(versions)
+        for name, expression in self.updates.items():
             if expression is None:
-                # Havoc: the post value is unconstrained, nothing to add.
-                continue
-            renamed = expression.rename(pre_renaming)
-            parts.append(
-                Constraint(
-                    LinExpr.variable(post_name) - renamed,
-                    Relation.EQ,
+                after[name] = LinExpr.variable(fresh_variable(name))
+            else:
+                after[name] = expression.substitute(substitution)
+        return substitute_formula(self.guard, substitution), after
+
+    def relation(self, variables: Sequence[str]) -> Formula:
+        """The transition relation as a formula over ``x`` and ``x'``.
+
+        :meth:`post` from the identity versions, plus ``x' = version(x)``
+        for every variable the transition does not havoc.
+        """
+        guard, after = self.post(
+            {name: LinExpr.variable(name) for name in variables}
+        )
+        parts: List[Formula] = [guard]
+        for name in variables:
+            if not self.havocs(name):
+                parts.append(
+                    LinExpr.variable(prime_suffix(name)).eq(after[name])
                 )
-            )
         return conjunction(parts)
 
     def guard_constraints(self) -> Optional[List[Constraint]]:

@@ -10,6 +10,7 @@ from repro.baselines import (
     heuristic_prover,
     podelski_rybalchenko,
 )
+from repro.benchsuite.registry import get_program
 from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
 from repro.linexpr.expr import var
@@ -188,3 +189,12 @@ class TestHeuristic:
         assert result.name.startswith("heuristic")
         assert result.time_seconds >= 0
         assert "candidates" in result.details
+
+    def test_records_every_lp_it_solves(self):
+        program = get_program("wtc", "easy2")
+        result = Analysis(program.build(), config=CONFIG).run("heuristic")
+        statistics = result.lp_statistics
+        assert statistics.instances > 0
+        assert statistics.pivots > 0
+        assert statistics.cold_solves == statistics.instances
+        assert statistics.warm_solves == 0

@@ -124,8 +124,8 @@ class TestRankingLp:
     def test_statistics_merge(self):
         with recording() as counts:
             with recording():
-                record_lp(2, 3)
-            record_lp(4, 1)
+                record_lp(2, 3, 1, warm=False)
+            record_lp(4, 1, 0, warm=True)
         a = LpStatistics.from_metrics(counts)
         assert a.instances == 2
         assert a.max_rows == 4

@@ -2,7 +2,8 @@
 
 
 from repro.linexpr.expr import var
-from repro.linexpr.transform import prime_suffix
+from repro.linexpr.transform import formula_variables, prime_suffix
+from repro.metrics import recording
 from repro.program.builder import AutomatonBuilder
 from repro.program.cutset import compute_cutset, is_cutset
 from repro.program.large_block import large_block_encoding
@@ -18,6 +19,17 @@ def nested_loops():
     builder.transition("outer", "inner", guard=[i <= 9], updates={"j": 0})
     builder.transition("inner", "inner", guard=[j <= 9], updates={"j": j + 1})
     builder.transition("inner", "outer", guard=[j >= 10], updates={"i": i + 1})
+    return builder.build()
+
+
+def joined_diamond_loop():
+    """A loop body whose two branches meet at a join before the head."""
+    builder = AutomatonBuilder(["x", "y"], initial="head")
+    builder.transition("head", "left", guard=[x >= 1])
+    builder.transition("head", "right", guard=[x >= 1])
+    builder.transition("left", "join", updates={"x": x - 1})
+    builder.transition("right", "join", updates={"x": x - 2})
+    builder.transition("join", "head", guard=[y >= x])
     return builder.build()
 
 
@@ -91,3 +103,20 @@ class TestLargeBlocks:
         assert ("outer", "inner") in pairs
         assert ("inner", "outer") in pairs
         assert ("outer", "outer") not in pairs
+
+    def test_only_disagreeing_variables_get_a_join_copy(self):
+        with recording() as counters:
+            (block,) = large_block_encoding(joined_diamond_loop(), ["head"])
+        assert block.path_count == 2
+        names = formula_variables(block.formula)
+        copies = names - {"x", "y", "x'", "y'"}
+        assert len(copies) == 1 and next(iter(copies)).startswith("x@join!b")
+        assert counters["program.large_block.join_copies"] == 1
+        # x >= 1, the two join equalities, y >= copy, x' = copy, y' = y.
+        assert counters["program.large_block.atoms"] == 6
+
+    def test_havoc_on_the_last_edge_leaves_the_primed_value_free(self):
+        builder = AutomatonBuilder(["x", "y"], initial="head")
+        builder.transition("head", "head", guard=[x >= 1], updates={"y": None})
+        (block,) = large_block_encoding(builder.build(), ["head"])
+        assert formula_variables(block.formula) == {"x", "x'"}

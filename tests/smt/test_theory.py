@@ -245,16 +245,19 @@ class TestCertificateCheck:
 def test_program_theory_calls_pinned(monkeypatch):
     """Farkas cores block whole families of paths at once.
 
-    On ``sorts/bubble_sort`` the DPLL(T) loop of the synthesis needs 19
+    On ``sorts/bubble_sort`` the DPLL(T) loop of the synthesis needs 15
     theory checks, and the count repeats exactly.  Blocking each conflict
-    whole, as a solver without cores for large conflicts does, takes 66.
+    whole, as a solver without cores for large conflicts does, took 66
+    under the earlier per-location block encoding.
     The count follows the Farkas certificate the simplex ends on, and it
     counts two savings on top of the cores: one SMT context per CEGIS
     component keeps the cores of one oracle query for the next, and the
     bound axioms refute parallel pairs such as ``x ≤ 0 ∧ x ≥ 1`` with no
     theory check.  With a fresh context per query and no axioms the
-    count was 31 (138 blocking whole).  The certificate stage is off, so
-    the pin measures synthesis alone.
+    count was 31 (138 blocking whole).  The SSA block encoding, which
+    names a variable only where it changes, took it from 19 to 15: with
+    no per-location copies, fewer atoms reach the SAT solver.  The
+    certificate stage is off, so the pin measures synthesis alone.
     """
     import repro.smt.solver as solver_module
     from repro.api import Analysis, AnalysisConfig
@@ -275,4 +278,4 @@ def test_program_theory_calls_pinned(monkeypatch):
         name=program.name,
     ).run("termite")
     assert result.proved
-    assert len(calls) == 19
+    assert len(calls) == 15
