@@ -62,14 +62,20 @@ class TransitionDisjunct:
     It keeps the auxiliary (join copy / havoc) variables of its
     path: Farkas reasoning and generator projection are both exact over
     the lifted space, so no quantifier elimination is required.
+
+    Its dimensions are the variables of its rows plus ``primed``, the
+    post-state copies ``x'`` of the program variables: a havoc on the
+    last edge into the target leaves ``x'`` in no row, and it must stay a
+    free dimension, not a coordinate fixed at 0.
     """
 
     source: str
     target: str
     constraints: Tuple[Constraint, ...]
+    primed: Tuple[str, ...] = ()
 
     def variables(self) -> List[str]:
-        names: Set[str] = set()
+        names: Set[str] = set(self.primed)
         for constraint in self.constraints:
             names |= constraint.variables()
         return sorted(names)
@@ -188,6 +194,7 @@ class TerminationProblem:
         ``dd`` oracle keeps one expansion for all components of its run.
         """
         integer_variables = self.smt_integer_variables()
+        primed = tuple(prime_suffix(name) for name in self.variables)
         disjuncts: List[TransitionDisjunct] = []
         for block in self.blocks:
             invariant = self.invariant(block.source).constraints
@@ -198,7 +205,9 @@ class TerminationProblem:
                 )
                 if check_conjunction(rows).satisfiable:
                     disjuncts.append(
-                        TransitionDisjunct(block.source, block.target, rows)
+                        TransitionDisjunct(
+                            block.source, block.target, rows, primed
+                        )
                     )
         return tuple(disjuncts)
 

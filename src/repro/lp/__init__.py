@@ -11,6 +11,7 @@ integer programs.  It is the workhorse behind
 
 from repro.lp.problem import (
     LinearProgram,
+    LinearRow,
     LpResult,
     LpStatus,
     Sense,
@@ -20,6 +21,7 @@ from repro.lp.branch_bound import solve_ilp
 
 __all__ = [
     "LinearProgram",
+    "LinearRow",
     "LpResult",
     "LpStatus",
     "Sense",

@@ -12,7 +12,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from math import gcd
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -31,6 +41,74 @@ class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+class LinearRow(NamedTuple):
+    """A constraint lowered to integers: ``(Σ n_i·x_i + c) / d ⋈ 0``.
+
+    ``names`` are sorted and ``numerators`` follow them; ``d > 0`` and
+    ``gcd(n…, c, d) = 1``, so the row holds the exact values of the
+    :class:`~repro.linexpr.constraint.Constraint` it came from in one
+    canonical form.  :func:`~repro.lp.simplex.solve_lp` takes a row in
+    place of a constraint and reads the integers as they are, with no
+    ``Fraction`` arithmetic; the SMT theory lowers each atom to its rows
+    once (:mod:`repro.smt.theory`).
+    """
+
+    relation: Relation
+    names: Tuple[str, ...]
+    numerators: Tuple[int, ...]
+    constant: int
+    denominator: int = 1
+
+    @classmethod
+    def of(cls, constraint: Constraint) -> "LinearRow":
+        """*constraint* over the common denominator of its coefficients."""
+        expr = constraint.expr
+        terms = expr.terms
+        constant = expr.constant_term
+        denominator = constant.denominator
+        for value in terms.values():
+            scale = value.denominator
+            if scale != 1:
+                denominator = denominator * scale // gcd(denominator, scale)
+        return cls(
+            constraint.relation,
+            tuple(terms),
+            tuple(
+                value.numerator * (denominator // value.denominator)
+                for value in terms.values()
+            ),
+            constant.numerator * (denominator // constant.denominator),
+            denominator,
+        )
+
+    def variables(self) -> FrozenSet[str]:
+        return frozenset(self.names)
+
+    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
+        """Whether the row holds; a variable without a value raises KeyError.
+
+        The row's value times ``d`` is summed as one integer fraction
+        ``numerator / denominator`` with a positive denominator, so its
+        sign is the sign of ``numerator``.
+        """
+        numerator, denominator = self.constant, 1
+        for name, coefficient in zip(self.names, self.numerators):
+            value = assignment[name]
+            scale = value.denominator
+            if scale == denominator:
+                numerator += coefficient * value.numerator
+            else:
+                numerator = (
+                    numerator * scale + coefficient * value.numerator * denominator
+                )
+                denominator *= scale
+        if self.relation is Relation.LE:
+            return numerator <= 0
+        if self.relation is Relation.LT:
+            return numerator < 0
+        return numerator == 0
 
 
 @dataclass

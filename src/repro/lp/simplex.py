@@ -25,12 +25,12 @@ Two entry points are provided:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.lp.problem import LpResult, LpStatus, Sense
+from repro.lp.problem import LinearRow, LpResult, LpStatus, Sense
 from repro.metrics import count
 
 _ZERO = Fraction(0)
@@ -114,17 +114,43 @@ def _expr_row(
     return SparseRow.from_pairs(pairs)
 
 
+def _linear_row(row: LinearRow, position: Dict[str, int]) -> SparseRow:
+    """A lowered row as a :class:`SparseRow` over variable positions.
+
+    The same row :func:`_expr_row` builds from the constraint, read off
+    the row's integers with no ``Fraction`` arithmetic.
+    """
+    try:
+        indices = [position[name] for name in row.names]
+    except KeyError as error:
+        raise ValueError(
+            "constraint mentions undeclared variable %r" % error.args[0]
+        ) from None
+    numerators = list(row.numerators)
+    if indices != sorted(indices):  # positions not in name order
+        pairs = sorted(zip(indices, numerators))
+        indices = [index for index, _ in pairs]
+        numerators = [numerator for _, numerator in pairs]
+    if row.constant:
+        indices.insert(0, _RHS)
+        numerators.insert(0, row.constant)
+    return SparseRow._make(indices, numerators, row.denominator)
+
+
 def _constraint_rows(
-    constraints: Sequence[Constraint], position: Dict[str, int]
+    constraints: Sequence[Union[Constraint, LinearRow]],
+    position: Dict[str, int],
 ) -> List[Tuple[Relation, SparseRow]]:
     """Each ``expr ⋈ 0`` as ``(⋈, expr row)`` (see :func:`_expr_row`)."""
     rows = []
     for constraint in constraints:
         if constraint.relation is Relation.LT:
             raise ValueError("strict inequalities are not LP constraints")
-        rows.append(
-            (constraint.relation, _expr_row(constraint.expr, position, "constraint"))
-        )
+        if isinstance(constraint, LinearRow):
+            row = _linear_row(constraint, position)
+        else:
+            row = _expr_row(constraint.expr, position, "constraint")
+        rows.append((constraint.relation, row))
     return rows
 
 
@@ -692,7 +718,13 @@ class _EqualityElimination:
                 candidates,
                 key=lambda column: (len(occurrences[column]), variables[column]),
             )
-            tagged = row + SparseRow((width + pivot_index,), (1,))
+            # Tags of earlier pivots sit below this one, so the tag column
+            # (value 1) goes at the end of the row.
+            tagged = SparseRow._make(
+                list(row.indices) + [width + pivot_index],
+                list(row.numerators) + [row.denominator],
+                row.denominator,
+            )
             current[pivot_index] = None
             for column in row.indices:
                 if 0 <= column < width:
@@ -728,21 +760,34 @@ class _EqualityElimination:
         """Extend a reduced point (or, *homogeneous*, a ray) to every variable.
 
         Back-substitutes in reverse pivot order: a pivot row mentions only
-        variables eliminated after it, which are already known.
+        variables eliminated after it, which are already known.  Each sum
+        is kept as one integer fraction ``numerator / denominator``, so a
+        pivot costs one ``Fraction`` instead of one per term.
         """
         width = len(self.variables)
         point = [values.get(name, _ZERO) for name in self.variables]
         for pivot, tagged in reversed(self.pivots):
-            total = _ZERO
-            for column, numerator in tagged.iter_scaled():
+            numerator, denominator = 0, 1
+            for column, coefficient in tagged.iter_scaled():
                 if column >= width:
                     break
                 if column == _RHS:
                     if not homogeneous:
-                        total += numerator
+                        numerator += coefficient * denominator
                 elif column != pivot:
-                    total += numerator * point[column]
-            point[pivot] = -total / tagged.numerator_at(pivot)
+                    value = point[column]
+                    scale = value.denominator
+                    if scale == denominator:
+                        numerator += coefficient * value.numerator
+                    else:
+                        numerator = (
+                            numerator * scale
+                            + coefficient * value.numerator * denominator
+                        )
+                        denominator *= scale
+            point[pivot] = Fraction(
+                -numerator, denominator * tagged.numerator_at(pivot)
+            )
         return dict(zip(self.variables, point))
 
     def lift_multipliers(
@@ -759,25 +804,32 @@ class _EqualityElimination:
         for (_, row), index, weight in zip(self.kept_rows, self.kept, reduced):
             multipliers[index] = weight
             if weight:
-                for column, value in row.items():
+                for column, numerator in row.iter_scaled():
                     if column >= width:
-                        multipliers[column - width] += weight * value
+                        multipliers[column - width] += weight * Fraction(
+                            numerator, row.denominator
+                        )
         if optimal:
-            for column, value in self.objective.items():
+            for column, numerator in self.objective.iter_scaled():
                 if column >= width:
-                    multipliers[column - width] += value
+                    multipliers[column - width] += Fraction(
+                        numerator, self.objective.denominator
+                    )
         return multipliers
 
 
 def solve_lp(
     objective: LinExpr,
-    constraints: Sequence[Constraint],
+    constraints: Sequence[Union[Constraint, LinearRow]],
     sense: Sense = Sense.MINIMIZE,
     variables: Optional[Sequence[str]] = None,
     nonnegative: FrozenSet[str] = frozenset(),
 ) -> LpResult:
     """Solve ``optimise objective subject to constraints`` exactly.
 
+    Each constraint is a :class:`~repro.linexpr.constraint.Constraint` or
+    a :class:`~repro.lp.problem.LinearRow` lowered from one (the SMT
+    theory hands over the rows it stores per atom).
     ``variables`` fixes the set (and order) of variables appearing in the
     result; when omitted it is inferred from the constraints and objective.
     Variables in ``nonnegative`` are treated as implicitly ``≥ 0`` (single

@@ -14,6 +14,10 @@ disjoint get the binary clause ``¬a ∨ ¬b``.  The SAT core then refutes a
 pair such as ``x ≤ 0 ∧ x ≥ 1`` on its own, with no theory check.
 Disjointness is decided over the rationals, so every axiom also holds
 over the integers.
+
+Given the context's :class:`~repro.smt.theory.AtomTable`, the encoder
+has the theory lower each new atom to its simplex rows, once, when the
+atom gets its literal.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.linexpr.formula import (
 from repro.linexpr.transform import to_nnf
 from repro.metrics import count
 from repro.smt.sat import SatSolver
+from repro.smt.theory import AtomTable
 
 #: One end of an interval: (value, strict), or None when unbounded.
 _End = Optional[Tuple[Fraction, bool]]
@@ -84,8 +89,9 @@ def _disjoint(first: Tuple[_End, _End], second: Tuple[_End, _End]) -> bool:
 class CnfEncoder:
     """Maps formulas to clauses of a :class:`~repro.smt.sat.SatSolver`."""
 
-    def __init__(self, solver: SatSolver):
+    def __init__(self, solver: SatSolver, atoms: Optional[AtomTable] = None):
         self._solver = solver
+        self._atoms = atoms
         self._atom_literal: Dict[Constraint, int] = {}
         self._literal_atom: Dict[int, Constraint] = {}
         # The cache stores (formula, literal) pairs: keeping a reference to
@@ -107,6 +113,8 @@ class CnfEncoder:
             self._atom_literal[key] = literal
             self._literal_atom[literal] = key
             self._add_bound_axioms(key, literal)
+            if self._atoms is not None:
+                self._atoms.lower(key)
         return literal
 
     def _add_bound_axioms(self, constraint: Constraint, literal: int) -> None:
@@ -121,10 +129,6 @@ class CnfEncoder:
                 count("smt.solver.bound_axioms")
                 self._solver.add_clause([-literal, -other])
         filed.append((literal, interval))
-
-    def atoms(self) -> Dict[int, Constraint]:
-        """Mapping from propositional variable to the atom it encodes."""
-        return dict(self._literal_atom)
 
     def constraint_of(self, variable: int) -> Optional[Constraint]:
         return self._literal_atom.get(variable)

@@ -14,7 +14,10 @@ paper needs, and it is what keeps the query cheap.
 One :class:`OptimizingSmtSolver` is one SMT context.  The fixed part of a
 sequence of queries (``I ∧ τ``) is asserted once; each query passes its
 own formulas as ``scoped``, asserted under a guard for that call only, so
-the theory lemmas of earlier queries keep pruning the later ones.
+the theory lemmas of earlier queries keep pruning the later ones.  The
+minimisation reads the closure rows of the disjunct's atoms from the
+context's atom table (:class:`~repro.smt.theory.AtomTable`), where the
+DPLL(T) checks before it lowered them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.lp.problem import LpStatus, Sense
+from repro.lp.problem import LinearRow, LpStatus, Sense
 from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
 from repro.smt.theory import solve
@@ -62,9 +65,6 @@ class OptimizingSmtSolver:
     def assert_formula(self, formula) -> None:
         """Conjoin *formula* (a Formula or a bare Constraint) for good."""
         self._solver.assert_formula(formula)
-
-    def add_integer_variables(self, names: Iterable[str]) -> None:
-        self._solver.add_integer_variables(names)
 
     # -- queries --------------------------------------------------------------------
 
@@ -115,10 +115,13 @@ class OptimizingSmtSolver:
         fallback_model: Dict[str, Fraction],
     ) -> OptimizationResult:
         """Minimise the objective inside one theory-consistent conjunction."""
-        closure = [constraint.weaken() for constraint in constraints]
+        table = self._solver.atoms
+        atoms = [table.lower(constraint) for constraint in constraints]
+        rows = [atom.row for atom in atoms]
+        closure = [atom.closure for atom in atoms]
         names = sorted(
             set(fallback_model)
-            | {n for c in closure for n in c.variables()}
+            | {name for row in closure for name in row.names}
             | set(objective.variables())
         )
         outcome = solve(
@@ -126,7 +129,7 @@ class OptimizingSmtSolver:
             closure,
             Sense.MINIMIZE,
             names,
-            self._solver.integer_variables,
+            table.integer_variables,
         )
 
         if outcome.status is LpStatus.UNBOUNDED:
@@ -136,7 +139,7 @@ class OptimizingSmtSolver:
                 if value != 0
             }
             model = self._complete(outcome.assignment or fallback_model, names)
-            if not self._satisfies(constraints, model):
+            if not self._satisfies(rows, model):
                 model = self._complete(fallback_model, names)
             value = objective.evaluate(model)
             return OptimizationResult(
@@ -149,7 +152,7 @@ class OptimizingSmtSolver:
 
         if outcome.status is LpStatus.OPTIMAL:
             model = self._complete(outcome.assignment, names)
-            if self._satisfies(constraints, model):
+            if self._satisfies(rows, model):
                 return OptimizationResult(
                     SmtStatus.SAT,
                     model=model,
@@ -165,11 +168,9 @@ class OptimizingSmtSolver:
         )
 
     @staticmethod
-    def _satisfies(
-        constraints: Sequence[Constraint], model: Dict[str, Fraction]
-    ) -> bool:
+    def _satisfies(rows: Sequence[LinearRow], model: Dict[str, Fraction]) -> bool:
         try:
-            return all(c.satisfied_by(model) for c in constraints)
+            return all(row.satisfied_by(model) for row in rows)
         except KeyError:
             return False
 

@@ -13,6 +13,11 @@ linear-arithmetic theory solver (:mod:`repro.smt.theory`):
    either a theory-consistent model is found or the propositional
    abstraction becomes unsatisfiable.
 
+Each atom is lowered to its simplex rows once, when the encoder gives it
+its literal, into the context's :class:`~repro.smt.theory.AtomTable`; a
+theory check gathers the stored rows of the justified atoms instead of
+converting them again.
+
 One solver is one long-lived context.  Formulas asserted without a
 guard hold for every query; a formula asserted under a *guard* (a fresh
 boolean variable, assumed true in each SAT call until :meth:`retire`)
@@ -26,6 +31,8 @@ theory checks and conflicts, and how each conflict was blocked:
 through the whole assignment; ``bound_axioms`` counts the clauses
 :mod:`repro.smt.cnf` adds between disjoint parallel bounds, and
 ``round_cap_hits`` the checks that gave up (:class:`TheoryRoundLimit`).
+``smt.theory.atoms_lowered`` counts the atoms each context lowered and
+``smt.theory.rows`` the rows its theory checks were handed.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.linexpr.constraint import Constraint, Relation
+from repro.linexpr.constraint import Constraint
 from repro.linexpr.formula import (
     And,
     Atom,
@@ -50,7 +57,7 @@ from repro.linexpr.transform import formula_variables, to_nnf
 from repro.metrics import count
 from repro.smt.cnf import CnfEncoder
 from repro.smt.sat import SatSolver
-from repro.smt.theory import check_conjunction
+from repro.smt.theory import AtomTable, check_conjunction
 
 
 #: Theory/SAT rounds one check may take before it gives up.
@@ -88,17 +95,14 @@ class SmtSolver:
 
     def __init__(self, integer_variables: Optional[Iterable[str]] = None):
         self._sat = SatSolver()
-        self._encoder = CnfEncoder(self._sat)
-        self._integer_variables: Set[str] = set(integer_variables or ())
+        self._atoms = AtomTable(integer_variables or ())
+        self._encoder = CnfEncoder(self._sat, self._atoms)
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
         # Active guard → the formulas it switches on and their variables.
         self._guarded: Dict[int, Tuple[List[Formula], Set[str]]] = {}
 
     # -- problem construction ---------------------------------------------------
-
-    def add_integer_variables(self, names: Iterable[str]) -> None:
-        self._integer_variables |= set(names)
 
     def assert_formula(self, formula, guard: Optional[int] = None) -> None:
         """Conjoin *formula* (a Formula or a bare Constraint) to the assertions.
@@ -174,7 +178,8 @@ class SmtSolver:
             literals = self._theory_literals(boolean_model)
             constraints = self._constraints_of(literals)
             count("smt.solver.theory_calls")
-            outcome = check_conjunction(constraints, self._integer_variables)
+            count("smt.theory.rows", len(constraints))
+            outcome = check_conjunction(constraints, atoms=self._atoms)
             if outcome.satisfiable:
                 return literals, outcome.model
             count("smt.solver.theory_conflicts")
@@ -266,30 +271,8 @@ class SmtSolver:
         return False
 
     def _constraints_of(self, literals: Sequence[int]) -> List[Constraint]:
-        constraints: List[Constraint] = []
-        for literal in literals:
-            constraint = self._encoder.constraint_of(abs(literal))
-            if constraint is None:
-                continue
-            if literal > 0:
-                constraints.append(constraint)
-            else:
-                constraints.append(self._negate(constraint))
-        return constraints
-
-    @staticmethod
-    def _negate(constraint: Constraint) -> Constraint:
-        if constraint.relation is Relation.EQ:
-            # ¬(e = 0) is a disjunction; over-approximating it as TRUE would
-            # be unsound for satisfiability, so keep it as a non-strict
-            # disequality witness: we choose the half the theory can check.
-            # The encoder never produces negative equality literals because
-            # equalities appear positively in the NNF input fragment, so
-            # reaching this branch indicates a blocking clause artefact; the
-            # safe over-approximation for *blocking* purposes is "true",
-            # represented by a trivially satisfied constraint.
-            return Constraint(constraint.expr * 0, Relation.LE)
-        return constraint.negate()
+        """The atoms of the justified literals, which are all positive."""
+        return [self._encoder.constraint_of(literal) for literal in literals]
 
     def _complete_model(self, theory_model: Dict[str, Fraction]) -> Dict[str, Fraction]:
         model = dict(theory_model)
@@ -300,8 +283,9 @@ class SmtSolver:
     # -- helpers exposed to the optimiser -----------------------------------------------
 
     @property
-    def integer_variables(self) -> Set[str]:
-        return set(self._integer_variables)
+    def atoms(self) -> AtomTable:
+        """The context's lowered atoms, and its integer variables."""
+        return self._atoms
 
     @property
     def free_variables(self) -> Set[str]:

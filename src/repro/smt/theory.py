@@ -5,18 +5,30 @@ or integer variables, the solver decides satisfiability, produces a model
 and, when unsatisfiable, an *unsat core* that the lazy SMT loop turns into
 a blocking clause.
 
-Strict inequalities are handled exactly with the standard trick: every
-``e < 0`` is replaced by ``e + δ ≤ 0`` for a shared fresh variable ``δ``
-and we maximise ``δ`` under ``0 ≤ δ ≤ 1``; the conjunction is satisfiable
-with strict inequalities iff the maximum is positive.  Constraints whose
-variables are all integers are instead tightened to ``e ≤ -1`` which keeps
-the branch-and-bound integer search exact.
+Every constraint is first *lowered* (:func:`lower_atom`) to integer rows
+(:class:`~repro.lp.problem.LinearRow`), once: an SMT context keeps one
+:class:`AtomTable`, and the CNF encoder has it lower each atom when the
+atom gets its literal, so a DPLL(T) check only gathers stored rows.  A
+lowered atom holds
+
+* the row the LP solves.  Strict inequalities are handled exactly with
+  the standard trick: every ``e < 0`` becomes ``e + δ ≤ 0`` for a shared
+  fresh variable ``δ``, and the LP maximises ``δ`` under ``0 ≤ δ ≤ 1``;
+  the conjunction is satisfiable with strict inequalities iff the
+  maximum is positive.  A strict constraint whose variables are all
+  integers is instead tightened to ``e ≤ -1``, which keeps the
+  branch-and-bound integer search exact;
+* the *checked* form a certificate must refute: the tightened row where
+  tightening applied, the constraint itself otherwise;
+* its closure (``<`` relaxed to ``≤``), which the OMT step minimises
+  over (:mod:`repro.smt.optimize`).
 
 The core comes for free with the LP that decided the conjunction: it is
 the support of the simplex multipliers (``LpResult.multipliers``) — a
-phase-1 Farkas certificate, or the phase-2 duals of the ``max δ`` LP.  Before it is used, the certificate is re-checked exactly
-against the input by :func:`_farkas_core` (Motzkin's transposition
-theorem, in ``LinExpr`` arithmetic, no LP).  A conflict without a checked
+phase-1 Farkas certificate, or the phase-2 duals of the ``max δ`` LP.
+Before it is used, the certificate is re-checked exactly against the
+checked forms by :func:`_farkas_core` (Motzkin's transposition theorem,
+in integer row arithmetic, no LP).  A conflict without a checked
 certificate — branch and bound refuted it below the root, or the check
 failed — reports the whole conjunction as its core, which is always sound.
 """
@@ -25,16 +37,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from math import gcd
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 from repro.lp.branch_bound import BranchAndBoundLimit, solve_ilp
-from repro.lp.problem import LpStatus, Sense
+from repro.lp.problem import LinearRow, LpStatus, Sense
 from repro.lp.simplex import solve_lp
 from repro.metrics import count
 
 _DELTA = "__delta__"
+_DELTA_OBJECTIVE = LinExpr.variable(_DELTA)
+#: ``0 ≤ δ ≤ 1`` as rows: ``−δ ≤ 0`` and ``δ − 1 ≤ 0``.
+_DELTA_BOUNDS = (
+    LinearRow(Relation.LE, (_DELTA,), (-1,), 0),
+    LinearRow(Relation.LE, (_DELTA,), (1,), -1),
+)
 
 
 @dataclass
@@ -55,72 +83,98 @@ class TheoryResult:
         return self.satisfiable
 
 
-def _prepare(
-    constraints: Sequence[Constraint], integer_variables: Set[str]
-) -> Tuple[List[Constraint], List[Constraint], bool]:
-    """Rewrite strict inequalities; returns (rows, checked, uses_delta).
+class TheoryAtom(NamedTuple):
+    """One constraint lowered for the theory (see the module docstring).
 
-    ``checked[i]`` is the form of constraint ``i`` a certificate must
-    refute: the integer-tightened row where tightening applied, the input
-    constraint otherwise.
+    ``row`` is the constraint itself, ``lp`` the row the LP solves (it
+    mentions ``δ`` when ``delta``), ``checked`` the form a certificate
+    refutes and ``closure`` the row the OMT step minimises over; ``false``
+    marks a constraint that no assignment satisfies.
     """
-    rows: List[Constraint] = []
-    checked: List[Constraint] = []
-    uses_delta = False
-    for constraint in constraints:
-        if constraint.relation is Relation.LT:
-            integral = constraint.variables() <= integer_variables
-            tightened = constraint.tighten_for_integers() if integral else None
-            if tightened is not None and tightened.relation is Relation.LE:
-                rows.append(tightened)
-                checked.append(tightened)
-                continue
-            rows.append(
-                Constraint(
-                    constraint.expr + LinExpr.variable(_DELTA),
-                    Relation.LE,
-                )
-            )
-            uses_delta = True
-        else:
-            rows.append(constraint)
-        checked.append(constraint)
-    return rows, checked, uses_delta
+
+    row: LinearRow
+    lp: LinearRow
+    checked: LinearRow
+    closure: LinearRow
+    delta: bool
+    false: bool
+
+
+def lower_atom(
+    constraint: Constraint, integer_variables: AbstractSet[str]
+) -> TheoryAtom:
+    """Lower *constraint* to the rows the theory solves and checks."""
+    row = LinearRow.of(constraint)
+    false = constraint.is_trivially_false()
+    if row.relation is not Relation.LT:
+        return TheoryAtom(row, row, row, row, False, false)
+    closure = row._replace(relation=Relation.LE)
+    if row.denominator == 1 and constraint.variables() <= integer_variables:
+        # ``e < 0`` with integral coefficients on integers: ``e + 1 ≤ 0``.
+        tightened = closure._replace(constant=row.constant + 1)
+        return TheoryAtom(row, tightened, tightened, closure, False, false)
+    names = tuple(sorted(row.names + (_DELTA,)))
+    coefficients = dict(zip(row.names, row.numerators))
+    coefficients[_DELTA] = row.denominator
+    lp = closure._replace(
+        names=names, numerators=tuple(coefficients[name] for name in names)
+    )
+    return TheoryAtom(row, lp, row, closure, True, false)
+
+
+class AtomTable:
+    """The lowered atoms of one SMT context, each lowered once.
+
+    Keyed by constraint; the SMT context's atoms are interned normalised
+    constraints, so a lookup is an identity hit.  Each new atom is
+    counted as ``smt.theory.atoms_lowered``.
+    """
+
+    def __init__(self, integer_variables: Iterable[str] = ()):
+        self.integer_variables: Set[str] = set(integer_variables)
+        self._atoms: Dict[Constraint, TheoryAtom] = {}
+
+    def lower(self, constraint: Constraint) -> TheoryAtom:
+        """The lowered form of *constraint*, lowering it on first sight."""
+        atom = self._atoms.get(constraint)
+        if atom is None:
+            count("smt.theory.atoms_lowered")
+            atom = lower_atom(constraint, self.integer_variables)
+            self._atoms[constraint] = atom
+        return atom
 
 
 def check_conjunction(
     constraints: Sequence[Constraint],
     integer_variables: Optional[Set[str]] = None,
+    atoms: Optional[AtomTable] = None,
 ) -> TheoryResult:
-    """Decide satisfiability of a conjunction of linear constraints."""
-    integer_variables = integer_variables or set()
+    """Decide satisfiability of a conjunction of linear constraints.
 
-    trivially_false = [
-        index
-        for index, constraint in enumerate(constraints)
-        if constraint.is_trivially_false()
-    ]
-    if trivially_false:
-        return TheoryResult(False, core=[trivially_false[0]], certified=True)
+    With *atoms*, an SMT context's table, the constraints' rows are looked
+    up there and the table's integer variables apply; otherwise each
+    constraint is lowered here, through the same :func:`lower_atom`.
+    """
+    if atoms is None:
+        integers = set(integer_variables or ())
+        lowered = [lower_atom(constraint, integers) for constraint in constraints]
+    else:
+        integers = atoms.integer_variables
+        lowered = [atoms.lower(constraint) for constraint in constraints]
 
-    rows, checked, uses_delta = _prepare(constraints, integer_variables)
+    for index, atom in enumerate(lowered):
+        if atom.false:
+            return TheoryResult(False, core=[index], certified=True)
 
-    all_variables: List[str] = sorted(
-        {name for row in rows for name in row.variables()}
-    )
-
-    if uses_delta:
-        objective = LinExpr.variable(_DELTA)
-        bounds = [
-            LinExpr.variable(_DELTA) >= 0,
-            LinExpr.variable(_DELTA) <= 1,
-        ]
+    rows = [atom.lp for atom in lowered]
+    names = sorted({name for row in rows for name in row.names})
+    if any(atom.delta for atom in lowered):
         outcome = solve(
-            objective,
-            rows + bounds,
+            _DELTA_OBJECTIVE,
+            rows + list(_DELTA_BOUNDS),
             Sense.MAXIMIZE,
-            all_variables,
-            integer_variables,
+            names,
+            integers,
         )
         satisfiable = (
             outcome.status is LpStatus.OPTIMAL
@@ -128,13 +182,7 @@ def check_conjunction(
             and outcome.objective > 0
         )
     else:
-        outcome = solve(
-            LinExpr(),
-            rows,
-            Sense.MINIMIZE,
-            all_variables,
-            integer_variables,
-        )
+        outcome = solve(LinExpr(), rows, Sense.MINIMIZE, names, integers)
         satisfiable = outcome.status is not LpStatus.INFEASIBLE
 
     if satisfiable:
@@ -145,42 +193,54 @@ def check_conjunction(
         }
         return TheoryResult(True, model=model)
 
-    core = _farkas_core(checked, outcome.multipliers)
+    core = _farkas_core(lowered, outcome.multipliers)
     if core is None:
-        return TheoryResult(False, core=list(range(len(constraints))))
+        return TheoryResult(False, core=list(range(len(lowered))))
     return TheoryResult(False, core=core, certified=True)
 
 
 def _farkas_core(
-    checked: Sequence[Constraint],
+    atoms: Sequence[TheoryAtom],
     multipliers: Optional[Sequence[Fraction]],
 ) -> Optional[List[int]]:
-    """The support of *multipliers* if they refute *checked*, else ``None``.
+    """The support of *multipliers* if they refute the atoms, else ``None``.
 
     Motzkin's transposition theorem: a conjunction of ``e_i ≤ 0``,
     ``e_i < 0`` and ``e_i = 0`` is infeasible iff weights ``λ_i``,
     nonnegative on the inequalities, make ``Σ λ_i·e_i`` a constant ``c``
     with ``c > 0``, or ``c = 0`` with ``λ_i > 0`` on some strict row.  The
-    LP's multipliers for the ``δ``/bound rows it adds are not part of the
-    combination: the phase-1 certificate gives ``c > 0`` and the ``max δ``
-    duals give ``c = −δ* ≥ 0`` with weight ``≥ 1`` on the strict rows.
+    rows are the atoms' checked forms, combined in integers over the
+    common denominator of the weighted rows.  The LP's multipliers for the
+    ``δ``/bound rows it adds are not part of the combination: the phase-1
+    certificate gives ``c > 0`` and the ``max δ`` duals give
+    ``c = −δ* ≥ 0`` with weight ``≥ 1`` on the strict rows.
     """
     if multipliers is None:
         return None
-    total = LinExpr()
+    used = []
     core: List[int] = []
     strict = False
-    for index, (constraint, weight) in enumerate(zip(checked, multipliers)):
+    common = 1
+    for index, (atom, weight) in enumerate(zip(atoms, multipliers)):
         if not weight:
             continue
-        if weight < 0 and not constraint.is_equality():
+        row = atom.checked
+        if weight < 0 and row.relation is not Relation.EQ:
             return None
-        total = total + constraint.expr * weight
-        strict = strict or constraint.is_strict()
+        scale = weight.denominator * row.denominator
+        common = common * scale // gcd(common, scale)
+        strict = strict or row.relation is Relation.LT
+        used.append((weight, scale, row))
         core.append(index)
-    if not total.is_constant():
+    total: Dict[str, int] = {}
+    constant = 0
+    for weight, scale, row in used:
+        factor = weight.numerator * (common // scale)
+        constant += factor * row.constant
+        for name, numerator in zip(row.names, row.numerators):
+            total[name] = total.get(name, 0) + factor * numerator
+    if any(total.values()):
         return None
-    constant = total.constant_term
     if constant > 0 or (constant == 0 and strict):
         return core
     return None
@@ -188,22 +248,18 @@ def _farkas_core(
 
 def solve(
     objective: LinExpr,
-    rows: Sequence[Constraint],
+    rows: Sequence[LinearRow],
     sense: Sense,
     variables: Sequence[str],
-    integer_variables: Set[str],
+    integer_variables: AbstractSet[str],
 ):
     """Optimise over *rows*; branch and bound when integers are involved.
 
-    A :class:`BranchAndBoundLimit` falls back to the rational relaxation,
-    counted as ``lp.ilp.bb_limit_fallbacks``.
+    *variables* are the LP's columns, sorted, covering every variable of
+    *rows* and *objective*.  A :class:`BranchAndBoundLimit` falls back to
+    the rational relaxation, counted as ``lp.ilp.bb_limit_fallbacks``.
     """
-    names = sorted(
-        set(variables)
-        | set(objective.variables())
-        | {name for row in rows for name in row.variables()}
-    )
-    relevant_integers = [name for name in names if name in integer_variables]
+    relevant_integers = [name for name in variables if name in integer_variables]
     if relevant_integers:
         try:
             return solve_ilp(
@@ -211,11 +267,10 @@ def solve(
                 list(rows),
                 relevant_integers,
                 sense,
-                names,
+                variables,
             )
         except BranchAndBoundLimit:
             # Fall back to the rational relaxation: for the synthesis loop a
             # rational witness is still a sound counterexample direction.
             count("lp.ilp.bb_limit_fallbacks")
-            return solve_lp(objective, list(rows), sense, names)
-    return solve_lp(objective, list(rows), sense, names)
+    return solve_lp(objective, list(rows), sense, variables)

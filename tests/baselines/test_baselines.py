@@ -172,6 +172,47 @@ class TestEagerGenerators:
         assert not eager_generator_synthesis(stutter_problem).proved
 
 
+def havoc_at_loop_end():
+    """``while (x ≥ 1) x := nondet``: the havoc is the last edge into the head.
+
+    It does not terminate.  ``x'`` occurs in no row of the loop's path
+    polyhedron; read as fixed at 0, it made the eager generators claim the
+    ranking ``x − 1``, which the certificate checker rejects.
+    """
+    x = var("x")
+    builder = AutomatonBuilder(["x"], initial="head")
+    builder.transition("head", "head", guard=[x >= 1], updates={"x": None})
+    builder.transition("head", "exit", guard=[x <= 0])
+    return builder.build()
+
+
+class TestHavocOnTheLastEdge:
+    def test_primed_variable_is_a_free_dimension(self):
+        (loop,) = [
+            disjunct
+            for disjunct in problem_for(havoc_at_loop_end()).disjuncts()
+            if disjunct.target == "head"
+        ]
+        assert "x'" not in {
+            name for row in loop.constraints for name in row.variables()
+        }
+        assert "x'" in loop.variables()
+
+    @pytest.mark.parametrize(
+        "tool, config",
+        [
+            ("eager_generators", AnalysisConfig()),
+            ("termite", AnalysisConfig(cex_oracle="dd")),
+            ("termite", AnalysisConfig()),
+        ],
+        ids=["eager_generators", "termite-dd", "termite-smt"],
+    )
+    def test_not_proved(self, tool, config):
+        result = Analysis(havoc_at_loop_end(), config=config).run(tool)
+        assert not result.proved
+        assert result.ranking is None
+
+
 class TestHeuristic:
     def test_countdown(self, countdown_problem):
         result = heuristic_prover(countdown_problem)

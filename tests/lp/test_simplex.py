@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
-from repro.lp.problem import LinearProgram, Sense
+from repro.lp.problem import LinearProgram, LinearRow, Sense
 from repro.lp.simplex import (
     _EqualityElimination,
     _constraint_rows,
     _expr_row,
+    _linear_row,
     check_feasibility,
     solve_lp,
 )
@@ -126,6 +127,67 @@ class TestRandomisedBoxes:
         if result.is_optimal:
             for constraint in constraints:
                 assert constraint.satisfied_by(result.assignment)
+
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def fractional_systems(draw):
+    """Non-strict rows over x, y, z with fractional coefficients."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(fractions, min_size=3, max_size=3),
+                fractions,
+                st.sampled_from([Relation.LE, Relation.EQ]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return [
+        Constraint(LinExpr(dict(zip("xyz", coefficients)), constant), relation)
+        for coefficients, constant, relation in rows
+    ]
+
+
+class TestLinearRows:
+    @given(fractional_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_lowered_rows_solve_like_their_constraints(self, constraints):
+        # The integer row is the constraint's exact values: the simplex
+        # gets the same SparseRow and takes the same pivots.
+        rows = [LinearRow.of(constraint) for constraint in constraints]
+        position = {"x": 0, "y": 1, "z": 2}
+        for constraint, row in zip(constraints, rows):
+            assert _linear_row(row, position) == _expr_row(
+                constraint.expr, position, "constraint"
+            )
+        objective = x - 2 * y + z
+        variables = ["x", "y", "z"]
+        expected = solve_lp(objective, constraints, Sense.MINIMIZE, variables)
+        assert solve_lp(objective, rows, Sense.MINIMIZE, variables) == expected
+        mixed = rows[:1] + constraints[1:]
+        assert solve_lp(objective, mixed, Sense.MINIMIZE, variables) == expected
+
+    def test_positions_out_of_name_order(self):
+        expr = 2 * x - 3 * y + 1
+        position = {"x": 1, "y": 0}
+        assert _linear_row(LinearRow.of(expr <= 0), position) == _expr_row(
+            expr, position, "constraint"
+        )
+
+    def test_undeclared_variable_is_refused(self):
+        with pytest.raises(ValueError, match="undeclared variable 'y'"):
+            solve_lp(x, [LinearRow.of(x + y <= 1)], Sense.MINIMIZE, ["x"])
+
+    def test_satisfied_by(self):
+        row = LinearRow.of(Constraint(x / 2 - y, Relation.LT))
+        assert row.satisfied_by({"x": Fraction(1), "y": Fraction(1)})
+        assert not row.satisfied_by({"x": Fraction(2), "y": Fraction(1)})
+        with pytest.raises(KeyError):
+            row.satisfied_by({"x": Fraction(0)})
 
 
 def _combination(constraints, multipliers) -> LinExpr:

@@ -162,6 +162,60 @@ def test_farkas_cores_refute_independently(case):
     )
 
 
+@st.composite
+def conjunctions(draw):
+    """A random conjunction of strict, non-strict and equality rows.
+
+    Integer variables get the box ``−4 ≤ v ≤ 4``, which keeps branch and
+    bound within its node budget.  Returns ``(constraints, integer
+    variables)``.
+    """
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small, min_size=3, max_size=3),
+                st.integers(-6, 6),
+                st.sampled_from(RELATIONS),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    constraints = [
+        Constraint(LinExpr(dict(zip(VARIABLES, coefficients)), constant), relation)
+        for coefficients, constant, relation in rows
+    ]
+    integers = draw(
+        st.sampled_from([frozenset(), frozenset(VARIABLES), frozenset("a")])
+    )
+    for name in sorted(integers):
+        constraints += [var(name) >= -4, var(name) <= 4]
+    return constraints, set(integers)
+
+
+@given(conjunctions())
+@settings(max_examples=200, deadline=None)
+def test_lowered_rows_agree_with_the_independent_checker(case):
+    # The checker decides the rational system on its own (Fourier–Motzkin,
+    # no LP); with integer tightening it refutes every integer-infeasible
+    # system whose tightened rows are rationally infeasible.
+    constraints, integers = case
+    result = check_conjunction(constraints, integers)
+    tightened = tighten_integer_strict(constraints, lambda name: name in integers)
+    if result.satisfiable:
+        assert all(c.satisfied_by(result.model) for c in constraints)
+        assert all(result.model[name].denominator == 1 for name in integers)
+        assert not is_infeasible(tightened)
+        return
+    if not integers:
+        assert is_infeasible(constraints)
+    if result.certified:
+        core = [constraints[index] for index in result.core]
+        assert is_infeasible(
+            tighten_integer_strict(core, lambda name: name in integers)
+        )
+
+
 # -- tampering and fallbacks -------------------------------------------------------
 
 
@@ -202,13 +256,17 @@ class TestCertificateCheck:
         assert result.core == [0, 1, 2, 3]
 
     def test_motzkin_conditions(self):
+        def core(constraints, weights):
+            atoms = [theory.lower_atom(c, set()) for c in constraints]
+            return theory._farkas_core(atoms, weights)
+
         # (x − 1) − (x − 2) = 1, but x ≤ 1 ∧ x ≤ 2 is satisfiable: an
         # inequality may not take a negative weight; an equality may.
-        assert theory._farkas_core([x <= 1, x <= 2], [1, -1]) is None
-        assert theory._farkas_core([x.eq(1), x <= 0], [-1, 1]) == [0, 1]
+        assert core([x <= 1, x <= 2], [1, -1]) is None
+        assert core([x.eq(1), x <= 0], [-1, 1]) == [0, 1]
         # A zero sum refutes only through a strict row.
-        assert theory._farkas_core([x <= 0, -x <= 0], [1, 1]) is None
-        assert theory._farkas_core([x < 0, -x <= 0], [1, 1]) == [0, 1]
+        assert core([x <= 0, -x <= 0], [1, 1]) is None
+        assert core([x < 0, -x <= 0], [1, 1]) == [0, 1]
 
     def test_solver_counts_the_fallback(self, tampered):
         tampered(lambda weights: [-weight for weight in weights])
@@ -279,3 +337,38 @@ def test_program_theory_calls_pinned(monkeypatch):
     ).run("termite")
     assert result.proved
     assert len(calls) == 15
+
+
+def test_each_atom_is_lowered_once_per_context(monkeypatch):
+    """An atom is lowered when it gets its literal, never again.
+
+    ``x ≤ 100`` comes back under a fresh guard, retired after its query,
+    three times, and the three paths of the permanent formula are checked
+    under many Boolean assignments; each distinct atom still reaches
+    :func:`lower_atom` once, and the theory checks only gather the stored
+    rows.
+    """
+    lowered = []
+    real = theory.lower_atom
+
+    def counting(constraint, integer_variables):
+        lowered.append(constraint)
+        return real(constraint, integer_variables)
+
+    monkeypatch.setattr(theory, "lower_atom", counting)
+    solver = SmtSolver()
+    solver.assert_formula(
+        And([x + y >= 3, y <= 1, Or([x - 2 * y >= 10, x <= 1, x - y <= 0])])
+    )
+    assert len(lowered) == 5
+    with recording() as counters:
+        for bound in (100, 100, 50, 100):
+            guard = solver.new_guard()
+            solver.assert_formula(x <= bound, guard=guard)
+            assert solver.check().is_sat
+            solver.retire(guard)
+        assert solver.check().is_sat
+    assert len(lowered) == len(set(lowered)) == 7
+    assert counters["smt.theory.atoms_lowered"] == 2  # x ≤ 100, x ≤ 50
+    assert counters["smt.solver.theory_calls"] == 7
+    assert counters["smt.theory.rows"] > 2 * len(lowered)
