@@ -189,6 +189,22 @@ class TestLinearRows:
         with pytest.raises(KeyError):
             row.satisfied_by({"x": Fraction(0)})
 
+    @given(
+        fractional_systems(),
+        st.lists(fractions, min_size=3, max_size=3),
+        st.sampled_from(list(Relation)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_satisfied_by_agrees_with_the_constraint(
+        self, constraints, values, relation
+    ):
+        point = dict(zip("xyz", values))
+        for constraint in constraints:
+            constraint = Constraint(constraint.expr, relation)
+            assert LinearRow.of(constraint).satisfied_by(
+                point
+            ) == constraint.satisfied_by(point)
+
 
 def _combination(constraints, multipliers) -> LinExpr:
     """``Σ μ_i·expr_i`` over the input constraints."""
