@@ -19,6 +19,14 @@ changes.  The invariant constraints are lifted to that space accordingly
 (Definition 14): each ``a·x ≥ b`` becomes the homogeneous row
 ``a·x + (−b)·1 ≥ 0`` and every cut point additionally contributes the
 row ``1 ≥ 0``.
+
+``u`` is never a variable of a formula.  On a step of one block it is
+the linear image ``M_b·(x, x') + o_b`` (:class:`BlockMap`), so ``Φ`` is
+``∨_b (@block = b ∧ I_source ∧ path_b)``, each disjunct selected by the
+reserved variable ``@block`` (one block needs none), and every
+``u``-space formula of a query (flatness, ``AvoidSpace``, ``λ·u ≤ 0``,
+``u = 0``) is substituted into each block through the same map.  The
+``dd`` oracle maps its generators through it too.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.ranking import AffineRankingFunction
 from repro.invariants.invariant_map import InvariantMap
+from repro.linalg.matrix import orthogonal_complement
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import Formula, conjunction, disjunction
+from repro.linexpr.formula import FALSE, TRUE, Formula, conjunction, disjunction
 from repro.linexpr.transform import dnf_conjunctions, prime_suffix
 from repro.program.large_block import BlockTransition
 from repro.polyhedra.polyhedron import Polyhedron
@@ -40,6 +49,9 @@ from repro.smt.theory import check_conjunction
 
 #: Name of the synthetic constant-one coordinate of the stacked space.
 ONE_COORDINATE = "@one"
+
+#: Name of the variable whose value selects the block of a step in ``Φ``.
+BLOCK_SELECTOR = "@block"
 
 
 @dataclass
@@ -81,6 +93,110 @@ class TransitionDisjunct:
         return sorted(names)
 
 
+class BlockMap:
+    """The block vector of a ``source → target`` step: ``u = M·z + o``.
+
+    ``z = (x, x')``; coordinate ``(k, v)`` of ``u`` is ``[k = source]·v −
+    [k = target]·v'`` over ``(x, 1)`` (Definition 12).  Every ``u``-space
+    formula of a query is rewritten over ``z`` through this map, and
+    every witness over ``z`` is mapped back to ``u`` by :meth:`image`.
+    """
+
+    def __init__(self, problem: "TerminationProblem", source: str, target: str):
+        def end(variable: str, primed: bool) -> LinExpr:
+            if variable == ONE_COORDINATE:
+                return LinExpr.constant(1)
+            return LinExpr.variable(prime_suffix(variable) if primed else variable)
+
+        self._coordinates = problem._coordinates
+        #: ``M_i·z + o_i`` per ``u`` coordinate ``i``.
+        self._rows: List[LinExpr] = [
+            (end(variable, False) if location == source else LinExpr())
+            - (end(variable, True) if location == target else LinExpr())
+            for location in problem.cutset
+            for variable in problem.space_variables
+        ]
+
+    def _combine(self, weights, constant=Fraction(0)) -> LinExpr:
+        """``Σ_i w_i·(M_i·z + o_i)`` over the ``(i, w_i)`` pairs."""
+        terms: Dict[str, Fraction] = {}
+        for index, weight in weights:
+            row = self._rows[index]
+            for name, coefficient in row.terms.items():
+                terms[name] = terms.get(name, 0) + weight * coefficient
+            constant += weight * row.constant_term
+        return LinExpr(terms, constant)
+
+    def form(self, expr: LinExpr) -> LinExpr:
+        """An expression over the ``u`` coordinates, as one over ``z``."""
+        return self._combine(
+            ((self._coordinates[name], c) for name, c in expr.terms.items()),
+            expr.constant_term,
+        )
+
+    def substitute(self, constraint: Constraint) -> Constraint:
+        """A constraint over the ``u`` coordinates, as one over ``z``."""
+        return Constraint(self.form(constraint.expr), constraint.relation)
+
+    def image(self, point: Mapping[str, Fraction], ray: bool = False) -> Vector:
+        """``M·z + o`` for a point, ``M·z`` for a *ray*; missing names read 0."""
+        return Vector(
+            sum(
+                (c * point.get(name, 0) for name, c in row.terms.items()),
+                Fraction(0) if ray else row.constant_term,
+            )
+            for row in self._rows
+        )
+
+    def _basis(self, weights: Sequence[Vector]) -> Optional[List[LinExpr]]:
+        """A basis of the forms ``{w·(M·z + o) : w ∈ span(weights)}``.
+
+        The first independent forms of the *weights*, found by sparse
+        elimination that pivots on the constant column only when nothing
+        else is left; ``None`` when the constant form ``1`` lies in their
+        span, which is exactly when the constant column holds a pivot.
+        """
+        basis: List[LinExpr] = []
+        pivots: List[Tuple[str, Dict[str, Fraction]]] = []
+        for weight in weights:
+            form = self._combine((i, w) for i, w in enumerate(weight) if w != 0)
+            row = dict(form.terms)
+            row[ONE_COORDINATE] = form.constant_term
+            for column, pivot_row in pivots:
+                factor = row.get(column, 0)
+                if factor:
+                    for name, value in pivot_row.items():
+                        row[name] = row.get(name, 0) - factor * value
+            row = {name: value for name, value in row.items() if value}
+            if not row:
+                continue
+            column = min(row, key=lambda name: name == ONE_COORDINATE)
+            if column == ONE_COORDINATE:
+                return None
+            pivot = row[column]
+            pivots.append((column, {n: v / pivot for n, v in row.items()}))
+            basis.append(form)
+        return basis
+
+    def avoid_space(self, complement: Sequence[Vector]) -> Formula:
+        """``AvoidSpace_b``: ``M·z + o ∉ span(B)``, given a basis of ``span(B)^⊥``.
+
+        One dis-equality per form of a basis of ``{w·(M·z + o)}``; TRUE
+        when the constant form lies in their span.
+        """
+        basis = self._basis(complement)
+        if basis is None:
+            return TRUE
+        return disjunction([disjunction([f < 0, f > 0]) for f in basis])
+
+    def is_zero(self) -> Formula:
+        """``M·z + o = 0``: the step does not move in the ``u`` space."""
+        basis = self._basis(orthogonal_complement([], len(self._rows)))
+        if basis is None:
+            return FALSE
+        return conjunction([form.eq(0) for form in basis])
+
+
 class TerminationProblem:
     """Inputs and encoding conventions of the synthesis algorithms."""
 
@@ -95,8 +211,9 @@ class TerminationProblem:
         if not cutset:
             raise ValueError("the cut-set must contain at least one location")
         self.variables: Tuple[str, ...] = tuple(variables)
-        if ONE_COORDINATE in self.variables:
-            raise ValueError("%r is a reserved variable name" % ONE_COORDINATE)
+        for reserved in (ONE_COORDINATE, BLOCK_SELECTOR):
+            if reserved in self.variables:
+                raise ValueError("%r is a reserved variable name" % reserved)
         self.space_variables: Tuple[str, ...] = self.variables + (ONE_COORDINATE,)
         self.cutset: Tuple[str, ...] = tuple(cutset)
         self.invariants = invariants
@@ -109,7 +226,10 @@ class TerminationProblem:
             integer_variables if integer_variables is not None else variables
         )
         self._rows = self._collect_invariant_rows()
-        self._transition_formula: Optional[Formula] = None
+        self._coordinates: Dict[str, int] = {
+            name: index for index, name in enumerate(self.difference_variables())
+        }
+        self._block_maps: Dict[Tuple[str, str], BlockMap] = {}
 
     # -- dimensions and names ------------------------------------------------------
 
@@ -165,16 +285,51 @@ class TerminationProblem:
 
     # -- formulas for the SMT queries -----------------------------------------------------
 
-    def transition_formula(self) -> Formula:
-        """``Φ``: the disjunction over blocks of ``I_k(x) ∧ φ(x, x') ∧ u-defs``.
+    def block_map(self, source: str, target: str) -> BlockMap:
+        """``M_b``, the block vector of a ``source → target`` step (memoised)."""
+        key = (source, target)
+        if key not in self._block_maps:
+            self._block_maps[key] = BlockMap(self, source, target)
+        return self._block_maps[key]
 
-        Built once and shared by every oracle query of every component.
+    def blockwise(self, parts: Sequence[Formula]) -> Formula:
+        """``∨_b (@block = b ∧ parts[b])``, one part per block.
+
+        The selector atoms ``@block = b`` exclude one another (the CNF's
+        bound axioms), so every block-indexed formula of one SMT context
+        is satisfied by the same block.  With one block there is nothing
+        to select, and its part is returned as it is.
         """
-        if self._transition_formula is None:
-            self._transition_formula = disjunction(
-                [self._block_formula(block) for block in self.blocks]
-            )
-        return self._transition_formula
+        if len(parts) == 1:
+            return parts[0]
+        selector = LinExpr.variable(BLOCK_SELECTOR)
+        return disjunction(
+            [
+                conjunction([selector.eq(index), part])
+                for index, part in enumerate(parts)
+            ]
+        )
+
+    def transition_formula(self, flatness: Sequence[Constraint] = ()) -> Formula:
+        """``Φ = ∨_b (@block = b ∧ I_source(x) ∧ φ_b(x, x') ∧ flatness_b)``.
+
+        *flatness* holds constraints over the ``u`` coordinates (Algorithm
+        2's ``λ_{d'} · u = 0``); each block gets them through its
+        :class:`BlockMap`, so no atom of ``Φ`` mentions ``u``.
+        """
+        return self.blockwise(
+            [
+                conjunction(
+                    list(self.invariant(block.source).constraints)
+                    + [block.formula]
+                    + [
+                        self.block_map(block.source, block.target).substitute(row)
+                        for row in flatness
+                    ]
+                )
+                for block in self.blocks
+            ]
+        )
 
     def disjuncts(self) -> Tuple[TransitionDisjunct, ...]:
         """All feasible path polyhedra ``I_source ∧ path`` of the blocks.
@@ -187,11 +342,11 @@ class TerminationProblem:
         in the original publications).  Infeasible disjuncts, paths that
         are syntactically present but semantically dead, are dropped.
 
-        Expanded afresh on every call, unlike :meth:`transition_formula`:
-        the expansion (one feasibility LP per disjunct) is part of what an
-        eager method costs, so each baseline run pays for its own and its
-        time does not depend on which tool ran first on the problem.  The
-        ``dd`` oracle keeps one expansion for all components of its run.
+        Expanded afresh on every call: the expansion (one feasibility LP
+        per disjunct) is part of what an eager method costs, so each
+        baseline run pays for its own and its time does not depend on
+        which tool ran first on the problem.  The ``dd`` oracle keeps one
+        expansion for all components of its run.
         """
         integer_variables = self.smt_integer_variables()
         primed = tuple(prime_suffix(name) for name in self.variables)
@@ -211,34 +366,6 @@ class TerminationProblem:
                     )
         return tuple(disjuncts)
 
-    def _block_formula(self, block: BlockTransition) -> Formula:
-        parts: List[Formula] = []
-        parts.append(conjunction(self.invariant(block.source).constraints))
-        parts.append(block.formula)
-        parts.extend(self._difference_definitions(block.source, block.target))
-        return conjunction(parts)
-
-    def _difference_definitions(self, source: str, target: str) -> List[Formula]:
-        """``u = e_source((x, 1)) − e_target((x', 1))`` componentwise."""
-        definitions: List[Formula] = []
-        for location in self.cutset:
-            for variable in self.variables:
-                name = self.difference_variable(location, variable)
-                value = LinExpr()
-                if location == source:
-                    value = value + LinExpr.variable(variable)
-                if location == target:
-                    value = value - LinExpr.variable(prime_suffix(variable))
-                definitions.append(LinExpr.variable(name).eq(value))
-            one_name = self.difference_variable(location, ONE_COORDINATE)
-            one_value = Fraction(0)
-            if location == source:
-                one_value += 1
-            if location == target:
-                one_value -= 1
-            definitions.append(LinExpr.variable(one_name).eq(one_value))
-        return definitions
-
     # -- vectors and objectives --------------------------------------------------------------
 
     def stacked_row(self, row: InvariantRow) -> Vector:
@@ -251,12 +378,6 @@ class TerminationProblem:
                 else:
                     entries.append(Fraction(0))
         return Vector(entries)
-
-    def difference_vector(self, model: Mapping[str, Fraction]) -> Vector:
-        """Extract the ``u`` value from an SMT model (missing components = 0)."""
-        return Vector(
-            model.get(name, Fraction(0)) for name in self.difference_variables()
-        )
 
     def objective(self, ranking: AffineRankingFunction) -> LinExpr:
         """``λ · u`` — equal to ``ρ(k, x) − ρ(k', x')`` — over the u variables."""

@@ -7,7 +7,10 @@ of one-step differences, or a ray when the objective is unbounded
 (section 4.2 of the paper).
 
 The search is *local*: take the first theory-consistent disjunct found by
-the lazy solver and minimise inside it.  The witness is a generator of
+the lazy solver and minimise inside it.  The objective may depend on the
+disjunct: the synthesis oracle passes a callable that reads the block
+selector off the disjunct's model and returns that block's ``λ·u`` with
+``u`` substituted by the block's map.  The witness is a generator of
 that disjunct's polyhedron, which is all the termination argument of the
 paper needs, and it is what keeps the query cheap.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
@@ -75,13 +78,16 @@ class OptimizingSmtSolver:
         return OptimizationResult(result.status, model=result.model)
 
     def minimize(
-        self, objective: LinExpr, scoped: Sequence = ()
+        self,
+        objective: Union[LinExpr, Callable[[Dict[str, Fraction]], LinExpr]],
+        scoped: Sequence = (),
     ) -> OptimizationResult:
         """Minimise *objective* in the first theory-consistent disjunct.
 
         The disjunct satisfies the assertions and, for this call only, the
         formulas of *scoped*.  The result is an extremal model, or a ray
-        when the objective is unbounded below in that disjunct.
+        when the objective is unbounded below in that disjunct.  A
+        callable *objective* gets the disjunct's model and returns it.
         """
         count("smt.optimize.queries")
         with self._scope(scoped):
@@ -90,6 +96,8 @@ class OptimizingSmtSolver:
             return OptimizationResult(SmtStatus.UNSAT)
         count("smt.optimize.assignments_explored")
         constraints, model = assignment
+        if callable(objective):
+            objective = objective(model)
         return self._minimize_in_disjunct(objective, constraints, model)
 
     # -- internals ---------------------------------------------------------------------

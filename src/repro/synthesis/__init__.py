@@ -30,7 +30,6 @@ from repro.synthesis.oracles import (
     ORACLE_NAMES,
     SmtOptimizingOracle,
     Witness,
-    avoid_space,
     make_oracle,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "SmtOptimizingOracle",
     "DdEnumerationOracle",
     "ORACLE_NAMES",
-    "avoid_space",
     "make_oracle",
 ]

@@ -12,13 +12,17 @@ first one.  Two interchangeable implementations:
   (a vertex of one disjunct of the convex hull of one-step differences,
   plus a ray when the objective is unbounded, §4.2).  Without
   ``extremal`` the same query is asked without the minimisation,
-  yielding an arbitrary theory model.
+  yielding an arbitrary theory model.  The query never names ``u``: each
+  block ``b`` substitutes ``u = M_b·(x, x') + o_b`` into its own copy of
+  ``AvoidSpace`` and ``λ·u ≤ 0``, and the witness is the selected
+  block's map applied to the model.
 * :class:`DdEnumerationOracle` (``"dd"``) — vertex/ray enumeration: the
   generators of every path polyhedron are computed once per component
-  with the double-description method of :mod:`repro.polyhedra.dd` and
-  handed out one per query.  When no unused generator violates the
-  candidate, exhaustion is *confirmed* with one complete SMT query, so
-  verdicts never depend on the enumeration being lossless.
+  with the double-description method of :mod:`repro.polyhedra.dd`,
+  mapped into ``u`` by the same block maps, and handed out one per
+  query.  When no unused generator violates the candidate, exhaustion
+  is *confirmed* with one complete SMT query, so verdicts never depend
+  on the enumeration being lossless.
 
 Every oracle only ever returns genuine points/rays of the restricted
 transition relation, and only reports exhaustion after a complete check
@@ -30,15 +34,13 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.problem import ONE_COORDINATE, TerminationProblem, TransitionDisjunct
+from repro.core.problem import BLOCK_SELECTOR, TerminationProblem, TransitionDisjunct
 from repro.linalg.matrix import in_span, orthogonal_complement
 from repro.linalg.vector import Vector
-from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import Formula, conjunction, disjunction
-from repro.linexpr.transform import prime_suffix
+from repro.linexpr.formula import Formula, conjunction
 from repro.metrics import count
 from repro.smt.optimize import OptimizingSmtSolver
 
@@ -115,29 +117,6 @@ class CounterexampleOracle(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
-def avoid_space(
-    problem: TerminationProblem, flat_basis: Sequence[Vector]
-) -> Formula:
-    """``AvoidSpace(u, B)``: the block vector must leave ``span(B)``.
-
-    Implemented through the orthogonal complement: ``u ∈ span(B)`` iff
-    ``w·u = 0`` for every ``w`` in a basis of ``span(B)^⊥``, so the
-    avoidance condition is the disjunction of the dis-equalities
-    ``w·u < 0 ∨ w·u > 0``.  With ``B = ∅`` this is simply ``u ≠ 0``, which
-    also rules out stuttering counterexamples ``(x, x)``.
-    """
-    names = problem.difference_variables()
-    dimension = problem.stacked_dimension
-    complement = orthogonal_complement(list(flat_basis), dimension)
-    disequalities: List[Formula] = []
-    for normal in complement:
-        expr = LinExpr(
-            {name: normal[i] for i, name in enumerate(names) if normal[i] != 0}
-        )
-        disequalities.append(disjunction([expr < 0, expr > 0]))
-    return disjunction(disequalities)
-
-
 def objective_on_vector(
     objective: LinExpr, vector: Vector, names: Sequence[str]
 ) -> Fraction:
@@ -153,11 +132,15 @@ def objective_on_vector(
 class SmtOptimizingOracle(CounterexampleOracle):
     """Extremal (or arbitrary) counterexamples from optimising SMT.
 
-    One SMT context per component: ``Φ`` and the extra constraints are
-    encoded once, on the first query after :meth:`reset`, and each query
-    adds ``AvoidSpace(u, B) ∧ λ·u ≤ 0`` — or ``u = 0`` for the stutter
-    check — for itself only.  What the DPLL(T) loop learns in one query
-    prunes the next.
+    One SMT context per component: ``Φ``, with the extra (flatness)
+    constraints substituted into each block, is encoded once, on the
+    first query after :meth:`reset`, and each query adds
+    ``∨_b (@block = b ∧ AvoidSpace_b ∧ λ·u_b ≤ 0)`` — or ``u_b = 0`` for
+    the stutter check — for itself only, where ``u_b = M_b·(x, x') + o_b``
+    is block ``b``'s :class:`~repro.core.problem.BlockMap`.  What the
+    DPLL(T) loop learns in one query prunes the next.  ``AvoidSpace_b``
+    is built once per flat basis, which only changes when the engine adds
+    a flat direction.
     """
 
     name = "smt"
@@ -170,6 +153,11 @@ class SmtOptimizingOracle(CounterexampleOracle):
     ) -> None:
         super().reset(problem, extra_constraints, integer_mode)
         self._context: Optional[OptimizingSmtSolver] = None
+        self._maps = [
+            problem.block_map(block.source, block.target)
+            for block in problem.blocks
+        ]
+        self._avoid: Optional[Tuple[Tuple[Vector, ...], List[Formula]]] = None
 
     def _solver(self) -> OptimizingSmtSolver:
         if self._context is None:
@@ -179,10 +167,23 @@ class SmtOptimizingOracle(CounterexampleOracle):
                     problem.smt_integer_variables() if self._integer_mode else ()
                 )
             )
-            self._context.assert_formula(problem.transition_formula())
-            for constraint in self._extra_constraints:
-                self._context.assert_formula(constraint)
+            self._context.assert_formula(
+                problem.transition_formula(self._extra_constraints)
+            )
         return self._context
+
+    def _avoid_space(self, flat_basis: Sequence[Vector]) -> List[Formula]:
+        """``AvoidSpace_b`` per block, memoised on the flat basis."""
+        key = tuple(flat_basis)
+        if self._avoid is None or self._avoid[0] != key:
+            complement = orthogonal_complement(
+                list(key), self._problem.stacked_dimension
+            )
+            self._avoid = (
+                key,
+                [block_map.avoid_space(complement) for block_map in self._maps],
+            )
+        return self._avoid[1]
 
     def find(
         self,
@@ -191,36 +192,36 @@ class SmtOptimizingOracle(CounterexampleOracle):
         extremal: bool = True,
     ) -> Optional[WitnessGroup]:
         count("synthesis.oracles.smt_queries")
-        problem = self._problem
-        scoped = (avoid_space(problem, flat_basis), objective <= 0)
+        forms = [block_map.form(objective) for block_map in self._maps]
+        query = self._problem.blockwise(
+            [
+                conjunction([avoid, form <= 0])
+                for avoid, form in zip(self._avoid_space(flat_basis), forms)
+            ]
+        )
         if extremal:
-            outcome = self._solver().minimize(objective, scoped)
+            outcome = self._solver().minimize(
+                lambda model: forms[int(model.get(BLOCK_SELECTOR, 0))], (query,)
+            )
         else:
             # Same query, no minimisation: an arbitrary theory model —
             # the non-extremal half of the paper's §4.2 ablation.
-            outcome = self._solver().check(scoped)
+            outcome = self._solver().check((query,))
         if outcome.is_unsat:
             return None
-        witness = problem.difference_vector(outcome.model)
-        group: WitnessGroup = [
-            Witness(vector=witness, kind="vertex", origin=self.name)
-        ]
+        block_map = self._maps[int(outcome.model.get(BLOCK_SELECTOR, 0))]
+        vertex = block_map.image(outcome.model)
+        group: WitnessGroup = [Witness(vector=vertex, kind="vertex", origin=self.name)]
         if outcome.unbounded:
-            ray = Vector(
-                outcome.ray.get(name, Fraction(0))
-                for name in problem.difference_variables()
-            )
+            ray = block_map.image(outcome.ray, ray=True)
             if not ray.is_zero():
                 group.append(Witness(vector=ray, kind="ray", origin=self.name))
         count("synthesis.oracles.candidates")
         return group
 
     def stutters(self) -> bool:
-        zero = conjunction(
-            [
-                LinExpr.variable(name).eq(0)
-                for name in self._problem.difference_variables()
-            ]
+        zero = self._problem.blockwise(
+            [block_map.is_zero() for block_map in self._maps]
         )
         return self._solver().check((zero,)).is_sat
 
@@ -230,106 +231,24 @@ class SmtOptimizingOracle(CounterexampleOracle):
 # ---------------------------------------------------------------------------
 
 
-def difference_map(
-    problem: TerminationProblem, disjunct
-) -> Tuple[List[str], List[Vector]]:
-    """The linear map from a disjunct's state space to the stacked u-space.
-
-    Returns the disjunct's variable ordering and, per stacked coordinate,
-    the row vector expressing that coordinate of ``u = e_k((x,1)) −
-    e_{k'}((x',1))`` over the disjunct's variables (the constant part is
-    handled separately by the caller through the @one coordinate).
-    """
-    variables = disjunct.variables()
-    rows: List[Vector] = []
-    for location in problem.cutset:
-        for coordinate in problem.space_variables:
-            entries = [0] * len(variables)
-            if coordinate == ONE_COORDINATE:
-                rows.append(Vector(entries))
-                continue
-            if location == disjunct.source and coordinate in variables:
-                entries[variables.index(coordinate)] += 1
-            primed = coordinate + "'"
-            if location == disjunct.target and primed in variables:
-                entries[variables.index(primed)] -= 1
-            rows.append(Vector(entries))
-    return variables, rows
-
-
-def one_offsets(problem: TerminationProblem, disjunct) -> Vector:
-    """The constant contribution of the @one coordinates to ``u``."""
-    entries = []
-    for location in problem.cutset:
-        for coordinate in problem.space_variables:
-            value = 0
-            if coordinate == ONE_COORDINATE:
-                if location == disjunct.source:
-                    value += 1
-                if location == disjunct.target:
-                    value -= 1
-            entries.append(value)
-    return Vector(entries)
-
-
 def disjunct_generators(
-    problem: TerminationProblem, disjunct
+    problem: TerminationProblem, disjunct: TransitionDisjunct
 ) -> List[Tuple[str, Vector]]:
     """Vertices and rays of the disjunct, mapped into the stacked u-space."""
     from repro.polyhedra.dd import constraints_to_generators
 
-    variables, rows = difference_map(problem, disjunct)
-    offset = one_offsets(problem, disjunct)
+    block_map = problem.block_map(disjunct.source, disjunct.target)
+    variables = disjunct.variables()
     system = constraints_to_generators(disjunct.constraints, variables)
     generators: List[Tuple[str, Vector]] = []
     for vertex in system.vertices:
-        image = Vector([row.dot(vertex) for row in rows]) + offset
+        image = block_map.image(dict(zip(variables, vertex)))
         generators.append(("vertex", image))
     for ray in system.all_ray_like():
-        image = Vector([row.dot(ray) for row in rows])
+        image = block_map.image(dict(zip(variables, ray)), ray=True)
         if not image.is_zero():
             generators.append(("ray", image))
     return generators
-
-
-def constraint_in_state_space(
-    problem: TerminationProblem,
-    constraint: Constraint,
-    source: str,
-    target: str,
-) -> Constraint:
-    """Rewrite a constraint over the ``u`` variables into a disjunct's space.
-
-    The flatness restriction ``λ_{d'} · u = 0`` of Algorithm 2 mentions
-    only the stacked difference variables; on one ``source → target``
-    disjunct each ``u`` component is the fixed linear form
-    ``e_source((x,1)) − e_target((x',1))``, so the constraint becomes a
-    plain state-space row the double-description step can consume.
-    """
-    terms: Dict[str, Fraction] = {}
-    constant = constraint.expr.constant_term
-    for location in problem.cutset:
-        for variable in problem.variables:
-            coefficient = constraint.expr.coefficient(
-                problem.difference_variable(location, variable)
-            )
-            if coefficient == 0:
-                continue
-            if location == source:
-                terms[variable] = terms.get(variable, Fraction(0)) + coefficient
-            if location == target:
-                primed = prime_suffix(variable)
-                terms[primed] = terms.get(primed, Fraction(0)) - coefficient
-        one_coefficient = constraint.expr.coefficient(
-            problem.difference_variable(location, ONE_COORDINATE)
-        )
-        if one_coefficient != 0:
-            if location == source:
-                constant += one_coefficient
-            if location == target:
-                constant -= one_coefficient
-    terms = {name: value for name, value in terms.items() if value != 0}
-    return Constraint(LinExpr(terms, constant), constraint.relation)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +324,12 @@ class DdEnumerationOracle(CounterexampleOracle):
     ) -> List[_Generator]:
         generators: List[_Generator] = []
         for position, disjunct in enumerate(self._expanded[1]):
+            block_map = problem.block_map(disjunct.source, disjunct.target)
             restricted = replace(
                 disjunct,
                 constraints=disjunct.constraints
                 + tuple(
-                    constraint_in_state_space(
-                        problem, constraint, disjunct.source, disjunct.target
-                    )
+                    block_map.substitute(constraint)
                     for constraint in extra_constraints
                 ),
             )

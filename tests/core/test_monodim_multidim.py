@@ -8,7 +8,10 @@ from repro.linalg.vector import Vector
 from repro.metrics import recording
 from repro.smt.solver import SmtSolver
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
-from repro.synthesis.oracles import avoid_space, make_oracle
+from repro.linalg.matrix import orthogonal_complement
+from repro.linexpr.expr import var
+from repro.linexpr.transform import prime_suffix
+from repro.synthesis.oracles import make_oracle
 
 
 def build_problem(automaton):
@@ -60,43 +63,46 @@ class TestMonodim:
 
 
 class TestAvoidSpace:
+    """``AvoidSpace_b`` over one self-loop block of Example 1.
+
+    The block vector is ``u = (x − x', y − y', 0)``; each test pins the
+    step so that ``u`` is a chosen vector and asks whether the block's
+    ``AvoidSpace`` formula still holds.
+    """
+
+    @staticmethod
+    def solver_at(problem, basis, u):
+        location = problem.cutset[0]
+        block_map = problem.block_map(location, location)
+        complement = orthogonal_complement(basis, problem.stacked_dimension)
+        solver = SmtSolver()
+        solver.assert_formula(block_map.avoid_space(complement))
+        for index, variable in enumerate(problem.variables):
+            solver.assert_formula(
+                (var(variable) - var(prime_suffix(variable))).eq(u[index])
+            )
+        return solver
+
     def test_empty_basis_excludes_zero(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        formula = avoid_space(problem, [])
-        solver = SmtSolver()
-        solver.assert_formula(formula)
-        for name in problem.difference_variables():
-            solver.assert_formula(
-                __import__("repro.linexpr.expr", fromlist=["var"]).var(name).eq(0)
-            )
+        solver = self.solver_at(problem, [], [0] * problem.num_variables)
         assert solver.check().is_unsat
 
     def test_basis_direction_excluded(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        names = problem.difference_variables()
-        basis = [Vector([1 if i == 0 else 0 for i in range(len(names))])]
-        formula = avoid_space(problem, basis)
-        solver = SmtSolver()
-        solver.assert_formula(formula)
-        from repro.linexpr.expr import var
-
+        dimension = problem.stacked_dimension
+        basis = [Vector([1 if i == 0 else 0 for i in range(dimension)])]
         # Force u to be exactly the basis vector: must be unsatisfiable.
-        for index, name in enumerate(names):
-            solver.assert_formula(var(name).eq(1 if index == 0 else 0))
-        assert solver.check().is_unsat
+        u = [1 if i == 0 else 0 for i in range(problem.num_variables)]
+        assert self.solver_at(problem, basis, u).check().is_unsat
 
     def test_off_basis_direction_allowed(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        names = problem.difference_variables()
-        basis = [Vector([1 if i == 0 else 0 for i in range(len(names))])]
-        formula = avoid_space(problem, basis)
-        solver = SmtSolver()
-        solver.assert_formula(formula)
-        from repro.linexpr.expr import var
+        dimension = problem.stacked_dimension
+        basis = [Vector([1 if i == 0 else 0 for i in range(dimension)])]
+        u = [1 if i == 1 else 0 for i in range(problem.num_variables)]
+        assert self.solver_at(problem, basis, u).check().is_sat
 
-        for index, name in enumerate(names):
-            solver.assert_formula(var(name).eq(1 if index == 1 else 0))
-        assert solver.check().is_sat
 
 
 class TestMultidim:

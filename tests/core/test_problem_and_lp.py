@@ -42,11 +42,16 @@ class TestProblemEncoding:
         assert len(one_rows) >= len(example1_problem.cutset)
 
     def test_transition_formula_satisfiable(self, example1_problem):
+        from repro.linexpr.transform import formula_atoms
         from repro.smt.solver import SmtSolver
 
+        formula = example1_problem.transition_formula()
         solver = SmtSolver()
-        solver.assert_formula(example1_problem.transition_formula())
+        solver.assert_formula(formula)
         assert solver.check().is_sat
+        # u is substituted per block, never defined: no atom names it.
+        names = {name for atom in formula_atoms(formula) for name in atom.variables()}
+        assert names and not any(name.startswith("u[") for name in names)
 
     def test_objective_uses_offsets(self, example1_problem):
         ranking = example1_problem.zero_ranking()

@@ -156,15 +156,21 @@ class TestRemovedAliases:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.core.monodim")
         assert not hasattr(repro.core, "avoid_space")
-        from repro.synthesis.oracles import avoid_space  # noqa: F401
+        # AvoidSpace is built per block, by the block's map.
+        import repro.synthesis.oracles as oracles
+        from repro.core.problem import BlockMap
+
+        assert not hasattr(oracles, "avoid_space")
+        assert callable(BlockMap.avoid_space)
 
     def test_eager_generator_aliases_removed(self):
         import repro.baselines.eager_generators as eager
 
         for alias in ("_difference_map", "_one_offsets", "_disjunct_generators"):
             assert not hasattr(eager, alias)
-        from repro.synthesis.oracles import (  # noqa: F401
-            difference_map,
-            disjunct_generators,
-            one_offsets,
-        )
+        # The u-image of a disjunct is its block's map.
+        import repro.synthesis.oracles as oracles
+        from repro.synthesis.oracles import disjunct_generators  # noqa: F401
+
+        for moved in ("difference_map", "one_offsets", "constraint_in_state_space"):
+            assert not hasattr(oracles, moved)

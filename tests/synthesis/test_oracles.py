@@ -14,7 +14,6 @@ from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import (
     DdEnumerationOracle,
     SmtOptimizingOracle,
-    constraint_in_state_space,
     make_oracle,
     objective_on_vector,
 )
@@ -223,9 +222,7 @@ class TestStateSpaceTranslation:
         from repro.linexpr.constraint import Constraint
 
         flat = Constraint(problem.objective(candidate), Relation.EQ)
-        translated = constraint_in_state_space(
-            problem, flat, source=location, target=location
-        )
+        translated = problem.block_map(location, location).substitute(flat)
         assert translated.relation is Relation.EQ
         # On a self-loop u = (x,1) − (x',1): the translated expression is
         # ρ(x) − ρ(x') = (x + 2y) − (x' + 2y') (offsets cancel).
