@@ -208,7 +208,10 @@ HANDWRITTEN = [
         }
         """,
         True,
-        "terminates, but the progress argument is not linear-lexicographic",
+        "terminates by the lexicographic ranking ⟨b − c, a − b⟩, which the "
+        "checker accepts; termite rejects it because it bounds every "
+        "component on the whole invariant, and b − c is unbounded below on "
+        "the a > b path",
     ),
 ]
 

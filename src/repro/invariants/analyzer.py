@@ -12,7 +12,11 @@ A standard worklist algorithm over the control-flow automaton:
   is widened, up to the guard thresholds, against the previous one,
   guaranteeing termination,
 * once the ascending iteration stabilises, a descending (narrowing) pass
-  recovers some precision lost to widening.
+  recovers some precision lost to widening.  Each transition remembers
+  its last post and the source value it was taken from; a post from the
+  identical source object is that stored image, so the descending pass
+  reuses the ascending phase's final posts from every location it has
+  not refined yet (``invariants.analyzer.posts_reused``).
 
 The output is an :class:`~repro.invariants.invariant_map.InvariantMap`
 with one polyhedron per reachable location.
@@ -20,13 +24,14 @@ with one polyhedron per reachable location.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from repro.invariants.invariant_map import InvariantMap
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import TRUE
 from repro.linexpr.transform import dnf_conjunctions, formula_atoms
+from repro.metrics import count
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
@@ -50,6 +55,8 @@ class InvariantAnalyzer:
         self.variables = automaton.variables
         self.thresholds = _guard_thresholds(automaton)
         self.widening_points = set(compute_cutset(automaton))
+        #: Per transition (by identity), its last source value and image.
+        self._posts: Dict[int, Tuple[Polyhedron, Polyhedron]] = {}
 
     # -- the public entry point ----------------------------------------------------
 
@@ -143,6 +150,18 @@ class InvariantAnalyzer:
         )
 
     def _post(self, value: Polyhedron, transition: Transition) -> Polyhedron:
+        """The image of *value* under *transition*; a post from the very
+        source object the transition last posted is its stored image
+        (polyhedra are immutable, so it is the same value)."""
+        stored = self._posts.get(id(transition))
+        if stored is not None and stored[0] is value:
+            count("invariants.analyzer.posts_reused")
+            return stored[1]
+        image = self._image(value, transition)
+        self._posts[id(transition)] = (value, image)
+        return image
+
+    def _image(self, value: Polyhedron, transition: Transition) -> Polyhedron:
         if value.is_empty():
             return value
         guard_constraints = transition.guard_constraints()

@@ -154,16 +154,34 @@ class Constraint:
         coefficients.append(self._expr.constant_term)
         scaled = integer_normalize(coefficients)
         expr = LinExpr(dict(zip(names, scaled[:-1])), scaled[-1])
-        key = (expr._terms, expr._constant, self._relation)
+        if expr == self._expr:
+            canonical = Constraint._intern(self)  # already canonical
+        else:
+            canonical = Constraint._intern(Constraint(expr, self._relation))
+        self._canonical = canonical
+        return canonical
+
+    @staticmethod
+    def canonical(expr: LinExpr, relation: Relation) -> "Constraint":
+        """The interned constraint ``expr ⋈ 0`` for an *expr* already in
+        canonical form (primitive integer coefficients), as
+        :meth:`normalized` would return it, without re-normalising."""
+        found = Constraint._interned.get((expr._terms, expr._constant, relation))
+        if found is not None:
+            return found
+        return Constraint._intern(Constraint(expr, relation))
+
+    @staticmethod
+    def _intern(constraint: "Constraint") -> "Constraint":
+        """The interned instance equal to the canonical *constraint*; the
+        first such instance is interned itself."""
+        expr = constraint._expr
+        key = (expr._terms, expr._constant, constraint._relation)
         canonical = Constraint._interned.get(key)
         if canonical is None:
-            if expr == self._expr:
-                canonical = self  # already canonical: intern this instance
-            else:
-                canonical = Constraint(expr, self._relation)
+            canonical = constraint
             canonical._canonical = canonical
             Constraint._interned[key] = canonical
-        self._canonical = canonical
         return canonical
 
     # -- evaluation ----------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.linalg.sparse import SparseRow
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.polyhedra.generators import GeneratorSystem
+from repro.polyhedra.generators import GeneratorSystem, Homogenized
 
 _ZERO = Fraction(0)
 
@@ -200,22 +200,30 @@ def constraints_to_generators(
 
     lines, rays = _double_description(halfspaces, size + 1)
 
-    system = GeneratorSystem(ordering)
-    for line in lines:
-        # The homogenising coordinate of a line must be zero because t ≥ 0.
-        if line.indices[0] < size:
-            system.lines.append(_spatial(line, size, 1))
+    vertices: List[Vector] = []
+    spatial_rays: List[Vector] = []
+    spatial_lines: List[Vector] = []
+    homogenized: Homogenized = ([], [], [])
     for ray in rays:
         weight = ray.numerator_at(size)
         if weight > 0:
-            system.vertices.append(_spatial(ray, size, weight))
+            vertices.append(_spatial(ray, size, weight))
+            homogenized[0].append(_dense_row(ray, size + 1))
         elif ray.indices[0] < size:
-            system.rays.append(_spatial(ray, size, 1))
-    if not system.vertices:
+            spatial_rays.append(_spatial(ray, size, 1))
+            homogenized[1].append(_dense_row(ray, size + 1))
+    if not vertices:
         # Without a single point the polyhedron is empty: drop the stray
         # recession directions.
-        system.rays = []
-        system.lines = []
+        return GeneratorSystem(ordering)
+    for line in lines:
+        # The homogenising coordinate of a line must be zero because t ≥ 0.
+        if line.indices[0] < size:
+            spatial_lines.append(_spatial(line, size, 1))
+            homogenized[2].append(_dense_row(line, size + 1))
+    system = GeneratorSystem(ordering, vertices, spatial_rays, spatial_lines)
+    # The rows are primitive, so they are the homogenised generators.
+    system._homogenized = homogenized
     return system
 
 
@@ -278,6 +286,14 @@ def _integer_row(values: Sequence[int]) -> SparseRow:
     return SparseRow(indices, [values[index] for index in indices])
 
 
+def _dense_row(row: SparseRow, size: int) -> List[int]:
+    """An integer sparse row as a dense list of *size* integers."""
+    values = [0] * size
+    for index, numerator in row.iter_scaled():
+        values[index] = numerator
+    return values
+
+
 def _spatial(row: SparseRow, size: int, weight: int) -> Vector:
     """The first *size* coordinates of an integer *row*, over *weight*."""
     entries = [_ZERO] * size
@@ -290,6 +306,8 @@ def _spatial(row: SparseRow, size: int, weight: int) -> Vector:
 def _row_to_constraint(
     row: SparseRow, ordering: Sequence[str], relation: Relation
 ) -> Optional[Constraint]:
+    """The interned constraint of a primitive polar row ``(a, c)``, which
+    is already in canonical form; ``None`` for a trivially true one."""
     size = len(ordering)
     coefficients: Dict[str, Fraction] = {}
     constant = _ZERO
@@ -298,7 +316,7 @@ def _row_to_constraint(
             coefficients[ordering[index]] = Fraction(numerator)
         else:
             constant = Fraction(numerator)
-    constraint = Constraint(LinExpr(coefficients, constant), relation)
-    if constraint.is_trivially_true():
+    constraint = Constraint.canonical(LinExpr(coefficients, constant), relation)
+    if not coefficients and constraint.is_trivially_true():
         return None
-    return constraint.normalized()
+    return constraint

@@ -6,9 +6,11 @@ combination of the rays plus an arbitrary combination of the lines.
 
 The polyhedral domain computes on this representation directly: an affine
 map sends generators to generators of the image
-(:meth:`GeneratorSystem.affine_image`), and the affine dimension of the
+(:meth:`GeneratorSystem.affine_image`), the affine dimension of the
 polyhedron, or of one of its faces, is the rank of the homogenised
-generators (:func:`integer_rank`).
+generators (:func:`integer_rank`), and a generator of one system outside
+the bounding box of another refutes inclusion without a constraint
+(:meth:`GeneratorSystem.box_excludes`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ Output = Optional[Union[int, Tuple[Sequence[Tuple[int, Fraction]], Fraction]]]
 #: Integer vertices, rays and lines of :meth:`GeneratorSystem.homogenized`.
 Homogenized = Tuple[List[List[int]], List[List[int]], List[List[int]]]
 
+#: One side of a coordinate's range: the bound ``numerator / denominator``
+#: (``denominator > 0``), or ``None`` when the side is unbounded.
+Bound = Optional[Tuple[int, int]]
+
 _ZERO = Fraction(0)
 
 
@@ -39,6 +45,9 @@ class GeneratorSystem:
     rays: List[Vector] = field(default_factory=list)
     lines: List[Vector] = field(default_factory=list)
     _homogenized: Optional[Homogenized] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _box: Optional[List[Tuple[Bound, Bound]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -64,6 +73,84 @@ class GeneratorSystem:
                 [_integer_vector(line, 0) for line in self.lines],
             )
         return self._homogenized
+
+    def renamed(self, variables: Sequence[str]) -> "GeneratorSystem":
+        """The same generators over new variable names (memos included)."""
+        result = GeneratorSystem(
+            tuple(variables), self.vertices, self.rays, self.lines
+        )
+        result._homogenized = self._homogenized
+        result._box = self._box
+        return result
+
+    def box(self) -> List[Tuple[Bound, Bound]]:
+        """Per coordinate, the exact ``(lower, upper)`` bounds of the
+        nonempty generated polyhedron, read off the homogenised rows: a
+        side is bounded unless a ray points along it or a line moves the
+        coordinate, and then it is the extreme vertex value.  Memoised.
+        """
+        if self._box is None:
+            vertices, rays, lines = self.homogenized()
+            size = len(self.variables)
+            box: List[Tuple[Bound, Bound]] = []
+            for index in range(size):
+                if any(line[index] for line in lines):
+                    box.append((None, None))
+                    continue
+                # ``value / weight`` against ``numerator / denominator``.
+                low = high = (vertices[0][index], vertices[0][size])
+                for vertex in vertices:
+                    value, weight = vertex[index], vertex[size]
+                    if value * low[1] < low[0] * weight:
+                        low = (value, weight)
+                    if value * high[1] > high[0] * weight:
+                        high = (value, weight)
+                if any(ray[index] < 0 for ray in rays):
+                    low = None
+                if any(ray[index] > 0 for ray in rays):
+                    high = None
+                box.append((low, high))
+            self._box = box
+        return self._box
+
+    def box_excludes(self, other: "GeneratorSystem") -> bool:
+        """Whether a generator of *other* leaves the bounding box of this
+        nonempty system: a vertex beyond a coordinate's bound, a ray
+        pointing into a bounded side or a line along a bounded coordinate.
+        Any of them lies outside this polyhedron, so ``True`` refutes
+        ``other ⊆ self`` exactly; ``False`` decides nothing.
+        """
+        if not self.vertices:
+            return False
+        bounded = [
+            (index, lower, upper)
+            for index, (lower, upper) in enumerate(self.box())
+            if lower is not None or upper is not None
+        ]
+        if not bounded:
+            return False
+        size = len(self.variables)
+        vertices, rays, lines = other.homogenized()
+        for line in lines:
+            if any(line[index] for index, _, _ in bounded):
+                return True
+        for ray in rays:
+            for index, lower, upper in bounded:
+                value = ray[index]
+                if (value > 0 and upper is not None) or (
+                    value < 0 and lower is not None
+                ):
+                    return True
+        for vertex in vertices:
+            weight = vertex[size]
+            for index, lower, upper in bounded:
+                # vertex[index] / weight against numerator / denominator.
+                value = vertex[index]
+                if upper is not None and value * upper[1] > upper[0] * weight:
+                    return True
+                if lower is not None and value * lower[1] < lower[0] * weight:
+                    return True
+        return False
 
     def is_full_dimensional(self) -> bool:
         """Whether the generated polyhedron has affine dimension

@@ -66,6 +66,9 @@ from repro.polyhedra.projection import (
     remove_redundant,
 )
 
+#: ``1 ≤ 0``, the one row of the canonical empty polyhedron.
+_FALSE = Constraint(LinExpr.constant(1), Relation.LE).normalized()
+
 #: Computes the constraints of a transfer's result from its input's
 #: constraints and, when known, the generators of the result.
 _Fallback = Callable[[List[Constraint], Optional[GeneratorSystem]], List[Constraint]]
@@ -80,15 +83,7 @@ class Polyhedron:
         constraints: Iterable[Constraint] = (),
     ):
         self._variables: Tuple[str, ...] = tuple(variables)
-        cleaned: List[Constraint] = []
-        for constraint in constraints:
-            unknown = constraint.variables() - set(self._variables)
-            if unknown:
-                raise ValueError(
-                    "constraint %s mentions variables %s outside the space"
-                    % (constraint, sorted(unknown))
-                )
-            cleaned.append(constraint.weaken().normalized())
+        cleaned = _closed_rows(self._variables, constraints)
         #: ``None`` until :attr:`_pending` has computed them.
         self._constraints: Optional[List[Constraint]] = cleaned
         self._pending: Optional[Callable[[], List[Constraint]]] = None
@@ -108,7 +103,7 @@ class Polyhedron:
     @classmethod
     def empty(cls, variables: Sequence[str]) -> "Polyhedron":
         """The canonical empty polyhedron."""
-        result = cls(variables, [Constraint(LinExpr.constant(1), Relation.LE)])
+        result = cls._of_rows(tuple(variables), [_FALSE])
         result._empty_cache = True
         return result
 
@@ -163,16 +158,30 @@ class Polyhedron:
         Decided on the generators when they are known, else by an LP.
         """
         if self._generators is not None:
-            return _generated_satisfy(self._generators, candidate)
+            return _satisfaction_test(self._generators)(candidate)
         return entails(self._rows(), candidate)
 
     def includes(self, other: "Polyhedron") -> bool:
         """Whether *other* ⊆ *self*: every generator of *other* obeys
-        every constraint of *self*."""
+        every constraint of *self*.
+
+        While *self*'s constraints are pending behind its generators, a
+        generator of *other* outside their bounding box refutes the
+        inclusion first (``polyhedra.polyhedron.inclusion_refuted_on_generators``),
+        which saves converting them; otherwise the rows decide
+        (``polyhedra.polyhedron.inclusion_by_rows``).
+        """
         system = other.generators()
-        return all(
-            _generated_satisfy(system, constraint) for constraint in self._rows()
-        )
+        if (
+            self._constraints is None
+            and self._generators is not None
+            and self._generators.box_excludes(system)
+        ):
+            count("polyhedra.polyhedron.inclusion_refuted_on_generators")
+            return False
+        count("polyhedra.polyhedron.inclusion_by_rows")
+        satisfied = _satisfaction_test(system)
+        return all(satisfied(constraint) for constraint in self._rows())
 
     def equals(self, other: "Polyhedron") -> bool:
         return self.includes(other) and other.includes(self)
@@ -190,33 +199,28 @@ class Polyhedron:
         self._check_space(other)
         empty = True if self._empty_cache or other._empty_cache else None
         if empty is None:
-            included = [
-                inner._generators
-                for inner, outer in ((other, self), (self, other))
-                if inner._generators is not None
-                and not inner._generators.is_empty()
-                and outer.includes(inner)
-            ]
-            for system in included:
+            for inner, outer in ((other, self), (self, other)):
+                system = inner._generators
+                if system is None or system.is_empty() or not outer.includes(inner):
+                    continue
                 if system.is_full_dimensional():
                     return self._lazy(
                         self._variables,
                         lambda: self._rows() + other._rows(),
                         system,
                     )
-            if included:
                 empty = False
-        result = Polyhedron(self._variables, self._rows() + other._rows())
+        result = self._of_rows(self._variables, self._rows() + other._rows())
         result._empty_cache = empty
         return result
 
     def intersect_constraints(
         self, constraints: Iterable[Constraint]
     ) -> "Polyhedron":
-        added = list(constraints)
+        added = _closed_rows(self._variables, constraints)
         if not added:
             return self
-        result = Polyhedron(self._variables, self._rows() + added)
+        result = self._of_rows(self._variables, self._rows() + added)
         if self._empty_cache:
             result._empty_cache = True
         return result
@@ -273,12 +277,10 @@ class Polyhedron:
         if obeyed:
             # One conversion of the widened rows decides every threshold
             # on generators, instead of one entailment LP per threshold.
-            system = constraints_to_generators(stable, self._variables)
-            kept = [
-                threshold
-                for threshold in obeyed
-                if not _generated_satisfy(system, threshold)
-            ]
+            satisfied = _satisfaction_test(
+                constraints_to_generators(stable, self._variables)
+            )
+            kept = [threshold for threshold in obeyed if not satisfied(threshold)]
             if kept:
                 result = Polyhedron(self._variables, stable + kept)
         result._empty_cache = False
@@ -319,9 +321,7 @@ class Polyhedron:
         new_variables = tuple(mapping.get(v, v) for v in self._variables)
         system = self._generators
         if system is not None:
-            system = GeneratorSystem(
-                new_variables, system.vertices, system.rays, system.lines
-            )
+            system = system.renamed(new_variables)
         return self._reembedded(
             new_variables,
             lambda rows: [constraint.rename(mapping) for constraint in rows],
@@ -391,7 +391,9 @@ class Polyhedron:
         system = self.generators()
         if system.is_empty():
             return Polyhedron.empty(self._variables)
-        result = Polyhedron(self._variables, remove_redundant(self._rows(), system))
+        result = self._of_rows(
+            self._variables, remove_redundant(self._rows(), system)
+        )
         result._empty_cache = False
         return result
 
@@ -433,9 +435,7 @@ class Polyhedron:
     def _rows(self) -> List[Constraint]:
         """The constraints, computed on first use when they are pending."""
         if self._constraints is None:
-            self._constraints = [
-                constraint.weaken().normalized() for constraint in self._pending()
-            ]
+            self._constraints = [_closed(constraint) for constraint in self._pending()]
             self._pending = None
         return self._constraints
 
@@ -476,6 +476,16 @@ class Polyhedron:
         count("polyhedra.polyhedron.transfers_by_fm")
         result = self._lazy(variables, lambda: fallback(self._rows(), image))
         result._empty_cache = False
+        return result
+
+    @staticmethod
+    def _of_rows(
+        variables: Tuple[str, ...], rows: List[Constraint]
+    ) -> "Polyhedron":
+        """A polyhedron over *rows*, closed canonical rows in the space
+        (another polyhedron's rows, or ones :func:`_closed_rows` made)."""
+        result = Polyhedron(variables)
+        result._constraints = rows
         return result
 
     @staticmethod
@@ -525,38 +535,70 @@ class Polyhedron:
             )
 
 
-def _generated_satisfy(system: GeneratorSystem, constraint: Constraint) -> bool:
-    """Whether every point generated by *system* satisfies *constraint*.
+def _closed(constraint: Constraint) -> Constraint:
+    """The closed canonical row a polyhedron keeps for *constraint*; an
+    interned canonical row is its own."""
+    if constraint.is_strict():
+        constraint = constraint.weaken()
+    return constraint.normalized()
 
-    With ``constraint`` as ``a·x + c ⋈ 0``: every vertex must satisfy it,
+
+def _closed_rows(
+    variables: Tuple[str, ...], constraints: Iterable[Constraint]
+) -> List[Constraint]:
+    """The closed canonical rows of *constraints*, which must stay inside
+    the space of *variables*."""
+    space = set(variables)
+    rows: List[Constraint] = []
+    for constraint in constraints:
+        unknown = constraint.variables() - space
+        if unknown:
+            raise ValueError(
+                "constraint %s mentions variables %s outside the space"
+                % (constraint, sorted(unknown))
+            )
+        rows.append(_closed(constraint))
+    return rows
+
+
+def _satisfaction_test(system: GeneratorSystem) -> Callable[[Constraint], bool]:
+    """Whether every point generated by *system* satisfies a constraint.
+
+    With the constraint as ``a·x + c ⋈ 0``: every vertex must satisfy it,
     ``a·r ≤ 0`` for every ray (``= 0`` for an equality) and ``a·l = 0``
     for every line.  Decided on the homogenised integer generators, with
-    the constraint scaled to integer coefficients.
+    the constraint scaled to integer coefficients; the positions and rows
+    are looked up once, for every constraint the test is asked about.
     """
     if not system.vertices:
-        return True  # the empty polyhedron entails everything
+        return lambda constraint: True  # the empty polyhedron entails everything
     position = {name: index for index, name in enumerate(system.variables)}
-    normal = constraint.normalized()  # integer coefficients, same direction
-    terms = []
-    for name, coefficient in normal.expr.terms.items():
-        if name not in position:
-            return False  # a free coordinate outside the space
-        terms.append((position[name], int(coefficient)))
-    constant = int(normal.expr.constant_term)
-    if constant:
-        terms.append((len(position), constant))
-    equality = normal.is_equality()
-    strict = normal.is_strict()
+    size = len(position)
     vertices, rays, lines = system.homogenized()
-    for line in lines:
-        if sum(coefficient * line[index] for index, coefficient in terms):
-            return False
-    for ray in rays:
-        value = sum(coefficient * ray[index] for index, coefficient in terms)
-        if value > 0 or (equality and value != 0):
-            return False
-    for vertex in vertices:
-        value = sum(coefficient * vertex[index] for index, coefficient in terms)
-        if value > 0 or (equality and value != 0) or (strict and value == 0):
-            return False
-    return True
+
+    def satisfied(constraint: Constraint) -> bool:
+        normal = constraint.normalized()  # integer coefficients, same direction
+        terms = []
+        for name, coefficient in normal.expr.terms.items():
+            if name not in position:
+                return False  # a free coordinate outside the space
+            terms.append((position[name], int(coefficient)))
+        constant = int(normal.expr.constant_term)
+        if constant:
+            terms.append((size, constant))
+        equality = normal.is_equality()
+        strict = normal.is_strict()
+        for line in lines:
+            if sum(coefficient * line[index] for index, coefficient in terms):
+                return False
+        for ray in rays:
+            value = sum(coefficient * ray[index] for index, coefficient in terms)
+            if value > 0 or (equality and value != 0):
+                return False
+        for vertex in vertices:
+            value = sum(coefficient * vertex[index] for index, coefficient in terms)
+            if value > 0 or (equality and value != 0) or (strict and value == 0):
+                return False
+        return True
+
+    return satisfied

@@ -1,12 +1,15 @@
 """Tests for the abstract-interpretation engine."""
 
+from pathlib import Path
 
 from repro.api import Analysis, AnalysisConfig, AnalysisStatus
 from repro.benchsuite.registry import get_program
-from repro.invariants.analyzer import compute_invariants
+from repro.invariants.analyzer import InvariantAnalyzer, compute_invariants
 from repro.invariants.invariant_map import InvariantMap
 from repro.linexpr.expr import var
 from repro.linexpr.formula import disjunction
+from repro.metrics import recording
+from repro.polyhedra.polyhedron import Polyhedron
 from repro.program.builder import AutomatonBuilder
 
 x, y, i, j, n = var("x"), var("y"), var("i"), var("j"), var("n")
@@ -144,3 +147,78 @@ class TestGeneratorCounters:
             metrics["polyhedra.projection.lp_calls"]
             >= metrics["polyhedra.projection.rows_to_lp"]
         )
+
+
+class RecordingAnalyzer(InvariantAnalyzer):
+    """Logs every post: its transition, source, image and whether the
+    image was computed (``_image`` ran) or reused, and the phase."""
+
+    def __init__(self, automaton):
+        super().__init__(automaton)
+        self.phase = "ascending"
+        self.log = []
+        self._computed = False
+
+    def _descending_pass(self, values):
+        self.phase = "descending"
+        return super()._descending_pass(values)
+
+    def _image(self, value, transition):
+        self._computed = True
+        return super()._image(value, transition)
+
+    def _post(self, value, transition):
+        self._computed = False
+        image = super()._post(value, transition)
+        self.log.append((self.phase, transition, value, image, self._computed))
+        return image
+
+
+class TestPostReuse:
+    """The descending pass reuses the ascending phase's final posts."""
+
+    def recorded(self):
+        program = get_program("wtc", "cousot9")
+        analyzer = RecordingAnalyzer(Analysis(program.source).automaton())
+        analyzer.run()
+        return analyzer.log
+
+    def test_a_reused_post_is_the_ascending_phase_image(self):
+        log = self.recorded()
+        built = {
+            id(transition): image
+            for phase, transition, _, image, computed in log
+            if phase == "ascending" and computed
+        }
+        reused = [entry for entry in log if not entry[4]]
+        assert reused
+        for phase, transition, _, image, _ in reused:
+            assert phase == "descending"
+            assert image is built[id(transition)]
+
+    def test_a_changed_source_is_never_reused(self):
+        last_source = {}
+        for _, transition, value, _, computed in self.recorded():
+            if last_source.get(id(transition)) is not value:
+                assert computed
+            else:
+                assert not computed
+            last_source[id(transition)] = value
+
+    def test_an_equal_but_distinct_source_is_posted_again(self):
+        analyzer = InvariantAnalyzer(counter_loop())
+        transition = analyzer.automaton.outgoing("head")[0]
+        first = Polyhedron.universe(analyzer.variables)
+        with recording() as counters:
+            image = analyzer._post(first, transition)
+            assert analyzer._post(first, transition) is image
+            again = analyzer._post(Polyhedron.universe(analyzer.variables), transition)
+        assert again is not image
+        assert again.equals(image)
+        assert counters["invariants.analyzer.posts_reused"] == 1
+
+    def test_listing1_reuses_posts(self):
+        source = (Path(__file__).parents[2] / "examples" / "listing1.imp").read_text()
+        with recording() as counters:
+            Analysis(source, name="listing1").problem()
+        assert counters["invariants.analyzer.posts_reused"] > 0

@@ -1,5 +1,6 @@
 """Tests for the linear-arithmetic theory solver."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,13 +78,39 @@ class TestUnsatisfiable:
         assert len(core) == 2
 
     def test_fallback_core_covers_conflict(self):
-        # 2x = 1 has a rational solution but no integer one: branch and
-        # bound refutes it below the root, so there is no certificate.
+        # 2x = 1 has a rational solution but no integer one: the gcd test
+        # of branch and bound refutes it past the feasible root, so there
+        # is no certificate.
         constraints = [(2 * x).eq(1), y >= 0]
         result = check_conjunction(constraints, integer_variables={"x"})
         assert not result.satisfiable
         assert not result.certified
         assert result.core == [0, 1]
+
+
+class TestIntegerEqualities:
+    """An equality whose coefficient gcd does not divide its constant is
+    refuted before branch and bound branches."""
+
+    def test_unbounded_gcd_conflict_is_refuted_at_once(self):
+        # Rationally feasible and unbounded: branching alone never ends.
+        a, b = var("a"), var("b")
+        start = time.perf_counter()
+        with recording() as counters:
+            result = check_conjunction([(2 * a - 2 * b).eq(1)], {"a", "b"})
+        assert time.perf_counter() - start < 1.0
+        assert not result.satisfiable
+        assert not result.certified
+        assert result.core == [0]
+        assert counters["lp.ilp.equalities_refuted"] == 1
+        assert counters["lp.ilp.nodes"] == 1
+
+    def test_rows_with_a_rational_variable_are_not_refuted(self):
+        a = var("a")
+        with recording() as counters:
+            result = check_conjunction([(2 * a + 2 * y).eq(1)], {"a"})
+        assert result.satisfiable
+        assert "lp.ilp.equalities_refuted" not in counters
 
 
 # -- differential: Farkas cores against the independent checker -------------------
@@ -167,8 +194,11 @@ def conjunctions(draw):
     """A random conjunction of strict, non-strict and equality rows.
 
     Integer variables get the box ``−4 ≤ v ≤ 4``, which keeps branch and
-    bound within its node budget.  Returns ``(constraints, integer
-    variables)``.
+    bound within its node budget.  The gcd test refutes a single equality
+    such as ``2a − 2b = 1`` at once, but equalities that only conflict
+    together, such as ``a − 2b = 0 ∧ a − 2c = 1``, still need the Omega
+    test's full equality step before the box can go.  Returns
+    ``(constraints, integer variables)``.
     """
     rows = draw(
         st.lists(
