@@ -1,10 +1,13 @@
 """Golden invariants: the polyhedral invariants of the built-in corpus.
 
 ``data/golden_invariants.json`` maps ``suite/program`` to, per location,
-the sorted normalised constraint strings of the invariant that
-``Analysis(...).problem()`` hands to synthesis.  The test recomputes them
-and requires exact equality, so a change inside the polyhedra domain or
-the analyzer is shown to keep every invariant of the corpus.  The same
+the normalised constraint strings of the invariant that
+``Analysis(...).problem()`` hands to synthesis, in the invariant's row
+order.  That order is the row order of the ranking LP and of the SMT
+oracle's formula, so it can move rankings.  The test recomputes the
+strings and requires exact equality, order included, so a change inside
+the polyhedra domain or the analyzer is shown to keep every invariant of
+the corpus.  The same
 runs show that the polyhedra's emptiness flag settles every emptiness
 test of the invariant stage: none needs a feasibility LP.
 
@@ -48,9 +51,9 @@ def analyse(source: str, name: str) -> Tuple[Dict[str, List[str]], Dict[str, int
     with recording() as counters:
         invariants = Analysis(source, name=name).problem().invariants
     strings = {
-        location: sorted(
+        location: [
             str(constraint.normalized()) for constraint in polyhedron.constraints
-        )
+        ]
         for location, polyhedron in sorted(invariants.items())
     }
     return strings, counters
