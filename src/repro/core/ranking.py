@@ -82,9 +82,6 @@ class LexicographicRankingFunction:
             component.evaluate(location, state) for component in self.components
         )
 
-    def expressions(self, location: str) -> List[LinExpr]:
-        return [component.expression(location) for component in self.components]
-
     def pretty(self) -> str:
         if not self.components:
             return "⟨⟩"

@@ -5,7 +5,10 @@ by the paper (Definition 1 and Definition 3):
 
 * the *constraint* representation ``{x | A x ≤ b}`` (:class:`Polyhedron`),
 * the *generator* representation (vertices, rays, lines), computed by the
-  double-description method in :mod:`repro.polyhedra.dd`.
+  double-description method in :mod:`repro.polyhedra.dd`.  Each generator
+  is one homogenised primitive integer row, as DD produces it: ``(c, w)``
+  with ``w > 0`` for the vertex ``c / w`` and ``(d, 0)`` for a ray or line
+  ``d`` (:class:`GeneratorSystem`).
 
 On top of those sit Fourier–Motzkin projection, convex hull of unions,
 inclusion/emptiness tests and the standard widening — everything the

@@ -4,9 +4,10 @@ The core routine, :func:`cone_double_description`, incrementally intersects
 the full space with homogeneous half-spaces ``a·y ≤ 0`` while maintaining a
 generating system of lines and rays.  Polyhedra are handled through the
 usual homogenisation ``x ↦ (x, t)``: a generator with ``t > 0`` is a vertex
-(after scaling ``t`` to 1) and a generator with ``t = 0`` is a ray.  The
+(the point ``x / t``) and a generator with ``t = 0`` is a ray.  The
 conversions build their half-spaces as primitive integer rows straight
-from normalised constraints and from the memoised homogenised generators.
+from normalised constraints and from the generators' rows, and DD's own
+primitive output rows are the generators it returns.
 
 The adjacency test used when combining rays is the combinatorial one
 (zero-set inclusion); each ray's zero set against the half-spaces already
@@ -24,21 +25,21 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.linalg.sparse import SparseRow
-from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.polyhedra.generators import GeneratorSystem, Homogenized
+from repro.polyhedra.generators import GeneratorSystem, Row
 
 _ZERO = Fraction(0)
 
 
 def cone_double_description(
-    rows: Sequence[Tuple[Vector, bool]], dimension: int
-) -> Tuple[List[Vector], List[Vector]]:
+    rows: Sequence[Tuple[Sequence[Fraction], bool]], dimension: int
+) -> Tuple[List[Row], List[Row]]:
     """Generators of the cone ``{y | a·y ≤ 0 (rows), a·y = 0 (equalities)}``.
 
     *rows* is a sequence of ``(a, is_equality)`` pairs.  Returns
-    ``(lines, rays)`` such that the cone equals ``span(lines) + cone(rays)``.
+    ``(lines, rays)``, primitive integer tuples, such that the cone equals
+    ``span(lines) + cone(rays)``.
     """
     halfspaces: List[SparseRow] = []
     for normal, is_equality in rows:
@@ -50,8 +51,8 @@ def cone_double_description(
             halfspaces.append(-row)
     lines, rays = _double_description(halfspaces, dimension)
     return (
-        [Vector(line.to_dense(dimension)) for line in lines],
-        [Vector(ray.to_dense(dimension)) for ray in rays],
+        [_dense_row(line, dimension) for line in lines],
+        [_dense_row(ray, dimension) for ray in rays],
     )
 
 
@@ -200,31 +201,22 @@ def constraints_to_generators(
 
     lines, rays = _double_description(halfspaces, size + 1)
 
-    vertices: List[Vector] = []
-    spatial_rays: List[Vector] = []
-    spatial_lines: List[Vector] = []
-    homogenized: Homogenized = ([], [], [])
+    vertices: List[Row] = []
+    spatial_rays: List[Row] = []
     for ray in rays:
-        weight = ray.numerator_at(size)
-        if weight > 0:
-            vertices.append(_spatial(ray, size, weight))
-            homogenized[0].append(_dense_row(ray, size + 1))
+        if ray.numerator_at(size) > 0:
+            vertices.append(_dense_row(ray, size + 1))
         elif ray.indices[0] < size:
-            spatial_rays.append(_spatial(ray, size, 1))
-            homogenized[1].append(_dense_row(ray, size + 1))
+            spatial_rays.append(_dense_row(ray, size + 1))
     if not vertices:
         # Without a single point the polyhedron is empty: drop the stray
         # recession directions.
         return GeneratorSystem(ordering)
-    for line in lines:
-        # The homogenising coordinate of a line must be zero because t ≥ 0.
-        if line.indices[0] < size:
-            spatial_lines.append(_spatial(line, size, 1))
-            homogenized[2].append(_dense_row(line, size + 1))
-    system = GeneratorSystem(ordering, vertices, spatial_rays, spatial_lines)
-    # The rows are primitive, so they are the homogenised generators.
-    system._homogenized = homogenized
-    return system
+    # The homogenising coordinate of a line must be zero because t ≥ 0.
+    spatial_lines = [
+        _dense_row(line, size + 1) for line in lines if line.indices[0] < size
+    ]
+    return GeneratorSystem(ordering, vertices, spatial_rays, spatial_lines)
 
 
 def generators_to_constraints(system: GeneratorSystem) -> List[Constraint]:
@@ -239,11 +231,10 @@ def generators_to_constraints(system: GeneratorSystem) -> List[Constraint]:
         # The canonical representation of the empty polyhedron.
         return [Constraint(LinExpr.constant(1), Relation.LE)]
 
-    vertices, rays, lines = system.homogenized()
     halfspaces: List[SparseRow] = []
-    for generator in vertices + rays:
+    for generator in system.vertices + system.rays:
         halfspaces.append(_integer_row(generator))
-    for line in lines:
+    for line in system.lines:
         row = _integer_row(line)
         halfspaces.append(row)
         halfspaces.append(-row)
@@ -286,21 +277,12 @@ def _integer_row(values: Sequence[int]) -> SparseRow:
     return SparseRow(indices, [values[index] for index in indices])
 
 
-def _dense_row(row: SparseRow, size: int) -> List[int]:
-    """An integer sparse row as a dense list of *size* integers."""
+def _dense_row(row: SparseRow, size: int) -> Row:
+    """An integer sparse row as a dense tuple of *size* integers."""
     values = [0] * size
     for index, numerator in row.iter_scaled():
         values[index] = numerator
-    return values
-
-
-def _spatial(row: SparseRow, size: int, weight: int) -> Vector:
-    """The first *size* coordinates of an integer *row*, over *weight*."""
-    entries = [_ZERO] * size
-    for index, numerator in row.iter_scaled():
-        if index < size:
-            entries[index] = Fraction(numerator, weight)
-    return Vector(entries)
+    return tuple(values)
 
 
 def _row_to_constraint(

@@ -566,7 +566,7 @@ def _satisfaction_test(system: GeneratorSystem) -> Callable[[Constraint], bool]:
 
     With the constraint as ``a·x + c ⋈ 0``: every vertex must satisfy it,
     ``a·r ≤ 0`` for every ray (``= 0`` for an equality) and ``a·l = 0``
-    for every line.  Decided on the homogenised integer generators, with
+    for every line.  Decided on the integer generator rows, with
     the constraint scaled to integer coefficients; the positions and rows
     are looked up once, for every constraint the test is asked about.
     """
@@ -574,7 +574,7 @@ def _satisfaction_test(system: GeneratorSystem) -> Callable[[Constraint], bool]:
         return lambda constraint: True  # the empty polyhedron entails everything
     position = {name: index for index, name in enumerate(system.variables)}
     size = len(position)
-    vertices, rays, lines = system.homogenized()
+    vertices, rays, lines = system.vertices, system.rays, system.lines
 
     def satisfied(constraint: Constraint) -> bool:
         normal = constraint.normalized()  # integer coefficients, same direction

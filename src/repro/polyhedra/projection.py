@@ -483,7 +483,7 @@ def _saturation_decisions(
     """
     position = {name: index for index, name in enumerate(generators.variables)}
     size = len(position)
-    vertices, rays, lines = generators.homogenized()
+    vertices, rays, lines = generators.vertices, generators.rays, generators.lines
     points_and_rays = vertices + rays
     dimension = integer_rank(points_and_rays + lines) - 1
     decisions: List[Optional[bool]] = []

@@ -76,9 +76,6 @@ class ControlFlowAutomaton:
     def predecessors(self, location: str) -> List[str]:
         return sorted({t.source for t in self.incoming(location)})
 
-    def edges(self) -> List[Transition]:
-        return list(self.transitions)
-
     def reachable_locations(self) -> Set[str]:
         """Locations reachable from the initial location in the CFG."""
         seen: Set[str] = set()

@@ -242,9 +242,17 @@ def disjunct_generators(
     system = constraints_to_generators(disjunct.constraints, variables)
     generators: List[Tuple[str, Vector]] = []
     for vertex in system.vertices:
-        image = block_map.image(dict(zip(variables, vertex)))
-        generators.append(("vertex", image))
-    for ray in system.all_ray_like():
+        weight = vertex[-1]
+        point = {
+            name: Fraction(value, weight) for name, value in zip(variables, vertex)
+        }
+        generators.append(("vertex", block_map.image(point)))
+    # A line is a ray in both orientations (it forces ``λ·l = 0``).
+    directions = list(system.rays)
+    for line in system.lines:
+        directions.append(line)
+        directions.append(tuple(-value for value in line))
+    for ray in directions:
         image = block_map.image(dict(zip(variables, ray)), ray=True)
         if not image.is_zero():
             generators.append(("ray", image))

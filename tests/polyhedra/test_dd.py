@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
-
+from repro.api import Analysis
+from repro.core.problem import TransitionDisjunct
 from repro.linalg.vector import Vector
 from repro.linexpr.expr import var
+from repro.linexpr.transform import prime_suffix
 from repro.polyhedra.dd import (
     cone_double_description,
     constraints_to_generators,
@@ -12,6 +14,8 @@ from repro.polyhedra.dd import (
 )
 from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
+from repro.synthesis.oracles import disjunct_generators
+from tests.polyhedra.generator_rows import generator_system
 
 x, y = var("x"), var("y")
 
@@ -48,17 +52,18 @@ class TestConeDoubleDescription:
 class TestPolyhedronConversions:
     def test_square_vertices(self):
         system = constraints_to_generators([x >= 0, x <= 1, y >= 0, y <= 1], ["x", "y"])
-        assert sorted(tuple(v) for v in system.vertices) == [
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, 1),
+        # Vertices are rows (x, y, weight).
+        assert sorted(system.vertices) == [
+            (0, 0, 1),
+            (0, 1, 1),
+            (1, 0, 1),
+            (1, 1, 1),
         ]
         assert not system.rays and not system.lines
 
     def test_unbounded_rays(self):
         system = constraints_to_generators([x >= 0, y >= 0, x - y <= 3], ["x", "y"])
-        assert sorted(tuple(r) for r in system.rays) == [(0, 1), (1, 1)]
+        assert sorted(system.rays) == [(0, 1, 0), (1, 1, 0)]
 
     def test_empty_polyhedron(self):
         system = constraints_to_generators([x >= 1, x <= 0], ["x"])
@@ -84,7 +89,7 @@ class TestPolyhedronConversions:
         assert constraints[0].is_trivially_false()
 
     def test_single_point(self):
-        system = GeneratorSystem(("x", "y"), vertices=[Vector([2, 3])])
+        system = generator_system(("x", "y"), vertices=[[2, 3]])
         poly = Polyhedron.from_generators(system)
         assert poly.contains_point({"x": 2, "y": 3})
         assert not poly.contains_point({"x": 2, "y": 4})
@@ -92,24 +97,37 @@ class TestPolyhedronConversions:
 
 class TestGeneratorSystem:
     def test_merge_keeps_distinct_vertices(self):
-        a = GeneratorSystem(("x",), vertices=[Vector([1])])
-        b = GeneratorSystem(("x",), vertices=[Vector([2])])
+        a = generator_system(("x",), vertices=[[1]])
+        b = generator_system(("x",), vertices=[[2]])
         assert len(a.merge(b).vertices) == 2
 
     def test_merge_dedupes_parallel_rays(self):
-        a = GeneratorSystem(("x",), rays=[Vector([1])])
-        b = GeneratorSystem(("x",), rays=[Vector([2])])
+        a = generator_system(("x",), rays=[[1]])
+        b = generator_system(("x",), rays=[[2]])
         assert len(a.merge(b).rays) == 1
 
     def test_contains_point_barycentric(self):
-        square = constraints_to_generators([x >= 0, x <= 1, y >= 0, y <= 1], ["x", "y"])
-        assert square.contains_point([Fraction(1, 2), Fraction(1, 2)])
-        assert not square.contains_point([Fraction(2), Fraction(0)])
+        square = Polyhedron.from_generators(
+            constraints_to_generators([x >= 0, x <= 1, y >= 0, y <= 1], ["x", "y"])
+        )
+        assert square.contains_point({"x": Fraction(1, 2), "y": Fraction(1, 2)})
+        assert not square.contains_point({"x": Fraction(2), "y": Fraction(0)})
 
     def test_difference_generators_tags(self):
-        system = GeneratorSystem(
-            ("x",), vertices=[Vector([1])], rays=[Vector([1])], lines=[Vector([1])]
+        """``disjunct_generators`` tags one vertex and three rays: the ray
+        plus both orientations of the line."""
+        problem = Analysis(
+            "var x, y;\nwhile (x > 0) { x = x - 1; }\n", name="loop"
+        ).problem()
+        head = problem.cutset[0]
+        x_next, y_next = prime_suffix("x"), prime_suffix("y")
+        # Over (x, x', y'): the vertex 0, the ray along x and the line
+        # along y', which u = (x − x', y − y') keeps apart.
+        disjunct = TransitionDisjunct(
+            head, head, (x >= 0, var(x_next).eq(0)), (x_next, y_next)
         )
-        tags = [tag for tag, _ in system.difference_generators()]
-        assert tags.count("vertex") == 1
-        assert tags.count("ray") == 3  # the ray plus both orientations of the line
+        generators = disjunct_generators(problem, disjunct)
+        tags = [tag for tag, _ in generators]
+        assert tags == ["vertex", "ray", "ray", "ray"]
+        _, ray, line, opposite = [vector for _, vector in generators]
+        assert line == -opposite and line != ray

@@ -12,13 +12,12 @@ generator-mapped transfer functions agree with the constraint algorithms.
 from hypothesis import given, settings, strategies as st
 
 from repro import metrics
-from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.polyhedra.dd import constraints_to_generators
-from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.polyhedra.projection import remove_redundant
+from tests.polyhedra.generator_rows import generator_system
 
 VARIABLES = ("x", "y", "z")
 x, y, z = var("x"), var("y"), var("z")
@@ -184,16 +183,16 @@ class TestGeneratorTransfers:
 
 class TestVertexlessGeneratorSystems:
     def test_rays_without_a_vertex_generate_the_empty_polyhedron(self):
-        system = GeneratorSystem(("x", "y"), [], [Vector([1, 0])])
+        system = generator_system(("x", "y"), [], [[1, 0]])
         assert system.is_empty()
         polyhedron = Polyhedron.from_generators(system)
         assert [str(c) for c in polyhedron.constraints] == ["1 <= 0"]
         assert polyhedron.is_empty()
 
     def test_lines_without_a_vertex_contain_no_point(self):
-        system = GeneratorSystem(("x",), [], [], [Vector([1])])
+        system = generator_system(("x",), [], [], [[1]])
         assert system.is_empty()
-        assert not system.contains_point([0])
+        assert not Polyhedron.from_generators(system).contains_point({"x": 0})
 
     def test_havoc_of_a_point_adds_a_line(self):
         point = with_generators(Polyhedron(("x", "y"), [x.eq(1), y.eq(2)]))

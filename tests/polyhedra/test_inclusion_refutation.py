@@ -13,9 +13,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro import metrics
-from repro.linalg.vector import Vector
 from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
+from tests.polyhedra.generator_rows import generator_system
 
 VARIABLES = ("x", "y", "z")
 
@@ -24,7 +24,7 @@ halves = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.just(2))
 
 
 def vectors(values):
-    return st.lists(values, min_size=3, max_size=3).map(Vector)
+    return st.lists(values, min_size=3, max_size=3)
 
 
 @st.composite
@@ -37,19 +37,19 @@ def generator_systems(draw):
     flatten = draw(st.sampled_from([None, None, "z", "xy"]))
     if flatten == "z":
         # Every generator in the plane z = 1 (vertices) or z = 0 (directions).
-        vertices = [Vector([v[0], v[1], 1]) for v in vertices]
-        rays = [Vector([r[0], r[1], 0]) for r in rays]
-        lines = [Vector([line[0], line[1], 0]) for line in lines]
+        vertices = [[v[0], v[1], 1] for v in vertices]
+        rays = [[r[0], r[1], 0] for r in rays]
+        lines = [[line[0], line[1], 0] for line in lines]
     elif flatten == "xy":
         # Every generator on the line x = y = z.
-        vertices = [Vector([v[0]] * 3) for v in vertices]
-        rays = [Vector([r[0]] * 3) for r in rays]
-        lines = [Vector([line[0]] * 3) for line in lines]
-    return GeneratorSystem(
+        vertices = [[v[0]] * 3 for v in vertices]
+        rays = [[r[0]] * 3 for r in rays]
+        lines = [[line[0]] * 3 for line in lines]
+    return generator_system(
         VARIABLES,
         vertices,
-        [r for r in rays if not r.is_zero()],
-        [line for line in lines if not line.is_zero()],
+        [r for r in rays if any(r)],
+        [line for line in lines if any(line)],
     )
 
 
@@ -87,19 +87,13 @@ def test_a_system_never_refutes_itself_or_its_parts(system):
 
 
 def test_each_kind_of_generator_refutes():
-    square = GeneratorSystem(
-        VARIABLES,
-        [Vector([0, 0, 0]), Vector([2, 0, 0]), Vector([0, 2, 0])],
-        [Vector([0, 0, 1])],
+    square = generator_system(
+        VARIABLES, [[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 0, 1]]
     )
-    beyond = GeneratorSystem(VARIABLES, [Vector([Fraction(5, 2), 0, 0])])
-    ray_out = GeneratorSystem(VARIABLES, [Vector([0, 0, 0])], [Vector([-1, 0, 0])])
-    along = GeneratorSystem(
-        VARIABLES, [Vector([0, 0, 0])], [], [Vector([0, 1, 0])]
-    )
-    unbounded_side = GeneratorSystem(
-        VARIABLES, [Vector([0, 0, 7])], [Vector([0, 0, 3])]
-    )
+    beyond = generator_system(VARIABLES, [[Fraction(5, 2), 0, 0]])
+    ray_out = generator_system(VARIABLES, [[0, 0, 0]], [[-1, 0, 0]])
+    along = generator_system(VARIABLES, [[0, 0, 0]], [], [[0, 1, 0]])
+    unbounded_side = generator_system(VARIABLES, [[0, 0, 7]], [[0, 0, 3]])
     assert square.box_excludes(beyond)
     assert square.box_excludes(ray_out)
     assert square.box_excludes(along)

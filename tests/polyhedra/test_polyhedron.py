@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.simplex import check_feasibility
-from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.polyhedra.projection import entails
+from tests.polyhedra.generator_rows import generator_system
 
 x, y = var("x"), var("y")
 
@@ -154,8 +153,8 @@ def constraints(draw, strict=False):
 
 @st.composite
 def generator_systems(draw):
-    vector = st.lists(small, min_size=3, max_size=3).map(Vector)
-    return GeneratorSystem(
+    vector = st.lists(small, min_size=3, max_size=3)
+    return generator_system(
         SPACE,
         draw(st.lists(vector, min_size=1, max_size=4)),
         draw(st.lists(vector, max_size=2)),
