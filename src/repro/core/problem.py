@@ -260,6 +260,10 @@ class TerminationProblem:
     # -- invariants -------------------------------------------------------------------
 
     def invariant(self, location: str) -> Polyhedron:
+        """``I_k`` at the cut point *location*; a location outside the
+        cut-set has no invariant in the problem."""
+        if location not in self.cutset:
+            raise ValueError("%r is not a cut point of the problem" % (location,))
         return self.invariants.get(location)
 
     def invariant_rows(self) -> List[InvariantRow]:

@@ -36,7 +36,9 @@ def restrict_to_guarded_states(
     cutset: Sequence[str],
     invariants: InvariantMap,
 ) -> InvariantMap:
-    """Intersect each cut-point invariant with its outgoing relevant guards."""
+    """The cut-set's invariants, each intersected with its outgoing
+    relevant guards; synthesis reads no other location's invariant, so
+    the result holds none."""
     cut = set(cutset)
     restricted = InvariantMap(automaton.variables)
     for location in cutset:
@@ -56,10 +58,6 @@ def restrict_to_guarded_states(
             )
         minimal = domain.minimized()
         restricted.set(location, base if minimal.is_empty() else minimal)
-    # Locations outside the cut-set keep their original invariants.
-    for location, value in invariants.items():
-        if location not in cut:
-            restricted.set(location, value)
     return restricted
 
 

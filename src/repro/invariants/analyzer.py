@@ -19,7 +19,9 @@ A standard worklist algorithm over the control-flow automaton:
   not refined yet (``invariants.analyzer.posts_reused``).
 
 The output is an :class:`~repro.invariants.invariant_map.InvariantMap`
-with one polyhedron per reachable location.
+with one polyhedron per location.  Each is minimised only when its
+constraints are first read: synthesis reads the cut points alone, so the
+other locations' values are never minimised in a build.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class InvariantAnalyzer:
             values = self._descending_pass(values)
         invariants = InvariantMap(self.automaton.variables)
         for location, value in values.items():
-            invariants.set(location, value.minimized())
+            invariants.set(location, value.minimized_when_read())
         return invariants
 
     # -- iteration phases --------------------------------------------------------------

@@ -14,9 +14,10 @@ The polyhedral domain computes on these rows directly: an affine map sends
 generators to generators of the image
 (:meth:`GeneratorSystem.affine_image`), the affine dimension of the
 polyhedron, or of one of its faces, is the rank of its rows
-(:func:`integer_rank`), and a generator of one system outside the bounding
+(:func:`integer_rank`), a generator of one system outside the bounding
 box of another refutes inclusion without a constraint
-(:meth:`GeneratorSystem.box_excludes`).
+(:meth:`GeneratorSystem.box_excludes`), and one system's rows all among
+another's prove it (:meth:`GeneratorSystem.has_rows_of`).
 """
 
 from __future__ import annotations
@@ -131,6 +132,23 @@ class GeneratorSystem:
                 if lower is not None and value * lower[1] < lower[0] * weight:
                     return True
         return False
+
+    def has_rows_of(self, other: "GeneratorSystem") -> bool:
+        """Whether every generator of *other* is one of this system's: each
+        vertex a vertex, each ray a ray or a line either way, and each
+        line a line either way.  Rows are primitive, so equal generators
+        are equal tuples, and ``True`` proves ``other ⊆ self``; ``False``
+        decides nothing.
+        """
+        if not set(self.vertices).issuperset(other.vertices):
+            return False
+        if not other.rays and not other.lines:
+            return True
+        lines = set(self.lines)
+        lines.update(tuple(-value for value in line) for line in self.lines)
+        return lines.issuperset(other.lines) and lines.union(
+            self.rays
+        ).issuperset(other.rays)
 
     def is_full_dimensional(self) -> bool:
         """Whether the generated polyhedron has affine dimension

@@ -165,20 +165,24 @@ class Polyhedron:
         """Whether *other* ⊆ *self*: every generator of *other* obeys
         every constraint of *self*.
 
-        While *self*'s constraints are pending behind its generators, a
-        generator of *other* outside their bounding box refutes the
-        inclusion first (``polyhedra.polyhedron.inclusion_refuted_on_generators``),
-        which saves converting them; otherwise the rows decide
+        With *self*'s generators cached, they try to decide first.  While
+        its constraints are pending behind them, a generator of *other*
+        outside their bounding box refutes the inclusion
+        (``polyhedra.polyhedron.inclusion_refuted_on_generators``), which
+        saves converting them; and *other*'s generators all among them
+        prove it (``polyhedra.polyhedron.inclusion_by_generator_rows``),
+        with no row read.  Otherwise the rows decide
         (``polyhedra.polyhedron.inclusion_by_rows``).
         """
         system = other.generators()
-        if (
-            self._constraints is None
-            and self._generators is not None
-            and self._generators.box_excludes(system)
-        ):
-            count("polyhedra.polyhedron.inclusion_refuted_on_generators")
-            return False
+        mine = self._generators
+        if mine is not None:
+            if self._constraints is None and mine.box_excludes(system):
+                count("polyhedra.polyhedron.inclusion_refuted_on_generators")
+                return False
+            if mine.has_rows_of(system):
+                count("polyhedra.polyhedron.inclusion_by_generator_rows")
+                return True
         count("polyhedra.polyhedron.inclusion_by_rows")
         satisfied = _satisfaction_test(system)
         return all(satisfied(constraint) for constraint in self._rows())
@@ -395,6 +399,14 @@ class Polyhedron:
             self._variables, remove_redundant(self._rows(), system)
         )
         result._empty_cache = False
+        return result
+
+    def minimized_when_read(self) -> "Polyhedron":
+        """:meth:`minimized`, run only when the result's constraints are
+        first read.  The result inherits the emptiness flag and keeps no
+        generators; until it is read, it keeps this polyhedron alive."""
+        result = self._lazy(self._variables, lambda: self.minimized()._rows())
+        result._empty_cache = self._empty_cache
         return result
 
     def bounds(self, expression: LinExpr) -> Tuple[Optional[Fraction], Optional[Fraction]]:

@@ -37,7 +37,6 @@ from repro.linexpr.formula import (
     Or,
     TRUE,
 )
-from repro.linexpr.transform import to_nnf
 from repro.metrics import count
 from repro.smt.sat import SatSolver
 from repro.smt.theory import AtomTable
@@ -136,13 +135,10 @@ class CnfEncoder:
     # -- encoding ----------------------------------------------------------------
 
     def assert_formula(self, formula: Formula) -> None:
-        """Add clauses forcing *formula* to be true."""
+        """Add clauses forcing *formula* (in negation normal form) to be
+        true."""
         literal = self.encode(formula)
         self._solver.add_clause([literal])
-
-    def encode(self, formula: Formula) -> int:
-        """Tseitin-encode *formula*; returns the literal representing it."""
-        return self._encode(to_nnf(formula))
 
     def _constant(self, value: bool) -> int:
         if self._true_literal is None:
@@ -150,7 +146,10 @@ class CnfEncoder:
             self._solver.add_clause([self._true_literal])
         return self._true_literal if value else -self._true_literal
 
-    def _encode(self, formula: Formula) -> int:
+    def encode(self, formula: Formula) -> int:
+        """Tseitin-encode *formula*, which must be in negation normal form
+        (the solver normalises each assertion once); returns the literal
+        representing it."""
         if formula is TRUE:
             return self._constant(True)
         if formula is FALSE:
@@ -170,17 +169,17 @@ class CnfEncoder:
         elif isinstance(formula, Not):
             # NNF leaves Not only above atoms that could not be negated
             # syntactically; encode as the negation of the operand literal.
-            literal = -self._encode(formula.operand)
+            literal = -self.encode(formula.operand)
         elif isinstance(formula, And):
-            children = [self._encode(child) for child in formula.operands]
+            children = [self.encode(child) for child in formula.operands]
             literal = self._define_and(children)
         elif isinstance(formula, Or):
-            children = [self._encode(child) for child in formula.operands]
+            children = [self.encode(child) for child in formula.operands]
             literal = self._define_or(children)
         elif isinstance(formula, Exists):
             # The bound variables are theory variables; satisfiability of the
             # existential closure is exactly satisfiability of the body.
-            literal = self._encode(formula.body)
+            literal = self.encode(formula.body)
         else:
             raise TypeError("cannot encode formula node %r" % (formula,))
 

@@ -135,3 +135,27 @@ class TestRankingLp:
         assert a.instances == 2
         assert a.max_rows == 4
         assert a.average_cols == 2.0
+
+
+class TestCutPointInvariants:
+    """The problem holds the invariants of its cut points and no other:
+    synthesis, the checker and the eager baselines read nothing else."""
+
+    def test_the_computed_cutset(self, example4_automaton):
+        problem = Analysis(example4_automaton).problem()
+        assert sorted(problem.invariants.locations()) == sorted(problem.cutset)
+        assert "start" not in problem.cutset
+
+    def test_a_given_cutset(self, example4_automaton):
+        problem = Analysis(example4_automaton, cutset=["2"]).problem()
+        assert problem.cutset == ("2",)
+        assert list(problem.invariants.locations()) == ["2"]
+
+    def test_a_location_outside_the_cutset_has_no_invariant(
+        self, example4_automaton
+    ):
+        problem = Analysis(example4_automaton, cutset=["2"]).problem()
+        assert problem.invariant("2").constraints
+        for location in ("1", "start", "nowhere"):
+            with pytest.raises(ValueError, match="not a cut point"):
+                problem.invariant(location)

@@ -128,12 +128,16 @@ class TestDisjunctiveInitialCondition:
         assert result.certificate_checked
 
 
+def result_metrics(name):
+    program = get_program("wtc", name)
+    return Analysis(program.source, name=program.name).run("termite").metrics
+
+
 class TestGeneratorCounters:
     """The invariant stage reports how it used the generators."""
 
     def test_counters_appear_in_the_result_metrics(self):
-        program = get_program("wtc", "cousot9")
-        metrics = Analysis(program.source, name=program.name).run("termite").metrics
+        metrics = result_metrics("wcet2")
         for name in (
             "polyhedra.polyhedron.transfers_on_generators",
             "polyhedra.polyhedron.transfers_by_fm",
@@ -147,6 +151,43 @@ class TestGeneratorCounters:
             metrics["polyhedra.projection.lp_calls"]
             >= metrics["polyhedra.projection.rows_to_lp"]
         )
+
+    def test_locations_nothing_reads_are_not_minimised(self):
+        # cousot9's two redundancy LPs were at locations outside the
+        # cut-set; their values are no longer minimised.
+        assert result_metrics("cousot9").get("polyhedra.projection.rows_to_lp", 0) == 0
+
+
+class TestMinimisedWhenRead:
+    """``run`` minimises a location's value when its constraints are first
+    read; until then nothing is converted."""
+
+    def test_reading_minimises_once(self, monkeypatch):
+        calls = []
+        minimized = Polyhedron.minimized
+
+        def counted(polyhedron):
+            calls.append(polyhedron)
+            return minimized(polyhedron)
+
+        monkeypatch.setattr(Polyhedron, "minimized", counted)
+        invariants = compute_invariants(counter_loop())
+        assert calls == []
+        head = invariants.get("head")
+        rows = head.constraints
+        assert len(calls) == 1
+        assert head.constraints == rows
+        assert len(calls) == 1
+        assert head.entails_constraint(i >= 0)
+        assert head.entails_constraint(i <= 100)
+
+    def test_the_emptiness_flag_is_kept(self):
+        builder = AutomatonBuilder(["x"], initial="a")
+        builder.transition("a", "b", guard=[x >= 0, x <= -1])
+        invariants = compute_invariants(builder.build())
+        with recording() as counters:
+            assert invariants.get("b").is_empty()
+        assert counters == {"polyhedra.polyhedron.emptiness_without_lp": 1}
 
 
 class RecordingAnalyzer(InvariantAnalyzer):

@@ -1,10 +1,12 @@
 """Golden invariants: the polyhedral invariants of the built-in corpus.
 
 ``data/golden_invariants.json`` maps ``suite/program`` to, per location,
-the normalised constraint strings of the invariant that
-``Analysis(...).problem()`` hands to synthesis, in the invariant's row
-order.  That order is the row order of the ranking LP and of the SMT
-oracle's formula, so it can move rankings.  The test recomputes the
+the normalised constraint strings of its invariant, in the invariant's
+row order: at a cut point the one ``Analysis(...).problem()`` hands to
+synthesis, elsewhere the one ``compute_invariants`` minimises when it is
+read (the problem holds the cut points only).  That order is the row
+order of the ranking LP and of the SMT oracle's formula, so it can move
+rankings.  The test recomputes the
 strings and requires exact equality, order included, so a change inside
 the polyhedra domain or the analyzer is shown to keep every invariant of
 the corpus.  The same
@@ -28,6 +30,7 @@ import pytest
 
 from repro.api import Analysis
 from repro.benchsuite.registry import get_suite
+from repro.invariants.analyzer import compute_invariants
 from repro.metrics import recording
 
 GOLDEN = Path(__file__).parent / "data" / "golden_invariants.json"
@@ -47,15 +50,19 @@ def corpus():
 
 
 def analyse(source: str, name: str) -> Tuple[Dict[str, List[str]], Dict[str, int]]:
-    """The invariant strings of the built problem and its work counters."""
+    """The invariant strings of every location, and the work counters of
+    building the problem, running the analyzer and reading them."""
     with recording() as counters:
-        invariants = Analysis(source, name=name).problem().invariants
-    strings = {
-        location: [
-            str(constraint.normalized()) for constraint in polyhedron.constraints
-        ]
-        for location, polyhedron in sorted(invariants.items())
-    }
+        analysis = Analysis(source, name=name)
+        invariants = dict(analysis.problem().invariants.items())
+        for location, polyhedron in compute_invariants(analysis.automaton()).items():
+            invariants.setdefault(location, polyhedron)
+        strings = {
+            location: [
+                str(constraint.normalized()) for constraint in polyhedron.constraints
+            ]
+            for location, polyhedron in sorted(invariants.items())
+        }
     return strings, counters
 
 
