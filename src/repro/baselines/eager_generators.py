@@ -28,7 +28,7 @@ from repro.baselines.result import BaselineResult
 from repro.core.lp_instance import RankingLp
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
-from repro.linalg.matrix import in_span
+from repro.linalg.matrix import Span
 from repro.linalg.vector import Vector
 from repro.synthesis.engine import eliminate_lexicographic
 from repro.synthesis.oracles import disjunct_generators
@@ -48,7 +48,7 @@ def eager_generator_synthesis(
     for disjunct in disjuncts:
         generators.extend(disjunct_generators(problem, disjunct))
 
-    stacked: List[Vector] = []
+    independent = Span(problem.stacked_dimension)
 
     def find_component(remaining):
         """One ``LP(V, Constraints(I))`` solve over the remaining generators."""
@@ -63,11 +63,8 @@ def eager_generator_synthesis(
             for index, delta in enumerate(solution.deltas)
             if delta == 1
         ]
-        if not decreased:
+        if not decreased or not independent.add(vector):
             return None
-        if vector.is_zero() or in_span(vector, stacked):
-            return None
-        stacked.append(vector)
         return component, decreased
 
     components, _, proved = eliminate_lexicographic(

@@ -11,7 +11,8 @@ and rays of the convex hull of one-step differences, in the stacked
                Σ_{k,i} γ_{k,i} (v_j · e_k(a_i^k)) ≥ δ_j     for every v_j ∈ V
 
 yields a quasi ranking function of maximal termination power
-(Proposition 5): ``λ_k = Σ_i γ_{k,i} a_i^k`` and ``λ0_k = Σ_i γ_{k,i} b_i^k``.
+(Proposition 5): ``λ_k = Σ_i γ_{k,i} a_i^k`` and ``λ0_k = Σ_i γ_{k,i} b_i^k``,
+read off the stacked vector ``Σ_{k,i} γ_{k,i} e_k(a_i^k)``.
 
 The instance grows by **one row per counterexample** — this is the number
 reported as "lines" in Table 1 of the paper, and the reason the lazy
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import AffineRankingFunction
@@ -188,8 +189,8 @@ class RankingLp:
 
     def __init__(self, problem: TerminationProblem):
         self.problem = problem
+        #: ``e_k(a_i^k)``, the stacked rows of ``Constraints(I)``.
         self.rows = problem.invariant_rows()
-        self.stacked_rows = [problem.stacked_row(row) for row in self.rows]
         self.counterexamples: List[Vector] = []
         self._state: Optional[SimplexState] = None
         self._synced = 0  # counterexamples already pushed into the state
@@ -216,8 +217,8 @@ class RankingLp:
         """``Σ_i γ_i (v_j · stacked_i) − δ_j`` (constrained ``≥ 0``)."""
         generator = self.counterexamples[j]
         combination = LinExpr()
-        for i, stacked in enumerate(self.stacked_rows):
-            coefficient = generator.dot(stacked)
+        for i, row in enumerate(self.rows):
+            coefficient = generator.dot(row)
             if coefficient != 0:
                 combination = combination + LinExpr(
                     {self._gamma_name(i): coefficient}
@@ -271,7 +272,11 @@ class RankingLp:
             outcome.assignment.get(self._delta_name(j), Fraction(0))
             for j in range(len(self.counterexamples))
         ]
-        ranking = self._ranking_from_gammas(gammas)
+        stacked = Vector.zeros(self.problem.stacked_dimension)
+        for gamma, row in zip(gammas, self.rows):
+            if gamma != 0:
+                stacked = stacked + row * gamma
+        ranking = self.problem.ranking(stacked)
         all_zero = all(value == 0 for value in gammas)
         return RankingLpSolution(
             gammas=gammas,
@@ -307,28 +312,3 @@ class RankingLp:
         for j in range(len(self.counterexamples)):
             program.add_constraint(self._generator_row(j) >= 0)
         return program
-
-    def _ranking_from_gammas(self, gammas: Sequence[Fraction]) -> AffineRankingFunction:
-        """``λ_k = Σ_i γ_{k,i} a_i^k`` over the homogenised space.
-
-        The coefficient picked up by the constant-one coordinate is the
-        affine offset of the per-location component.
-        """
-        from repro.core.problem import ONE_COORDINATE
-
-        variables = self.problem.variables
-        coefficients: Dict[str, Vector] = {}
-        offsets: Dict[str, Fraction] = {}
-        for location in self.problem.cutset:
-            lam = Vector.zeros(len(variables))
-            offset = Fraction(0)
-            for gamma, row in zip(gammas, self.rows):
-                if gamma == 0 or row.location != location:
-                    continue
-                lam = lam + Vector(
-                    row.normal.coefficient(name) for name in variables
-                ) * gamma
-                offset += gamma * row.normal.coefficient(ONE_COORDINATE)
-            coefficients[location] = lam
-            offsets[location] = offset
-        return AffineRankingFunction(variables, coefficients, offsets)

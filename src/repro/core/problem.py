@@ -16,16 +16,21 @@ laid out as one group per cut point over the *homogenised* space
 of the per-location ranking functions, so that ``λ · u`` equals
 ``ρ(k, x) − ρ(k', x')`` including the offsets when the control point
 changes.  The invariant constraints are lifted to that space accordingly
-(Definition 14): each ``a·x ≥ b`` becomes the homogeneous row
-``a·x + (−b)·1 ≥ 0`` and every cut point additionally contributes the
-row ``1 ≥ 0``.
+(Definition 14): each ``a·x ≥ b`` of cut point ``k`` becomes the stacked
+row ``e_k(a, −b)`` and every cut point additionally contributes the row
+``e_k(0, 1)``.
 
-``u`` is never a variable of a formula.  On a step of one block it is
+Every object of the ``u`` space is a :class:`~repro.linalg.vector.Vector`
+in that layout: a candidate ``λ`` (``ranking.stacked_vector(cutset)``,
+read back by :meth:`TerminationProblem.ranking`), an invariant row, a
+counterexample, a flat direction.  ``u`` is never a variable of a
+formula.  On a step of one block it is
 the linear image ``M_b·(x, x') + o_b`` (:class:`BlockMap`), so ``Φ`` is
 ``∨_b (@block = b ∧ I_source ∧ path_b)``, each disjunct selected by the
 reserved variable ``@block`` (one block needs none), and every
 ``u``-space formula of a query (flatness, ``AvoidSpace``, ``λ·u ≤ 0``,
-``u = 0``) is substituted into each block through the same map.  The
+``u = 0``) is substituted into each block through the same map, a
+vector ``λ`` becoming the form ``λ·(M_b·z + o_b)`` over the step.  The
 ``dd`` oracle maps its generators through it too.
 """
 
@@ -37,7 +42,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.ranking import AffineRankingFunction
 from repro.invariants.invariant_map import InvariantMap
-from repro.linalg.matrix import orthogonal_complement
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
@@ -52,19 +56,6 @@ ONE_COORDINATE = "@one"
 
 #: Name of the variable whose value selects the block of a step in ``Φ``.
 BLOCK_SELECTOR = "@block"
-
-
-@dataclass
-class InvariantRow:
-    """One homogenised invariant constraint ``normal · (x, 1) ≥ 0``.
-
-    ``normal`` is a linear expression over the program variables plus the
-    :data:`ONE_COORDINATE`; the original ``a·x ≥ b`` constraint appears as
-    ``a·x − b·@one ≥ 0`` and the implicit ``@one ≥ 0`` row closes the cone.
-    """
-
-    location: str
-    normal: LinExpr
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,9 @@ class BlockMap:
 
     ``z = (x, x')``; coordinate ``(k, v)`` of ``u`` is ``[k = source]·v −
     [k = target]·v'`` over ``(x, 1)`` (Definition 12).  Every ``u``-space
-    formula of a query is rewritten over ``z`` through this map, and
-    every witness over ``z`` is mapped back to ``u`` by :meth:`image`.
+    formula of a query is rewritten over ``z`` through this map
+    (:meth:`form`), and every witness over ``z`` is mapped back to ``u``
+    by :meth:`image`.
     """
 
     def __init__(self, problem: "TerminationProblem", source: str, target: str):
@@ -108,7 +100,6 @@ class BlockMap:
                 return LinExpr.constant(1)
             return LinExpr.variable(prime_suffix(variable) if primed else variable)
 
-        self._coordinates = problem._coordinates
         #: ``M_i·z + o_i`` per ``u`` coordinate ``i``.
         self._rows: List[LinExpr] = [
             (end(variable, False) if location == source else LinExpr())
@@ -117,26 +108,22 @@ class BlockMap:
             for variable in problem.space_variables
         ]
 
-    def _combine(self, weights, constant=Fraction(0)) -> LinExpr:
-        """``Σ_i w_i·(M_i·z + o_i)`` over the ``(i, w_i)`` pairs."""
+    def form(self, weight: Vector) -> LinExpr:
+        """``w·(M·z + o)``: the form ``w·u`` of a stacked vector, over ``z``.
+
+        The rows of ``M_b`` are combined with the nonzero entries of *w*
+        in index order.
+        """
         terms: Dict[str, Fraction] = {}
-        for index, weight in weights:
+        constant = Fraction(0)
+        for index, entry in enumerate(weight):
+            if entry == 0:
+                continue
             row = self._rows[index]
             for name, coefficient in row.terms.items():
-                terms[name] = terms.get(name, 0) + weight * coefficient
-            constant += weight * row.constant_term
+                terms[name] = terms.get(name, 0) + entry * coefficient
+            constant += entry * row.constant_term
         return LinExpr(terms, constant)
-
-    def form(self, expr: LinExpr) -> LinExpr:
-        """An expression over the ``u`` coordinates, as one over ``z``."""
-        return self._combine(
-            ((self._coordinates[name], c) for name, c in expr.terms.items()),
-            expr.constant_term,
-        )
-
-    def substitute(self, constraint: Constraint) -> Constraint:
-        """A constraint over the ``u`` coordinates, as one over ``z``."""
-        return Constraint(self.form(constraint.expr), constraint.relation)
 
     def image(self, point: Mapping[str, Fraction], ray: bool = False) -> Vector:
         """``M·z + o`` for a point, ``M·z`` for a *ray*; missing names read 0."""
@@ -159,7 +146,7 @@ class BlockMap:
         basis: List[LinExpr] = []
         pivots: List[Tuple[str, Dict[str, Fraction]]] = []
         for weight in weights:
-            form = self._combine((i, w) for i, w in enumerate(weight) if w != 0)
+            form = self.form(weight)
             row = dict(form.terms)
             row[ONE_COORDINATE] = form.constant_term
             for column, pivot_row in pivots:
@@ -191,7 +178,8 @@ class BlockMap:
 
     def is_zero(self) -> Formula:
         """``M·z + o = 0``: the step does not move in the ``u`` space."""
-        basis = self._basis(orthogonal_complement([], len(self._rows)))
+        size = len(self._rows)
+        basis = self._basis([Vector.unit(size, i) for i in range(size)])
         if basis is None:
             return FALSE
         return conjunction([form.eq(0) for form in basis])
@@ -226,9 +214,6 @@ class TerminationProblem:
             integer_variables if integer_variables is not None else variables
         )
         self._rows = self._collect_invariant_rows()
-        self._coordinates: Dict[str, int] = {
-            name: index for index, name in enumerate(self.difference_variables())
-        }
         self._block_maps: Dict[Tuple[str, str], BlockMap] = {}
 
     # -- dimensions and names ------------------------------------------------------
@@ -246,17 +231,6 @@ class TerminationProblem:
         """Dimension of the block vector ``u`` (``|W| · (n + 1)``)."""
         return self.num_cutpoints * len(self.space_variables)
 
-    def difference_variable(self, location: str, variable: str) -> str:
-        """Name of the ``u`` component for (cut point, space coordinate)."""
-        return "u[%s][%s]" % (location, variable)
-
-    def difference_variables(self) -> List[str]:
-        return [
-            self.difference_variable(location, variable)
-            for location in self.cutset
-            for variable in self.space_variables
-        ]
-
     # -- invariants -------------------------------------------------------------------
 
     def invariant(self, location: str) -> Polyhedron:
@@ -266,25 +240,26 @@ class TerminationProblem:
             raise ValueError("%r is not a cut point of the problem" % (location,))
         return self.invariants.get(location)
 
-    def invariant_rows(self) -> List[InvariantRow]:
-        """The lifted ``Constraints(I)`` of Definition 14 (homogenised)."""
+    def invariant_rows(self) -> List[Vector]:
+        """The lifted ``Constraints(I)`` of Definition 14, as stacked vectors.
+
+        ``e_k(a, −b)`` for every ``a·x ≥ b`` of ``I_k``, then ``e_k(0, 1)``,
+        cut point by cut point.
+        """
         return list(self._rows)
 
-    def _collect_invariant_rows(self) -> List[InvariantRow]:
-        rows: List[InvariantRow] = []
-        for location in self.cutset:
-            polyhedron = self.invariant(location)
-            # constraint_vectors yields (a, b) meaning a·x ≥ b; homogenise to
-            # a·x + (−b)·@one ≥ 0.
-            for normal, bound in polyhedron.constraint_vectors():
-                rows.append(
-                    InvariantRow(
-                        location, normal + LinExpr({ONE_COORDINATE: -bound})
-                    )
-                )
-            rows.append(
-                InvariantRow(location, LinExpr({ONE_COORDINATE: 1}))
-            )
+    def _collect_invariant_rows(self) -> List[Vector]:
+        width = len(self.space_variables)
+        rows: List[Vector] = []
+        for k, location in enumerate(self.cutset):
+            before = [Fraction(0)] * (k * width)
+            after = [Fraction(0)] * ((self.num_cutpoints - k - 1) * width)
+            # constraint_vectors yields (a, b) meaning a·x ≥ b.
+            for normal, bound in self.invariant(location).constraint_vectors():
+                block = [normal.coefficient(name) for name in self.variables]
+                rows.append(Vector(before + block + [-bound] + after))
+            block = [Fraction(0)] * self.num_variables
+            rows.append(Vector(before + block + [Fraction(1)] + after))
         return rows
 
     # -- formulas for the SMT queries -----------------------------------------------------
@@ -314,12 +289,13 @@ class TerminationProblem:
             ]
         )
 
-    def transition_formula(self, flatness: Sequence[Constraint] = ()) -> Formula:
+    def transition_formula(self, flatness: Sequence[Vector] = ()) -> Formula:
         """``Φ = ∨_b (@block = b ∧ I_source(x) ∧ φ_b(x, x') ∧ flatness_b)``.
 
-        *flatness* holds constraints over the ``u`` coordinates (Algorithm
-        2's ``λ_{d'} · u = 0``); each block gets them through its
-        :class:`BlockMap`, so no atom of ``Φ`` mentions ``u``.
+        *flatness* holds the stacked vectors ``λ_{d'}`` of Algorithm 2's
+        earlier components; block ``b`` gets each as ``λ_{d'}·(M_b·z +
+        o_b) = 0`` through its :class:`BlockMap`, so no atom of ``Φ``
+        mentions ``u``.
         """
         return self.blockwise(
             [
@@ -327,7 +303,7 @@ class TerminationProblem:
                     list(self.invariant(block.source).constraints)
                     + [block.formula]
                     + [
-                        self.block_map(block.source, block.target).substitute(row)
+                        self.block_map(block.source, block.target).form(row).eq(0)
                         for row in flatness
                     ]
                 )
@@ -370,47 +346,27 @@ class TerminationProblem:
                     )
         return tuple(disjuncts)
 
-    # -- vectors and objectives --------------------------------------------------------------
+    # -- rankings ---------------------------------------------------------------------------
 
-    def stacked_row(self, row: InvariantRow) -> Vector:
-        """``e_k(a_i^k)`` as a vector over the stacked ``u`` space."""
-        entries: List[Fraction] = []
-        for location in self.cutset:
-            for variable in self.space_variables:
-                if location == row.location:
-                    entries.append(row.normal.coefficient(variable))
-                else:
-                    entries.append(Fraction(0))
-        return Vector(entries)
+    def ranking(self, stacked: Vector) -> AffineRankingFunction:
+        """The component whose ``stacked_vector(cutset)`` is *stacked*.
 
-    def objective(self, ranking: AffineRankingFunction) -> LinExpr:
-        """``λ · u`` — equal to ``ρ(k, x) − ρ(k', x')`` — over the u variables."""
-        expr = LinExpr()
-        for location in self.cutset:
-            lam = ranking.coefficients[location]
-            for index, variable in enumerate(self.variables):
-                if lam[index] == 0:
-                    continue
-                expr = expr + LinExpr(
-                    {self.difference_variable(location, variable): lam[index]}
-                )
-            offset = ranking.offsets[location]
-            if offset != 0:
-                expr = expr + LinExpr(
-                    {self.difference_variable(location, ONE_COORDINATE): offset}
-                )
-        return expr
+        Cut point ``k``'s block ``(λ_k, λ0_k)`` holds the coefficients of
+        the program variables, then the offset on the constant-one
+        coordinate.
+        """
+        width = len(self.space_variables)
+        coefficients: Dict[str, Vector] = {}
+        offsets: Dict[str, Fraction] = {}
+        for k, location in enumerate(self.cutset):
+            block = stacked[k * width : (k + 1) * width]
+            coefficients[location] = block[: self.num_variables]
+            offsets[location] = block[self.num_variables]
+        return AffineRankingFunction(self.variables, coefficients, offsets)
 
     def zero_ranking(self) -> AffineRankingFunction:
         """The all-zero candidate the synthesis loop starts from."""
-        return AffineRankingFunction(
-            self.variables,
-            {
-                location: Vector.zeros(self.num_variables)
-                for location in self.cutset
-            },
-            {location: Fraction(0) for location in self.cutset},
-        )
+        return self.ranking(Vector.zeros(self.stacked_dimension))
 
     def smt_integer_variables(self) -> Set[str]:
         """Integer declarations for the SMT queries (program vars, primed too)."""

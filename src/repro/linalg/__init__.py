@@ -1,9 +1,12 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra: vectors and spans.
 
 Everything in this package works over :class:`fractions.Fraction` so that
 the whole toolchain (LP, SMT, polyhedra, ranking-function synthesis) is
 exact: a ranking function reported by the library is a genuine certificate,
-not a floating-point approximation.
+not a floating-point approximation.  A dense :class:`Vector` is the one
+form of the stacked ``u`` space of the synthesiser, a :class:`Span` its
+one subspace helper, and a :class:`SparseRow` the constraint row of the
+simplex, Fourier–Motzkin, double-description and Farkas kernels.
 """
 
 from repro.linalg.rational import (
@@ -14,13 +17,7 @@ from repro.linalg.rational import (
 )
 from repro.linalg.sparse import SparseRow
 from repro.linalg.vector import Vector
-from repro.linalg.matrix import (
-    Matrix,
-    complete_basis,
-    in_span,
-    linearly_independent,
-    orthogonal_complement,
-)
+from repro.linalg.matrix import Span, in_span, orthogonal_complement
 
 __all__ = [
     "Rat",
@@ -29,9 +26,7 @@ __all__ = [
     "integer_normalize",
     "SparseRow",
     "Vector",
-    "Matrix",
-    "complete_basis",
+    "Span",
     "in_span",
-    "linearly_independent",
     "orthogonal_complement",
 ]

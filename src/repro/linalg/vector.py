@@ -106,19 +106,6 @@ class Vector:
         """Scale to a primitive integer vector pointing in the same direction."""
         return Vector(integer_normalize(self._entries))
 
-    def concat(self, other: "Vector") -> "Vector":
-        """Concatenation ``(self, other)`` — used for block vectors e_k(x)."""
-        return Vector(self._entries + other._entries)
-
-    def pad(self, size: int, offset: int = 0) -> "Vector":
-        """Embed this vector at *offset* inside a zero vector of length *size*."""
-        if offset < 0 or offset + len(self) > size:
-            raise ValueError("padding target too small")
-        entries = [Fraction(0)] * size
-        for position, entry in enumerate(self._entries):
-            entries[offset + position] = entry
-        return Vector(entries)
-
     def _check_same_size(self, other: "Vector") -> None:
         if len(self) != len(other):
             raise ValueError(

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from fractions import Fraction
-from typing import AbstractSet, Mapping, Tuple
+from typing import AbstractSet, Mapping
 
 from repro.linalg.rational import Rat, as_fraction, integer_normalize
 from repro.linexpr.expr import LinExpr
@@ -215,13 +214,6 @@ class Constraint:
         return negate_constraint(self)
 
     # -- misc ----------------------------------------------------------------
-
-    def homogeneous_row(self, ordering: Tuple[str, ...]) -> Tuple[Fraction, ...]:
-        """Coefficients ``(c_1, …, c_n, c_0)`` in the order given."""
-        return tuple(
-            [self._expr.coefficient(name) for name in ordering]
-            + [self._expr.constant_term]
-        )
 
     def __eq__(self, other: object) -> bool:
         if self is other:

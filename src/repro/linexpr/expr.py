@@ -6,7 +6,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from repro.linalg.rational import Rat, as_fraction
-from repro.linalg.vector import Vector
 
 
 class LinExpr:
@@ -92,10 +91,6 @@ class LinExpr:
 
     def is_constant(self) -> bool:
         return not self._terms
-
-    def coefficient_vector(self, ordering: Iterable[str]) -> Vector:
-        """Coefficients laid out according to *ordering* (constant excluded)."""
-        return Vector(self.coefficient(name) for name in ordering)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -159,20 +159,3 @@ def solve_ilp(
         return LpResult(status=LpStatus.INFEASIBLE)
     # A node's duals describe the node's system, not the input's.
     return replace(best, multipliers=None)
-
-
-def find_integer_point(
-    constraints: Sequence[Union[Constraint, LinearRow]],
-    integer_variables: Sequence[str],
-    variables: Optional[Sequence[str]] = None,
-    max_nodes: int = 2000,
-) -> LpResult:
-    """Find any integer-feasible point of the constraint system."""
-    return solve_ilp(
-        LinExpr(),
-        constraints,
-        integer_variables,
-        Sense.MINIMIZE,
-        variables,
-        max_nodes,
-    )

@@ -277,27 +277,6 @@ def _eliminate_index(
     return result
 
 
-def eliminate_variable(
-    constraints: Sequence[Constraint], variable: str
-) -> List[Constraint]:
-    """Project *variable* out of a conjunction of non-strict constraints."""
-    names, indexed = _index_rows(constraints)
-    if variable not in names:
-        return list(constraints)
-    index = names.index(variable)
-    rows: List[_HistRow] = [
-        (row, relation, frozenset([position]))
-        for position, (row, relation) in enumerate(indexed)
-    ]
-    # A single step eliminates one variable: Kohler's bound is k + 1 = 2.
-    survivors = _prune_syntactic(_eliminate_index(rows, index, 2))
-    count("polyhedra.projection.variables_eliminated")
-    return [
-        _row_constraint(row, relation, names)
-        for row, relation, _ in survivors
-    ]
-
-
 def fourier_motzkin(
     constraints: Sequence[Constraint],
     eliminate: Iterable[str],

@@ -2,7 +2,7 @@
 
 The paper's counterexample-guided loop lives here.  It works on a
 :class:`~repro.core.problem.TerminationProblem` — which owns the stacked
-``u`` space, the ``λ · u`` objective and ``Φ`` — and the problem's
+``u`` space and ``Φ`` — and the problem's
 ``LP(V, Constraints(I))`` (:class:`~repro.core.lp_instance.RankingLp`,
 Definition 11), plus two swappable pieces:
 
@@ -50,9 +50,8 @@ from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
 )
-from repro.linalg.matrix import in_span
+from repro.linalg.matrix import Span
 from repro.linalg.vector import Vector
-from repro.linexpr.constraint import Constraint, Relation
 from repro.metrics import count
 
 
@@ -152,10 +151,10 @@ class CegisEngine:
     def synthesize_component(
         self,
         problem: TerminationProblem,
-        extra_constraints: Sequence = (),
+        flatness: Sequence[Vector] = (),
         component: int = 0,
     ) -> MonodimResult:
-        """Synthesise one component over ``Φ ∧ extra_constraints``.
+        """Synthesise one component over ``Φ ∧ flatness``.
 
         This is Algorithm 1 (single cut point) / Algorithm 3 (general
         case).  The loop alternates between
@@ -180,9 +179,9 @@ class CegisEngine:
         queries through ``AvoidSpace`` (§4.1), which is what makes the
         loop terminate even when no strict ranking function exists.
 
-        ``extra_constraints`` restricts the transition relation —
-        Algorithm 2 passes the flatness constraints ``λ_{d'} · u = 0`` of
-        the previous lexicographic components here.
+        ``flatness`` restricts the transition relation to ``λ_{d'} · u =
+        0`` for each of its stacked vectors ``λ_{d'}`` — Algorithm 2
+        passes the previous lexicographic components here.
         """
         ranking_lp = RankingLp(problem)
         flat_basis: List[Vector] = []
@@ -194,7 +193,7 @@ class CegisEngine:
             strategy="extremal" if self.extremal else "arbitrary",
         )
         current, deltas, iterations, vertices = self._refinement_loop(
-            problem, ranking_lp, extra_constraints, flat_basis, component
+            problem, ranking_lp, flatness, flat_basis, component
         )
 
         strict = bool(deltas) and all(value == 1 for value in deltas)
@@ -219,7 +218,7 @@ class CegisEngine:
         self,
         problem: TerminationProblem,
         ranking_lp,
-        extra_constraints: Sequence,
+        flatness: Sequence[Vector],
         flat_basis: List[Vector],
         component: int,
     ):
@@ -231,9 +230,10 @@ class CegisEngine:
         ``synthesis.engine.*`` (:mod:`repro.metrics`).
         """
         current = problem.zero_ranking()
+        flat_span = Span(problem.stacked_dimension)
         deltas: List[Fraction] = []
         iterations = vertices = 0
-        self.oracle.reset(problem, extra_constraints, self.integer_mode)
+        self.oracle.reset(problem, flatness, self.integer_mode)
 
         while True:
             iterations += 1
@@ -242,9 +242,10 @@ class CegisEngine:
                     "mono-dimensional synthesis exceeded %d iterations"
                     % self.max_iterations
                 )
-            objective = problem.objective(current)
             count("synthesis.engine.oracle_queries")
-            group = self.oracle.find(objective, flat_basis, self.extremal)
+            group = self.oracle.find(
+                current.stacked_vector(problem.cutset), flat_basis, self.extremal
+            )
             if group is None:
                 self._emit("iteration", component, iterations, exhausted=True)
                 break
@@ -276,11 +277,10 @@ class CegisEngine:
 
             current = solution.ranking
             for vector, index in vertex_rows:
-                if solution.delta_of(index) == 0:
-                    if not vector.is_zero() and not in_span(vector, flat_basis):
-                        flat_basis.append(vector)
-                        count("synthesis.engine.flat_directions")
-                        flats += 1
+                if solution.delta_of(index) == 0 and flat_span.add(vector):
+                    flat_basis.append(vector)
+                    count("synthesis.engine.flat_directions")
+                    flats += 1
             self._emit("iteration", component, iterations,
                        counterexamples=len(vertex_rows), rays=rays_added,
                        flat_directions=flats)
@@ -312,24 +312,24 @@ class CegisEngine:
             max_dimension = problem.stacked_dimension
         components: List[MonodimResult] = []
         stacked: List[Vector] = []
-        flatness_constraints: List = []
+        independent = Span(problem.stacked_dimension)
         ranking = LexicographicRankingFunction()
 
         while True:
+            # λ_{d'} · u = 0 for every earlier d': only constant steps.
             result = self.synthesize_component(
                 problem,
-                extra_constraints=flatness_constraints,
+                flatness=stacked,
                 component=len(components),
             )
             components.append(result)
             vector = result.ranking.stacked_vector(problem.cutset)
 
-            if not result.strict:
-                if vector.is_zero() or in_span(vector, stacked):
-                    # The new component adds nothing: by Theorem 1, no
-                    # lexicographic linear ranking function exists
-                    # relative to the invariant.
-                    return MultidimResult(False, None, components)
+            if not result.strict and not independent.add(vector):
+                # The new component adds nothing: by Theorem 1, no
+                # lexicographic linear ranking function exists
+                # relative to the invariant.
+                return MultidimResult(False, None, components)
 
             ranking.components.append(result.ranking)
             stacked.append(vector)
@@ -339,11 +339,6 @@ class CegisEngine:
 
             if len(ranking.components) >= max_dimension:
                 return MultidimResult(False, None, components)
-
-            # λ_d · u = 0: restrict the next dimension to constant steps.
-            flatness_constraints.append(
-                Constraint(problem.objective(result.ranking), Relation.EQ)
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ first one.  Two interchangeable implementations:
   generators of every path polyhedron are computed once per component
   with the double-description method of :mod:`repro.polyhedra.dd`,
   mapped into ``u`` by the same block maps, and handed out one per
-  query.  When no unused generator violates the candidate, exhaustion
-  is *confirmed* with one complete SMT query, so verdicts never depend
-  on the enumeration being lossless.
+  query; ``λ·g`` is the dot product of two stacked vectors.  When no
+  unused generator violates the candidate, exhaustion is *confirmed*
+  with one complete SMT query, so verdicts never depend on the
+  enumeration being lossless.
 
 Every oracle only ever returns genuine points/rays of the restricted
 transition relation, and only reports exhaustion after a complete check
@@ -37,9 +38,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.problem import BLOCK_SELECTOR, TerminationProblem, TransitionDisjunct
-from repro.linalg.matrix import in_span, orthogonal_complement
+from repro.linalg.matrix import Span, orthogonal_complement
 from repro.linalg.vector import Vector
-from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, conjunction
 from repro.metrics import count
 from repro.smt.optimize import OptimizingSmtSolver
@@ -80,27 +80,33 @@ class CounterexampleOracle(abc.ABC):
     def reset(
         self,
         problem: TerminationProblem,
-        extra_constraints: Sequence = (),
+        flatness: Sequence[Vector] = (),
         integer_mode: bool = False,
     ) -> None:
-        """Prepare for one component of *problem* (called by the engine)."""
+        """Prepare for one component of *problem* (called by the engine).
+
+        The component's steps are those with ``λ_{d'} · u = 0`` for every
+        stacked vector ``λ_{d'}`` of *flatness*.
+        """
         self._problem = problem
-        self._extra_constraints = list(extra_constraints)
+        self._flatness = list(flatness)
         self._integer_mode = integer_mode
 
     @abc.abstractmethod
     def find(
         self,
-        objective: LinExpr,
+        objective: Vector,
         flat_basis: Sequence[Vector],
         extremal: bool = True,
     ) -> Optional[WitnessGroup]:
-        """One witness group refuting *objective* outside ``span(flat_basis)``.
+        """One witness group refuting the candidate outside ``span(flat_basis)``.
 
-        The group is a vertex, followed by a ray when the candidate is
-        unbounded below along one.  ``None`` means *exhausted*: no
-        counterexample exists (the component is finished); oracles must
-        only return ``None`` after a complete check.
+        *objective* is the candidate's stacked vector ``λ``; a witness
+        ``u`` refutes it when ``λ · u ≤ 0``.  The group is a vertex,
+        followed by a ray when the candidate is unbounded below along
+        one.  ``None`` means *exhausted*: no counterexample exists (the
+        component is finished); oracles must only return ``None`` after
+        a complete check.
         """
 
     @abc.abstractmethod
@@ -113,18 +119,6 @@ class CounterexampleOracle(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# Shared query building blocks
-# ---------------------------------------------------------------------------
-
-
-def objective_on_vector(
-    objective: LinExpr, vector: Vector, names: Sequence[str]
-) -> Fraction:
-    """``λ · u`` for a concrete stacked vector (names fix the ordering)."""
-    return objective.evaluate(dict(zip(names, vector)))
-
-
-# ---------------------------------------------------------------------------
 # The paper's oracle: optimising SMT
 # ---------------------------------------------------------------------------
 
@@ -132,8 +126,8 @@ def objective_on_vector(
 class SmtOptimizingOracle(CounterexampleOracle):
     """Extremal (or arbitrary) counterexamples from optimising SMT.
 
-    One SMT context per component: ``Φ``, with the extra (flatness)
-    constraints substituted into each block, is encoded once, on the
+    One SMT context per component: ``Φ``, with the flatness rows
+    substituted into each block, is encoded once, on the
     first query after :meth:`reset`, and each query adds
     ``∨_b (@block = b ∧ AvoidSpace_b ∧ λ·u_b ≤ 0)`` — or ``u_b = 0`` for
     the stutter check — for itself only, where ``u_b = M_b·(x, x') + o_b``
@@ -148,10 +142,10 @@ class SmtOptimizingOracle(CounterexampleOracle):
     def reset(
         self,
         problem: TerminationProblem,
-        extra_constraints: Sequence = (),
+        flatness: Sequence[Vector] = (),
         integer_mode: bool = False,
     ) -> None:
-        super().reset(problem, extra_constraints, integer_mode)
+        super().reset(problem, flatness, integer_mode)
         self._context: Optional[OptimizingSmtSolver] = None
         self._maps = [
             problem.block_map(block.source, block.target)
@@ -168,7 +162,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
                 )
             )
             self._context.assert_formula(
-                problem.transition_formula(self._extra_constraints)
+                problem.transition_formula(self._flatness)
             )
         return self._context
 
@@ -187,7 +181,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
 
     def find(
         self,
-        objective: LinExpr,
+        objective: Vector,
         flat_basis: Sequence[Vector],
         extremal: bool = True,
     ) -> Optional[WitnessGroup]:
@@ -316,19 +310,18 @@ class DdEnumerationOracle(CounterexampleOracle):
     def reset(
         self,
         problem: TerminationProblem,
-        extra_constraints: Sequence = (),
+        flatness: Sequence[Vector] = (),
         integer_mode: bool = False,
     ) -> None:
-        super().reset(problem, extra_constraints, integer_mode)
-        self._names = problem.difference_variables()
+        super().reset(problem, flatness, integer_mode)
         self._confirmation = SmtOptimizingOracle()
-        self._confirmation.reset(problem, extra_constraints, integer_mode)
+        self._confirmation.reset(problem, flatness, integer_mode)
         if self._expanded is None or self._expanded[0] is not problem:
             self._expanded = (problem, problem.disjuncts())
-        self._generators = self._enumerate(problem, extra_constraints)
+        self._generators = self._enumerate(problem, flatness)
 
     def _enumerate(
-        self, problem: TerminationProblem, extra_constraints: Sequence
+        self, problem: TerminationProblem, flatness: Sequence[Vector]
     ) -> List[_Generator]:
         generators: List[_Generator] = []
         for position, disjunct in enumerate(self._expanded[1]):
@@ -336,10 +329,7 @@ class DdEnumerationOracle(CounterexampleOracle):
             restricted = replace(
                 disjunct,
                 constraints=disjunct.constraints
-                + tuple(
-                    block_map.substitute(constraint)
-                    for constraint in extra_constraints
-                ),
+                + tuple(block_map.form(row).eq(0) for row in flatness),
             )
             for kind, vector in disjunct_generators(problem, restricted):
                 if vector.is_zero():
@@ -349,39 +339,31 @@ class DdEnumerationOracle(CounterexampleOracle):
                 generators.append(_Generator(vector, kind, position))
         return generators
 
-    def _value(self, generator: _Generator, objective: LinExpr) -> Fraction:
-        return objective_on_vector(objective, generator.vector, self._names)
-
+    @staticmethod
     def _violation(
-        self,
-        generator: _Generator,
-        objective: LinExpr,
-        flat_basis: List[Vector],
+        generator: _Generator, objective: Vector, flat: Span
     ) -> Optional[Fraction]:
         """``λ·g`` when *generator* refutes the candidate, else ``None``."""
-        value = self._value(generator, objective)
+        value = objective.dot(generator.vector)
         if generator.kind == "vertex":
-            if value > 0:
+            if value > 0 or generator.vector in flat:
                 return None
-            if in_span(generator.vector, flat_basis):
-                return None
-        else:
-            if value >= 0:
-                return None
+        elif value >= 0:
+            return None
         return value
 
     def find(
         self,
-        objective: LinExpr,
+        objective: Vector,
         flat_basis: Sequence[Vector],
         extremal: bool = True,
     ) -> Optional[WitnessGroup]:
-        flat_basis = list(flat_basis)
+        flat = Span(len(objective), flat_basis)
         violating: List[Tuple[Fraction, _Generator]] = []
         for generator in self._generators:
             if generator.used:
                 continue
-            value = self._violation(generator, objective, flat_basis)
+            value = self._violation(generator, objective, flat)
             if value is not None:
                 violating.append((value, generator))
                 if not extremal:
@@ -408,7 +390,7 @@ class DdEnumerationOracle(CounterexampleOracle):
                     min(
                         vertices,
                         key=lambda vertex: (
-                            self._value(vertex, objective),
+                            objective.dot(vertex.vector),
                             vertex.key,
                         ),
                     ),

@@ -16,6 +16,14 @@ def example1_problem(example1_automaton):
     return Analysis(example1_automaton).problem()
 
 
+def slot(problem, location, variable):
+    """The index of ``u``'s coordinate (cut point, space variable)."""
+    width = len(problem.space_variables)
+    return problem.cutset.index(location) * width + problem.space_variables.index(
+        variable
+    )
+
+
 class TestProblemEncoding:
     def test_space_includes_one_coordinate(self, example1_problem):
         assert ONE_COORDINATE in example1_problem.space_variables
@@ -24,22 +32,33 @@ class TestProblemEncoding:
         ) * (example1_problem.num_variables + 1)
 
     def test_difference_variables_order(self, example1_problem):
-        names = example1_problem.difference_variables()
-        assert len(names) == example1_problem.stacked_dimension
-        assert names[0].startswith("u[")
+        # u is laid out cut point by cut point over (x, 1).
+        problem = example1_problem
+        stacked = Vector(range(problem.stacked_dimension))
+        ranking = problem.ranking(stacked)
+        assert ranking.stacked_vector(problem.cutset) == stacked
+        location = problem.cutset[0]
+        assert list(ranking.coefficients[location]) == list(
+            range(problem.num_variables)
+        )
+        assert ranking.offsets[location] == slot(problem, location, ONE_COORDINATE)
 
     def test_invariant_rows_are_homogeneous(self, example1_problem):
-        for row in example1_problem.invariant_rows():
-            # Every row is a·x + b·@one with no free constant term.
-            assert row.normal.constant_term == 0
+        problem = example1_problem
+        width = len(problem.space_variables)
+        for row in problem.invariant_rows():
+            # Every row is e_k(a, −b): a·x − b·1 in one cut point's block.
+            assert len(row) == problem.stacked_dimension
+            blocks = {index // width for index, entry in enumerate(row) if entry}
+            assert len(blocks) == 1
 
     def test_one_row_present_per_cutpoint(self, example1_problem):
-        one_rows = [
-            row
-            for row in example1_problem.invariant_rows()
-            if row.normal.variables() == frozenset({ONE_COORDINATE})
-        ]
-        assert len(one_rows) >= len(example1_problem.cutset)
+        problem = example1_problem
+        for location in problem.cutset:
+            one = Vector.unit(
+                problem.stacked_dimension, slot(problem, location, ONE_COORDINATE)
+            )
+            assert one in problem.invariant_rows()
 
     def test_transition_formula_satisfiable(self, example1_problem):
         from repro.linexpr.transform import formula_atoms
@@ -56,12 +75,12 @@ class TestProblemEncoding:
     def test_objective_uses_offsets(self, example1_problem):
         ranking = example1_problem.zero_ranking()
         ranking.offsets[example1_problem.cutset[0]] = Fraction(3)
-        objective = example1_problem.objective(ranking)
-        one_names = [
-            example1_problem.difference_variable(location, ONE_COORDINATE)
+        objective = ranking.stacked_vector(example1_problem.cutset)
+        one_slots = [
+            slot(example1_problem, location, ONE_COORDINATE)
             for location in example1_problem.cutset
         ]
-        assert any(objective.coefficient(name) == 3 for name in one_names)
+        assert any(objective[index] == 3 for index in one_slots)
 
     def test_statistics(self, example1_problem):
         stats = example1_problem.statistics()
@@ -99,9 +118,8 @@ class TestRankingLp:
     def test_decreasing_counterexample_gets_delta_one(self, example1_problem):
         # u with y-component 1 corresponds to a step where y decreases by 1;
         # the invariant provides y + 1 ≥ 0, so δ must reach 1.
-        names = example1_problem.difference_variables()
-        u = Vector(
-            [1 if name == "u[k0][y]" else 0 for name in names]
+        u = Vector.unit(
+            example1_problem.stacked_dimension, slot(example1_problem, "k0", "y")
         )
         lp = RankingLp(example1_problem)
         lp.add_counterexample(u)

@@ -74,15 +74,5 @@ class TestHelpers:
     def test_normalized(self):
         assert Vector([Fraction(1, 2), Fraction(3, 2)]).normalized() == Vector([1, 3])
 
-    def test_concat(self):
-        assert Vector([1]).concat(Vector([2, 3])) == Vector([1, 2, 3])
-
-    def test_pad(self):
-        assert Vector([1, 2]).pad(4, offset=1) == Vector([0, 1, 2, 0])
-
-    def test_pad_out_of_range(self):
-        with pytest.raises(ValueError):
-            Vector([1, 2]).pad(2, offset=1)
-
     def test_hashable(self):
         assert len({Vector([1, 2]), Vector([1, 2]), Vector([2, 1])}) == 2

@@ -78,7 +78,3 @@ class TestEvaluation:
 
     def test_satisfied_by_eq(self):
         assert (var("x") - var("y")).eq(0).satisfied_by({"x": 7, "y": 7})
-
-    def test_homogeneous_row(self):
-        row = (2 * var("x") - var("y") + 3 <= 0).homogeneous_row(("x", "y"))
-        assert row == (2, -1, 3)

@@ -80,10 +80,6 @@ class TestSubstitutionEvaluation:
         with pytest.raises(KeyError):
             var("x").evaluate({})
 
-    def test_coefficient_vector(self):
-        expr = 2 * var("x") + 3 * var("z")
-        assert list(expr.coefficient_vector(["x", "y", "z"])) == [2, 0, 3]
-
 
 class TestComparisons:
     def test_le_builds_constraint(self):

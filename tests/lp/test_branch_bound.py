@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 
-from repro.linexpr.expr import var
-from repro.lp.branch_bound import find_integer_point, solve_ilp
+from repro.linexpr.expr import LinExpr, var
+from repro.lp.branch_bound import solve_ilp
 from repro.lp.problem import LpStatus, Sense
 
 x, y = var("x"), var("y")
@@ -68,10 +68,12 @@ class TestMultipliers:
 
 class TestFindIntegerPoint:
     def test_finds_point(self):
-        result = find_integer_point([x >= 1, x <= 3, (x - y).eq(0)], ["x", "y"])
+        result = solve_ilp(
+            LinExpr(), [x >= 1, x <= 3, (x - y).eq(0)], ["x", "y"]
+        )
         assert result.is_optimal
         assert result.assignment["x"].denominator == 1
 
     def test_infeasible(self):
-        result = find_integer_point([2 * x >= 1, 2 * x <= 1], ["x"])
+        result = solve_ilp(LinExpr(), [2 * x >= 1, 2 * x <= 1], ["x"])
         assert result.status is LpStatus.INFEASIBLE

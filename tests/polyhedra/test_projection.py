@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.linexpr.expr import var
 from repro.polyhedra.projection import (
-    eliminate_variable,
     entails,
     fourier_motzkin,
     project_constraints,
@@ -16,20 +15,20 @@ x, y, z = var("x"), var("y"), var("z")
 
 class TestEliminateVariable:
     def test_bounds_combine(self):
-        result = eliminate_variable([x <= y, x >= z], "x")
+        result = fourier_motzkin([x <= y, x >= z], ["x"])
         assert len(result) == 1
         assert entails(result, z <= y)
 
     def test_equality_substituted(self):
-        result = eliminate_variable([x.eq(y + 1), x <= 5], "x")
+        result = fourier_motzkin([x.eq(y + 1), x <= 5], ["x"])
         assert entails(result, y <= 4)
 
     def test_unrelated_kept(self):
-        result = eliminate_variable([y <= 3], "x")
+        result = fourier_motzkin([y <= 3], ["x"])
         assert result == [(y <= 3)]
 
     def test_no_lower_bound_drops_uppers(self):
-        result = eliminate_variable([x <= y], "x")
+        result = fourier_motzkin([x <= y], ["x"])
         assert result == []
 
 

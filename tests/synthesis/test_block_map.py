@@ -27,7 +27,7 @@ from repro.linexpr.formula import FALSE, TRUE, And, Atom, Or
 from repro.linexpr.transform import prime_suffix
 from repro.smt.theory import check_conjunction
 from repro.synthesis.engine import CegisEngine
-from repro.synthesis.oracles import SmtOptimizingOracle, objective_on_vector
+from repro.synthesis.oracles import SmtOptimizingOracle
 
 EXAMPLE_LISTING1 = (
     Path(__file__).parents[2] / "examples" / "listing1.imp"
@@ -87,7 +87,6 @@ class CheckingOracle(SmtOptimizingOracle):
 
     def __init__(self, problem):
         self.disjuncts = problem.disjuncts()
-        self.names = problem.difference_variables()
         self.answers = 0
         self.blocks_seen = set()
 
@@ -107,7 +106,7 @@ class CheckingOracle(SmtOptimizingOracle):
         )
         for ray in group[1:]:
             assert ray.kind == "ray"
-            assert objective_on_vector(objective, ray.vector, self.names) < 0
+            assert objective.dot(ray.vector) < 0
             assert any(
                 in_linear_image(problem, source, target, ray.vector)
                 for source, target in ends

@@ -15,7 +15,6 @@ from repro.synthesis.oracles import (
     DdEnumerationOracle,
     SmtOptimizingOracle,
     make_oracle,
-    objective_on_vector,
 )
 
 
@@ -25,7 +24,7 @@ def problem_for(automaton):
 
 def zero_objective(problem):
     """The first engine query: refute the all-zero candidate."""
-    return problem.objective(problem.zero_ranking())
+    return problem.zero_ranking().stacked_vector(problem.cutset)
 
 
 #: ``examples/listing1.imp``: the paper's Listing 1.
@@ -50,8 +49,7 @@ class TestSmtOracle:
         assert witness.kind == "vertex"
         assert not witness.vector.is_zero()
         # The witness is a genuine non-increasing step: λ·u ≤ 0 with λ = 0.
-        names = problem.difference_variables()
-        assert objective_on_vector(objective, witness.vector, names) == 0
+        assert objective.dot(witness.vector) == 0
 
     def test_arbitrary_model_also_violates(self, countdown_automaton):
         problem = problem_for(countdown_automaton)
@@ -78,10 +76,9 @@ class TestDdOracle:
         objective = zero_objective(problem)
         group = oracle.find(objective, [])
         assert group
-        names = problem.difference_variables()
         for witness in group:
             assert witness.origin == "dd"
-            assert objective_on_vector(objective, witness.vector, names) <= 0
+            assert objective.dot(witness.vector) <= 0
 
     def test_consumed_generators_are_not_returned_again(
         self, countdown_automaton
@@ -117,7 +114,7 @@ class TestDdOracle:
             {location: Fraction(0)},
         )
         with recording() as counters:
-            group = oracle.find(problem.objective(candidate), [])
+            group = oracle.find(candidate.stacked_vector(problem.cutset), [])
         assert group is None
         # One complete query, counted once (by the SMT oracle it runs).
         assert counters["synthesis.oracles.smt_queries"] == 1
@@ -140,7 +137,9 @@ class TestDdOracle:
             {location: Fraction(0)},
         )
         with recording() as counters:
-            group = oracle.find(problem.objective(candidate), [], False)
+            group = oracle.find(
+                candidate.stacked_vector(problem.cutset), [], False
+            )
         assert group is None
         assert counters["synthesis.oracles.smt_queries"] == 1
         assert "smt.optimize.queries" not in counters
@@ -206,7 +205,7 @@ class TestDdProvesWise:
 
 class TestStateSpaceTranslation:
     def test_flatness_constraint_translates_exactly(self, example1_automaton):
-        """λ·u = 0 over u-variables becomes the same linear fact in state space."""
+        """λ·u = 0 for a stacked λ becomes the same linear fact in state space."""
         problem = Analysis(example1_automaton).problem()
         # Use a non-trivial candidate: rank by x + 2y at the cut point.
         from repro.core.ranking import AffineRankingFunction
@@ -219,10 +218,8 @@ class TestStateSpaceTranslation:
             {location: Vector([Fraction(1), Fraction(2)])},
             {location: Fraction(3)},
         )
-        from repro.linexpr.constraint import Constraint
-
-        flat = Constraint(problem.objective(candidate), Relation.EQ)
-        translated = problem.block_map(location, location).substitute(flat)
+        flat = candidate.stacked_vector(problem.cutset)
+        translated = problem.block_map(location, location).form(flat).eq(0)
         assert translated.relation is Relation.EQ
         # On a self-loop u = (x,1) − (x',1): the translated expression is
         # ρ(x) − ρ(x') = (x + 2y) − (x' + 2y') (offsets cancel).

@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import Analysis, AnalysisConfig, CEX_STRATEGIES, ConfigError
 from repro.linalg.vector import Vector
-from repro.linexpr.expr import LinExpr
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import DdEnumerationOracle, _Generator
 
@@ -34,7 +33,7 @@ def dd_oracle(generators):
     oracle = DdEnumerationOracle()
     oracle.reset(problem, ())
     oracle._generators = list(generators)
-    objective = LinExpr({problem.difference_variables()[0]: 1})
+    objective = Vector.unit(problem.stacked_dimension, 0)
     return oracle, objective
 
 
