@@ -14,6 +14,14 @@ yields a quasi ranking function of maximal termination power
 (Proposition 5): ``λ_k = Σ_i γ_{k,i} a_i^k`` and ``λ0_k = Σ_i γ_{k,i} b_i^k``,
 read off the stacked vector ``Σ_{k,i} γ_{k,i} e_k(a_i^k)``.
 
+Each lifted row ``e_k(a_i^k)`` is nonzero only in cut point ``k``'s
+block, and :meth:`TerminationProblem.invariant_rows
+<repro.core.problem.TerminationProblem.invariant_rows>` keeps it as its
+integer nonzeros.  A generator row is built from those alone, in integer
+arithmetic over the common denominator of ``v_j``, and a row whose
+block of ``v_j`` is zero contributes no term; the ranking is read off
+the same nonzeros.
+
 The instance grows by **one row per counterexample** — this is the number
 reported as "lines" in Table 1 of the paper, and the reason the lazy
 approach beats the eager Farkas constructions by orders of magnitude.
@@ -22,7 +30,9 @@ Because the instance only ever *grows*, :class:`RankingLp` keeps one
 persistent :class:`~repro.lp.simplex.SimplexState` alive across the
 counterexample loop: each new generator appends one row (plus its δ
 column) to the already-solved tableau and re-solves with a handful of
-dual/primal pivots instead of a cold two-phase solve.
+dual/primal pivots instead of a cold two-phase solve.  The rows go in as
+:class:`~repro.lp.problem.LinearRow` rows, the integer form the
+tableau reads without ``Fraction`` arithmetic.
 :meth:`RankingLp.textbook_program` rebuilds the same instance from scratch
 as a plain :class:`~repro.lp.problem.LinearProgram`; the tests shadow-solve
 it to check every warm optimum.
@@ -32,13 +42,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Mapping, Optional
 
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import AffineRankingFunction
 from repro.linalg.vector import Vector
+from repro.linexpr.constraint import Relation
 from repro.linexpr.expr import LinExpr
-from repro.lp.problem import LinearProgram, LpStatus, Sense
+from repro.lp.problem import LinearProgram, LinearRow, LpStatus, Sense
 from repro.lp.simplex import SimplexState
 from repro.metrics import count
 
@@ -189,12 +201,11 @@ class RankingLp:
 
     def __init__(self, problem: TerminationProblem):
         self.problem = problem
-        #: ``e_k(a_i^k)``, the stacked rows of ``Constraints(I)``.
+        #: ``e_k(a_i^k)``, the sparse stacked rows of ``Constraints(I)``.
         self.rows = problem.invariant_rows()
         self.counterexamples: List[Vector] = []
         self._state: Optional[SimplexState] = None
         self._synced = 0  # counterexamples already pushed into the state
-        self._objective = LinExpr()
 
     # -- construction ----------------------------------------------------------------
 
@@ -213,17 +224,49 @@ class RankingLp:
     def _delta_name(self, index: int) -> str:
         return "delta_%d" % index
 
-    def _generator_row(self, j: int) -> LinExpr:
-        """``Σ_i γ_i (v_j · stacked_i) − δ_j`` (constrained ``≥ 0``)."""
-        generator = self.counterexamples[j]
-        combination = LinExpr()
+    def _generator_row(self, j: int) -> LinearRow:
+        """``Σ_i γ_i (v_j · row_i) − δ_j ≥ 0`` as an integer row.
+
+        ``v_j`` is scaled to integers over the common denominator ``D`` of
+        its entries, and each ``v_j · row_i`` is summed in integers over
+        the nonzeros of ``row_i``; a row whose cut point's block of
+        ``v_j`` is zero is skipped.  The row is ``δ_j − Σ_i γ_i (v_j ·
+        row_i) ≤ 0`` over ``D``.
+        """
+        generator = self.counterexamples[j].entries()
+        denominator = 1
+        for entry in generator:
+            scale = entry.denominator
+            if scale != 1:
+                denominator = denominator * scale // gcd(denominator, scale)
+        scaled = [
+            entry.numerator * (denominator // entry.denominator)
+            for entry in generator
+        ]
+        width = len(self.problem.space_variables)
+        live = [
+            any(scaled[start : start + width])
+            for start in range(0, len(scaled), width)
+        ]
+        terms = {self._delta_name(j): denominator}
         for i, row in enumerate(self.rows):
-            coefficient = generator.dot(row)
-            if coefficient != 0:
-                combination = combination + LinExpr(
-                    {self._gamma_name(i): coefficient}
-                )
-        return combination - LinExpr.variable(self._delta_name(j))
+            if live[row.cutpoint]:
+                product = sum(scaled[index] * value for index, value in row.terms)
+                if product:
+                    terms[self._gamma_name(i)] = -product
+        divisor = gcd(denominator, *terms.values())
+        names = sorted(terms)
+        return LinearRow(
+            Relation.LE,
+            tuple(names),
+            tuple(terms[name] // divisor for name in names),
+            0,
+            denominator // divisor,
+        )
+
+    def _delta_bound(self, j: int) -> LinearRow:
+        """``δ_j ≤ 1`` as an integer row."""
+        return LinearRow(Relation.LE, (self._delta_name(j),), (1,), -1)
 
     def solve(self) -> RankingLpSolution:
         """Solve the current instance (it is always feasible, Proposition 5).
@@ -233,7 +276,8 @@ class RankingLp:
         nonnegative (single standard-form columns) so the explicit
         ``γ ≥ 0`` / ``δ ≥ 0`` rows of :meth:`textbook_program` disappear
         into the column bounds; each counterexample contributes its
-        ``δ_j ≤ 1`` bound and its generator row.
+        ``δ_j ≤ 1`` bound and its generator row, both as
+        :class:`~repro.lp.problem.LinearRow`.
         """
         rows = len(self.counterexamples)
         cols = len(self.rows) + len(self.counterexamples)
@@ -244,13 +288,11 @@ class RankingLp:
                 self._state.declare(self._gamma_name(i), nonnegative=True)
         state = self._state
         for j in range(self._synced, len(self.counterexamples)):
-            delta = self._delta_name(j)
-            state.declare(delta, nonnegative=True)
-            state.add_constraint(LinExpr.variable(delta) <= 1)
-            state.add_constraint(self._generator_row(j) >= 0)
-            self._objective = self._objective + LinExpr.variable(delta)
+            state.declare(self._delta_name(j), nonnegative=True)
+            state.add_constraint(self._delta_bound(j))
+            state.add_constraint(self._generator_row(j))
         self._synced = len(self.counterexamples)
-        state.set_objective(self._objective)
+        state.set_objective(self._objective())
         outcome = state.solve()
         if fresh:
             # Table-1 statistics: one row per counterexample, one column
@@ -272,11 +314,7 @@ class RankingLp:
             outcome.assignment.get(self._delta_name(j), Fraction(0))
             for j in range(len(self.counterexamples))
         ]
-        stacked = Vector.zeros(self.problem.stacked_dimension)
-        for gamma, row in zip(gammas, self.rows):
-            if gamma != 0:
-                stacked = stacked + row * gamma
-        ranking = self.problem.ranking(stacked)
+        ranking = self.problem.ranking(self.problem.combine(gammas))
         all_zero = all(value == 0 for value in gammas)
         return RankingLpSolution(
             gammas=gammas,
@@ -285,6 +323,12 @@ class RankingLp:
             all_gamma_zero=all_zero,
             rows=rows,
             cols=cols,
+        )
+
+    def _objective(self) -> LinExpr:
+        """``Σ_j δ_j``."""
+        return LinExpr(
+            {self._delta_name(j): 1 for j in range(len(self.counterexamples))}
         )
 
     def textbook_program(self) -> LinearProgram:
@@ -296,19 +340,14 @@ class RankingLp:
         checked.  Its :meth:`~repro.lp.problem.LinearProgram.variables`
         are the γ's, then the δ's, in index order.
         """
-        program = LinearProgram(Sense.MAXIMIZE)
-        objective = LinExpr()
-        for j in range(len(self.counterexamples)):
-            objective = objective + LinExpr.variable(self._delta_name(j))
-        program.objective = objective
-
+        program = LinearProgram(Sense.MAXIMIZE, self._objective())
         for i in range(len(self.rows)):
             program.declare(self._gamma_name(i))
             program.add_constraint(LinExpr.variable(self._gamma_name(i)) >= 0)
         for j in range(len(self.counterexamples)):
             program.declare(self._delta_name(j))
             program.add_constraint(LinExpr.variable(self._delta_name(j)) >= 0)
-            program.add_constraint(LinExpr.variable(self._delta_name(j)) <= 1)
+            program.add_constraint(self._delta_bound(j))
         for j in range(len(self.counterexamples)):
-            program.add_constraint(self._generator_row(j) >= 0)
+            program.add_constraint(self._generator_row(j))
         return program

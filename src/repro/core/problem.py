@@ -20,12 +20,15 @@ changes.  The invariant constraints are lifted to that space accordingly
 row ``e_k(a, −b)`` and every cut point additionally contributes the row
 ``e_k(0, 1)``.
 
-Every object of the ``u`` space is a :class:`~repro.linalg.vector.Vector`
-in that layout: a candidate ``λ`` (``ranking.stacked_vector(cutset)``,
-read back by :meth:`TerminationProblem.ranking`), an invariant row, a
-counterexample, a flat direction.  ``u`` is never a variable of a
-formula.  On a step of one block it is
-the linear image ``M_b·(x, x') + o_b`` (:class:`BlockMap`), so ``Φ`` is
+A candidate ``λ`` (``ranking.stacked_vector(cutset)``, read back by
+:meth:`TerminationProblem.ranking`), a counterexample and a flat
+direction are each a :class:`~repro.linalg.vector.Vector` in that
+layout.  An invariant row is nonzero only in its own cut point's block,
+so it is kept as its nonzeros (:class:`InvariantRow`), and the ranking
+LP and :meth:`TerminationProblem.combine` read only those.  ``u`` is
+never a variable of a formula.  On a step of one block it is the linear
+image ``M_b·(x, x') + o_b`` (:class:`BlockMap`), nonzero only in the
+source and target blocks, so ``Φ`` is
 ``∨_b (@block = b ∧ I_source ∧ path_b)``, each disjunct selected by the
 reserved variable ``@block`` (one block needs none), and every
 ``u``-space formula of a query (flatness, ``AvoidSpace``, ``λ·u ≤ 0``,
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.ranking import AffineRankingFunction
 from repro.invariants.invariant_map import InvariantMap
@@ -56,6 +59,9 @@ ONE_COORDINATE = "@one"
 
 #: Name of the variable whose value selects the block of a step in ``Φ``.
 BLOCK_SELECTOR = "@block"
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,18 @@ class TransitionDisjunct:
         return sorted(names)
 
 
+class InvariantRow(NamedTuple):
+    """One lifted row ``e_k(a, −b)`` of ``Constraints(I)`` (Definition 14).
+
+    ``cutpoint`` is ``k``'s index in the cut-set; ``terms`` are the row's
+    nonzero entries as ``(stacked index, integer)`` pairs in index order,
+    all inside cut point ``k``'s block.
+    """
+
+    cutpoint: int
+    terms: Tuple[Tuple[int, int], ...]
+
+
 class BlockMap:
     """The block vector of a ``source → target`` step: ``u = M·z + o``.
 
@@ -91,49 +109,60 @@ class BlockMap:
     [k = target]·v'`` over ``(x, 1)`` (Definition 12).  Every ``u``-space
     formula of a query is rewritten over ``z`` through this map
     (:meth:`form`), and every witness over ``z`` is mapped back to ``u``
-    by :meth:`image`.
+    by :meth:`image`.  Only the source and target blocks of ``M`` are
+    nonzero: the map keeps those rows, and :attr:`support` their indices.
     """
 
     def __init__(self, problem: "TerminationProblem", source: str, target: str):
-        def end(variable: str, primed: bool) -> LinExpr:
-            if variable == ONE_COORDINATE:
-                return LinExpr.constant(1)
-            return LinExpr.variable(prime_suffix(variable) if primed else variable)
-
-        #: ``M_i·z + o_i`` per ``u`` coordinate ``i``.
-        self._rows: List[LinExpr] = [
-            (end(variable, False) if location == source else LinExpr())
-            - (end(variable, True) if location == target else LinExpr())
-            for location in problem.cutset
-            for variable in problem.space_variables
-        ]
+        width = len(problem.space_variables)
+        self._size = problem.stacked_dimension
+        #: ``(i, M_i, o_i)`` for every nonzero row ``M_i·z + o_i``, in
+        #: index order; ``M_i`` as ``(name, coefficient)`` pairs.
+        self._rows: List[Tuple[int, Tuple[Tuple[str, Fraction], ...], Fraction]] = []
+        for k, location in enumerate(problem.cutset):
+            at_source, at_target = location == source, location == target
+            if not (at_source or at_target):
+                continue
+            start = k * width
+            for offset, variable in enumerate(problem.variables):
+                terms = ((variable, _ONE),) if at_source else ()
+                if at_target:
+                    terms += ((prime_suffix(variable), -_ONE),)
+                self._rows.append((start + offset, terms, _ZERO))
+            if at_source != at_target:  # the @one coordinate: 1 − 1 on a self-loop
+                self._rows.append(
+                    (start + problem.num_variables, (), _ONE if at_source else -_ONE)
+                )
+        #: The indices of the nonzero rows of ``M·z + o``.
+        self.support: Tuple[int, ...] = tuple(index for index, _, _ in self._rows)
 
     def form(self, weight: Vector) -> LinExpr:
         """``w·(M·z + o)``: the form ``w·u`` of a stacked vector, over ``z``.
 
-        The rows of ``M_b`` are combined with the nonzero entries of *w*
-        in index order.
+        The nonzero rows of ``M_b`` are combined with the nonzero entries
+        of *w* in index order.
         """
+        entries = weight.entries()
         terms: Dict[str, Fraction] = {}
-        constant = Fraction(0)
-        for index, entry in enumerate(weight):
+        constant = _ZERO
+        for index, row, offset in self._rows:
+            entry = entries[index]
             if entry == 0:
                 continue
-            row = self._rows[index]
-            for name, coefficient in row.terms.items():
+            for name, coefficient in row:
                 terms[name] = terms.get(name, 0) + entry * coefficient
-            constant += entry * row.constant_term
+            constant += entry * offset
         return LinExpr(terms, constant)
 
     def image(self, point: Mapping[str, Fraction], ray: bool = False) -> Vector:
         """``M·z + o`` for a point, ``M·z`` for a *ray*; missing names read 0."""
-        return Vector(
-            sum(
-                (c * point.get(name, 0) for name, c in row.terms.items()),
-                Fraction(0) if ray else row.constant_term,
+        entries = [_ZERO] * self._size
+        for index, row, offset in self._rows:
+            entries[index] = sum(
+                (c * point.get(name, 0) for name, c in row),
+                _ZERO if ray else offset,
             )
-            for row in self._rows
-        )
+        return Vector(entries)
 
     def _basis(self, weights: Sequence[Vector]) -> Optional[List[LinExpr]]:
         """A basis of the forms ``{w·(M·z + o) : w ∈ span(weights)}``.
@@ -178,8 +207,7 @@ class BlockMap:
 
     def is_zero(self) -> Formula:
         """``M·z + o = 0``: the step does not move in the ``u`` space."""
-        size = len(self._rows)
-        basis = self._basis([Vector.unit(size, i) for i in range(size)])
+        basis = self._basis([Vector.unit(self._size, i) for i in self.support])
         if basis is None:
             return FALSE
         return conjunction([form.eq(0) for form in basis])
@@ -240,27 +268,45 @@ class TerminationProblem:
             raise ValueError("%r is not a cut point of the problem" % (location,))
         return self.invariants.get(location)
 
-    def invariant_rows(self) -> List[Vector]:
-        """The lifted ``Constraints(I)`` of Definition 14, as stacked vectors.
+    def invariant_rows(self) -> List[InvariantRow]:
+        """The lifted ``Constraints(I)`` of Definition 14, as sparse rows.
 
         ``e_k(a, −b)`` for every ``a·x ≥ b`` of ``I_k``, then ``e_k(0, 1)``,
         cut point by cut point.
         """
         return list(self._rows)
 
-    def _collect_invariant_rows(self) -> List[Vector]:
+    def _collect_invariant_rows(self) -> List[InvariantRow]:
         width = len(self.space_variables)
-        rows: List[Vector] = []
+        rows: List[InvariantRow] = []
         for k, location in enumerate(self.cutset):
-            before = [Fraction(0)] * (k * width)
-            after = [Fraction(0)] * ((self.num_cutpoints - k - 1) * width)
-            # constraint_vectors yields (a, b) meaning a·x ≥ b.
+            start = k * width
+            # constraint_vectors yields (a, b) meaning a·x ≥ b; a
+            # polyhedron keeps primitive integer rows.
             for normal, bound in self.invariant(location).constraint_vectors():
-                block = [normal.coefficient(name) for name in self.variables]
-                rows.append(Vector(before + block + [-bound] + after))
-            block = [Fraction(0)] * self.num_variables
-            rows.append(Vector(before + block + [Fraction(1)] + after))
+                entries = [normal.coefficient(name) for name in self.variables]
+                entries.append(-bound)
+                rows.append(
+                    InvariantRow(
+                        k,
+                        tuple(
+                            (start + offset, value.numerator)
+                            for offset, value in enumerate(entries)
+                            if value
+                        ),
+                    )
+                )
+            rows.append(InvariantRow(k, ((start + self.num_variables, 1),)))
         return rows
+
+    def combine(self, weights: Sequence[Fraction]) -> Vector:
+        """``Σ_i w_i·row_i`` over :meth:`invariant_rows`, from their nonzeros."""
+        entries = [_ZERO] * self.stacked_dimension
+        for weight, row in zip(weights, self._rows):
+            if weight:
+                for index, value in row.terms:
+                    entries[index] += weight * value
+        return Vector(entries)
 
     # -- formulas for the SMT queries -----------------------------------------------------
 

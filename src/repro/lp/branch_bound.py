@@ -11,14 +11,15 @@ fractional relaxation value; pruning uses the incumbent objective when one
 exists.  An iteration limit guards against pathological inputs (the
 transition systems in the benchmark suites stay far below it).
 
-Before the root branches, every equality over integer variables only is
-put to the gcd test: ``Σ a_i·x_i = b`` has no integer solution when
-``gcd(a_i)`` does not divide ``b``.  Such a row refutes the problem at
-once (``lp.ilp.equalities_refuted``); without the test, a rationally
-feasible, unbounded system such as ``2a − 2b = 1`` would be searched to
-the node limit.  Systems whose equalities only conflict together (``a −
-2b = 0 ∧ a − 2c = 1``) still need the search: the test reads one row at
-a time.  Every node is counted as ``lp.ilp.nodes``.
+Before the root branches, the equalities over integer variables only are
+put to the gcd test together: ``Σ a_i·x_i = b`` has no integer solution
+when ``gcd(a_i)`` does not divide ``b``, and the rows are eliminated over
+ℤ so that the test also reads every integer combination of them.  A
+refutation ends the search at once (``lp.ilp.equalities_refuted``);
+without it, a rationally feasible, unbounded system such as ``2a − 2b =
+1``, or ``a − 2b = 0 ∧ a − 2c = 1`` whose rows only conflict together,
+would be searched to the node limit.  The refutation carries no Farkas
+certificate.  Every node is counted as ``lp.ilp.nodes``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
-from typing import AbstractSet, Dict, List, Optional, Sequence, Union
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -57,21 +58,84 @@ def _gcd_refutes(
     constraints: Sequence[Union[Constraint, LinearRow]],
     integer_variables: AbstractSet[str],
 ) -> bool:
-    """Whether an equality over integer variables only has no integer
-    solution because the gcd of its coefficients does not divide its
-    constant."""
+    """Whether the equalities over integer variables only have no integer
+    solution together.
+
+    Each equality ``Σ n_i·x_i + c = 0`` becomes the integer row ``Σ n_i·x_i
+    = −c``, and the rows are eliminated over ℤ, after the equality step
+    of Pugh's Omega test.  A row is first divided by the gcd of its
+    coefficients, which refutes the system when it does not divide the
+    constant.  A coefficient ``±1`` then solves its variable, which is
+    substituted into the other rows; otherwise the unimodular change of
+    variables ``x_k ← x_k − Σ_i ⌊a_i / a_k⌋·x_i`` on the smallest
+    coefficient ``a_k`` reduces the row's other coefficients modulo
+    ``a_k``, and the row is read again.  Every row met is an integer
+    combination of the equalities under a unimodular change of variables,
+    which keeps its coefficient gcd, so each refutation is one such
+    combination's gcd test.  The elimination is complete: when no test
+    fires, the equalities have an integer solution.
+    """
+    rows: List[Tuple[Dict[str, int], int]] = []
     for constraint in constraints:
         if constraint.relation is not Relation.EQ:
             continue
         row = constraint if isinstance(constraint, LinearRow) else LinearRow.of(constraint)
         if not row.names or not integer_variables.issuperset(row.names):
             continue
-        divisor = 0
-        for numerator in row.numerators:
-            divisor = gcd(divisor, numerator)
-        if row.constant % divisor:
+        rows.append((dict(zip(row.names, row.numerators)), -row.constant))
+    while rows:
+        coefficients, constant = rows.pop()
+        coefficients = {name: value for name, value in coefficients.items() if value}
+        if not coefficients:
+            if constant:
+                return True
+            continue
+        divisor = gcd(*coefficients.values())
+        if constant % divisor:
             return True
+        coefficients = {name: value // divisor for name, value in coefficients.items()}
+        constant //= divisor
+        pivot = min(coefficients, key=lambda name: (abs(coefficients[name]), name))
+        value = coefficients[pivot]
+        if abs(value) == 1:
+            # x_pivot = value·(constant − Σ_{i ≠ pivot} a_i·x_i)
+            substitution = {
+                name: -value * other
+                for name, other in coefficients.items()
+                if name != pivot
+            }
+            rows = [
+                _substitute(other, pivot, substitution, value * constant)
+                for other in rows
+            ]
+            continue
+        shift = {
+            name: -(other // value)
+            for name, other in coefficients.items()
+            if name != pivot
+        }
+        rows = [
+            _substitute(other, pivot, {**shift, pivot: 1}, 0)
+            for other in rows + [(coefficients, constant)]
+        ]
     return False
+
+
+def _substitute(
+    row: Tuple[Dict[str, int], int],
+    name: str,
+    terms: Dict[str, int],
+    offset: int,
+) -> Tuple[Dict[str, int], int]:
+    """*row* ``Σ a_i·x_i = b`` with ``x_name ← Σ terms·x + offset``."""
+    coefficients, constant = row
+    factor = coefficients.get(name, 0)
+    if not factor:
+        return row
+    result = {other: value for other, value in coefficients.items() if other != name}
+    for other, value in terms.items():
+        result[other] = result.get(other, 0) + factor * value
+    return result, constant - factor * offset
 
 
 def solve_ilp(

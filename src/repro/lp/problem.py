@@ -22,6 +22,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.linexpr.constraint import Constraint, Relation
@@ -162,7 +163,7 @@ class LinearProgram:
     ):
         self.sense = sense
         self.objective = objective if objective is not None else LinExpr()
-        self.constraints: List[Constraint] = []
+        self.constraints: List[Union[Constraint, LinearRow]] = []
         self._declared: List[str] = []
 
     # -- construction --------------------------------------------------------
@@ -173,8 +174,8 @@ class LinearProgram:
             if name not in self._declared:
                 self._declared.append(name)
 
-    def add_constraint(self, constraint: Constraint) -> None:
-        """Add a non-strict constraint.
+    def add_constraint(self, constraint: Union[Constraint, LinearRow]) -> None:
+        """Add a non-strict constraint, or a :class:`LinearRow` in its place.
 
         Strict inequalities are rejected: linear programming optimises over
         closed sets.  Callers that need strictness (the SMT theory solver)
@@ -182,11 +183,13 @@ class LinearProgram:
         """
         if constraint.relation is Relation.LT:
             raise ValueError(
-                "strict inequality %s cannot be added to an LP" % constraint
+                "strict inequality %s cannot be added to an LP" % (constraint,)
             )
         self.constraints.append(constraint)
 
-    def add_constraints(self, constraints: Sequence[Constraint]) -> None:
+    def add_constraints(
+        self, constraints: Sequence[Union[Constraint, LinearRow]]
+    ) -> None:
         for constraint in constraints:
             self.add_constraint(constraint)
 

@@ -70,8 +70,8 @@ def _sparse_terms(
 ) -> Dict[int, Fraction]:
     """A LinExpr's coefficients as a standard-form column → value mapping.
 
-    The sparse counterpart of :func:`_spread_terms`, for rows that go
-    straight into the sparse tableau.
+    The sparse counterpart of :func:`_spread_terms`, for the objective
+    terms the warm path patches into the cost row.
     """
     entries: Dict[int, Fraction] = {}
     for name, value in terms.items():
@@ -171,7 +171,7 @@ class _StandardForm:
     def __init__(
         self,
         objective: LinExpr,
-        constraints: Sequence[Constraint],
+        constraints: Sequence[Union[Constraint, LinearRow]],
         variables: Sequence[str],
         nonnegative: FrozenSet[str] = frozenset(),
     ):
@@ -977,9 +977,9 @@ class SimplexState:
         self.sense = sense
         self._objective = LinExpr()
         self._declared: Dict[str, bool] = {}  # name -> nonnegative, in order
-        self._constraints: List[Constraint] = []
+        self._constraints: List[Union[Constraint, LinearRow]] = []
         self._pending_variables: List[str] = []
-        self._pending_constraints: List[Constraint] = []
+        self._pending_constraints: List[Union[Constraint, LinearRow]] = []
         self._tableau: Optional[_Tableau] = None
         self._plus: Dict[str, int] = {}
         self._minus: Dict[str, int] = {}
@@ -1021,15 +1021,22 @@ class SimplexState:
             if name not in self._declared:
                 self.declare(name)
 
-    def add_constraint(self, constraint: Constraint) -> None:
-        """Queue a constraint; it joins the tableau at the next solve."""
+    def add_constraint(self, constraint: Union[Constraint, LinearRow]) -> None:
+        """Queue a constraint; it joins the tableau at the next solve.
+
+        A :class:`~repro.lp.problem.LinearRow` is taken in place of the
+        constraint it was lowered from, and its integers are read as they
+        are, as :func:`solve_lp` does.
+        """
         if constraint.relation is Relation.LT:
             raise ValueError("strict inequalities are not LP constraints")
         self._auto_declare(constraint.variables())
         self._pending_constraints.append(constraint)
         self._last_result = None
 
-    def add_constraints(self, constraints: Sequence[Constraint]) -> None:
+    def add_constraints(
+        self, constraints: Sequence[Union[Constraint, LinearRow]]
+    ) -> None:
         for constraint in constraints:
             self.add_constraint(constraint)
 
@@ -1132,17 +1139,12 @@ class SimplexState:
         # repairs next.  The whole batch is installed before any repair
         # pivot runs, so k appended rows pay one repair pass, not k.
         for constraint in self._pending_constraints:
-            expressions = [constraint.expr]
-            if constraint.relation is Relation.EQ:
-                expressions.append(-constraint.expr)
-            for expr in expressions:
+            directions = (1, -1) if constraint.relation is Relation.EQ else (1,)
+            for sign in directions:
                 slack = tableau.append_column()
                 self._allowed.add(slack)
-                entries = _sparse_terms(expr.terms, self._plus, self._minus)
-                entries[slack] = _ONE
-                entries[_RHS] = -expr.constant_term
                 row = tableau.eliminate_against_basis(
-                    SparseRow.from_dict(entries)
+                    self._slack_row(constraint, sign, slack)
                 )
                 tableau.append_row(row, slack)
         self._commit_pending()
@@ -1170,6 +1172,32 @@ class SimplexState:
         self._warm_ready = status == "optimal"
         pivots = tableau.pivot_count - start_pivots
         return self._extract(status, entering, pivots)
+
+    def _slack_row(
+        self, constraint: Union[Constraint, LinearRow], sign: int, slack: int
+    ) -> SparseRow:
+        """``sign·expr + slack = 0`` over the tableau's columns, rhs fused.
+
+        Read off the integers of the constraint's
+        :class:`~repro.lp.problem.LinearRow`: ``sign·n_i`` on each
+        variable's columns, ``d`` on the slack and ``−sign·c`` at the rhs,
+        all over ``d``.
+        """
+        row = constraint if isinstance(constraint, LinearRow) else LinearRow.of(constraint)
+        pairs = [(slack, row.denominator)]
+        if row.constant:
+            pairs.append((_RHS, -sign * row.constant))
+        for name, numerator in zip(row.names, row.numerators):
+            if numerator:
+                pairs.append((self._plus[name], sign * numerator))
+                if name in self._minus:
+                    pairs.append((self._minus[name], -sign * numerator))
+        pairs.sort()
+        return SparseRow._make(
+            [index for index, _ in pairs],
+            [value for _, value in pairs],
+            row.denominator,
+        )
 
     def _reprice(self, tableau: _Tableau) -> None:
         """Price the current objective against the tableau's basis.

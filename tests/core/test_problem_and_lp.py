@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Analysis
 from repro.core.lp_instance import LpStatistics, RankingLp, record_lp
-from repro.core.problem import ONE_COORDINATE, TerminationProblem
+from repro.core.problem import ONE_COORDINATE, InvariantRow, TerminationProblem
 from repro.linalg.vector import Vector
 from repro.metrics import recording
 
@@ -47,17 +47,18 @@ class TestProblemEncoding:
         problem = example1_problem
         width = len(problem.space_variables)
         for row in problem.invariant_rows():
-            # Every row is e_k(a, −b): a·x − b·1 in one cut point's block.
-            assert len(row) == problem.stacked_dimension
-            blocks = {index // width for index, entry in enumerate(row) if entry}
-            assert len(blocks) == 1
+            # Every row is e_k(a, −b): a·x − b·1 in one cut point's block,
+            # kept as its nonzero entries in index order.
+            indices = [index for index, _ in row.terms]
+            assert indices == sorted(indices)
+            assert all(0 <= index < problem.stacked_dimension for index in indices)
+            assert all(value != 0 for _, value in row.terms)
+            assert {index // width for index in indices} == {row.cutpoint}
 
     def test_one_row_present_per_cutpoint(self, example1_problem):
         problem = example1_problem
-        for location in problem.cutset:
-            one = Vector.unit(
-                problem.stacked_dimension, slot(problem, location, ONE_COORDINATE)
-            )
+        for k, location in enumerate(problem.cutset):
+            one = InvariantRow(k, ((slot(problem, location, ONE_COORDINATE), 1),))
             assert one in problem.invariant_rows()
 
     def test_transition_formula_satisfiable(self, example1_problem):

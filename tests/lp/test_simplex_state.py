@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.linexpr.expr import LinExpr, var
-from repro.lp.problem import LpStatus, Sense
+from repro.lp.problem import LinearRow, LpStatus, Sense
 from repro.lp.simplex import SimplexState, solve_lp
 from repro.metrics import recording
 
@@ -313,3 +313,43 @@ def test_constant_objective_term():
     assert state.solve().objective == 13
     state.add_constraint(x <= 1)
     assert state.solve().objective == 11
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(coefficients, min_size=3, max_size=3),
+            coefficients,
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_linear_row_and_its_constraint_solve_alike(rows):
+    """A :class:`LinearRow` added to a solved state gives the warm solve
+    of the constraint it was lowered from: same pivots, same optimum."""
+    constraints = []
+    for (a, b, c), constant, equality in rows:
+        expr = a * x + b * y + c * z + constant
+        constraints.append(expr.eq(0) if equality else expr <= 0)
+    results = []
+    for lower in (False, True):
+        state = SimplexState(Sense.MAXIMIZE)
+        state.declare("z", nonnegative=True)
+        state.add_constraints([x <= 5, x >= -5, y <= 5, y >= -5, z <= 5])
+        state.set_objective(x + 2 * y + 3 * z)
+        state.solve()
+        state.add_constraints(
+            [LinearRow.of(row) for row in constraints] if lower else constraints
+        )
+        outcome = state.solve()
+        results.append(
+            (outcome.status, outcome.objective, outcome.assignment, outcome.pivots)
+        )
+        assert state.last_solve_warm
+    assert results[0] == results[1]

@@ -105,6 +105,20 @@ class TestIntegerEqualities:
         assert counters["lp.ilp.equalities_refuted"] == 1
         assert counters["lp.ilp.nodes"] == 1
 
+    def test_equalities_conflicting_only_together_are_refuted(self):
+        # Each row alone has integer solutions; a − 2b − (a − 2c) = 1 says
+        # 2c − 2b = 1, which has none.
+        a, b, c = var("a"), var("b"), var("c")
+        start = time.perf_counter()
+        with recording() as counters:
+            result = check_conjunction(
+                [(a - 2 * b).eq(0), (a - 2 * c).eq(1)], {"a", "b", "c"}
+            )
+        assert time.perf_counter() - start < 1.0
+        assert not result.satisfiable
+        assert counters["lp.ilp.equalities_refuted"] == 1
+        assert counters["lp.ilp.nodes"] == 1
+
     def test_rows_with_a_rational_variable_are_not_refuted(self):
         a = var("a")
         with recording() as counters:
@@ -194,11 +208,11 @@ def conjunctions(draw):
     """A random conjunction of strict, non-strict and equality rows.
 
     Integer variables get the box ``−4 ≤ v ≤ 4``, which keeps branch and
-    bound within its node budget.  The gcd test refutes a single equality
-    such as ``2a − 2b = 1`` at once, but equalities that only conflict
-    together, such as ``a − 2b = 0 ∧ a − 2c = 1``, still need the Omega
-    test's full equality step before the box can go.  Returns
-    ``(constraints, integer variables)``.
+    bound within its node budget and puts every integer variable in the
+    model.  The equality step refutes integer-infeasible equalities such
+    as ``a − 2b = 0 ∧ a − 2c = 1`` at once, but inequalities with no
+    integer point in an unbounded strip are still searched, so the box
+    stays.  Returns ``(constraints, integer variables)``.
     """
     rows = draw(
         st.lists(
