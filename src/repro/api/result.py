@@ -82,23 +82,21 @@ class Provenance:
       cache hit is served; vacuously true for proved results with no
       proof obligations);
     * ``worker_pid`` — the pid of the process that produced the payload
-      (a pool worker on a miss, the serving process on a hit);
-    * ``degraded`` — the load-shedding degradations the service applied
-      before computing (empty when the request ran exactly as asked).
-      Under overload pressure the admission gate may run a
-      ``nonterm="auto"`` request termination-only
-      (``"nonterm:auto->off"``); every such trade is stamped here so a
-      caller can always tell a full answer from a degraded one.
+      (a pool worker on a miss, the serving process on a hit).
 
-    :meth:`from_dict` ignores unknown keys, so provenance written with
-    the removed ``kernel`` entry still loads.
+    The service computes every request exactly as asked, whatever its
+    load, so provenance records where an answer came from, never a
+    change to what was computed.
+
+    :meth:`from_dict` ignores unknown keys, so provenance written by
+    older versions, with their ``kernel`` or load-shedding entries, still
+    loads.
     """
 
     cache: str = "miss"
     key: str = ""
     revalidated: bool = False
     worker_pid: int = 0
-    degraded: tuple = ()
 
     def __post_init__(self) -> None:
         if self.cache not in CACHE_DISPOSITIONS:
@@ -106,7 +104,6 @@ class Provenance:
                 "cache must be one of %s, got %r"
                 % (", ".join(CACHE_DISPOSITIONS), self.cache)
             )
-        object.__setattr__(self, "degraded", tuple(self.degraded))
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +111,6 @@ class Provenance:
             "key": self.key,
             "revalidated": self.revalidated,
             "worker_pid": self.worker_pid,
-            "degraded": list(self.degraded),
         }
 
     @classmethod
@@ -124,7 +120,6 @@ class Provenance:
             key=data.get("key", ""),
             revalidated=data.get("revalidated", False),
             worker_pid=data.get("worker_pid", 0),
-            degraded=tuple(data.get("degraded", ())),
         )
 
 

@@ -28,6 +28,7 @@ an explicit :class:`FarkasBudgetExceeded` instead of a wrong answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -94,23 +95,47 @@ Decision = Union[Refutation, Witness]
 def tighten_integer_strict(
     constraints: Sequence[Constraint], is_integer
 ) -> List[Constraint]:
-    """Replace ``e < 0`` by ``e + 1 ≤ 0`` where it is sound to do so.
+    """Round every inequality over integers to its integer hull row.
 
-    Sound when every variable of the atom is integer-valued (per the
-    *is_integer* predicate on variable names) and all coefficients are
-    integral.  Mirrors the front end's guard tightening; refuting the
-    tightened system shows the original has no *integer* solution.
+    An inequality ``a·x + c ≤ 0`` (or ``< 0``) whose variables are all
+    integer-valued (per the *is_integer* predicate on variable names) and
+    whose coefficients ``a`` are integral is divided by ``g = gcd(a)``:
+    ``(a/g)·x`` is an integer, so the row becomes ``(a/g)·x + ⌈c/g⌉ ≤ 0``
+    (``⌊c/g⌋ + 1`` when strict).  ``3x + 3y + 5 > 0`` becomes
+    ``x + y ≥ −1``, and ``x > 0`` becomes ``x ≥ 1``.  The rounded row has
+    exactly the integer points of the original, so refuting the rounded
+    system shows the original has no *integer* solution.  Equalities and
+    every other row are kept as they are.
     """
-    tightened: List[Constraint] = []
-    for constraint in constraints:
-        if (
-            constraint.is_strict()
-            and all(is_integer(name) for name in constraint.variables())
-        ):
-            tightened.append(constraint.tighten_for_integers())
-        else:
-            tightened.append(constraint)
-    return tightened
+    return [
+        _round_integer_row(constraint)
+        if all(is_integer(name) for name in constraint.variables())
+        else constraint
+        for constraint in constraints
+    ]
+
+
+def _round_integer_row(constraint: Constraint) -> Constraint:
+    relation = constraint.relation
+    terms = constraint.expr.terms
+    if (
+        relation is Relation.EQ
+        or not terms
+        or any(value.denominator != 1 for value in terms.values())
+    ):
+        return constraint
+    divisor = math.gcd(*(value.numerator for value in terms.values()))
+    constant = constraint.expr.constant_term / divisor
+    if relation is Relation.LT:
+        rounded = math.floor(constant) + 1
+    elif divisor == 1 and constant.denominator == 1:
+        return constraint
+    else:
+        rounded = math.ceil(constant)
+    return Constraint(
+        LinExpr({name: value / divisor for name, value in terms.items()}, rounded),
+        Relation.LE,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ analyses over a tiny wire protocol instead:
   :class:`~repro.reporting.parallel.WorkerPool`, with per-request
   timeouts and graceful drain on SIGTERM).
 * :mod:`repro.service.admission` — overload hardening: the bounded
-  in-flight/queue :class:`AdmissionGate` (sheds with ``OVERLOADED``,
-  degrades under pressure) and the per-tool :class:`CircuitBreaker`.
+  in-flight/queue :class:`AdmissionGate`, which sheds with
+  ``OVERLOADED`` and never changes what an admitted request computes.
 * :mod:`repro.service.faults` — the deterministic fault-injection
   harness (``repro serve --fault-plan``) behind the ``service_chaos``
   bench suite.
@@ -37,7 +37,6 @@ See ``docs/SERVICE.md`` for the protocol reference and deployment notes.
 
 from repro.service.admission import (
     AdmissionGate,
-    CircuitBreaker,
     Overloaded,
     ShuttingDown,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "SHUTTING_DOWN",
     "OVERLOADED",
     "AdmissionGate",
-    "CircuitBreaker",
     "Overloaded",
     "ShuttingDown",
     "FaultPlan",

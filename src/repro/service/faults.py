@@ -14,7 +14,7 @@ Failure modes
 
 ``kill_worker``
     The leased pool worker ``os._exit``\\ s mid-request — exercises crash
-    detection, respawn, the respawn budget and the circuit breaker.
+    detection, respawn and the respawn budget.
 ``delay_worker``
     The worker sleeps ``delay_seconds`` before computing — exercises the
     per-request timeout and the hung-worker watchdog.

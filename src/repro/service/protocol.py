@@ -50,8 +50,8 @@ name                   code    raised when
 ``SHUTTING_DOWN``      -32004  request arrived after ``shutdown``
 ``OVERLOADED``         -32005  load was shed: the admission gate's
                                in-flight and queue bounds are both
-                               saturated, or the tool's circuit breaker
-                               is open after repeated worker crashes.
+                               saturated, or the worker pool spent its
+                               respawn budget.
                                ``data.retry_after_seconds`` tells the
                                caller when to retry (see
                                :func:`repro.service.client.call_with_retry`)

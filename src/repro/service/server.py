@@ -17,11 +17,8 @@ finish (bounded by a grace period), then the pool is torn down.
 Overload hardening (see :mod:`repro.service.admission`): every compute
 passes the **admission gate** (``--max-inflight`` / ``--max-queue``) —
 load beyond both bounds is shed with ``OVERLOADED`` (-32005) carrying
-``retry_after_seconds``; under pressure, requests are **degraded**
-(``nonterm=auto`` requests run termination-only), with every trade
-stamped into ``provenance.degraded``.  A per-tool **circuit breaker** fails fast
-after repeated worker crashes instead of burning the pool's respawn
-budget.
+``retry_after_seconds``.  An admitted request computes exactly as
+asked, so its verdict does not depend on load.
 
 Both doors share one :class:`~repro.service.cache.ResultCache` front:
 the parent process answers duplicate requests from the content-addressed
@@ -34,7 +31,6 @@ load), so even a ``kill -9`` costs only the entries in flight.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import functools
 import json
 import os
@@ -49,12 +45,7 @@ from repro.api.pipeline import analyze
 from repro.api.request import AnalysisRequest
 from repro.api.result import AnalysisResult, AnalysisStatus, Provenance
 from repro.reporting.parallel import WorkerPool, run_tasks
-from repro.service.admission import (
-    AdmissionGate,
-    CircuitBreaker,
-    Overloaded,
-    ShuttingDown,
-)
+from repro.service.admission import AdmissionGate, Overloaded, ShuttingDown
 from repro.service.cache import (
     DEFAULT_MAX_DISK_BYTES,
     DEFAULT_MAX_ENTRIES,
@@ -120,46 +111,28 @@ def _analyze_request_document(document: dict) -> dict:
     return {"result": result.to_dict(), "pid": os.getpid()}
 
 
-def degrade_request(request: AnalysisRequest) -> Tuple[AnalysisRequest, tuple]:
-    """The load-shedding degradation tier: trade precision for slots.
-
-    Under pressure the expensive half of a request is dropped — a
-    ``nonterm="auto"`` request runs termination-only — and
-    each trade is named in the returned tuple so the executor can stamp
-    it into ``provenance.degraded``.  A request with nothing to shed
-    comes back unchanged with an empty tuple.
-    """
-    if request.config.nonterm != "auto":
-        return request, ()
-    degraded_config = dataclasses.replace(request.config, nonterm="off")
-    return request.replace(config=degraded_config), ("nonterm:auto->off",)
-
-
 # ---------------------------------------------------------------------------
 # executors
 # ---------------------------------------------------------------------------
 
 
 class _CachingExecutor:
-    """The shared service spine: cache → breaker → gate → compute → store.
+    """The shared service spine: cache → gate → compute → store.
 
-    The admission gate and circuit breaker guard *compute* only — a
-    cache hit costs one checker pass on an already-bounded thread pool
-    and is exactly the traffic an overloaded service wants to keep
-    serving.
+    The admission gate guards *compute* only — a cache hit costs one
+    checker pass on an already-bounded thread pool and is exactly the
+    traffic an overloaded service wants to keep serving.
     """
 
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         gate: Optional[AdmissionGate] = None,
-        breaker: Optional[CircuitBreaker] = None,
         timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
     ):
         self.cache = cache
         self.gate = gate
-        self.breaker = breaker
         self.timeout = timeout
         self.faults = faults if faults is not None else INERT_INJECTOR
 
@@ -181,101 +154,58 @@ class _CachingExecutor:
             return deadline
         return min(self.timeout, deadline)
 
+    def _cached(self, request: AnalysisRequest) -> Optional[AnalysisResult]:
+        """A cache hit served under the caller's program name, or None.
+
+        The cached payload carries the *first* requester's name.
+        """
+        if self.cache is None:
+            return None
+        hit = self.cache.lookup(request)
+        if hit is not None:
+            hit.program = request.name
+        return hit
+
     def run(self, request: AnalysisRequest) -> AnalysisResult:
-        if self.cache is not None:
-            hit = self.cache.lookup(request)
-            if hit is not None:
-                # The cached payload carries the *first* requester's
-                # program name; serve it under the current caller's.
-                hit.program = request.name
-                return hit
-        if self.breaker is not None:
+        hit = self._cached(request)
+        if hit is not None:
+            return hit
+        ticket = None
+        if self.gate is not None:
             try:
-                self.breaker.check(request.tool)
+                ticket = self.gate.admit()
             except Overloaded as error:
                 raise ProtocolError(
                     OVERLOADED,
                     str(error),
                     data={"retry_after_seconds": error.retry_after_seconds},
                 ) from None
-        # check() may have granted this request the half-open probe; any
-        # exit that never reaches a record_* call below must release it
-        # (record_neutral) or the tool stays "probe in flight" forever.
-        settled = self.breaker is None
+            except ShuttingDown:
+                raise ProtocolError(
+                    SHUTTING_DOWN, "service is shutting down"
+                ) from None
         try:
-            ticket = None
-            if self.gate is not None:
-                try:
-                    ticket = self.gate.admit()
-                except Overloaded as error:
-                    raise ProtocolError(
-                        OVERLOADED,
-                        str(error),
-                        data={"retry_after_seconds": error.retry_after_seconds},
-                    ) from None
-                except ShuttingDown:
-                    raise ProtocolError(
-                        SHUTTING_DOWN, "service is shutting down"
-                    ) from None
-            try:
-                if (
-                    ticket is not None
-                    and ticket.waited
-                    and self.cache is not None
-                ):
-                    # We may have queued a while: a duplicate request could
-                    # have computed and stored meanwhile.  One more lookup
-                    # here turns a whole burst of identical requests into
-                    # one compute plus hits.
-                    hit = self.cache.lookup(request)
-                    if hit is not None:
-                        hit.program = request.name
-                        return hit
-                effective, degradations = request, ()
-                if self.gate is not None and self.gate.pressure_tier() >= 1:
-                    effective, degradations = degrade_request(request)
-                    if degradations:
-                        self.gate.note_degraded()
-                        if self.cache is not None:
-                            hit = self.cache.lookup(effective)
-                            if hit is not None:
-                                hit.program = request.name
-                                hit.provenance.degraded = degradations
-                                return hit
-                try:
-                    result, pid = self._compute(effective)
-                except ProtocolError as error:
-                    if self.breaker is not None:
-                        if error.code == WORKER_CRASH:
-                            self.breaker.record_crash(request.tool)
-                        elif error.code == ANALYSIS_ERROR:
-                            # The worker answered: it is healthy.
-                            self.breaker.record_success(request.tool)
-                        else:
-                            self.breaker.record_neutral(request.tool)
-                        settled = True
-                    raise
-                if self.breaker is not None:
-                    self.breaker.record_success(request.tool)
-                    settled = True
-                # Store *before* releasing the ticket: a queued duplicate
-                # woken by the release must find the entry already there.
-                disposition = "bypass"
-                if self.cache is not None:
-                    self.cache.store(effective, result)
-                    disposition = "miss"
-            finally:
-                if ticket is not None:
-                    ticket.release()
+            if ticket is not None and ticket.waited:
+                # We may have queued a while: a duplicate request could
+                # have computed and stored meanwhile.  One more lookup
+                # here turns a whole burst of identical requests into
+                # one compute plus hits.
+                hit = self._cached(request)
+                if hit is not None:
+                    return hit
+            result, pid = self._compute(request)
+            # Store *before* releasing the ticket: a queued duplicate
+            # woken by the release must find the entry already there.
+            if self.cache is not None:
+                self.cache.store(request, result)
         finally:
-            if not settled:
-                self.breaker.record_neutral(request.tool)
+            if ticket is not None:
+                ticket.release()
         result.provenance = Provenance(
-            cache=disposition,
-            key=effective.cache_key(),
+            cache="bypass" if self.cache is None else "miss",
+            key=request.cache_key(),
             revalidated=False,
             worker_pid=pid,
-            degraded=degradations,
         )
         return result
 
@@ -296,8 +226,6 @@ class _CachingExecutor:
         }
         if self.gate is not None:
             document["admission"] = self.gate.stats()
-        if self.breaker is not None:
-            document["breaker"] = self.breaker.stats()
         if self.faults.active:
             document["faults"] = self.faults.log.to_dict()
         return document
@@ -381,14 +309,12 @@ class PoolExecutor(_CachingExecutor):
         timeout: Optional[float] = None,
         cache: Optional[ResultCache] = None,
         gate: Optional[AdmissionGate] = None,
-        breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultInjector] = None,
         respawn_budget: int = 32,
         hung_deadline: Optional[float] = DEFAULT_HUNG_DEADLINE_SECONDS,
     ):
         super().__init__(
-            cache=cache, gate=gate, breaker=breaker, timeout=timeout,
-            faults=faults,
+            cache=cache, gate=gate, timeout=timeout, faults=faults,
         )
         self.pool = WorkerPool(
             _analyze_request_document,
@@ -608,7 +534,6 @@ class ServiceServer:
             if cache
             else None,
             gate=gate,
-            breaker=CircuitBreaker(),
             faults=self.faults,
             respawn_budget=respawn_budget,
             hung_deadline=hung_deadline,

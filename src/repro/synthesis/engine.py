@@ -179,6 +179,13 @@ class CegisEngine:
         queries through ``AvoidSpace`` (§4.1), which is what makes the
         loop terminate even when no strict ranking function exists.
 
+        The component is strict when every collected *vertex* has δ = 1.
+        Rays do not count: each step is a convex combination of vertices
+        plus a cone of rays, so ``λ·u`` is at least the smallest ``λ·v``
+        as long as ``λ·r ≥ 0`` on every ray, which the LP already
+        enforces.  A line in the step set forces δ = 0 on its two rays
+        without making the candidate any less strict.
+
         ``flatness`` restricts the transition relation to ``λ_{d'} · u =
         0`` for each of its stacked vectors ``λ_{d'}`` — Algorithm 2
         passes the previous lexicographic components here.
@@ -224,14 +231,16 @@ class CegisEngine:
     ):
         """Oracle query → LP re-solve, until fixpoint.
 
-        Returns the final candidate, its δ values, the iteration count and
-        the number of vertex rows added.  Counts oracle queries,
+        Returns the final candidate, the δ values of its vertex rows (not
+        its rays), the iteration count and the number of vertex rows
+        added.  Counts oracle queries,
         counterexample rows (vertices and rays) and flat directions as
         ``synthesis.engine.*`` (:mod:`repro.metrics`).
         """
         current = problem.zero_ranking()
         flat_span = Span(problem.stacked_dimension)
         deltas: List[Fraction] = []
+        vertex_indices: List[int] = []
         iterations = vertices = 0
         self.oracle.reset(problem, flatness, self.integer_mode)
 
@@ -258,15 +267,18 @@ class CegisEngine:
                     vertices += 1
                     index = ranking_lp.add_counterexample(witness.vector)
                     vertex_rows.append((witness.vector, index))
+                    vertex_indices.append(index)
                 elif not witness.vector.is_zero():
                     count("synthesis.engine.rays")
                     ranking_lp.add_counterexample(witness.vector)
                     rays_added += 1
 
             solution = ranking_lp.solve()
-            deltas = solution.deltas
+            deltas = [solution.delta_of(index) for index in vertex_indices]
             flats = 0
-            if solution.all_gamma_zero and all(value == 0 for value in deltas):
+            if solution.all_gamma_zero and all(
+                value == 0 for value in solution.deltas
+            ):
                 # No quasi ranking function separates any collected
                 # generator: the component is finished (λ possibly 0).
                 current = solution.ranking

@@ -134,6 +134,21 @@ class TestResultSerialisation:
         assert rebuilt.provenance.revalidated is True
         assert rebuilt.provenance.worker_pid == 42
 
+    def test_provenance_with_a_removed_degraded_entry_loads(self):
+        # Payloads stored while the service still shed work under load
+        # carry a ``degraded`` list; it is ignored on load and not written.
+        provenance = Provenance.from_dict(
+            {
+                "cache": "miss",
+                "key": "cd" * 32,
+                "revalidated": False,
+                "worker_pid": 7,
+                "degraded": ["nonterm:auto->off"],
+            }
+        )
+        assert provenance == Provenance(cache="miss", key="cd" * 32, worker_pid=7)
+        assert "degraded" not in provenance.to_dict()
+
     def test_provenance_defaults_to_none(self):
         result = analyze(COUNTDOWN)
         assert result.provenance is None

@@ -214,3 +214,32 @@ class TestDefaultConfig:
         assert config.check_certificates is True
         assert (config.max_iterations, config.max_dimension) == (60, 4)
         assert config.nonterm == "auto"
+
+
+class TestRelativeCompleteness:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_termite_proves_what_eager_farkas_proves(self, seed):
+        # Termite finds a lexicographic linear ranking function whenever
+        # one exists relative to the invariants, as eager Farkas does.
+        audits = []
+        report = fuzz(
+            seed=seed,
+            count=200,
+            tools=["termite", "eager_farkas"],
+            shrink=False,
+            progress=lambda position, audit: audits.append(audit),
+        )
+        assert report.ok
+        assert len(audits) == 200
+
+        def proved(audit, tool):
+            return any(r.tool == tool and r.proved for r in audit.results)
+
+        missed = [
+            audit.name
+            for audit in audits
+            if proved(audit, "eager_farkas") and not proved(audit, "termite")
+        ]
+        assert missed == []
+        assert report.certificates_inconclusive == 0
+        assert report.lassos_inconclusive == 0

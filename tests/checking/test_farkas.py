@@ -1,8 +1,10 @@
 """The exact rational Gauss/Fourier–Motzkin decision engine."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checking.farkas import (
     FarkasBudgetExceeded,
@@ -146,3 +148,44 @@ class TestIntegerTightening:
         system = [x > 0, x < 1]
         assert not is_infeasible(system)
         assert is_infeasible(tighten_integer_strict(system, lambda name: True))
+
+    def test_divides_an_integer_row_by_its_gcd(self):
+        # 3x + 3y + 5 > 0 holds exactly on the integer points of
+        # x + y >= -1: the constant -5/3 rounds up to the next integer.
+        (rounded,) = tighten_integer_strict(
+            [3 * x + 3 * y + 5 > 0], lambda name: True
+        )
+        assert rounded == Constraint(LinExpr({"x": -1, "y": -1}, -1), Relation.LE)
+        (closed,) = tighten_integer_strict([4 * x - 6 * y <= 3], lambda name: True)
+        assert closed == (2 * x - 3 * y <= 1)
+        # Rational coefficients and equalities are kept as they are.
+        kept = [
+            Fraction(1, 2) * x <= 1,
+            Constraint(LinExpr({"x": 2, "y": 2}, -1), Relation.EQ),
+        ]
+        assert tighten_integer_strict(kept, lambda name: True) == kept
+
+
+_BOX = range(-4, 5)
+
+
+class TestIntegerRoundingProperty:
+    @given(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=2).filter(any),
+        st.integers(-30, 30),
+        st.sampled_from([Relation.LE, Relation.LT]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rounded_row_keeps_the_integer_points(
+        self, coefficients, constant, relation
+    ):
+        row = Constraint(
+            LinExpr(dict(zip(("x", "y"), coefficients)), constant), relation
+        )
+        (rounded,) = tighten_integer_strict([row], lambda name: True)
+        assert not rounded.is_strict()
+        for point in itertools.product(_BOX, repeat=2):
+            assignment = dict(zip(("x", "y"), point))
+            assert rounded.satisfied_by(assignment) == row.satisfied_by(
+                assignment
+            )

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import AnalysisConfig
+from repro.api.pipeline import analyze
+from repro.api.request import AnalysisRequest
 from repro.checking.checker import CertificateVerdict
+from repro.checking.generator import ProgramGenerator
 from repro.checking.recurrence import check_recurrence
 from repro.frontend.lowering import compile_program
 from repro.linexpr.constraint import Constraint, Relation
@@ -53,6 +57,22 @@ class TestValid:
         assert check_recurrence(automaton, replica).status == (
             CertificateVerdict.VALID
         )
+
+    def test_lasso_whose_closure_needs_integer_rounding_is_valid(self):
+        # (x, y) = (-2, 0) is a fixed point of the cycle, but the closure
+        # obligation's rational witnesses all lie in x ∈ (-11/6, -4/3):
+        # only rounding 3x + 3y + 5 > 0 to x + y ≥ -1 refutes it.
+        program = ProgramGenerator(0).generate(96)
+        assert program.name == "fuzz-0-96-random"
+        result = analyze(
+            AnalysisRequest(
+                program=program.source,
+                name=program.name,
+                config=AnalysisConfig(nonterm="auto"),
+            )
+        )
+        assert result.status.value == "nonterminating"
+        assert result.details["lasso_verdict"]["status"] == "valid"
 
 
 class TestTampering:

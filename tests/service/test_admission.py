@@ -1,9 +1,8 @@
-"""The admission gate and the circuit breaker (no sockets involved).
+"""The admission gate (no sockets involved).
 
 Contract under test: load beyond both bounds is shed immediately with a
-retry hint, queued waiters make progress as slots free, a drain wakes
-and refuses every waiter, and the breaker opens only on *consecutive*
-crashes, probes half-open, and backs its cooldown off exponentially.
+retry hint, queued waiters make progress as slots free, and a drain
+wakes and refuses every waiter.
 """
 
 import threading
@@ -11,12 +10,7 @@ import time
 
 import pytest
 
-from repro.service.admission import (
-    AdmissionGate,
-    CircuitBreaker,
-    Overloaded,
-    ShuttingDown,
-)
+from repro.service.admission import AdmissionGate, Overloaded, ShuttingDown
 
 
 class FakeClock:
@@ -84,13 +78,6 @@ class TestAdmissionGate:
         gate = AdmissionGate(max_inflight=1, max_queue=1)
         assert gate.admit().waited is False
 
-    def test_admission_timeout_sheds(self):
-        gate = AdmissionGate(max_inflight=1, max_queue=1)
-        ticket = gate.admit()
-        with pytest.raises(Overloaded):
-            gate.admit(timeout=0.05)
-        ticket.release()
-
     def test_close_refuses_new_and_wakes_queued(self):
         gate = AdmissionGate(max_inflight=1, max_queue=2)
         ticket = gate.admit()
@@ -117,23 +104,6 @@ class TestAdmissionGate:
         # In-flight work is untouched by the drain.
         ticket.release()
 
-    def test_pressure_tiers(self):
-        gate = AdmissionGate(max_inflight=1, max_queue=1)
-        assert gate.pressure_tier() == 0
-        ticket = gate.admit()
-        # A lone in-flight request is NOT pressure (it is us).
-        assert gate.pressure_tier() == 0
-        thread = threading.Thread(target=lambda: gate.admit().release())
-        thread.start()
-        for _ in range(100):
-            if gate.stats()["queued"] == 1:
-                break
-            time.sleep(0.01)
-        assert gate.pressure_tier() == 2  # queue of 1 is also full
-        assert gate.stats()["pressure"] == "shedding"
-        ticket.release()
-        thread.join(5.0)
-
     def test_retry_after_tracks_service_time_ewma(self):
         clock = FakeClock()
         gate = AdmissionGate(max_inflight=1, max_queue=4, clock=clock)
@@ -144,73 +114,3 @@ class TestAdmissionGate:
         # EWMA has converged near 2s; an empty line retries in ~2 waves.
         assert 2.0 <= gate.retry_after_seconds() <= 8.0
         assert abs(gate.stats()["avg_service_seconds"] - 2.0) < 0.1
-
-
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_crashes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, cooldown_seconds=5.0, clock=clock
-        )
-        for _ in range(2):
-            breaker.record_crash("termite")
-        breaker.check("termite")  # two crashes: still closed
-        breaker.record_crash("termite")
-        with pytest.raises(Overloaded) as caught:
-            breaker.check("termite")
-        assert caught.value.retry_after_seconds <= 5.0
-        assert "termite" in breaker.stats()["open_tools"]
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_crash("termite")
-        breaker.record_success("termite")
-        breaker.record_crash("termite")
-        breaker.check("termite")  # never two in a row
-
-    def test_tools_are_independent(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_crash("termite")
-        with pytest.raises(Overloaded):
-            breaker.check("termite")
-        breaker.check("rankfinder")
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=5.0, clock=clock
-        )
-        breaker.record_crash("termite")
-        clock.advance(6.0)
-        breaker.check("termite")  # the probe goes through
-        with pytest.raises(Overloaded):
-            breaker.check("termite")  # concurrent callers still blocked
-        breaker.record_success("termite")
-        breaker.check("termite")  # closed again
-
-    def test_failed_probe_doubles_the_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=5.0, clock=clock
-        )
-        breaker.record_crash("termite")
-        clock.advance(6.0)
-        breaker.check("termite")
-        breaker.record_crash("termite")  # the probe crashed
-        clock.advance(6.0)
-        with pytest.raises(Overloaded):
-            breaker.check("termite")  # 10s cooldown now, 6s elapsed
-        clock.advance(5.0)
-        breaker.check("termite")
-
-    def test_neutral_outcome_releases_the_probe_without_opening(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=5.0, clock=clock
-        )
-        breaker.record_crash("termite")
-        clock.advance(6.0)
-        breaker.check("termite")
-        breaker.record_neutral("termite")  # e.g. the probe timed out
-        # The next caller may probe again — the circuit is not wedged.
-        breaker.check("termite")

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.api.pipeline import analyze
 from repro.api.request import AnalysisRequest
 from repro.reporting.parallel import WorkerPool
 from repro.service import (
@@ -31,9 +32,6 @@ from repro.service import (
     run_server_in_thread,
     serve_stdio,
 )
-from repro.service.admission import AdmissionGate, CircuitBreaker
-from repro.service.protocol import ProtocolError
-from repro.service.server import InlineExecutor
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 PAIR = "var x, y; assume(y >= 1); while (x > 0) { x = x - y; }"
@@ -418,13 +416,28 @@ class TestOverloadControl:
         finally:
             running.stop()
 
-    def test_pressure_degrades_and_stamps_provenance(self):
+    def test_queued_auto_request_keeps_its_idle_verdict(self):
+        # Load decides whether a request runs, never what it computes: a
+        # nonterm="auto" request queued behind a busy slot answers with
+        # the same status and lasso as on an idle server.
+        programs = (
+            "var x; while (x >= 0) { x = x + 1; }",
+            "var y; while (y >= 5) { y = y + 2; }",
+        )
+        idle = {
+            program: analyze(
+                AnalysisRequest.from_dict(
+                    {"program": program, "config": {"nonterm": "auto"}}
+                )
+            ).to_dict()
+            for program in programs
+        }
         running = run_server_in_thread(
             port=0, jobs=1, max_inflight=1, max_queue=2,
             fault_plan=_SLOW_PLAN,
         )
         try:
-            replies = []
+            replies = {}
             lock = threading.Lock()
 
             def caller(program, config):
@@ -435,18 +448,16 @@ class TestOverloadControl:
                         params["config"] = config
                     reply = client.call("analyze", params)
                     with lock:
-                        replies.append(reply)
+                        replies[program] = reply
                 finally:
                     client.close()
 
             threads = [
-                threading.Thread(
-                    target=caller, args=(COUNTDOWN, None)
-                ),
+                threading.Thread(target=caller, args=(COUNTDOWN, None))
             ]
             threads[0].start()
             time.sleep(0.3)  # in flight; the next two will queue
-            for program in (PAIR, "var z; while (z > 3) { z = z - 2; }"):
+            for program in programs:
                 thread = threading.Thread(
                     target=caller, args=(program, {"nonterm": "auto"})
                 )
@@ -455,41 +466,15 @@ class TestOverloadControl:
                 time.sleep(0.1)
             for thread in threads:
                 thread.join(60.0)
-            assert len(replies) == 3
-            assert all("result" in r for r in replies)
-            degraded = [
-                r["result"]["provenance"]["degraded"]
-                for r in replies
-                if r["result"]["provenance"]["degraded"]
-            ]
-            # The queued request admitted while the other still waited
-            # ran under pressure: its nontermination search was shed — and said so.
-            assert degraded
-            assert all(d == ["nonterm:auto->off"] for d in degraded)
-        finally:
-            running.stop()
-
-    def test_circuit_breaker_opens_after_consecutive_crashes(self):
-        running = run_server_in_thread(
-            port=0, jobs=1, fault_plan="seed0:kill=1"
-        )
-        try:
-            client = Client(running.host, running.port)
-            try:
-                programs = [
-                    COUNTDOWN,
-                    PAIR,
-                    "var a; while (a > 1) { a = a - 1; }",
-                    "var b; while (b > 2) { b = b - 1; }",
-                ]
-                codes = [
-                    client.call("analyze", {"program": p})["error"]["code"]
-                    for p in programs
-                ]
-            finally:
-                client.close()
-            assert codes[:3] == [WORKER_CRASH] * 3
-            assert codes[3] == OVERLOADED  # the breaker is open now
+            assert replies[COUNTDOWN]["result"]["status"] == "terminating"
+            for program in programs:
+                served = replies[program]["result"]
+                assert idle[program]["status"] == "nonterminating"
+                assert served["status"] == "nonterminating"
+                assert served["lasso"] is not None
+                assert served["lasso"] == idle[program]["lasso"]
+                assert served["provenance"]["cache"] == "miss"
+                assert "degraded" not in served["provenance"]
         finally:
             running.stop()
 
@@ -514,30 +499,6 @@ class TestOverloadControl:
             assert codes[1:] == [OVERLOADED] * 2
         finally:
             running.stop()
-
-    def test_half_open_probe_released_when_admission_sheds(self):
-        # Regression: the half-open probe granted by breaker.check() used
-        # to leak when gate.admit() shed the request — every later call
-        # for the tool then failed fast forever ("a probe is already in
-        # flight") with nothing left in flight to close the circuit.
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=5.0, clock=lambda: now[0]
-        )
-        gate = AdmissionGate(max_inflight=1, max_queue=0)
-        executor = InlineExecutor(gate=gate, breaker=breaker)
-        breaker.record_crash("termite")
-        now[0] = 6.0  # cooldown elapsed: the next check grants the probe
-        held = gate.admit()  # saturate the gate so the probe is shed
-        request = AnalysisRequest(program=COUNTDOWN)
-        with pytest.raises(ProtocolError) as caught:
-            executor.run(request)
-        assert caught.value.code == OVERLOADED
-        held.release()
-        # The shed probe was released with the request: the tool can be
-        # probed again and the retry computes instead of failing fast.
-        result = executor.run(request)
-        assert result.status.value == "terminating"
 
     def test_cache_hits_are_served_even_while_shedding(self):
         running = run_server_in_thread(

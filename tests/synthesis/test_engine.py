@@ -3,7 +3,10 @@
 import pytest
 
 from repro.api import Analysis, AnalysisConfig
+from repro.api.pipeline import analyze
+from repro.api.request import AnalysisRequest
 from repro.benchsuite.registry import get_suite
+from repro.checking.generator import ProgramGenerator
 from repro.metrics import recording
 from repro.synthesis.engine import (
     CegisEngine,
@@ -117,6 +120,24 @@ class TestLexicographic:
         outcome = make_engine().synthesize_lexicographic(problem)
         assert not outcome.success
         assert outcome.ranking is None
+
+    @pytest.mark.parametrize("oracle", ["smt", "dd"])
+    def test_flat_rays_do_not_block_strictness(self, oracle):
+        # The step set from the outer to the inner loop head holds a
+        # line: δ = 0 on its two rays, while every vertex decreases.
+        # Strictness counts the vertices, so one component proves it.
+        program = ProgramGenerator(0).generate(8)
+        assert program.name == "fuzz-0-8-nested"
+        result = analyze(
+            AnalysisRequest(
+                program=program.source,
+                name=program.name,
+                config=AnalysisConfig(cex_oracle=oracle),
+            )
+        )
+        assert result.proved
+        assert result.dimension == 1
+        assert result.details["certificate_verdict"]["status"] == "valid"
 
     def test_max_dimension_cap(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
