@@ -21,7 +21,10 @@ judges the results by those verdicts and the ground truth:
 
 Prover *disagreements* (one tool proves, another returns UNKNOWN) are
 expected — the baselines are incomplete in different ways — and are
-tallied, not flagged.  :func:`fuzz` drives the harness over the seeded
+tallied, not flagged.  One kind is tallied on its own: a *completeness
+gap* is a program that ``eager_farkas`` or ``dnf`` proves with a valid
+certificate and ``termite`` does not, which the fuzz-smoke CI job
+requires to be absent.  :func:`fuzz` drives the harness over the seeded
 generator and greedily shrinks every ``certificate_rejected`` reproducer
 (the other kinds are not shrunk: shrinking could silently change the
 ground truth the violation is judged against).
@@ -48,6 +51,9 @@ from repro.frontend.errors import FrontendError
 
 #: Report schema version (bump on incompatible changes).
 SCHEMA_VERSION = 1
+
+#: The eager provers whose valid proofs ``termite`` must match.
+COMPLETENESS_REFERENCES = ("eager_farkas", "dnf")
 
 
 def default_fuzz_config() -> AnalysisConfig:
@@ -129,6 +135,7 @@ class FuzzReport:
     lassos_valid: int = 0
     lassos_inconclusive: int = 0
     disagreements: int = 0
+    completeness_gaps: int = 0
     violations: List[SoundnessViolation] = field(default_factory=list)
     build_errors: List[str] = field(default_factory=list)
     timeouts: List[str] = field(default_factory=list)
@@ -153,6 +160,7 @@ class FuzzReport:
             "lassos_valid": self.lassos_valid,
             "lassos_inconclusive": self.lassos_inconclusive,
             "disagreements": self.disagreements,
+            "completeness_gaps": self.completeness_gaps,
             "violations": [violation.to_dict() for violation in self.violations],
             "build_errors": list(self.build_errors),
             "timeouts": list(self.timeouts),
@@ -164,7 +172,8 @@ class FuzzReport:
         lines = [
             "%d programs x %d tools | %d certificates audited "
             "(%d valid, %d inconclusive) | %d lassos audited "
-            "(%d valid, %d inconclusive) | %d prover disagreements"
+            "(%d valid, %d inconclusive) | %d prover disagreements "
+            "| %d completeness gaps"
             % (
                 self.programs,
                 len(self.tools),
@@ -175,6 +184,7 @@ class FuzzReport:
                 self.lassos_valid,
                 self.lassos_inconclusive,
                 self.disagreements,
+                self.completeness_gaps,
             )
         ]
         for tool in self.tools:
@@ -355,6 +365,13 @@ def _tally(report: FuzzReport, audit: ProgramAudit) -> None:
             unproved += 1
     if decided and unproved:
         report.disagreements += 1
+    termite = [result for result in audit.results if result.tool == "termite"]
+    if termite and not termite[0].proved and any(
+        tool in audit.verdicts
+        and audit.verdicts[tool].status == CertificateVerdict.VALID
+        for tool in COMPLETENESS_REFERENCES
+    ):
+        report.completeness_gaps += 1
     for verdict in audit.verdicts.values():
         report.certificates_checked += 1
         if verdict.status == CertificateVerdict.VALID:

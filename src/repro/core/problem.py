@@ -26,15 +26,20 @@ direction are each a :class:`~repro.linalg.vector.Vector` in that
 layout.  An invariant row is nonzero only in its own cut point's block,
 so it is kept as its nonzeros (:class:`InvariantRow`), and the ranking
 LP and :meth:`TerminationProblem.combine` read only those.  ``u`` is
-never a variable of a formula.  On a step of one block it is the linear
-image ``M_b·(x, x') + o_b`` (:class:`BlockMap`), nonzero only in the
-source and target blocks, so ``Φ`` is
+never a variable of a formula.  On a step of one block it is the affine
+image ``M_b·z + o_b`` (:class:`BlockMap`), nonzero only in the source
+and target blocks, so ``Φ`` is
 ``∨_b (@block = b ∧ I_source ∧ path_b)``, each disjunct selected by the
 reserved variable ``@block`` (one block needs none), and every
 ``u``-space formula of a query (flatness, ``AvoidSpace``, ``λ·u ≤ 0``,
 ``u = 0``) is substituted into each block through the same map, a
 vector ``λ`` becoming the form ``λ·(M_b·z + o_b)`` over the step.  The
-``dd`` oracle maps its generators through it too.
+``dd`` oracle maps its generators through it too.  The map reads each
+``x'`` off the block's post-state, the affine SSA version ``post(x)``
+every path of the block assigns (``x'`` itself where there is none), so
+it equals Definition 12's ``M_b·(x, x') + o_b`` on the block's steps,
+and every consumer conjoins the block; a coordinate the block does not
+move is identically zero, and one it moves by a constant is a constant.
 """
 
 from __future__ import annotations
@@ -105,15 +110,31 @@ class InvariantRow(NamedTuple):
 class BlockMap:
     """The block vector of a ``source → target`` step: ``u = M·z + o``.
 
-    ``z = (x, x')``; coordinate ``(k, v)`` of ``u`` is ``[k = source]·v −
-    [k = target]·v'`` over ``(x, 1)`` (Definition 12).  Every ``u``-space
-    formula of a query is rewritten over ``z`` through this map
-    (:meth:`form`), and every witness over ``z`` is mapped back to ``u``
-    by :meth:`image`.  Only the source and target blocks of ``M`` are
-    nonzero: the map keeps those rows, and :attr:`support` their indices.
+    Coordinate ``(k, v)`` of ``u`` is ``[k = source]·v − [k = target]·v'``
+    over ``(x, 1)`` (Definition 12).  On the block's steps ``v' =
+    post(v)`` (:attr:`~repro.program.large_block.BlockTransition.post`),
+    so the map reads ``post(v)`` in place of ``v'``: ``z`` is ``x`` with
+    the join copies and havoc inputs of the block, plus ``v'`` for a
+    variable without a post-state, and the constant of ``post(v)`` goes
+    into ``o``.  The map equals Definition 12's only on the block's steps,
+    which every consumer conjoins.  A coordinate the block leaves
+    unchanged is identically zero, and one it moves by a constant stride
+    is a constant.
+
+    Every ``u``-space formula of a query is rewritten over ``z`` through
+    this map (:meth:`form`), and every witness over ``z`` is mapped back
+    to ``u`` by :meth:`image`.  Only rows of the source and target blocks
+    can be nonzero: the map keeps the nonzero ones, and :attr:`support`
+    their indices.
     """
 
-    def __init__(self, problem: "TerminationProblem", source: str, target: str):
+    def __init__(
+        self,
+        problem: "TerminationProblem",
+        source: str,
+        target: str,
+        post: Mapping[str, LinExpr],
+    ):
         width = len(problem.space_variables)
         self._size = problem.stacked_dimension
         #: ``(i, M_i, o_i)`` for every nonzero row ``M_i·z + o_i``, in
@@ -125,10 +146,15 @@ class BlockMap:
                 continue
             start = k * width
             for offset, variable in enumerate(problem.variables):
-                terms = ((variable, _ONE),) if at_source else ()
+                row = LinExpr.variable(variable) if at_source else LinExpr()
                 if at_target:
-                    terms += ((prime_suffix(variable), -_ONE),)
-                self._rows.append((start + offset, terms, _ZERO))
+                    row -= post.get(
+                        variable, LinExpr.variable(prime_suffix(variable))
+                    )
+                if row.terms or row.constant_term:
+                    self._rows.append(
+                        (start + offset, tuple(row.terms.items()), row.constant_term)
+                    )
             if at_source != at_target:  # the @one coordinate: 1 − 1 on a self-loop
                 self._rows.append(
                     (start + problem.num_variables, (), _ONE if at_source else -_ONE)
@@ -311,10 +337,22 @@ class TerminationProblem:
     # -- formulas for the SMT queries -----------------------------------------------------
 
     def block_map(self, source: str, target: str) -> BlockMap:
-        """``M_b``, the block vector of a ``source → target`` step (memoised)."""
+        """``M_b``, the block vector of a ``source → target`` step (memoised).
+
+        A pair of cut points without a block in the problem has no
+        post-state, so its map is Definition 12's over ``x'``.
+        """
         key = (source, target)
         if key not in self._block_maps:
-            self._block_maps[key] = BlockMap(self, source, target)
+            post = next(
+                (
+                    block.post
+                    for block in self.blocks
+                    if (block.source, block.target) == key
+                ),
+                {},
+            )
+            self._block_maps[key] = BlockMap(self, source, target, post)
         return self._block_maps[key]
 
     def blockwise(self, parts: Sequence[Formula]) -> Formula:

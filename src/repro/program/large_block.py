@@ -16,6 +16,8 @@ auxiliary input gets a fresh ``name!n``, and a control-flow join whose
 incoming branches disagree on a variable gets the join copy ``x@ℓ!bN``,
 with one equality per branch.  A variable no step changes needs no frame
 equality, and the edge into the target cut point adds ``x' = version(x)``.
+The version that every edge into the target gives a variable is the
+block's *post-state* of it (:attr:`BlockTransition.post`).
 
 A formula *linear in the size of the program* thus describes the union of
 all (possibly exponentially many) paths: disjunctions appear at joins and
@@ -28,7 +30,7 @@ existentially quantified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.linexpr.expr import LinExpr
@@ -54,12 +56,18 @@ class BlockTransition:
     and their primed versions ``x'`` (values at *target*); every other
     variable occurring in it is an implicitly existentially quantified
     join copy or havoc input.
+
+    ``post`` maps a variable to the affine version ``post(x)`` that every
+    path assigns it at *target*, so ``x' = post(x)`` holds on every step
+    of the block; a variable havocked on an edge into *target*, or given
+    different versions by two of them, has no entry.
     """
 
     source: str
     target: str
     formula: Formula
     path_count: int
+    post: Dict[str, LinExpr] = field(default_factory=dict)
 
     def __repr__(self) -> str:
         return "BlockTransition(%s -> %s, %d paths)" % (
@@ -154,21 +162,34 @@ def _blocks_from(
     for target in sorted(cut):
         disjuncts: List[Formula] = []
         paths = 0
+        posts: List[Dict[str, LinExpr]] = []
         for transition, (formula, after, arm_paths) in arms(target):
+            post = {
+                name: after[name]
+                for name in variables
+                if not transition.havocs(name)
+            }
             disjuncts.append(
                 conjunction(
                     [formula]
                     + [
-                        LinExpr.variable(prime_suffix(name)).eq(after[name])
-                        for name in variables
-                        if not transition.havocs(name)
+                        LinExpr.variable(prime_suffix(name)).eq(version)
+                        for name, version in post.items()
                     ]
                 )
             )
+            posts.append(post)
             paths += arm_paths
         if disjuncts:
+            shared = {
+                name: version
+                for name, version in posts[0].items()
+                if all(other.get(name) == version for other in posts[1:])
+            }
             blocks.append(
-                BlockTransition(source, target, disjunction(disjuncts), paths)
+                BlockTransition(
+                    source, target, disjunction(disjuncts), paths, shared
+                )
             )
     return blocks, join_copies
 

@@ -214,15 +214,22 @@ def _default_context():
     )
 
 
-def _pool_worker_loop(connection, handler: Callable[[Any], Any]) -> None:
+def _pool_worker_loop(
+    connection, handler: Callable[[Any], Any], inherited: Sequence = ()
+) -> None:
     """One resident worker: receive a message, run *handler*, reply.
 
-    The loop ends on the ``None`` shutdown sentinel or when the parent's
-    end of the pipe disappears.  Every reply is a :class:`TaskResult`
+    *inherited* are the parent's ends of the pool's pipes that a forked
+    worker holds copies of, its own and its earlier siblings'; they are
+    closed first, so that the parent's death leaves no copy of its end
+    open.  The loop ends on the ``None`` shutdown sentinel or when the
+    parent's end of the pipe disappears.  Every reply is a :class:`TaskResult`
     envelope, so handler exceptions come back as ``kind="error"`` instead
     of killing the worker — the worker only dies on a genuine crash
     (segfault, ``os._exit``, OOM kill), which the parent detects as EOF.
     """
+    for end in inherited:
+        end.close()
     while True:
         try:
             message = connection.recv()
@@ -341,9 +348,15 @@ class WorkerPool:
 
     def _spawn(self, slot: int) -> _PooledWorker:
         parent_end, child_end = self._context.Pipe(duplex=True)
+        inherited: List[Any] = []
+        if self._context.get_start_method() == "fork":
+            # A forked worker inherits every parent end open right now.
+            with self._lock:
+                inherited = [worker.connection for worker in self._workers]
+            inherited.append(parent_end)
         process = self._context.Process(
             target=_pool_worker_loop,
-            args=(child_end, self._handler),
+            args=(child_end, self._handler, inherited),
             daemon=True,
         )
         process.start()

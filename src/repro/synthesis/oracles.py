@@ -13,9 +13,9 @@ first one.  Two interchangeable implementations:
   plus a ray when the objective is unbounded, §4.2).  Without
   ``extremal`` the same query is asked without the minimisation,
   yielding an arbitrary theory model.  The query never names ``u``: each
-  block ``b`` substitutes ``u = M_b·(x, x') + o_b`` into its own copy of
-  ``AvoidSpace`` and ``λ·u ≤ 0``, and the witness is the selected
-  block's map applied to the model.
+  block ``b`` substitutes ``u = M_b·z + o_b``, read off its post-state,
+  into its own copy of ``AvoidSpace`` and ``λ·u ≤ 0``, and the witness
+  is the selected block's map applied to the model.
 * :class:`DdEnumerationOracle` (``"dd"``) — vertex/ray enumeration: the
   generators of every path polyhedron are computed once per component
   with the double-description method of :mod:`repro.polyhedra.dd`,
@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.problem import BLOCK_SELECTOR, TerminationProblem, TransitionDisjunct
 from repro.linalg.matrix import Span, orthogonal_complement
 from repro.linalg.vector import Vector
-from repro.linexpr.formula import Formula, conjunction
+from repro.linexpr.formula import FALSE, Formula, conjunction
 from repro.metrics import count
 from repro.smt.optimize import OptimizingSmtSolver
 
@@ -130,11 +130,13 @@ class SmtOptimizingOracle(CounterexampleOracle):
     substituted into each block, is encoded once, on the
     first query after :meth:`reset`, and each query adds
     ``∨_b (@block = b ∧ AvoidSpace_b ∧ λ·u_b ≤ 0)`` — or ``u_b = 0`` for
-    the stutter check — for itself only, where ``u_b = M_b·(x, x') + o_b``
+    the stutter check — for itself only, where ``u_b = M_b·z + o_b``
     is block ``b``'s :class:`~repro.core.problem.BlockMap`.  What the
     DPLL(T) loop learns in one query prunes the next.  ``AvoidSpace_b``
     is built once per flat basis, which only changes when the engine adds
-    a flat direction.
+    a flat direction.  When every block moves some coordinate by a
+    constant stride, every ``u_b = 0`` is FALSE and the stutter check
+    asks no query.
     """
 
     name = "smt"
@@ -217,6 +219,8 @@ class SmtOptimizingOracle(CounterexampleOracle):
         zero = self._problem.blockwise(
             [block_map.is_zero() for block_map in self._maps]
         )
+        if zero is FALSE:  # every block moves by a constant stride
+            return False
         return self._solver().check((zero,)).is_sat
 
 

@@ -9,7 +9,11 @@ from repro.api.registry import (
     register_prover,
 )
 from repro.api.result import AnalysisResult, AnalysisStatus
+from repro.checking.checker import CertificateVerdict
 from repro.checking.differential import (
+    FuzzReport,
+    ProgramAudit,
+    _tally,
     audit_generated_program,
     audit_source,
     default_fuzz_config,
@@ -243,3 +247,42 @@ class TestRelativeCompleteness:
         assert missed == []
         assert report.certificates_inconclusive == 0
         assert report.lassos_inconclusive == 0
+
+
+class TestCompletenessGaps:
+    @staticmethod
+    def audit(proved, valid):
+        """An audit where the tools in *proved* prove, and the verdicts of
+        those in *valid* are valid (the others' invalid)."""
+        audit = ProgramAudit(name="p")
+        for tool in ("termite", "eager_farkas", "dnf"):
+            status = "terminating" if tool in proved else "unknown"
+            audit.results.append(AnalysisResult(tool=tool, status=status))
+            if tool in proved:
+                audit.verdicts[tool] = CertificateVerdict(
+                    status=CertificateVerdict.VALID
+                    if tool in valid
+                    else CertificateVerdict.INVALID
+                )
+        return audit
+
+    def test_tally_counts_valid_eager_proofs_termite_misses(self):
+        report = FuzzReport(seed=0, count=5, tools=["termite", "eager_farkas", "dnf"])
+        for proved, valid in [
+            ({"termite", "eager_farkas", "dnf"}, {"termite", "eager_farkas", "dnf"}),
+            ({"eager_farkas"}, {"eager_farkas"}),  # a gap
+            ({"dnf"}, {"dnf"}),  # a gap
+            ({"eager_farkas", "dnf"}, set()),  # invalid proofs: no gap
+            (set(), set()),
+        ]:
+            _tally(report, self.audit(proved, valid))
+        assert report.completeness_gaps == 2
+        assert report.to_dict()["completeness_gaps"] == 2
+        assert "2 completeness gaps" in report.summary()
+
+    def test_no_gap_without_termite(self):
+        report = FuzzReport(seed=0, count=1, tools=["eager_farkas", "dnf"])
+        audit = self.audit({"eager_farkas"}, {"eager_farkas"})
+        audit.results = [r for r in audit.results if r.tool != "termite"]
+        _tally(report, audit)
+        assert report.completeness_gaps == 0

@@ -14,6 +14,7 @@ from repro.polyhedra.dd import (
 )
 from repro.polyhedra.generators import GeneratorSystem
 from repro.polyhedra.polyhedron import Polyhedron
+from repro.program.builder import AutomatonBuilder
 from repro.synthesis.oracles import disjunct_generators
 from tests.polyhedra.generator_rows import generator_system
 
@@ -115,19 +116,27 @@ class TestGeneratorSystem:
 
     def test_difference_generators_tags(self):
         """``disjunct_generators`` tags one vertex and three rays: the ray
-        plus both orientations of the line."""
-        problem = Analysis(
-            "var x, y;\nwhile (x > 0) { x = x - 1; }\n", name="loop"
-        ).problem()
+        along ``y`` plus both orientations of the line along ``y'``."""
+        builder = AutomatonBuilder(["x", "y"], initial="k0")
+        builder.transition(
+            "k0", "k0", guard=[x > 0, y > 0], updates={"x": x - y, "y": None}
+        )
+        problem = Analysis(builder.build(), name="loop").problem()
         head = problem.cutset[0]
         x_next, y_next = prime_suffix("x"), prime_suffix("y")
-        # Over (x, x', y'): the vertex 0, the ray along x and the line
-        # along y', which u = (x − x', y − y') keeps apart.
+        # The block havocs y on its edge into the head, so y' is free and
+        # the line along it is a real direction of the step; x' = x − y,
+        # so u = (y, y − y') and the ray along x (x' moving with x) maps
+        # to 0 and is dropped.
         disjunct = TransitionDisjunct(
-            head, head, (x >= 0, var(x_next).eq(0)), (x_next, y_next)
+            head,
+            head,
+            (x >= 1, y >= 1, var(x_next).eq(x - y)),
+            (x_next, y_next),
         )
         generators = disjunct_generators(problem, disjunct)
         tags = [tag for tag, _ in generators]
         assert tags == ["vertex", "ray", "ray", "ray"]
-        _, ray, line, opposite = [vector for _, vector in generators]
+        vertex, ray, line, opposite = [vector for _, vector in generators]
+        assert vertex == Vector([1, 1, 0]) and ray == Vector([1, 1, 0])
         assert line == -opposite and line != ray

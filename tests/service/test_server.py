@@ -13,8 +13,11 @@ import os
 import random
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +71,9 @@ class Client:
 # ---------------------------------------------------------------------------
 
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
 def _echo_handler(message):
     if message == "sleep":
         time.sleep(60)
@@ -117,6 +123,60 @@ class TestWorkerPool:
             assert result.kind == "crash"
             revived = pool.submit("after")
             assert revived.ok and revived.value["pid"] != victim
+
+    def test_workers_die_with_a_killed_parent(self):
+        """A SIGKILLed parent leaves its workers EOF on their pipes.
+
+        No worker may hold a copy of a parent end of the pool's pipes
+        (its own, or an earlier sibling's), or its ``recv`` never sees the
+        parent go.  An orphan that exited but was not reaped yet counts
+        as gone.
+        """
+        script = (
+            "import sys, time\n"
+            "from repro.reporting.parallel import WorkerPool\n"
+            "pool = WorkerPool(abs, jobs=2)\n"
+            "print(*pool.pids(), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (SRC, env.get("PYTHONPATH")) if part
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            parent.kill()
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=30)
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid):
+    """Whether *pid* is a live process (not gone, not a zombie)."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 # ---------------------------------------------------------------------------

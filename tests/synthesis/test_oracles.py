@@ -9,6 +9,7 @@ from repro.api import Analysis, AnalysisConfig
 from repro.benchsuite.registry import get_suite
 from repro.checking.checker import CertificateVerdict, check_ranking
 from repro.linexpr.constraint import Relation
+from repro.linexpr.expr import LinExpr
 from repro.metrics import recording
 from repro.synthesis.engine import CegisEngine
 from repro.synthesis.oracles import (
@@ -221,11 +222,19 @@ class TestStateSpaceTranslation:
         flat = candidate.stacked_vector(problem.cutset)
         translated = problem.block_map(location, location).form(flat).eq(0)
         assert translated.relation is Relation.EQ
-        # On a self-loop u = (x,1) − (x',1): the translated expression is
-        # ρ(x) − ρ(x') = (x + 2y) − (x' + 2y') (offsets cancel).
+        # On a self-loop u = (x,1) − (x',1), so λ·u is ρ(x) − ρ(x') =
+        # (x + 2y) − (x' + 2y') (offsets cancel).  Both arms of the block
+        # set y' = y − 1 and the map reads that post-state in place of y';
+        # the arms disagree on x', which stays: x − x' + 2.
         expr = translated.expr
         assert expr.coefficient("x") == 1
-        assert expr.coefficient("y") == 2
+        assert expr.coefficient("y") == 0
         assert expr.coefficient(prime_suffix("x")) == -1
-        assert expr.coefficient(prime_suffix("y")) == -2
-        assert expr.constant_term == 0
+        assert expr.coefficient(prime_suffix("y")) == 0
+        assert expr.constant_term == 2
+        y, y_next = LinExpr.variable("y"), prime_suffix("y")
+        definition = (
+            LinExpr({"x": 1, "y": 2})
+            - LinExpr({prime_suffix("x"): 1, y_next: 2})
+        )
+        assert expr == definition.substitute({y_next: y - 1})
