@@ -76,7 +76,8 @@ def _require(condition: bool, message: str) -> None:
 class AnalysisConfig:
     """Every knob of the termination analysis, as one immutable value."""
 
-    #: Tighten strict inequalities over integer-valued variables.
+    #: Let the certificate check tighten strict inequalities over
+    #: integer-valued variables.  Synthesis is rational either way.
     integer_mode: bool = False
     #: Iteration budget of one monodimensional synthesis loop.
     max_iterations: int = 200

@@ -111,7 +111,6 @@ class TermiteProver(Prover):
             make_oracle(config.cex_oracle),
             extremal=config.cex_strategy == "extremal",
             max_iterations=config.max_iterations,
-            integer_mode=config.integer_mode,
             observers=(observer,) if observer is not None else (),
         )
         with recording() as counters:

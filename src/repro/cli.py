@@ -122,7 +122,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--integer-mode",
         action="store_true",
         default=None,
-        help="tighten strict inequalities over integer variables",
+        help="let the certificate check tighten strict inequalities "
+        "over integer variables (synthesis is rational either way)",
     )
     group.add_argument(
         "--no-certificates",

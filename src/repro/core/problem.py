@@ -412,7 +412,11 @@ class TerminationProblem:
         which tool ran first on the problem.  The ``dd`` oracle keeps one
         expansion for all components of its run.
         """
-        integer_variables = self.smt_integer_variables()
+        integer_variables = {
+            name
+            for variable in self.integer_variables
+            for name in (variable, prime_suffix(variable))
+        }
         primed = tuple(prime_suffix(name) for name in self.variables)
         disjuncts: List[TransitionDisjunct] = []
         for block in self.blocks:
@@ -451,14 +455,6 @@ class TerminationProblem:
     def zero_ranking(self) -> AffineRankingFunction:
         """The all-zero candidate the synthesis loop starts from."""
         return self.ranking(Vector.zeros(self.stacked_dimension))
-
-    def smt_integer_variables(self) -> Set[str]:
-        """Integer declarations for the SMT queries (program vars, primed too)."""
-        names: Set[str] = set()
-        for variable in self.integer_variables:
-            names.add(variable)
-            names.add(prime_suffix(variable))
-        return names
 
     # -- misc -----------------------------------------------------------------------------------
 

@@ -14,7 +14,8 @@ Architecture (classic lazy SMT / DPLL(T)):
 ``formula → NNF → Tseitin CNF (DAG-shared) → CDCL SAT core``; every
 boolean model is checked for theory consistency by an exact-simplex
 theory solver; theory conflicts are returned as unsat cores and blocked.
-Integer variables are handled by branch-and-bound inside the theory
+Every SMT context is rational; a direct conjunction check may declare
+integer variables, which branch and bound then decides inside the theory
 solver.  Parallel bounds get static *bound axioms* when their atoms are
 encoded, and one solver serves a whole sequence of queries: per-query
 formulas sit under guard literals passed as SAT assumptions.

@@ -28,14 +28,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Union
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.lp.problem import LinearRow, LpStatus, Sense
+from repro.lp.simplex import solve_lp
 from repro.metrics import count
 from repro.smt.solver import SmtSolver, SmtStatus
-from repro.smt.theory import solve
 
 
 @dataclass
@@ -60,8 +60,8 @@ class OptimizationResult:
 class OptimizingSmtSolver:
     """Minimise a linear objective over the models of asserted formulas."""
 
-    def __init__(self, integer_variables: Optional[Iterable[str]] = None):
-        self._solver = SmtSolver(integer_variables=integer_variables)
+    def __init__(self) -> None:
+        self._solver = SmtSolver()
 
     # -- construction ------------------------------------------------------------
 
@@ -132,13 +132,7 @@ class OptimizingSmtSolver:
             | {name for row in closure for name in row.names}
             | set(objective.variables())
         )
-        outcome = solve(
-            objective,
-            closure,
-            Sense.MINIMIZE,
-            names,
-            table.integer_variables,
-        )
+        outcome = solve_lp(objective, closure, Sense.MINIMIZE, names)
 
         if outcome.status is LpStatus.UNBOUNDED:
             ray = {

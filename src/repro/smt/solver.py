@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.formula import (
@@ -93,9 +93,9 @@ class SmtResult:
 class SmtSolver:
     """Lazy SMT solver for quantifier-free / existential linear arithmetic."""
 
-    def __init__(self, integer_variables: Optional[Iterable[str]] = None):
+    def __init__(self) -> None:
         self._sat = SatSolver()
-        self._atoms = AtomTable(integer_variables or ())
+        self._atoms = AtomTable()
         self._encoder = CnfEncoder(self._sat, self._atoms)
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
@@ -284,7 +284,7 @@ class SmtSolver:
 
     @property
     def atoms(self) -> AtomTable:
-        """The context's lowered atoms, and its integer variables."""
+        """The context's lowered atoms."""
         return self._atoms
 
     @property

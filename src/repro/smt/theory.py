@@ -8,8 +8,9 @@ a blocking clause.
 Every constraint is first *lowered* (:func:`lower_atom`) to integer rows
 (:class:`~repro.lp.problem.LinearRow`), once: an SMT context keeps one
 :class:`AtomTable`, and the CNF encoder has it lower each atom when the
-atom gets its literal, so a DPLL(T) check only gathers stored rows.  A
-lowered atom holds
+atom gets its literal, so a DPLL(T) check only gathers stored rows.  An
+SMT context is always rational; integer variables enter only through a
+direct :func:`check_conjunction` call.  A lowered atom holds
 
 * the row the LP solves.  Strict inequalities are handled exactly with
   the standard trick: every ``e < 0`` becomes ``e + δ ≤ 0`` for a shared
@@ -41,7 +42,6 @@ from math import gcd
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -130,8 +130,7 @@ class AtomTable:
     counted as ``smt.theory.atoms_lowered``.
     """
 
-    def __init__(self, integer_variables: Iterable[str] = ()):
-        self.integer_variables: Set[str] = set(integer_variables)
+    def __init__(self) -> None:
         self._atoms: Dict[Constraint, TheoryAtom] = {}
 
     def lower(self, constraint: Constraint) -> TheoryAtom:
@@ -139,7 +138,7 @@ class AtomTable:
         atom = self._atoms.get(constraint)
         if atom is None:
             count("smt.theory.atoms_lowered")
-            atom = lower_atom(constraint, self.integer_variables)
+            atom = lower_atom(constraint, frozenset())
             self._atoms[constraint] = atom
         return atom
 
@@ -151,15 +150,14 @@ def check_conjunction(
 ) -> TheoryResult:
     """Decide satisfiability of a conjunction of linear constraints.
 
-    With *atoms*, an SMT context's table, the constraints' rows are looked
-    up there and the table's integer variables apply; otherwise each
-    constraint is lowered here, through the same :func:`lower_atom`.
+    With *atoms*, an SMT context's rational table, the constraints' rows
+    are looked up there; otherwise each constraint is lowered here,
+    through the same :func:`lower_atom`, over *integer_variables*.
     """
+    integers = set(integer_variables or ())
     if atoms is None:
-        integers = set(integer_variables or ())
         lowered = [lower_atom(constraint, integers) for constraint in constraints]
     else:
-        integers = atoms.integer_variables
         lowered = [atoms.lower(constraint) for constraint in constraints]
 
     for index, atom in enumerate(lowered):
@@ -270,7 +268,9 @@ def solve(
                 variables,
             )
         except BranchAndBoundLimit:
-            # Fall back to the rational relaxation: for the synthesis loop a
-            # rational witness is still a sound counterexample direction.
+            # Fall back to the rational relaxation.  The only integer
+            # caller is the nontermination engine, and a lasso it builds
+            # on a rational answer is replayed, by the engine itself and
+            # by the certificate checker, before any verdict rests on it.
             count("lp.ilp.bb_limit_fallbacks")
     return solve_lp(objective, list(rows), sense, variables)

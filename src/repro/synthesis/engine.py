@@ -60,9 +60,10 @@ class MaxIterationsExceeded(RuntimeError):
 
     With an SMT solver returning generators of the transition polyhedra
     the loop provably terminates (Lemma 1); the budget is a safety net
-    for the fallback paths of the reproduction's own OMT layer and for
-    the non-extremal ablation, whose counterexamples are not
-    generators and therefore carry no termination guarantee.
+    for the OMT layer's one fallback (a closure optimum that violates a
+    strict atom answers with the theory model instead) and for the
+    non-extremal ablation, whose counterexamples are not generators and
+    therefore carry no termination guarantee.
     """
 
 
@@ -118,9 +119,10 @@ class CegisEngine:
 
     ``extremal`` asks the oracle for the most violating counterexample
     (the paper's choice) instead of an arbitrary one (§4.2 ablation).
-    With ``integer_mode`` the SMT queries treat the program variables as
-    integers (more precise, slower); otherwise the rational relaxation is
-    used, which is always sound.
+    Every query is over the rational relaxation of the steps, which is
+    sound for integer programs: the front end has already tightened the
+    strict integer guards, and the invariants are closed over the
+    integers.
     """
 
     def __init__(
@@ -128,13 +130,11 @@ class CegisEngine:
         oracle,
         extremal: bool = True,
         max_iterations: int = 200,
-        integer_mode: bool = False,
         observers: Sequence[CegisObserver] = (),
     ):
         self.oracle = oracle
         self.extremal = extremal
         self.max_iterations = max_iterations
-        self.integer_mode = integer_mode
         self._observers: List[CegisObserver] = list(observers)
 
     def _emit(
@@ -242,7 +242,7 @@ class CegisEngine:
         deltas: List[Fraction] = []
         vertex_indices: List[int] = []
         iterations = vertices = 0
-        self.oracle.reset(problem, flatness, self.integer_mode)
+        self.oracle.reset(problem, flatness)
 
         while True:
             iterations += 1

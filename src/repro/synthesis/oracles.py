@@ -81,7 +81,6 @@ class CounterexampleOracle(abc.ABC):
         self,
         problem: TerminationProblem,
         flatness: Sequence[Vector] = (),
-        integer_mode: bool = False,
     ) -> None:
         """Prepare for one component of *problem* (called by the engine).
 
@@ -90,7 +89,6 @@ class CounterexampleOracle(abc.ABC):
         """
         self._problem = problem
         self._flatness = list(flatness)
-        self._integer_mode = integer_mode
 
     @abc.abstractmethod
     def find(
@@ -145,9 +143,8 @@ class SmtOptimizingOracle(CounterexampleOracle):
         self,
         problem: TerminationProblem,
         flatness: Sequence[Vector] = (),
-        integer_mode: bool = False,
     ) -> None:
-        super().reset(problem, flatness, integer_mode)
+        super().reset(problem, flatness)
         self._context: Optional[OptimizingSmtSolver] = None
         self._maps = [
             problem.block_map(block.source, block.target)
@@ -157,14 +154,9 @@ class SmtOptimizingOracle(CounterexampleOracle):
 
     def _solver(self) -> OptimizingSmtSolver:
         if self._context is None:
-            problem = self._problem
-            self._context = OptimizingSmtSolver(
-                integer_variables=(
-                    problem.smt_integer_variables() if self._integer_mode else ()
-                )
-            )
+            self._context = OptimizingSmtSolver()
             self._context.assert_formula(
-                problem.transition_formula(self._flatness)
+                self._problem.transition_formula(self._flatness)
             )
         return self._context
 
@@ -315,11 +307,10 @@ class DdEnumerationOracle(CounterexampleOracle):
         self,
         problem: TerminationProblem,
         flatness: Sequence[Vector] = (),
-        integer_mode: bool = False,
     ) -> None:
-        super().reset(problem, flatness, integer_mode)
+        super().reset(problem, flatness)
         self._confirmation = SmtOptimizingOracle()
-        self._confirmation.reset(problem, flatness, integer_mode)
+        self._confirmation.reset(problem, flatness)
         if self._expanded is None or self._expanded[0] is not problem:
             self._expanded = (problem, problem.disjuncts())
         self._generators = self._enumerate(problem, flatness)

@@ -224,12 +224,13 @@ class TestRelativeCompleteness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_termite_proves_what_eager_farkas_proves(self, seed):
         # Termite finds a lexicographic linear ranking function whenever
-        # one exists relative to the invariants, as eager Farkas does.
+        # one exists relative to the invariants, as eager Farkas does,
+        # and the eager generator enumeration proves what termite proves.
         audits = []
         report = fuzz(
             seed=seed,
             count=200,
-            tools=["termite", "eager_farkas"],
+            tools=["termite", "eager_farkas", "eager_generators"],
             shrink=False,
             progress=lambda position, audit: audits.append(audit),
         )
@@ -239,12 +240,15 @@ class TestRelativeCompleteness:
         def proved(audit, tool):
             return any(r.tool == tool and r.proved for r in audit.results)
 
-        missed = [
-            audit.name
-            for audit in audits
-            if proved(audit, "eager_farkas") and not proved(audit, "termite")
-        ]
-        assert missed == []
+        def missed(by, tool):
+            return [
+                audit.name
+                for audit in audits
+                if proved(audit, by) and not proved(audit, tool)
+            ]
+
+        assert missed("eager_farkas", "termite") == []
+        assert missed("termite", "eager_generators") == []
         assert report.certificates_inconclusive == 0
         assert report.lassos_inconclusive == 0
 

@@ -1,22 +1,19 @@
 """Branch-and-bound limits fall back to the rational relaxation, counted.
 
-Both integer queries of the SMT layer — the OMT minimisation and the
-theory check — solve through :func:`repro.smt.theory.solve`, which
-catches :class:`BranchAndBoundLimit` and answers with the rational
-relaxation instead.  The fallback is sound for the synthesis loop, but
-it is counted as ``lp.ilp.bb_limit_fallbacks``; the OMT query's count
-includes the theory checks of its DPLL(T) search.  On systems whose
-relaxation optimum is integral the answer must not change.
+The one integer query of the SMT layer — a conjunction check that
+declares integer variables, which only the nontermination engine makes —
+solves through :func:`repro.smt.theory.solve`, which catches
+:class:`BranchAndBoundLimit` and answers with the rational relaxation
+instead.  The fallback is counted as ``lp.ilp.bb_limit_fallbacks``.  On
+systems whose relaxation optimum is integral the answer must not change.
 """
 
 import pytest
 
 import repro.smt.theory as theory
 from repro.linexpr.expr import var
-from repro.linexpr.formula import And
 from repro.lp.branch_bound import BranchAndBoundLimit
 from repro.metrics import recording
-from repro.smt.optimize import OptimizingSmtSolver
 from repro.smt.theory import check_conjunction
 
 x, y = var("x"), var("y")
@@ -24,13 +21,6 @@ x, y = var("x"), var("y")
 
 def _limit(*args, **kwargs):
     raise BranchAndBoundLimit("node budget exhausted")
-
-
-def _minimize():
-    solver = OptimizingSmtSolver(integer_variables=["x", "y"])
-    solver.assert_formula(And([x >= 3, x <= 9, y >= x]))
-    result = solver.minimize(x + y)
-    return result.status, result.objective_value, result.model
 
 
 def _check():
@@ -42,10 +32,8 @@ def _check():
 
 @pytest.mark.parametrize(
     "query,fallbacks",
-    # The OMT query: one theory check of its only Boolean assignment,
-    # then one minimisation inside that disjunct.
-    [(_minimize, 2), (_check, 1)],
-    ids=["optimize", "theory"],
+    [(_check, 1)],
+    ids=["theory"],
 )
 def test_limit_falls_back_and_is_counted(query, fallbacks, monkeypatch):
     with recording() as counters:

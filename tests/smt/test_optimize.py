@@ -50,11 +50,6 @@ class TestMinimize:
         assert result.unbounded
         assert result.ray.get("x", 0) < 0
 
-    def test_integer_minimisation(self):
-        solver = OptimizingSmtSolver(integer_variables=["x"])
-        solver.assert_formula(And([2 * x >= 1, x <= 3]))
-        assert solver.minimize(x).objective_value == 1
-
     def test_strict_constraints_respected(self):
         solver = OptimizingSmtSolver()
         solver.assert_formula(And([x >= -5, x <= 5, Or([x > 0, x < 0])]))

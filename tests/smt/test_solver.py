@@ -38,13 +38,6 @@ class TestSat:
         assert result.is_sat
         assert result.model["x"] >= 1
 
-    def test_integer_variables(self):
-        solver = SmtSolver(integer_variables=["x"])
-        solver.assert_formula(And([2 * x >= 1, 2 * x <= 3]))
-        result = solver.check()
-        assert result.is_sat
-        assert result.model["x"] == 1
-
     def test_model_covers_free_variables(self):
         solver = SmtSolver()
         solver.assert_formula(Or([x >= 0, y >= 0]))
@@ -62,11 +55,6 @@ class TestUnsat:
         solver = SmtSolver()
         solver.assert_formula(x >= 1)
         solver.assert_formula(x <= 0)
-        assert solver.check().is_unsat
-
-    def test_integer_gap(self):
-        solver = SmtSolver(integer_variables=["x"])
-        solver.assert_formula(And([3 * x >= 1, 3 * x <= 2]))
         assert solver.check().is_unsat
 
     def test_statistics_recorded(self):

@@ -322,14 +322,6 @@ class TestCertificateCheck:
         assert counters["smt.solver.core_fallbacks"] == 1
         assert "smt.solver.farkas_cores" not in counters
 
-    def test_integer_gap_falls_back(self):
-        solver = SmtSolver(integer_variables=["x"])
-        solver.assert_formula(And([(2 * x).eq(1), y >= 0]))
-        with recording() as counters:
-            assert solver.check().is_unsat
-        assert counters["smt.solver.core_fallbacks"] == 1
-        assert "smt.solver.farkas_cores" not in counters
-
     def test_certified_cores_are_counted(self):
         # Two theory conflicts, neither a parallel pair a bound axiom
         # would refute before the theory sees it.
