@@ -52,10 +52,8 @@ from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import (
     And,
     Atom,
-    Exists,
     FALSE,
     Formula,
-    Not,
     Or,
     TRUE,
 )
@@ -197,8 +195,6 @@ def _expand(formula: Formula, negated: bool, cap: int) -> List[List[Constraint]]
         if negated:
             return _negate_atom(formula.constraint)
         return [[formula.constraint]]
-    if isinstance(formula, Not):
-        return _expand(formula.operand, not negated, cap)
     if isinstance(formula, (And, Or)):
         is_product = isinstance(formula, And) != negated
         parts = [_expand(op, negated, cap) for op in formula.operands]
@@ -217,12 +213,6 @@ def _expand(formula: Formula, negated: bool, cap: int) -> List[List[Constraint]]
             if len(union) > cap:
                 raise _DisjunctCapExceeded()
         return union
-    if isinstance(formula, Exists):
-        # Large-block formulas leave join copies and havoc inputs free
-        # rather than quantified, so this does not occur in practice;
-        # refusing keeps the checker honest instead of guessing capture
-        # semantics.
-        raise _UnsupportedFormula("existential quantifier in block formula")
     raise _UnsupportedFormula("unknown formula node %r" % (formula,))
 
 

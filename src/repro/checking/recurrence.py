@@ -46,7 +46,7 @@ from repro.checking import farkas
 from repro.checking.checker import CertificateVerdict, ObligationFailure
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import And, Atom, Formula, Not, Or, _Constant
+from repro.linexpr.formula import And, Atom, Formula, Or, _Constant
 from repro.linexpr.transform import dnf_conjunctions
 from repro.nontermination.witness import Lasso
 from repro.program.automaton import ControlFlowAutomaton
@@ -70,7 +70,7 @@ def _negate_branches(constraint: Constraint) -> List[Constraint]:
 
 
 def _holds(formula: Formula, state: Dict[str, Fraction]) -> bool:
-    """Concrete truth of *formula*; ``Exists`` is conservatively false."""
+    """Concrete truth of *formula* under the total assignment *state*."""
     if isinstance(formula, _Constant):
         return formula.value
     if isinstance(formula, Atom):
@@ -79,9 +79,7 @@ def _holds(formula: Formula, state: Dict[str, Fraction]) -> bool:
         return all(_holds(op, state) for op in formula.operands)
     if isinstance(formula, Or):
         return any(_holds(op, state) for op in formula.operands)
-    if isinstance(formula, Not):
-        return not _holds(formula.operand, state)
-    return False
+    raise TypeError("unknown formula node %r" % (formula,))
 
 
 def _rebuild_pass(automaton: ControlFlowAutomaton, lasso: Lasso):

@@ -23,8 +23,8 @@ from repro.frontend.ast import (
     Statement,
     While,
 )
-from repro.linexpr.formula import FALSE, Formula, Not, TRUE, conjunction
-from repro.linexpr.transform import tighten_strict_atoms, to_nnf
+from repro.linexpr.formula import Formula, TRUE, conjunction
+from repro.linexpr.transform import tighten_strict_atoms
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.transition import Transition
 
@@ -58,10 +58,6 @@ class _Lowering:
         self.automaton.add_transition(
             Transition(source, target, guard, updates or {}, name)
         )
-
-    @staticmethod
-    def _negate(condition: Formula) -> Formula:
-        return to_nnf(Not(condition))
 
     # -- statement compilation -------------------------------------------------------
 
@@ -138,12 +134,8 @@ class _Lowering:
         from repro.frontend.ast import NondetCondition
 
         if isinstance(condition, NondetCondition):
-            true_guard = condition.upper
-            false_guard = (
-                TRUE if condition.lower is FALSE else self._negate(condition.lower)
-            )
-            return true_guard, false_guard
-        return condition, self._negate(condition)
+            return condition.upper, ~condition.lower
+        return condition, ~condition
 
 
 def lower_program(program: Program) -> ControlFlowAutomaton:

@@ -168,7 +168,7 @@ class InvariantAnalyzer:
             return value
         guard_constraints = transition.guard_constraints()
         if guard_constraints is None:
-            # Disjunctive or quantified guard: analyse each disjunct and join,
+            # Disjunctive guard: analyse each disjunct and join,
             # which keeps the transfer function sound and reasonably precise.
             disjuncts = dnf_conjunctions(transition.guard)
             result = Polyhedron.empty(self.variables)

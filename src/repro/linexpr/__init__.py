@@ -6,9 +6,10 @@ This is the small logic the whole library speaks:
   variables with exact rational coefficients.
 * :class:`Constraint` — atomic constraint ``expr ⋈ 0`` with
   ``⋈ ∈ {≤, <, =}`` (other comparisons are normalised on construction).
-* :mod:`repro.linexpr.formula` — formulas built from atoms with
-  ``And`` / ``Or`` / ``Not`` / ``Exists`` plus the constants TRUE/FALSE.
-  The transition relations of the paper (large-block encodings) live here.
+* :mod:`repro.linexpr.formula` — quantifier-free formulas in negation
+  normal form, built from atoms with ``And`` / ``Or`` plus the constants
+  TRUE/FALSE; ``~f`` is the NNF negation.  The transition relations of
+  the paper (large-block encodings) live here.
 """
 
 from repro.linexpr.expr import LinExpr, var, const
@@ -16,25 +17,22 @@ from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.formula import (
     And,
     Atom,
-    Exists,
     FALSE,
     Formula,
-    Not,
     Or,
     TRUE,
     atom,
     conjunction,
     disjunction,
+    negate_constraint,
 )
 from repro.linexpr.transform import (
     dnf_conjunctions,
     formula_atoms,
     formula_variables,
-    negate_constraint,
     prime_suffix,
     rename_formula,
     substitute_formula,
-    to_nnf,
 )
 
 __all__ = [
@@ -47,14 +45,11 @@ __all__ = [
     "Atom",
     "And",
     "Or",
-    "Not",
-    "Exists",
     "TRUE",
     "FALSE",
     "atom",
     "conjunction",
     "disjunction",
-    "to_nnf",
     "negate_constraint",
     "rename_formula",
     "substitute_formula",

@@ -209,7 +209,7 @@ class Constraint:
         return disjunction([self, other])
 
     def __invert__(self):
-        from repro.linexpr.transform import negate_constraint
+        from repro.linexpr.formula import negate_constraint
 
         return negate_constraint(self)
 

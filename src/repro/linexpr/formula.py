@@ -1,9 +1,12 @@
-"""Quantifier- and disjunction-capable formulas over linear constraints.
+"""Quantifier-free formulas over linear constraints, in negation normal form.
 
 The paper's transition relations are "large-block" formulas: conjunctions
-and disjunctions of linear atoms, possibly with existentially quantified
-auxiliary variables, and *without* an eager expansion into disjunctive
-normal form.  This module provides exactly that abstract syntax.
+and disjunctions of linear atoms, *without* an eager expansion into
+disjunctive normal form.  This module provides exactly that abstract
+syntax, and nothing else: there is no negation node and no quantifier.
+Auxiliary variables (join copies, havoc inputs) are left free, and
+``~f`` returns the negation of *f* already in negation normal form, so
+every formula is NNF by construction.
 
 Formulas form a DAG: sub-formulas may be shared between parents.  The
 Tseitin conversion in :mod:`repro.smt.cnf` caches on object identity, so a
@@ -13,9 +16,9 @@ encoding linear in the size of the program.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Tuple, Union
 
-from repro.linexpr.constraint import Constraint
+from repro.linexpr.constraint import Constraint, Relation
 
 FormulaLike = Union["Formula", Constraint, bool]
 
@@ -38,7 +41,12 @@ class Formula:
         return disjunction([other, self])
 
     def __invert__(self) -> "Formula":
-        return Not(self)
+        """The negation, in negation normal form.
+
+        De Morgan pushes it down to the atoms, which negate through
+        :func:`negate_constraint`; shared nodes stay shared.
+        """
+        return map_atoms(self, lambda node: negate_constraint(node.constraint), dual=True)
 
     def children(self) -> Tuple["Formula", ...]:
         """Immediate sub-formulas (empty for leaves)."""
@@ -109,43 +117,6 @@ class Or(Formula):
         return "Or(%d operands)" % len(self.operands)
 
 
-class Not(Formula):
-    """Negation.
-
-    The paper's input language excludes negation, but the synthesiser itself
-    introduces negated candidate conditions (``λ·u ≤ 0`` is the negation of
-    strict decrease), so the node exists and is pushed to the leaves by
-    :func:`repro.linexpr.transform.to_nnf`.
-    """
-
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: FormulaLike):
-        self.operand = atom(operand)
-
-    def children(self) -> Tuple[Formula, ...]:
-        return (self.operand,)
-
-    def __repr__(self) -> str:
-        return "Not(%r)" % (self.operand,)
-
-
-class Exists(Formula):
-    """Existential quantification over a block of variables."""
-
-    __slots__ = ("variables", "body")
-
-    def __init__(self, variables: Sequence[str], body: FormulaLike):
-        self.variables: Tuple[str, ...] = tuple(variables)
-        self.body = atom(body)
-
-    def children(self) -> Tuple[Formula, ...]:
-        return (self.body,)
-
-    def __repr__(self) -> str:
-        return "Exists(%s, %r)" % (list(self.variables), self.body)
-
-
 def atom(value: FormulaLike) -> Formula:
     """Coerce a constraint or boolean into a formula node."""
     if isinstance(value, Formula):
@@ -155,6 +126,52 @@ def atom(value: FormulaLike) -> Formula:
     if isinstance(value, bool):
         return TRUE if value else FALSE
     raise TypeError("cannot interpret %r as a formula" % (value,))
+
+
+def map_atoms(
+    formula: Formula, function: Callable[[Atom], Formula], dual: bool = False
+) -> Formula:
+    """*formula* with every atom replaced by ``function(atom)``.
+
+    With *dual*, ``And`` and ``Or`` swap, and so do TRUE and FALSE.  Each
+    shared node is rebuilt once, so the result keeps the sharing.
+    """
+    rebuilt: Dict[int, Formula] = {}
+
+    def walk(node: Formula) -> Formula:
+        result = rebuilt.get(id(node))
+        if result is not None:
+            return result
+        if node is TRUE or node is FALSE:
+            result = (FALSE if node is TRUE else TRUE) if dual else node
+        elif isinstance(node, Atom):
+            result = function(node)
+        elif isinstance(node, (And, Or)):
+            parts = [walk(op) for op in node.operands]
+            is_conjunction = isinstance(node, And) != dual
+            result = conjunction(parts) if is_conjunction else disjunction(parts)
+        else:
+            raise TypeError("unknown formula node %r" % (node,))
+        rebuilt[id(node)] = result
+        return result
+
+    return walk(formula)
+
+
+def negate_constraint(constraint: Constraint) -> Formula:
+    """The negation of an atomic constraint as a formula.
+
+    Inequalities negate to the opposite strict/non-strict inequality; an
+    equality negates to the disjunction of the two strict inequalities.
+    """
+    if constraint.relation is Relation.EQ:
+        return disjunction(
+            [
+                Constraint(constraint.expr, Relation.LT),
+                Constraint(-constraint.expr, Relation.LT),
+            ]
+        )
+    return Atom(constraint.negate())
 
 
 def conjunction(operands: Iterable[FormulaLike]) -> Formula:

@@ -15,7 +15,7 @@ Before the root branches, the equalities over integer variables only are
 put to the gcd test together: ``Σ a_i·x_i = b`` has no integer solution
 when ``gcd(a_i)`` does not divide ``b``, and the rows are eliminated over
 ℤ so that the test also reads every integer combination of them.  A
-refutation ends the search at once (``lp.ilp.equalities_refuted``);
+refutation ends the search at once (``lp.ilp.gcd_refutations``);
 without it, a rationally feasible, unbounded system such as ``2a − 2b =
 1``, or ``a − 2b = 0 ∧ a − 2c = 1`` whose rows only conflict together,
 would be searched to the node limit.  The refutation carries no Farkas
@@ -202,7 +202,7 @@ def solve_ilp(
                 best = relaxation
             continue
         if nodes_explored == 1 and _gcd_refutes(constraints, set(integer_set)):
-            count("lp.ilp.equalities_refuted")
+            count("lp.ilp.gcd_refutations")
             return LpResult(status=LpStatus.INFEASIBLE)
         value = relaxation.assignment[branch_variable]
         floor_value = _floor(value)

@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import And, Atom, Formula, Not, Or, _Constant
+from repro.linexpr.formula import And, Atom, Formula, Or, _Constant
 from repro.linexpr.transform import dnf_conjunctions
 from repro.metrics import count
 from repro.nontermination.templates import (
@@ -80,12 +80,7 @@ REPLAY_ITERATIONS = 2
 
 
 def evaluate_formula(formula: Formula, state: Dict[str, Fraction]) -> bool:
-    """Concrete truth of *formula* under a total assignment *state*.
-
-    ``Exists`` is rejected (returns ``False``): the structured front end
-    never emits it in guards or initial conditions, and a conservative
-    answer keeps replay sound.
-    """
+    """Concrete truth of *formula* under a total assignment *state*."""
     if isinstance(formula, _Constant):
         return formula.value
     if isinstance(formula, Atom):
@@ -94,9 +89,7 @@ def evaluate_formula(formula: Formula, state: Dict[str, Fraction]) -> bool:
         return all(evaluate_formula(op, state) for op in formula.operands)
     if isinstance(formula, Or):
         return any(evaluate_formula(op, state) for op in formula.operands)
-    if isinstance(formula, Not):
-        return not evaluate_formula(formula.operand, state)
-    return False
+    raise TypeError("unknown formula node %r" % (formula,))
 
 
 @dataclass

@@ -118,9 +118,9 @@ class Transition:
     def guard_constraints(self) -> Optional[List[Constraint]]:
         """The guard as a list of constraints when it is a pure conjunction.
 
-        Returns ``None`` when the guard contains disjunctions or
-        quantifiers; the polyhedral invariant generator then falls back to
-        an over-approximation.
+        Returns ``None`` when the guard contains disjunctions; the
+        polyhedral invariant generator then falls back to an
+        over-approximation.
         """
         from repro.linexpr.formula import And, Atom
 

@@ -11,7 +11,7 @@ This is the reproduction's stand-in for Z3: the synthesis algorithm needs
 
 Architecture (classic lazy SMT / DPLL(T)):
 
-``formula → NNF → Tseitin CNF (DAG-shared) → CDCL SAT core``; every
+``NNF formula DAG → Tseitin CNF (one variable per node) → CDCL SAT core``; every
 boolean model is checked for theory consistency by an exact-simplex
 theory solver; theory conflicts are returned as unsat cores and blocked.
 Every SMT context is rational; a direct conjunction check may declare

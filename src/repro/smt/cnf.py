@@ -30,10 +30,8 @@ from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.formula import (
     And,
     Atom,
-    Exists,
     FALSE,
     Formula,
-    Not,
     Or,
     TRUE,
 )
@@ -135,8 +133,7 @@ class CnfEncoder:
     # -- encoding ----------------------------------------------------------------
 
     def assert_formula(self, formula: Formula) -> None:
-        """Add clauses forcing *formula* (in negation normal form) to be
-        true."""
+        """Add clauses forcing *formula* to be true."""
         literal = self.encode(formula)
         self._solver.add_clause([literal])
 
@@ -147,9 +144,9 @@ class CnfEncoder:
         return self._true_literal if value else -self._true_literal
 
     def encode(self, formula: Formula) -> int:
-        """Tseitin-encode *formula*, which must be in negation normal form
-        (the solver normalises each assertion once); returns the literal
-        representing it."""
+        """Tseitin-encode *formula* (in negation normal form, as every
+        formula is by construction); returns the literal representing it.
+        Each node of the DAG is encoded once."""
         if formula is TRUE:
             return self._constant(True)
         if formula is FALSE:
@@ -166,20 +163,12 @@ class CnfEncoder:
                 literal = self._constant(False)
             else:
                 literal = self.atom_literal(constraint)
-        elif isinstance(formula, Not):
-            # NNF leaves Not only above atoms that could not be negated
-            # syntactically; encode as the negation of the operand literal.
-            literal = -self.encode(formula.operand)
         elif isinstance(formula, And):
             children = [self.encode(child) for child in formula.operands]
             literal = self._define_and(children)
         elif isinstance(formula, Or):
             children = [self.encode(child) for child in formula.operands]
             literal = self._define_or(children)
-        elif isinstance(formula, Exists):
-            # The bound variables are theory variables; satisfiability of the
-            # existential closure is exactly satisfiability of the body.
-            literal = self.encode(formula.body)
         else:
             raise TypeError("cannot encode formula node %r" % (formula,))
 

@@ -46,14 +46,13 @@ from repro.linexpr.constraint import Constraint
 from repro.linexpr.formula import (
     And,
     Atom,
-    Exists,
     FALSE,
     Formula,
     Or,
     TRUE,
     atom,
 )
-from repro.linexpr.transform import formula_variables, to_nnf
+from repro.linexpr.transform import formula_variables
 from repro.metrics import count
 from repro.smt.cnf import CnfEncoder
 from repro.smt.sat import SatSolver
@@ -91,7 +90,7 @@ class SmtResult:
 
 
 class SmtSolver:
-    """Lazy SMT solver for quantifier-free / existential linear arithmetic."""
+    """Lazy SMT solver for quantifier-free linear arithmetic."""
 
     def __init__(self) -> None:
         self._sat = SatSolver()
@@ -108,9 +107,11 @@ class SmtSolver:
         """Conjoin *formula* (a Formula or a bare Constraint) to the assertions.
 
         With a *guard* from :meth:`new_guard` the formula holds only until
-        the guard is retired; without one it holds for good.
+        the guard is retired; without one it holds for good.  Formulas
+        are in negation normal form by construction, so it is encoded as
+        given, one Tseitin variable per node of its DAG.
         """
-        node = to_nnf(atom(formula))
+        node = atom(formula)
         if guard is None:
             self._free_variables |= formula_variables(node)
             self._roots.append(node)
@@ -196,7 +197,7 @@ class SmtSolver:
     def _theory_literals(self, boolean_model: Dict[int, bool]) -> List[int]:
         """A *justification*: atoms sufficient to make every assertion true.
 
-        After NNF conversion every atom occurs with positive polarity only,
+        Formulas are NNF, so every atom occurs with positive polarity only,
         so the assertions are monotone in their atoms and it is enough to
         collect, for each asserted formula, the atoms of one satisfied
         branch (the first true child of every disjunction under the current
@@ -206,8 +207,10 @@ class SmtSolver:
         and their blocking clauses much smaller.
         """
         justified: Dict[int, None] = {}
+        visited: Set[int] = set()
+        holds: Dict[int, bool] = {}
         for root in self._active_roots():
-            self._justify(root, boolean_model, justified)
+            self._justify(root, boolean_model, justified, visited, holds)
         return list(justified)
 
     def _active_roots(self) -> List[Formula]:
@@ -222,9 +225,15 @@ class SmtSolver:
         node: Formula,
         boolean_model: Dict[int, bool],
         justified: Dict[int, None],
+        visited: Set[int],
+        holds: Dict[int, bool],
     ) -> None:
-        if node is TRUE:
+        """Justify *node*, once per theory check: a node shared by several
+        parents adds its atoms on its first visit, so later visits add
+        nothing and may be skipped."""
+        if node is TRUE or id(node) in visited:
             return
+        visited.add(id(node))
         if isinstance(node, Atom):
             constraint = node.constraint
             if constraint.is_trivially_true():
@@ -233,42 +242,47 @@ class SmtSolver:
             return
         if isinstance(node, And):
             for child in node.operands:
-                self._justify(child, boolean_model, justified)
+                self._justify(child, boolean_model, justified, visited, holds)
             return
         if isinstance(node, Or):
             for child in node.operands:
-                if self._holds(child, boolean_model):
-                    self._justify(child, boolean_model, justified)
+                if self._holds(child, boolean_model, holds):
+                    self._justify(child, boolean_model, justified, visited, holds)
                     return
             # No child is boolean-true (can only happen through rounding of
             # don't-care variables); fall back to the first child.
-            self._justify(node.operands[0], boolean_model, justified)
-            return
-        if isinstance(node, Exists):
-            self._justify(node.body, boolean_model, justified)
+            self._justify(node.operands[0], boolean_model, justified, visited, holds)
             return
         raise TypeError("unexpected formula node %r in justification" % (node,))
 
-    def _holds(self, node: Formula, boolean_model: Dict[int, bool]) -> bool:
-        """Evaluate a (monotone, NNF) formula under the boolean model."""
+    def _holds(
+        self, node: Formula, boolean_model: Dict[int, bool], holds: Dict[int, bool]
+    ) -> bool:
+        """Evaluate a (monotone, NNF) formula under the boolean model;
+        *holds* caches the truth of each node visited in this check."""
         if node is TRUE:
             return True
         if node is FALSE:
             return False
+        value = holds.get(id(node))
+        if value is not None:
+            return value
         if isinstance(node, Atom):
             if node.constraint.is_trivially_true():
-                return True
-            if node.constraint.is_trivially_false():
-                return False
-            literal = self._encoder.atom_literal(node.constraint)
-            return bool(boolean_model.get(literal))
-        if isinstance(node, And):
-            return all(self._holds(child, boolean_model) for child in node.operands)
-        if isinstance(node, Or):
-            return any(self._holds(child, boolean_model) for child in node.operands)
-        if isinstance(node, Exists):
-            return self._holds(node.body, boolean_model)
-        return False
+                value = True
+            elif node.constraint.is_trivially_false():
+                value = False
+            else:
+                literal = self._encoder.atom_literal(node.constraint)
+                value = bool(boolean_model.get(literal))
+        elif isinstance(node, And):
+            value = all(self._holds(child, boolean_model, holds) for child in node.operands)
+        elif isinstance(node, Or):
+            value = any(self._holds(child, boolean_model, holds) for child in node.operands)
+        else:
+            raise TypeError("unexpected formula node %r in evaluation" % (node,))
+        holds[id(node)] = value
+        return value
 
     def _constraints_of(self, literals: Sequence[int]) -> List[Constraint]:
         """The atoms of the justified literals, which are all positive."""

@@ -6,9 +6,7 @@ from repro.linexpr.expr import var
 from repro.linexpr.formula import (
     And,
     Atom,
-    Exists,
     FALSE,
-    Not,
     Or,
     TRUE,
     atom,
@@ -63,19 +61,11 @@ class TestOperators:
 
     def test_invert(self):
         formula = ~atom(var("x") <= 0)
-        assert isinstance(formula, Not)
+        assert isinstance(formula, Atom)
+        assert formula.constraint == (var("x") > 0).normalized()
 
     def test_children(self):
         inner = atom(var("x") <= 0)
         assert And([inner, inner]).children() == (inner, inner)
-        assert Exists(["t"], inner).children() == (inner,)
         assert inner.children() == ()
 
-
-class TestExists:
-    def test_variables_recorded(self):
-        formula = Exists(["a", "b"], var("a") <= var("x"))
-        assert formula.variables == ("a", "b")
-
-    def test_atom_required(self):
-        assert isinstance(Exists(["a"], var("a") <= 0).body, Atom)

@@ -1,53 +1,58 @@
-"""Tests for formula transformations (NNF, renaming, DNF, …)."""
-
-import pytest
+"""Tests for formula transformations (NNF negation, renaming, DNF, …)."""
 
 from repro.linexpr.expr import var
 from repro.linexpr.formula import (
-    Exists,
+    And,
     FALSE,
-    Not,
     Or,
     TRUE,
+    atom,
     conjunction,
     disjunction,
+    negate_constraint,
 )
 from repro.linexpr.transform import (
     dnf_conjunctions,
     formula_atoms,
     formula_size,
     formula_variables,
-    negate_constraint,
     prime_suffix,
     rename_formula,
     substitute_formula,
-    to_nnf,
 )
 
 x, y = var("x"), var("y")
 
 
 class TestNnf:
+    """``~f`` is the negation of *f* in negation normal form."""
+
     def test_double_negation(self):
-        formula = to_nnf(Not(Not(x <= 0)))
+        formula = ~~atom(x <= 0)
         assert formula_atoms(formula) == [(x <= 0).normalized()]
 
     def test_de_morgan(self):
-        formula = to_nnf(Not(conjunction([x <= 0, y <= 0])))
+        formula = ~conjunction([x <= 0, y <= 0])
         assert isinstance(formula, Or)
+        assert all(atom.is_strict() for atom in formula_atoms(formula))
+        assert isinstance(~disjunction([x <= 0, y <= 0]), And)
 
     def test_negated_equality_splits(self):
-        formula = to_nnf(Not(x.eq(0)))
+        formula = ~atom(x.eq(0))
         assert isinstance(formula, Or)
         assert len(formula.operands) == 2
 
     def test_constants(self):
-        assert to_nnf(Not(TRUE)) is FALSE
-        assert to_nnf(Not(FALSE)) is TRUE
+        assert ~TRUE is FALSE
+        assert ~FALSE is TRUE
 
-    def test_negating_exists_rejected(self):
-        with pytest.raises(ValueError):
-            to_nnf(Not(Exists(["t"], x <= var("t"))))
+    def test_negation_keeps_sharing(self):
+        shared = conjunction([x <= 0, y <= 0])
+        formula = conjunction([disjunction([shared, x >= 5]), disjunction([shared, y >= 5])])
+        negated = ~formula
+        assert formula_size(negated) == formula_size(formula)
+        first, second = negated.operands
+        assert first.operands[0] is second.operands[0]
 
 
 class TestNegateConstraint:
@@ -66,10 +71,13 @@ class TestRenameSubstitute:
         assert "z" in formula_variables(renamed)
         assert "x" not in formula_variables(renamed)
 
-    def test_rename_respects_binding(self):
-        formula = Exists(["x"], x <= y)
+    def test_rename_keeps_sharing(self):
+        shared = conjunction([x <= 0, y <= 0])
+        formula = conjunction([disjunction([shared, x >= 5]), disjunction([shared, y >= 5])])
         renamed = rename_formula(formula, {"x": "z"})
-        assert "z" not in formula_variables(renamed)
+        first, second = renamed.operands
+        assert first.operands[0] is second.operands[0]
+        assert formula_variables(renamed) == frozenset({"y", "z"})
 
     def test_substitute(self):
         formula = substitute_formula(conjunction([x <= 5]), {"x": y + 1})
@@ -81,8 +89,18 @@ class TestRenameSubstitute:
 
 class TestQueries:
     def test_formula_variables(self):
-        formula = conjunction([x <= 0, Exists(["t"], var("t") <= y)])
-        assert formula_variables(formula) == frozenset({"x", "y"})
+        formula = conjunction([x <= 0, disjunction([var("t") <= y, TRUE])])
+        assert formula_variables(formula) == frozenset({"x"})
+        formula = conjunction([x <= 0, disjunction([var("t") <= y, FALSE])])
+        assert formula_variables(formula) == frozenset({"x", "y", "t"})
+
+    def test_formula_variables_walks_each_node_once(self):
+        # 60 levels of two parents sharing one child: an unfolding walk
+        # would visit 2**60 nodes.
+        node = atom(x <= 0)
+        for level in range(60):
+            node = conjunction([disjunction([node, var("v%d" % level) <= 0])] * 2)
+        assert len(formula_variables(node)) == 61
 
     def test_formula_atoms_dedup(self):
         formula = conjunction([x <= 0, disjunction([x <= 0, y <= 0])])
@@ -111,12 +129,3 @@ class TestDnf:
 
     def test_true_gives_empty_conjunction(self):
         assert dnf_conjunctions(TRUE) == [[]]
-
-    def test_exists_renames_bound_variables(self):
-        formula = Exists(["t"], conjunction([var("t") >= 0, x <= var("t")]))
-        (conjunct,) = dnf_conjunctions(formula)
-        names = set()
-        for constraint in conjunct:
-            names |= constraint.variables()
-        assert "t" not in names
-        assert "x" in names

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.branch_bound import _gcd_refutes, solve_ilp
 from repro.lp.problem import LpStatus, Sense
+from repro.metrics import recording
 
 x, y = var("x"), var("y")
 
@@ -157,3 +158,16 @@ class TestEqualityRefutation:
         assert _gcd_refutes(system, {"a", "b", "c"})
         assert not _gcd_refutes(system, {"a", "b"})
         assert not _gcd_refutes([a - 2 * b <= 0, a - 2 * c >= 1], {"a", "b", "c"})
+
+    def test_refutations_are_counted(self):
+        a, b, c = var("a"), var("b"), var("c")
+        # The root relaxation a = 0, c = -1/2 branches only after the test.
+        system = [(a - 2 * b).eq(0), (a - 2 * c).eq(1), a >= 0]
+        with recording() as counters:
+            result = solve_ilp(a, system, ["a", "b", "c"])
+        assert result.status is LpStatus.INFEASIBLE
+        assert counters["lp.ilp.gcd_refutations"] == 1
+        with recording() as counters:
+            result = solve_ilp(a, [(a - 2 * b).eq(1), a >= 0], ["a", "b"])
+        assert result.objective == 1
+        assert "lp.ilp.gcd_refutations" not in counters

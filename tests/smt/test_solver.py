@@ -4,7 +4,7 @@ import pytest
 
 import repro.smt.solver as solver_module
 from repro.linexpr.expr import var
-from repro.linexpr.formula import And, Exists, Or
+from repro.linexpr.formula import And, Or
 from repro.metrics import recording
 from repro.smt.solver import SmtSolver, TheoryRoundLimit
 
@@ -32,11 +32,13 @@ class TestSat:
         assert solver.check().model["x"] >= 7
 
     def test_existential(self):
+        # Auxiliary variables are left free, which makes them existential:
+        # the formula is satisfiable when some t makes it true.
         solver = SmtSolver()
-        solver.assert_formula(Exists(["t"], And([var("t") >= 0, x.eq(var("t") + 1)])))
+        solver.assert_formula(And([var("t") >= 0, x.eq(var("t") + 1)]))
         result = solver.check()
         assert result.is_sat
-        assert result.model["x"] >= 1
+        assert result.model["x"] == result.model["t"] + 1 >= 1
 
     def test_model_covers_free_variables(self):
         solver = SmtSolver()

@@ -102,7 +102,7 @@ class TestIntegerEqualities:
         assert not result.satisfiable
         assert not result.certified
         assert result.core == [0]
-        assert counters["lp.ilp.equalities_refuted"] == 1
+        assert counters["lp.ilp.gcd_refutations"] == 1
         assert counters["lp.ilp.nodes"] == 1
 
     def test_equalities_conflicting_only_together_are_refuted(self):
@@ -116,7 +116,7 @@ class TestIntegerEqualities:
             )
         assert time.perf_counter() - start < 1.0
         assert not result.satisfiable
-        assert counters["lp.ilp.equalities_refuted"] == 1
+        assert counters["lp.ilp.gcd_refutations"] == 1
         assert counters["lp.ilp.nodes"] == 1
 
     def test_rows_with_a_rational_variable_are_not_refuted(self):
@@ -124,7 +124,7 @@ class TestIntegerEqualities:
         with recording() as counters:
             result = check_conjunction([(2 * a + 2 * y).eq(1)], {"a"})
         assert result.satisfiable
-        assert "lp.ilp.equalities_refuted" not in counters
+        assert "lp.ilp.gcd_refutations" not in counters
 
 
 # -- differential: Farkas cores against the independent checker -------------------
