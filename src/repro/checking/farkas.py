@@ -19,6 +19,11 @@ coefficients).  :func:`decide_system` decides feasibility over ℚ:
   and a concrete rational :class:`Witness` point is reconstructed by
   back-substitution (and re-checked against the original system).
 
+:func:`project` runs the same elimination on rows over variable indices
+but keeps the variables below a given index: it returns the exact
+projection of the system onto them, on which the certificate checker
+decides its failure patterns for a whole path prefix at once.
+
 Fourier–Motzkin is complete over the rationals, including strict
 inequalities, which is what makes the checker's "invalid" verdicts
 trustworthy: they always come with a witness state.  The worst case is
@@ -31,14 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
 
 #: Sentinel row index carrying the affine constant (sorts first).
-_CONST = -1
+CONSTANT = -1
 
 #: Default cap on the number of live rows during elimination.
 DEFAULT_ROW_BUDGET = 50_000
@@ -48,13 +53,63 @@ class FarkasBudgetExceeded(Exception):
     """Fourier–Motzkin elimination exceeded its row budget."""
 
 
+class _Contradiction(Exception):
+    """Elimination derived a false constant row; keeps the rows that did.
+
+    *kind* is ``"constant"`` (*rows* holds the false input constraint),
+    ``"equality"`` (a constant equality row), ``"substitution"`` (the
+    row that substituting variable *index* made constant) or
+    ``"combination"`` (upper bound, lower bound and their combination
+    on eliminating *index*); rows come as ``(row, strict)`` pairs.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        index: Optional[int],
+        rows: tuple,
+        eliminated: int = 0,
+        combinations: int = 0,
+    ):
+        super().__init__(kind)
+        self.kind = kind
+        self.index = index
+        self.rows = rows
+        self.eliminated = eliminated
+        self.combinations = combinations
+
+    def describe(self, names: Sequence[str]) -> str:
+        if self.kind == "constant":
+            return "constant constraint %s is false" % self.rows[0]
+        if self.kind == "equality":
+            return "equality reduced to %s = 0" % self.rows[0][0].get(CONSTANT)
+        shown = [_constraint_of(row, strict, names) for row, strict in self.rows]
+        if self.kind == "substitution":
+            return "substituting %s yields %s" % (names[self.index], shown[0])
+        return "eliminating %s combines %s and %s into %s" % (
+            names[self.index],
+            shown[0],
+            shown[1],
+            shown[2],
+        )
+
+
 @dataclass
 class Refutation:
-    """Proof that the system has no rational solution."""
+    """Proof that the system has no rational solution.
 
-    reason: str
+    It keeps the rows of the contradiction and spells them out as
+    :attr:`reason` only when that is read: no decision needs the text.
+    """
+
+    contradiction: _Contradiction
+    names: Sequence[str] = ()
     eliminated_variables: int = 0
     combinations: int = 0
+
+    @property
+    def reason(self) -> str:
+        return self.contradiction.describe(self.names)
 
     @property
     def feasible(self) -> bool:
@@ -206,7 +261,7 @@ def _ceil(value: Fraction) -> int:
     return -((-value.numerator) // value.denominator)
 
 
-def _sparse_of(constraint: Constraint, index_of: Dict[str, int]) -> SparseRow:
+def row_of(constraint: Constraint, index_of: Mapping[str, int]) -> SparseRow:
     """A constraint's left-hand side as a primitive-integer sparse row."""
     pairs: List[Tuple[int, Fraction]] = [
         (index_of[name], value)
@@ -214,7 +269,7 @@ def _sparse_of(constraint: Constraint, index_of: Dict[str, int]) -> SparseRow:
     ]
     constant = constraint.expr.constant_term
     if constant:
-        pairs.append((_CONST, constant))
+        pairs.append((CONSTANT, constant))
     # Dropping the (positive) denominator rescales the constraint, which
     # preserves it as a ≤/</= 0 atom.
     return SparseRow.from_pairs(pairs).normalized_direction()
@@ -227,7 +282,7 @@ def _constraint_of(
     terms: Dict[str, Fraction] = {}
     constant = Fraction(0)
     for index, value in row.items():
-        if index == _CONST:
+        if index == CONSTANT:
             constant = value
         else:
             terms[names[index]] = value
@@ -240,7 +295,7 @@ def _evaluate_row(row: SparseRow, assignment: Dict[int, Fraction]) -> Fraction:
     """Evaluate a row (over variable indices) with absent variables zero."""
     total = Fraction(0)
     for index, value in row.items():
-        if index == _CONST:
+        if index == CONSTANT:
             total += value
         else:
             total += value * assignment.get(index, _FRACTION_ZERO)
@@ -248,6 +303,212 @@ def _evaluate_row(row: SparseRow, assignment: Dict[int, Fraction]) -> Fraction:
 
 
 _FRACTION_ZERO = Fraction(0)
+
+
+def _is_constant(row: SparseRow) -> bool:
+    # Indices are sorted, and the constant's sorts first.
+    return not row.indices or row.indices[-1] == CONSTANT
+
+
+def _eliminate(
+    equalities: List[SparseRow],
+    rows: List[Tuple[SparseRow, bool]],
+    kept: int,
+    row_budget: int,
+    names: Sequence[str],
+    log: Optional[List[tuple]] = None,
+) -> Tuple[List[SparseRow], List[Tuple[SparseRow, bool]]]:
+    """Eliminate every variable of index ``≥ kept`` from a row system.
+
+    *equalities* are ``row = 0``, *rows* are ``row ≤ 0`` (``< 0`` when
+    strict).  Returns the equalities and inequalities left over the kept
+    variables: the exact projection of the system onto them.  Raises
+    :class:`_Contradiction` when the system is infeasible and
+    :class:`FarkasBudgetExceeded` when elimination outgrows
+    *row_budget*.  With a *log*, each elimination is appended to it as
+    ``("gauss", index, row)`` (``x_index := row``) or
+    ``("fm", index, lowers, uppers)`` (bounds as ``(row, strict)``
+    pairs), which :func:`decide_system` replays into a witness.
+    """
+    eliminated = 0
+    combinations = 0
+    kept_equalities: List[SparseRow] = []
+
+    # -- Gaussian substitution of equalities --------------------------------
+    while equalities:
+        equality = equalities.pop()
+        # Indices are sorted and the constant sorts first, below *kept*.
+        index = next((i for i in equality.indices if i >= kept), None)
+        if index is None:
+            if not _is_constant(equality):
+                kept_equalities.append(equality)
+            elif equality.numerator_at(CONSTANT):
+                raise _Contradiction(
+                    "equality", None, ((equality, False),), eliminated, combinations
+                )
+            continue
+        if log is not None:
+            coefficient = equality.get(index)
+            # x_index = (coefficient · x_index − equality) / coefficient.
+            solved = SparseRow.from_pairs(
+                [
+                    (i, Fraction(-numerator, 1) / coefficient)
+                    for i, numerator in equality.iter_scaled()
+                    if i != index
+                ]
+            )
+            log.append(("gauss", index, solved))
+        eliminated += 1
+
+        equalities = [
+            row.eliminate(index, equality).normalized_direction()
+            if index in row.indices
+            else row
+            for row in equalities
+        ]
+        survivors: List[Tuple[SparseRow, bool]] = []
+        for row, strict in rows:
+            if index in row.indices:
+                row = row.eliminate(index, equality).normalized_direction()
+                if _is_constant(row):
+                    constant = row.numerator_at(CONSTANT)
+                    if constant > 0 or (strict and constant >= 0):
+                        raise _Contradiction(
+                            "substitution",
+                            index,
+                            ((row, strict),),
+                            eliminated,
+                            combinations,
+                        )
+                    continue  # trivially true
+            survivors.append((row, strict))
+        rows = survivors
+
+    # -- Fourier–Motzkin on the inequalities --------------------------------
+    while True:
+        occurrences: Dict[int, Tuple[int, int]] = {}
+        for row, _ in rows:
+            for index, numerator in row.iter_scaled():
+                if index < kept:
+                    continue
+                positive, negative = occurrences.get(index, (0, 0))
+                if numerator > 0:
+                    occurrences[index] = (positive + 1, negative)
+                else:
+                    occurrences[index] = (positive, negative + 1)
+        if not occurrences:
+            break
+
+        def cost(index: int) -> Tuple[int, int]:
+            positive, negative = occurrences[index]
+            if positive == 0 or negative == 0:
+                return (-1, index)  # free elimination first
+            return (positive * negative - positive - negative, index)
+
+        index = min(occurrences, key=cost)
+        uppers: List[Tuple[SparseRow, bool]] = []  # coeff > 0: upper bounds
+        lowers: List[Tuple[SparseRow, bool]] = []  # coeff < 0: lower bounds
+        untouched: List[Tuple[SparseRow, bool]] = []
+        for entry in rows:
+            indices = entry[0].indices
+            if index not in indices:
+                untouched.append(entry)
+            elif entry[0].numerators[indices.index(index)] > 0:
+                uppers.append(entry)
+            else:
+                lowers.append(entry)
+
+        if log is not None:
+
+            def bound_pairs(
+                pool: List[Tuple[SparseRow, bool]],
+            ) -> List[Tuple[SparseRow, bool]]:
+                pairs = []
+                for row, strict in pool:
+                    coefficient = row.get(index)
+                    rest = SparseRow.from_pairs(
+                        [
+                            (i, Fraction(-numerator, 1) / coefficient)
+                            for i, numerator in row.iter_scaled()
+                            if i != index
+                        ]
+                    )
+                    pairs.append((rest, strict))
+                return pairs
+
+            log.append(("fm", index, bound_pairs(lowers), bound_pairs(uppers)))
+        eliminated += 1
+
+        seen: Set[Tuple] = set()
+        fresh: List[Tuple[SparseRow, bool]] = untouched
+        for upper, upper_strict in uppers:
+            a = upper.numerator_at(index)
+            for lower, lower_strict in lowers:
+                b = lower.numerator_at(index)
+                combined = upper.combine_int(-b, lower, a)
+                combined = combined.normalized_direction()
+                strict = upper_strict or lower_strict
+                combinations += 1
+                if _is_constant(combined):
+                    constant = combined.numerator_at(CONSTANT)
+                    if constant > 0 or (strict and constant >= 0):
+                        raise _Contradiction(
+                            "combination",
+                            index,
+                            (
+                                (upper, upper_strict),
+                                (lower, lower_strict),
+                                (combined, strict),
+                            ),
+                            eliminated,
+                            combinations,
+                        )
+                    continue  # trivially true
+                key = (combined.indices, combined.numerators, strict)
+                if key in seen:
+                    continue
+                seen.add(key)
+                fresh.append((combined, strict))
+                if len(fresh) > row_budget:
+                    raise FarkasBudgetExceeded(
+                        "row budget %d exceeded while eliminating %r"
+                        % (row_budget, names[index])
+                    )
+        rows = fresh
+    return kept_equalities, rows
+
+
+def project(
+    equalities: Sequence[SparseRow],
+    rows: Sequence[Tuple[SparseRow, bool]],
+    kept: int,
+    names: Sequence[str],
+    row_budget: int = DEFAULT_ROW_BUDGET,
+) -> Optional[Tuple[List[SparseRow], List[Tuple[SparseRow, bool]]]]:
+    """The projection of a row system onto its variables of index ``< kept``.
+
+    Rows are primitive integer rows over variable indices, as
+    :func:`row_of` builds them (FM scales rows by their integer
+    entries, so a row with a denominator would combine wrongly):
+    *equalities* are ``row = 0`` and *rows* ``(row, strict)`` for
+    ``row ≤ 0`` / ``row < 0``.  Returns the projected ``(equalities,
+    rows)``, or ``None`` when the system has no rational point; with
+    ``kept == 0`` that is the whole decision.  *names* name the
+    variables by index, for the budget message.  Raises
+    :class:`FarkasBudgetExceeded` when elimination outgrows *row_budget*.
+    """
+    live: List[Tuple[SparseRow, bool]] = []
+    for row, strict in rows:
+        if not _is_constant(row):
+            live.append((row, strict))
+            continue
+        constant = row.numerator_at(CONSTANT)
+        if constant > 0 or (strict and constant >= 0):
+            return None
+    try:
+        return _eliminate(list(equalities), live, kept, row_budget, names)
+    except _Contradiction:
+        return None
 
 
 def decide_system(
@@ -273,7 +534,7 @@ def decide_system(
         if constraint.is_trivially_true():
             continue
         if constraint.is_trivially_false():
-            return Refutation("constant constraint %s is false" % constraint)
+            return Refutation(_Contradiction("constant", None, (constraint,)))
         if constraint.is_equality():
             pending_equalities.append(constraint)
         else:
@@ -287,160 +548,26 @@ def decide_system(
         }
     )
     index_of = {name: position for position, name in enumerate(names)}
-    equalities: List[SparseRow] = [
-        _sparse_of(constraint, index_of) for constraint in pending_equalities
-    ]
-    rows: List[Tuple[SparseRow, bool]] = [
-        (_sparse_of(constraint, index_of), constraint.is_strict())
-        for constraint in pending_rows
-    ]
-
-    def is_constant(row: SparseRow) -> bool:
-        return all(index == _CONST for index in row.support())
-
-    # A log of eliminations, replayed backwards to build the witness:
-    #   ("gauss", index, row)           x_index := row evaluated
-    #   ("fm", index, lowers, uppers)   bounds as (row, strict) pairs
     log: List[tuple] = []
-    eliminated = 0
-    combinations = 0
-
-    # -- Gaussian substitution of equalities --------------------------------
-    while equalities:
-        equality = equalities.pop()
-        if is_constant(equality):
-            if equality.numerator_at(_CONST):
-                return Refutation(
-                    "equality reduced to %s = 0" % equality.get(_CONST),
-                    eliminated,
-                    combinations,
-                )
-            continue
-        index = next(i for i in equality.support() if i != _CONST)
-        coefficient = equality.get(index)
-        # x_index = (coefficient · x_index − equality) / coefficient.
-        solved = SparseRow.from_pairs(
+    try:
+        _eliminate(
+            [row_of(constraint, index_of) for constraint in pending_equalities],
             [
-                (i, Fraction(-numerator, 1) / coefficient)
-                for i, numerator in equality.iter_scaled()
-                if i != index
-            ]
+                (row_of(constraint, index_of), constraint.is_strict())
+                for constraint in pending_rows
+            ],
+            0,
+            row_budget,
+            names,
+            log,
         )
-        log.append(("gauss", index, solved))
-        eliminated += 1
-
-        equalities = [
-            row.eliminate(index, equality).normalized_direction()
-            if row.numerator_at(index)
-            else row
-            for row in equalities
-        ]
-        survivors: List[Tuple[SparseRow, bool]] = []
-        for row, strict in rows:
-            if row.numerator_at(index):
-                row = row.eliminate(index, equality).normalized_direction()
-            if is_constant(row):
-                constant = row.numerator_at(_CONST)
-                if constant > 0 or (strict and constant >= 0):
-                    return Refutation(
-                        "substituting %s yields %s"
-                        % (names[index], _constraint_of(row, strict, names)),
-                        eliminated,
-                        combinations,
-                    )
-                continue  # trivially true
-            survivors.append((row, strict))
-        rows = survivors
-
-    # -- Fourier–Motzkin on the inequalities --------------------------------
-    while True:
-        occurrences: Dict[int, Tuple[int, int]] = {}
-        for row, _ in rows:
-            for index, numerator in row.iter_scaled():
-                if index == _CONST:
-                    continue
-                positive, negative = occurrences.get(index, (0, 0))
-                if numerator > 0:
-                    occurrences[index] = (positive + 1, negative)
-                else:
-                    occurrences[index] = (positive, negative + 1)
-        if not occurrences:
-            break
-
-        def cost(index: int) -> Tuple[int, int]:
-            positive, negative = occurrences[index]
-            if positive == 0 or negative == 0:
-                return (-1, index)  # free elimination first
-            return (positive * negative - positive - negative, index)
-
-        index = min(occurrences, key=cost)
-        uppers: List[Tuple[SparseRow, bool]] = []  # coeff > 0: upper bounds
-        lowers: List[Tuple[SparseRow, bool]] = []  # coeff < 0: lower bounds
-        untouched: List[Tuple[SparseRow, bool]] = []
-        for entry in rows:
-            numerator = entry[0].numerator_at(index)
-            if numerator > 0:
-                uppers.append(entry)
-            elif numerator < 0:
-                lowers.append(entry)
-            else:
-                untouched.append(entry)
-
-        def bound_pairs(
-            pool: List[Tuple[SparseRow, bool]],
-        ) -> List[Tuple[SparseRow, bool]]:
-            pairs = []
-            for row, strict in pool:
-                coefficient = row.get(index)
-                rest = SparseRow.from_pairs(
-                    [
-                        (i, Fraction(-numerator, 1) / coefficient)
-                        for i, numerator in row.iter_scaled()
-                        if i != index
-                    ]
-                )
-                pairs.append((rest, strict))
-            return pairs
-
-        log.append(("fm", index, bound_pairs(lowers), bound_pairs(uppers)))
-        eliminated += 1
-
-        seen: Set[Tuple] = set()
-        fresh: List[Tuple[SparseRow, bool]] = list(untouched)
-        for upper, upper_strict in uppers:
-            a = upper.numerator_at(index)
-            for lower, lower_strict in lowers:
-                b = lower.numerator_at(index)
-                combined = upper.combine_int(-b, lower, a)
-                combined = combined.normalized_direction()
-                strict = upper_strict or lower_strict
-                combinations += 1
-                if is_constant(combined):
-                    constant = combined.numerator_at(_CONST)
-                    if constant > 0 or (strict and constant >= 0):
-                        return Refutation(
-                            "eliminating %s combines %s and %s into %s"
-                            % (
-                                names[index],
-                                _constraint_of(upper, upper_strict, names),
-                                _constraint_of(lower, lower_strict, names),
-                                _constraint_of(combined, strict, names),
-                            ),
-                            eliminated,
-                            combinations,
-                        )
-                    continue  # trivially true
-                key = (combined.indices, combined.numerators, strict)
-                if key in seen:
-                    continue
-                seen.add(key)
-                fresh.append((combined, strict))
-                if len(fresh) > row_budget:
-                    raise FarkasBudgetExceeded(
-                        "row budget %d exceeded while eliminating %r"
-                        % (row_budget, names[index])
-                    )
-        rows = fresh
+    except _Contradiction as contradiction:
+        return Refutation(
+            contradiction,
+            names,
+            contradiction.eliminated,
+            contradiction.combinations,
+        )
 
     # Feasible: rebuild a witness point by replaying the log backwards.
     indexed: Dict[int, Fraction] = {}

@@ -116,9 +116,9 @@ class TestEdges:
         assert verdict.accepted
         assert verdict.obligations == 0
 
-    def test_disjunct_cap_yields_inconclusive(self):
+    def test_node_cap_yields_inconclusive(self):
         problem, result = analyse(LISTING1)
-        verdict = check_ranking(problem, result.ranking, disjunct_cap=1)
+        verdict = check_ranking(problem, result.ranking, node_cap=0)
         assert verdict.status == CertificateVerdict.INCONCLUSIVE
         assert verdict.notes
 

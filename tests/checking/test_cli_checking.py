@@ -52,13 +52,13 @@ class TestCheckCommand:
         assert "ParseError" in capsys.readouterr().out
 
     def test_inconclusive_exits_4(self, countdown_file, capsys, monkeypatch):
-        # A zero disjunct cap forces every block expansion over budget.
+        # A zero node cap stops every block's search before its root.
         from repro.checking import checker
 
         monkeypatch.setattr(
             checker,
             "check_ranking",
-            functools.partial(checker.check_ranking, disjunct_cap=0),
+            functools.partial(checker.check_ranking, node_cap=0),
         )
         code = main(["check", countdown_file])
         assert code == 4

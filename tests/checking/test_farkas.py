@@ -51,6 +51,17 @@ class TestRefutations:
         half = LinExpr({"x": Fraction(1, 2)})
         assert is_infeasible([Constraint(half - 1, Relation.LT), x >= 2])
 
+    def test_reason_names_the_contradiction(self):
+        # The text is formatted from the kept rows when it is read.
+        combined = decide_system([x >= 1, x <= 0])
+        assert combined.reason == (
+            "eliminating x combines x <= 0 and - x + 1 <= 0 into 1 <= 0"
+        )
+        substituted = decide_system([x.eq(y + 1), y.eq(3), x <= 3])
+        assert substituted.reason == "substituting x yields 1 <= 0"
+        constant = decide_system([Constraint(LinExpr({}, 1), Relation.LE)])
+        assert constant.reason == "constant constraint 1 <= 0 is false"
+
 
 class TestWitnesses:
     def satisfies(self, witness, constraints):

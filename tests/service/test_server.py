@@ -23,6 +23,7 @@ import pytest
 
 from repro.api.pipeline import analyze
 from repro.api.request import AnalysisRequest
+from repro.benchsuite.registry import get_program
 from repro.reporting.parallel import WorkerPool
 from repro.service import (
     OVERLOADED,
@@ -38,6 +39,7 @@ from repro.service import (
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
 PAIR = "var x, y; assume(y >= 1); while (x > 0) { x = x - y; }"
+SLOW = get_program("polybench", "gemm").source
 
 
 def rpc_line(method, params=None, request_id=1) -> bytes:
@@ -279,7 +281,9 @@ class TestFailureIsolation:
         try:
             client = Client(running.host, running.port)
             try:
-                slow = client.call("analyze", {"program": PAIR})
+                # About 70 ms of analysis: well past the 5 ms budget (PAIR
+                # takes about 5 ms, so it timed out only some of the time).
+                slow = client.call("analyze", {"program": SLOW})
                 assert slow["error"]["code"] == REQUEST_TIMEOUT
             finally:
                 client.close()
