@@ -47,8 +47,10 @@ def _one_of(*values):
 #: requests serialised before the removal still load.  ``cex_batch`` only
 #: ever added rows beyond the first, ``oracle_seed`` only seeded the
 #: deleted ``sampling`` oracle and ``random`` strategy, ``"local"`` is the
-#: only OMT search left, and the invariants are always polyhedra
-#: restricted to the guarded states.
+#: only OMT search left, the invariants are always polyhedra restricted
+#: to the guarded states, and the recurrence-set search always examines
+#: at most 64 candidates (no program of the corpus or the fuzz campaign
+#: needs more).
 _LEGACY_FIELDS = {
     "kernel": _one_of("auto", "packed", "exact"),
     "lp_mode": _one_of("incremental", "cold", "audit"),
@@ -60,6 +62,7 @@ _LEGACY_FIELDS = {
     "smt_mode": _one_of("local"),
     "domain": _one_of("polyhedra"),
     "restrict_to_guarded": ("true", lambda value: value is True),
+    "nonterm_budget": ("64", lambda value: type(value) is int and value == 64),
 }
 
 
@@ -99,9 +102,6 @@ class AnalysisConfig:
     #: ``"only"`` (recurrence-set synthesis alone).  Only provers
     #: advertising the ``"nontermination"`` capability honour it.
     nonterm: str = "off"
-    #: Cap on recurrence-set candidates (cycle x guard-conjunct x havoc
-    #: choice combinations) examined per program.
-    nonterm_budget: int = 64
 
     def __post_init__(self) -> None:
         _require(
@@ -142,13 +142,6 @@ class AnalysisConfig:
             self.nonterm in NONTERM_MODES,
             "nonterm must be one of %s, got %r"
             % (", ".join(NONTERM_MODES), self.nonterm),
-        )
-        _require(
-            isinstance(self.nonterm_budget, int)
-            and not isinstance(self.nonterm_budget, bool)
-            and self.nonterm_budget >= 1,
-            "nonterm_budget must be a positive int, got %r"
-            % (self.nonterm_budget,),
         )
 
     # -- derived views -----------------------------------------------------------

@@ -161,9 +161,7 @@ class TermiteProver(Prover):
         from repro.nontermination import synthesize_recurrence
 
         outcome = synthesize_recurrence(
-            automaton,
-            budget=config.nonterm_budget,
-            observers=(observer,) if observer is not None else (),
+            automaton, observers=(observer,) if observer is not None else ()
         )
         elapsed = time.perf_counter() - start
         if outcome.success:

@@ -35,10 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: ``max-dimension``   — honours ``max_dimension``;
 #: ``events``          — :meth:`Prover.prove` accepts an ``observer``
 #:                       keyword receiving per-iteration engine events;
-#: ``nontermination``  — honours ``nonterm`` / ``nonterm_budget`` and can
-#:                       return NONTERMINATING with a lasso witness
-#:                       (:meth:`Prover.prove` accepts an ``automaton``
-#:                       keyword).
+#: ``nontermination``  — honours ``nonterm`` and can return NONTERMINATING
+#:                       with a lasso witness (:meth:`Prover.prove`
+#:                       accepts an ``automaton`` keyword).
 CAPABILITIES = (
     "certificates",
     "cex-oracles",

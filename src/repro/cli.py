@@ -112,13 +112,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "(recurrence-set synthesis when termination is not proved) or 'only'",
     )
     group.add_argument(
-        "--nonterm-budget",
-        type=int,
-        metavar="N",
-        default=None,
-        help="cap on recurrence-set candidates examined (default: 64)",
-    )
-    group.add_argument(
         "--integer-mode",
         action="store_true",
         default=None,
@@ -145,7 +138,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
         ("max_iterations", "max_iterations"),
         ("max_dimension", "max_dimension"),
         ("nonterm", "nonterm"),
-        ("nonterm_budget", "nonterm_budget"),
         ("integer_mode", "integer_mode"),
     ]:
         value = getattr(arguments, flag)

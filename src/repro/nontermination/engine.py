@@ -25,6 +25,11 @@ ranking-function loop in :mod:`repro.synthesis`:
    the cutpoint (fresh variables for havocs) conjoined with ``S`` yields
    a concrete initial state and concrete havoc choices.
 
+Cycles and stems come from one bounded walk (:meth:`RecurrenceSynthesizer.
+_paths`), guards are pulled back through a symbolic state by one helper
+(:func:`_pull_back`), and the self-replay runs stem and cycle through one
+concrete step (:meth:`RecurrenceSynthesizer._step`).
+
 Success is packaged as a :class:`~repro.nontermination.witness.Lasso`
 and **self-replayed** before being returned, so an engine bug fails the
 search rather than emitting a bogus witness; the independent replay
@@ -34,7 +39,8 @@ package never imports.
 Everything here is *sound by construction*: nondeterminism is angelic
 for nontermination, closure is decided exactly, and the final verdict
 additionally rests on the checker's Farkas re-proof.  The engine is
-deliberately incomplete — budgets bound cycles, refinements and stems.
+deliberately incomplete — fixed caps bound candidates, cycles,
+refinements and stems.
 """
 
 from __future__ import annotations
@@ -42,18 +48,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
-from repro.linexpr.formula import And, Atom, Formula, Or, _Constant
+from repro.linexpr.formula import And, Atom, Formula, Or, _Constant, negate_constraint
 from repro.linexpr.transform import dnf_conjunctions
 from repro.metrics import count
-from repro.nontermination.templates import (
-    candidate_pool,
-    negation_branches,
-    sigma_candidates,
-)
+from repro.nontermination.templates import candidate_pool, sigma_candidates
 from repro.nontermination.witness import CycleStep, Lasso, StemStep
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
@@ -61,8 +63,8 @@ from repro.program.transition import Transition
 from repro.smt.theory import check_conjunction
 from repro.synthesis.engine import CegisEvent, CegisObserver
 
-#: Default cap on full candidates (cycle x conjuncts x sigma) examined.
-DEFAULT_BUDGET = 64
+#: Full candidates (cycle x conjuncts x sigma) examined per program.
+CANDIDATE_BUDGET = 64
 #: Longest simple cycle (in transitions) considered at a cutpoint.
 MAX_CYCLE_LENGTH = 8
 #: Simple cycles enumerated per cutpoint.
@@ -92,6 +94,21 @@ def evaluate_formula(formula: Formula, state: Dict[str, Fraction]) -> bool:
     raise TypeError("unknown formula node %r" % (formula,))
 
 
+def _pull_back(
+    rows: Sequence[Constraint], state: Mapping[str, LinExpr]
+) -> Optional[List[Constraint]]:
+    """*rows* over the symbolic *state*: trivially true ones dropped,
+    ``None`` if one is trivially false."""
+    pulled_rows = []
+    for row in rows:
+        pulled = row.substitute(state)
+        if pulled.is_trivially_false():
+            return None
+        if not pulled.is_trivially_true():
+            pulled_rows.append(pulled)
+    return pulled_rows
+
+
 @dataclass
 class NontermResult:
     """Outcome of the recurrence-set search."""
@@ -112,11 +129,9 @@ class RecurrenceSynthesizer:
     def __init__(
         self,
         automaton: ControlFlowAutomaton,
-        budget: int = DEFAULT_BUDGET,
         observers: Sequence[CegisObserver] = (),
     ):
         self.automaton = automaton
-        self.budget = max(1, int(budget))
         self.observers = tuple(obs for obs in observers if obs is not None)
         self._candidates = 0
         self._refinements = 0
@@ -138,17 +153,18 @@ class RecurrenceSynthesizer:
         for observer in self.observers:
             observer(event)
 
-    def _conjunctions(self, transition: Transition) -> List[List[Constraint]]:
-        """The raw DNF conjuncts of a guard, cached per transition.
+    def _conjunctions(self, formula: Formula) -> List[List[Constraint]]:
+        """The raw DNF conjuncts of a guard or the initial condition,
+        cached per formula.
 
         The list is *never* filtered: a :class:`CycleStep` records its
         conjunct by index, and the checker rebuilds the same list from
         the same deterministic expansion.
         """
-        key = id(transition)
+        key = id(formula)
         cached = self._conjunct_cache.get(key)
         if cached is None:
-            cached = dnf_conjunctions(transition.guard)
+            cached = dnf_conjunctions(formula)
             self._conjunct_cache[key] = cached
         return cached
 
@@ -163,50 +179,42 @@ class RecurrenceSynthesizer:
             if location in self.automaton.reachable_locations()
         ]
         self._emit("nonterm_start", cutpoints=list(cutpoints))
-        exhausted = False
-        for cutpoint in cutpoints:
-            for path in self._cycle_paths(cutpoint):
-                for rows, f_map, steps in self._cycle_candidates(path):
-                    if self._candidates >= self.budget:
-                        exhausted = True
-                        break
-                    self._candidates += 1
-                    count("nontermination.engine.candidates")
-                    self._emit(
-                        "nonterm_candidate", cutpoint=cutpoint, length=len(path)
-                    )
-                    closed = self._refine(rows, f_map)
-                    if closed is None:
-                        continue
-                    self._emit(
-                        "nonterm_closed", cutpoint=cutpoint, rows=len(closed)
-                    )
-                    stem = self._find_stem(cutpoint, closed)
-                    if stem is None:
-                        continue
-                    initial, stem_steps = stem
-                    lasso = Lasso(
-                        cutpoint=cutpoint,
-                        rows=list(closed),
-                        initial=initial,
-                        stem=stem_steps,
-                        cycle=list(steps),
-                    )
-                    if not self._replays(lasso):
-                        continue
-                    self._emit(
-                        "nonterm_success", cutpoint=cutpoint, rows=len(closed)
-                    )
-                    return self._finish(True, lasso, "recurrence set found")
-                if exhausted:
-                    break
-            if exhausted:
-                break
-        message = (
-            "candidate budget exhausted"
-            if exhausted
-            else "no recurrence set found within budget"
+        candidates = (
+            (cutpoint, path, candidate)
+            for cutpoint in cutpoints
+            for path in self._paths(
+                cutpoint, cutpoint, MAX_CYCLE_LENGTH, MAX_CYCLE_PATHS
+            )
+            for candidate in self._cycle_candidates(path)
         )
+        for cutpoint, path, (rows, f_map, steps) in candidates:
+            if self._candidates >= CANDIDATE_BUDGET:
+                message = "candidate budget exhausted"
+                break
+            self._candidates += 1
+            count("nontermination.engine.candidates")
+            self._emit("nonterm_candidate", cutpoint=cutpoint, length=len(path))
+            closed = self._refine(rows, f_map)
+            if closed is None:
+                continue
+            self._emit("nonterm_closed", cutpoint=cutpoint, rows=len(closed))
+            stem = self._find_stem(cutpoint, closed)
+            if stem is None:
+                continue
+            initial, stem_steps = stem
+            lasso = Lasso(
+                cutpoint=cutpoint,
+                rows=list(closed),
+                initial=initial,
+                stem=stem_steps,
+                cycle=list(steps),
+            )
+            if not self._replays(lasso):
+                continue
+            self._emit("nonterm_success", cutpoint=cutpoint, rows=len(closed))
+            return self._finish(True, lasso, "recurrence set found")
+        else:
+            message = "no recurrence set found within budget"
         return self._finish(False, None, message)
 
     def _finish(
@@ -220,23 +228,30 @@ class RecurrenceSynthesizer:
             message=message,
         )
 
-    # -- cycle enumeration -------------------------------------------------------
+    # -- paths -------------------------------------------------------------------
 
-    def _cycle_paths(self, cutpoint: str) -> List[List[Transition]]:
-        """Simple cycles through *cutpoint*, shortest first."""
+    def _paths(
+        self, source: str, target: str, max_length: int, max_paths: int
+    ) -> List[List[Transition]]:
+        """Paths from *source* that end on entering *target*, shortest first.
+
+        A bounded depth-first walk over the outgoing transitions in
+        automaton order keeps the first *max_paths* paths of at most
+        *max_length* transitions that enter no location twice; the sort
+        is stable.  With ``source == target`` these are the simple
+        cycles through it, otherwise the acyclic stems into *target*.
+        """
         results: List[List[Transition]] = []
 
         def visit(location: str, path: List[Transition], visited) -> None:
-            if len(results) >= MAX_CYCLE_PATHS:
-                return
             for transition in self.automaton.outgoing(location):
-                if transition.target == cutpoint:
+                if len(results) >= max_paths:
+                    return
+                if transition.target == target:
                     results.append(path + [transition])
-                    if len(results) >= MAX_CYCLE_PATHS:
-                        return
                 elif (
                     transition.target not in visited
-                    and len(path) + 1 < MAX_CYCLE_LENGTH
+                    and len(path) + 1 < max_length
                 ):
                     visit(
                         transition.target,
@@ -244,7 +259,7 @@ class RecurrenceSynthesizer:
                         visited | {transition.target},
                     )
 
-        visit(cutpoint, [], {cutpoint})
+        visit(source, [], {source})
         results.sort(key=len)
         return results
 
@@ -267,18 +282,9 @@ class RecurrenceSynthesizer:
                 return
             transition = path[index]
             t_index = self._transition_index[id(transition)]
-            for c_index, conjunct in enumerate(self._conjunctions(transition)):
-                new_rows = list(rows)
-                feasible = True
-                for row in conjunct:
-                    pulled = row.substitute(state)
-                    if pulled.is_trivially_false():
-                        feasible = False
-                        break
-                    if pulled.is_trivially_true():
-                        continue
-                    new_rows.append(pulled)
-                if not feasible:
+            for c_index, conjunct in enumerate(self._conjunctions(transition.guard)):
+                pulled = _pull_back(conjunct, state)
+                if pulled is None:
                     continue
                 havocs = sorted(
                     v for v, expr in transition.updates.items() if expr is None
@@ -304,7 +310,7 @@ class RecurrenceSynthesizer:
                             choices=dict(choices),
                         )
                     )
-                    yield from walk(index + 1, new_state, new_rows, steps)
+                    yield from walk(index + 1, new_state, rows + pulled, steps)
                     steps.pop()
 
         yield from walk(0, identity, [], [])
@@ -376,8 +382,9 @@ class RecurrenceSynthesizer:
     ) -> Optional[Tuple[Dict[str, Fraction], Constraint]]:
         """A state of ``S`` whose image escapes some row, or ``None``."""
         for row in S:
-            image = row.substitute(f_map)
-            for branch in negation_branches(image):
+            negation = negate_constraint(row.substitute(f_map))
+            atoms = negation.operands if isinstance(negation, Or) else (negation,)
+            for branch in (atom.constraint for atom in atoms):
                 if branch.is_trivially_false():
                     continue
                 if branch.is_trivially_true():
@@ -396,50 +403,24 @@ class RecurrenceSynthesizer:
 
     # -- stem search -------------------------------------------------------------
 
-    def _stem_paths(self, cutpoint: str) -> List[List[Transition]]:
-        """Simple paths initial location -> *cutpoint*, shortest first."""
-        results: List[List[Transition]] = []
-
-        def visit(location: str, path: List[Transition], visited) -> None:
-            if len(results) >= MAX_STEM_PATHS:
-                return
-            if location == cutpoint:
-                results.append(list(path))
-                return
-            if len(path) >= MAX_STEM_LENGTH:
-                return
-            for transition in self.automaton.outgoing(location):
-                if transition.target in visited:
-                    continue
-                path.append(transition)
-                visit(
-                    transition.target, path, visited | {transition.target}
-                )
-                path.pop()
-
-        visit(
-            self.automaton.initial_location,
-            [],
-            {self.automaton.initial_location},
-        )
-        results.sort(key=len)
-        return results
-
     def _find_stem(
         self, cutpoint: str, S: List[Constraint]
     ) -> Optional[Tuple[Dict[str, Fraction], List[StemStep]]]:
         """A concrete initial state + havoc choices landing in ``S``."""
-        init_conjuncts = dnf_conjunctions(self.automaton.initial_condition)
+        initial_location = self.automaton.initial_location
+        paths = (
+            [[]]
+            if initial_location == cutpoint
+            else self._paths(
+                initial_location, cutpoint, MAX_STEM_LENGTH, MAX_STEM_PATHS
+            )
+        )
         base_map = {v: "%s@stem0" % v for v in self._variables}
-        base_integers = {
-            base_map[v] for v in self._variables if v in self._integer
-        }
-        for path in self._stem_paths(cutpoint):
-            for attempt in self._stem_attempts(
-                path, init_conjuncts, S, base_map, base_integers
+        for path in paths:
+            for rows, slots_by_step, integer_names in self._stem_attempts(
+                path, S, base_map
             ):
                 count("nontermination.engine.stems")
-                rows, slots_by_step, integer_names = attempt
                 result = check_conjunction(
                     rows, integer_variables=integer_names
                 )
@@ -467,12 +448,14 @@ class RecurrenceSynthesizer:
     def _stem_attempts(
         self,
         path: List[Transition],
-        init_conjuncts: List[List[Constraint]],
         S: List[Constraint],
         base_map: Dict[str, str],
-        base_integers,
     ) -> Iterator[Tuple[List[Constraint], List[Tuple[int, Dict[str, str]]], set]]:
-        """Constraint systems for one stem path, one per conjunct combo."""
+        """Constraint systems for one stem path, one per conjunct combo.
+
+        The symbolic state starts as fresh ``v@stem0`` copies of the
+        program variables; a havoc at step ``i`` gets a fresh ``v@stem<i>``.
+        """
         produced = 0
 
         def walk(index, state, rows, slots_by_step, integer_names):
@@ -480,31 +463,17 @@ class RecurrenceSynthesizer:
             if produced >= MAX_STEM_CANDIDATES:
                 return
             if index == len(path):
-                final_rows = list(rows)
-                for row in S:
-                    pulled = row.substitute(state)
-                    if pulled.is_trivially_false():
-                        return
-                    if pulled.is_trivially_true():
-                        continue
-                    final_rows.append(pulled)
+                pulled = _pull_back(S, state)
+                if pulled is None:
+                    return
                 produced += 1
-                yield final_rows, list(slots_by_step), set(integer_names)
+                yield rows + pulled, list(slots_by_step), set(integer_names)
                 return
             transition = path[index]
             t_index = self._transition_index[id(transition)]
-            for conjunct in self._conjunctions(transition):
-                new_rows = list(rows)
-                feasible = True
-                for row in conjunct:
-                    pulled = row.substitute(state)
-                    if pulled.is_trivially_false():
-                        feasible = False
-                        break
-                    if pulled.is_trivially_true():
-                        continue
-                    new_rows.append(pulled)
-                if not feasible:
+            for conjunct in self._conjunctions(transition.guard):
+                pulled = _pull_back(conjunct, state)
+                if pulled is None:
                     continue
                 new_state = dict(state)
                 new_integers = set(integer_names)
@@ -523,102 +492,84 @@ class RecurrenceSynthesizer:
                         new_state[v] = expr.substitute(state)
                 slots_by_step.append((t_index, slots))
                 yield from walk(
-                    index + 1, new_state, new_rows, slots_by_step, new_integers
+                    index + 1, new_state, rows + pulled, slots_by_step, new_integers
                 )
                 slots_by_step.pop()
 
-        for conjunct in init_conjuncts:
-            rows0: List[Constraint] = []
-            feasible = True
-            for row in conjunct:
-                renamed = row.rename(base_map)
-                if renamed.is_trivially_false():
-                    feasible = False
-                    break
-                if renamed.is_trivially_true():
-                    continue
-                rows0.append(renamed)
-            if not feasible:
-                continue
-            state0 = {
-                v: LinExpr.variable(base_map[v]) for v in self._variables
-            }
-            yield from walk(0, state0, rows0, [], set(base_integers))
+        state0 = {v: LinExpr.variable(base_map[v]) for v in self._variables}
+        integers0 = {base_map[v] for v in self._variables if v in self._integer}
+        for conjunct in self._conjunctions(self.automaton.initial_condition):
+            rows0 = _pull_back(conjunct, state0)
+            if rows0 is not None:
+                yield from walk(0, state0, rows0, [], integers0)
 
     # -- self-replay -------------------------------------------------------------
+
+    def _step(
+        self,
+        location: str,
+        state: Dict[str, Fraction],
+        index: int,
+        choices: Mapping[str, Fraction],
+    ) -> Optional[Tuple[str, Dict[str, Fraction]]]:
+        """Take transition *index* from (*location*, *state*), with each
+        havoc set from *choices*; ``None`` if it cannot be taken."""
+        transitions = self.automaton.transitions
+        if not 0 <= index < len(transitions):
+            return None
+        transition = transitions[index]
+        if transition.source != location:
+            return None
+        if not evaluate_formula(transition.guard, state):
+            return None
+        new_state = dict(state)
+        for v, expr in transition.updates.items():
+            if expr is not None:
+                new_state[v] = expr.evaluate(state)
+            elif v in choices:
+                new_state[v] = choices[v]
+            else:
+                return None
+        return transition.target, new_state
 
     def _replays(self, lasso: Lasso) -> bool:
         """Concretely execute the lasso before handing it out.
 
-        Guards against engine bugs only — the authoritative replay is
-        the independent checker's.
+        The stem, then :data:`REPLAY_ITERATIONS` passes around the cycle,
+        must each end at the cutpoint inside ``S``, with every integer
+        variable integral.  Guards against engine bugs only — the
+        authoritative replay is the independent checker's.
         """
-        transitions = self.automaton.transitions
         state = {
             v: Fraction(lasso.initial.get(v, 0)) for v in self._variables
         }
         if not evaluate_formula(self.automaton.initial_condition, state):
             return False
         location = self.automaton.initial_location
-        for step in lasso.stem:
-            if not 0 <= step.transition < len(transitions):
-                return False
-            transition = transitions[step.transition]
-            if transition.source != location:
-                return False
-            if not evaluate_formula(transition.guard, state):
-                return False
-            new_state = dict(state)
-            for v, expr in transition.updates.items():
-                if expr is None:
-                    if v not in step.choices:
-                        return False
-                    new_state[v] = step.choices[v]
-                else:
-                    new_state[v] = expr.evaluate(state)
-            state = new_state
-            location = transition.target
-        if location != lasso.cutpoint:
-            return False
-        if not all(row.satisfied_by(state) for row in lasso.rows):
-            return False
-        for _ in range(REPLAY_ITERATIONS):
-            entry = dict(state)
-            for step in lasso.cycle:
-                if not 0 <= step.transition < len(transitions):
+        for steps in [lasso.stem] + [lasso.cycle] * REPLAY_ITERATIONS:
+            entry = state
+            for step in steps:
+                choices = step.choices
+                if isinstance(step, CycleStep):
+                    choices = {
+                        v: expr.evaluate(entry) for v, expr in choices.items()
+                    }
+                moved = self._step(location, state, step.transition, choices)
+                if moved is None:
                     return False
-                transition = transitions[step.transition]
-                if transition.source != location:
-                    return False
-                if not evaluate_formula(transition.guard, state):
-                    return False
-                new_state = dict(state)
-                for v, expr in transition.updates.items():
-                    if expr is None:
-                        choice = step.choices.get(v)
-                        if choice is None:
-                            return False
-                        new_state[v] = choice.evaluate(entry)
-                    else:
-                        new_state[v] = expr.evaluate(state)
-                state = new_state
-                location = transition.target
+                location, state = moved
             if location != lasso.cutpoint:
                 return False
             if not all(row.satisfied_by(state) for row in lasso.rows):
                 return False
-            for v in self._integer:
-                if state[v].denominator != 1:
-                    return False
+            if any(state[v].denominator != 1 for v in self._integer):
+                return False
         return True
 
 
 def synthesize_recurrence(
     automaton: ControlFlowAutomaton,
-    budget: int = DEFAULT_BUDGET,
     observers: Sequence[CegisObserver] = (),
 ) -> NontermResult:
     """Search for a recurrence set of *automaton*; see the module doc."""
-    return RecurrenceSynthesizer(
-        automaton, budget=budget, observers=observers
-    ).synthesize()
+    return RecurrenceSynthesizer(automaton, observers=observers).synthesize()

@@ -20,27 +20,12 @@ syntactic sources, all derived from the automaton itself:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List
 
-from repro.linexpr.constraint import Constraint, Relation
+from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
 from repro.linexpr.transform import formula_atoms
 from repro.program.automaton import ControlFlowAutomaton
-
-
-def negation_branches(constraint: Constraint) -> List[Constraint]:
-    """The disjunctive branches of ``not constraint`` (one per branch).
-
-    Mirrors the checker's atom negation: an equality splits into two
-    strict inequalities, everything else negates in place.
-    """
-    if constraint.is_equality():
-        return [
-            Constraint(constraint.expr, Relation.LT),
-            Constraint(constraint.expr * Fraction(-1), Relation.LT),
-        ]
-    return [constraint.negate()]
 
 
 def candidate_pool(automaton: ControlFlowAutomaton) -> List[Constraint]:

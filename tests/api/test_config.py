@@ -154,8 +154,20 @@ class TestSerialisation:
             AnalysisConfig(lp_mode="incremental")
         assert "lp_mode" not in AnalysisConfig().to_dict()
 
-    def test_config_has_eight_fields(self):
-        assert len(dataclasses.fields(AnalysisConfig)) == 8
+    def test_config_has_seven_fields(self):
+        assert len(dataclasses.fields(AnalysisConfig)) == 7
+
+    def test_legacy_nonterm_budget_key_is_dropped(self):
+        data = {"nonterm_budget": 64, "nonterm": "auto"}
+        assert AnalysisConfig.from_dict(data) == AnalysisConfig(nonterm="auto")
+        assert data == {"nonterm_budget": 64, "nonterm": "auto"}
+        assert "nonterm_budget" not in AnalysisConfig().to_dict()
+        with pytest.raises(TypeError):
+            AnalysisConfig(nonterm_budget=64)
+
+    def test_legacy_nonterm_budget_with_another_value_rejected(self):
+        with pytest.raises(ConfigError, match="nonterm_budget"):
+            AnalysisConfig.from_dict({"nonterm_budget": 7})
 
     def test_legacy_invariant_keys_are_dropped(self):
         data = {"domain": "polyhedra", "restrict_to_guarded": True}

@@ -32,11 +32,10 @@ class TestConfig:
     def test_default_is_off(self):
         config = AnalysisConfig()
         assert config.nonterm == "off"
-        assert config.nonterm_budget == 64
 
     @pytest.mark.parametrize("mode", NONTERM_MODES)
     def test_modes_round_trip(self, mode):
-        config = AnalysisConfig(nonterm=mode, nonterm_budget=7)
+        config = AnalysisConfig(nonterm=mode)
         replica = AnalysisConfig.from_json(config.to_json())
         assert replica == config
 
@@ -46,8 +45,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("budget", [0, -1, True, "many"])
     def test_invalid_budget_rejected(self, budget):
-        with pytest.raises(ConfigError):
-            AnalysisConfig(nonterm_budget=budget)
+        # ``nonterm_budget`` is removed: the search always examines at
+        # most 64 candidates, and an old document loads only at 64.
+        with pytest.raises(ConfigError, match="nonterm_budget"):
+            AnalysisConfig.from_dict({"nonterm_budget": budget})
 
 
 class TestRegistry:
@@ -121,21 +122,16 @@ class TestRace:
         assert result.certificate_checked
 
     def test_auto_mode_unknown_keeps_both_messages(self):
-        # Neither side can decide this one within the tiny budgets.
-        source = (
-            "var x, y; while (x + y > 0) "
-            "{ x = nondet(); y = nondet(); assume(x + y < 100); }"
-        )
-        result = analyze(
-            source,
-            config=AnalysisConfig(
-                nonterm="auto", max_iterations=3, nonterm_budget=1
-            ),
-        )
-        assert result.status in (
-            AnalysisStatus.UNKNOWN,
-            AnalysisStatus.NONTERMINATING,
-        )
+        # Neither side decides this one: it terminates (y eventually
+        # drives x down), so no recurrence set exists, but without a
+        # bound on y no linear ranking function holds on the invariant.
+        source = "var x, y; while (x > 0) { x = x + y; y = y - 1; }"
+        result = analyze(source, config=AnalysisConfig(nonterm="auto"))
+        assert result.status is AnalysisStatus.UNKNOWN
+        assert result.lasso is None
+        termination, nontermination = result.message.split("; ")
+        assert "ranking function" in termination
+        assert "no recurrence set found" in nontermination
 
     def test_acyclic_program_short_circuits(self):
         result = analyze("var x; x = 1;", config=AnalysisConfig(nonterm="auto"))

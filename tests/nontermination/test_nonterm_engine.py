@@ -6,7 +6,10 @@ import pytest
 
 from repro.frontend.lowering import compile_program
 from repro.metrics import recording
-from repro.nontermination import synthesize_recurrence
+from repro.nontermination import RecurrenceSynthesizer, engine, synthesize_recurrence
+from repro.nontermination.engine import MAX_CYCLE_LENGTH, MAX_CYCLE_PATHS
+from repro.program.automaton import ControlFlowAutomaton
+from repro.program.transition import Transition
 
 COUNTUP = "var x; while (x >= 0) { x = x + 1; }"
 CONSTANT_LOOP = "var x; x = 1; while (x >= 1) { x = x; }"
@@ -58,8 +61,9 @@ class TestNegatives:
         assert not outcome.success
         assert "acyclic" in outcome.message
 
-    def test_budget_exhaustion_is_not_a_claim(self):
-        outcome = _synthesize(COUNTUP, budget=1)
+    def test_budget_exhaustion_is_not_a_claim(self, monkeypatch):
+        monkeypatch.setattr(engine, "CANDIDATE_BUDGET", 1)
+        outcome = _synthesize(COUNTUP)
         # Budget 1 may or may not suffice for the first candidate, but a
         # success must still carry a full witness.
         if outcome.success:
@@ -83,3 +87,50 @@ class TestSeams:
             outcome = _synthesize(COUNTUP)
         assert counters["nontermination.engine.candidates"] >= 1
         assert outcome.iterations == counters["nontermination.engine.refinements"]
+
+
+def _layered(layers: int) -> ControlFlowAutomaton:
+    """``init -> L0``, then two parallel edges ``Li -> Li+1`` per layer
+    (the last layer back to ``L0``) and a self-loop on ``L0`` added last:
+    ``2 ** layers`` cycles of length *layers* and one of length 1."""
+    automaton = ControlFlowAutomaton(["x"], "init")
+    automaton.add_transition(Transition("init", "L0"))
+    for layer in range(layers):
+        target = "L%d" % ((layer + 1) % layers)
+        for _ in range(2):
+            automaton.add_transition(Transition("L%d" % layer, target))
+    automaton.add_transition(Transition("L0", "L0"))
+    return automaton
+
+
+class TestPaths:
+    def test_cycles_are_the_first_found_then_sorted(self):
+        automaton = _layered(3)
+        paths = RecurrenceSynthesizer(automaton)._paths(
+            "L0", "L0", MAX_CYCLE_LENGTH, MAX_CYCLE_PATHS
+        )
+        # All nine cycles fit the cap: the self-loop, found last, sorts first.
+        assert [len(path) for path in paths] == [1] + [3] * 8
+        assert paths[0][0].source == paths[0][0].target == "L0"
+        assert len({tuple(map(id, path)) for path in paths}) == 9
+
+    def test_the_cap_keeps_the_first_paths_in_walk_order(self):
+        automaton = _layered(5)
+        paths = RecurrenceSynthesizer(automaton)._paths(
+            "L0", "L0", MAX_CYCLE_LENGTH, MAX_CYCLE_PATHS
+        )
+        # The first edge's subtree fills the cap; the self-loop is not
+        # reached, even though it is shorter.
+        assert len(paths) == MAX_CYCLE_PATHS
+        first = automaton.outgoing("L0")[0]
+        assert all(len(path) == 5 and path[0] is first for path in paths)
+
+    def test_length_cap_bounds_cycles_and_stems(self):
+        automaton = _layered(5)
+        walker = RecurrenceSynthesizer(automaton)
+        assert walker._paths("L0", "L0", 4, MAX_CYCLE_PATHS) == [
+            [automaton.outgoing("L0")[-1]]
+        ]
+        stems = walker._paths("init", "L3", 4, MAX_CYCLE_PATHS)
+        assert [len(path) for path in stems] == [4] * 8
+        assert walker._paths("init", "L3", 3, MAX_CYCLE_PATHS) == []
