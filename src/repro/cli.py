@@ -132,15 +132,15 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
     else:
         config = AnalysisConfig()
     overrides = {}
-    for flag, field in [
-        ("cex_oracle", "cex_oracle"),
-        ("cex_strategy", "cex_strategy"),
-        ("max_iterations", "max_iterations"),
-        ("max_dimension", "max_dimension"),
-        ("nonterm", "nonterm"),
-        ("integer_mode", "integer_mode"),
-    ]:
-        value = getattr(arguments, flag)
+    for field in (
+        "cex_oracle",
+        "cex_strategy",
+        "max_iterations",
+        "max_dimension",
+        "nonterm",
+        "integer_mode",
+    ):
+        value = getattr(arguments, field)
         if value is not None:
             overrides[field] = value
     if arguments.no_certificates:
